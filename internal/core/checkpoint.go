@@ -193,6 +193,10 @@ func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, e
 	if err != nil {
 		return nil, fmt.Errorf("core: shard %d: checkpoint store: %w", spec.Index, err)
 	}
+	if !st.PostingsEnabled() {
+		// Shard stores always keep postings (Counts reads their bitmaps).
+		st.EnablePostings()
+	}
 	w := &WorkerState{
 		g:       g,
 		st:      st,
@@ -206,7 +210,7 @@ func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, e
 	if img.Seeded {
 		w.pool = make(map[string]*workerEntry, len(img.Pool))
 		for _, cand := range img.Pool {
-			w.upsert(cand.GR, cand.Counts)
+			w.upsert(cand.GR.Key(), cand.GR, cand.Counts)
 		}
 	}
 	return w, nil

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"grminer/internal/datagen"
+	"grminer/internal/gr"
 	"grminer/internal/graph"
 	"grminer/internal/metrics"
 	"grminer/internal/store"
@@ -34,10 +35,7 @@ var (
 func gateFixture(b *testing.B) {
 	b.Helper()
 	gateOnce.Do(func() {
-		cfg := datagen.DefaultPokecConfig()
-		cfg.Nodes = 1500
-		cfg.AvgOutDegree = 6
-		gateG = datagen.Pokec(cfg)
+		gateG = gateGraph()
 		gateSt = store.Build(gateG)
 		gateOpt = Options{
 			MinSupp:      gateG.NumEdges() / 200,
@@ -48,15 +46,19 @@ func gateFixture(b *testing.B) {
 	})
 }
 
+// gateGraph generates the fixture graph; each call returns a fresh copy.
+func gateGraph() *graph.Graph {
+	cfg := datagen.DefaultPokecConfig()
+	cfg.Nodes = 1500
+	cfg.AvgOutDegree = 6
+	return datagen.Pokec(cfg)
+}
+
 // gateEngine builds a fresh incremental engine over a private copy of the
 // fixture graph (engines own and mutate their graph).
 func gateEngine(b *testing.B, opt Options) *Incremental {
 	b.Helper()
-	cfg := datagen.DefaultPokecConfig()
-	cfg.Nodes = 1500
-	cfg.AvgOutDegree = 6
-	g := datagen.Pokec(cfg)
-	inc, err := NewIncremental(g, opt)
+	inc, err := NewIncremental(gateGraph(), opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,4 +172,82 @@ func BenchmarkMineStatic(b *testing.B) {
 		opt.ExactGenerality = true
 		run(b, opt)
 	})
+}
+
+// countsRecorder is an in-process worker that keeps a copy of the last
+// round-2 request it answered, so a benchmark can replay a request the
+// coordinator really sent.
+type countsRecorder struct {
+	*WorkerState
+	last []gr.GR
+}
+
+func (r *countsRecorder) Counts(grs []gr.GR) ([]metrics.Counts, error) {
+	r.last = append(r.last[:0], grs...)
+	return r.WorkerState.Counts(grs)
+}
+
+// gateSharded builds an in-process 2-shard incremental engine over a
+// private copy of the fixture graph, returning the shard workers too.
+func gateSharded(b *testing.B) (*IncrementalSharded, []*countsRecorder) {
+	b.Helper()
+	var workers []*countsRecorder
+	build := WorkerBuilder(func(spec WorkerSpec) (ShardWorker, error) {
+		w, err := NewWorkerState(spec)
+		if err != nil {
+			return nil, err
+		}
+		rec := &countsRecorder{WorkerState: w}
+		workers = append(workers, rec)
+		return rec, nil
+	})
+	inc, err := NewIncrementalShardedFrom(gateGraph(), gateOpt, ShardOptions{Shards: 2}, build)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inc, workers
+}
+
+// BenchmarkWorkerCounts isolates the round-2 exact-count kernel: one shard
+// answering the request the coordinator sent it for a mixed batch, against
+// a store carrying that batch's tombstones. The kernel's scratch is reused
+// across calls, so allocs/op is the reply slice alone, whatever the number
+// of GRs.
+func BenchmarkWorkerCounts(b *testing.B) {
+	gateFixture(b)
+	inc, workers := gateSharded(b)
+	defer inc.Close()
+	if _, _, err := inc.ApplyBatch(gateBatch(gateG, 0, 64)); err != nil {
+		b.Fatal(err)
+	}
+	w := workers[0]
+	req := append([]gr.GR(nil), w.last...)
+	if len(req) == 0 || w.st.NumRows() == w.st.NumEdges() {
+		b.Fatalf("fixture lacks a round-2 request (%d GRs) or tombstones", len(req))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.WorkerState.Counts(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardedApplyBatch is the sharded counterpart of
+// BenchmarkApplyBatch/mixed: one state-neutral mixed batch through an
+// in-process 2-shard IncrementalSharded — routing, worker ingest, round-2
+// counts, and the union merge.
+func BenchmarkShardedApplyBatch(b *testing.B) {
+	gateFixture(b)
+	inc, _ := gateSharded(b)
+	defer inc.Close()
+	batch := gateBatch(gateG, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := inc.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -81,7 +81,9 @@ type WireOptions struct {
 	// PoolCap travels for completeness; normalizeSharded rejects a non-zero
 	// value before any spec is built (per-shard pools are support-gated and
 	// cannot be bounded without losing offer completeness), so workers only
-	// ever see zero. NoPostingLists selects the worker-side re-mine path.
+	// ever see zero. NoPostingLists likewise travels for completeness:
+	// shard workers always build posting lists (round-2 Counts reads their
+	// bitmaps), so it has no effect worker-side.
 	PoolCap        int
 	NoPostingLists bool
 }
@@ -507,6 +509,8 @@ type WorkerState struct {
 	// dictionary (the worker is the store's exclusive writer).
 	scr *minerScratch
 	aff affectedKeys
+	// counter is the round-2 Counts kernel's scratch, reused across calls.
+	counter bitmapCounter
 }
 
 // NewWorkerState builds a live worker from its spec.
@@ -556,9 +560,9 @@ func NewWorkerState(spec WorkerSpec) (*WorkerState, error) {
 		return nil, fmt.Errorf("core: worker spec: shard minSupp %d < 1", spec.ShardMinSupp)
 	}
 	st := store.Build(g)
-	if !opt.NoPostingLists {
-		st.EnablePostings()
-	}
+	// Shard stores always keep postings: Counts reads the bitmaps, and the
+	// scoped re-mine takes the posting path whenever they exist.
+	st.EnablePostings()
 	return &WorkerState{
 		g:       g,
 		st:      st,
@@ -612,7 +616,7 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 	m.capture = func(g gr.GR, c metrics.Counts, score float64) {
 		out = append(out, ShardCandidate{GR: g, Counts: c})
 		if seedPool {
-			w.upsert(g, c)
+			w.upsert(g.Key(), g, c)
 		}
 	}
 	m.run()
@@ -621,18 +625,139 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 }
 
 // Counts measures the given GRs' exact counts on this shard — the batched
-// round-2 (verify) query for candidates other shards offered.
+// round-2 (verify) query for candidates other shards offered. Every GR is
+// checked against the shard schema before any table is read, so a malformed
+// request fails closed instead of indexing out of a posting table.
+//
+// Counts come from the store's live-exact posting bitmaps, filling only the
+// fields the metric reads so gap-filled counts sum consistently with
+// in-search capture counts. Per GR the cost is O(conditions × rows/64):
+// L∧W is intersected once into scratch (an empty L∧W is every live row),
+// then intersected-and-counted against the R bitmaps for LWR and against
+// the destination-side l[β] bitmaps for Hom; R alone is counted when the
+// metric reads it. Requests arrive key-sorted, so consecutive GRs often
+// share their L∧W and reuse the previous intersection.
 func (w *WorkerState) Counts(grs []gr.GR) ([]metrics.Counts, error) {
-	out := make([]metrics.Counts, len(grs))
+	schema := w.g.Schema()
 	for i, g := range grs {
-		out[i] = countOnStore(w.st, w.opt.Metric, g)
+		if err := validGR(schema, g); err != nil {
+			return nil, fmt.Errorf("core: worker %d: counts request GR %d: %w", w.idx, i, err)
+		}
+	}
+	out := make([]metrics.Counts, len(grs))
+	k := &w.counter
+	for i, g := range grs {
+		if i == 0 || !g.L.Equal(grs[i-1].L) || !g.W.Equal(grs[i-1].W) {
+			k.intersectLW(w.st, g)
+		}
+		out[i] = k.count(w.st, w.metric, g)
 	}
 	return out, nil
 }
 
-// upsert records (or refreshes) one maintained-pool entry.
-func (w *WorkerState) upsert(g gr.GR, c metrics.Counts) {
-	key := g.Key()
+// validGR checks that every condition of g names an attribute and a
+// non-null in-domain value of the schema.
+func validGR(schema *graph.Schema, g gr.GR) error {
+	if err := g.L.Valid(schema.Node); err != nil {
+		return fmt.Errorf("lhs: %w", err)
+	}
+	if err := g.W.Valid(schema.Edge); err != nil {
+		return fmt.Errorf("edge: %w", err)
+	}
+	if err := g.R.Valid(schema.Node); err != nil {
+		return fmt.Errorf("rhs: %w", err)
+	}
+	return nil
+}
+
+// bitmapCounter is the round-2 count kernel's reusable scratch: the current
+// L∧W intersection and a buffer for deeper multi-way intersections. The
+// zero value is ready; it never writes into store-owned bitmaps.
+type bitmapCounter struct {
+	lw      store.Bitmap // L∧W rows; aliases a store bitmap for one condition
+	lwAll   bool         // L = W = ∅: every live row
+	lwN     int          // |L∧W|
+	lwBuf   store.Bitmap // backing storage for a multi-condition lw
+	tmp     store.Bitmap
+	operand []store.Bitmap
+}
+
+// intersectLW computes g's L∧W row set.
+func (k *bitmapCounter) intersectLW(st *store.Store, g gr.GR) {
+	k.operand = k.operand[:0]
+	for _, c := range g.L {
+		k.operand = append(k.operand, st.LBitmap(c.Attr, c.Val))
+	}
+	for _, c := range g.W {
+		k.operand = append(k.operand, st.WBitmap(c.Attr, c.Val))
+	}
+	switch len(k.operand) {
+	case 0:
+		k.lw, k.lwAll, k.lwN = nil, true, st.NumEdges()
+		return
+	case 1:
+		k.lw = k.operand[0]
+	default:
+		k.lwBuf = store.AndInto(k.lwBuf, k.operand[0], k.operand[1])
+		for _, b := range k.operand[2:] {
+			k.lwBuf = store.AndInto(k.lwBuf, k.lwBuf, b)
+		}
+		k.lw = k.lwBuf
+	}
+	k.lwAll, k.lwN = false, k.lw.Count()
+}
+
+// count fills g's counts from the current L∧W intersection.
+func (k *bitmapCounter) count(st *store.Store, m metrics.Metric, g gr.GR) metrics.Counts {
+	c := metrics.Counts{E: st.NumEdges(), LW: k.lwN}
+	k.operand = k.operand[:0]
+	for _, rc := range g.R {
+		k.operand = append(k.operand, st.RBitmap(rc.Attr, rc.Val))
+	}
+	if c.LW > 0 {
+		c.LWR = k.andCount(k.lw, k.lwAll, c.LW, k.operand)
+	}
+	if m.NeedsR {
+		c.R = k.andCount(nil, true, c.E, k.operand)
+	}
+	if c.LW > 0 && m.NeedsHom {
+		// β ≠ ∅ implies L ≠ ∅, so lw is a real intersection here.
+		if beta := betaMaskOf(st.Graph().Schema(), g.L, g.R); beta != 0 {
+			k.operand = k.operand[:0]
+			for _, lc := range g.L {
+				if beta&(1<<uint(lc.Attr)) != 0 {
+					k.operand = append(k.operand, st.RBitmap(lc.Attr, lc.Val))
+				}
+			}
+			c.Hom = k.andCount(k.lw, false, c.LW, k.operand)
+		}
+	}
+	return c
+}
+
+// andCount returns |base ∧ ops…|, where base is every live row when all is
+// set and n is |base|.
+func (k *bitmapCounter) andCount(base store.Bitmap, all bool, n int, ops []store.Bitmap) int {
+	if len(ops) == 0 {
+		return n
+	}
+	if all {
+		if len(ops) == 1 {
+			return ops[0].Count()
+		}
+		base, ops = ops[0], ops[1:]
+	}
+	last := len(ops) - 1
+	for _, b := range ops[:last] {
+		k.tmp = store.AndInto(k.tmp, base, b)
+		base = k.tmp
+	}
+	return store.AndCount(base, ops[last])
+}
+
+// upsert records (or refreshes) one maintained-pool entry under key, which
+// must be g.Key() (callers that also need the key format it once).
+func (w *WorkerState) upsert(key string, g gr.GR, c metrics.Counts) {
 	t := w.pool[key]
 	if t == nil {
 		t = &workerEntry{gr: g}
@@ -703,9 +828,10 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	//grlint:ignore metricsafety deletions are recounted exactly above; only inserts reach the scoped re-mine
 	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.st, w.offerOpts(), &w.aff,
 		func(g gr.GR, c metrics.Counts, score float64) {
-			w.upsert(g, c)
-			changed[g.Key()] = true
-			delete(dropped, g.Key())
+			key := g.Key()
+			w.upsert(key, g, c)
+			changed[key] = true
+			delete(dropped, key)
 		}, w.scr, &stats)
 	rep.Deltas = make([]ShardCandidate, 0, len(changed)+len(dropped))
 	for key := range changed {
@@ -778,31 +904,4 @@ func (w *WorkerState) recount(newRows, delRows []int32, changed map[string]bool,
 		}
 	}
 	return recounted
-}
-
-// countOnStore measures g's exact counts on one shard store by a single
-// scan, filling only the fields the metric reads so gap-filled counts sum
-// consistently with in-search capture counts.
-func countOnStore(st *store.Store, m metrics.Metric, g gr.GR) metrics.Counts {
-	c := metrics.Counts{E: st.NumEdges()}
-	eff, hasBeta := g.HomophilyEffect(st.Graph().Schema())
-	needHom := m.NeedsHom && hasBeta
-	for e := int32(0); int(e) < st.NumRows(); e++ {
-		if !st.Alive(e) {
-			continue
-		}
-		if matchOn(st.LVal, e, g.L) && matchOn(st.EVal, e, g.W) {
-			c.LW++
-			if matchOn(st.RVal, e, g.R) {
-				c.LWR++
-			}
-			if needHom && matchOn(st.RVal, e, eff.R) {
-				c.Hom++
-			}
-		}
-		if m.NeedsR && matchOn(st.RVal, e, g.R) {
-			c.R++
-		}
-	}
-	return c
 }

@@ -2,6 +2,7 @@ package rpc_test
 
 import (
 	"encoding/gob"
+	"errors"
 	"math/rand"
 	"net"
 	"os"
@@ -423,5 +424,89 @@ func TestBuilderShardCountMismatch(t *testing.T) {
 		core.ShardOptions{Shards: 3}, rpc.Builder(addrs))
 	if err == nil || !strings.Contains(err.Error(), "addresses") {
 		t.Fatalf("3 shards over 1 address accepted: %v", err)
+	}
+}
+
+// wholeGraphSpec is a one-shard spec holding every live edge of g.
+func wholeGraphSpec(g *graph.Graph, opt core.Options) core.WorkerSpec {
+	schema := g.Schema()
+	spec := core.WorkerSpec{
+		NodeAttrs: schema.Node, EdgeAttrs: schema.Edge,
+		NumNodes: g.NumNodes(), Opt: opt.Wire(), ShardMinSupp: 1, Index: 0, Shards: 1,
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		spec.NodeVals = append(spec.NodeVals, g.NodeValues(v)...)
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		if !g.EdgeAlive(e) {
+			continue
+		}
+		spec.EdgeSrc = append(spec.EdgeSrc, int32(g.Src(e)))
+		spec.EdgeDst = append(spec.EdgeDst, int32(g.Dst(e)))
+		spec.EdgeVals = append(spec.EdgeVals, g.EdgeValues(e)...)
+	}
+	return spec
+}
+
+// A counts request naming an attribute or value outside the shard schema
+// must come back as an in-band refusal — not a transport failure, not a
+// crashed daemon — and the same session must answer the next request.
+func TestCountsMalformedRefusedInBand(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- rpc.ServeShards(l, 1, nil) }()
+	t.Cleanup(func() { l.Close() })
+
+	g := randomGraph(5, true, false)
+	spec := wholeGraphSpec(g, core.Options{MinSupp: 2, MinScore: 0.1, K: 10})
+	c, err := rpc.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	slot, err := c.Slot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slot.Build(spec); err != nil {
+		t.Fatal(err)
+	}
+	ok := gr.GR{L: gr.Descriptor{{Attr: 0, Val: 1}}, R: gr.Descriptor{{Attr: 0, Val: 2}}}
+	for _, bad := range []gr.GR{
+		{L: gr.Descriptor{{Attr: 2, Val: 1}}},  // no third node attribute
+		{W: gr.Descriptor{{Attr: 0, Val: 3}}},  // past W's domain
+		{R: gr.Descriptor{{Attr: -1, Val: 1}}}, // negative attribute
+	} {
+		_, err := slot.Counts([]gr.GR{ok, bad})
+		if err == nil {
+			t.Fatalf("malformed GR %+v accepted", bad)
+		}
+		var te *rpc.TransportError
+		if errors.As(err, &te) {
+			t.Fatalf("malformed GR %+v surfaced as a transport failure: %v", bad, err)
+		}
+	}
+	got, err := slot.Counts([]gr.GR{ok})
+	if err != nil {
+		t.Fatalf("session did not survive the refusals: %v", err)
+	}
+	local, err := core.NewWorkerState(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Counts([]gr.GR{ok})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want[0] {
+		t.Fatalf("remote counts %+v, in-process %+v", got[0], want[0])
+	}
+	select {
+	case err := <-errCh:
+		t.Fatalf("daemon exited: %v", err)
+	default:
 	}
 }

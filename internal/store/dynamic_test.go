@@ -255,6 +255,34 @@ func TestPostingListsMatchScanUnderChurn(t *testing.T) {
 	}
 }
 
+// TestAndCountMatchesAndInto pins the fused intersect-and-count against the
+// materialising AndInto, including operands of unequal length (a bitmap only
+// grows to its highest row) and the nil bitmap of a value no row carries.
+func TestAndCountMatchesAndInto(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	random := func() Bitmap {
+		var b Bitmap
+		for i := r.Intn(8); i > 0; i-- {
+			b = b.Set(int32(r.Intn(300)))
+		}
+		return b
+	}
+	var scratch Bitmap
+	for i := 0; i < 200; i++ {
+		a, b := random(), random()
+		scratch = AndInto(scratch, a, b)
+		if got, want := AndCount(a, b), scratch.Count(); got != want {
+			t.Fatalf("AndCount(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if got := AndCount(b, a); got != scratch.Count() {
+			t.Fatalf("AndCount not symmetric on %v, %v", a, b)
+		}
+		if AndCount(a, nil) != 0 || AndCount(nil, b) != 0 {
+			t.Fatal("intersection with a nil bitmap must be empty")
+		}
+	}
+}
+
 // TestRemoveEdgesErrors pins the tombstone API's failure modes: out-of-range
 // rows and double deletion are loud errors, not silent corruption.
 func TestRemoveEdgesErrors(t *testing.T) {

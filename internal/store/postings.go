@@ -87,6 +87,19 @@ func AndInto(dst, a, b Bitmap) Bitmap {
 	return dst
 }
 
+// AndCount returns the size of the intersection of a and b without
+// materialising it — the last step of a multi-way intersect-and-count.
+func AndCount(a, b Bitmap) int {
+	if len(b) < len(a) {
+		a = a[:len(b)]
+	}
+	n := 0
+	for i, w := range a {
+		n += bits.OnesCount64(w & b[i])
+	}
+	return n
+}
+
 // Set returns b with row added, growing the word array as needed. Callers
 // owning scratch bitmaps (the miner's partition bitmaps) build them with Set
 // and undo with Clear.
