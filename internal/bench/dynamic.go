@@ -26,30 +26,24 @@ type DynamicPoint struct {
 	Batches  int `json:"batches"`
 	Inserted int `json:"inserted"`
 	Deleted  int `json:"deleted"`
-	// PostingSeconds is the total ApplyBatch time of the default engine
-	// (store posting lists); PartitionSeconds the same stream through the
-	// PR 2 per-batch partition-pass path (Options.NoPostingLists) — the
-	// pre-posting-list baseline; FullSeconds a fresh batch re-mine of the
-	// surviving graph after every batch.
-	PostingSeconds   float64 `json:"apply_seconds_postings"`
-	PartitionSeconds float64 `json:"apply_seconds_partition"`
-	FullSeconds      float64 `json:"full_remine_seconds"`
-	// PostingSpeedup is PartitionSeconds / PostingSeconds for this point;
-	// the gating boolean lives at the report level, summed across points.
-	PostingSpeedup float64 `json:"posting_speedup"`
+	// PostingSeconds is the total ApplyBatch time of the incremental
+	// engine; FullSeconds a fresh batch re-mine of the surviving graph
+	// after every batch.
+	PostingSeconds float64 `json:"apply_seconds_postings"`
+	FullSeconds    float64 `json:"full_remine_seconds"`
 	// TopKEvictionsByDeletion counts batches containing deletions after
 	// which a previous top-k member left the reference list — the demotion
 	// case the engines' decrement paths must get right.
 	TopKEvictionsByDeletion int `json:"topk_evictions_by_deletion"`
-	// Identical records whether BOTH engines matched the batch re-mine
-	// after every single batch.
+	// Identical records whether the engine matched the batch re-mine after
+	// every single batch.
 	Identical bool `json:"identical_results"`
 }
 
 // DynamicReport is the machine-readable snapshot written to
 // BENCH_dynamic.json: per-batch cost of maintaining the top-k under a fully
-// dynamic (insert + delete) stream, posting-list path versus the PR 2
-// partition-pass path, both checked for exactness against full re-mines.
+// dynamic (insert + delete) stream against full re-mines, with exactness
+// checked after every batch.
 type DynamicReport struct {
 	Dataset   string `json:"dataset"`
 	Nodes     int    `json:"nodes"`
@@ -62,20 +56,20 @@ type DynamicReport struct {
 	K       int            `json:"k"`
 	Points  []DynamicPoint `json:"points"`
 	// The aggregate verdicts CI gates on: every batch of every point
-	// matched its full re-mine, and the summed posting-list Apply cost
-	// stayed strictly below the summed PR 2 partition-pass baseline.
-	AllIdentical          bool    `json:"identical_results"`
-	TotalPostingSeconds   float64 `json:"apply_seconds_postings_total"`
-	TotalPartitionSeconds float64 `json:"apply_seconds_partition_total"`
-	PostingBelowPartition bool    `json:"posting_below_partition"`
+	// matched its full re-mine, and the summed Apply cost stayed strictly
+	// below the summed full re-mine cost.
+	AllIdentical         bool    `json:"identical_results"`
+	TotalPostingSeconds  float64 `json:"apply_seconds_postings_total"`
+	TotalFullSeconds     float64 `json:"full_remine_seconds_total"`
+	ApplyBelowFullRemine bool    `json:"apply_below_full_remine"`
 }
 
 // Dynamic measures fully dynamic top-k maintenance on the Pokec-like
 // generator: 90% of the edges seed the engines, then mixed batches stream in
 // — fresh insertions from the remaining tail interleaved with retractions of
-// random live edges — through the posting-list engine and the partition-pass
-// ablation, with every batch checked against a fresh re-mine of the
-// surviving graph. With cfg.JSONDir set the trajectory is also written to
+// random live edges — through the incremental engine, with every batch
+// checked against (and timed beside) a fresh re-mine of the surviving
+// graph. With cfg.JSONDir set the trajectory is also written to
 // BENCH_dynamic.json.
 func Dynamic(w io.Writer, cfg Config) error {
 	full := cfg.pokec()
@@ -91,8 +85,8 @@ func Dynamic(w io.Writer, cfg Config) error {
 
 	fmt.Fprintf(w, "== Dynamic: top-k maintenance under edge insertions AND deletions ==  |V|=%d base|E|=%d stream=%d dims=%d minSupp=%d minNhp=%0.0f%% k=%d\n",
 		rep.Nodes, base, stream, dims, cfg.MinSupp, 100*cfg.MinNhp, cfg.K)
-	fmt.Fprintf(w, "  %-12s %8s %12s %12s %14s %9s %10s %10s\n",
-		"batch(+/-)", "batches", "postings/s", "partition/s", "full-remine/s", "speedup", "evictions", "identical")
+	fmt.Fprintf(w, "  %-12s %8s %12s %14s %9s %10s %10s\n",
+		"batch(+/-)", "batches", "apply/s", "full-remine/s", "speedup", "evictions", "identical")
 
 	for _, batchSize := range []int{4, 16, 64} {
 		maxBatches := 8
@@ -107,30 +101,29 @@ func Dynamic(w io.Writer, cfg Config) error {
 			return err
 		}
 		rep.Points = append(rep.Points, pt)
-		fmt.Fprintf(w, "  +%-5d-%-5d %8d %12.4f %12.4f %14.4f %8.2fx %10d %10v\n",
+		fmt.Fprintf(w, "  +%-5d-%-5d %8d %12.4f %14.4f %8.2fx %10d %10v\n",
 			pt.BatchInserts, pt.BatchDeletes, pt.Batches,
-			pt.PostingSeconds, pt.PartitionSeconds, pt.FullSeconds,
-			pt.PostingSpeedup, pt.TopKEvictionsByDeletion, pt.Identical)
+			pt.PostingSeconds, pt.FullSeconds,
+			pt.FullSeconds/pt.PostingSeconds, pt.TopKEvictionsByDeletion, pt.Identical)
 	}
 
 	rep.AllIdentical = true
 	for _, pt := range rep.Points {
 		rep.AllIdentical = rep.AllIdentical && pt.Identical
 		rep.TotalPostingSeconds += pt.PostingSeconds
-		rep.TotalPartitionSeconds += pt.PartitionSeconds
+		rep.TotalFullSeconds += pt.FullSeconds
 	}
-	rep.PostingBelowPartition = rep.TotalPostingSeconds < rep.TotalPartitionSeconds
-	allIdentical, allBelow := rep.AllIdentical, rep.PostingBelowPartition
-	if allIdentical {
-		fmt.Fprintln(w, "  shape: dynamic engines ≡ batch re-mine after every mixed batch ✓")
+	rep.ApplyBelowFullRemine = rep.TotalPostingSeconds < rep.TotalFullSeconds
+	if rep.AllIdentical {
+		fmt.Fprintln(w, "  shape: dynamic engine ≡ batch re-mine after every mixed batch ✓")
 	} else {
 		fmt.Fprintln(w, "  shape: WARNING — a maintained top-k diverged from its batch re-mine")
 	}
-	if allBelow {
-		fmt.Fprintf(w, "  shape: posting-list Apply strictly below the partition-pass baseline (%.4fs < %.4fs) ✓\n",
-			rep.TotalPostingSeconds, rep.TotalPartitionSeconds)
+	if rep.ApplyBelowFullRemine {
+		fmt.Fprintf(w, "  shape: Apply strictly below full re-mines (%.4fs < %.4fs) ✓\n",
+			rep.TotalPostingSeconds, rep.TotalFullSeconds)
 	} else {
-		fmt.Fprintln(w, "  shape: WARNING — the partition-pass baseline beat the posting-list path")
+		fmt.Fprintln(w, "  shape: WARNING — full re-mines beat incremental Apply")
 	}
 
 	if cfg.JSONDir != "" {
@@ -233,11 +226,11 @@ func runEnginePhase(full *graph.Graph, base int, workload []core.Batch, opt core
 	return total, tops, eng.Options(), nil
 }
 
-// measureDynamic streams the same precomputed workload through both engine
-// variants and the full-re-mine reference, timing each and checking the
-// three-way equality after every batch. Each engine runs the stream as its
-// own uninterrupted phase (twice, keeping the faster pass) so the measured
-// Apply costs are not distorted by the other engines' cache and GC traffic.
+// measureDynamic streams the precomputed workload through the incremental
+// engine and the full-re-mine reference, timing each and checking equality
+// after every batch. The engine runs the stream as its own uninterrupted
+// phase (twice, keeping the faster pass) so the measured Apply cost is not
+// distorted by the reference's cache and GC traffic.
 func measureDynamic(full *graph.Graph, base, batchSize, batches int, seed int64, opt core.Options) (DynamicPoint, error) {
 	pt := DynamicPoint{
 		BatchInserts: batchSize, BatchDeletes: batchSize / 2,
@@ -252,12 +245,9 @@ func measureDynamic(full *graph.Graph, base, batchSize, batches int, seed int64,
 		pt.Deleted += len(batch.Del)
 	}
 
-	partOpt := opt
-	partOpt.NoPostingLists = true
-	var postTops, partTops [][]gr.Scored
+	var postTops [][]gr.Scored
 	var refOpt core.Options
 	pt.PostingSeconds = math.Inf(1)
-	pt.PartitionSeconds = math.Inf(1)
 	for rep := 0; rep < 2; rep++ {
 		secs, tops, effOpt, err := runEnginePhase(full, base, workload, opt)
 		if err != nil {
@@ -267,14 +257,6 @@ func measureDynamic(full *graph.Graph, base, batchSize, batches int, seed int64,
 			pt.PostingSeconds = secs
 		}
 		postTops, refOpt = tops, effOpt
-		secs, tops, _, err = runEnginePhase(full, base, workload, partOpt)
-		if err != nil {
-			return pt, err
-		}
-		if secs < pt.PartitionSeconds {
-			pt.PartitionSeconds = secs
-		}
-		partTops = tops
 	}
 
 	// Reference phase: apply the same ops to a twin graph and re-mine from
@@ -300,14 +282,11 @@ func measureDynamic(full *graph.Graph, base, batchSize, batches int, seed int64,
 			return pt, err
 		}
 		pt.FullSeconds += ref.Stats.Duration.Seconds()
-		pt.Identical = pt.Identical && sameTop(postTops[i], ref.TopK) && sameTop(partTops[i], ref.TopK)
+		pt.Identical = pt.Identical && sameTop(postTops[i], ref.TopK)
 		if len(batch.Del) > 0 && prevRef != nil && evicted(prevRef, ref.TopK) {
 			pt.TopKEvictionsByDeletion++
 		}
 		prevRef = ref.TopK
-	}
-	if pt.PostingSeconds > 0 {
-		pt.PostingSpeedup = pt.PartitionSeconds / pt.PostingSeconds
 	}
 	return pt, nil
 }

@@ -15,7 +15,9 @@ import (
 // the version lives inside the blob, not in the wire protocol: bumping it
 // does not bump the rpc version, and a restore of a foreign generation fails
 // closed (the supervisor then marks the shard down rather than guessing).
-const CheckpointVersion = 1
+// Version 2 serializes the intern dictionary as id-ordered slices instead
+// of maps and the pool in entry order, so blobs are deterministic.
+const CheckpointVersion = 2
 
 // Checkpointer is a ShardWorker that can serialize its full shard state
 // into an opaque versioned blob. Supervisors checkpoint through it every
@@ -87,7 +89,7 @@ func (w *WorkerState) Checkpoint() ([]byte, error) {
 		EdgeSrc:  make([]int32, m),
 		EdgeDst:  make([]int32, m),
 		Store:    w.st.State(),
-		Seeded:   w.pool != nil,
+		Seeded:   w.seeded,
 	}
 	if ne > 0 {
 		img.EdgeVals = make([]graph.Value, m*ne)
@@ -102,10 +104,12 @@ func (w *WorkerState) Checkpoint() ([]byte, error) {
 			img.DeadEdges = append(img.DeadEdges, int32(e))
 		}
 	}
-	if w.pool != nil {
-		img.Pool = make([]ShardCandidate, 0, len(w.pool))
-		for _, t := range w.pool {
-			img.Pool = append(img.Pool, ShardCandidate{GR: t.gr, Counts: t.c})
+	if w.seeded {
+		// Entry order, not map order: restore upserts in blob order, so the
+		// restored pool's dense layout — and its next checkpoint — match.
+		img.Pool = make([]ShardCandidate, len(w.pool.entries))
+		for i, t := range w.pool.entries {
+			img.Pool[i] = ShardCandidate{GR: t.gr, Counts: t.c}
 		}
 	}
 	var buf bytes.Buffer
@@ -136,81 +140,27 @@ func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, e
 		return nil, fmt.Errorf("core: shard %d: checkpoint node table (%d nodes) disagrees with spec (%d)",
 			spec.Index, img.NumNodes, spec.NumNodes)
 	}
-	if len(img.EdgeDst) != len(img.EdgeSrc) {
-		return nil, fmt.Errorf("core: shard %d: checkpoint edge arrays disagree", spec.Index)
-	}
-
-	schema, err := graph.NewSchema(spec.NodeAttrs, spec.EdgeAttrs)
-	if err != nil {
-		return nil, fmt.Errorf("core: worker spec schema: %w", err)
-	}
-	nv, ne := len(schema.Node), len(schema.Edge)
-	if len(spec.NodeVals) != spec.NumNodes*nv {
-		return nil, fmt.Errorf("core: worker spec: %d node values for %d nodes × %d attrs",
-			len(spec.NodeVals), spec.NumNodes, nv)
-	}
-	if ne > 0 && len(img.EdgeVals) != len(img.EdgeSrc)*ne {
-		return nil, fmt.Errorf("core: shard %d: checkpoint edge values disagree with schema", spec.Index)
-	}
-	g, err := graph.New(schema, spec.NumNodes)
-	if err != nil {
-		return nil, err
-	}
-	for n := 0; n < spec.NumNodes; n++ {
-		if err := g.SetNodeValues(n, spec.NodeVals[n*nv:(n+1)*nv]...); err != nil {
-			return nil, fmt.Errorf("core: worker spec node %d: %w", n, err)
-		}
-	}
 	// Replay the edge log in id order — edge ids are positional, and the
 	// store snapshot's EID column references them — then re-tombstone.
-	for i := range img.EdgeSrc {
-		var vals []graph.Value
-		if ne > 0 {
-			vals = img.EdgeVals[i*ne : (i+1)*ne]
+	w, err := newWorker(spec, img.EdgeSrc, img.EdgeDst, img.EdgeVals, func(g *graph.Graph) (*store.Store, error) {
+		for _, e := range img.DeadEdges {
+			if err := g.RemoveEdge(int(e)); err != nil {
+				return nil, fmt.Errorf("core: shard %d: checkpoint tombstone %d: %w", spec.Index, e, err)
+			}
 		}
-		if _, err := g.AddEdge(int(img.EdgeSrc[i]), int(img.EdgeDst[i]), vals...); err != nil {
-			return nil, fmt.Errorf("core: shard %d: checkpoint edge %d: %w", spec.Index, i, err)
+		st, err := store.FromState(g, img.Store)
+		if err != nil {
+			return nil, fmt.Errorf("core: shard %d: checkpoint store: %w", spec.Index, err)
 		}
-	}
-	for _, e := range img.DeadEdges {
-		if err := g.RemoveEdge(int(e)); err != nil {
-			return nil, fmt.Errorf("core: shard %d: checkpoint tombstone %d: %w", spec.Index, e, err)
-		}
-	}
-
-	opt, err := spec.Opt.Options()
+		return st, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	opt, err = opt.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if spec.ShardMinSupp < 1 {
-		return nil, fmt.Errorf("core: worker spec: shard minSupp %d < 1", spec.ShardMinSupp)
-	}
-	st, err := store.FromState(g, img.Store)
-	if err != nil {
-		return nil, fmt.Errorf("core: shard %d: checkpoint store: %w", spec.Index, err)
-	}
-	if !st.PostingsEnabled() {
-		// Shard stores always keep postings (Counts reads their bitmaps).
-		st.EnablePostings()
-	}
-	w := &WorkerState{
-		g:       g,
-		st:      st,
-		opt:     opt,
-		metric:  opt.Metric,
-		minSupp: spec.ShardMinSupp,
-		idx:     spec.Index,
-		shards:  spec.Shards,
-		scr:     newMinerScratch(st.Dict()),
 	}
 	if img.Seeded {
-		w.pool = make(map[string]*workerEntry, len(img.Pool))
+		w.seeded = true
 		for _, cand := range img.Pool {
-			w.upsert(cand.GR.Key(), cand.GR, cand.Counts)
+			w.pool.upsert(cand.GR, cand.Counts, w.pool.opt.Metric.Score(cand.Counts))
 		}
 	}
 	return w, nil

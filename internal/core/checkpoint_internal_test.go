@@ -71,12 +71,12 @@ type poolEntry struct {
 }
 
 func poolSnapshot(w *WorkerState) map[string]poolEntry {
-	if w.pool == nil {
+	if !w.seeded {
 		return nil
 	}
-	out := make(map[string]poolEntry, len(w.pool))
-	for k, t := range w.pool {
-		out[k] = poolEntry{C: t.c, Mask: t.betaMask}
+	out := make(map[string]poolEntry, w.pool.len())
+	for _, t := range w.pool.entries {
+		out[t.gr.Key()] = poolEntry{C: t.c, Mask: t.betaMask}
 	}
 	return out
 }
@@ -246,5 +246,53 @@ func TestDoubleSeedIdempotent(t *testing.T) {
 	}
 	if reseeded := poolSnapshot(w); !reflect.DeepEqual(maintained, reseeded) {
 		t.Errorf("re-seed changed the pool:\n maintained %v\n reseeded %v", maintained, reseeded)
+	}
+}
+
+// TestCheckpointDeterministic pins checkpointImage's bit-identity promise
+// at the byte level: re-checkpointing an unchanged worker yields the same
+// blob every time, and a worker restored from a blob checkpoints back to
+// exactly that blob (pool in entry order, dictionary in id order).
+func TestCheckpointDeterministic(t *testing.T) {
+	spec := realWorkerSpec(t, 11, 2, 0)
+	w, err := NewWorkerState(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.Offer(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Ingest(Batch{
+		Ins: []EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}, {Src: 2, Dst: 3, Vals: []graph.Value{2}}},
+		Del: []EdgeDelete{specDelete(spec, 0)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if w.pool.len() < 2 {
+		t.Fatalf("fixture pool (%d entries) too small to expose ordering", w.pool.len())
+	}
+	blob, err := w.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := w.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("re-checkpoint %d of an unchanged worker differs byte-wise", i)
+		}
+	}
+	r, err := NewWorkerStateFromCheckpoint(spec, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := r.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, blob) {
+		t.Error("restore → Checkpoint does not reproduce the blob")
 	}
 }

@@ -137,9 +137,8 @@ func BenchmarkRecount(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc.recount(rows, rows)
-		aff := inc.affected(rows, rows)
-		_ = aff
+		inc.pool.recount(rows, rows, nil)
+		collectAffectedInto(&inc.aff, inc.st, rows, rows)
 	}
 }
 

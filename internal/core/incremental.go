@@ -13,8 +13,7 @@
 //     crosses the store's threshold. Per-(attribute, value) posting lists
 //     maintained by the store hand the scoped re-mine its first-level
 //     partitions directly, replacing the O(|E| × dims) per-batch partition
-//     pass that used to floor every Apply (Options.NoPostingLists keeps the
-//     old pass as the measured ablation baseline).
+//     pass that used to floor every Apply.
 //
 //  2. A tracked candidate pool — the "guarded frontier": the exact counts
 //     (LWR, LW, Hom, R, E) of every GR currently satisfying Definition 5
@@ -165,105 +164,25 @@ func (s *IncStats) add(b IncStats) {
 	s.Duration += b.Duration
 }
 
-// tracked is one pool entry: a condition-(1) GR with its exact counts.
-type tracked struct {
-	gr       gr.GR
-	c        metrics.Counts
-	score    float64
-	betaMask uint64
-}
-
-// densePool is the tracked candidate pool, indexed by interned GR id: a
-// dense entry array plus an id→slot table (slot+1; 0 means absent). Ids come
-// from the store's persistent dictionary, so slots stay valid across batches
-// and compactions; upsert/delete are slice probes instead of the hash of a
-// formatted GR key, and a delete swap-removes so recount's iteration stays
-// dense. The zero value is an empty pool.
-type densePool struct {
-	slots   []int32
-	entries []tracked
-	ids     []intern.GRID
-}
-
-func (p *densePool) len() int { return len(p.entries) }
-
-// upsert records or refreshes the entry for id.
-func (p *densePool) upsert(id intern.GRID, t tracked) {
-	if int(id) < len(p.slots) {
-		if s := p.slots[id]; s != 0 {
-			p.entries[s-1] = t
-			return
-		}
-	} else {
-		p.slots = append(p.slots, make([]int32, int(id)+1-len(p.slots))...)
-	}
-	p.entries = append(p.entries, t)
-	p.ids = append(p.ids, id)
-	p.slots[id] = int32(len(p.entries))
-}
-
-// deleteAt swap-removes the entry at dense index i. Iterating callers must
-// re-examine index i (it now holds the former last entry) instead of
-// advancing.
-func (p *densePool) deleteAt(i int) {
-	id := p.ids[i]
-	last := len(p.entries) - 1
-	p.entries[i] = p.entries[last]
-	p.ids[i] = p.ids[last]
-	p.slots[p.ids[i]] = int32(i) + 1
-	p.entries = p.entries[:last]
-	p.ids = p.ids[:last]
-	p.slots[id] = 0
-}
-
-// delete removes the entry for id if present.
-func (p *densePool) delete(id intern.GRID) {
-	if int(id) < len(p.slots) {
-		if s := p.slots[id]; s != 0 {
-			p.deleteAt(int(s) - 1)
-		}
-	}
-}
-
-// get returns id's tracked entry, if present.
-func (p *densePool) get(id intern.GRID) (tracked, bool) {
-	if int(id) < len(p.slots) {
-		if s := p.slots[id]; s != 0 {
-			return p.entries[s-1], true
-		}
-	}
-	return tracked{}, false
-}
-
-// reset empties the pool in O(occupied), keeping all allocations.
-func (p *densePool) reset() {
-	for _, id := range p.ids {
-		p.slots[id] = 0
-	}
-	p.entries = p.entries[:0]
-	p.ids = p.ids[:0]
-}
-
 // Incremental maintains the top-k GRs of a growing network. It owns the
 // graph passed to NewIncremental (edges are appended to it) and is not safe
 // for concurrent use.
 type Incremental struct {
-	g      *graph.Graph
-	st     *store.Store
-	opt    Options
-	metric metrics.Metric
+	g   *graph.Graph
+	st  *store.Store
+	opt Options
 	// deltaSafe gates the scoped path for insertions; deleteSafe
 	// additionally gates it for batches containing deletions. See
 	// metrics.Metric.DeltaSafe / DeleteSafe.
 	deltaSafe  bool
 	deleteSafe bool
-	pool       densePool
-	// dict is the store's persistent interning dictionary (ids stable across
-	// batches and compactions); scr, aff, and mergeScratch are the engine's
-	// steady-state allocation set — every Apply recounts, re-mines, and
-	// assembles out of these instead of rebuilding maps (DESIGN.md §7). The
-	// engine is the store's exclusive writer, so single-owner use holds.
-	dict         *intern.Dict
+	// pool is keyed by the store's persistent interning dictionary (ids
+	// stable across batches and compactions); pool, scr, aff, and
+	// mergeScratch are the engine's steady-state allocation set — every
+	// Apply recounts, re-mines, and assembles out of these instead of
+	// rebuilding maps (DESIGN.md §7). The engine is the store's exclusive
+	// writer, so single-owner use holds.
+	pool         densePool
 	scr          *minerScratch
 	aff          affectedKeys
 	mergeScratch []gr.Scored
@@ -297,21 +216,21 @@ func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 		// dynamic floor (see Options.ExactGenerality).
 		opt.ExactGenerality = true
 	}
+	st := store.Build(g)
+	st.EnablePostings()
 	inc := &Incremental{
-		g:      g,
-		st:     store.Build(g),
-		opt:    opt,
-		metric: opt.Metric,
+		g:   g,
+		st:  st,
+		opt: opt,
 		deltaSafe: opt.Metric.DeltaSafe && !opt.Metric.NeedsR &&
 			opt.MinScore >= 0,
 		deleteSafe: opt.Metric.DeleteSafe,
+		// The single store captures every condition-(1) candidate: the
+		// pool's gate is the engine's own (MinSupp, MinScore).
+		pool:       newDensePool(st, captureOptions(opt)),
 		spillFloor: math.Inf(-1),
 	}
-	if !opt.NoPostingLists {
-		inc.st.EnablePostings()
-	}
-	inc.dict = inc.st.Dict()
-	inc.scr = newMinerScratch(inc.dict)
+	inc.scr = newMinerScratch(st.Dict())
 	var stats Stats
 	var seedStats IncStats
 	start := time.Now()
@@ -336,12 +255,13 @@ func (inc *Incremental) Cumulative() IncStats { return inc.cum }
 // Explain returns the exact maintained counts of q from the tracked
 // candidate pool, or false when q is not tracked (below the support
 // threshold, spilled under PoolCap, or never a condition-(1) candidate) —
-// callers then fall back to a full-scan metrics.Eval. Note Counts.R is only
-// tracked when the engine's metric needs it. Explain interns q through the
+// callers then fall back to a full-scan metrics.Eval. Counts.Hom and
+// Counts.R are only tracked when the engine's metric reads them (NeedsHom,
+// NeedsR); otherwise they are 0. Explain interns q through the
 // engine's dictionary, so like ApplyBatch it must not run concurrently with
 // other engine calls.
 func (inc *Incremental) Explain(q gr.GR) (metrics.Counts, bool) {
-	t, ok := inc.pool.get(inc.dict.GR(q))
+	t, ok := inc.pool.get(inc.pool.dict.GR(q))
 	if !ok {
 		return metrics.Counts{}, false
 	}
@@ -387,12 +307,12 @@ func (inc *Incremental) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		// the doomed rows' values, so both run before the rows tombstone;
 		// the re-mine then runs over the surviving store (RemoveEdges may
 		// compact and renumber rows — newIDs and delRows are dead after it).
-		bs.Recounted, bs.Dropped = inc.recount(newIDs, delRows)
-		aff := inc.affected(newIDs, delRows)
+		bs.Recounted, bs.Dropped = inc.pool.recount(newIDs, delRows, nil)
+		collectAffectedInto(&inc.aff, inc.st, newIDs, delRows)
 		if err := inc.applyDeletes(delRows); err != nil {
 			return nil, IncStats{}, err
 		}
-		bs.SubtreesRemined, bs.SubtreesTotal = inc.remineAffected(aff, &stats)
+		bs.SubtreesRemined, bs.SubtreesTotal = remineAffectedSubtrees(inc.st, inc.pool.opt, &inc.aff, inc.pool.capture, inc.scr, &stats)
 	} else if len(newIDs) > 0 || len(delRows) > 0 {
 		// Full rebuild: the whole tree is re-walked, so no subtree
 		// selectivity is reported (SubtreesRemined/Total stay 0). The
@@ -518,27 +438,6 @@ func (inc *Incremental) applyDeletes(delRows []int32) error {
 	return inc.st.RemoveEdges(delRows)
 }
 
-// captureOpts derives the options for pool-building mines: unbounded,
-// static floor, no generality machinery — the capture hook records every
-// condition-(1) candidate with its exact counts.
-func (inc *Incremental) captureOpts() Options {
-	o := inc.opt
-	o.K = 0
-	o.DynamicFloor = false
-	o.ExactGenerality = false
-	o.NoGeneralityFilter = false
-	o.Parallelism = 0
-	return o
-}
-
-// upsert is the capture hook target: record or refresh one pool entry.
-func (inc *Incremental) upsert(g gr.GR, c metrics.Counts, score float64) {
-	inc.pool.upsert(inc.dict.GR(g), tracked{
-		gr: g, c: c, score: score,
-		betaMask: betaMaskOf(inc.g.Schema(), g.L, g.R),
-	})
-}
-
 // rebuildPool re-seeds the pool with a full capture mine over the current
 // store (seed mine, the per-batch fallback for non-delta-safe batches, and
 // the bounded pool's underflow re-mine). The rebuilt pool is complete, so
@@ -548,104 +447,12 @@ func (inc *Incremental) upsert(g gr.GR, c metrics.Counts, score float64) {
 func (inc *Incremental) rebuildPool(stats *Stats) {
 	inc.pool.reset()
 	inc.scr.reset()
-	m := newMinerScr(inc.st, inc.captureOpts(), inc.scr)
-	m.capture = inc.upsert
+	m := newMinerScr(inc.st, inc.pool.opt, inc.scr)
+	m.capture = inc.pool.capture
 	m.run()
 	addStats(stats, &m.stats)
 	inc.spillFloor = math.Inf(-1)
 	inc.spilled = false
-}
-
-// recount delta-updates every pool entry against the batch's inserted and
-// doomed rows (deletions are still readable — they tombstone only after this
-// pass) and drops entries that no longer satisfy condition (1): a score
-// decayed below minScore, or — deletions only — a support fallen below
-// minSupp. Dropped entries are re-discovered by the scoped re-mine the
-// moment a later batch lifts them back over a threshold. Counts stay exact:
-// an edge matching l ∧ w moves LW; matching r on top of that moves LWR (and
-// by the β-value conflict can never also match l[β]); matching l[β] instead
-// moves Hom alongside LW — with inserted rows adding and deleted rows
-// subtracting.
-func (inc *Incremental) recount(newIDs, delRows []int32) (recounted, dropped int) {
-	// NeedsR metrics are never DeltaSafe, so Counts.R needs no maintenance
-	// here — only the full-rebuild path serves them.
-	totalE := inc.st.NumEdges() - len(delRows)
-	for i := 0; i < inc.pool.len(); {
-		t := &inc.pool.entries[i]
-		changed := false
-		for _, e := range newIDs {
-			if !matchOn(inc.st.LVal, e, t.gr.L) || !matchOn(inc.st.EVal, e, t.gr.W) {
-				continue
-			}
-			t.c.LW++
-			changed = true
-			if matchOn(inc.st.RVal, e, t.gr.R) {
-				t.c.LWR++
-			} else if t.betaMask != 0 && inc.matchHom(e, t) {
-				t.c.Hom++
-			}
-		}
-		for _, e := range delRows {
-			if !matchOn(inc.st.LVal, e, t.gr.L) || !matchOn(inc.st.EVal, e, t.gr.W) {
-				continue
-			}
-			t.c.LW--
-			changed = true
-			if matchOn(inc.st.RVal, e, t.gr.R) {
-				t.c.LWR--
-			} else if t.betaMask != 0 && inc.matchHom(e, t) {
-				t.c.Hom--
-			}
-		}
-		t.c.E = totalE
-		t.score = inc.metric.Score(t.c)
-		if changed {
-			recounted++
-		}
-		if t.score < inc.opt.MinScore || t.c.LWR < inc.opt.MinSupp {
-			// Swap-remove: index i now holds a not-yet-visited entry, so the
-			// loop re-examines it instead of advancing.
-			inc.pool.deleteAt(i)
-			dropped++
-			continue
-		}
-		i++
-	}
-	return recounted, dropped
-}
-
-// matchOn reports whether edge e satisfies every condition of d under the
-// given per-edge accessor (LVal, EVal, or RVal).
-func matchOn(val func(int32, int) graph.Value, e int32, d gr.Descriptor) bool {
-	for _, c := range d {
-		if val(e, c.Attr) != c.Val {
-			return false
-		}
-	}
-	return true
-}
-
-// matchHom reports whether edge e (already known to match l ∧ w) counts
-// toward the homophily effect l -w-> l[β]: its destination carries the LHS
-// value on every β attribute.
-func (inc *Incremental) matchHom(e int32, t *tracked) bool {
-	return matchHomOn(inc.st, e, t.gr.L, t.betaMask)
-}
-
-// matchHomOn is the store-level homophily-effect row test shared by the
-// single-store and sharded delta recounts: row e's destination carries the
-// LHS value on every attribute of betaMask.
-func matchHomOn(st *store.Store, e int32, l gr.Descriptor, betaMask uint64) bool {
-	for a := 0; a < len(st.Graph().Schema().Node); a++ {
-		if betaMask&(1<<uint(a)) == 0 {
-			continue
-		}
-		lv, _ := l.Get(a)
-		if st.RVal(e, a) != lv {
-			return false
-		}
-	}
-	return true
 }
 
 // affSet is one attribute's affected-value set: a dense membership table
@@ -710,21 +517,14 @@ func (aff *affectedKeys) reset() {
 	aff.AllRight = false
 }
 
-// collectAffected gathers the affected subtree keys from the batch's
+// collectAffectedInto gathers the affected subtree keys from the batch's
 // inserted rows and doomed rows (called before the latter tombstone, while
-// their values are still readable). Inserted rows mark all three blocks
-// (a riser's full descriptor is carried by the inserted edge); deleted rows
-// mark only LEFT and EDGE keys — a deletion-riser's l ∧ w is carried by the
-// deleted edge, but its RHS need not be, so deletions flip AllRight instead.
-func collectAffected(st *store.Store, newIDs, delRows []int32) *affectedKeys {
-	aff := &affectedKeys{}
-	collectAffectedInto(aff, st, newIDs, delRows)
-	return aff
-}
-
-// collectAffectedInto is collectAffected into a reusable set: the
-// incremental engines keep one affectedKeys per engine and refill it each
-// batch instead of allocating per-attribute maps.
+// their values are still readable) into a reusable set: the incremental
+// engines keep one affectedKeys per engine and refill it each batch.
+// Inserted rows mark all three blocks (a riser's full descriptor is carried
+// by the inserted edge); deleted rows mark only LEFT and EDGE keys — a
+// deletion-riser's l ∧ w is carried by the deleted edge, but its RHS need
+// not be, so deletions flip AllRight instead.
 func collectAffectedInto(aff *affectedKeys, st *store.Store, newIDs, delRows []int32) {
 	schema := st.Graph().Schema()
 	nv, ne := len(schema.Node), len(schema.Edge)
@@ -760,12 +560,6 @@ func collectAffectedInto(aff *affectedKeys, st *store.Store, newIDs, delRows []i
 	}
 }
 
-// affected is the engine-side collectAffected, refilling the per-engine set.
-func (inc *Incremental) affected(newIDs, delRows []int32) *affectedKeys {
-	collectAffectedInto(&inc.aff, inc.st, newIDs, delRows)
-	return &inc.aff
-}
-
 // rightSubtreeAffected decides whether a root RIGHT subtree with n live
 // edges in its partition needs re-mining. Insert-marked subtrees always do.
 // In deletion mode (aff.AllRight) every RIGHT subtree is a potential riser —
@@ -788,53 +582,24 @@ func rightSubtreeAffected(opt Options, aff *affectedKeys, attr int, val graph.Va
 	return bound >= opt.MinScore
 }
 
-// remineAffected re-mines exactly the first-level SFDF subtrees the batch
-// can have changed, upserting every candidate found into the pool.
-//
-// Scoped re-mining is only sound when the metric cannot raise a score
-// outside the affected subtrees.
-//
-// grlint:requires DeltaSafe DeleteSafe
-func (inc *Incremental) remineAffected(aff *affectedKeys, stats *Stats) (remined, total int) {
-	inc.scr.reset()
-	return remineAffectedSubtrees(inc.st, inc.captureOpts(), aff, inc.upsert, inc.scr, stats)
-}
-
 // remineAffectedSubtrees re-mines exactly the first-level SFDF subtrees in
 // the affected set, feeding every candidate found to the capture hook. The
 // enumeration mirrors the decomposition of parallel.go's buildTasks (root
 // RIGHT, EDGE, and LEFT blocks) so every GR of the full walk belongs to
 // exactly one subtree. Shared by the single-store incremental engine and
-// the per-shard scoped re-mine of the sharded incremental engine.
+// the shard workers, whose stores both keep posting lists: first-level
+// partitions come straight from the store's per-(attribute, value) lists —
+// no O(|E| × dims) counting-sort pass over the full edge set — and the walk
+// additionally filters every deeper descent by the affected keys
+// (miner.aff), which the entrant argument licenses at every depth, not just
+// the first. scr is reset first.
 //
-// Two implementations maintain the same pool (the oracle and posting-list
-// invariant tests pin their equivalence):
-//
-//   - reminePostings, the default: first-level partitions come straight from
-//     the store's per-(attribute, value) posting lists — no O(|E| × dims)
-//     counting-sort pass over the full edge set — and the walk additionally
-//     filters every deeper descent by the affected keys (miner.aff), which
-//     the entrant argument licenses at every depth, not just the first.
-//   - reminePartition, the PR 2 Apply path kept behind NoPostingLists as
-//     the measured baseline (`grbench -exp dynamic`): one counting sort
-//     over the full edge set per dimension recovers the first-level
-//     partitions, and affected subtrees are re-walked in full, exactly as
-//     the pre-posting-list engine did.
+// Scoped re-mining is only sound when the metric cannot raise a score
+// outside the affected subtrees.
 //
 // grlint:requires DeltaSafe DeleteSafe
 func remineAffectedSubtrees(st *store.Store, opt Options, aff *affectedKeys, capture func(gr.GR, metrics.Counts, float64), scr *minerScratch, stats *Stats) (remined, total int) {
-	if st.PostingsEnabled() {
-		return reminePostings(st, opt, aff, capture, scr, stats)
-	}
-	return reminePartition(st, opt, aff, capture, scr, stats)
-}
-
-// reminePostings is the posting-list re-mine: first-level partitions come
-// straight from the store's per-(attribute, value) lists, and the deep
-// affected-key filter scopes every level below them.
-//
-// grlint:requires DeltaSafe DeleteSafe
-func reminePostings(st *store.Store, opt Options, aff *affectedKeys, capture func(gr.GR, metrics.Counts, float64), scr *minerScratch, stats *Stats) (remined, total int) {
+	scr.reset()
 	schema := st.Graph().Schema()
 	m := newMinerScr(st, opt, scr)
 	m.capture = capture
@@ -898,83 +663,6 @@ func reminePostings(st *store.Store, opt Options, aff *affectedKeys, capture fun
 			}
 			remined++
 			m.leftGroup(st.LRowsInto(m.buffer(1, n), attr, val), 1, gr.Descriptor(nil).With(attr, val), pos)
-		}
-	}
-	addStats(stats, &m.stats)
-	return remined, total
-}
-
-// reminePartition is the PR 2 re-mine, verbatim in behaviour: one counting
-// sort over the full edge set per dimension recovers the first-level
-// partitions (affected or not), and affected subtrees are re-walked in
-// full — no deep affected-key filtering.
-//
-// grlint:requires DeltaSafe DeleteSafe
-func reminePartition(st *store.Store, opt Options, aff *affectedKeys, capture func(gr.GR, metrics.Counts, float64), scr *minerScratch, stats *Stats) (remined, total int) {
-	schema := st.Graph().Schema()
-	m := newMinerScr(st, opt, scr)
-	m.capture = capture
-	all := st.AllEdgesInto(m.scr.allRows)
-	m.scr.allRows = all
-	buf := m.buffer(1, len(all))
-
-	// Root RIGHT block: same dynamic tail order as run()'s empty-LHS rctx.
-	sr := rhsOrder(schema, gr.Descriptor(nil).Has)
-	if m.opt.StaticRHSOrder {
-		sr = staticRHSOrder(schema)
-	}
-	for pos := 0; pos < len(sr); pos++ {
-		attr := sr[pos]
-		groups := m.partition(1, all, func(e int32) uint16 {
-			return uint16(m.st.RVal(e, attr))
-		}, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) || int(grp.Hi-grp.Lo) < m.opt.MinSupp {
-				continue
-			}
-			total++
-			if !rightSubtreeAffected(opt, aff, attr, graph.Value(grp.Val), int(grp.Hi-grp.Lo), st.NumEdges()) {
-				continue
-			}
-			remined++
-			rc := &rctx{base: all, sr: sr}
-			m.rightGroup(rc, buf[grp.Lo:grp.Hi], 1, gr.Descriptor(nil).With(attr, graph.Value(grp.Val)), pos)
-		}
-	}
-	// Root EDGE block.
-	for pos := 0; pos < len(m.swOrder); pos++ {
-		attr := m.swOrder[pos]
-		groups := m.partition(1, all, func(e int32) uint16 {
-			return uint16(m.st.EVal(e, attr))
-		}, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) || int(grp.Hi-grp.Lo) < m.opt.MinSupp {
-				continue
-			}
-			total++
-			if !aff.W[attr].contains(graph.Value(grp.Val)) {
-				continue
-			}
-			remined++
-			m.edgeGroup(buf[grp.Lo:grp.Hi], 1, nil, gr.Descriptor(nil).With(attr, graph.Value(grp.Val)), pos)
-		}
-	}
-	// Root LEFT block.
-	for pos := 0; pos < len(m.slOrder); pos++ {
-		attr := m.slOrder[pos]
-		groups := m.partition(1, all, func(e int32) uint16 {
-			return uint16(m.st.LVal(e, attr))
-		}, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) || int(grp.Hi-grp.Lo) < m.opt.MinSupp {
-				continue
-			}
-			total++
-			if !aff.L[attr].contains(graph.Value(grp.Val)) {
-				continue
-			}
-			remined++
-			m.leftGroup(buf[grp.Lo:grp.Hi], 1, gr.Descriptor(nil).With(attr, graph.Value(grp.Val)), pos)
 		}
 	}
 	addStats(stats, &m.stats)
@@ -1101,7 +789,7 @@ func (inc *Incremental) trimPool() (spilled int) {
 	byRHS := make(map[intern.DescID][]int32, cap)
 	if !inc.opt.NoGeneralityFilter {
 		for _, i := range kept {
-			rid := inc.dict.NodeDesc(entries[i].gr.R)
+			rid := inc.pool.dict.NodeDesc(entries[i].gr.R)
 			byRHS[rid] = append(byRHS[rid], i)
 		}
 	}
@@ -1111,7 +799,7 @@ func (inc *Incremental) trimPool() (spilled int) {
 	for _, i := range order[cap:] {
 		t := &entries[i]
 		blocks := false
-		for _, k := range byRHS[inc.dict.NodeDesc(t.gr.R)] {
+		for _, k := range byRHS[inc.pool.dict.NodeDesc(t.gr.R)] {
 			if t.gr.L.SubsetOf(entries[k].gr.L) && t.gr.W.SubsetOf(entries[k].gr.W) {
 				blocks = true
 				break
@@ -1131,19 +819,4 @@ func (inc *Incremental) trimPool() (spilled int) {
 		inc.pool.delete(id)
 	}
 	return spilled
-}
-
-// betaMaskOf computes β (Equation 4) as a node-attribute bitmask; shared by
-// the in-search miner (miner.betaMask) and the pool's delta recount.
-func betaMaskOf(schema *graph.Schema, lhs, rhs gr.Descriptor) uint64 {
-	var mask uint64
-	for _, rc := range rhs {
-		if !schema.Node[rc.Attr].Homophily {
-			continue
-		}
-		if lv, ok := lhs.Get(rc.Attr); ok && lv != rc.Val {
-			mask |= 1 << uint(rc.Attr)
-		}
-	}
-	return mask
 }

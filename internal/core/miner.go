@@ -76,14 +76,6 @@ type Options struct {
 	// pigeonhole threshold and bounding them would break offer completeness
 	// (DESIGN.md §4e).
 	PoolCap int
-	// NoPostingLists makes the single-store incremental engine maintain its
-	// pool with the PR 2 Apply path — a counting-sort partition pass over
-	// the full edge set per dimension, and full re-walks of affected
-	// subtrees — instead of the store's per-(attribute, value) posting lists
-	// with deep affected-key descent filtering. It is the measured baseline
-	// of `grbench -exp dynamic`, kept as an ablation knob. Shard workers
-	// ignore it: they always keep postings, which round-2 counts read.
-	NoPostingLists bool
 	// Parallelism > 1 mines first-level partitions on that many worker
 	// goroutines, drained largest-partition-first from a lock-free task
 	// queue; workers keep private top-k lists and share only an atomic

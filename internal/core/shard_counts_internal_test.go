@@ -148,13 +148,13 @@ func checkCounts(t *testing.T, label string, w *WorkerState, r *rand.Rand, cov *
 	}
 	words := (w.st.NumRows() + 63) / 64
 	for i, g := range grs {
-		want := rowScanCounts(w.st, w.metric, g)
+		want := rowScanCounts(w.st, w.pool.opt.Metric, g)
 		if got[i] != want {
 			t.Fatalf("%s: %s: bitmap counts %+v, row scan %+v", label, g.Format(schema), got[i], want)
 		}
 		cov.emptyLW = cov.emptyLW || (len(g.L) == 0 && len(g.W) == 0)
 		cov.emptyR = cov.emptyR || len(g.R) == 0
-		cov.betaHom = cov.betaHom || (w.metric.NeedsHom && want.Hom > 0)
+		cov.betaHom = cov.betaHom || (w.pool.opt.Metric.NeedsHom && want.Hom > 0)
 		for _, c := range g.L {
 			b := w.st.LBitmap(c.Attr, c.Val)
 			cov.nilBitmap = cov.nilBitmap || b == nil
@@ -248,7 +248,7 @@ func TestWorkerCountsRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid request after refusals: %v", err)
 	}
-	if want := rowScanCounts(w.st, w.metric, ok); got[0] != want {
+	if want := rowScanCounts(w.st, w.pool.opt.Metric, ok); got[0] != want {
 		t.Fatalf("counts after refusals %+v, want %+v", got[0], want)
 	}
 }

@@ -42,9 +42,12 @@
 //   - Ingest moves incremental pool maintenance worker-side: a worker
 //     ingests its routed batch slice into its private graph/store, delta-
 //     recounts its own relaxed pool, re-mines the affected first-level
-//     subtrees, and replies with the pool deltas. The coordinator never
-//     reads shard-local state; only EdgeInsert batches go down and
-//     ShardCandidate deltas come back. (The incremental pool is maintained
+//     subtrees, and replies with the pool deltas. The pool is the single
+//     store's kernel (pool.go: densePool keyed by the shard store's interned
+//     GR ids, one recount) gated at (ShardMinSupp, −Inf); GRs travel by
+//     value only at the wire boundary. The coordinator never reads
+//     shard-local state; only EdgeInsert batches go down and ShardCandidate
+//     deltas come back. (The incremental pool is maintained
 //     WITHOUT the OfferBound prune: bounds derived from a past edge set can
 //     rise as other shards grow, so a seed-time prune could hide an entry a
 //     later batch promotes. The bound is a batch-mine optimisation; the
@@ -55,6 +58,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"grminer/internal/gr"
 	"grminer/internal/graph"
@@ -65,7 +69,7 @@ import (
 // WireOptions is Options in a transport-friendly form: the metric travels by
 // name, everything else by value. The zero Metric name means nhp.
 //
-// grlint:wire v2
+// grlint:wire v3
 type WireOptions struct {
 	MinSupp            int
 	MinScore           float64
@@ -81,11 +85,8 @@ type WireOptions struct {
 	// PoolCap travels for completeness; normalizeSharded rejects a non-zero
 	// value before any spec is built (per-shard pools are support-gated and
 	// cannot be bounded without losing offer completeness), so workers only
-	// ever see zero. NoPostingLists likewise travels for completeness:
-	// shard workers always build posting lists (round-2 Counts reads their
-	// bitmaps), so it has no effect worker-side.
-	PoolCap        int
-	NoPostingLists bool
+	// ever see zero.
+	PoolCap int
 }
 
 // Wire converts Options to its wire form.
@@ -100,7 +101,6 @@ func (o Options) Wire() WireOptions {
 		StaticRHSOrder:     o.StaticRHSOrder,
 		Parallelism:        o.Parallelism,
 		PoolCap:            o.PoolCap,
-		NoPostingLists:     o.NoPostingLists,
 	}
 }
 
@@ -116,7 +116,6 @@ func (w WireOptions) Options() (Options, error) {
 		StaticRHSOrder:     w.StaticRHSOrder,
 		Parallelism:        w.Parallelism,
 		PoolCap:            w.PoolCap,
-		NoPostingLists:     w.NoPostingLists,
 	}
 	if w.Metric != "" {
 		m, err := metrics.ByName(w.Metric)
@@ -481,29 +480,23 @@ func (b *OfferBound) prune(partSize int, l, w, r gr.Descriptor) bool {
 	return others != math.MaxInt && partSize+others < b.MinSupp
 }
 
-// workerEntry is one entry of a worker's maintained relaxed pool.
-type workerEntry struct {
-	gr       gr.GR
-	c        metrics.Counts
-	betaMask uint64
-}
-
 // WorkerState is the reference ShardWorker: a private graph holding the
 // full node table and only this shard's edges, the compact store over it,
 // and (once seeded by Offer(nil)) the maintained relaxed pool. It backs
 // both the in-process deployment and the shardd daemon.
 type WorkerState struct {
-	g       *graph.Graph
-	st      *store.Store
-	opt     Options // effective global options (resolved from the spec)
-	metric  metrics.Metric
-	minSupp int // the plan's ShardMinSupp (t)
-	idx     int
-	shards  int
-	// pool is nil until a seed Offer(nil); Ingest requires it. It stays
-	// string-keyed (unlike the single-store engine's dense pool): the keys
-	// double as the coordinator-facing wire identity of each candidate.
-	pool map[string]*workerEntry
+	g      *graph.Graph
+	st     *store.Store
+	idx    int
+	shards int
+	// pool is the maintained relaxed pool, gated at (ShardMinSupp, −Inf):
+	// its options are the shard's capture options. It is empty and unseeded
+	// until a seed Offer(nil); Ingest requires the seed.
+	pool   densePool
+	seeded bool
+	// changes collects each Ingest's pool deltas: the recount's report plus
+	// every re-mine capture.
+	changes poolChanges
 	// scr and aff are the worker's steady-state re-mine allocations, reused
 	// across Ingest batches; scr carries the shard store's persistent
 	// dictionary (the worker is the store's exclusive writer).
@@ -515,6 +508,18 @@ type WorkerState struct {
 
 // NewWorkerState builds a live worker from its spec.
 func NewWorkerState(spec WorkerSpec) (*WorkerState, error) {
+	return newWorker(spec, spec.EdgeSrc, spec.EdgeDst, spec.EdgeVals, func(g *graph.Graph) (*store.Store, error) {
+		return store.Build(g), nil
+	})
+}
+
+// newWorker is the one constructor behind NewWorkerState and
+// NewWorkerStateFromCheckpoint: it checks the spec, resolves its options,
+// builds the private graph — schema and node table from the spec, then the
+// edge log src/dst/vals (row-major, one row per edge) in id order — and
+// wraps the store build returns for it. Shard stores always keep posting
+// lists: Counts reads their bitmaps and the scoped re-mine their lists.
+func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, build func(*graph.Graph) (*store.Store, error)) (*WorkerState, error) {
 	schema, err := graph.NewSchema(spec.NodeAttrs, spec.EdgeAttrs)
 	if err != nil {
 		return nil, fmt.Errorf("core: worker spec schema: %w", err)
@@ -524,11 +529,21 @@ func NewWorkerState(spec WorkerSpec) (*WorkerState, error) {
 		return nil, fmt.Errorf("core: worker spec: %d node values for %d nodes × %d attrs",
 			len(spec.NodeVals), spec.NumNodes, nv)
 	}
-	if len(spec.EdgeSrc) != len(spec.EdgeDst) || (ne > 0 && len(spec.EdgeVals) != len(spec.EdgeSrc)*ne) {
-		return nil, fmt.Errorf("core: worker spec: inconsistent edge arrays")
+	if len(src) != len(dst) || (ne > 0 && len(vals) != len(src)*ne) {
+		return nil, fmt.Errorf("core: shard %d: inconsistent edge arrays", spec.Index)
 	}
 	if spec.Index < 0 || spec.Index >= spec.Shards {
 		return nil, fmt.Errorf("core: worker spec: index %d outside %d shards", spec.Index, spec.Shards)
+	}
+	if spec.ShardMinSupp < 1 {
+		return nil, fmt.Errorf("core: worker spec: shard minSupp %d < 1", spec.ShardMinSupp)
+	}
+	opt, err := spec.Opt.Options()
+	if err != nil {
+		return nil, err
+	}
+	if opt, err = opt.normalize(); err != nil {
+		return nil, err
 	}
 	g, err := graph.New(schema, spec.NumNodes)
 	if err != nil {
@@ -539,39 +554,36 @@ func NewWorkerState(spec WorkerSpec) (*WorkerState, error) {
 			return nil, fmt.Errorf("core: worker spec node %d: %w", n, err)
 		}
 	}
-	for i := range spec.EdgeSrc {
-		var vals []graph.Value
+	for i := range src {
+		var ev []graph.Value
 		if ne > 0 {
-			vals = spec.EdgeVals[i*ne : (i+1)*ne]
+			ev = vals[i*ne : (i+1)*ne]
 		}
-		if _, err := g.AddEdge(int(spec.EdgeSrc[i]), int(spec.EdgeDst[i]), vals...); err != nil {
-			return nil, fmt.Errorf("core: worker spec edge %d: %w", i, err)
+		if _, err := g.AddEdge(int(src[i]), int(dst[i]), ev...); err != nil {
+			return nil, fmt.Errorf("core: shard %d: edge %d: %w", spec.Index, i, err)
 		}
 	}
-	opt, err := spec.Opt.Options()
+	st, err := build(g)
 	if err != nil {
 		return nil, err
 	}
-	opt, err = opt.normalize()
-	if err != nil {
-		return nil, err
+	if !st.PostingsEnabled() {
+		st.EnablePostings()
 	}
-	if spec.ShardMinSupp < 1 {
-		return nil, fmt.Errorf("core: worker spec: shard minSupp %d < 1", spec.ShardMinSupp)
-	}
-	st := store.Build(g)
-	// Shard stores always keep postings: Counts reads the bitmaps, and the
-	// scoped re-mine takes the posting path whenever they exist.
-	st.EnablePostings()
+	// A shard's capture mines run at the lowered support threshold with no
+	// score threshold; metric, descriptor caps, triviality and RHS-order
+	// settings pass through so the per-shard enumeration space matches the
+	// single-store walk.
+	capOpt := captureOptions(opt)
+	capOpt.MinSupp = spec.ShardMinSupp
+	capOpt.MinScore = math.Inf(-1)
 	return &WorkerState{
-		g:       g,
-		st:      st,
-		opt:     opt,
-		metric:  opt.Metric,
-		minSupp: spec.ShardMinSupp,
-		idx:     spec.Index,
-		shards:  spec.Shards,
-		scr:     newMinerScratch(st.Dict()),
+		g:      g,
+		st:     st,
+		idx:    spec.Index,
+		shards: spec.Shards,
+		pool:   newDensePool(st, capOpt),
+		scr:    newMinerScratch(st.Dict()),
 	}, nil
 }
 
@@ -580,23 +592,6 @@ func (w *WorkerState) NumEdges() int { return w.st.NumEdges() }
 
 // Close implements ShardWorker; in-process workers hold no transport.
 func (w *WorkerState) Close() error { return nil }
-
-// offerOpts derives the options a shard's capture mines run with: the
-// lowered support threshold, no score threshold, unbounded static
-// collection, and no generality machinery (the capture hook bypasses it).
-// Metric, descriptor caps, triviality and RHS-order settings pass through
-// so the per-shard enumeration space matches the single-store walk.
-func (w *WorkerState) offerOpts() Options {
-	o := w.opt
-	o.MinSupp = w.minSupp
-	o.MinScore = math.Inf(-1)
-	o.K = 0
-	o.DynamicFloor = false
-	o.ExactGenerality = false
-	o.NoGeneralityFilter = false
-	o.Parallelism = 0
-	return o
-}
 
 // Offer mines the shard's relaxed candidate pool: every GR whose shard
 // support reaches ShardMinSupp, with exact shard counts and no score
@@ -607,16 +602,17 @@ func (w *WorkerState) offerOpts() Options {
 func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) {
 	var out []ShardCandidate
 	w.scr.reset()
-	m := newMinerScr(w.st, w.offerOpts(), w.scr)
+	m := newMinerScr(w.st, w.pool.opt, w.scr)
 	m.bound = bound
 	seedPool := bound == nil
 	if seedPool {
-		w.pool = make(map[string]*workerEntry)
+		w.pool.reset()
+		w.seeded = true
 	}
 	m.capture = func(g gr.GR, c metrics.Counts, score float64) {
 		out = append(out, ShardCandidate{GR: g, Counts: c})
 		if seedPool {
-			w.upsert(g.Key(), g, c)
+			w.pool.upsert(g, c, score)
 		}
 	}
 	m.run()
@@ -650,7 +646,7 @@ func (w *WorkerState) Counts(grs []gr.GR) ([]metrics.Counts, error) {
 		if i == 0 || !g.L.Equal(grs[i-1].L) || !g.W.Equal(grs[i-1].W) {
 			k.intersectLW(w.st, g)
 		}
-		out[i] = k.count(w.st, w.metric, g)
+		out[i] = k.count(w.st, w.pool.opt.Metric, g)
 	}
 	return out, nil
 }
@@ -755,20 +751,6 @@ func (k *bitmapCounter) andCount(base store.Bitmap, all bool, n int, ops []store
 	return store.AndCount(base, ops[last])
 }
 
-// upsert records (or refreshes) one maintained-pool entry under key, which
-// must be g.Key() (callers that also need the key format it once).
-func (w *WorkerState) upsert(key string, g gr.GR, c metrics.Counts) {
-	t := w.pool[key]
-	if t == nil {
-		t = &workerEntry{gr: g}
-		if w.metric.NeedsHom {
-			t.betaMask = betaMaskOf(w.g.Schema(), g.L, g.R)
-		}
-		w.pool[key] = t
-	}
-	t.c = c
-}
-
 // Ingest applies one routed batch slice worker-side: validate, append
 // insertions to the private graph and store, resolve retractions against the
 // pre-batch shard rows, delta-recount the maintained pool, tombstone the
@@ -785,7 +767,7 @@ func (w *WorkerState) upsert(key string, g gr.GR, c metrics.Counts) {
 // mirror of the worker pools. Like the single-store engine, the whole slice
 // is validated before any state changes.
 func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
-	if w.pool == nil {
+	if !w.seeded {
 		return IngestReply{}, fmt.Errorf("core: worker %d: ingest before a seeding Offer", w.idx)
 	}
 	for i, e := range batch.Ins {
@@ -806,9 +788,7 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	newRows := w.st.Append()
 
 	rep := IngestReply{}
-	changed := make(map[string]bool)
-	dropped := make(map[string]ShardCandidate)
-	rep.Recounted = w.recount(newRows, delRows, changed, dropped)
+	rep.Recounted, _ = w.pool.recount(newRows, delRows, &w.changes)
 	// Affected keys come from the inserted rows only (support-gated pools
 	// have no deletion entrants), read before the doomed rows tombstone.
 	collectAffectedInto(&w.aff, w.st, newRows, nil)
@@ -823,85 +803,38 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	var stats Stats
 	// The re-mine below is deliberately unguarded: deletions were resolved
 	// exactly by the recount above (support-gated pools have no deletion
-	// entrants), so only the insert side reaches the scoped walk.
-	w.scr.reset()
+	// entrants), so only the insert side reaches the scoped walk. Every
+	// capture joins the recount's touched ids as a delta.
 	//grlint:ignore metricsafety deletions are recounted exactly above; only inserts reach the scoped re-mine
-	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.st, w.offerOpts(), &w.aff,
+	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.st, w.pool.opt, &w.aff,
 		func(g gr.GR, c metrics.Counts, score float64) {
-			key := g.Key()
-			w.upsert(key, g, c)
-			changed[key] = true
-			delete(dropped, key)
+			w.changes.touched = append(w.changes.touched, w.pool.upsert(g, c, score))
 		}, w.scr, &stats)
-	rep.Deltas = make([]ShardCandidate, 0, len(changed)+len(dropped))
-	for key := range changed {
-		if t := w.pool[key]; t != nil {
-			rep.Deltas = append(rep.Deltas, ShardCandidate{GR: t.gr, Counts: t.c})
-		}
-	}
-	for _, cand := range dropped {
-		rep.Deltas = append(rep.Deltas, cand)
-	}
+	rep.Deltas = w.deltas()
 	rep.NumEdges = w.st.NumEdges()
 	rep.Stats = stats
 	return rep, nil
 }
 
-// recount delta-updates every maintained-pool entry against the shard's new
-// rows and doomed rows, marking changed keys. Mirrors the single-store
-// engine's recount, minus score-based drops (per-shard pools are
-// support-gated only; scores are a global-side concern) — but deletions can
-// demote an entry below the shard threshold, in which case it leaves the
-// pool and lands in dropped with its final counts for the coordinator.
-func (w *WorkerState) recount(newRows, delRows []int32, changed map[string]bool, dropped map[string]ShardCandidate) (recounted int) {
-	totalE := w.st.NumEdges() - len(delRows)
-	needHom := w.metric.NeedsHom
-	needR := w.metric.NeedsR
-	for key, t := range w.pool {
-		touched := false
-		for _, e := range newRows {
-			if matchOn(w.st.LVal, e, t.gr.L) && matchOn(w.st.EVal, e, t.gr.W) {
-				t.c.LW++
-				touched = true
-				if matchOn(w.st.RVal, e, t.gr.R) {
-					t.c.LWR++
-				} else if needHom && t.betaMask != 0 && matchHomOn(w.st, e, t.gr.L, t.betaMask) {
-					t.c.Hom++
-				}
-			}
-			if needR && matchOn(w.st.RVal, e, t.gr.R) {
-				t.c.R++
-				touched = true
-			}
-		}
-		for _, e := range delRows {
-			if matchOn(w.st.LVal, e, t.gr.L) && matchOn(w.st.EVal, e, t.gr.W) {
-				t.c.LW--
-				touched = true
-				if matchOn(w.st.RVal, e, t.gr.R) {
-					t.c.LWR--
-				} else if needHom && t.betaMask != 0 && matchHomOn(w.st, e, t.gr.L, t.betaMask) {
-					t.c.Hom--
-				}
-			}
-			if needR && matchOn(w.st.RVal, e, t.gr.R) {
-				t.c.R--
-				touched = true
-			}
-		}
-		t.c.E = totalE
-		if touched {
-			changed[key] = true
-			recounted++
-		}
-		if t.c.LWR < w.minSupp {
-			// Demoted below the shard threshold: stop tracking (a later
-			// re-promotion needs a full-descriptor insert, which the scoped
-			// re-mine re-captures) and report the final counts.
-			delete(w.pool, key)
-			delete(changed, key)
-			dropped[key] = ShardCandidate{GR: t.gr, Counts: t.c}
+// deltas lists the batch's pool changes for the coordinator: first every
+// entry the recount demoted below the shard threshold, with its final
+// counts (the coordinator then knows the shard no longer tracks it), then
+// every tracked entry the recount moved or the re-mine captured, once
+// each, in id order. Counts are exact, so a demoted GR cannot be
+// re-captured in the same batch; were it, its tracked delta would come
+// last and win.
+func (w *WorkerState) deltas() []ShardCandidate {
+	ch := &w.changes
+	slices.Sort(ch.touched)
+	ch.touched = slices.Compact(ch.touched)
+	out := make([]ShardCandidate, 0, len(ch.demoted)+len(ch.touched))
+	for _, t := range ch.demoted {
+		out = append(out, ShardCandidate{GR: t.gr, Counts: t.c})
+	}
+	for _, id := range ch.touched {
+		if t, ok := w.pool.get(id); ok {
+			out = append(out, ShardCandidate{GR: t.gr, Counts: t.c})
 		}
 	}
-	return recounted
+	return out
 }

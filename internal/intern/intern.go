@@ -161,40 +161,47 @@ func (d *Dict) GRFrom(l, w, r DescID) GRID {
 	return id
 }
 
-// DictState is a Dict's serializable interning state: the trie edges and GR
-// triples with their assigned ids. The Layout is deliberately absent — pair
-// ids are pure schema arithmetic, so the restoring side rebuilds the layout
-// from its own schema and FromState grafts the interned ids back on. A
-// restored Dict hands out the exact same ids for the exact same inputs, which
-// is what lets slice tables indexed by DescID/GRID survive a worker
+// DictState is a Dict's serializable interning state: every id's key, in id
+// order — Descs[i] is descriptor id i+1's trie edge (parent DescID << 32 |
+// PairID; id 0, the empty descriptor, has none) and GRs[i] is GR id i's
+// (L, W, R) triple. Ids are handed out densely, so the slices are complete
+// and, unlike the maps they index, encode deterministically: equal
+// dictionaries serialize to equal bytes. The Layout is deliberately absent —
+// pair ids are pure schema arithmetic, so the restoring side rebuilds the
+// layout from its own schema and FromState grafts the interned ids back on.
+// A restored Dict hands out the exact same ids for the exact same inputs,
+// which is what lets slice tables indexed by DescID/GRID survive a worker
 // checkpoint round trip (DESIGN.md §9).
 type DictState struct {
-	Trie  map[uint64]DescID
-	NDesc DescID
-	GRs   map[[3]DescID]GRID
-	NGR   GRID
+	Descs []uint64
+	GRs   [][3]DescID
 }
 
-// State snapshots the dictionary's interning state. The returned maps alias
-// the live dictionary; callers serialize them (gob copies) rather than
-// mutating them.
+// State snapshots the dictionary's interning state into fresh slices.
 func (d *Dict) State() DictState {
-	return DictState{Trie: d.trie, NDesc: d.nDesc, GRs: d.grs, NGR: d.nGR}
+	st := DictState{
+		Descs: make([]uint64, d.nDesc-1),
+		GRs:   make([][3]DescID, d.nGR),
+	}
+	for key, id := range d.trie {
+		st.Descs[id-1] = key
+	}
+	for key, id := range d.grs {
+		st.GRs[id] = key
+	}
+	return st
 }
 
 // FromState rebuilds a dictionary over layout with st's id assignments.
-// Nil maps (an empty dictionary serialized through gob) restore as empty.
 func FromState(layout *Layout, st DictState) *Dict {
 	d := NewDict(layout)
-	if st.Trie != nil {
-		d.trie = st.Trie
+	for i, key := range st.Descs {
+		d.trie[key] = DescID(i + 1)
 	}
-	if st.GRs != nil {
-		d.grs = st.GRs
+	for i, key := range st.GRs {
+		d.grs[key] = GRID(i)
 	}
-	if st.NDesc > d.nDesc {
-		d.nDesc = st.NDesc
-	}
-	d.nGR = st.NGR
+	d.nDesc = DescID(len(st.Descs) + 1)
+	d.nGR = GRID(len(st.GRs))
 	return d
 }

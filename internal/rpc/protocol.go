@@ -58,6 +58,11 @@ import (
 //	   a fleet silently falling back to unbounded full replay is exactly
 //	   the latency cliff checkpointing exists to remove, so version skew
 //	   is rejected at handshake like every other revision.
+//
+// Not every wire struct change needs a bump: core.WireOptions v3 dropped
+// the NoPostingLists flag under Version 4, because gob skips a field the
+// other side lacks in both directions and workers already ignored it
+// (TestWireOptionsV2Compat).
 const (
 	Magic   = "grminer-shard"
 	Version = 4

@@ -78,7 +78,8 @@ type RuleCounts struct {
 	LWR int `json:"lwr"`
 	// LW is |matches of L -w-> *|.
 	LW int `json:"lw"`
-	// Hom is the homophily-effect count the nhp denominator excludes.
+	// Hom is the homophily-effect count the nhp denominator excludes (0
+	// unless the metric reads it, like R).
 	Hom int `json:"hom"`
 	// R is |nodes matching R| (0 unless the metric needs it).
 	R int `json:"r"`

@@ -147,8 +147,8 @@ func normalizeState(st State) State {
 	if len(st.Dead) == 0 {
 		st.Dead = nil
 	}
-	if len(st.Dict.Trie) == 0 {
-		st.Dict.Trie = nil
+	if len(st.Dict.Descs) == 0 {
+		st.Dict.Descs = nil
 	}
 	if len(st.Dict.GRs) == 0 {
 		st.Dict.GRs = nil
