@@ -255,7 +255,7 @@ func (inc *Incremental) Cumulative() IncStats { return inc.cum }
 // Explain returns the exact maintained counts of q from the tracked
 // candidate pool, or false when q is not tracked (below the support
 // threshold, spilled under PoolCap, or never a condition-(1) candidate) —
-// callers then fall back to a full-scan metrics.Eval. Counts.Hom and
+// callers then fall back to a full scan of the graph. Counts.Hom and
 // Counts.R are only tracked when the engine's metric reads them (NeedsHom,
 // NeedsR); otherwise they are 0. Explain interns q through the
 // engine's dictionary, so like ApplyBatch it must not run concurrently with

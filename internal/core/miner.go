@@ -51,8 +51,12 @@ type Options struct {
 	// escapes condition (2) because the blocker was never enumerated. With
 	// this option, candidates that pass the in-search blocker check are
 	// verified against all their generalisations by direct (memoised)
-	// support queries before entering the top-k. Costs extra scans; off by
-	// default to match the paper's GRMiner(k).
+	// support queries before entering the top-k. The queries intersect
+	// per-(attribute, value) live-row bitmaps from an index each miner fills
+	// lazily and drops when the mine returns: one pass over the rows and
+	// ⌈rows/64⌉ words per distinct condition probed (114 bitmaps, 855 KB,
+	// on a 60k-edge Pokec-like mine). Off by default to match the paper's
+	// GRMiner(k).
 	ExactGenerality bool
 	// StaticRHSOrder disables the dynamic tail ordering of Equation 8 (an
 	// ablation of the paper's key pruning enabler). The same GRs are found
@@ -281,6 +285,11 @@ type minerScratch struct {
 	// 0 unknown, 1 non-qualifying, 2 qualifying.
 	qual        []uint8
 	qualTouched []intern.GRID
+	// genIdx is the ExactGenerality counts' lazy bitmap index, built on
+	// the run's first check and dropped by reset (the store may mutate
+	// between runs); counter is the count kernel's scratch.
+	genIdx  *store.BitmapIndex
+	counter bitmapCounter
 	// dataBMs[depth] is the bitmap of the partition a bitmap descent is
 	// refining; andBM the intersection output (consumed into a row buffer
 	// before any deeper descent, so one suffices for all depths).
@@ -321,6 +330,7 @@ func (s *minerScratch) reset() {
 		s.qual[id] = 0
 	}
 	s.qualTouched = s.qualTouched[:0]
+	s.genIdx = nil
 }
 
 type miner struct {
@@ -339,10 +349,9 @@ type miner struct {
 	// scr holds the recursion buffers and dense tables: the generality
 	// blockers (recorded subset-first, so every generalisation precedes its
 	// specialisations), the |E(r)| memo for metrics that need supp(r), and
-	// the sequential-mode ExactGenerality verdict memo. Parallel workers
-	// share the sharded-by-RHS qualMemo for verdicts instead.
-	scr      *minerScratch
-	qualMemo *qualMemo
+	// the ExactGenerality verdict memo with its count kernel and bitmap
+	// index. Parallel workers each own one, like the sequential miner.
+	scr *minerScratch
 	// capture, when set, receives every candidate satisfying Definition 5
 	// condition (1) together with its exact counts, replacing the top-k and
 	// generality machinery; the incremental engine uses it to build its
@@ -951,7 +960,9 @@ func (m *miner) consider(s gr.Scored) {
 // hasQualifyingGeneralization reports whether any strict generalisation of g
 // (a GR with the same RHS and a subset of g's LHS and edge conditions)
 // satisfies Definition 5 condition (1). Used by ExactGenerality to repair
-// the dynamic-floor corner case; results are memoised per generalisation.
+// the dynamic-floor corner case. Each generalisation's counts come from the
+// bitmap count kernel over the store's live rows — the edge set the search
+// itself counts — and verdicts are memoised per interned GR id.
 func (m *miner) hasQualifyingGeneralization(g gr.GR) bool {
 	n := len(g.L) + len(g.W)
 	if n == 0 || n > 20 {
@@ -961,17 +972,10 @@ func (m *miner) hasQualifyingGeneralization(g gr.GR) bool {
 		// equality guarantee narrows to runs whose descriptor caps (MaxL +
 		// MaxW ≤ 20 — AutoTune's caps are far below this) keep patterns
 		// inside the exact check's reach; such runs are otherwise
-		// pathological (2^20 subset scans per candidate).
+		// pathological (2^20 subset counts per candidate).
 		return false
 	}
-	// All probed generalisations share g's RHS, so in parallel mode one
-	// shard of the shared memo covers the whole enumeration; sequential
-	// runs memoise verdicts in the scratch's dense by-GR-id table instead.
-	var shard *qualShard
-	if m.qualMemo != nil {
-		shard = m.qualMemo.shard(g.RHSKey())
-	}
-	graphG := m.st.Graph()
+	scr := m.scr
 	for mask := 0; mask < (1<<n)-1; mask++ { // all proper subsets of (L ∪ W)
 		var l, w gr.Descriptor
 		for i, c := range g.L {
@@ -985,47 +989,45 @@ func (m *miner) hasQualifyingGeneralization(g gr.GR) bool {
 			}
 		}
 		cand := gr.GR{L: l, W: w, R: g.R}
-		var qual, seen bool
-		var ck string
-		var gid intern.GRID
-		if shard != nil {
-			ck = cand.Key()
-			qual, seen = shard.get(ck)
-		} else {
-			gid = m.dict.GR(cand)
-			if int(gid) < len(m.scr.qual) && m.scr.qual[gid] != 0 {
-				qual, seen = m.scr.qual[gid] == 2, true
+		gid := m.dict.GR(cand)
+		if int(gid) < len(scr.qual) && scr.qual[gid] != 0 {
+			if scr.qual[gid] == 2 {
+				return true
 			}
+			continue
 		}
-		if !seen {
-			qual = false
-			// A trivial generalisation can block only when IncludeTrivial
-			// admits trivial GRs as candidates — mirroring the blocker map,
-			// which records trivial candidates in exactly that mode. (Its β
-			// is empty, so Eval's score matches the in-search one.)
-			if !cand.Trivial(m.schema) || m.opt.IncludeTrivial {
-				c := metrics.Eval(graphG, cand)
-				qual = c.LWR >= m.opt.MinSupp && m.metric.Score(c) >= m.opt.MinScore
-			}
-			if shard != nil {
-				shard.put(ck, qual)
-			} else {
-				if n := m.dict.NumGRs(); len(m.scr.qual) < n {
-					m.scr.qual = append(m.scr.qual, make([]uint8, n-len(m.scr.qual))...)
-				}
-				if qual {
-					m.scr.qual[gid] = 2
-				} else {
-					m.scr.qual[gid] = 1
-				}
-				m.scr.qualTouched = append(m.scr.qualTouched, gid)
-			}
+		qual := false
+		// A trivial generalisation can block only when IncludeTrivial
+		// admits trivial GRs as candidates — mirroring the blocker map,
+		// which records trivial candidates in exactly that mode. (Its β is
+		// empty, so the kernel's score matches the in-search one.)
+		if !cand.Trivial(m.schema) || m.opt.IncludeTrivial {
+			c := m.generalityCounts(cand)
+			qual = c.LWR >= m.opt.MinSupp && m.metric.Score(c) >= m.opt.MinScore
 		}
+		if n := m.dict.NumGRs(); len(scr.qual) < n {
+			scr.qual = append(scr.qual, make([]uint8, n-len(scr.qual))...)
+		}
+		scr.qualTouched = append(scr.qualTouched, gid)
 		if qual {
+			scr.qual[gid] = 2
 			return true
 		}
+		scr.qual[gid] = 1
 	}
 	return false
+}
+
+// generalityCounts returns g's exact counts over the store's live rows from
+// the bitmap count kernel, filling the fields the metric reads. The bitmaps
+// come from the scratch's lazy index, created here on the run's first call.
+func (m *miner) generalityCounts(g gr.GR) metrics.Counts {
+	scr := m.scr
+	if scr.genIdx == nil {
+		scr.genIdx = store.NewBitmapIndex(m.st)
+	}
+	scr.counter.intersectLW(scr.genIdx, g)
+	return scr.counter.count(scr.genIdx, m.schema, m.metric, g)
 }
 
 // betaMask computes β (Equation 4) as a bitmask over node attribute

@@ -25,6 +25,9 @@ import (
 // that is CAS-raised (never lowered) when a worker's local k-th best score
 // beats it. Everything else is private: each worker accumulates candidates
 // into its own topk.List (DynamicFloor) or candidate slice (static floor),
+// decides ExactGenerality through its own dense verdict memo, count kernel
+// and lazily filled store.BitmapIndex (a worker rebuilds the few bitmaps
+// another worker already built rather than synchronise on a shared one),
 // and the coordinator merges the per-worker results exactly once after all
 // workers finish. Tasks are drained from a slice ordered largest-partition-
 // first through an atomic index, so the biggest subtrees start earliest and
@@ -92,60 +95,6 @@ func (p *parFloor) raise(s float64) {
 	}
 }
 
-// qualMemo is the ExactGenerality verdict cache shared by all workers,
-// sharded by RHS key: every generalisation probed for one candidate shares
-// the candidate's RHS, so hasQualifyingGeneralization pins a single shard
-// for its whole subset enumeration and pays one hash per candidate instead
-// of one per probe. Sharing the memo across workers removes the duplicate
-// ExactGenerality support scans the old per-worker caches performed whenever
-// two workers probed the same generalisation (common: every candidate under
-// the same first-level subtree probes the same short prefixes). Verdicts are
-// pure functions of the (immutable) store and options, so a racing
-// recompute is wasted work, never a wrong answer.
-type qualMemo struct {
-	shards [qualMemoShards]qualShard
-}
-
-const qualMemoShards = 32
-
-type qualShard struct {
-	mu sync.Mutex
-	m  map[string]bool
-}
-
-func newQualMemo() *qualMemo {
-	q := &qualMemo{}
-	for i := range q.shards {
-		q.shards[i].m = make(map[string]bool)
-	}
-	return q
-}
-
-// shard picks the shard for one candidate's RHS key (FNV-1a).
-func (q *qualMemo) shard(rhsKey string) *qualShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(rhsKey); i++ {
-		h ^= uint32(rhsKey[i])
-		h *= 16777619
-	}
-	return &q.shards[h%qualMemoShards]
-}
-
-// get returns the memoised verdict for a generalisation key, if present.
-func (s *qualShard) get(key string) (verdict, ok bool) {
-	s.mu.Lock()
-	verdict, ok = s.m[key]
-	s.mu.Unlock()
-	return verdict, ok
-}
-
-// put stores a verdict.
-func (s *qualShard) put(key string, verdict bool) {
-	s.mu.Lock()
-	s.m[key] = verdict
-	s.mu.Unlock()
-}
-
 // parTask is one first-level subtree, tagged with its partition size so the
 // scheduler can start the largest subtrees first.
 type parTask struct {
@@ -190,17 +139,12 @@ func mineParallel(st *store.Store, opt Options) (*Result, error) {
 		workers = len(tasks)
 	}
 	floor := newParFloor()
-	var memo *qualMemo
-	if opt.ExactGenerality && !opt.NoGeneralityFilter {
-		memo = newQualMemo()
-	}
 	miners := make([]*miner, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		w := newMiner(st, opt)
 		w.parF = floor
-		w.qualMemo = memo
 		miners[i] = w
 		wg.Add(1)
 		go func() {

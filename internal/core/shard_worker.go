@@ -625,14 +625,11 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 // checked against the shard schema before any table is read, so a malformed
 // request fails closed instead of indexing out of a posting table.
 //
-// Counts come from the store's live-exact posting bitmaps, filling only the
-// fields the metric reads so gap-filled counts sum consistently with
-// in-search capture counts. Per GR the cost is O(conditions × rows/64):
-// L∧W is intersected once into scratch (an empty L∧W is every live row),
-// then intersected-and-counted against the R bitmaps for LWR and against
-// the destination-side l[β] bitmaps for Hom; R alone is counted when the
-// metric reads it. Requests arrive key-sorted, so consecutive GRs often
-// share their L∧W and reuse the previous intersection.
+// Counts come from the store's live-exact posting bitmaps through the
+// bitmapCounter kernel (bitmap_counter.go), filling only the fields the
+// metric reads so gap-filled counts sum consistently with in-search capture
+// counts. Requests arrive key-sorted, so consecutive GRs often share their
+// L∧W and reuse the previous intersection.
 func (w *WorkerState) Counts(grs []gr.GR) ([]metrics.Counts, error) {
 	schema := w.g.Schema()
 	for i, g := range grs {
@@ -646,7 +643,7 @@ func (w *WorkerState) Counts(grs []gr.GR) ([]metrics.Counts, error) {
 		if i == 0 || !g.L.Equal(grs[i-1].L) || !g.W.Equal(grs[i-1].W) {
 			k.intersectLW(w.st, g)
 		}
-		out[i] = k.count(w.st, w.pool.opt.Metric, g)
+		out[i] = k.count(w.st, schema, w.pool.opt.Metric, g)
 	}
 	return out, nil
 }
@@ -664,91 +661,6 @@ func validGR(schema *graph.Schema, g gr.GR) error {
 		return fmt.Errorf("rhs: %w", err)
 	}
 	return nil
-}
-
-// bitmapCounter is the round-2 count kernel's reusable scratch: the current
-// L∧W intersection and a buffer for deeper multi-way intersections. The
-// zero value is ready; it never writes into store-owned bitmaps.
-type bitmapCounter struct {
-	lw      store.Bitmap // L∧W rows; aliases a store bitmap for one condition
-	lwAll   bool         // L = W = ∅: every live row
-	lwN     int          // |L∧W|
-	lwBuf   store.Bitmap // backing storage for a multi-condition lw
-	tmp     store.Bitmap
-	operand []store.Bitmap
-}
-
-// intersectLW computes g's L∧W row set.
-func (k *bitmapCounter) intersectLW(st *store.Store, g gr.GR) {
-	k.operand = k.operand[:0]
-	for _, c := range g.L {
-		k.operand = append(k.operand, st.LBitmap(c.Attr, c.Val))
-	}
-	for _, c := range g.W {
-		k.operand = append(k.operand, st.WBitmap(c.Attr, c.Val))
-	}
-	switch len(k.operand) {
-	case 0:
-		k.lw, k.lwAll, k.lwN = nil, true, st.NumEdges()
-		return
-	case 1:
-		k.lw = k.operand[0]
-	default:
-		k.lwBuf = store.AndInto(k.lwBuf, k.operand[0], k.operand[1])
-		for _, b := range k.operand[2:] {
-			k.lwBuf = store.AndInto(k.lwBuf, k.lwBuf, b)
-		}
-		k.lw = k.lwBuf
-	}
-	k.lwAll, k.lwN = false, k.lw.Count()
-}
-
-// count fills g's counts from the current L∧W intersection.
-func (k *bitmapCounter) count(st *store.Store, m metrics.Metric, g gr.GR) metrics.Counts {
-	c := metrics.Counts{E: st.NumEdges(), LW: k.lwN}
-	k.operand = k.operand[:0]
-	for _, rc := range g.R {
-		k.operand = append(k.operand, st.RBitmap(rc.Attr, rc.Val))
-	}
-	if c.LW > 0 {
-		c.LWR = k.andCount(k.lw, k.lwAll, c.LW, k.operand)
-	}
-	if m.NeedsR {
-		c.R = k.andCount(nil, true, c.E, k.operand)
-	}
-	if c.LW > 0 && m.NeedsHom {
-		// β ≠ ∅ implies L ≠ ∅, so lw is a real intersection here.
-		if beta := betaMaskOf(st.Graph().Schema(), g.L, g.R); beta != 0 {
-			k.operand = k.operand[:0]
-			for _, lc := range g.L {
-				if beta&(1<<uint(lc.Attr)) != 0 {
-					k.operand = append(k.operand, st.RBitmap(lc.Attr, lc.Val))
-				}
-			}
-			c.Hom = k.andCount(k.lw, false, c.LW, k.operand)
-		}
-	}
-	return c
-}
-
-// andCount returns |base ∧ ops…|, where base is every live row when all is
-// set and n is |base|.
-func (k *bitmapCounter) andCount(base store.Bitmap, all bool, n int, ops []store.Bitmap) int {
-	if len(ops) == 0 {
-		return n
-	}
-	if all {
-		if len(ops) == 1 {
-			return ops[0].Count()
-		}
-		base, ops = ops[0], ops[1:]
-	}
-	last := len(ops) - 1
-	for _, b := range ops[:last] {
-		k.tmp = store.AndInto(k.tmp, base, b)
-		base = k.tmp
-	}
-	return store.AndCount(base, ops[last])
 }
 
 // Ingest applies one routed batch slice worker-side: validate, append

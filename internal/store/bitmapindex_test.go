@@ -1,0 +1,132 @@
+package store
+
+import (
+	"math/rand"
+	"testing"
+
+	"grminer/internal/graph"
+)
+
+// TestBitmapIndexMatchesPostings pins the lazily built bitmaps against the
+// maintained posting bitmaps: two stores over one graph go through the same
+// random appends, removals (leaving tombstones) and a compaction, one with
+// postings and one without, and after every phase a fresh BitmapIndex over
+// the plain store must serve, for every (side, attribute, value), exactly
+// the postings store's live rows — including B's top value, which no node
+// carries. Each bitmap is built on first request at exactly ⌈NumRows/64⌉
+// words, and later requests return the same bitmap.
+func TestBitmapIndexMatchesPostings(t *testing.T) {
+	schema := dynSchema(t)
+	r := rand.New(rand.NewSource(11))
+	const n = 12
+	g := graph.MustNew(schema, n)
+	for v := 0; v < n; v++ {
+		// A draws its full domain plus null; B only 0..3 of 4.
+		if err := g.SetNodeValues(v, graph.Value(r.Intn(4)), graph.Value(r.Intn(4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addEdges := func(k int) {
+		for i := 0; i < k; i++ {
+			if _, err := g.AddEdge(r.Intn(n), r.Intn(n), graph.Value(r.Intn(3))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	addEdges(120)
+	post, plain := Build(g), Build(g)
+	post.EnablePostings()
+
+	// remove tombstones k random live rows in both stores.
+	remove := func(k int) {
+		rows := post.AllEdges()
+		r.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		rows = rows[:k]
+		for _, row := range rows {
+			if err := g.RemoveEdge(int(post.EdgeID(row))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := post.RemoveEdges(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.RemoveEdges(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendBoth := func(k int) {
+		addEdges(k)
+		post.Append()
+		plain.Append()
+	}
+
+	check := func(phase string) {
+		t.Helper()
+		if post.NumRows() != plain.NumRows() || post.NumEdges() != plain.NumEdges() {
+			t.Fatalf("%s: stores diverged: %d/%d rows, %d/%d live", phase,
+				post.NumRows(), plain.NumRows(), post.NumEdges(), plain.NumEdges())
+		}
+		x := NewBitmapIndex(plain)
+		if x.NumEdges() != post.NumEdges() {
+			t.Fatalf("%s: index NumEdges %d, want %d", phase, x.NumEdges(), post.NumEdges())
+		}
+		words := (plain.NumRows() + 63) / 64
+		var got, want []int32
+		sides := []struct {
+			name      string
+			attrs     []graph.Attribute
+			table     [][]Bitmap
+			lazy, ref func(int, graph.Value) Bitmap
+		}{
+			{"L", schema.Node, x.l, x.LBitmap, post.LBitmap},
+			{"W", schema.Edge, x.w, x.WBitmap, post.WBitmap},
+			{"R", schema.Node, x.r, x.RBitmap, post.RBitmap},
+		}
+		for _, sd := range sides {
+			for a, at := range sd.attrs {
+				if b := sd.lazy(a, graph.Null); b != nil {
+					t.Fatalf("%s: %s(%d, null) = %v, want the empty set", phase, sd.name, a, b)
+				}
+				for v := graph.Value(1); int(v) <= at.Domain; v++ {
+					if sd.table[a][v] != nil {
+						t.Fatalf("%s: %s(%d,%d) built before its first request", phase, sd.name, a, v)
+					}
+					b := sd.lazy(a, v)
+					if len(b) != words || cap(b) != words {
+						t.Fatalf("%s: %s(%d,%d) has len %d cap %d, want exactly %d words",
+							phase, sd.name, a, v, len(b), cap(b), words)
+					}
+					got, want = b.RowsInto(got), sd.ref(a, v).RowsInto(want)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %s(%d,%d) holds %d rows, postings %d", phase, sd.name, a, v, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s: %s(%d,%d) row %d = %d, postings %d", phase, sd.name, a, v, i, got[i], want[i])
+						}
+					}
+					if again := sd.lazy(a, v); words > 0 && &again[0] != &b[0] {
+						t.Fatalf("%s: %s(%d,%d) rebuilt on a second request", phase, sd.name, a, v)
+					}
+				}
+			}
+		}
+		if c := x.RBitmap(1, 4).Count(); c != 0 {
+			t.Fatalf("%s: value carried by no node has %d rows", phase, c)
+		}
+	}
+
+	check("build")
+	appendBoth(20)
+	remove(10)
+	check("appends and tombstones")
+	rowsBefore := post.NumRows()
+	remove(40)
+	if post.NumRows() >= rowsBefore {
+		t.Fatal("removals never triggered a compaction")
+	}
+	check("compaction")
+	appendBoth(15)
+	remove(5)
+	check("churn after compaction")
+}
