@@ -93,6 +93,9 @@ func Compute(t Table, minSupp int) (*Result, error) {
 	}
 	buffers := make([][]int32, t.Cols()+1)
 	groupBufs := make([][]csort.Group, t.Cols()+1)
+	// keys is the key column of the partition being sorted; one serves every
+	// depth because it is dead once Partition returns.
+	keys := make([]uint16, 0, rows)
 
 	var rec func(data []int32, depth, fromCol int, conds []Cond)
 	rec = func(data []int32, depth, fromCol int, conds []Cond) {
@@ -102,15 +105,14 @@ func Compute(t Table, minSupp int) (*Result, error) {
 		buf := buffers[depth][:len(data)]
 		for col := fromCol; col < t.Cols(); col++ {
 			res.Partitions++
-			groups := part.Partition(data, func(row int32) uint16 {
-				return uint16(t.Value(row, col))
-			}, buf)
+			keys = keys[:0]
+			for _, row := range data {
+				keys = append(keys, uint16(t.Value(row, col)))
+			}
+			groups := part.Partition(data, keys, minSupp, uint16(graph.Null), buf)
 			groupBufs[depth] = append(groupBufs[depth][:0], groups...)
 			for _, grp := range groupBufs[depth] {
-				if grp.Val == uint16(graph.Null) {
-					continue
-				}
-				if int(grp.Hi-grp.Lo) < minSupp {
+				if grp.Val == uint16(graph.Null) || int(grp.N) < minSupp {
 					continue
 				}
 				sub := buf[grp.Lo:grp.Hi]

@@ -71,10 +71,7 @@ func (k *bitmapCounter) intersectLW(src bitmapSource, g gr.GR) {
 // g's (intersectLW on g or on a GR with the same L and W).
 func (k *bitmapCounter) count(src bitmapSource, schema *graph.Schema, m metrics.Metric, g gr.GR) metrics.Counts {
 	c := metrics.Counts{E: src.NumEdges(), LW: k.lwN}
-	k.operand = k.operand[:0]
-	for _, rc := range g.R {
-		k.operand = append(k.operand, src.RBitmap(rc.Attr, rc.Val))
-	}
+	k.loadR(src, g.R)
 	if c.LW > 0 {
 		c.LWR = k.andCount(k.lw, k.lwAll, c.LW, k.operand)
 	}
@@ -94,6 +91,21 @@ func (k *bitmapCounter) count(src bitmapSource, schema *graph.Schema, m metrics.
 		}
 	}
 	return c
+}
+
+// countR returns |E(r)|: the live rows whose destination matches every
+// condition of r.
+func (k *bitmapCounter) countR(src bitmapSource, r gr.Descriptor) int {
+	k.loadR(src, r)
+	return k.andCount(nil, true, src.NumEdges(), k.operand)
+}
+
+// loadR sets the operands to r's destination-side bitmaps.
+func (k *bitmapCounter) loadR(src bitmapSource, r gr.Descriptor) {
+	k.operand = k.operand[:0]
+	for _, rc := range r {
+		k.operand = append(k.operand, src.RBitmap(rc.Attr, rc.Val))
+	}
 }
 
 // andCount returns |base ∧ ops…|, where base is every live row when all is

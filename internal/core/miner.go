@@ -285,9 +285,9 @@ type minerScratch struct {
 	// 0 unknown, 1 non-qualifying, 2 qualifying.
 	qual        []uint8
 	qualTouched []intern.GRID
-	// genIdx is the ExactGenerality counts' lazy bitmap index, built on
-	// the run's first check and dropped by reset (the store may mutate
-	// between runs); counter is the count kernel's scratch.
+	// genIdx is the lazy bitmap index behind the ExactGenerality counts and
+	// |E(r)|, built on the run's first count and dropped by reset (the store
+	// may mutate between runs); counter is the count kernel's scratch.
 	genIdx  *store.BitmapIndex
 	counter bitmapCounter
 	// dataBMs[depth] is the bitmap of the partition a bitmap descent is
@@ -297,6 +297,11 @@ type minerScratch struct {
 	andBM   store.Bitmap
 	// allRows is the AllEdgesInto scratch for root base partitions.
 	allRows []int32
+	// keys is the key column partition gathers into. One serves every
+	// depth: a column is dead once its partition call returns, before any
+	// recursion. The incremental engine keeps its scratch for its lifetime,
+	// so per-depth columns would stay on its live heap.
+	keys []uint16
 	// The attribute position lists of Equations 7/8 are schema-static, so
 	// they are computed once per scratch and shared by every run.
 	ordersInit  bool
@@ -448,14 +453,18 @@ func (m *miner) buffer(depth, n int) []int32 {
 	return s.buffers[depth][:n]
 }
 
-// partition runs the counting sort and snapshots the group list into a
-// depth-scoped buffer: the Partitioner reuses its internal group slice, so
-// recursive Partition calls would otherwise clobber the groups a caller is
-// still iterating.
-func (m *miner) partition(depth int, data []int32, key func(int32) uint16, out []int32) []csort.Group {
+// partition gathers data's key column for attr with one of the store's
+// batch gathers, counting-sorts data by it into out, and snapshots the group
+// list into a depth-scoped buffer: the Partitioner reuses its internal group
+// slice, so recursive Partition calls would otherwise clobber the groups a
+// caller is still iterating. Only groups of at least MinSupp rows with a
+// non-null value are scattered into out; every caller prunes the others
+// before reading a group's rows.
+func (m *miner) partition(depth int, data []int32, gather func(dst []uint16, rows []int32, attr int) []uint16, attr int, out []int32) []csort.Group {
 	m.stats.PartitionCalls++
-	groups := m.part.Partition(data, key, out)
 	s := m.scr
+	s.keys = gather(s.keys, data, attr)
+	groups := m.part.Partition(data, s.keys, m.opt.MinSupp, uint16(graph.Null), out)
 	for len(s.groupBufs) <= depth {
 		s.groupBufs = append(s.groupBufs, nil)
 	}
@@ -492,18 +501,16 @@ func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
 		if m.aff != nil && m.aff.L[attr].empty() {
 			continue // no affected value ⇒ no entrant below any group
 		}
-		groups := m.partition(depth, data, func(e int32) uint16 {
-			return uint16(m.st.LVal(e, attr))
-		}, buf)
+		groups := m.partition(depth, data, m.st.LValsInto, attr, buf)
 		for _, grp := range groups {
 			if grp.Val == uint16(graph.Null) {
 				continue // null never forms a descriptor
 			}
-			part := buf[grp.Lo:grp.Hi]
-			if len(part) < m.opt.MinSupp {
+			if int(grp.N) < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}
+			part := buf[grp.Lo:grp.Hi]
 			if m.aff != nil && !m.aff.L[attr].contains(graph.Value(grp.Val)) {
 				continue
 			}
@@ -541,18 +548,16 @@ func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) 
 		if m.aff != nil && m.aff.W[attr].empty() {
 			continue // no affected value ⇒ no entrant below any group
 		}
-		groups := m.partition(depth, data, func(e int32) uint16 {
-			return uint16(m.st.EVal(e, attr))
-		}, buf)
+		groups := m.partition(depth, data, m.st.EValsInto, attr, buf)
 		for _, grp := range groups {
 			if grp.Val == uint16(graph.Null) {
 				continue
 			}
-			part := buf[grp.Lo:grp.Hi]
-			if len(part) < m.opt.MinSupp {
+			if int(grp.N) < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}
+			part := buf[grp.Lo:grp.Hi]
 			if m.aff != nil && !m.aff.W[attr].contains(graph.Value(grp.Val)) {
 				continue
 			}
@@ -775,18 +780,16 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 		if m.aff != nil && !m.affSkipR && m.aff.R[attr].empty() {
 			continue // no affected value ⇒ no entrant below any group
 		}
-		groups := m.partition(depth, data, func(e int32) uint16 {
-			return uint16(m.st.RVal(e, attr))
-		}, buf)
+		groups := m.partition(depth, data, m.st.RValsInto, attr, buf)
 		for _, grp := range groups {
 			if grp.Val == uint16(graph.Null) {
 				continue
 			}
-			part := buf[grp.Lo:grp.Hi]
-			if len(part) < m.opt.MinSupp {
+			if int(grp.N) < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}
+			part := buf[grp.Lo:grp.Hi]
 			if m.aff != nil && !m.affSkipR && !m.aff.R[attr].contains(graph.Value(grp.Val)) {
 				continue
 			}
@@ -1019,15 +1022,19 @@ func (m *miner) hasQualifyingGeneralization(g gr.GR) bool {
 }
 
 // generalityCounts returns g's exact counts over the store's live rows from
-// the bitmap count kernel, filling the fields the metric reads. The bitmaps
-// come from the scratch's lazy index, created here on the run's first call.
+// the bitmap count kernel, filling the fields the metric reads.
 func (m *miner) generalityCounts(g gr.GR) metrics.Counts {
-	scr := m.scr
-	if scr.genIdx == nil {
-		scr.genIdx = store.NewBitmapIndex(m.st)
+	idx := m.bitmapIndex()
+	m.scr.counter.intersectLW(idx, g)
+	return m.scr.counter.count(idx, m.schema, m.metric, g)
+}
+
+// bitmapIndex returns the run's lazy bitmap index, created on first use.
+func (m *miner) bitmapIndex() *store.BitmapIndex {
+	if m.scr.genIdx == nil {
+		m.scr.genIdx = store.NewBitmapIndex(m.st)
 	}
-	scr.counter.intersectLW(scr.genIdx, g)
-	return scr.counter.count(scr.genIdx, m.schema, m.metric, g)
+	return m.scr.genIdx
 }
 
 // betaMask computes β (Equation 4) as a bitmask over node attribute
@@ -1081,8 +1088,9 @@ func (m *miner) homEffect(rc *rctx, mask uint64) int {
 	return count
 }
 
-// rCount returns |E(r)| over the whole live edge set, memoised per interned
-// RHS id in a dense table (stored as count+1; 0 means unseen).
+// rCount returns |E(r)| over the whole live edge set, counted by the bitmap
+// kernel over the mine's lazy index and memoised per interned RHS id in a
+// dense table (stored as count+1; 0 means unseen).
 func (m *miner) rCount(g gr.GR) int {
 	scr := m.scr
 	rid := m.dict.NodeDesc(g.R)
@@ -1091,22 +1099,7 @@ func (m *miner) rCount(g gr.GR) int {
 			return int(v) - 1
 		}
 	}
-	count := 0
-	for e := int32(0); int(e) < m.st.NumRows(); e++ {
-		if !m.st.Alive(e) {
-			continue
-		}
-		match := true
-		for _, c := range g.R {
-			if m.st.RVal(e, c.Attr) != c.Val {
-				match = false
-				break
-			}
-		}
-		if match {
-			count++
-		}
-	}
+	count := scr.counter.countR(m.bitmapIndex(), g.R)
 	if n := m.dict.NumDescs(); len(scr.rCounts) < n {
 		scr.rCounts = append(scr.rCounts, make([]int32, n-len(scr.rCounts))...)
 	}

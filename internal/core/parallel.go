@@ -219,14 +219,12 @@ func buildTasks(m *miner) []parTask {
 	}
 	for pos := 0; pos < len(sr); pos++ {
 		attr := sr[pos]
-		groups := m.partition(1, all, func(e int32) uint16 {
-			return uint16(m.st.RVal(e, attr))
-		}, buf)
+		groups := m.partition(1, all, m.st.RValsInto, attr, buf)
 		for _, grp := range groups {
 			if grp.Val == uint16(graph.Null) {
 				continue
 			}
-			if int(grp.Hi-grp.Lo) < m.opt.MinSupp {
+			if int(grp.N) < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}
@@ -242,14 +240,12 @@ func buildTasks(m *miner) []parTask {
 	// Root EDGE block.
 	for pos := 0; pos < len(m.swOrder); pos++ {
 		attr := m.swOrder[pos]
-		groups := m.partition(1, all, func(e int32) uint16 {
-			return uint16(m.st.EVal(e, attr))
-		}, buf)
+		groups := m.partition(1, all, m.st.EValsInto, attr, buf)
 		for _, grp := range groups {
 			if grp.Val == uint16(graph.Null) {
 				continue
 			}
-			if int(grp.Hi-grp.Lo) < m.opt.MinSupp {
+			if int(grp.N) < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}
@@ -264,14 +260,12 @@ func buildTasks(m *miner) []parTask {
 	// Root LEFT block.
 	for pos := 0; pos < len(m.slOrder); pos++ {
 		attr := m.slOrder[pos]
-		groups := m.partition(1, all, func(e int32) uint16 {
-			return uint16(m.st.LVal(e, attr))
-		}, buf)
+		groups := m.partition(1, all, m.st.LValsInto, attr, buf)
 		for _, grp := range groups {
 			if grp.Val == uint16(graph.Null) {
 				continue
 			}
-			if int(grp.Hi-grp.Lo) < m.opt.MinSupp {
+			if int(grp.N) < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}

@@ -7,12 +7,21 @@ import (
 	"testing/quick"
 )
 
+// seq returns the ids 0..n-1.
+func seq(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
 func TestPartitionBasic(t *testing.T) {
 	keys := []uint16{2, 0, 1, 2, 1, 1}
-	ids := []int32{0, 1, 2, 3, 4, 5}
+	ids := seq(len(keys))
 	out := make([]int32, len(ids))
 	p := New(3)
-	groups := p.Partition(ids, func(id int32) uint16 { return keys[id] }, out)
+	groups := p.Partition(ids, keys, 1, 3, out)
 	if len(groups) != 3 {
 		t.Fatalf("groups = %v, want 3 groups", groups)
 	}
@@ -26,7 +35,7 @@ func TestPartitionBasic(t *testing.T) {
 	}
 	for i, w := range want {
 		g := groups[i]
-		if g.Val != w.val || int(g.Hi-g.Lo) != len(w.member) {
+		if g.Val != w.val || int(g.N) != len(w.member) || int(g.Hi-g.Lo) != len(w.member) {
 			t.Fatalf("group %d = %+v, want val %d size %d", i, g, w.val, len(w.member))
 		}
 		for j, m := range w.member {
@@ -37,9 +46,45 @@ func TestPartitionBasic(t *testing.T) {
 	}
 }
 
+// Pruned and skipped groups keep their sizes but get no rows; the surviving
+// ones pack from out[0].
+func TestPartitionPrunesBeforeScatter(t *testing.T) {
+	keys := []uint16{2, 0, 1, 2, 1, 1, 0, 0}
+	ids := []int32{10, 11, 12, 13, 14, 15, 16, 17}
+	out := make([]int32, len(ids))
+	p := New(3)
+	groups := p.Partition(ids, keys, 3, 0, out)
+	want := []Group{{Val: 0, N: 3}, {Val: 1, N: 3, Lo: 0, Hi: 3}, {Val: 2, N: 2}}
+	if len(groups) != len(want) {
+		t.Fatalf("groups = %+v, want %+v", groups, want)
+	}
+	for i := range want {
+		if groups[i] != want[i] {
+			t.Fatalf("groups = %+v, want %+v", groups, want)
+		}
+	}
+	if got := out[:3]; got[0] != 12 || got[1] != 14 || got[2] != 15 {
+		t.Errorf("surviving rows = %v, want [12 14 15]", got)
+	}
+
+	// Nothing survives: every size is still reported and out is untouched.
+	for i := range out {
+		out[i] = -1
+	}
+	groups = p.Partition(ids, keys, 4, 0, out)
+	if len(groups) != 3 || groups[0].N != 3 || groups[1].N != 3 || groups[2].N != 2 {
+		t.Fatalf("groups = %+v", groups)
+	}
+	for i, id := range out {
+		if id != -1 {
+			t.Fatalf("out[%d] = %d written with no surviving group", i, id)
+		}
+	}
+}
+
 func TestPartitionEmpty(t *testing.T) {
 	p := New(5)
-	groups := p.Partition(nil, func(int32) uint16 { return 0 }, nil)
+	groups := p.Partition(nil, nil, 1, 0, nil)
 	if len(groups) != 0 {
 		t.Errorf("empty input produced groups: %v", groups)
 	}
@@ -49,8 +94,8 @@ func TestPartitionSingleValue(t *testing.T) {
 	ids := []int32{5, 3, 9}
 	out := make([]int32, 3)
 	p := New(10)
-	groups := p.Partition(ids, func(int32) uint16 { return 7 }, out)
-	if len(groups) != 1 || groups[0].Val != 7 || groups[0].Lo != 0 || groups[0].Hi != 3 {
+	groups := p.Partition(ids, []uint16{7, 7, 7}, 1, 0, out)
+	if len(groups) != 1 || groups[0].Val != 7 || groups[0].N != 3 || groups[0].Lo != 0 || groups[0].Hi != 3 {
 		t.Fatalf("groups = %v", groups)
 	}
 	for i, id := range ids {
@@ -70,11 +115,14 @@ func TestPartitionPanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanic("length mismatch", func() {
-		p.Partition([]int32{1, 2}, func(int32) uint16 { return 0 }, make([]int32, 1))
+	assertPanic("out length mismatch", func() {
+		p.Partition([]int32{1, 2}, []uint16{0, 0}, 1, 0, make([]int32, 1))
+	})
+	assertPanic("keys length mismatch", func() {
+		p.Partition([]int32{1, 2}, []uint16{0}, 1, 0, make([]int32, 2))
 	})
 	assertPanic("key out of domain", func() {
-		p.Partition([]int32{1}, func(int32) uint16 { return 9 }, make([]int32, 1))
+		p.Partition([]int32{1}, []uint16{9}, 1, 0, make([]int32, 1))
 	})
 }
 
@@ -84,12 +132,11 @@ func TestPartitionerReuse(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		r := rand.New(rand.NewSource(int64(round)))
 		keys := make([]uint16, 8)
-		ids := make([]int32, 8)
-		for i := range ids {
-			ids[i] = int32(i)
+		for i := range keys {
 			keys[i] = uint16(r.Intn(101))
 		}
-		groups := p.Partition(ids, func(id int32) uint16 { return keys[id] }, out)
+		ids := seq(len(keys))
+		groups := p.Partition(ids, keys, 1, 101, out)
 		total := 0
 		for _, g := range groups {
 			total += int(g.Hi - g.Lo)
@@ -105,59 +152,88 @@ func TestPartitionerReuse(t *testing.T) {
 	}
 }
 
-// Property: Partition is equivalent to a stable sort by key, and groups are
-// ascending, disjoint, and exhaustive.
+// Property: Partition equals a stable sort by key restricted to the
+// surviving groups. Groups are ascending and report every key's exact
+// count; surviving groups (size ≥ minSize, key ≠ skip) are disjoint and
+// dense from out[0]; pruned and skipped groups get no rows.
 func TestPartitionMatchesStableSortProperty(t *testing.T) {
 	p := New(16)
-	f := func(raw []uint16) bool {
+	f := func(raw []uint16, rawMin, rawSkip uint8) bool {
 		keys := make([]uint16, len(raw))
 		ids := make([]int32, len(raw))
 		for i, k := range raw {
 			keys[i] = k % 17
-			ids[i] = int32(i)
+			ids[i] = int32(len(raw) - i) // not the identity: ids and keys are parallel
 		}
+		minSize := int(rawMin % 5)
+		sk := uint16(rawSkip % 18) // 17 lies outside every key: no skip
 		out := make([]int32, len(ids))
-		groups := p.Partition(ids, func(id int32) uint16 { return keys[id] }, out)
+		groups := p.Partition(ids, keys, minSize, sk, out)
 
-		ref := append([]int32(nil), ids...)
-		sort.SliceStable(ref, func(i, j int) bool { return keys[ref[i]] < keys[ref[j]] })
+		count := map[uint16]int{}
+		for _, k := range keys {
+			count[k]++
+		}
+		keep := func(k uint16) bool { return count[k] >= minSize && k != sk }
+		order := seq(len(ids))
+		sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+		var ref []int32
+		for _, i := range order {
+			if keep(keys[i]) {
+				ref = append(ref, ids[i])
+			}
+		}
 		for i := range ref {
 			if out[i] != ref[i] {
 				return false
 			}
 		}
+		if len(groups) != len(count) {
+			return false
+		}
 		prev := -1
 		covered := int32(0)
 		for _, g := range groups {
-			if int(g.Val) <= prev || g.Lo != covered || g.Hi <= g.Lo {
+			if int(g.Val) <= prev || int(g.N) != count[g.Val] {
 				return false
 			}
 			prev = int(g.Val)
+			if !keep(g.Val) {
+				if g.Lo != g.Hi {
+					return false
+				}
+				continue
+			}
+			if g.Lo != covered || g.Hi-g.Lo != g.N {
+				return false
+			}
 			covered = g.Hi
 		}
-		return int(covered) == len(ids)
+		return int(covered) == len(ref)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }
 
+// BenchmarkPartition partitions a 64k-row key column over Pokec's largest
+// domain (Region, |A| = 188) with a minimum group size that prunes about
+// half of the groups before the scatter, as the miner's support threshold
+// does.
 func BenchmarkPartition(b *testing.B) {
 	const n = 1 << 16
 	keys := make([]uint16, n)
-	ids := make([]int32, n)
 	r := rand.New(rand.NewSource(1))
-	for i := range ids {
-		ids[i] = int32(i)
+	for i := range keys {
 		keys[i] = uint16(r.Intn(188))
 	}
+	ids := seq(n)
 	out := make([]int32, n)
 	p := New(188)
-	key := func(id int32) uint16 { return keys[id] }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Partition(ids, key, out)
+		p.Partition(ids, keys, n/188, 0, out)
 	}
-	b.SetBytes(int64(n * 4))
+	b.SetBytes(int64(n * 2))
 }

@@ -395,6 +395,46 @@ func (s *Store) RVal(e int32, attr int) graph.Value {
 	return s.rVals[int(s.ePtr[e])*nv+attr]
 }
 
+// LValsInto gathers the key column of rows for node attribute attr on the
+// source side: dst[i] = LVal(rows[i], attr). It reuses dst's storage when
+// large enough and returns the filled slice, len(rows) long.
+func (s *Store) LValsInto(dst []uint16, rows []int32, attr int) []uint16 {
+	dst = column(dst, len(rows))
+	nv := len(s.g.Schema().Node)
+	for i, e := range rows {
+		dst[i] = uint16(s.lVals[int(s.eSrc[e])*nv+attr])
+	}
+	return dst
+}
+
+// EValsInto is LValsInto for edge attribute attr.
+func (s *Store) EValsInto(dst []uint16, rows []int32, attr int) []uint16 {
+	dst = column(dst, len(rows))
+	ne := len(s.g.Schema().Edge)
+	for i, e := range rows {
+		dst[i] = uint16(s.eVals[int(e)*ne+attr])
+	}
+	return dst
+}
+
+// RValsInto is LValsInto for the destination side.
+func (s *Store) RValsInto(dst []uint16, rows []int32, attr int) []uint16 {
+	dst = column(dst, len(rows))
+	nv := len(s.g.Schema().Node)
+	for i, e := range rows {
+		dst[i] = uint16(s.rVals[int(s.ePtr[e])*nv+attr])
+	}
+	return dst
+}
+
+// column returns dst resized to n, reallocating only when it is too small.
+func column(dst []uint16, n int) []uint16 {
+	if cap(dst) < n {
+		return make([]uint16, n)
+	}
+	return dst[:n]
+}
+
 // EdgeID maps an EArray row back to the original graph edge id.
 func (s *Store) EdgeID(e int32) int32 { return s.eID[e] }
 
