@@ -122,7 +122,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 
 // BenchmarkRecount isolates the per-batch pool maintenance: the tracked-pool
 // delta recount (every pool entry matched against the batch rows) plus the
-// affected-subtree-key collection that decides the scoped re-mine. Passing
+// witness collection the scoped re-mine narrows its walk by. Passing
 // the same live rows as inserted and doomed leaves every count where it
 // started, so iterations are identical work on identical state.
 func BenchmarkRecount(b *testing.B) {
@@ -138,7 +138,7 @@ func BenchmarkRecount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inc.pool.recount(rows, rows, nil)
-		collectAffectedInto(&inc.aff, inc.st, rows, rows)
+		collectWitnessesInto(&inc.wit, inc.st, rows, rows)
 	}
 }
 

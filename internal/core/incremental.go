@@ -25,28 +25,33 @@
 //     Options.PoolCap the pool is bounded; see trimPool for the exactness
 //     argument (score-ordered spill + re-mine-on-underflow).
 //
-//  3. A scoped re-mine covering every possible pool *entrant*:
+//  3. A scoped re-mine covering every possible pool *entrant*, scoped by
+//     per-edge witnesses:
 //
 //     Insertions can promote GRs the pool has never seen (support crossing
 //     minSupp, or score rising past minScore). For DeltaSafe metrics a
 //     score can only rise when an inserted edge matches the GR's full
-//     descriptor l ∧ w ∧ r (see metrics.Metric), and such a GR's
-//     first-level SFDF subtree is then keyed by an (attribute, value) pair
-//     the inserted edge carries. Re-mining exactly the first-level subtrees
-//     whose key matches an inserted edge therefore discovers every
-//     possible riser; all other subtrees are provably unchanged-or-falling
-//     and are skipped.
-//
-//     Deletions never raise support, so a deletion-entrant must be a score
-//     riser, and for DeleteSafe metrics (score a pure function of LWR, LW,
-//     Hom) a score rises only when a deleted edge matched the GR's l ∧ w
-//     without matching r — shrinking the denominator. Such a GR's
-//     first-level LEFT or EDGE subtree is keyed by a value the deleted edge
-//     carries, so the insertion argument dualises — except for the root
-//     RIGHT block, whose GRs have empty l ∧ w (which every edge matches):
-//     ANY deletion can raise their scores, so a batch containing deletions
-//     re-mines every root RIGHT subtree. That block only ever extends the
-//     RHS, so it is the cheapest of the three.
+//     descriptor l ∧ w ∧ r (see metrics.Metric). Deletions never raise
+//     support, so a deletion-entrant must be a score riser, and for
+//     DeleteSafe metrics (score a pure function of LWR, LW, Hom) a score
+//     rises only when a deleted edge matched the GR's l ∧ w without
+//     matching r — shrinking the denominator. Either way ONE batch edge,
+//     the entrant's witness, carries the entrant's descriptor (all of it
+//     for an insertion, l ∧ w for a deletion). Every node of the SFDF path
+//     to the entrant has a descriptor contained in the entrant's, so the
+//     witness matches every node on the path. The scoped walk therefore
+//     carries, at each node, the set of batch edges still matching it —
+//     an inserted edge while it matches l ∧ w ∧ r, a deleted edge while it
+//     matches l ∧ w (R extensions pass it unchanged) — and prunes every
+//     descent whose set empties: no entrant lies below it. First-level
+//     subtrees no batch edge reaches are skipped outright. The root RIGHT
+//     block is the one place every deleted edge reaches (its GRs have an
+//     empty l ∧ w, which every edge matches); there a score bound drops
+//     the deleted witnesses of subtrees that provably hold no candidate
+//     (rightSubtreeAffected). Filtering by witnesses, not by the union of
+//     the batch's values per attribute, is what keeps the walk small: a
+//     few dozen edges mark nearly every value of a small domain, but few
+//     of them match any one deep descriptor.
 //
 //     This is the same candidate-union soundness argument the parallel
 //     engine makes for its task decomposition (parallel.go), applied to the
@@ -73,6 +78,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -177,14 +183,14 @@ type Incremental struct {
 	deltaSafe  bool
 	deleteSafe bool
 	// pool is keyed by the store's persistent interning dictionary (ids
-	// stable across batches and compactions); pool, scr, aff, and
+	// stable across batches and compactions); pool, scr, wit, and
 	// mergeScratch are the engine's steady-state allocation set — every
 	// Apply recounts, re-mines, and assembles out of these instead of
 	// rebuilding maps (DESIGN.md §7). The engine is the store's exclusive
 	// writer, so single-owner use holds.
 	pool         densePool
 	scr          *minerScratch
-	aff          affectedKeys
+	wit          witnesses
 	mergeScratch []gr.Scored
 	// spillFloor is the highest score ever spilled past Options.PoolCap
 	// since the pool was last complete (-Inf when nothing is spilled);
@@ -303,16 +309,16 @@ func (inc *Incremental) ApplyBatch(b Batch) (*Result, IncStats, error) {
 	var stats Stats
 	scoped := inc.deltaSafe && (len(delRows) == 0 || inc.deleteSafe)
 	if scoped {
-		// Order matters: the recount and the affected-key collection read
+		// Order matters: the recount and the witness collection read
 		// the doomed rows' values, so both run before the rows tombstone;
 		// the re-mine then runs over the surviving store (RemoveEdges may
 		// compact and renumber rows — newIDs and delRows are dead after it).
 		bs.Recounted, bs.Dropped = inc.pool.recount(newIDs, delRows, nil)
-		collectAffectedInto(&inc.aff, inc.st, newIDs, delRows)
+		collectWitnessesInto(&inc.wit, inc.st, newIDs, delRows)
 		if err := inc.applyDeletes(delRows); err != nil {
 			return nil, IncStats{}, err
 		}
-		bs.SubtreesRemined, bs.SubtreesTotal = remineAffectedSubtrees(inc.st, inc.pool.opt, &inc.aff, inc.pool.capture, inc.scr, &stats)
+		bs.SubtreesRemined, bs.SubtreesTotal = remineAffectedSubtrees(inc.st, inc.pool.opt, &inc.wit, inc.pool.capture, inc.scr, &stats)
 	} else if len(newIDs) > 0 || len(delRows) > 0 {
 		// Full rebuild: the whole tree is re-walked, so no subtree
 		// selectivity is reported (SubtreesRemined/Total stay 0). The
@@ -455,155 +461,133 @@ func (inc *Incremental) rebuildPool(stats *Stats) {
 	inc.spilled = false
 }
 
-// affSet is one attribute's affected-value set: a dense membership table
-// over the attribute's value domain plus the marked values kept ascending —
-// the order counting sort yields its groups in, which lets the bitmap
-// descent reproduce the csort walk's candidate sequence exactly. Allocated
-// once per attribute and reset in O(marked) between batches.
-type affSet struct {
-	has  []bool
-	vals []graph.Value
+// witnesses is the scoped re-mine's batch: every inserted and deleted edge,
+// with its values. Each node of the scoped walk carries the set of
+// witnesses that still match its descriptor — an inserted edge while it
+// matches l ∧ w ∧ r, a deleted edge while it matches l ∧ w — and a descent
+// whose set empties holds no pool entrant (see the package comment). The
+// table is O(batch × attributes) and refilled in place by every batch.
+type witnesses struct {
+	// edges lists the witnesses' graph edge ids, inserted edges first:
+	// witnesses [0, nIns) are inserted and [nIns, n) deleted. Sets list
+	// ids ascending, so a set holds a deletion iff its last id is at least
+	// nIns.
+	edges []int32
+	nIns  int
+	// vals holds stride values per witness (filled by gather): its nv
+	// source-node (LHS) values, its nv destination-node (RHS) values, then
+	// its edge values — so a (side, attribute) pair is one column index
+	// (colL, colR, colW).
+	vals       []graph.Value
+	nv, stride int
 }
 
-// mark inserts v (ascending position; no-op when already marked). The
-// membership table is sized on first use from the attribute's domain.
-func (s *affSet) mark(v graph.Value, domain int) {
-	if s.has == nil {
-		s.has = make([]bool, domain+1)
-	}
-	if s.has[v] {
-		return
-	}
-	s.has[v] = true
-	i := len(s.vals)
-	s.vals = append(s.vals, v)
-	for i > 0 && s.vals[i-1] > v {
-		s.vals[i] = s.vals[i-1]
-		i--
-	}
-	s.vals[i] = v
+func (w *witnesses) colL(attr int) int { return attr }
+func (w *witnesses) colR(attr int) int { return w.nv + attr }
+func (w *witnesses) colW(attr int) int { return 2*w.nv + attr }
+
+func (w *witnesses) val(i int32, col int) graph.Value { return w.vals[int(i)*w.stride+col] }
+
+// hasDelete reports whether the ascending set holds a deleted edge.
+func (w *witnesses) hasDelete(set []int32) bool {
+	return len(set) > 0 && int(set[len(set)-1]) >= w.nIns
 }
 
-func (s *affSet) empty() bool { return len(s.vals) == 0 }
-
-func (s *affSet) contains(v graph.Value) bool { return int(v) < len(s.has) && s.has[v] }
-
-func (s *affSet) reset() {
-	for _, v := range s.vals {
-		s.has[v] = false
+// inserted returns the prefix of the ascending set that holds its inserted
+// edges.
+func (w *witnesses) inserted(set []int32) []int32 {
+	for w.hasDelete(set) {
+		set = set[:len(set)-1]
 	}
-	s.vals = s.vals[:0]
+	return set
 }
 
-// affectedKeys is the scoped re-mine's work list: for each block, the
-// (attribute, value) first-level subtree keys a batch can have changed, plus
-// the AllRight flag deletions raise (every root RIGHT subtree holds GRs with
-// empty l ∧ w, which every deleted edge matched — see the package comment).
-type affectedKeys struct {
-	L, R     []affSet
-	W        []affSet
-	AllRight bool
+// keeps reports whether witness i stays in a set extended by val in col: it
+// carries val there, or it is a deleted edge and col is an RHS column —
+// deletion entrants are carried on l ∧ w only, so R extensions pass them.
+func (w *witnesses) keeps(i int32, col int, val graph.Value) bool {
+	if int(i) >= w.nIns && col >= w.nv && col < 2*w.nv {
+		return true
+	}
+	return w.val(i, col) == val
 }
 
-// reset empties every set (allocations kept) for reuse by the next batch.
-func (aff *affectedKeys) reset() {
-	for i := range aff.L {
-		aff.L[i].reset()
-		aff.R[i].reset()
+// collectWitnessesInto records the batch's inserted rows and doomed rows
+// into the engine's reusable witness table by graph edge id. It must run
+// before the doomed rows tombstone: RemoveEdges may compact and renumber
+// rows, while edge ids are stable and the graph keeps a removed edge's
+// endpoints and values readable.
+func collectWitnessesInto(w *witnesses, st *store.Store, newIDs, delRows []int32) {
+	w.nIns = len(newIDs)
+	w.edges = slices.Grow(w.edges[:0], len(newIDs)+len(delRows))
+	for _, rows := range [2][]int32{newIDs, delRows} {
+		for _, e := range rows {
+			w.edges = append(w.edges, st.EdgeID(e))
+		}
 	}
-	for i := range aff.W {
-		aff.W[i].reset()
-	}
-	aff.AllRight = false
 }
 
-// collectAffectedInto gathers the affected subtree keys from the batch's
-// inserted rows and doomed rows (called before the latter tombstone, while
-// their values are still readable) into a reusable set: the incremental
-// engines keep one affectedKeys per engine and refill it each batch.
-// Inserted rows mark all three blocks (a riser's full descriptor is carried
-// by the inserted edge); deleted rows mark only LEFT and EDGE keys — a
-// deletion-riser's l ∧ w is carried by the deleted edge, but its RHS need
-// not be, so deletions flip AllRight instead.
-func collectAffectedInto(aff *affectedKeys, st *store.Store, newIDs, delRows []int32) {
-	schema := st.Graph().Schema()
+// gather fills the value table from g (the store's graph).
+func (w *witnesses) gather(g *graph.Graph) {
+	schema := g.Schema()
 	nv, ne := len(schema.Node), len(schema.Edge)
-	if aff.L == nil {
-		aff.L = make([]affSet, nv)
-		aff.R = make([]affSet, nv)
-		aff.W = make([]affSet, ne)
-	}
-	aff.reset()
-	mark := func(sets []affSet, a int, v graph.Value, domain int) {
-		if v == graph.Null {
-			return
-		}
-		sets[a].mark(v, domain)
-	}
-	for _, e := range newIDs {
-		for a := 0; a < nv; a++ {
-			mark(aff.L, a, st.LVal(e, a), schema.Node[a].Domain)
-			mark(aff.R, a, st.RVal(e, a), schema.Node[a].Domain)
-		}
-		for a := 0; a < ne; a++ {
-			mark(aff.W, a, st.EVal(e, a), schema.Edge[a].Domain)
-		}
-	}
-	for _, e := range delRows {
-		aff.AllRight = true
-		for a := 0; a < nv; a++ {
-			mark(aff.L, a, st.LVal(e, a), schema.Node[a].Domain)
-		}
-		for a := 0; a < ne; a++ {
-			mark(aff.W, a, st.EVal(e, a), schema.Edge[a].Domain)
-		}
+	w.nv, w.stride = nv, 2*nv+ne
+	w.vals = slices.Grow(w.vals[:0], len(w.edges)*w.stride)
+	for _, id := range w.edges {
+		e := int(id)
+		w.vals = append(w.vals, g.NodeValues(g.Src(e))...)
+		w.vals = append(w.vals, g.NodeValues(g.Dst(e))...)
+		w.vals = append(w.vals, g.EdgeValues(e)...)
 	}
 }
 
 // rightSubtreeAffected decides whether a root RIGHT subtree with n live
-// edges in its partition needs re-mining. Insert-marked subtrees always do.
-// In deletion mode (aff.AllRight) every RIGHT subtree is a potential riser —
-// its GRs' empty l ∧ w matches every deleted edge — but a sharp score bound
-// prunes most of them: every GR in the subtree has LW = |E|, Hom = 0 (empty
-// LHS ⇒ empty β, so nhp degenerates to conf throughout), and LWR ≤ n, and
-// every DeleteSafe metric is non-decreasing in LWR at fixed LW, so
-// Score({LWR: n, LW: E, E: E}) bounds every score below the subtree from
-// above. A subtree whose bound misses minScore holds no condition-(1)
-// entrant and is skipped — the saving that keeps deletion batches from
+// edges in its partition can hold a deletion entrant. Every deleted edge is
+// a witness there — the subtree's GRs have empty l ∧ w, which every edge
+// matches — but a sharp score bound rules most subtrees out: every GR in
+// the subtree has LW = |E|, Hom = 0 (empty LHS ⇒ empty β, so nhp
+// degenerates to conf throughout), and LWR ≤ n, and every DeleteSafe metric
+// is non-decreasing in LWR at fixed LW, so Score({LWR: n, LW: E, E: E})
+// bounds every score below the subtree from above. A subtree whose bound
+// misses minScore holds no condition-(1) candidate at all, so its deleted
+// witnesses are dropped — the saving that keeps deletion batches from
 // re-walking the whole RIGHT block.
-func rightSubtreeAffected(opt Options, aff *affectedKeys, attr int, val graph.Value, n, liveE int) bool {
-	if aff.R[attr].contains(val) {
-		return true
-	}
-	if !aff.AllRight {
-		return false
-	}
+func rightSubtreeAffected(opt Options, n, liveE int) bool {
 	bound := opt.Metric.Score(metrics.Counts{LWR: n, LW: liveE, E: liveE})
 	return bound >= opt.MinScore
 }
 
-// remineAffectedSubtrees re-mines exactly the first-level SFDF subtrees in
-// the affected set, feeding every candidate found to the capture hook. The
-// enumeration mirrors the decomposition of parallel.go's buildTasks (root
-// RIGHT, EDGE, and LEFT blocks) so every GR of the full walk belongs to
-// exactly one subtree. Shared by the single-store incremental engine and
-// the shard workers, whose stores both keep posting lists: first-level
-// partitions come straight from the store's per-(attribute, value) lists —
-// no O(|E| × dims) counting-sort pass over the full edge set — and the walk
-// additionally filters every deeper descent by the affected keys
-// (miner.aff), which the entrant argument licenses at every depth, not just
-// the first. scr is reset first.
+// remineAffectedSubtrees re-mines exactly the first-level SFDF subtrees
+// some batch witness reaches, feeding every candidate found to the capture
+// hook. The enumeration mirrors the decomposition of parallel.go's
+// buildTasks (root RIGHT, EDGE, and LEFT blocks) so every GR of the full
+// walk belongs to exactly one subtree. Shared by the single-store
+// incremental engine and the shard workers (whose witnesses are
+// insert-only); both stores keep posting lists, so first-level partitions
+// come straight from the store's per-(attribute, value) lists — no
+// O(|E| × dims) counting-sort pass over the full edge set — and every
+// deeper descent narrows the node's witness set (miner.wit), pruning
+// descents it empties.
+// That is exact at every depth: an entrant's witness matches the entrant's
+// descriptor, so it matches every ancestor's, and it survives on the whole
+// SFDF path. scr is reset first.
 //
 // Scoped re-mining is only sound when the metric cannot raise a score
-// outside the affected subtrees.
+// outside the witnessed subtrees.
 //
 // grlint:requires DeltaSafe DeleteSafe
-func remineAffectedSubtrees(st *store.Store, opt Options, aff *affectedKeys, capture func(gr.GR, metrics.Counts, float64), scr *minerScratch, stats *Stats) (remined, total int) {
+func remineAffectedSubtrees(st *store.Store, opt Options, wit *witnesses, capture func(gr.GR, metrics.Counts, float64), scr *minerScratch, stats *Stats) (remined, total int) {
 	scr.reset()
 	schema := st.Graph().Schema()
 	m := newMinerScr(st, opt, scr)
 	m.capture = capture
-	m.aff, m.affSkipR = aff, aff.AllRight
+	m.wit = wit
+	wit.gather(st.Graph())
+	root := m.witLevel(0)
+	root.set = root.set[:0]
+	for i := range wit.edges {
+		root.set = append(root.set, int32(i))
+	}
 
 	// The full live edge list is only needed as the base partition (the LW
 	// denominator) of root RIGHT subtrees; materialise it lazily so
@@ -623,7 +607,12 @@ func remineAffectedSubtrees(st *store.Store, opt Options, aff *affectedKeys, cap
 				continue
 			}
 			total++
-			if !rightSubtreeAffected(opt, aff, attr, val, n, st.NumEdges()) {
+			lv := m.witLevel(1)
+			m.narrow(1, wit.colR(attr), val)
+			if wit.hasDelete(lv.set) && !rightSubtreeAffected(opt, n, st.NumEdges()) {
+				lv.set = wit.inserted(lv.set)
+			}
+			if len(lv.set) == 0 {
 				continue
 			}
 			remined++
@@ -643,7 +632,7 @@ func remineAffectedSubtrees(st *store.Store, opt Options, aff *affectedKeys, cap
 				continue
 			}
 			total++
-			if !aff.W[attr].contains(val) {
+			if len(m.narrow(1, wit.colW(attr), val)) == 0 {
 				continue
 			}
 			remined++
@@ -658,7 +647,7 @@ func remineAffectedSubtrees(st *store.Store, opt Options, aff *affectedKeys, cap
 				continue
 			}
 			total++
-			if !aff.L[attr].contains(val) {
+			if len(m.narrow(1, wit.colL(attr), val)) == 0 {
 				continue
 			}
 			remined++
@@ -736,12 +725,13 @@ func (inc *Incremental) assembleBounded(stats *Stats, bs *IncStats, start time.T
 
 // underflow reports whether the merged result may depend on a spilled pool
 // entry. Every spilled entry's current score is at most spillFloor: its
-// score at spill time was, and any rise since would have required a batch
-// edge matching its l ∧ w (insertions: full descriptor; deletions: l ∧ w, or
-// anything for the empty-l∧w root RIGHT GRs) — exactly the cases whose
-// first-level subtrees the scoped re-mine re-walks, re-capturing the entry
-// into the pool. So a top-k whose k-th score strictly beats spillFloor, at
-// full length, is provably what the unbounded pool would have produced
+// score at spill time was, and any rise since would have required a
+// witness — an inserted edge matching its l ∧ w ∧ r, or a deleted edge
+// matching its l ∧ w — and a witness of an entry matches every node on the
+// entry's SFDF path, so the scoped re-mine reached the entry and
+// re-captured it into the pool (unless the root RIGHT bound proved it no
+// candidate at all). So a top-k whose k-th score strictly beats spillFloor,
+// at full length, is provably what the unbounded pool would have produced
 // (spilled generality blockers are retained by trimPool, so blocking
 // decisions cannot depend on the frontier either). Ties are treated as
 // underflow: rank order among equal scores could differ.
@@ -764,10 +754,11 @@ func (inc *Incremental) underflow(res *Result) bool {
 // Exactness of the spill itself rests on the re-capture argument in
 // underflow's comment: a spilled entry re-enters the pool in the same Apply
 // that could raise its score or make it block a new entrant (the batch edge
-// driving either change carries the entry's first-level subtree key, or
-// deletions re-walk the whole root RIGHT block), so between batches the
-// frontier only ever holds entries that are provably irrelevant while the
-// k-th score stays above spillFloor.
+// driving either change is a witness of the entry: a new entrant's witness
+// matches the entrant's descriptor, hence that of every generalisation
+// that could block it), so between batches the frontier only ever holds
+// entries that are provably irrelevant while the k-th score stays above
+// spillFloor.
 func (inc *Incremental) trimPool() (spilled int) {
 	cap := inc.opt.PoolCap
 	if cap <= 0 || inc.pool.len() <= cap {

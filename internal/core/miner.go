@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"grminer/internal/csort"
@@ -297,6 +298,10 @@ type minerScratch struct {
 	andBM   store.Bitmap
 	// allRows is the AllEdgesInto scratch for root base partitions.
 	allRows []int32
+	// wits[depth] is a scoped re-mine's witness scratch for one recursion
+	// depth (see witLevel); pointers, so growing the table never moves a
+	// level an enclosing loop is still reading.
+	wits []*witLevel
 	// keys is the key column partition gathers into. One serves every
 	// depth: a column is dead once its partition call returns, before any
 	// recursion. The incremental engine keeps its scratch for its lifetime,
@@ -367,16 +372,16 @@ type miner struct {
 	// support threshold — the local MinSupp here is the relaxed per-shard
 	// one, so this is the only global pruning a shard walk gets.
 	bound *OfferBound
-	// aff, when set (scoped incremental re-mines), filters every partition
-	// descent by the batch's affected (attribute, value) keys: a pool
-	// entrant's promoting edge carries the entrant's full descriptor, so
-	// every partition key on the entrant's SFDF path is affected-marked and
-	// the walk still reaches it; descents through unmarked keys provably
-	// lead to no entrant. affSkipR disables the filter for RHS descents —
-	// deletion entrants carry only l ∧ w (see incremental.go), so batches
-	// containing deletions must not filter R positions.
-	aff      *affectedKeys
-	affSkipR bool
+	// wit, when set (scoped incremental re-mines), holds the batch's
+	// witnesses, and every descent narrows the node's witness set to the
+	// batch edges still matching the child's descriptor: an inserted edge
+	// while it matches l ∧ w ∧ r, a deleted edge while it matches l ∧ w
+	// (R extensions pass it unchanged). A pool entrant's promoting edge
+	// matches the entrant's descriptor, hence every ancestor's, so the walk
+	// still reaches it; a descent left with no witness provably leads to no
+	// entrant and is pruned. R positions go unfiltered only below a node
+	// whose set still holds a deleted edge.
+	wit *witnesses
 
 	slOrder []int
 	swOrder []int
@@ -491,15 +496,22 @@ func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
 	if m.opt.MaxL > 0 && len(lhs) >= m.opt.MaxL {
 		return
 	}
-	if m.useBitmaps() && m.bitmapsPayOff(len(data), m.slOrder[:maxPos], m.aff.L) {
-		m.leftBitmaps(data, depth, lhs, maxPos)
-		return
+	var lv *witLevel
+	if m.wit != nil {
+		lv = m.carried(depth, m.wit.colL(0), m.slOrder[:maxPos])
+		if m.useBitmaps() && m.bitmapsPayOff(len(data), lv) {
+			m.leftBitmaps(data, depth, lhs, maxPos, lv)
+			return
+		}
 	}
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.slOrder[pos]
-		if m.aff != nil && m.aff.L[attr].empty() {
-			continue // no affected value ⇒ no entrant below any group
+		var vals []graph.Value
+		if lv != nil {
+			if vals = lv.at(pos); len(vals) == 0 {
+				continue // no witness carries a value ⇒ no entrant below any group
+			}
 		}
 		groups := m.partition(depth, data, m.st.LValsInto, attr, buf)
 		for _, grp := range groups {
@@ -511,8 +523,12 @@ func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
 				continue
 			}
 			part := buf[grp.Lo:grp.Hi]
-			if m.aff != nil && !m.aff.L[attr].contains(graph.Value(grp.Val)) {
-				continue
+			if lv != nil {
+				var ok bool
+				if vals, ok = seek(vals, graph.Value(grp.Val)); !ok {
+					continue
+				}
+				m.narrow(depth, m.wit.colL(attr), graph.Value(grp.Val))
 			}
 			lhs2 := lhs.With(attr, graph.Value(grp.Val))
 			if m.bound != nil && m.bound.prune(len(part), lhs2, nil, nil) {
@@ -538,15 +554,22 @@ func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) 
 	if m.opt.MaxW > 0 && len(w) >= m.opt.MaxW {
 		return
 	}
-	if m.useBitmaps() && m.bitmapsPayOff(len(data), m.swOrder[:maxPos], m.aff.W) {
-		m.edgeBitmaps(data, depth, lhs, w, maxPos)
-		return
+	var lv *witLevel
+	if m.wit != nil {
+		lv = m.carried(depth, m.wit.colW(0), m.swOrder[:maxPos])
+		if m.useBitmaps() && m.bitmapsPayOff(len(data), lv) {
+			m.edgeBitmaps(data, depth, lhs, w, maxPos, lv)
+			return
+		}
 	}
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.swOrder[pos]
-		if m.aff != nil && m.aff.W[attr].empty() {
-			continue // no affected value ⇒ no entrant below any group
+		var vals []graph.Value
+		if lv != nil {
+			if vals = lv.at(pos); len(vals) == 0 {
+				continue // no witness carries a value ⇒ no entrant below any group
+			}
 		}
 		groups := m.partition(depth, data, m.st.EValsInto, attr, buf)
 		for _, grp := range groups {
@@ -558,8 +581,12 @@ func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) 
 				continue
 			}
 			part := buf[grp.Lo:grp.Hi]
-			if m.aff != nil && !m.aff.W[attr].contains(graph.Value(grp.Val)) {
-				continue
+			if lv != nil {
+				var ok bool
+				if vals, ok = seek(vals, graph.Value(grp.Val)); !ok {
+					continue
+				}
+				m.narrow(depth, m.wit.colW(attr), graph.Value(grp.Val))
 			}
 			w2 := w.With(attr, graph.Value(grp.Val))
 			if m.bound != nil && m.bound.prune(len(part), lhs, w2, nil) {
@@ -578,38 +605,111 @@ func (m *miner) edgeGroup(part []int32, depth int, lhs, w2 gr.Descriptor, pos in
 	m.edge(part, depth+1, lhs, w2, pos)
 }
 
-// useBitmaps reports whether an affected-key descent may run on packed
-// posting bitmaps instead of counting sort at all: scoped re-mine only
-// (aff set), postings maintained, and not an offer mine — the offer's
-// global-bound prune inspects every group, not just affected ones.
-// Eligible nodes still weigh the two techniques with bitmapsPayOff.
+// useBitmaps reports whether a scoped descent may run on packed posting
+// bitmaps instead of counting sort at all: scoped re-mine only (wit set),
+// postings maintained, and not an offer mine — the offer's global-bound
+// prune inspects every group, not just witnessed ones. Eligible nodes still
+// weigh the two techniques with bitmapsPayOff.
 func (m *miner) useBitmaps() bool {
-	return m.aff != nil && m.bound == nil && m.st.PostingsEnabled()
+	return m.wit != nil && m.bound == nil && m.st.PostingsEnabled()
 }
 
-// bitmapsPayOff decides, per descent node, whether serving the affected
+// bitmapsPayOff decides, per descent node, whether serving the witnessed
 // groups by bitmap intersection beats counting sort. A scoped re-mine only
-// needs the groups whose (attribute, value) is affected-marked, so ANDing
-// the partition's bitmap against each marked value's live-row bitmap costs
-// ~words-per-bitmap word ops per marked value (plus packing the partition
-// once), where counting sort costs ~|data| per position that has any marked
-// value. Small batches mark a handful of values and the bitmap walk wins
-// near the root; wide batches (or deep, tiny partitions) are cheaper to
-// counting-sort, since every AND sweeps the full row width no matter how
-// small the partition is.
-func (m *miner) bitmapsPayOff(dataLen int, order []int, sets []affSet) bool {
+// needs the groups whose value some witness of the node carries, so ANDing
+// the partition's bitmap against each carried value's live-row bitmap costs
+// ~words-per-bitmap word ops per carried value (plus packing the partition
+// once), where counting sort costs ~|data| per position that has any
+// carried value. Nodes with few witnesses carry a handful of values and the
+// bitmap walk wins near the root; wide witness sets (or deep, tiny
+// partitions) are cheaper to counting-sort, since every AND sweeps the full
+// row width no matter how small the partition is.
+func (m *miner) bitmapsPayOff(dataLen int, lv *witLevel) bool {
 	words := (m.st.NumRows() + 63) / 64
-	active, vals := 0, 0
-	for _, attr := range order {
-		if n := len(sets[attr].vals); n > 0 {
+	active := 0
+	for p := 1; p < len(lv.offs); p++ {
+		if lv.offs[p] > lv.offs[p-1] {
 			active++
-			vals += n
 		}
 	}
+	vals := len(lv.vals)
 	if vals == 0 {
-		return false // nothing affected here; the counting path skips every position
+		return false // nothing witnessed here; the counting path skips every position
 	}
 	return words*vals < active*dataLen
+}
+
+// witLevel is one recursion depth's witness scratch in a scoped re-mine.
+// set is the witness set of the node the depth's loop last entered (level
+// 0 holds the root set, every witness); vals lists, for each attribute
+// position of the depth's loop, the distinct non-null values the enclosing
+// node's witnesses carry there, ascending, with offs[p]:offs[p+1] bounding
+// position p. A loop at depth d reads its node's set from level d-1 and
+// writes its children's into level d, the same discipline as the row
+// buffers, so no level is overwritten while a loop still iterates it.
+// Storage is O(depth × batch) and kept for the scratch's lifetime.
+type witLevel struct {
+	set  []int32
+	vals []graph.Value
+	offs []int32
+}
+
+// at returns the carried values of loop position pos.
+func (lv *witLevel) at(pos int) []graph.Value { return lv.vals[lv.offs[pos]:lv.offs[pos+1]] }
+
+// witLevel returns depth's witness scratch, creating it on first use.
+func (m *miner) witLevel(depth int) *witLevel {
+	s := m.scr
+	for len(s.wits) <= depth {
+		s.wits = append(s.wits, &witLevel{})
+	}
+	return s.wits[depth]
+}
+
+// carried fills depth's level with the values the node's witnesses carry
+// in columns col0+attr for each attribute of order, and returns the level.
+func (m *miner) carried(depth, col0 int, order []int) *witLevel {
+	set := m.witLevel(depth - 1).set
+	lv := m.witLevel(depth)
+	lv.vals = lv.vals[:0]
+	lv.offs = append(lv.offs[:0], 0)
+	for _, attr := range order {
+		lo := len(lv.vals)
+		for _, i := range set {
+			if v := m.wit.val(i, col0+attr); v != graph.Null {
+				lv.vals = append(lv.vals, v)
+			}
+		}
+		seg := lv.vals[lo:]
+		slices.Sort(seg)
+		lv.vals = lv.vals[:lo+len(slices.Compact(seg))]
+		lv.offs = append(lv.offs, int32(len(lv.vals)))
+	}
+	return lv
+}
+
+// narrow sets depth's witness set to the witnesses of the node (level
+// depth-1) that its child extended by val in col keeps, and returns it.
+func (m *miner) narrow(depth, col int, val graph.Value) []int32 {
+	parent := m.witLevel(depth - 1).set
+	lv := m.witLevel(depth)
+	lv.set = lv.set[:0]
+	for _, i := range parent {
+		if m.wit.keeps(i, col, val) {
+			lv.set = append(lv.set, i)
+		}
+	}
+	return lv.set
+}
+
+// seek advances the ascending vals past every value below v and reports
+// whether v comes next. Counting sort yields groups ascending, so one
+// forward pass matches a partition's groups against its carried values.
+func seek(vals []graph.Value, v graph.Value) ([]graph.Value, bool) {
+	for len(vals) > 0 && vals[0] < v {
+		vals = vals[1:]
+	}
+	return vals, len(vals) > 0 && vals[0] == v
 }
 
 // dataBitmap packs data's rows into the depth's scratch bitmap. The caller
@@ -644,16 +744,17 @@ func (m *miner) intersect(dataBM, valBM store.Bitmap, buf []int32) []int32 {
 }
 
 // leftBitmaps is the bitmap form of left's loop body: iterate only the
-// affected (attribute, value) keys, ascending by value — the same group
-// order counting sort yields — so the walk emits candidates in the identical
-// sequence. A value absent from the partition intersects to the empty set,
-// mirroring the group counting sort never forms.
-func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
+// values the node's witnesses carry (lv), ascending — the same group order
+// counting sort yields — so the walk emits candidates in the identical
+// sequence, and captures and checkpoints stay deterministic. A value absent
+// from the partition intersects to the empty set, mirroring the group
+// counting sort never forms.
+func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos int, lv *witLevel) {
 	dataBM := m.dataBitmap(depth, data)
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.slOrder[pos]
-		for _, val := range m.aff.L[attr].vals {
+		for _, val := range lv.at(pos) {
 			part := m.intersect(dataBM, m.st.LBitmap(attr, val), buf)
 			if len(part) == 0 {
 				continue
@@ -662,6 +763,7 @@ func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos i
 				m.stats.PrunedSupp++
 				continue
 			}
+			m.narrow(depth, m.wit.colL(attr), val)
 			m.leftGroup(part, depth, lhs.With(attr, val), pos)
 		}
 	}
@@ -669,12 +771,12 @@ func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos i
 }
 
 // edgeBitmaps is the bitmap form of edge's loop body; see leftBitmaps.
-func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) {
+func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPos int, lv *witLevel) {
 	dataBM := m.dataBitmap(depth, data)
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.swOrder[pos]
-		for _, val := range m.aff.W[attr].vals {
+		for _, val := range lv.at(pos) {
 			part := m.intersect(dataBM, m.st.WBitmap(attr, val), buf)
 			if len(part) == 0 {
 				continue
@@ -683,6 +785,7 @@ func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPo
 				m.stats.PrunedSupp++
 				continue
 			}
+			m.narrow(depth, m.wit.colW(attr), val)
 			m.edgeGroup(part, depth, lhs, w.With(attr, val), pos)
 		}
 	}
@@ -690,14 +793,15 @@ func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPo
 }
 
 // rightBitmaps is the bitmap form of right's loop body; see leftBitmaps.
-// Never entered with affSkipR — deletion batches must examine every RHS
-// group, which is exactly the counting-sort walk.
-func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int) {
+// Never entered below a node whose witnesses hold a deleted edge — that
+// node's R extensions must examine every RHS group, which is exactly the
+// counting-sort walk.
+func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int, lv *witLevel) {
 	dataBM := m.dataBitmap(depth, data)
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := rc.sr[pos]
-		for _, val := range m.aff.R[attr].vals {
+		for _, val := range lv.at(pos) {
 			part := m.intersect(dataBM, m.st.RBitmap(attr, val), buf)
 			if len(part) == 0 {
 				continue
@@ -706,6 +810,7 @@ func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descripto
 				m.stats.PrunedSupp++
 				continue
 			}
+			m.narrow(depth, m.wit.colR(attr), val)
 			m.rightGroup(rc, part, depth, rhs.With(attr, val), pos)
 		}
 	}
@@ -770,15 +875,25 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 	if m.opt.MaxR > 0 && len(rhs) >= m.opt.MaxR {
 		return
 	}
-	if !m.affSkipR && m.useBitmaps() && m.bitmapsPayOff(len(data), rc.sr[:maxPos], m.aff.R) {
-		m.rightBitmaps(rc, data, depth, rhs, maxPos)
-		return
+	// lv stays nil (no value filter) in the static mine and below a node
+	// whose witnesses still hold a deleted edge; a scoped walk narrows the
+	// set at every descent either way.
+	var lv *witLevel
+	if m.wit != nil && !m.wit.hasDelete(m.witLevel(depth-1).set) {
+		lv = m.carried(depth, m.wit.colR(0), rc.sr[:maxPos])
+		if m.useBitmaps() && m.bitmapsPayOff(len(data), lv) {
+			m.rightBitmaps(rc, data, depth, rhs, maxPos, lv)
+			return
+		}
 	}
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := rc.sr[pos]
-		if m.aff != nil && !m.affSkipR && m.aff.R[attr].empty() {
-			continue // no affected value ⇒ no entrant below any group
+		var vals []graph.Value
+		if lv != nil {
+			if vals = lv.at(pos); len(vals) == 0 {
+				continue // no witness carries a value ⇒ no entrant below any group
+			}
 		}
 		groups := m.partition(depth, data, m.st.RValsInto, attr, buf)
 		for _, grp := range groups {
@@ -790,8 +905,14 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 				continue
 			}
 			part := buf[grp.Lo:grp.Hi]
-			if m.aff != nil && !m.affSkipR && !m.aff.R[attr].contains(graph.Value(grp.Val)) {
-				continue
+			if lv != nil {
+				var ok bool
+				if vals, ok = seek(vals, graph.Value(grp.Val)); !ok {
+					continue
+				}
+			}
+			if m.wit != nil {
+				m.narrow(depth, m.wit.colR(attr), graph.Value(grp.Val))
 			}
 			rhs2 := rhs.With(attr, graph.Value(grp.Val))
 			if m.bound != nil && m.bound.prune(len(part), rc.lhs, rc.w, rhs2) {

@@ -14,10 +14,9 @@
 //     decrease under insertions, so entries are never dropped, and a GR can
 //     enter a shard's pool only when an inserted edge matching its full
 //     descriptor pushes its shard support over the threshold. That edge
-//     carries the GR's first-level subtree key, so re-mining exactly the
-//     affected first-level subtrees of the owning shard (the same scoped
-//     walk the single-store engine uses, now run inside WorkerState.Ingest)
-//     discovers every entrant. No DeltaSafe gate is needed: the lift
+//     is the GR's witness, so the witness-scoped re-mine of the owning
+//     shard (the same scoped walk the single-store engine uses, now run
+//     inside WorkerState.Ingest) discovers every entrant. No DeltaSafe gate is needed: the lift
 //     family's global-score movement is re-evaluated at merge time from
 //     summed counts, so every metric takes the scoped path and no batch
 //     ever falls back to a full re-mine. The worker replies with the pool

@@ -497,11 +497,11 @@ type WorkerState struct {
 	// changes collects each Ingest's pool deltas: the recount's report plus
 	// every re-mine capture.
 	changes poolChanges
-	// scr and aff are the worker's steady-state re-mine allocations, reused
+	// scr and wit are the worker's steady-state re-mine allocations, reused
 	// across Ingest batches; scr carries the shard store's persistent
 	// dictionary (the worker is the store's exclusive writer).
 	scr *minerScratch
-	aff affectedKeys
+	wit witnesses
 	// counter is the round-2 Counts kernel's scratch, reused across calls.
 	counter bitmapCounter
 }
@@ -701,9 +701,9 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 
 	rep := IngestReply{}
 	rep.Recounted, _ = w.pool.recount(newRows, delRows, &w.changes)
-	// Affected keys come from the inserted rows only (support-gated pools
-	// have no deletion entrants), read before the doomed rows tombstone.
-	collectAffectedInto(&w.aff, w.st, newRows, nil)
+	// Witnesses are the inserted rows only (support-gated pools have no
+	// deletion entrants), gathered before the doomed rows tombstone.
+	collectWitnessesInto(&w.wit, w.st, newRows, nil)
 	for _, row := range delRows {
 		if err := w.g.RemoveEdge(int(w.st.EdgeID(row))); err != nil {
 			return IngestReply{}, fmt.Errorf("core: worker %d: retract row %d: %w", w.idx, row, err)
@@ -718,7 +718,7 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	// entrants), so only the insert side reaches the scoped walk. Every
 	// capture joins the recount's touched ids as a delta.
 	//grlint:ignore metricsafety deletions are recounted exactly above; only inserts reach the scoped re-mine
-	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.st, w.pool.opt, &w.aff,
+	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.st, w.pool.opt, &w.wit,
 		func(g gr.GR, c metrics.Counts, score float64) {
 			w.changes.touched = append(w.changes.touched, w.pool.upsert(g, c, score))
 		}, w.scr, &stats)
