@@ -179,40 +179,28 @@ func main() {
 		Parallelism:    parWorkers,
 		PoolCap:        *poolCap,
 	}
-	if *follow != "" {
-		if *auto {
-			plan := grminer.AutoPlanGraph(g, *procs, opt)
-			opt = plan.Apply(opt)
-			fmt.Fprintln(info, plan)
-		}
-		// Open the stream before the (possibly long) initial mine so a bad
-		// path fails instantly.
-		in, closeIn, err := openFollowStream(*follow)
-		if err != nil {
-			fail(err)
-		}
-		defer closeIn()
-		eng, err := newEngine(g, opt, shardOpt, remote, standbys)
-		if err != nil {
-			fail(err)
-		}
-		if closer, ok := eng.(interface{ Close() error }); ok {
-			defer closer.Close()
-		}
-		if err := runFollow(eng, g, m, in, *batchSize, *showStats, *out, *format); err != nil {
-			fail(err)
-		}
-		return
-	}
-	// One-shot mining: every mode × topology goes through the facade.
-	eng, err := grminer.Open(g, grminer.EngineConfig{
+	cfg := grminer.EngineConfig{
 		Options:  opt,
 		Shard:    shardOpt,
 		Workers:  remote,
 		Standbys: standbys,
 		Auto:     *auto,
 		Procs:    *procs,
-	})
+	}
+	var in io.Reader
+	if *follow != "" {
+		// Open the stream before the (possibly long) initial mine so a bad
+		// path fails instantly.
+		r, closeIn, err := openFollowStream(*follow)
+		if err != nil {
+			fail(err)
+		}
+		defer closeIn()
+		in = r
+		cfg.Mode = grminer.ModeIncremental
+	}
+	// Every mode × topology goes through the facade.
+	eng, err := grminer.Open(g, cfg)
 	if err != nil {
 		fail(err)
 	}
@@ -226,6 +214,12 @@ func main() {
 	if sp, sharded := eng.ShardPlan(); sharded {
 		fmt.Fprintln(info, sp)
 	}
+	if in != nil {
+		if err := runFollow(eng, g, m, in, *batchSize, *showStats, *out, *format); err != nil {
+			fail(err)
+		}
+		return
+	}
 	res, err := eng.Mine()
 	if err != nil {
 		fail(err)
@@ -236,9 +230,8 @@ func main() {
 			res.Stats.Examined, res.Stats.TrivialSeen, res.Stats.PrunedSupp,
 			res.Stats.PrunedScore, res.Stats.Blocked, res.Stats.PartitionCalls, res.Stats.Duration)
 		if res.Stats.ShardOffers > 0 {
-			fmt.Fprintf(info, "shard protocol: offers=%d prunedGlobal=%d round2-requests=%d (one-round bound: %d)\n",
-				res.Stats.ShardOffers, res.Stats.PrunedGlobal,
-				res.Stats.ExactCountRequests, res.Stats.OneRoundGapFill)
+			fmt.Fprintf(info, "shard protocol: offers=%d prunedGlobal=%d round2-requests=%d\n",
+				res.Stats.ShardOffers, res.Stats.PrunedGlobal, res.Stats.ExactCountRequests)
 		}
 	}
 	if *out != "" {
@@ -335,41 +328,6 @@ func parseAddrList(flagName, v string) ([]string, error) {
 	return addrs, nil
 }
 
-// incrementalEngine is the slice of the incremental API runFollow drives;
-// the single-store engine and the sharded engine both implement it.
-type incrementalEngine interface {
-	ApplyBatch(grminer.Batch) (*grminer.Result, grminer.IncStats, error)
-	Result() *grminer.Result
-	Options() grminer.Options
-	Cumulative() grminer.IncStats
-}
-
-// newEngine seeds the incremental engine for -follow through the facade:
-// remote sharded when -workers lists shardd daemons, in-process sharded
-// when -shards is set (batches then route to the owning shard),
-// single-store otherwise. It returns the opened engine's concrete variant,
-// which carries the full incremental surface (Plan, Close).
-func newEngine(g *grminer.Graph, opt grminer.Options, so grminer.ShardOptions, remote, standbys []string) (incrementalEngine, error) {
-	e, err := grminer.Open(g, grminer.EngineConfig{
-		Mode:     grminer.ModeIncremental,
-		Options:  opt,
-		Shard:    so,
-		Workers:  remote,
-		Standbys: standbys,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sharded := e.IncrementalSharded(); sharded != nil {
-		if len(remote) > 0 {
-			fmt.Fprintf(info, "remote workers: %s\n", strings.Join(remote, " "))
-		}
-		fmt.Fprintln(info, sharded.Plan())
-		return sharded, nil
-	}
-	return e.Incremental(), nil
-}
-
 // openFollowStream resolves a -follow source: stdin for "-", an opened
 // file otherwise. The returned closer is a no-op for stdin.
 func openFollowStream(src string) (io.Reader, func(), error) {
@@ -384,11 +342,13 @@ func openFollowStream(src string) (io.Reader, func(), error) {
 }
 
 // runFollow streams edge insertions and retractions from in through the
-// (already seeded) incremental engine. Any malformed line, schema-rejected
-// edge, or retraction matching no live edge aborts with an error before its
-// batch is applied — the engine validates batches atomically, so no partial
-// graph is ever mined.
-func runFollow(inc incrementalEngine, g *grminer.Graph, m grminer.Metric, in io.Reader, batchSize int, showStats bool, outPath, outFormat string) error {
+// (already seeded) incremental engine: single-store, or sharded (batches
+// then route to the owning shard) when the engine was opened with shards or
+// remote workers. Any malformed line, schema-rejected edge, or retraction
+// matching no live edge aborts with an error before its batch is applied —
+// the engine validates batches atomically, so no partial graph is ever
+// mined.
+func runFollow(inc *grminer.Engine, g *grminer.Graph, m grminer.Metric, in io.Reader, batchSize int, showStats bool, outPath, outFormat string) error {
 	res := inc.Result()
 	fmt.Fprintf(info, "initial mine: |E|=%d, %d GRs tracked in top-%d\n",
 		res.TotalEdges, len(res.TopK), inc.Options().K)

@@ -7,7 +7,19 @@ import (
 	"testing"
 
 	"grminer"
+	"grminer/internal/core"
 )
+
+// openIncremental opens the -follow engine: single-store, or sharded when
+// so.Shards > 0.
+func openIncremental(t *testing.T, g *grminer.Graph, opt grminer.Options, so grminer.ShardOptions) *grminer.Engine {
+	t.Helper()
+	eng, err := grminer.Open(g, grminer.EngineConfig{Mode: grminer.ModeIncremental, Options: opt, Shard: so})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 func TestLoadGraphBuiltins(t *testing.T) {
 	toy, err := loadGraph("toy", "", "", "", 0, 0, 1)
@@ -46,7 +58,7 @@ func TestLoadGraphFiles(t *testing.T) {
 
 func TestWriteResults(t *testing.T) {
 	g := grminer.ToyDating()
-	res, err := grminer.Mine(g, grminer.Options{MinSupp: 2, MinScore: 0.9, K: 3})
+	res, err := core.Mine(g, grminer.Options{MinSupp: 2, MinScore: 0.9, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +124,7 @@ func TestRunFollowStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeIn()
-	eng, err := newEngine(g, opt, grminer.ShardOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := openIncremental(t, g, opt, grminer.ShardOptions{})
 	if err := runFollow(eng, g, grminer.NhpMetric, in, 0, true, outPath, "json"); err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +156,7 @@ func TestRunFollowRetractionStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeIn()
-	eng, err := newEngine(g, grminer.Options{MinSupp: 2, MinScore: 0.5, K: 5, DynamicFloor: true}, grminer.ShardOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := openIncremental(t, g, grminer.Options{MinSupp: 2, MinScore: 0.5, K: 5, DynamicFloor: true}, grminer.ShardOptions{})
 	if err := runFollow(eng, g, grminer.NhpMetric, in, 0, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestRunFollowRetractionStream(t *testing.T) {
 	if c := eng.Cumulative(); c.Edges != 3 || c.Deleted != 2 {
 		t.Fatalf("cumulative +%d/-%d, want +3/-2", c.Edges, c.Deleted)
 	}
-	ref, err := grminer.Mine(g, eng.Options())
+	ref, err := core.Mine(g, eng.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +197,7 @@ func TestRunFollowRejectsUnmatchedRetraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeIn()
-	eng, err := newEngine(g, grminer.Options{MinSupp: 2, MinScore: 0.5, K: 5}, grminer.ShardOptions{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := openIncremental(t, g, grminer.Options{MinSupp: 2, MinScore: 0.5, K: 5}, grminer.ShardOptions{})
 	if err := runFollow(eng, g, grminer.NhpMetric, in, 0, false, "", ""); err == nil {
 		t.Fatal("unmatched retraction accepted")
 	}
@@ -224,10 +227,7 @@ func TestRunFollowRejectsMalformedInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := newEngine(g, grminer.Options{MinSupp: 2, MinScore: 0.5, K: 5}, grminer.ShardOptions{}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := openIncremental(t, g, grminer.Options{MinSupp: 2, MinScore: 0.5, K: 5}, grminer.ShardOptions{})
 		if err := runFollow(eng, g, grminer.NhpMetric, in, 0, false, "", ""); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -288,10 +288,7 @@ func TestRunFollowShardedStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := newEngine(g, opt, grminer.ShardOptions{Shards: 3, Strategy: strategy}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := openIncremental(t, g, opt, grminer.ShardOptions{Shards: 3, Strategy: strategy})
 		if err := runFollow(eng, g, grminer.NhpMetric, in, 0, false, "", ""); err != nil {
 			t.Fatal(err)
 		}
@@ -299,18 +296,18 @@ func TestRunFollowShardedStream(t *testing.T) {
 		if g.NumEdges() != 34 {
 			t.Fatalf("%s: followed graph has %d edges, want 34", strategy, g.NumEdges())
 		}
-		sharded, ok := eng.(*grminer.IncrementalSharded)
+		plan, ok := eng.ShardPlan()
 		if !ok {
-			t.Fatalf("%s: newEngine did not build a sharded engine", strategy)
+			t.Fatalf("%s: -shards did not open a sharded engine", strategy)
 		}
 		total := 0
-		for _, n := range sharded.Plan().Edges {
+		for _, n := range plan.Edges {
 			total += n
 		}
 		if total != 34 {
 			t.Fatalf("%s: shards hold %d edges, want 34", strategy, total)
 		}
-		ref, err := grminer.Mine(g, eng.Options())
+		ref, err := core.Mine(g, eng.Options())
 		if err != nil {
 			t.Fatal(err)
 		}

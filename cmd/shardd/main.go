@@ -1,7 +1,7 @@
 // Command shardd is a grminer shard worker daemon: it holds shards of a
 // sharded mining deployment and serves the offer/count/ingest protocol of
-// internal/rpc to a coordinator (grminer -workers, grminer.Open, or the
-// deprecated MineRemote/NewIncrementalRemote wrappers).
+// internal/rpc to a coordinator (grminer -workers, or grminer.Open with
+// EngineConfig.Workers).
 //
 // Usage:
 //

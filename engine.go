@@ -26,17 +26,16 @@ const (
 )
 
 // EngineConfig is the single construction surface for every engine this
-// package can build — the matrix the historical Mine*/New* entrypoints
-// (now deprecated wrappers) used to spell as ten separate functions:
+// package can build:
 //
 //	mode       ×  topology   =  engine
 //	---------     ---------     ------
-//	static        local         one-shot batch mine (Mine, MineAuto)
-//	static        sharded       ShardCoordinator    (MineSharded)
-//	static        remote        ShardCoordinator over shardd (MineRemote)
-//	incremental   local         Incremental         (NewIncremental)
-//	incremental   sharded       IncrementalSharded  (NewIncrementalSharded)
-//	incremental   remote        IncrementalSharded over shardd (NewIncrementalRemote)
+//	static        local         one-shot batch mine
+//	static        sharded       ShardCoordinator
+//	static        remote        ShardCoordinator over shardd
+//	incremental   local         Incremental
+//	incremental   sharded       IncrementalSharded
+//	incremental   remote        IncrementalSharded over shardd
 //
 // Topology is selected by the fields, not an enum: a non-empty Workers list
 // is remote (Shard.Shards defaults to len(Workers); a larger explicit count
@@ -46,8 +45,7 @@ const (
 type EngineConfig struct {
 	// Mode selects static one-shot versus incremental (default static).
 	Mode EngineMode
-	// Options are the mining thresholds and execution knobs, exactly as
-	// the historical entrypoints took them.
+	// Options are the mining thresholds and execution knobs.
 	Options Options
 	// Shard lays out the sharded topologies (Shards > 0 enables them).
 	// With Workers set, Shards defaults to len(Workers); an explicit
@@ -66,8 +64,8 @@ type EngineConfig struct {
 	Standbys []string
 	// Auto applies the AutoTune planner before construction: zero-valued
 	// execution knobs in Options (Parallelism, MaxL/MaxW/MaxR) are filled
-	// from the input size and Procs (0 = all cores), exactly as MineAuto
-	// and the CLIs' -auto flag did.
+	// from the input size and Procs (0 = all cores); the CLIs' -auto flag
+	// sets it.
 	Auto bool
 	// Procs caps the CPU budget Auto plans for (0 = all cores).
 	Procs int
@@ -123,8 +121,8 @@ func Open(g *Graph, cfg EngineConfig) (*Engine, error) {
 		return nil, err
 	}
 	if cfg.Mode == ModeStatic && len(cfg.Workers) == 0 && cfg.Shard.Shards == 0 {
-		// Static local plans from the built store (MineAuto's behaviour);
-		// every other variant plans from the graph's size features.
+		// Static local plans from the built store; every other variant
+		// plans from the graph's size features.
 		return OpenStore(store.Build(g), cfg)
 	}
 	e := &Engine{mode: cfg.Mode, g: g, opt: cfg.Options}
@@ -241,11 +239,6 @@ func (e *Engine) ApplyBatch(b Batch) (*Result, IncStats, error) {
 	default:
 		return nil, IncStats{}, fmt.Errorf("grminer: static engine cannot ingest batches; Open with Mode: ModeIncremental")
 	}
-}
-
-// Apply ingests one batch of edge insertions (ApplyBatch with no deletions).
-func (e *Engine) Apply(edges []EdgeInsert) (*Result, IncStats, error) {
-	return e.ApplyBatch(Batch{Ins: edges})
 }
 
 // Result returns the engine's current top-k: the maintained result for

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"grminer"
+	"grminer/internal/core"
+	"grminer/internal/store"
 )
 
 func sameTopK(t *testing.T, want, got *grminer.Result, label string) {
@@ -23,12 +25,12 @@ func sameTopK(t *testing.T, want, got *grminer.Result, label string) {
 	}
 }
 
-// Open's static local engine must reproduce the deprecated Mine exactly,
+// Open's static local engine must reproduce the reference miner exactly,
 // with and without Auto planning.
 func TestOpenStaticLocal(t *testing.T) {
 	g := grminer.ToyDating()
 	opt := grminer.Options{MinSupp: 2, MinScore: 0.5, K: 10}
-	ref, err := grminer.Mine(g, opt)
+	ref, err := core.Mine(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +55,10 @@ func TestOpenStaticLocal(t *testing.T) {
 		t.Fatal("Result does not return the last Mine")
 	}
 
-	// Auto path == MineAuto.
-	refAuto, err := grminer.MineAuto(g, opt)
+	// Auto path == the reference miner under the store-sized plan.
+	st := store.Build(g)
+	wantPlan := core.PlanFor(st, 0, opt)
+	refAuto, err := core.MineStore(st, wantPlan.Apply(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +66,8 @@ func TestOpenStaticLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, planned := ea.AutoPlan(); !planned {
-		t.Fatal("Auto: true did not plan")
+	if plan, planned := ea.AutoPlan(); !planned || plan != wantPlan {
+		t.Fatalf("Auto: true planned=%v %v, want %v", planned, plan, wantPlan)
 	}
 	resAuto, err := ea.Mine()
 	if err != nil {
@@ -80,7 +84,7 @@ func TestOpenStaticRejectsIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Apply([]grminer.EdgeInsert{{Src: 0, Dst: 1, Vals: []grminer.Value{1}}}); err == nil {
+	if _, _, err := e.ApplyBatch(grminer.Batch{Ins: []grminer.EdgeInsert{{Src: 0, Dst: 1, Vals: []grminer.Value{1}}}}); err == nil {
 		t.Fatal("static engine accepted a batch")
 	}
 	if e.Cumulative() != (grminer.IncStats{}) {
@@ -88,9 +92,9 @@ func TestOpenStaticRejectsIngest(t *testing.T) {
 	}
 }
 
-// Open's incremental engine must behave exactly like NewIncremental:
-// batches maintain the same top-k a fresh mine produces, and Explain
-// surfaces the tracked counts of every maintained entry.
+// Open's incremental engine must maintain the same top-k a fresh mine
+// produces, and Explain must surface the tracked counts of every
+// maintained entry.
 func TestOpenIncremental(t *testing.T) {
 	opt := grminer.Options{MinSupp: 2, MinScore: 0.5, K: 5, DynamicFloor: true}
 	e, err := grminer.Open(grminer.ToyDating(), grminer.EngineConfig{
@@ -113,7 +117,7 @@ func TestOpenIncremental(t *testing.T) {
 	if bs.Edges != 2 || e.Cumulative().Edges != 2 {
 		t.Fatalf("batch stats: %+v cumulative %+v", bs, e.Cumulative())
 	}
-	ref, err := grminer.Mine(e.Graph(), e.Options())
+	ref, err := core.Mine(e.Graph(), e.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +136,12 @@ func TestOpenIncremental(t *testing.T) {
 	}
 }
 
-// Open's sharded engines must reproduce the deprecated sharded entrypoints.
+// Open's sharded engines must reproduce the reference miner under their
+// effective options.
 func TestOpenSharded(t *testing.T) {
 	opt := grminer.Options{MinSupp: 2, MinScore: 0.5, K: 5}
 	so := grminer.ShardOptions{Shards: 3}
 
-	ref, err := grminer.MineSharded(grminer.ToyDating(), opt, so)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, err := grminer.Open(grminer.ToyDating(), grminer.EngineConfig{Options: opt, Shard: so})
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +154,10 @@ func TestOpenSharded(t *testing.T) {
 		t.Fatalf("ShardPlan: ok=%v plan=%+v", ok, plan)
 	}
 	res, err := e.Mine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Mine(e.Graph(), e.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +174,11 @@ func TestOpenSharded(t *testing.T) {
 	if ei.IncrementalSharded() == nil {
 		t.Fatal("incremental sharded engine has the wrong shape")
 	}
-	resI, _, err := ei.Apply([]grminer.EdgeInsert{{Src: 0, Dst: 1, Vals: []grminer.Value{1}}})
+	resI, _, err := ei.ApplyBatch(grminer.Batch{Ins: []grminer.EdgeInsert{{Src: 0, Dst: 1, Vals: []grminer.Value{1}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refI, err := grminer.Mine(ei.Graph(), ei.Options())
+	refI, err := core.Mine(ei.Graph(), ei.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +187,8 @@ func TestOpenSharded(t *testing.T) {
 
 // An explicit shard count below the worker list (idle daemons — almost
 // certainly a mistyped flag) must surface the typed mismatch error from
-// Open and every deprecated remote entrypoint. A count above the list
-// multiplexes instead; the remote oracle tests in internal/rpc cover that.
+// Open in every mode. A count above the list multiplexes instead; the
+// remote oracle tests in internal/rpc cover that.
 func TestShardWorkerMismatch(t *testing.T) {
 	g := grminer.ToyDating()
 	opt := grminer.Options{MinSupp: 2, MinScore: 0.5}
@@ -199,20 +204,8 @@ func TestShardWorkerMismatch(t *testing.T) {
 		t.Fatalf("mismatch fields: %+v", mismatch)
 	}
 
-	if _, err := grminer.MineRemote(g, opt, so, workers); !errors.As(err, &mismatch) {
-		t.Errorf("MineRemote: %v", err)
-	}
-	if _, err := grminer.NewRemoteShardCoordinator(g, opt, so, workers); !errors.As(err, &mismatch) {
-		t.Errorf("NewRemoteShardCoordinator: %v", err)
-	}
-	if _, err := grminer.NewIncrementalRemote(g, opt, so, workers); !errors.As(err, &mismatch) {
-		t.Errorf("NewIncrementalRemote: %v", err)
-	}
-
-	// An empty worker list stays the explicit remote-entrypoint error, not
-	// a silent fall-through to a local engine.
-	if _, err := grminer.MineRemote(g, opt, grminer.ShardOptions{}, nil); err == nil {
-		t.Error("MineRemote accepted an empty worker list")
+	if _, err := grminer.Open(g, grminer.EngineConfig{Mode: grminer.ModeIncremental, Options: opt, Shard: so, Workers: workers}); !errors.As(err, &mismatch) {
+		t.Errorf("Open incremental: %v", err)
 	}
 }
 
@@ -228,21 +221,5 @@ func TestOpenStoreRejectsNonLocal(t *testing.T) {
 	}
 	if _, err := grminer.OpenStore(st, grminer.EngineConfig{Options: opt, Workers: []string{"h:1"}}); err == nil {
 		t.Error("OpenStore accepted a remote config")
-	}
-}
-
-// The deprecated sharded wrappers must still surface core's shard-count
-// validation for a zero/negative count instead of opening a local engine.
-func TestDeprecatedShardedValidation(t *testing.T) {
-	g := grminer.ToyDating()
-	opt := grminer.Options{MinSupp: 2, MinScore: 0.5}
-	if _, err := grminer.MineSharded(g, opt, grminer.ShardOptions{}); err == nil {
-		t.Error("MineSharded accepted zero shards")
-	}
-	if _, err := grminer.NewShardCoordinator(g, opt, grminer.ShardOptions{}); err == nil {
-		t.Error("NewShardCoordinator accepted zero shards")
-	}
-	if _, err := grminer.NewIncrementalSharded(g, opt, grminer.ShardOptions{}); err == nil {
-		t.Error("NewIncrementalSharded accepted zero shards")
 	}
 }

@@ -6,15 +6,20 @@ import (
 	"grminer"
 )
 
-// ExampleMine mines the paper's toy dating network for the strongest
+// ExampleOpen mines the paper's toy dating network for the strongest
 // non-homophily ties.
-func ExampleMine() {
+func ExampleOpen() {
 	g := grminer.ToyDating()
-	res, err := grminer.Mine(g, grminer.Options{
+	e, err := grminer.Open(g, grminer.EngineConfig{Options: grminer.Options{
 		MinSupp:  2,
 		MinScore: 0.9,
 		K:        3,
-	})
+	}})
+	if err != nil {
+		panic(err)
+	}
+	defer e.Close()
+	res, err := e.Mine()
 	if err != nil {
 		panic(err)
 	}

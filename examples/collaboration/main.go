@@ -21,9 +21,14 @@ func main() {
 	// Step 1 — the paper's Table IIb run: minSupp = 0.1% |E|, minNhp = 50%,
 	// k = 20.
 	minSupp := g.NumEdges() / 1000
-	res, err := grminer.Mine(g, grminer.Options{
+	eng, err := grminer.Open(g, grminer.EngineConfig{Options: grminer.Options{
 		MinSupp: minSupp, MinScore: 0.5, K: 20, DynamicFloor: true,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.Mine()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,9 +83,14 @@ func main() {
 
 	// Step 4 — Section VII: re-rank under lift, which demotes the
 	// popularity-skew GRs that nhp and conf both rank highly.
-	lifted, err := grminer.Mine(g, grminer.Options{
+	liftedEng, err := grminer.Open(g, grminer.EngineConfig{Options: grminer.Options{
 		MinSupp: minSupp, MinScore: 1.5, K: 5, Metric: grminer.LiftMetric,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer liftedEng.Close()
+	lifted, err := liftedEng.Mine()
 	if err != nil {
 		log.Fatal(err)
 	}

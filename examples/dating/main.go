@@ -23,9 +23,14 @@ func main() {
 	// Step 1 — mine the entry-point GRs (the paper: minNhp = 50%, k = 300;
 	// we print the head of the list).
 	minSupp := g.NumEdges() / 200
-	res, err := grminer.Mine(g, grminer.Options{
+	eng, err := grminer.Open(g, grminer.EngineConfig{Options: grminer.Options{
 		MinSupp: minSupp, MinScore: 0.5, K: 300, DynamicFloor: true,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.Mine()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,9 +44,14 @@ func main() {
 	fmt.Printf("customer network: %d customers, %d friendships\n\n", g.NumNodes(), g.NumEdges())
 
 	// Mine the strongest non-homophily ties between product communities.
-	res, err := grminer.Mine(g, grminer.Options{
+	eng, err := grminer.Open(g, grminer.EngineConfig{Options: grminer.Options{
 		MinSupp: 100, MinScore: 0.5, K: 8, DynamicFloor: true,
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.Mine()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,12 +34,17 @@ func main() {
 	fmt.Println("\nGR4 reads: female grads who do NOT date grads date college men 100% of the time.")
 
 	// Part 2 — let the miner find the interesting ties automatically.
-	res, err := grminer.Mine(g, grminer.Options{
+	eng, err := grminer.Open(g, grminer.EngineConfig{Options: grminer.Options{
 		MinSupp:      2,   // absolute support
 		MinScore:     0.6, // minNhp
 		K:            5,
 		DynamicFloor: true, // the paper's GRMiner(k)
-	})
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.Mine()
 	if err != nil {
 		log.Fatal(err)
 	}

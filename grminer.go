@@ -32,9 +32,9 @@
 //
 // Setting Mode: ModeIncremental opens a long-lived engine whose ApplyBatch
 // ingests mixed insert/delete batches; Shard and Workers select the sharded
-// and remote topologies (see EngineConfig). The historical entrypoints
-// (Mine, MineSharded, NewIncremental, MineRemote, ...) remain as thin
-// deprecated wrappers over Open; each names its replacement.
+// and remote topologies (see EngineConfig). Open (or OpenStore, over a
+// pre-built store) is the only constructor and ApplyBatch the only ingest
+// call.
 //
 // The package re-exports the building blocks (attributed graphs, GR
 // descriptors, metrics, the compact three-array store, synthetic dataset
@@ -43,8 +43,6 @@
 package grminer
 
 import (
-	"fmt"
-
 	"grminer/internal/baseline"
 	"grminer/internal/core"
 	"grminer/internal/datagen"
@@ -98,12 +96,11 @@ type (
 	// and the lowered per-shard offer threshold.
 	ShardPlan = core.ShardPlan
 	// ShardCoordinator owns one sharded run: the plan, the per-shard
-	// workers, and the merge. Use it over MineSharded to inspect the plan
-	// without partitioning twice.
+	// workers, and the merge (Engine.Coordinator returns it).
 	ShardCoordinator = core.ShardCoordinator
 	// ShardStrategy names a deterministic edge-routing rule.
 	ShardStrategy = graph.ShardStrategy
-	// EdgeInsert is one edge for Incremental.Apply.
+	// EdgeInsert is one edge insertion for ApplyBatch.
 	EdgeInsert = core.EdgeInsert
 	// EdgeDelete is one edge retraction for ApplyBatch: it removes one live
 	// edge matching the endpoints and edge values exactly, resolved against
@@ -165,89 +162,15 @@ func SaveFiles(g *Graph, schemaPath, nodesPath, edgesPath string) error {
 	return graph.SaveFiles(g, schemaPath, nodesPath, edgesPath)
 }
 
-// Mine runs GRMiner over g (Algorithm 1) and returns the top-k GRs.
-//
-// Deprecated: use Open with EngineConfig{Options: opt} and Engine.Mine.
-func Mine(g *Graph, opt Options) (*Result, error) {
-	return mineVia(Open(g, EngineConfig{Options: opt}))
-}
-
-// BuildStore precomputes the compact data model so repeated Mine runs skip
-// the build.
+// BuildStore precomputes the compact data model so repeated OpenStore
+// engines skip the build.
 func BuildStore(g *Graph) *Store { return store.Build(g) }
-
-// MineStore is Mine over a pre-built store.
-//
-// Deprecated: use OpenStore with EngineConfig{Options: opt} and Engine.Mine.
-func MineStore(st *Store, opt Options) (*Result, error) {
-	return mineVia(OpenStore(st, EngineConfig{Options: opt}))
-}
-
-// MineAuto is Mine with the AutoTune planner applied first: zero-valued
-// execution knobs (Parallelism, MaxL/MaxW/MaxR) are filled from the input's
-// edge count, attribute arity, and the machine's CPU count; small inputs
-// stay sequential, large ones fan out over the lock-light parallel engine.
-//
-// Deprecated: use Open with EngineConfig{Options: opt, Auto: true}.
-func MineAuto(g *Graph, opt Options) (*Result, error) {
-	return mineVia(Open(g, EngineConfig{Options: opt, Auto: true}))
-}
-
-// MineAutoStore is MineAuto over a pre-built store.
-//
-// Deprecated: use OpenStore with EngineConfig{Options: opt, Auto: true}.
-func MineAutoStore(st *Store, opt Options) (*Result, error) {
-	return mineVia(OpenStore(st, EngineConfig{Options: opt, Auto: true}))
-}
-
-// mineVia runs the one-shot mine the deprecated Mine* wrappers delegate to.
-func mineVia(e *Engine, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	return e.Mine()
-}
-
-// AutoPlan previews the execution strategy MineAuto would choose for st
-// under a given CPU budget (procs 0 = all cores) without mining. Apply the
-// returned plan to an Options value with Plan.Apply.
-func AutoPlan(st *Store, procs int, opt Options) Plan { return core.PlanFor(st, procs, opt) }
-
-// AutoPlanGraph is AutoPlan from the graph's size features alone, for
-// callers (like the incremental engine's consumers) that have no store yet.
-func AutoPlanGraph(g *Graph, procs int, opt Options) Plan {
-	return core.PlanForSize(g.NumEdges(), g.Schema(), procs, opt)
-}
-
-// NewIncremental seeds a fully dynamic incremental mining engine over g:
-// the returned engine maintains the same top-k a fresh Mine would produce
-// while mixed edge batches are ingested with Apply (insertions) or
-// ApplyBatch (insertions + retractions), re-mining only the SFDF subtrees
-// each batch can actually change (a full re-mine per batch only for metrics
-// whose scores can rise with |E| — the lift family always, gain for batches
-// containing deletions). Options.PoolCap bounds the tracked candidate pool,
-// spilling low scorers to a score-ordered frontier and re-mining exactly
-// when the answer could depend on it. The engine owns g — batches mutate
-// it — and, like the parallel engine, a dynamic floor forces
-// ExactGenerality so the maintained result is order-independent
-// (Incremental.Options returns the effective settings).
-//
-// Deprecated: use Open with EngineConfig{Mode: ModeIncremental, Options: opt};
-// Engine.Incremental returns this engine.
-func NewIncremental(g *Graph, opt Options) (*Incremental, error) {
-	e, err := Open(g, EngineConfig{Mode: ModeIncremental, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	return e.Incremental(), nil
-}
 
 // TopKChanged counts entries of cur that are new or re-scored relative to
 // prev — the churn one ingested batch caused.
 func TopKChanged(prev, cur []Scored) int { return topk.ChangedFrom(prev, cur) }
 
-// Shard-routing strategies for MineSharded and NewIncrementalSharded.
+// Shard-routing strategies for ShardOptions.Strategy.
 const (
 	// ShardBySource routes edges by a hash of the source node id.
 	ShardBySource = graph.ShardBySource
@@ -258,134 +181,6 @@ const (
 
 // ParseShardStrategy maps a CLI spelling ("src", "rhs") to a strategy.
 func ParseShardStrategy(s string) (ShardStrategy, error) { return graph.ParseShardStrategy(s) }
-
-// MineSharded partitions g's edges into so.Shards deterministic shards,
-// mines every shard concurrently as an independent store, and merges the
-// per-shard candidate pools into the exact global top-k — the same ranked
-// list MineStore produces over a single store (see internal/core/shard.go
-// for the candidate-union soundness argument). Like the parallel engine, a
-// dynamic floor forces ExactGenerality; Result.Options echoes the effective
-// settings.
-//
-// Deprecated: use Open with EngineConfig{Options: opt, Shard: so} and
-// Engine.Mine.
-func MineSharded(g *Graph, opt Options, so ShardOptions) (*Result, error) {
-	if so.Shards <= 0 {
-		// Open would read a zero shard count as "local"; go straight to the
-		// core engine so its shard-count validation error surfaces.
-		return core.MineSharded(g, opt, so)
-	}
-	return mineVia(Open(g, EngineConfig{Options: opt, Shard: so}))
-}
-
-// PlanShards previews the sharded layout MineSharded would use without
-// building shard stores or mining.
-func PlanShards(g *Graph, opt Options, so ShardOptions) (ShardPlan, error) {
-	return core.PlanShards(g, opt, so)
-}
-
-// NewShardCoordinator partitions g's edges once and returns the
-// coordinator behind MineSharded, for callers that want the plan
-// (Plan), the effective options (Options), and the mine (Mine) from a
-// single partitioning pass.
-//
-// Deprecated: use Open with EngineConfig{Options: opt, Shard: so};
-// Engine.Coordinator returns this coordinator.
-func NewShardCoordinator(g *Graph, opt Options, so ShardOptions) (*ShardCoordinator, error) {
-	if so.Shards <= 0 {
-		return core.NewShardCoordinator(g, opt, so)
-	}
-	e, err := Open(g, EngineConfig{Options: opt, Shard: so})
-	if err != nil {
-		return nil, err
-	}
-	return e.Coordinator(), nil
-}
-
-// NewIncrementalSharded seeds a shard-aware fully dynamic incremental
-// engine: every applied EdgeInsert and EdgeDelete is routed to the shard
-// that owns it under the plan's deterministic (endpoint-pure) strategy,
-// per-shard candidate pools are delta-maintained worker-side — deletions
-// decrement shard counts and can demote entries below the pigeonhole
-// threshold — and the global top-k is re-merged after every batch, for
-// every metric, with no full re-mine fallback. The engine owns g, like
-// NewIncremental.
-//
-// Deprecated: use Open with EngineConfig{Mode: ModeIncremental, Options:
-// opt, Shard: so}; Engine.IncrementalSharded returns this engine.
-func NewIncrementalSharded(g *Graph, opt Options, so ShardOptions) (*IncrementalSharded, error) {
-	if so.Shards <= 0 {
-		return core.NewIncrementalSharded(g, opt, so)
-	}
-	e, err := Open(g, EngineConfig{Mode: ModeIncremental, Options: opt, Shard: so})
-	if err != nil {
-		return nil, err
-	}
-	return e.IncrementalSharded(), nil
-}
-
-// MineRemote is MineSharded with every shard placed on a shardd worker
-// daemon: workers[i] (a "host:port" address) receives shard i's data and
-// mines it behind the internal/rpc protocol, and the local coordinator
-// merges the offers into the exact global top-k — identical to a
-// single-store Mine under the coordinator's effective options. The shard
-// count defaults to len(workers); a larger explicit so.Shards multiplexes
-// shards onto daemon slots, a smaller one is rejected
-// (*ErrShardWorkerMismatch). Worker connections are closed before
-// returning.
-//
-// Deprecated: use Open with EngineConfig{Options: opt, Shard: so, Workers:
-// workers} and Engine.Mine (Close the engine to release the connections).
-func MineRemote(g *Graph, opt Options, so ShardOptions, workers []string) (*Result, error) {
-	if err := needWorkers(workers); err != nil {
-		return nil, err
-	}
-	return mineVia(Open(g, EngineConfig{Options: opt, Shard: so, Workers: workers}))
-}
-
-// NewRemoteShardCoordinator is NewShardCoordinator over shardd worker
-// daemons; callers must Close it to release the connections.
-//
-// Deprecated: use Open with EngineConfig{Options: opt, Shard: so, Workers:
-// workers}; Engine.Coordinator returns this coordinator.
-func NewRemoteShardCoordinator(g *Graph, opt Options, so ShardOptions, workers []string) (*ShardCoordinator, error) {
-	if err := needWorkers(workers); err != nil {
-		return nil, err
-	}
-	e, err := Open(g, EngineConfig{Options: opt, Shard: so, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return e.Coordinator(), nil
-}
-
-// NewIncrementalRemote is NewIncrementalSharded over shardd worker daemons:
-// each worker ingests its routed batch slices and maintains its own relaxed
-// candidate pool; only pool deltas and count queries cross the wire.
-// Callers must Close the engine to release the connections.
-//
-// Deprecated: use Open with EngineConfig{Mode: ModeIncremental, Options:
-// opt, Shard: so, Workers: workers}; Engine.IncrementalSharded returns this
-// engine.
-func NewIncrementalRemote(g *Graph, opt Options, so ShardOptions, workers []string) (*IncrementalSharded, error) {
-	if err := needWorkers(workers); err != nil {
-		return nil, err
-	}
-	e, err := Open(g, EngineConfig{Mode: ModeIncremental, Options: opt, Shard: so, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return e.IncrementalSharded(), nil
-}
-
-// needWorkers preserves the deprecated remote entrypoints' explicit
-// no-workers error (Open would read an empty list as a local topology).
-func needWorkers(workers []string) error {
-	if len(workers) == 0 {
-		return fmt.Errorf("grminer: remote mining needs at least one worker address")
-	}
-	return nil
-}
 
 // ParseGR parses the textual GR form, e.g. "(SEX:F, EDU:Grad) -> (SEX:M)".
 func ParseGR(s *Schema, text string) (GR, error) { return gr.ParseGR(s, text) }

@@ -57,10 +57,7 @@ func TestFacadeRecommendFlow(t *testing.T) {
 		}
 	}
 
-	res, err := grminer.Mine(g, grminer.Options{MinSupp: 20, MinScore: 0.5, K: 10, DynamicFloor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mine(t, g, grminer.Options{MinSupp: 20, MinScore: 0.5, K: 10, DynamicFloor: true})
 	if len(res.TopK) == 0 {
 		t.Fatal("no GRs mined")
 	}

@@ -5,15 +5,28 @@ import (
 	"testing"
 
 	"grminer"
+	"grminer/internal/core"
 )
+
+// mine runs a one-shot static engine over g.
+func mine(t *testing.T, g *grminer.Graph, opt grminer.Options) *grminer.Result {
+	t.Helper()
+	e, err := grminer.Open(g, grminer.EngineConfig{Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	res, err := e.Mine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // The facade must support the full quickstart flow end to end.
 func TestFacadeQuickstart(t *testing.T) {
 	g := grminer.ToyDating()
-	res, err := grminer.Mine(g, grminer.Options{MinSupp: 2, MinScore: 0.5, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mine(t, g, grminer.Options{MinSupp: 2, MinScore: 0.5, K: 10})
 	if len(res.TopK) == 0 {
 		t.Fatal("no GRs found on the toy network")
 	}
@@ -30,14 +43,15 @@ func TestFacadeQuickstart(t *testing.T) {
 func TestFacadeStoreReuse(t *testing.T) {
 	g := grminer.ToyDating()
 	st := grminer.BuildStore(g)
-	a, err := grminer.MineStore(st, grminer.Options{MinSupp: 2, MinScore: 0.5})
+	e, err := grminer.OpenStore(st, grminer.EngineConfig{Options: grminer.Options{MinSupp: 2, MinScore: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := grminer.Mine(g, grminer.Options{MinSupp: 2, MinScore: 0.5})
+	a, err := e.Mine()
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := mine(t, g, grminer.Options{MinSupp: 2, MinScore: 0.5})
 	if len(a.TopK) != len(b.TopK) {
 		t.Errorf("store reuse changed results: %d vs %d", len(a.TopK), len(b.TopK))
 	}
@@ -81,10 +95,7 @@ func TestFacadeGeneratorsAndBaselines(t *testing.T) {
 	cfg.Pairs = 1200
 	g := grminer.DBLP(cfg)
 
-	miner, err := grminer.Mine(g, grminer.Options{MinSupp: 5, MinScore: 0.5, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	miner := mine(t, g, grminer.Options{MinSupp: 5, MinScore: 0.5, K: 10})
 	bl, err := grminer.BL2(g, grminer.BaselineOptions{MinSupp: 5, MinScore: 0.5, K: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -126,17 +137,17 @@ func TestFacadeFileRoundTrip(t *testing.T) {
 // The incremental facade must track a fresh batch mine as edges stream in.
 func TestFacadeIncremental(t *testing.T) {
 	g := grminer.ToyDating()
-	inc, err := grminer.NewIncremental(g, grminer.Options{
+	inc, err := grminer.Open(g, grminer.EngineConfig{Mode: grminer.ModeIncremental, Options: grminer.Options{
 		MinSupp: 2, MinScore: 0.5, K: 5, DynamicFloor: true,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := inc.Result().TopK
-	res, bs, err := inc.Apply([]grminer.EdgeInsert{
+	res, bs, err := inc.ApplyBatch(grminer.Batch{Ins: []grminer.EdgeInsert{
 		{Src: 0, Dst: 1, Vals: []grminer.Value{1}},
 		{Src: 2, Dst: 3, Vals: []grminer.Value{1}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +158,7 @@ func TestFacadeIncremental(t *testing.T) {
 		t.Error("no results maintained")
 	}
 	// The maintained result equals a fresh mine of the grown graph.
-	ref, err := grminer.Mine(g, inc.Options())
+	ref, err := core.Mine(g, inc.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +171,7 @@ func TestFacadeIncremental(t *testing.T) {
 		}
 	}
 	// Malformed batches are rejected wholesale.
-	if _, _, err := inc.Apply([]grminer.EdgeInsert{{Src: -1, Dst: 0, Vals: []grminer.Value{1}}}); err == nil {
+	if _, _, err := inc.ApplyBatch(grminer.Batch{Ins: []grminer.EdgeInsert{{Src: -1, Dst: 0, Vals: []grminer.Value{1}}}}); err == nil {
 		t.Error("malformed batch accepted")
 	}
 }

@@ -33,10 +33,8 @@ type DistributedPoint struct {
 	Round1Offers int64 `json:"round1_offers"`
 	PrunedGlobal int64 `json:"pruned_global_subtrees"`
 	// Round2Requests is the (candidate, shard) exact-count volume the
-	// two-round merge fetched over the wire; OneRoundGapFill what the PR 3
-	// one-round bound would have fetched from the same pool.
-	Round2Requests  int64 `json:"round2_exact_count_requests"`
-	OneRoundGapFill int64 `json:"one_round_gap_fill"`
+	// two-round merge fetched over the wire.
+	Round2Requests int64 `json:"round2_exact_count_requests"`
 	// Identical records whether the merged top-k matched the same-floor
 	// single-store reference exactly.
 	Identical bool `json:"identical_results"`
@@ -46,7 +44,7 @@ type DistributedPoint struct {
 // BENCH_distributed.json: mining over real shardd-protocol workers on
 // loopback TCP against the single-store miner. The CI distributed-gate
 // fails the build if the top-level aggregate reports identical_results
-// false or round2_below_one_round false.
+// false.
 type DistributedReport struct {
 	Dataset string             `json:"dataset"`
 	Nodes   int                `json:"nodes"`
@@ -57,12 +55,8 @@ type DistributedReport struct {
 	Points  []DistributedPoint `json:"points"`
 	// IncrementalBatches streamed through the remote sharded incremental
 	// engine, each checked against a fresh single-store mine.
-	IncrementalBatches int `json:"incremental_batches"`
-	// Round2BelowOneRound: at every 4+-worker point, the two-round
-	// protocol's exact-count volume was strictly below the one-round
-	// gap-fill volume.
-	Round2BelowOneRound bool `json:"round2_below_one_round"`
-	Identical           bool `json:"identical_results"`
+	IncrementalBatches int  `json:"incremental_batches"`
+	Identical          bool `json:"identical_results"`
 }
 
 // Distributed measures remote sharded mining on the Pokec-like generator:
@@ -119,12 +113,12 @@ func Distributed(w io.Writer, cfg Config) error {
 	rep := DistributedReport{
 		Dataset: "pokec-like", Nodes: g.NumNodes(), Edges: g.NumEdges(),
 		MinSupp: cfg.MinSupp, MinNhp: cfg.MinNhp, K: cfg.K,
-		Identical: true, Round2BelowOneRound: true,
+		Identical: true,
 	}
 	fmt.Fprintf(w, "== Distributed: shardd workers over loopback vs single store ==  |V|=%d |E|=%d minSupp=%d minNhp=%0.0f%% k=%d\n",
 		rep.Nodes, rep.Edges, rep.MinSupp, 100*rep.MinNhp, rep.K)
-	fmt.Fprintf(w, "  %-8s %-6s %-8s %10s %9s %9s %9s %10s %10s\n",
-		"workers", "by", "floor", "seconds", "speedup", "offers", "round2", "one-round", "identical")
+	fmt.Fprintf(w, "  %-8s %-6s %-8s %10s %9s %9s %9s %10s\n",
+		"workers", "by", "floor", "seconds", "speedup", "offers", "round2", "identical")
 
 	for _, mode := range modes {
 		seq, err := core.MineStore(st, mode.base)
@@ -132,8 +126,8 @@ func Distributed(w io.Writer, cfg Config) error {
 			return err
 		}
 		seqSecs := seq.Stats.Duration.Seconds()
-		fmt.Fprintf(w, "  %-8s %-6s %-8s %10.4f %9s %9s %9s %10s %10s\n",
-			"single", "-", mode.name, seqSecs, "1.00x", "-", "-", "-", "-")
+		fmt.Fprintf(w, "  %-8s %-6s %-8s %10.4f %9s %9s %9s %10s\n",
+			"single", "-", mode.name, seqSecs, "1.00x", "-", "-", "-")
 		for _, strategy := range strategies {
 			for _, n := range counts {
 				sc, err := core.NewShardCoordinatorFrom(g, mode.base,
@@ -150,24 +144,20 @@ func Distributed(w io.Writer, cfg Config) error {
 				}
 				pt := DistributedPoint{
 					Workers: n, Strategy: string(strategy), Floor: mode.name,
-					Seconds:         res.Stats.Duration.Seconds(),
-					Round1Offers:    res.Stats.ShardOffers,
-					PrunedGlobal:    res.Stats.PrunedGlobal,
-					Round2Requests:  res.Stats.ExactCountRequests,
-					OneRoundGapFill: res.Stats.OneRoundGapFill,
-					Identical:       sameTop(res.TopK, seq.TopK),
+					Seconds:        res.Stats.Duration.Seconds(),
+					Round1Offers:   res.Stats.ShardOffers,
+					PrunedGlobal:   res.Stats.PrunedGlobal,
+					Round2Requests: res.Stats.ExactCountRequests,
+					Identical:      sameTop(res.TopK, seq.TopK),
 				}
 				if pt.Seconds > 0 && seqSecs > 0 {
 					pt.Speedup = seqSecs / pt.Seconds
 				}
 				rep.Points = append(rep.Points, pt)
 				rep.Identical = rep.Identical && pt.Identical
-				if pt.Workers >= 4 && pt.Round2Requests >= pt.OneRoundGapFill {
-					rep.Round2BelowOneRound = false
-				}
-				fmt.Fprintf(w, "  %-8d %-6s %-8s %10.4f %8.2fx %9d %9d %10d %10v\n",
+				fmt.Fprintf(w, "  %-8d %-6s %-8s %10.4f %8.2fx %9d %9d %10v\n",
 					n, strategy, mode.name, pt.Seconds, pt.Speedup,
-					pt.Round1Offers, pt.Round2Requests, pt.OneRoundGapFill, pt.Identical)
+					pt.Round1Offers, pt.Round2Requests, pt.Identical)
 			}
 		}
 	}
@@ -191,11 +181,6 @@ func Distributed(w io.Writer, cfg Config) error {
 		fmt.Fprintln(w, "  shape: remote ≡ single store at every layout and floor mode ✓")
 	} else {
 		fmt.Fprintln(w, "  shape: WARNING — a remote run diverged from its single-store reference")
-	}
-	if rep.Round2BelowOneRound {
-		fmt.Fprintln(w, "  shape: round-2 exact-count volume strictly below the one-round gap-fill at 4+ workers ✓")
-	} else {
-		fmt.Fprintln(w, "  shape: WARNING — the two-round protocol did not beat the one-round gap-fill volume")
 	}
 
 	if cfg.JSONDir != "" {
@@ -246,7 +231,7 @@ func distributedIncremental(schema *graph.Schema, cfg Config, addrs []string) (i
 			}
 			edges[i] = e
 		}
-		res, _, err := inc.Apply(edges)
+		res, _, err := inc.ApplyBatch(core.Batch{Ins: edges})
 		if err != nil {
 			return false, b, err
 		}

@@ -254,7 +254,7 @@ func Failover(w io.Writer, cfg Config) error {
 			edges[i] = e
 		}
 		start := time.Now()
-		res, _, err := inc.Apply(edges)
+		res, _, err := inc.ApplyBatch(core.Batch{Ins: edges})
 		secs := time.Since(start).Seconds()
 		if err != nil {
 			return fmt.Errorf("bench: batch %d (kill after %d): %w", b, rep.KillAfterBatch, err)
@@ -417,7 +417,7 @@ func recoveryAtLength(g *graph.Graph, opt core.Options, shards, interval, stream
 			edges[i] = e
 		}
 		start := time.Now()
-		if _, _, err := inc.Apply(edges); err != nil {
+		if _, _, err := inc.ApplyBatch(core.Batch{Ins: edges}); err != nil {
 			return pt, fmt.Errorf("batch %d of %d: %w", b, streamLen, err)
 		}
 		if b == streamLen-1 {

@@ -181,7 +181,7 @@ func measureIncremental(full *graph.Graph, base, batchSize, batches int, opt cor
 				Vals: append([]graph.Value(nil), full.EdgeValues(e)...),
 			})
 		}
-		res, bs, err := inc.Apply(batch)
+		res, bs, err := inc.ApplyBatch(core.Batch{Ins: batch})
 		if err != nil {
 			return pt, err
 		}

@@ -10,7 +10,7 @@ package buc
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"grminer/internal/csort"
 	"grminer/internal/graph"
@@ -42,13 +42,17 @@ type Cell struct {
 	Count int
 }
 
-// Key canonically encodes a condition list (must be sorted by column).
+// Key canonically encodes a condition list (must be sorted by column) as
+// "col:val;" per condition.
 func Key(conds []Cond) string {
-	var b strings.Builder
+	b := make([]byte, 0, 8*len(conds))
 	for _, c := range conds {
-		fmt.Fprintf(&b, "%d:%d;", c.Col, c.Val)
+		b = strconv.AppendInt(b, int64(c.Col), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, uint64(c.Val), 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Result holds the computed iceberg cube.
@@ -157,10 +161,30 @@ func CountMatching(t Table, conds []Cond) int {
 // baselines process candidates most-general-first so the redundancy filter
 // can use the same blocker structure as the miner.
 func SortCells(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if len(cells[i].Conds) != len(cells[j].Conds) {
-			return len(cells[i].Conds) < len(cells[j].Conds)
-		}
-		return Key(cells[i].Conds) < Key(cells[j].Conds)
-	})
+	o := cellOrder{cells: cells, keys: make([]string, len(cells))}
+	for i, c := range cells {
+		o.keys[i] = Key(c.Conds)
+	}
+	sort.Sort(o)
+}
+
+// cellOrder sorts cells beside their precomputed keys, so each key is
+// encoded once rather than on every comparison.
+type cellOrder struct {
+	cells []Cell
+	keys  []string
+}
+
+func (o cellOrder) Len() int { return len(o.cells) }
+
+func (o cellOrder) Less(i, j int) bool {
+	if a, b := len(o.cells[i].Conds), len(o.cells[j].Conds); a != b {
+		return a < b
+	}
+	return o.keys[i] < o.keys[j]
+}
+
+func (o cellOrder) Swap(i, j int) {
+	o.cells[i], o.cells[j] = o.cells[j], o.cells[i]
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
 }

@@ -139,6 +139,12 @@ func TestSortCells(t *testing.T) {
 	if Key(cells[0].Conds) > Key(cells[1].Conds) {
 		t.Error("equal-length cells not in key order")
 	}
+	// Keys order as strings, not numbers: column 10 sorts before column 2.
+	wide := []Cell{{Conds: []Cond{{2, 1}}}, {Conds: []Cond{{10, 65535}}}}
+	SortCells(wide)
+	if got := Key(wide[0].Conds) + Key(wide[1].Conds); got != "10:65535;2:1;" {
+		t.Errorf("keys %q, want \"10:65535;2:1;\"", got)
+	}
 }
 
 // Every cell's count must equal a direct scan, on random tables.

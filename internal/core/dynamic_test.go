@@ -409,8 +409,8 @@ func TestPoolCapRejections(t *testing.T) {
 		core.Options{MinSupp: 1, K: 5, PoolCap: 4}, core.ShardOptions{Shards: 2}); err == nil || !strings.Contains(err.Error(), "PoolCap") {
 		t.Errorf("sharded PoolCap accepted: %v", err)
 	}
-	if _, err := core.MineSharded(prefixGraph(g, g.NumEdges()),
+	if _, err := core.NewShardCoordinator(prefixGraph(g, g.NumEdges()),
 		core.Options{MinSupp: 1, K: 5, PoolCap: 4}, core.ShardOptions{Shards: 2}); err == nil || !strings.Contains(err.Error(), "PoolCap") {
-		t.Errorf("MineSharded PoolCap accepted: %v", err)
+		t.Errorf("NewShardCoordinator PoolCap accepted: %v", err)
 	}
 }

@@ -13,7 +13,7 @@
 //     crosses the store's threshold. Per-(attribute, value) posting lists
 //     maintained by the store hand the scoped re-mine its first-level
 //     partitions directly, replacing the O(|E| × dims) per-batch partition
-//     pass that used to floor every Apply.
+//     pass that used to floor every batch.
 //
 //  2. A tracked candidate pool — the "guarded frontier": the exact counts
 //     (LWR, LW, Hom, R, E) of every GR currently satisfying Definition 5
@@ -61,13 +61,13 @@
 //     (gain, which reads E) rebuild only for batches containing deletions.
 //
 // Floors are decrement-safe by construction: nothing about condition (3) is
-// persisted across batches. Every Apply re-derives the k-th best score from
-// the surviving pool in assemble — a deletion that demotes or evicts a
+// persisted across batches. Every ApplyBatch re-derives the k-th best score
+// from the surviving pool in assemble — a deletion that demotes or evicts a
 // current top-k member simply yields a lower merged floor next batch,
 // whereas a CAS-raised floor carried across batches (the parallel engine's
 // in-run device) would wrongly keep pruning at the stale, higher value.
 //
-// Exactness: after every Apply, the returned top-k equals a fresh batch
+// Exactness: after every ApplyBatch, the returned top-k equals a fresh batch
 // mine of the surviving graph under the engine's effective options. Like
 // the parallel engine, a dynamic floor forces ExactGenerality so condition
 // (2) is order-independent; the oracle tests in incremental_test.go and
@@ -120,10 +120,10 @@ type Batch struct {
 	Del []EdgeDelete
 }
 
-// IncStats describes the work one Apply batch performed (Cumulative sums
+// IncStats describes the work one ApplyBatch performed (Cumulative sums
 // them over the engine's lifetime).
 type IncStats struct {
-	// Batches is 1 for a single Apply; cumulative totals sum it.
+	// Batches is 1 for a single ApplyBatch; cumulative totals sum it.
 	Batches int
 	// Edges is the number of edges inserted.
 	Edges int
@@ -150,7 +150,7 @@ type IncStats struct {
 	// complete pool before answering.
 	Spilled          int
 	UnderflowRemines int
-	// Duration is the wall-clock Apply time.
+	// Duration is the wall-clock ApplyBatch time.
 	Duration time.Duration
 }
 
@@ -185,7 +185,7 @@ type Incremental struct {
 	// pool is keyed by the store's persistent interning dictionary (ids
 	// stable across batches and compactions); pool, scr, wit, and
 	// mergeScratch are the engine's steady-state allocation set — every
-	// Apply recounts, re-mines, and assembles out of these instead of
+	// ApplyBatch recounts, re-mines, and assembles out of these instead of
 	// rebuilding maps (DESIGN.md §7). The engine is the store's exclusive
 	// writer, so single-owner use holds.
 	pool         densePool
@@ -251,11 +251,11 @@ func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 // a batch mine must use to reproduce the maintained result.
 func (inc *Incremental) Options() Options { return inc.opt }
 
-// Result returns the current top-k (the result of the last Apply, or the
+// Result returns the current top-k (the result of the last ApplyBatch, or the
 // seed mine). The returned value is shared; callers must not mutate it.
 func (inc *Incremental) Result() *Result { return inc.last }
 
-// Cumulative returns lifetime totals across all Apply calls.
+// Cumulative returns lifetime totals across all ApplyBatch calls.
 func (inc *Incremental) Cumulative() IncStats { return inc.cum }
 
 // Explain returns the exact maintained counts of q from the tracked
@@ -272,12 +272,6 @@ func (inc *Incremental) Explain(q gr.GR) (metrics.Counts, bool) {
 		return metrics.Counts{}, false
 	}
 	return t.c, true
-}
-
-// Apply ingests one batch of edge insertions and returns the updated top-k.
-// It is ApplyBatch with no deletions.
-func (inc *Incremental) Apply(edges []EdgeInsert) (*Result, IncStats, error) {
-	return inc.ApplyBatch(Batch{Ins: edges})
 }
 
 // ApplyBatch ingests one mixed batch of insertions and deletions and returns
@@ -752,11 +746,11 @@ func (inc *Incremental) underflow(res *Result) bool {
 // the floor resets only when rebuildPool recovers the complete pool.
 //
 // Exactness of the spill itself rests on the re-capture argument in
-// underflow's comment: a spilled entry re-enters the pool in the same Apply
-// that could raise its score or make it block a new entrant (the batch edge
-// driving either change is a witness of the entry: a new entrant's witness
-// matches the entrant's descriptor, hence that of every generalisation
-// that could block it), so between batches the frontier only ever holds
+// underflow's comment: a spilled entry re-enters the pool in the same
+// ApplyBatch that could raise its score or make it block a new entrant (the
+// batch edge driving either change is a witness of the entry: a new
+// entrant's witness matches the entrant's descriptor, hence that of every
+// generalisation that could block it), so between batches the frontier only ever holds
 // entries that are provably irrelevant while the k-th score stays above
 // spillFloor.
 func (inc *Incremental) trimPool() (spilled int) {

@@ -100,7 +100,7 @@ func TestIncrementalOracle(t *testing.T) {
 						if next > full.NumEdges() {
 							next = full.NumEdges()
 						}
-						res, _, err := inc.Apply(insertsFor(full, cut, next))
+						res, _, err := inc.ApplyBatch(core.Batch{Ins: insertsFor(full, cut, next)})
 						if err != nil {
 							t.Fatalf("%s: apply [%d,%d): %v", label, cut, next, err)
 						}
@@ -141,7 +141,7 @@ func TestIncrementalOnSyntheticDBLP(t *testing.T) {
 		if next > full.NumEdges() {
 			next = full.NumEdges()
 		}
-		res, bs, err := inc.Apply(insertsFor(full, cut, next))
+		res, bs, err := inc.ApplyBatch(core.Batch{Ins: insertsFor(full, cut, next)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestIncrementalRejectsMalformedBatchAtomically(t *testing.T) {
 		{{Src: 0, Dst: 1, Vals: []graph.Value{1, 1, 1}}}, // too many values
 	}
 	for i, batch := range bad {
-		if _, _, err := inc.Apply(batch); err == nil {
+		if _, _, err := inc.ApplyBatch(core.Batch{Ins: batch}); err == nil {
 			t.Fatalf("bad batch %d accepted", i)
 		}
 	}
@@ -196,7 +196,7 @@ func TestIncrementalRejectsMalformedBatchAtomically(t *testing.T) {
 	assertSameResults(t, "post-reject", inc.Result().TopK, before.TopK)
 
 	// And the engine still ingests a good batch afterwards.
-	res, _, err := inc.Apply([]core.EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}})
+	res, _, err := inc.ApplyBatch(core.Batch{Ins: []core.EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestIncrementalEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := inc.Result().TopK
-	res, bs, err := inc.Apply(nil)
+	res, bs, err := inc.ApplyBatch(core.Batch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestIncrementalActivatesNewNodes(t *testing.T) {
 		if next > full.NumEdges() {
 			next = full.NumEdges()
 		}
-		res, _, err := inc.Apply(insertsFor(full, cut, next))
+		res, _, err := inc.ApplyBatch(core.Batch{Ins: insertsFor(full, cut, next)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,7 +129,7 @@ func (o Options) normalize() (Options, error) {
 
 // Stats reports the work a run performed.
 //
-// grlint:wire v1
+// grlint:wire v2
 type Stats struct {
 	// PartitionCalls counts counting-sort invocations.
 	PartitionCalls int64
@@ -156,10 +156,6 @@ type Stats struct {
 	// ExactCountRequests counts round-2 (candidate, shard) exact-count
 	// fetches the sharded merge issued.
 	ExactCountRequests int64
-	// OneRoundGapFill counts the (candidate, shard) fetches the PR 3
-	// one-round bound would have issued from the same pool — the baseline
-	// ExactCountRequests is measured against.
-	OneRoundGapFill int64
 	// Duration is the wall-clock mining time.
 	Duration time.Duration
 }

@@ -196,7 +196,6 @@ func addStats(total, s *Stats) {
 	total.PrunedGlobal += s.PrunedGlobal
 	total.ShardOffers += s.ShardOffers
 	total.ExactCountRequests += s.ExactCountRequests
-	total.OneRoundGapFill += s.OneRoundGapFill
 }
 
 // buildTasks materialises the first-level partitions. Each partition's id

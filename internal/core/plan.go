@@ -166,19 +166,3 @@ func (p Plan) String() string {
 	return fmt.Sprintf("plan: |E|=%d dims=%d procs=%d tier=%s → %s, caps L/W/R=%d/%d/%d",
 		p.Edges, p.Dims, p.Procs, p.Tier, mode, p.MaxL, p.MaxW, p.MaxR)
 }
-
-// AutoTune fills opt's zero-valued execution knobs from the input size
-// using the full machine as CPU budget.
-func AutoTune(st *store.Store, opt Options) Options {
-	return PlanFor(st, 0, opt).Apply(opt)
-}
-
-// MineAuto is Mine with AutoTune applied first.
-func MineAuto(g *graph.Graph, opt Options) (*Result, error) {
-	return MineAutoStore(store.Build(g), opt)
-}
-
-// MineAutoStore is MineStore with AutoTune applied first.
-func MineAutoStore(st *store.Store, opt Options) (*Result, error) {
-	return MineStore(st, AutoTune(st, opt))
-}

@@ -115,16 +115,19 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
-// MineAuto must return the same results as a hand-configured run: on the
-// toy network the planner chooses the sequential path, and the descriptor
-// caps stay off (narrow schema), so results match plain Mine exactly.
+// An auto-planned mine must return the same results as a hand-configured
+// run: on the toy network the planner chooses the sequential path, and the
+// descriptor caps stay off (narrow schema), so results match plain Mine
+// exactly.
 func TestMineAutoMatchesMine(t *testing.T) {
 	g := dataset.ToyDating()
-	auto, err := core.MineAuto(g, core.Options{MinSupp: 2, MinScore: 0.5, K: 10})
+	opt := core.Options{MinSupp: 2, MinScore: 0.5, K: 10}
+	st := store.Build(g)
+	auto, err := core.MineStore(st, core.PlanFor(st, 0, opt).Apply(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := core.Mine(g, core.Options{MinSupp: 2, MinScore: 0.5, K: 10})
+	plain, err := core.Mine(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +135,4 @@ func TestMineAutoMatchesMine(t *testing.T) {
 	if auto.Options.Parallelism != 1 {
 		t.Errorf("toy network auto-planned %d workers", auto.Options.Parallelism)
 	}
-
-	st := store.Build(g)
-	fromStore, err := core.MineAutoStore(st, core.Options{MinSupp: 2, MinScore: 0.5, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "mineauto-store", fromStore.TopK, plain.TopK)
 }

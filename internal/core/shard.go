@@ -395,9 +395,7 @@ type mergeItem struct {
 // conditions. A candidate whose known supports plus those caps cannot reach
 // MinSupp fails condition (1) without a counting scan; survivors' missing
 // counts are fetched in one batched Counts call per worker. Stats records
-// the actual (candidate, shard) fetch volume (ExactCountRequests) alongside
-// what the PR 3 one-round bound would have fetched from the same pool
-// (OneRoundGapFill) — the protocol's measured saving.
+// the (candidate, shard) fetch volume (ExactCountRequests).
 func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWorker, sketches []ShardSketch, pool map[string]*shardCand, schema *graph.Schema, stats *Stats) ([]gr.Scored, error) {
 	keys := make([]string, 0, len(pool))
 	for k := range pool {
@@ -411,23 +409,13 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 	needs := make([][]gr.GR, n)
 	for _, key := range keys {
 		u := pool[key]
-		known := 0
-		unknown := 0
+		bound, unknown := 0, 0
 		for s := 0; s < n; s++ {
 			if u.have[s] {
-				known += u.per[s].LWR
-			} else {
-				unknown++
-			}
-		}
-		if known+(shardMinSupp-1)*unknown >= opt.MinSupp {
-			stats.OneRoundGapFill += int64(unknown)
-		}
-		bound := known
-		for s := 0; s < n; s++ {
-			if u.have[s] {
+				bound += u.per[s].LWR
 				continue
 			}
+			unknown++
 			slack := shardMinSupp - 1
 			if ms := sketches[s].minSingle(u.gr); ms < slack {
 				slack = ms
@@ -568,30 +556,4 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 	mergeOpt := opt
 	mergeOpt.ExactGenerality = false
 	return mergeCandidates(collected, mergeOpt, schema, stats), nil
-}
-
-// MineSharded partitions g's edges into so.Shards shards, mines each shard
-// concurrently with the two-round protocol, and merges the per-shard pools
-// into the exact global top-k — the same ranked list MineStore produces
-// over a single store under the coordinator's effective options.
-func MineSharded(g *graph.Graph, opt Options, so ShardOptions) (*Result, error) {
-	sc, err := NewShardCoordinator(g, opt, so)
-	if err != nil {
-		return nil, err
-	}
-	return sc.Mine()
-}
-
-// PlanShards previews the sharded layout MineSharded would use for g under
-// the given options, without building shard stores or mining.
-func PlanShards(g *graph.Graph, opt Options, so ShardOptions) (ShardPlan, error) {
-	opt, so, err := normalizeSharded(g, opt, so)
-	if err != nil {
-		return ShardPlan{}, err
-	}
-	parts, err := graph.PartitionEdges(g, so.Shards, so.Strategy)
-	if err != nil {
-		return ShardPlan{}, err
-	}
-	return planFromParts(opt, so, parts), nil
 }

@@ -23,7 +23,7 @@
 //     deltas — every entry the batch touched — and the coordinator's union
 //     pool mirrors the worker pools without ever reading shard-local state.
 //
-//   - Across shards, every Apply ends with the coordinator merge of
+//   - Across shards, every ApplyBatch ends with the coordinator merge of
 //     shard.go over the maintained global pool: summed counts, global
 //     condition (1) with the sketch-capped round-2 bound, and the exact
 //     blocker merge for conditions (2)-(3). The coordinator keeps the
@@ -37,8 +37,8 @@
 // valid as pure upper bounds regardless of how the pools were built —
 // recover the round-2 saving for the incremental path too.
 //
-// Exactness: after every Apply the result equals MineSharded on the grown
-// graph, which equals a fresh single-store mine under Options(). The oracle
+// Exactness: after every ApplyBatch the result equals a fresh sharded
+// mine (ShardCoordinator.Mine) of the grown graph, which equals a fresh single-store mine under Options(). The oracle
 // tests assert both equalities per batch for every metric and floor mode.
 package core
 
@@ -70,14 +70,14 @@ type IncrementalSharded struct {
 	// return: once the owned graph has grown, a worker that failed to
 	// ingest (a dropped remote connection, a restarted daemon) holds less
 	// than its slice, and any later merge would silently under-count. All
-	// further Applies are refused instead.
+	// further batches are refused instead.
 	broken error
 }
 
 // NewIncrementalSharded partitions g's edges, builds one in-process worker
 // per shard, seeds the per-shard candidate pools with one offer round, and
-// merges them into the initial top-k. Options follow MineSharded: a dynamic
-// floor forces ExactGenerality, and Options() returns the effective
+// merges them into the initial top-k. Options follow NewShardCoordinator: a
+// dynamic floor forces ExactGenerality, and Options() returns the effective
 // settings a batch mine must use to reproduce the maintained result.
 func NewIncrementalSharded(g *graph.Graph, opt Options, so ShardOptions) (*IncrementalSharded, error) {
 	return NewIncrementalShardedFrom(g, opt, so, WorkerBuilder(InProcessWorkers))
@@ -134,11 +134,11 @@ func (inc *IncrementalSharded) Options() Options { return inc.opt }
 // edge counts, including every batch applied so far.
 func (inc *IncrementalSharded) Plan() ShardPlan { return inc.plan }
 
-// Result returns the current top-k (the result of the last Apply, or the
+// Result returns the current top-k (the result of the last ApplyBatch, or the
 // seed mine). The returned value is shared; callers must not mutate it.
 func (inc *IncrementalSharded) Result() *Result { return inc.last }
 
-// Cumulative returns lifetime totals across all Apply calls.
+// Cumulative returns lifetime totals across all ApplyBatch calls.
 func (inc *IncrementalSharded) Cumulative() IncStats { return inc.cum }
 
 // Close releases the workers (remote connections, for a remote deployment).
@@ -148,12 +148,6 @@ func (inc *IncrementalSharded) Close() error { return closeWorkers(inc.workers) 
 // replacements, and replayed batches. Deployments whose builder cannot
 // rebuild replacements report every shard live with zero counters.
 func (inc *IncrementalSharded) FleetHealth() []WorkerHealth { return fleetHealth(inc.workers) }
-
-// Apply ingests one batch of edge insertions; it is ApplyBatch with no
-// deletions.
-func (inc *IncrementalSharded) Apply(edges []EdgeInsert) (*Result, IncStats, error) {
-	return inc.ApplyBatch(Batch{Ins: edges})
-}
 
 // ApplyBatch validates the whole mixed batch, applies it to the owned graph,
 // routes every insertion and retraction to its owning shard (the routing
@@ -166,7 +160,7 @@ func (inc *IncrementalSharded) Apply(edges []EdgeInsert) (*Result, IncStats, err
 // the pre-batch edge set. A failure *after* the graph has changed — a
 // worker that could not ingest its slice, which only a remote transport can
 // produce — permanently poisons the engine: the coordinator and that worker
-// now disagree on the edge set, so every further Apply returns the original
+// now disagree on the edge set, so every further ApplyBatch returns the original
 // error instead of a silently under-counted result.
 func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 	if inc.broken != nil {

@@ -56,7 +56,7 @@ func TestIncrementalShardedOracle(t *testing.T) {
 					if next > full.NumEdges() {
 						next = full.NumEdges()
 					}
-					res, bs, err := inc.Apply(insertsFor(full, cut, next))
+					res, bs, err := inc.ApplyBatch(core.Batch{Ins: insertsFor(full, cut, next)})
 					if err != nil {
 						t.Fatalf("%s: apply [%d,%d): %v", label, cut, next, err)
 					}
@@ -91,7 +91,7 @@ func TestIncrementalShardedRoutesToOwningShard(t *testing.T) {
 		//grlint:ignore deadedge cut is a stream position over a static snapshot; insertsFor skips tombstoned rows
 		for cut := base; cut < full.NumEdges(); {
 			next := min(cut+7, full.NumEdges())
-			if _, _, err := inc.Apply(insertsFor(full, cut, next)); err != nil {
+			if _, _, err := inc.ApplyBatch(core.Batch{Ins: insertsFor(full, cut, next)}); err != nil {
 				t.Fatal(err)
 			}
 			cut = next
@@ -129,7 +129,7 @@ func TestIncrementalShardedRejectsMalformedBatchAtomically(t *testing.T) {
 		{{Src: 0, Dst: 1, Vals: []graph.Value{99}}},
 	}
 	for i, batch := range bad {
-		if _, _, err := inc.Apply(batch); err == nil {
+		if _, _, err := inc.ApplyBatch(core.Batch{Ins: batch}); err == nil {
 			t.Fatalf("bad batch %d accepted", i)
 		}
 	}
@@ -144,7 +144,7 @@ func TestIncrementalShardedRejectsMalformedBatchAtomically(t *testing.T) {
 	assertSameResults(t, "sharded-post-reject", inc.Result().TopK, before.TopK)
 
 	// And the engine still ingests a good batch afterwards.
-	res, _, err := inc.Apply([]core.EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}})
+	res, _, err := inc.ApplyBatch(core.Batch{Ins: []core.EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestIncrementalShardedEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := inc.Result().TopK
-	res, bs, err := inc.Apply(nil)
+	res, bs, err := inc.ApplyBatch(core.Batch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestIncrementalShardedThresholdCrossing(t *testing.T) {
 		//grlint:ignore deadedge cut is a stream position over a static snapshot; insertsFor skips tombstoned rows
 		for cut := base; cut < full.NumEdges(); {
 			next := min(cut+40, full.NumEdges())
-			res, _, err := inc.Apply(insertsFor(full, cut, next))
+			res, _, err := inc.ApplyBatch(core.Batch{Ins: insertsFor(full, cut, next)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -226,25 +226,32 @@ func TestShardedRejectsBadLayout(t *testing.T) {
 	if _, err := core.NewShardCoordinator(g, opt, core.ShardOptions{Shards: 2, Strategy: "nope"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if _, err := core.PlanShards(g, opt, core.ShardOptions{Shards: 0}); err == nil {
-		t.Error("PlanShards accepted 0 shards")
-	}
 }
 
-// The plan's per-shard offer threshold must follow ⌈minSupp/shards⌉.
+// The coordinator's plan must lay out every live edge over the requested
+// shards, with the per-shard offer threshold ⌈minSupp/shards⌉.
 func TestShardPlanMinSupp(t *testing.T) {
 	g := randomGraph(4, true, true)
 	for _, tc := range []struct{ minSupp, shards, want int }{
 		{10, 1, 10}, {10, 2, 5}, {10, 3, 4}, {10, 4, 3}, {1, 8, 1}, {7, 8, 1},
 	} {
-		plan, err := core.PlanShards(g, core.Options{MinSupp: tc.minSupp, K: 5},
+		sc, err := core.NewShardCoordinator(g, core.Options{MinSupp: tc.minSupp, K: 5},
 			core.ShardOptions{Shards: tc.shards})
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan := sc.Plan()
 		if plan.ShardMinSupp != tc.want {
 			t.Errorf("minSupp %d over %d shards: ShardMinSupp = %d, want %d",
 				tc.minSupp, tc.shards, plan.ShardMinSupp, tc.want)
+		}
+		total := 0
+		for _, n := range plan.Edges {
+			total += n
+		}
+		if plan.Shards != tc.shards || len(plan.Edges) != tc.shards || total != g.NumLiveEdges() {
+			t.Errorf("%d shards: plan lays out %d shards / %d edge counts holding %d edges, want %d edges",
+				tc.shards, plan.Shards, len(plan.Edges), total, g.NumLiveEdges())
 		}
 	}
 }

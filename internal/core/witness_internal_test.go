@@ -164,7 +164,7 @@ func TestIncrementalWitnessSkipsCrossDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := inc.Apply(batch); err != nil {
+	if _, _, err := inc.ApplyBatch(Batch{Ins: batch}); err != nil {
 		t.Fatal(err)
 	}
 	checkAgainstMine(t, "cross", inc.g, inc)

@@ -51,7 +51,7 @@ func TestRemoteCheckpointBoundsReplay(t *testing.T) {
 				Vals: []graph.Value{graph.Value(r.Intn(3))},
 			}
 		}
-		res, _, err := inc.Apply(edges)
+		res, _, err := inc.ApplyBatch(core.Batch{Ins: edges})
 		if err != nil {
 			t.Fatalf("batch %d (kill after %d): %v", batch, killAfter, err)
 		}

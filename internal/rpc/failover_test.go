@@ -195,7 +195,7 @@ func TestRemoteFailoverReplay(t *testing.T) {
 				Vals: []graph.Value{graph.Value(r.Intn(3))},
 			}
 		}
-		res, _, err := inc.Apply(edges)
+		res, _, err := inc.ApplyBatch(core.Batch{Ins: edges})
 		if err != nil {
 			t.Fatalf("batch %d (kill after %d): %v", batch, killAfter, err)
 		}
@@ -341,11 +341,11 @@ func TestRebuildSkipsMismatchedStandby(t *testing.T) {
 	}
 	defer inc.Close()
 
-	if _, _, err := inc.Apply([]core.EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}}); err != nil {
+	if _, _, err := inc.ApplyBatch(core.Batch{Ins: []core.EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}}}); err != nil {
 		t.Fatal(err)
 	}
 	victim.Kill()
-	res, _, err := inc.Apply([]core.EdgeInsert{{Src: 1, Dst: 2, Vals: []graph.Value{1}}})
+	res, _, err := inc.ApplyBatch(core.Batch{Ins: []core.EdgeInsert{{Src: 1, Dst: 2, Vals: []graph.Value{1}}}})
 	if err != nil {
 		t.Fatalf("apply after kill with a mismatched first standby: %v", err)
 	}

@@ -62,7 +62,9 @@ import (
 // Not every wire struct change needs a bump: core.WireOptions v3 dropped
 // the NoPostingLists flag under Version 4, because gob skips a field the
 // other side lacks in both directions and workers already ignored it
-// (TestWireOptionsV2Compat).
+// (TestWireOptionsV2Compat). core.Stats v2 dropped OneRoundGapFill the
+// same way: only the coordinator's merge ever set it, so no worker reply
+// carried a non-zero value (TestStatsV1Compat).
 const (
 	Magic   = "grminer-shard"
 	Version = 4

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
+	"time"
 
 	"grminer/internal/core"
 )
@@ -58,5 +59,56 @@ func TestWireOptionsV2Compat(t *testing.T) {
 	v2.NoPostingLists = false
 	if back != v2 {
 		t.Errorf("v3 → v2 decode = %+v, want %+v", back, v2)
+	}
+}
+
+// statsV1 is core.Stats as grlint:wire v1 shipped it, with the
+// OneRoundGapFill counter v2 dropped.
+type statsV1 struct {
+	PartitionCalls     int64
+	Examined           int64
+	TrivialSeen        int64
+	PrunedSupp         int64
+	PrunedScore        int64
+	Candidates         int64
+	Blocked            int64
+	HomScans           int64
+	PrunedGlobal       int64
+	ShardOffers        int64
+	ExactCountRequests int64
+	OneRoundGapFill    int64
+	Duration           time.Duration
+}
+
+// TestStatsV1Compat pins why dropping OneRoundGapFill needed no rpc Version
+// bump: a v1 peer's stats, counter set, decode into v2 Stats with every
+// other field intact, and v2 stats decode into the v1 shape with the
+// counter simply zero (the value every v1 worker reply carried anyway).
+func TestStatsV1Compat(t *testing.T) {
+	v1 := statsV1{
+		PartitionCalls: 1, Examined: 2, TrivialSeen: 3, PrunedSupp: 4, PrunedScore: 5,
+		Candidates: 6, Blocked: 7, HomScans: 8, PrunedGlobal: 9, ShardOffers: 10,
+		ExactCountRequests: 11, OneRoundGapFill: 12, Duration: 13 * time.Millisecond,
+	}
+	want := core.Stats{
+		PartitionCalls: 1, Examined: 2, TrivialSeen: 3, PrunedSupp: 4, PrunedScore: 5,
+		Candidates: 6, Blocked: 7, HomScans: 8, PrunedGlobal: 9, ShardOffers: 10,
+		ExactCountRequests: 11, Duration: 13 * time.Millisecond,
+	}
+	var v2 core.Stats
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v1))).Decode(&v2); err != nil {
+		t.Fatalf("v1 → v2 decode: %v", err)
+	}
+	if v2 != want {
+		t.Errorf("v1 → v2 decode = %+v, want %+v", v2, want)
+	}
+
+	var back statsV1
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, want))).Decode(&back); err != nil {
+		t.Fatalf("v2 → v1 decode: %v", err)
+	}
+	v1.OneRoundGapFill = 0
+	if back != v1 {
+		t.Errorf("v2 → v1 decode = %+v, want %+v", back, v1)
 	}
 }
