@@ -143,19 +143,21 @@ func TestWorkerCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Identical onward behavior: the same mixed batch produces the same
-	// reply, and the same re-seed produces the same pool.
+	// reply — handles, count columns and entrants included — and the same
+	// re-seed produces the same pool.
 	next := Batch{
 		Ins: []EdgeInsert{{Src: 6, Dst: 7, Vals: []graph.Value{1}}},
 		Del: []EdgeDelete{specDelete(spec, 4)},
 	}
 	repW, errW := w.Ingest(next)
 	repR, errR := r.Ingest(next)
-	if (errW == nil) != (errR == nil) {
-		t.Fatalf("post-restore ingest diverged: %v vs %v", errW, errR)
+	if errW != nil || errR != nil {
+		t.Fatalf("post-restore ingest failed: %v / %v", errW, errR)
 	}
-	sortCands(repW.Deltas)
-	sortCands(repR.Deltas)
-	if repW.NumEdges != repR.NumEdges || !reflect.DeepEqual(repW.Deltas, repR.Deltas) {
+	if len(repW.Deltas) == 0 {
+		t.Fatal("fixture batch produced no deltas; the reply comparison is vacuous")
+	}
+	if !reflect.DeepEqual(repW, repR) {
 		t.Errorf("post-restore ingest replies differ:\n got %+v\nwant %+v", repR, repW)
 	}
 	ow, _, err := w.Offer(nil)

@@ -43,11 +43,17 @@ type densePool struct {
 
 // poolChanges is a recount's report of what it changed, reused across
 // batches: the ids of kept entries whose counts moved, and the dropped
-// entries with their final counts. Shard workers collect it to answer the
-// coordinator; the single store needs no report.
+// entries' ids with their final counts. Shard workers collect it to answer
+// the coordinator; the single store needs no report.
 type poolChanges struct {
 	touched []intern.GRID
-	demoted []tracked
+	demoted []demotion
+}
+
+// demotion is one entry a recount dropped: its id and final counts.
+type demotion struct {
+	id intern.GRID
+	c  metrics.Counts
 }
 
 // newDensePool returns an empty pool over st's dictionary, gated by the
@@ -71,14 +77,15 @@ func captureOptions(o Options) Options {
 
 func (p *densePool) len() int { return len(p.entries) }
 
-// upsert records or refreshes the entry for g and returns its id.
-func (p *densePool) upsert(g gr.GR, c metrics.Counts, score float64) intern.GRID {
+// upsert records or refreshes the entry for g and returns its id, and
+// whether the entry is new to the pool.
+func (p *densePool) upsert(g gr.GR, c metrics.Counts, score float64) (intern.GRID, bool) {
 	id := p.dict.GR(g)
 	if int(id) < len(p.slots) {
 		if s := p.slots[id]; s != 0 {
 			t := &p.entries[s-1]
 			t.c, t.score = c, score
-			return id
+			return id, false
 		}
 	} else {
 		p.slots = append(p.slots, make([]int32, int(id)+1-len(p.slots))...)
@@ -90,7 +97,7 @@ func (p *densePool) upsert(g gr.GR, c metrics.Counts, score float64) intern.GRID
 	p.entries = append(p.entries, t)
 	p.ids = append(p.ids, id)
 	p.slots[id] = int32(len(p.entries))
-	return id
+	return id, true
 }
 
 // capture is upsert in the miner's capture-hook shape.
@@ -168,7 +175,7 @@ func (p *densePool) recount(newRows, delRows []int32, ch *poolChanges) (recounte
 			// Swap-remove: index i now holds a not-yet-visited entry, so the
 			// loop re-examines it instead of advancing.
 			if ch != nil {
-				ch.demoted = append(ch.demoted, *t)
+				ch.demoted = append(ch.demoted, demotion{id: p.ids[i], c: t.c})
 			}
 			p.deleteAt(i)
 			dropped++

@@ -20,7 +20,8 @@
 //     family's global-score movement is re-evaluated at merge time from
 //     summed counts, so every metric takes the scoped path and no batch
 //     ever falls back to a full re-mine. The worker replies with the pool
-//     deltas — every entry the batch touched — and the coordinator's union
+//     deltas — every entry the batch touched, named by its pool handle,
+//     with a GR by value only for entrants — and the coordinator's union
 //     pool mirrors the worker pools without ever reading shard-local state.
 //
 //   - Across shards, every ApplyBatch ends with the coordinator merge of
@@ -64,8 +65,11 @@ type IncrementalSharded struct {
 	// per-shard counts for every GR some shard's support qualifies,
 	// assembled purely from worker offers and ingest deltas.
 	pool map[string]*shardCand
-	last *Result
-	cum  IncStats
+	// mirror[s] maps shard s's pool handles to their union entries, so a
+	// delta applies by handle without re-keying its GR.
+	mirror []handleTable
+	last   *Result
+	cum    IncStats
 	// broken poisons the engine after a failure past the point of no
 	// return: once the owned graph has grown, a worker that failed to
 	// ingest (a dropped remote connection, a restarted daemon) holds less
@@ -101,6 +105,7 @@ func NewIncrementalShardedFrom(g *graph.Graph, opt Options, so ShardOptions, bui
 		workers:  workers,
 		sketches: sketches,
 		pool:     make(map[string]*shardCand),
+		mirror:   make([]handleTable, len(workers)),
 	}
 
 	start := time.Now()
@@ -114,8 +119,9 @@ func NewIncrementalShardedFrom(g *graph.Graph, opt Options, so ShardOptions, bui
 			return nil, fmt.Errorf("core: shard %d seed: %w", i, errs[i])
 		}
 		addStats(&stats, &shardStats[i])
-		for _, cand := range pools[i] {
-			inc.upsertShard(i, cand)
+		if err := inc.applyDeltas(i, seedReply(pools[i], inc.opt.Metric, inc.workers[i].NumEdges())); err != nil {
+			inc.Close()
+			return nil, fmt.Errorf("core: shard %d seed: %w", i, err)
 		}
 	}
 	inc.last, err = inc.assemble(&stats, time.Since(start))
@@ -236,8 +242,9 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		bs.SubtreesRemined += rep.SubtreesRemined
 		bs.SubtreesTotal += rep.SubtreesTotal
 		addStats(&stats, &rep.Stats)
-		for _, cand := range rep.Deltas {
-			inc.upsertShard(s, cand)
+		if err := inc.applyDeltas(s, &rep); err != nil {
+			inc.broken = fmt.Errorf("core: shard %d ingest reply: %w", s, err)
+			return nil, IncStats{}, inc.broken
 		}
 	}
 	inc.last, err = inc.assemble(&stats, time.Since(start))
@@ -268,46 +275,141 @@ func resolveGraphDeletes(g *graph.Graph, dels []EdgeDelete) ([]int, error) {
 	}, g.EdgeValue)
 }
 
-// upsertShard records (or refreshes) one shard's exact counts for a GR.
-// Other shards' counts are NOT fetched here: the merge requests them lazily
-// and only for candidates whose support bound survives (see
-// mergeShardPool), which keeps pool maintenance linear in the deltas. The
-// invariant the bound needs — have[s] false ⟹ shard s's support is below
-// ShardMinSupp — holds throughout: the batch that pushes a GR's support
-// over the threshold on shard s matches the GR's full descriptor there, so
-// that shard's scoped re-mine re-captures it and the delta lands back here;
-// and a deletion that demotes it below the threshold arrives as a delta
-// with final counts under ShardMinSupp, flipping have[s] back to false
-// (the worker stopped tracking it, so its future counts are unknown here).
-// An entry no worker tracks leaves the pool entirely — n·(t−1) < minSupp,
-// so it cannot qualify globally.
-func (inc *IncrementalSharded) upsertShard(s int, cand ShardCandidate) {
-	key := cand.GR.Key()
-	t := inc.pool[key]
-	if cand.Counts.LWR < inc.plan.ShardMinSupp {
-		if t == nil {
+// handleTable is the coordinator's copy of one worker's pool, addressed by
+// the worker's handles (dense interned GR ids): cand[h] is the union entry
+// handle h names, nil where the shard does not track one. seen stamps the
+// handles of the reply being applied, to refuse a repeat.
+type handleTable struct {
+	cand  []*shardCand
+	seen  []uint32
+	stamp uint32
+}
+
+// seedReply recasts a seeding offer as an ingest reply in which every
+// candidate enters the pool, so the seed and every batch apply through the
+// same checks.
+func seedReply(offers []ShardCandidate, m metrics.Metric, numEdges int) *IngestReply {
+	rep := &IngestReply{NumEdges: numEdges, Entered: offers}
+	for _, c := range offers {
+		rep.addDelta(m, c.Handle, c.Counts)
+	}
+	return rep
+}
+
+// applyDeltas records (or refreshes) shard s's exact counts for every
+// delta of rep. Other shards' counts are NOT fetched here: the merge
+// requests them lazily and only for candidates whose support bound
+// survives (see mergeShardPool), which keeps pool maintenance linear in
+// the deltas. The invariant the bound needs — have[s] false ⟹ shard s's
+// support is below ShardMinSupp — holds throughout: the batch that pushes
+// a GR's support over the threshold on shard s matches the GR's full
+// descriptor there, so that shard's scoped re-mine re-captures it and the
+// delta lands back here; and a deletion that demotes it below the
+// threshold arrives as a delta with final counts under ShardMinSupp,
+// flipping have[s] back to false (the worker stopped tracking it, so its
+// future counts are unknown here). An entry no worker tracks leaves the
+// pool entirely — n·(t−1) < minSupp, so it cannot qualify globally.
+//
+// Deltas address entries by handle; only entrants carry their GR, so
+// GR.Key runs just for entrants and for entries leaving the union. A reply
+// is untrusted input: misaligned count columns, an unknown or repeated
+// handle, or an entrant that is malformed or already tracked is an error,
+// never a panic. A worker's dictionary grows only by pool entrants, so an
+// entrant's handle lies below the table's length plus the reply's entrant
+// count; that bound also caps what a hostile handle can make the table
+// allocate.
+func (inc *IncrementalSharded) applyDeltas(s int, rep *IngestReply) error {
+	n := len(rep.Deltas)
+	m := inc.opt.Metric
+	if len(rep.LWR) != n || len(rep.LW) != n || len(rep.Hom) != colLen(m.NeedsHom, n) || len(rep.R) != colLen(m.NeedsR, n) {
+		return fmt.Errorf("count columns (LWR %d, LW %d, Hom %d, R %d) misaligned with %d deltas",
+			len(rep.LWR), len(rep.LW), len(rep.Hom), len(rep.R), n)
+	}
+	ht := &inc.mirror[s]
+	limit := len(ht.cand) + len(rep.Entered)
+	for _, e := range rep.Entered {
+		h := int(e.Handle)
+		if h < 0 || h >= limit {
+			return fmt.Errorf("entrant handle %d outside [0, %d)", h, limit)
+		}
+		if err := validGR(inc.g.Schema(), e.GR); err != nil {
+			return fmt.Errorf("entrant handle %d: %w", h, err)
+		}
+		for len(ht.cand) <= h {
+			ht.cand = append(ht.cand, nil)
+			ht.seen = append(ht.seen, 0)
+		}
+		key := e.GR.Key()
+		u := inc.pool[key]
+		if ht.cand[h] != nil || (u != nil && u.have[s]) {
+			return fmt.Errorf("entrant handle %d already tracked", h)
+		}
+		if u == nil {
+			u = &shardCand{
+				gr:   e.GR,
+				per:  make([]metrics.Counts, len(inc.workers)),
+				have: make([]bool, len(inc.workers)),
+			}
+			inc.pool[key] = u
+		}
+		ht.cand[h] = u
+	}
+	if ht.stamp++; ht.stamp == 0 {
+		clear(ht.seen)
+		ht.stamp = 1
+	}
+	for i, h := range rep.Deltas {
+		if h < 0 || int(h) >= len(ht.cand) || ht.cand[h] == nil {
+			return fmt.Errorf("delta %d: handle %d neither tracked nor entering", i, h)
+		}
+		if ht.seen[h] == ht.stamp {
+			return fmt.Errorf("delta %d: handle %d repeated", i, h)
+		}
+		ht.seen[h] = ht.stamp
+		u := ht.cand[h]
+		if int(rep.LWR[i]) < inc.plan.ShardMinSupp {
+			ht.cand[h] = nil
+			inc.dropShard(u, s)
+			continue
+		}
+		c := metrics.Counts{LWR: int(rep.LWR[i]), LW: int(rep.LW[i]), E: rep.NumEdges}
+		if m.NeedsHom {
+			c.Hom = int(rep.Hom[i])
+		}
+		if m.NeedsR {
+			c.R = int(rep.R[i])
+		}
+		u.per[s] = c
+		u.have[s] = true
+	}
+	for _, e := range rep.Entered {
+		if ht.seen[e.Handle] != ht.stamp {
+			return fmt.Errorf("entrant handle %d has no delta", e.Handle)
+		}
+	}
+	return nil
+}
+
+// dropShard forgets shard s's counts for u, removing u from the union pool
+// once no shard tracks it.
+func (inc *IncrementalSharded) dropShard(u *shardCand, s int) {
+	u.per[s] = metrics.Counts{}
+	u.have[s] = false
+	for _, h := range u.have {
+		if h {
 			return
 		}
-		t.per[s] = metrics.Counts{}
-		t.have[s] = false
-		for _, h := range t.have {
-			if h {
-				return
-			}
-		}
-		delete(inc.pool, key)
-		return
 	}
-	if t == nil {
-		t = &shardCand{
-			gr:   cand.GR,
-			per:  make([]metrics.Counts, len(inc.workers)),
-			have: make([]bool, len(inc.workers)),
-		}
-		inc.pool[key] = t
+	delete(inc.pool, u.gr.Key())
+}
+
+// colLen is the length a count column must have for n deltas: n when the
+// metric reads the field, else zero.
+func colLen(needed bool, n int) int {
+	if needed {
+		return n
 	}
-	t.per[s] = cand.Counts
-	t.have[s] = true
+	return 0
 }
 
 // assemble runs the coordinator merge (with its round-2 exact-count

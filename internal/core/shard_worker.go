@@ -44,10 +44,13 @@
 //     recounts its own relaxed pool, re-mines the affected first-level
 //     subtrees, and replies with the pool deltas. The pool is the single
 //     store's kernel (pool.go: densePool keyed by the shard store's interned
-//     GR ids, one recount) gated at (ShardMinSupp, −Inf); GRs travel by
-//     value only at the wire boundary. The coordinator never reads
-//     shard-local state; only EdgeInsert batches go down and ShardCandidate
-//     deltas come back. (The incremental pool is maintained
+//     GR ids, one recount) gated at (ShardMinSupp, −Inf). Those persistent
+//     ids double as wire handles: the seed offer tags every candidate with
+//     its handle, and an ingest reply names each delta by handle with its
+//     counts in columns, shipping a GR by value only when it first joins
+//     the pool. The coordinator never reads shard-local state; only routed
+//     batches go down and handle-addressed deltas come back. (The
+//     incremental pool is maintained
 //     WITHOUT the OfferBound prune: bounds derived from a past edge set can
 //     rise as other shards grow, so a seed-time prune could hide an entry a
 //     later batch promotes. The bound is a batch-mine optimisation; the
@@ -62,6 +65,7 @@ import (
 
 	"grminer/internal/gr"
 	"grminer/internal/graph"
+	"grminer/internal/intern"
 	"grminer/internal/metrics"
 	"grminer/internal/store"
 )
@@ -189,29 +193,57 @@ func buildWorkerSpec(g *graph.Graph, opt Options, plan ShardPlan, part []int32, 
 }
 
 // ShardCandidate is one offer crossing the coordinator/worker boundary: a
-// GR together with its exact counts on the offering shard.
+// GR together with its exact counts on the offering shard. Handle is the
+// GR's id in the worker's maintained pool — the worker store's interned GR
+// id, stable for the worker's lifetime and across both recovery paths
+// (DESIGN.md §9). It is set on seeding offers and on IngestReply.Entered;
+// bounded offers leave it zero, which gob does not encode.
 //
-// grlint:wire v1
+// grlint:wire v2
 type ShardCandidate struct {
 	GR     gr.GR
 	Counts metrics.Counts
+	Handle intern.GRID
 }
 
 // IngestReply reports one worker's side of an incremental batch: its new
-// edge count, the pool deltas (every entry whose counts changed, that the
-// batch promoted into the pool, or that a deletion demoted below the shard
-// threshold — the last with final counts under ShardMinSupp, which tell the
-// coordinator the shard no longer tracks it), and the scoped re-mine's
-// selectivity.
+// edge count, the pool deltas, and the scoped re-mine's selectivity.
 //
-// grlint:wire v2
+// The deltas are every pool entry whose counts changed, that the batch
+// promoted into the pool, or that a deletion demoted below the shard
+// threshold — the last with final counts under ShardMinSupp, which tell the
+// coordinator the shard no longer tracks it. They travel by handle:
+// Deltas[i] names the entry and the count columns, index-aligned with
+// Deltas, carry its final counts. Hom is filled only when the metric
+// NeedsHom and R only when it NeedsR (otherwise both stay empty); E is
+// NumEdges for every delta. Entered lists, by value and in delta order,
+// only the GRs that joined the pool this batch — the handles the
+// coordinator does not yet mirror.
+//
+// grlint:wire v3
 type IngestReply struct {
 	NumEdges        int
-	Deltas          []ShardCandidate
+	Deltas          []intern.GRID
+	LWR, LW, Hom, R []int32
+	Entered         []ShardCandidate
 	Recounted       int
 	SubtreesRemined int
 	SubtreesTotal   int
 	Stats           Stats
+}
+
+// addDelta appends one pool delta: its handle, and its counts to the
+// columns the metric reads.
+func (rep *IngestReply) addDelta(m metrics.Metric, id intern.GRID, c metrics.Counts) {
+	rep.Deltas = append(rep.Deltas, id)
+	rep.LWR = append(rep.LWR, int32(c.LWR))
+	rep.LW = append(rep.LW, int32(c.LW))
+	if m.NeedsHom {
+		rep.Hom = append(rep.Hom, int32(c.Hom))
+	}
+	if m.NeedsR {
+		rep.R = append(rep.R, int32(c.R))
+	}
 }
 
 // ShardWorker is the narrow contract one shard presents to the coordinator.
@@ -495,8 +527,9 @@ type WorkerState struct {
 	pool   densePool
 	seeded bool
 	// changes collects each Ingest's pool deltas: the recount's report plus
-	// every re-mine capture.
+	// every re-mine capture; entered the captures new to the pool.
 	changes poolChanges
+	entered []intern.GRID
 	// scr and wit are the worker's steady-state re-mine allocations, reused
 	// across Ingest batches; scr carries the shard store's persistent
 	// dictionary (the worker is the store's exclusive writer).
@@ -610,10 +643,11 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 		w.seeded = true
 	}
 	m.capture = func(g gr.GR, c metrics.Counts, score float64) {
-		out = append(out, ShardCandidate{GR: g, Counts: c})
+		cand := ShardCandidate{GR: g, Counts: c}
 		if seedPool {
-			w.pool.upsert(g, c, score)
+			cand.Handle, _ = w.pool.upsert(g, c, score)
 		}
+		out = append(out, cand)
 	}
 	m.run()
 	m.stats.ShardOffers = int64(len(out))
@@ -677,7 +711,8 @@ func validGR(schema *graph.Schema, g gr.GR) error {
 // stops tracking it but still reports it in the deltas with its final
 // below-threshold counts, so the coordinator's union pool stays a faithful
 // mirror of the worker pools. Like the single-store engine, the whole slice
-// is validated before any state changes.
+// is validated before any state changes. The reply is handle-addressed
+// (see IngestReply): only the batch's pool entrants travel by value.
 func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	if !w.seeded {
 		return IngestReply{}, fmt.Errorf("core: worker %d: ingest before a seeding Offer", w.idx)
@@ -720,33 +755,52 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	//grlint:ignore metricsafety deletions are recounted exactly above; only inserts reach the scoped re-mine
 	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.st, w.pool.opt, &w.wit,
 		func(g gr.GR, c metrics.Counts, score float64) {
-			w.changes.touched = append(w.changes.touched, w.pool.upsert(g, c, score))
+			id, added := w.pool.upsert(g, c, score)
+			w.changes.touched = append(w.changes.touched, id)
+			if added {
+				w.entered = append(w.entered, id)
+			}
 		}, w.scr, &stats)
-	rep.Deltas = w.deltas()
+	w.fillDeltas(&rep)
 	rep.NumEdges = w.st.NumEdges()
 	rep.Stats = stats
 	return rep, nil
 }
 
-// deltas lists the batch's pool changes for the coordinator: first every
-// entry the recount demoted below the shard threshold, with its final
-// counts (the coordinator then knows the shard no longer tracks it), then
-// every tracked entry the recount moved or the re-mine captured, once
-// each, in id order. Counts are exact, so a demoted GR cannot be
-// re-captured in the same batch; were it, its tracked delta would come
-// last and win.
-func (w *WorkerState) deltas() []ShardCandidate {
+// fillDeltas lists the batch's pool changes in rep: first every entry the
+// recount demoted below the shard threshold, with its final counts (the
+// coordinator then knows the shard no longer tracks it), then every
+// tracked entry the recount moved or the re-mine captured, once each, in
+// id order; the re-mine's entrants also go to Entered by value, in the
+// same order. Counts are exact, so a demoted GR cannot be re-captured in
+// the same batch, and every handle appears once.
+func (w *WorkerState) fillDeltas(rep *IngestReply) {
 	ch := &w.changes
 	slices.Sort(ch.touched)
 	ch.touched = slices.Compact(ch.touched)
-	out := make([]ShardCandidate, 0, len(ch.demoted)+len(ch.touched))
-	for _, t := range ch.demoted {
-		out = append(out, ShardCandidate{GR: t.gr, Counts: t.c})
+	n := len(ch.demoted) + len(ch.touched)
+	rep.Deltas = make([]intern.GRID, 0, n)
+	rep.LWR = make([]int32, 0, n)
+	rep.LW = make([]int32, 0, n)
+	if w.pool.opt.Metric.NeedsHom {
+		rep.Hom = make([]int32, 0, n)
+	}
+	if w.pool.opt.Metric.NeedsR {
+		rep.R = make([]int32, 0, n)
+	}
+	for _, d := range ch.demoted {
+		rep.addDelta(w.pool.opt.Metric, d.id, d.c)
 	}
 	for _, id := range ch.touched {
 		if t, ok := w.pool.get(id); ok {
-			out = append(out, ShardCandidate{GR: t.gr, Counts: t.c})
+			rep.addDelta(w.pool.opt.Metric, id, t.c)
 		}
 	}
-	return out
+	slices.Sort(w.entered)
+	for _, id := range w.entered {
+		if t, ok := w.pool.get(id); ok {
+			rep.Entered = append(rep.Entered, ShardCandidate{GR: t.gr, Handle: id})
+		}
+	}
+	w.entered = w.entered[:0]
 }

@@ -2,6 +2,7 @@ package rpc_test
 
 import (
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"net"
 	"strings"
@@ -93,29 +94,33 @@ func TestRemoteCheckpointBoundsReplay(t *testing.T) {
 	}
 }
 
-// TestHandshakeRejectsV3Peer pins the version bump itself: a peer speaking
-// wire v3 — the pre-checkpoint protocol — must be rejected at handshake
+// TestHandshakeRejectsV3Peer pins the version bumps themselves: a peer
+// speaking wire v3 — the pre-checkpoint protocol — or v4 — whole-GR ingest
+// deltas, before handle-addressed replies — must be rejected at handshake
 // with both versions named, not served a session that would silently fall
-// back to unbounded full replay.
+// back to unbounded full replay or fail every ingest reply's decode.
 func TestHandshakeRejectsV3Peer(t *testing.T) {
-	addr, errCh := serveOnce(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(rpc.Hello{Magic: rpc.Magic, Version: 3}); err != nil {
-		t.Fatal(err)
-	}
-	var rep rpc.HelloReply
-	if err := gob.NewDecoder(conn).Decode(&rep); err != nil {
-		t.Fatalf("no handshake reply: %v", err)
-	}
-	if rep.OK || !strings.Contains(rep.Err, "v3") || !strings.Contains(rep.Err, "v4") {
-		t.Fatalf("v3 peer not rejected with both versions named: %+v", rep)
-	}
-	if err := waitErr(t, errCh); err == nil || !strings.Contains(err.Error(), "mismatch") {
-		t.Fatalf("daemon survived a v3 peer: %v", err)
+	own := fmt.Sprintf("v%d", rpc.Version)
+	for _, peer := range []int{3, 4} {
+		addr, errCh := serveOnce(t)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(conn).Encode(rpc.Hello{Magic: rpc.Magic, Version: peer}); err != nil {
+			t.Fatal(err)
+		}
+		var rep rpc.HelloReply
+		if err := gob.NewDecoder(conn).Decode(&rep); err != nil {
+			t.Fatalf("v%d peer: no handshake reply: %v", peer, err)
+		}
+		if rep.OK || !strings.Contains(rep.Err, fmt.Sprintf("v%d", peer)) || !strings.Contains(rep.Err, own) {
+			t.Fatalf("v%d peer not rejected with both versions named: %+v", peer, rep)
+		}
+		if err := waitErr(t, errCh); err == nil || !strings.Contains(err.Error(), "mismatch") {
+			t.Fatalf("daemon survived a v%d peer: %v", peer, err)
+		}
+		conn.Close()
 	}
 }
 

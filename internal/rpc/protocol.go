@@ -13,8 +13,12 @@
 //	          applies to malformed edges)
 //	client → Request{Shard, Op: "build", Spec}   server → Reply{NumEdges}
 //	client → Request{Shard, Op: "offer", Bound}  server → Reply{Offers, Stats}
+//	          (a nil Bound seeds the worker's pool; each offer then carries
+//	          its pool handle)
 //	client → Request{Shard, Op: "counts", GRs}   server → Reply{Counts}
-//	client → Request{Shard, Op: "ingest", Edges, Deletes} server → Reply{Ingest}
+//	client → Request{Shard, Op: "ingest", Edges, Deletes}
+//	server → Reply{Ingest: NumEdges, pool deltas by handle with count
+//	          columns, the batch's pool entrants by value, Stats}
 //	client → Request{Shard, Op: "checkpoint"}    server → Reply{Checkpoint}
 //	client → Request{Shard, Op: "restore", Spec, Checkpoint} server → Reply{NumEdges}
 //	... more ops, interleaving slots freely ...
@@ -58,6 +62,15 @@ import (
 //	   a fleet silently falling back to unbounded full replay is exactly
 //	   the latency cliff checkpointing exists to remove, so version skew
 //	   is rejected at handshake like every other revision.
+//	5: handle-addressed ingest replies. core.IngestReply v3 names each pool
+//	   delta by the worker's pool handle, carries the counts in columns,
+//	   and ships a GR by value only when it enters the pool; seeding
+//	   offers tag each core.ShardCandidate (v2) with its handle. Across
+//	   the skew, gob refuses a v4 daemon's Deltas []ShardCandidate as the
+//	   wrong type for the v5 field, a transport error the failover path
+//	   would read as worker loss and "recover" from by rebuilding on the
+//	   same daemons, and a v4 seed offer would carry no handles at all —
+//	   the bump turns both into one handshake rejection.
 //
 // Not every wire struct change needs a bump: core.WireOptions v3 dropped
 // the NoPostingLists flag under Version 4, because gob skips a field the
@@ -67,7 +80,7 @@ import (
 // carried a non-zero value (TestStatsV1Compat).
 const (
 	Magic   = "grminer-shard"
-	Version = 4
+	Version = 5
 )
 
 // Hello is the client's first message on a fresh connection.
