@@ -66,7 +66,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,11 +151,76 @@ func (p ShardPlan) String() string {
 // marks shards whose counts are known (offered, or delta-reported by a
 // worker's Ingest); the merge fetches the rest through the worker interface
 // without writing them back — a shard that never offered an entry may grow
-// its count later, so only worker-reported counts are durable.
+// its count later, so only worker-reported counts are durable. slot is the
+// entry's index in its unionTable while it is live, −1 once it has left.
 type shardCand struct {
 	gr   gr.GR
 	per  []metrics.Counts
 	have []bool
+	slot int
+}
+
+// unionTable is the coordinator's union pool: every GR some shard offered
+// or tracks, in a dense slot table the merge walks in place. An entry takes
+// the next slot when it first enters and gives it up by swap-remove when
+// the last shard drops it, so the slot order — and with it the round-2
+// request order — depends only on the sequence of offers and deltas. The
+// key map is consulted only when an entry enters or leaves; the merge
+// itself never computes a key.
+type unionTable struct {
+	shards int
+	slots  []*shardCand
+	byKey  map[string]*shardCand
+}
+
+func newUnionTable(shards int) *unionTable {
+	return &unionTable{shards: shards, byKey: make(map[string]*shardCand)}
+}
+
+// enter records that shard s tracks g, creating g's entry on first sight,
+// and returns the entry; the caller fills per[s]. g is untrusted worker
+// output: a GR that is malformed for the schema, or that shard s already
+// tracks, is an error and leaves the table unchanged.
+func (t *unionTable) enter(schema *graph.Schema, g gr.GR, s int) (*shardCand, error) {
+	if err := validGR(schema, g); err != nil {
+		return nil, err
+	}
+	key := g.Key()
+	u := t.byKey[key]
+	if u == nil {
+		u = &shardCand{
+			gr:   g,
+			per:  make([]metrics.Counts, t.shards),
+			have: make([]bool, t.shards),
+			slot: len(t.slots),
+		}
+		t.byKey[key] = u
+		t.slots = append(t.slots, u)
+	} else if u.have[s] {
+		return nil, fmt.Errorf("GR %v already tracked by shard %d", g, s)
+	}
+	u.have[s] = true
+	return u, nil
+}
+
+// drop forgets shard s's counts for u and frees u's slot once no shard
+// tracks it: the last slot's entry moves into the hole.
+func (t *unionTable) drop(u *shardCand, s int) {
+	u.per[s] = metrics.Counts{}
+	u.have[s] = false
+	for _, h := range u.have {
+		if h {
+			return
+		}
+	}
+	delete(t.byKey, u.gr.Key())
+	last := len(t.slots) - 1
+	moved := t.slots[last]
+	t.slots[u.slot] = moved
+	moved.slot = u.slot
+	t.slots[last] = nil
+	t.slots = t.slots[:last]
+	u.slot = -1
 }
 
 // ShardCoordinator owns a sharded mining run: the plan, the per-shard
@@ -349,21 +413,14 @@ func (sc *ShardCoordinator) Mine() (*Result, error) {
 		addStats(&stats, &shardStats[i])
 	}
 
-	pool := make(map[string]*shardCand)
+	pool := newUnionTable(len(sc.workers))
 	for i, offers := range pools {
-		for _, cand := range offers {
-			key := cand.GR.Key()
-			u := pool[key]
-			if u == nil {
-				u = &shardCand{
-					gr:   cand.GR,
-					per:  make([]metrics.Counts, len(sc.workers)),
-					have: make([]bool, len(sc.workers)),
-				}
-				pool[key] = u
+		for j, cand := range offers {
+			u, err := pool.enter(sc.schema, cand.GR, i)
+			if err != nil {
+				return nil, fmt.Errorf("core: shard %d offer %d: %w", i, j, err)
 			}
 			u.per[i] = cand.Counts
-			u.have[i] = true
 		}
 	}
 
@@ -375,12 +432,13 @@ func (sc *ShardCoordinator) Mine() (*Result, error) {
 	return &Result{TopK: topList, Stats: stats, Options: sc.opt, TotalEdges: sc.totalEdges}, nil
 }
 
-// mergeItem is one merge survivor: the union-pool entry plus, per shard,
-// the index of its round-2 fetched counts (-1 where the entry's counts are
-// already known). Fetched counts live beside the pool, never in it.
+// mergeItem is one merge survivor: the union-pool entry plus, when some
+// shard's counts are unknown, the offset of its n per-shard fetch indexes
+// in the merge's fetch column (−1 when every shard's counts are known).
+// Fetched counts live beside the pool, never in it.
 type mergeItem struct {
 	u     *shardCand
-	fetch []int32
+	fetch int32
 }
 
 // mergeShardPool re-scores every pool candidate from its summed per-shard
@@ -396,19 +454,18 @@ type mergeItem struct {
 // MinSupp fails condition (1) without a counting scan; survivors' missing
 // counts are fetched in one batched Counts call per worker. Stats records
 // the (candidate, shard) fetch volume (ExactCountRequests).
-func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWorker, sketches []ShardSketch, pool map[string]*shardCand, schema *graph.Schema, stats *Stats) ([]gr.Scored, error) {
-	keys := make([]string, 0, len(pool))
-	for k := range pool {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
+//
+// The pool is walked in slot order, and the result does not depend on it:
+// gr.Less and mergeCandidates break every tie by key. Each shard's round-2
+// request lists its GRs in slot order, which the sequence of offers and
+// deltas fixes, so the requests are deterministic too.
+func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWorker, sketches []ShardSketch, pool *unionTable, schema *graph.Schema, stats *Stats) ([]gr.Scored, error) {
 	// Round-2 bound pass: pure arithmetic over known counts and sketches.
 	n := len(workers)
-	items := make([]mergeItem, 0, len(keys))
+	items := make([]mergeItem, 0, len(pool.slots))
 	needs := make([][]gr.GR, n)
-	for _, key := range keys {
-		u := pool[key]
+	var fetch []int32
+	for _, u := range pool.slots {
 		bound, unknown := 0, 0
 		for s := 0; s < n; s++ {
 			if u.have[s] {
@@ -425,19 +482,20 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 		if bound < opt.MinSupp {
 			continue // cannot satisfy condition (1); skip the verify round
 		}
-		it := mergeItem{u: u}
+		it := mergeItem{u: u, fetch: -1}
 		if unknown > 0 {
-			it.fetch = make([]int32, n)
+			it.fetch = int32(len(fetch))
 			for s := 0; s < n; s++ {
-				it.fetch[s] = -1
 				// A shard whose sketch proves it cannot contribute to any
 				// count the metric reads is taken as zero without a fetch
 				// (fetch index stays -1).
+				f := int32(-1)
 				if !u.have[s] && sketches[s].contributes(opt.Metric, u.gr) {
-					it.fetch[s] = int32(len(needs[s]))
+					f = int32(len(needs[s]))
 					needs[s] = append(needs[s], u.gr)
 					stats.ExactCountRequests++
 				}
+				fetch = append(fetch, f)
 			}
 		}
 		items = append(items, it)
@@ -504,10 +562,11 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 				for s := 0; s < n; s++ {
 					per := it.u.per[s]
 					if !it.u.have[s] {
-						if it.fetch[s] < 0 {
+						f := fetch[it.fetch+int32(s)]
+						if f < 0 {
 							continue // provably zero contribution, never fetched
 						}
-						per = fetched[s][it.fetch[s]]
+						per = fetched[s][f]
 					}
 					c.LWR += per.LWR
 					c.LW += per.LW

@@ -126,8 +126,8 @@ type countsCoverage struct {
 	emptyLW, emptyR, nilBitmap, shortBitmap, betaHom, compaction bool
 }
 
-// checkCounts compares Counts on a key-sorted request (the order the
-// coordinator sends, so L∧W reuse is exercised) against the row scan.
+// checkCounts compares Counts on a key-sorted request (GRs sharing L∧W
+// arrive together, so L∧W reuse is exercised) against the row scan.
 func checkCounts(t *testing.T, label string, w *WorkerState, r *rand.Rand, cov *countsCoverage) {
 	t.Helper()
 	schema := w.g.Schema()

@@ -64,7 +64,7 @@ type IncrementalSharded struct {
 	// pool is the maintained union of the per-shard relaxed pools: exact
 	// per-shard counts for every GR some shard's support qualifies,
 	// assembled purely from worker offers and ingest deltas.
-	pool map[string]*shardCand
+	pool *unionTable
 	// mirror[s] maps shard s's pool handles to their union entries, so a
 	// delta applies by handle without re-keying its GR.
 	mirror []handleTable
@@ -104,7 +104,7 @@ func NewIncrementalShardedFrom(g *graph.Graph, opt Options, so ShardOptions, bui
 		plan:     plan,
 		workers:  workers,
 		sketches: sketches,
-		pool:     make(map[string]*shardCand),
+		pool:     newUnionTable(len(workers)),
 		mirror:   make([]handleTable, len(workers)),
 	}
 
@@ -129,7 +129,7 @@ func NewIncrementalShardedFrom(g *graph.Graph, opt Options, so ShardOptions, bui
 		inc.Close()
 		return nil, err
 	}
-	inc.cum.Tracked = len(inc.pool)
+	inc.cum.Tracked = len(inc.pool.slots)
 	return inc, nil
 }
 
@@ -255,7 +255,7 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		inc.broken = err
 		return nil, IncStats{}, err
 	}
-	bs.Tracked = len(inc.pool)
+	bs.Tracked = len(inc.pool.slots)
 	bs.Duration = inc.last.Stats.Duration
 	inc.cum.add(bs)
 	return inc.last, bs, nil
@@ -310,14 +310,14 @@ func seedReply(offers []ShardCandidate, m metrics.Metric, numEdges int) *IngestR
 // future counts are unknown here). An entry no worker tracks leaves the
 // pool entirely — n·(t−1) < minSupp, so it cannot qualify globally.
 //
-// Deltas address entries by handle; only entrants carry their GR, so
-// GR.Key runs just for entrants and for entries leaving the union. A reply
-// is untrusted input: misaligned count columns, an unknown or repeated
-// handle, or an entrant that is malformed or already tracked is an error,
-// never a panic. A worker's dictionary grows only by pool entrants, so an
-// entrant's handle lies below the table's length plus the reply's entrant
-// count; that bound also caps what a hostile handle can make the table
-// allocate.
+// Deltas address entries by handle; only entrants carry their GR, so the
+// union's key map is consulted just for entrants and for entries leaving
+// the union. A reply is untrusted input: misaligned count columns, an
+// unknown or repeated handle, or an entrant that is malformed or already
+// tracked is an error, never a panic. A worker's dictionary grows only by
+// pool entrants, so an entrant's handle lies below the table's length plus
+// the reply's entrant count; that bound also caps what a hostile handle
+// can make the table allocate.
 func (inc *IncrementalSharded) applyDeltas(s int, rep *IngestReply) error {
 	n := len(rep.Deltas)
 	m := inc.opt.Metric
@@ -332,25 +332,16 @@ func (inc *IncrementalSharded) applyDeltas(s int, rep *IngestReply) error {
 		if h < 0 || h >= limit {
 			return fmt.Errorf("entrant handle %d outside [0, %d)", h, limit)
 		}
-		if err := validGR(inc.g.Schema(), e.GR); err != nil {
-			return fmt.Errorf("entrant handle %d: %w", h, err)
-		}
 		for len(ht.cand) <= h {
 			ht.cand = append(ht.cand, nil)
 			ht.seen = append(ht.seen, 0)
 		}
-		key := e.GR.Key()
-		u := inc.pool[key]
-		if ht.cand[h] != nil || (u != nil && u.have[s]) {
+		if ht.cand[h] != nil {
 			return fmt.Errorf("entrant handle %d already tracked", h)
 		}
-		if u == nil {
-			u = &shardCand{
-				gr:   e.GR,
-				per:  make([]metrics.Counts, len(inc.workers)),
-				have: make([]bool, len(inc.workers)),
-			}
-			inc.pool[key] = u
+		u, err := inc.pool.enter(inc.g.Schema(), e.GR, s)
+		if err != nil {
+			return fmt.Errorf("entrant handle %d: %w", h, err)
 		}
 		ht.cand[h] = u
 	}
@@ -369,7 +360,7 @@ func (inc *IncrementalSharded) applyDeltas(s int, rep *IngestReply) error {
 		u := ht.cand[h]
 		if int(rep.LWR[i]) < inc.plan.ShardMinSupp {
 			ht.cand[h] = nil
-			inc.dropShard(u, s)
+			inc.pool.drop(u, s)
 			continue
 		}
 		c := metrics.Counts{LWR: int(rep.LWR[i]), LW: int(rep.LW[i]), E: rep.NumEdges}
@@ -380,7 +371,6 @@ func (inc *IncrementalSharded) applyDeltas(s int, rep *IngestReply) error {
 			c.R = int(rep.R[i])
 		}
 		u.per[s] = c
-		u.have[s] = true
 	}
 	for _, e := range rep.Entered {
 		if ht.seen[e.Handle] != ht.stamp {
@@ -388,19 +378,6 @@ func (inc *IncrementalSharded) applyDeltas(s int, rep *IngestReply) error {
 		}
 	}
 	return nil
-}
-
-// dropShard forgets shard s's counts for u, removing u from the union pool
-// once no shard tracks it.
-func (inc *IncrementalSharded) dropShard(u *shardCand, s int) {
-	u.per[s] = metrics.Counts{}
-	u.have[s] = false
-	for _, h := range u.have {
-		if h {
-			return
-		}
-	}
-	delete(inc.pool, u.gr.Key())
 }
 
 // colLen is the length a count column must have for n deltas: n when the

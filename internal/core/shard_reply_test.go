@@ -15,15 +15,19 @@ import (
 // remote daemon.
 type tamperWorker struct {
 	*core.WorkerState
-	seed   func([]core.ShardCandidate) // rewrites the seeding offer, if set
-	ingest func(*core.IngestReply)     // rewrites the next ingest reply, if set
-	honest *core.IngestReply           // the last reply before rewriting
+	seed   func([]core.ShardCandidate)                       // rewrites the seeding offer, if set
+	round1 func([]core.ShardCandidate) []core.ShardCandidate // rewrites a bounded offer, if set
+	ingest func(*core.IngestReply)                           // rewrites the next ingest reply, if set
+	honest *core.IngestReply                                 // the last reply before rewriting
 }
 
 func (w *tamperWorker) Offer(b *core.OfferBound) ([]core.ShardCandidate, core.Stats, error) {
 	offers, stats, err := w.WorkerState.Offer(b)
 	if err == nil && b == nil && w.seed != nil {
 		w.seed(offers)
+	}
+	if err == nil && b != nil && w.round1 != nil {
+		offers = w.round1(offers)
 	}
 	return offers, stats, err
 }
@@ -227,6 +231,74 @@ func TestShardSeedOfferFailsClosed(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := newReplyFixture(t, tamper); err == nil || !strings.Contains(err.Error(), "seed") {
 				t.Fatalf("tampered seed offer accepted: %v", err)
+			}
+		})
+	}
+}
+
+// TestShardCoordinatorOfferFailsClosed feeds the static sharded mine
+// hostile round-1 offers. The coordinator enters every offer into its
+// union through the same checks the incremental engine applies, so a GR
+// malformed for the schema or offered twice by one shard fails the mine
+// with an error, never a panic; the honest offers mine exactly.
+func TestShardCoordinatorOfferFailsClosed(t *testing.T) {
+	g := randomGraph(5, true, false)
+	opt := core.Options{MinSupp: 4, MinScore: 0.3, K: 10}
+	mine := func(tamper func([]core.ShardCandidate) []core.ShardCandidate) (*core.Result, *core.ShardCoordinator, error) {
+		build := core.WorkerBuilder(func(spec core.WorkerSpec) (core.ShardWorker, error) {
+			w, err := core.NewWorkerState(spec)
+			if err != nil {
+				return nil, err
+			}
+			tw := &tamperWorker{WorkerState: w}
+			if spec.Index == 1 {
+				tw.round1 = tamper
+			}
+			return tw, nil
+		})
+		sc, err := core.NewShardCoordinatorFrom(g, opt, core.ShardOptions{Shards: 2}, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		res, err := sc.Mine()
+		return res, sc, err
+	}
+	res, sc, err := mine(func(o []core.ShardCandidate) []core.ShardCandidate {
+		if len(o) < 2 {
+			t.Fatalf("fixture shard offers %d candidates, want at least 2", len(o))
+		}
+		return o
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Mine(g, sc.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "honest offers", res.TopK, ref.TopK)
+
+	for _, tc := range []struct {
+		name, want string
+		tamper     func([]core.ShardCandidate) []core.ShardCandidate
+	}{
+		{"attribute beyond the schema", "out of range", func(o []core.ShardCandidate) []core.ShardCandidate {
+			o[0].GR = gr.GR{L: gr.Descriptor{{Attr: 99, Val: 1}}, R: o[0].GR.R}
+			return o
+		}},
+		{"value beyond the domain", "out of domain", func(o []core.ShardCandidate) []core.ShardCandidate {
+			o[0].GR = gr.GR{W: gr.Descriptor{{Attr: 0, Val: 3}}, R: o[0].GR.R}
+			return o
+		}},
+		{"duplicated offer", "already tracked", func(o []core.ShardCandidate) []core.ShardCandidate {
+			return append(o, o[len(o)/2])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := mine(tc.tamper)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "shard 1 offer") {
+				t.Fatalf("tampered offer: got error %v, want one naming shard 1's offer and %q", err, tc.want)
 			}
 		})
 	}

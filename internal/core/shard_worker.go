@@ -623,6 +623,10 @@ func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, build func
 // NumEdges returns the shard's current edge count.
 func (w *WorkerState) NumEdges() int { return w.st.NumEdges() }
 
+// Metric returns the metric the worker counts for; Counts fills only the
+// fields it reads.
+func (w *WorkerState) Metric() metrics.Metric { return w.pool.opt.Metric }
+
 // Close implements ShardWorker; in-process workers hold no transport.
 func (w *WorkerState) Close() error { return nil }
 
@@ -662,8 +666,9 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 // Counts come from the store's live-exact posting bitmaps through the
 // bitmapCounter kernel (bitmap_counter.go), filling only the fields the
 // metric reads so gap-filled counts sum consistently with in-search capture
-// counts. Requests arrive key-sorted, so consecutive GRs often share their
-// L∧W and reuse the previous intersection.
+// counts. A GR with the same L∧W as the one before it reuses that
+// intersection; the coordinator lists its queries in union-slot order,
+// where about one GR in four needs a fresh one.
 func (w *WorkerState) Counts(grs []gr.GR) ([]metrics.Counts, error) {
 	schema := w.g.Schema()
 	for i, g := range grs {

@@ -230,13 +230,23 @@ func (s *Slot) Offer(bound *core.OfferBound) ([]core.ShardCandidate, core.Stats,
 	return rep.Offers, rep.Stats, nil
 }
 
-// Counts answers the batched round-2 exact-count query.
+// Counts answers the batched round-2 exact-count query. The GRs and the
+// counts cross the wire as columns (CountQuery, CountColumns); a reply
+// whose columns do not match the query is an error.
 func (s *Slot) Counts(grs []gr.GR) ([]metrics.Counts, error) {
-	rep, err := s.call(Request{Op: OpCounts, GRs: grs})
+	q, err := packCountQuery(grs)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: worker %s: counts: %w", s.c.addr, err)
+	}
+	rep, err := s.call(Request{Op: OpCounts, Query: q})
 	if err != nil {
 		return nil, err
 	}
-	return rep.Counts, nil
+	counts, err := rep.Counts.unpack(len(grs), rep.NumEdges)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: worker %s: counts reply: %w", s.c.addr, err)
+	}
+	return counts, nil
 }
 
 // Ingest applies a routed incremental batch slice (insertions and

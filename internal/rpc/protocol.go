@@ -15,7 +15,8 @@
 //	client → Request{Shard, Op: "offer", Bound}  server → Reply{Offers, Stats}
 //	          (a nil Bound seeds the worker's pool; each offer then carries
 //	          its pool handle)
-//	client → Request{Shard, Op: "counts", GRs}   server → Reply{Counts}
+//	client → Request{Shard, Op: "counts", Query} server → Reply{Counts}
+//	          (the GRs and their counts travel as flat columns)
 //	client → Request{Shard, Op: "ingest", Edges, Deletes}
 //	server → Reply{Ingest: NumEdges, pool deltas by handle with count
 //	          columns, the batch's pool entrants by value, Stats}
@@ -35,8 +36,6 @@ package rpc
 
 import (
 	"grminer/internal/core"
-	"grminer/internal/gr"
-	"grminer/internal/metrics"
 )
 
 // Magic identifies the protocol; Version its revision. A peer advertising
@@ -71,6 +70,15 @@ import (
 //	   would read as worker loss and "recover" from by rebuilding on the
 //	   same daemons, and a v4 seed offer would carry no handles at all —
 //	   the bump turns both into one handshake rejection.
+//	6: columnar round-2 counts. A counts request carries a CountQuery
+//	   (descriptor lengths, attribute and value columns) in place of
+//	   Request.GRs, and the reply a CountColumns in place of a
+//	   []metrics.Counts. gob drops a field the receiver lacks, so across
+//	   the skew a v5 daemon would read a v6 query as an empty one and
+//	   answer it, and the v6 coordinator's decoder would then refuse the
+//	   reply's []metrics.Counts as the wrong type for CountColumns — a
+//	   transport error the failover path would read as worker loss, on
+//	   every merge. The bump makes it one handshake rejection.
 //
 // Not every wire struct change needs a bump: core.WireOptions v3 dropped
 // the NoPostingLists flag under Version 4, because gob skips a field the
@@ -80,7 +88,7 @@ import (
 // carried a non-zero value (TestStatsV1Compat).
 const (
 	Magic   = "grminer-shard"
-	Version = 5
+	Version = 6
 )
 
 // Hello is the client's first message on a fresh connection.
@@ -117,13 +125,13 @@ const (
 // addresses the daemon-side worker slot (0 ≤ Shard < HelloReply.Shards);
 // Op selects which payload field is meaningful.
 //
-// grlint:wire v4
+// grlint:wire v5
 type Request struct {
 	Shard   int
 	Op      string
 	Spec    *core.WorkerSpec
 	Bound   *core.OfferBound
-	GRs     []gr.GR
+	Query   CountQuery
 	Edges   []core.EdgeInsert
 	Deletes []core.EdgeDelete
 	// Checkpoint carries the state blob of a restore request. The blob is
@@ -135,14 +143,34 @@ type Request struct {
 // Reply is one worker → coordinator message. A non-empty Err reports an
 // operation failure; the session stays open.
 //
-// grlint:wire v2
+// grlint:wire v3
 type Reply struct {
 	Err      string
 	NumEdges int
 	Offers   []core.ShardCandidate
 	Stats    core.Stats
-	Counts   []metrics.Counts
+	Counts   CountColumns
 	Ingest   core.IngestReply
 	// Checkpoint is the opaque state blob answering a checkpoint request.
 	Checkpoint []byte
+}
+
+// CountQuery is a round-2 exact-count request in columns. Lens holds three
+// entries per GR — |L|, |W|, |R| — and Attrs and Vals hold the conditions
+// of every descriptor in that order, GR after GR.
+//
+// grlint:wire v1
+type CountQuery struct {
+	Lens  []uint8
+	Attrs []uint16
+	Vals  []uint16
+}
+
+// CountColumns answers a CountQuery: one entry per queried GR in each
+// column. Hom is present only when the worker's metric reads it and R only
+// when it reads R; E is the reply's NumEdges for every GR.
+//
+// grlint:wire v1
+type CountColumns struct {
+	LWR, LW, Hom, R []int32
 }

@@ -500,9 +500,155 @@ func TestCountsMalformedRefusedInBand(t *testing.T) {
 	if got[0] != want[0] {
 		t.Fatalf("remote counts %+v, in-process %+v", got[0], want[0])
 	}
+	c.Close()
+
+	// The same refusals on the packed form itself: a raw session ships
+	// malformed columns no client would build.
+	raw := dialRaw(t, l.Addr().String())
+	defer raw.conn.Close()
+	if rep := raw.call(t, rpc.Request{Op: rpc.OpBuild, Spec: &spec}); rep.Err != "" {
+		t.Fatal(rep.Err)
+	}
+	okQuery := rpc.CountQuery{Lens: []uint8{1, 0, 1}, Attrs: []uint16{0, 0}, Vals: []uint16{1, 2}}
+	for _, tc := range []struct {
+		name string
+		q    rpc.CountQuery
+	}{
+		{"lengths not whole triples", rpc.CountQuery{Lens: []uint8{1, 0, 1, 1}, Attrs: []uint16{0, 0, 0}, Vals: []uint16{1, 2, 1}}},
+		{"lengths overrun the columns", rpc.CountQuery{Lens: []uint8{1, 0, 2}, Attrs: []uint16{0, 0}, Vals: []uint16{1, 2}}},
+		{"columns longer than the lengths", rpc.CountQuery{Lens: []uint8{1, 0, 0}, Attrs: []uint16{0, 0}, Vals: []uint16{1, 2}}},
+		{"ragged value column", rpc.CountQuery{Lens: []uint8{1, 0, 1}, Attrs: []uint16{0, 0}, Vals: []uint16{1}}},
+		{"huge length", rpc.CountQuery{Lens: []uint8{255, 255, 255}, Attrs: []uint16{0}, Vals: []uint16{1}}},
+		{"attribute outside the schema", rpc.CountQuery{Lens: []uint8{1, 0, 1}, Attrs: []uint16{7, 0}, Vals: []uint16{1, 2}}},
+		{"value outside the domain", rpc.CountQuery{Lens: []uint8{1, 0, 1}, Attrs: []uint16{0, 0}, Vals: []uint16{1, 999}}},
+		{"edge value outside the domain", rpc.CountQuery{Lens: []uint8{0, 1, 0}, Attrs: []uint16{0}, Vals: []uint16{3}}},
+		{"null value", rpc.CountQuery{Lens: []uint8{1, 0, 1}, Attrs: []uint16{0, 0}, Vals: []uint16{0, 2}}},
+		{"unsorted descriptor", rpc.CountQuery{Lens: []uint8{2, 0, 0}, Attrs: []uint16{1, 0}, Vals: []uint16{1, 1}}},
+	} {
+		if rep := raw.call(t, rpc.Request{Op: rpc.OpCounts, Query: tc.q}); rep.Err == "" {
+			t.Errorf("%s: packed query %+v accepted", tc.name, tc.q)
+		}
+	}
+	rep := raw.call(t, rpc.Request{Op: rpc.OpCounts, Query: okQuery})
+	if rep.Err != "" {
+		t.Fatalf("session did not survive the packed refusals: %s", rep.Err)
+	}
+	if c := rep.Counts; len(c.LWR) != 1 || int(c.LWR[0]) != want[0].LWR || int(c.LW[0]) != want[0].LW {
+		t.Fatalf("packed counts %+v, in-process %+v", c, want[0])
+	}
 	select {
 	case err := <-errCh:
 		t.Fatalf("daemon exited: %v", err)
 	default:
+	}
+}
+
+// rawSession is a hand-driven coordinator session: it speaks the protocol
+// directly, so a test can send requests no rpc.Client would build.
+type rawSession struct {
+	conn net.Conn
+	enc  *gob.Encoder
+	dec  *gob.Decoder
+}
+
+// dialRaw opens a session to addr and completes the handshake.
+func dialRaw(t *testing.T, addr string) *rawSession {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	r := &rawSession{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	if err := r.enc.Encode(rpc.Hello{Magic: rpc.Magic, Version: rpc.Version}); err != nil {
+		t.Fatal(err)
+	}
+	var hr rpc.HelloReply
+	if err := r.dec.Decode(&hr); err != nil || !hr.OK {
+		t.Fatalf("handshake: %+v, %v", hr, err)
+	}
+	return r
+}
+
+func (r *rawSession) call(t *testing.T, req rpc.Request) rpc.Reply {
+	t.Helper()
+	if err := r.enc.Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	var rep rpc.Reply
+	if err := r.dec.Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestCountsReplyMisalignedFailsClosed plays a daemon whose counts replies
+// carry columns that do not match the query. The client must return an
+// error naming the misalignment, never panic or hand the coordinator short
+// counts.
+func TestCountsReplyMisalignedFailsClosed(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	bad := []rpc.CountColumns{
+		{LWR: []int32{1}, LW: []int32{1, 1}},                         // short LWR
+		{LWR: []int32{1, 1}, LW: []int32{1, 1, 1}},                   // long LW
+		{LWR: []int32{1, 1}, LW: []int32{1, 1}, Hom: []int32{1}},     // ragged Hom
+		{LWR: []int32{1, 1}, LW: []int32{1, 1}, R: []int32{1, 1, 1}}, // long R
+		{}, // no columns at all
+		{LWR: []int32{1, 1}, LW: []int32{1, 1}, Hom: []int32{0, 0}, R: []int32{}}, // well-formed: must pass
+	}
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+		var h rpc.Hello
+		if dec.Decode(&h) != nil || enc.Encode(rpc.HelloReply{OK: true, Shards: 1}) != nil {
+			return
+		}
+		for i := 0; ; i++ {
+			var req rpc.Request
+			if dec.Decode(&req) != nil {
+				return
+			}
+			rep := rpc.Reply{NumEdges: 5}
+			if req.Op == rpc.OpCounts {
+				rep.Counts = bad[(i-1)%len(bad)]
+			}
+			if enc.Encode(rep) != nil {
+				return
+			}
+		}
+	}()
+	c, err := rpc.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	slot, err := c.Slot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slot.Build(core.WorkerSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	q := []gr.GR{{R: gr.Descriptor{{Attr: 0, Val: 1}}}, {L: gr.Descriptor{{Attr: 0, Val: 1}}}}
+	for i := range bad[:len(bad)-1] {
+		if got, err := slot.Counts(q); err == nil || !strings.Contains(err.Error(), "misaligned") {
+			t.Fatalf("reply %d: got %+v, %v; want a misalignment error", i, got, err)
+		}
+	}
+	got, err := slot.Counts(q)
+	if err != nil {
+		t.Fatalf("well-formed reply refused: %v", err)
+	}
+	want := metrics.Counts{LWR: 1, LW: 1, E: 5}
+	if len(got) != 2 || got[0] != want || got[1] != want {
+		t.Fatalf("well-formed reply unpacked to %+v, want two of %+v", got, want)
 	}
 }

@@ -157,7 +157,7 @@ func serveSession(conn net.Conn, capacity int, logf func(string, ...any)) error 
 				rep.Err = "counts before build"
 				break
 			}
-			counts, err := worker.Counts(req.GRs)
+			counts, err := answerCounts(worker, req.Query)
 			if err != nil {
 				rep.Err = err.Error()
 				break
