@@ -89,7 +89,8 @@ func (ds *dynamicStream) check(got []gr.Scored, opt core.Options) {
 
 // TestDynamicOracle is the headline equivalence gate of the fully dynamic
 // engine: randomized interleaved insert/delete batches against the
-// single-store engine, for every metric, both floor modes; after every
+// single-store engine, for every metric, both floor modes, the generality
+// filter on and off; after every
 // batch the maintained top-k must equal a full re-mine of the surviving
 // graph from scratch.
 func TestDynamicOracle(t *testing.T) {
@@ -101,31 +102,36 @@ func TestDynamicOracle(t *testing.T) {
 		full := randomGraph(seed, seed%2 == 0, seed%3 != 0)
 		for _, m := range metrics.All() {
 			for _, dyn := range []bool{false, true} {
-				opt := core.Options{
-					MinSupp: 1, MinScore: oracleThresholds[m.Name], K: 10,
-					DynamicFloor: dyn, Metric: m,
-				}
-				label := "dynamic-" + m.Name
-				if dyn {
-					label += "-dynfloor"
-				}
-				inc, err := core.NewIncremental(prefixGraph(full, full.NumEdges()), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ds := newDynamicStream(t, label, seed*31+int64(len(m.Name)), full)
-				sawDeletes := false
-				for batch := 0; batch < 10; batch++ {
-					b := ds.nextBatch()
-					sawDeletes = sawDeletes || len(b.Del) > 0
-					res, _, err := inc.ApplyBatch(b)
-					if err != nil {
-						t.Fatalf("%s: batch %d: %v", label, batch, err)
+				for _, noGen := range []bool{false, true} {
+					opt := core.Options{
+						MinSupp: 1, MinScore: oracleThresholds[m.Name], K: 10,
+						DynamicFloor: dyn, NoGeneralityFilter: noGen, Metric: m,
 					}
-					ds.check(res.TopK, inc.Options())
-				}
-				if !sawDeletes {
-					t.Fatalf("%s: stream never deleted an edge", label)
+					label := "dynamic-" + m.Name
+					if dyn {
+						label += "-dynfloor"
+					}
+					if noGen {
+						label += "-nogen"
+					}
+					inc, err := core.NewIncremental(prefixGraph(full, full.NumEdges()), opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ds := newDynamicStream(t, label, seed*31+int64(len(m.Name)), full)
+					sawDeletes := false
+					for batch := 0; batch < 10; batch++ {
+						b := ds.nextBatch()
+						sawDeletes = sawDeletes || len(b.Del) > 0
+						res, _, err := inc.ApplyBatch(b)
+						if err != nil {
+							t.Fatalf("%s: batch %d: %v", label, batch, err)
+						}
+						ds.check(res.TopK, inc.Options())
+					}
+					if !sawDeletes {
+						t.Fatalf("%s: stream never deleted an edge", label)
+					}
 				}
 			}
 		}

@@ -108,8 +108,8 @@ func TestParallelOnToyAndEmpty(t *testing.T) {
 }
 
 // Stress matrix for the lock-light engine: sequential and parallel results
-// must agree for every combination of metric, K, floor mode, and worker
-// count 1–16. Run under -race this also exercises the atomic floor and the
+// must agree for every combination of metric, K, floor mode, generality
+// filter on or off, and worker count 1–16. Run under -race this also exercises the atomic floor and the
 // task-queue draining for data races. The DynamicFloor reference runs with
 // ExactGenerality, the semantics the parallel engine guarantees.
 func TestParallelStressMatrix(t *testing.T) {
@@ -121,41 +121,46 @@ func TestParallelStressMatrix(t *testing.T) {
 		for _, m := range ms {
 			for _, k := range []int{0, 5} {
 				for _, dyn := range []bool{false, true} {
-					if dyn && k == 0 {
-						continue // DynamicFloor requires K > 0
-					}
-					label := m.Name
-					// Two sequential references: Parallelism ≤ 1 runs the
-					// paper-faithful plain floor, while Parallelism > 1
-					// auto-enables ExactGenerality under DynamicFloor (the
-					// documented parallel semantics).
-					refPlain, err := core.Mine(g, core.Options{
-						MinSupp: 1, MinScore: thresholds[m.Name], K: k, Metric: m,
-						DynamicFloor: dyn,
-					})
-					if err != nil {
-						t.Fatalf("%s seq: %v", label, err)
-					}
-					refExact, err := core.Mine(g, core.Options{
-						MinSupp: 1, MinScore: thresholds[m.Name], K: k, Metric: m,
-						DynamicFloor: dyn, ExactGenerality: dyn,
-					})
-					if err != nil {
-						t.Fatalf("%s seq exact: %v", label, err)
-					}
-					for _, workers := range workerCounts {
-						par, err := core.Mine(g, core.Options{
+					for _, noGen := range []bool{false, true} {
+						if dyn && k == 0 {
+							continue // DynamicFloor requires K > 0
+						}
+						label := m.Name
+						if noGen {
+							label += "-nogen"
+						}
+						// Two sequential references: Parallelism ≤ 1 runs the
+						// paper-faithful plain floor, while Parallelism > 1
+						// auto-enables ExactGenerality under DynamicFloor (the
+						// documented parallel semantics).
+						refPlain, err := core.Mine(g, core.Options{
 							MinSupp: 1, MinScore: thresholds[m.Name], K: k, Metric: m,
-							DynamicFloor: dyn, Parallelism: workers,
+							DynamicFloor: dyn, NoGeneralityFilter: noGen,
 						})
 						if err != nil {
-							t.Fatalf("%s x%d: %v", label, workers, err)
+							t.Fatalf("%s seq: %v", label, err)
 						}
-						want := refExact.TopK
-						if workers <= 1 {
-							want = refPlain.TopK
+						refExact, err := core.Mine(g, core.Options{
+							MinSupp: 1, MinScore: thresholds[m.Name], K: k, Metric: m,
+							DynamicFloor: dyn, ExactGenerality: dyn, NoGeneralityFilter: noGen,
+						})
+						if err != nil {
+							t.Fatalf("%s seq exact: %v", label, err)
 						}
-						assertSameResults(t, label+"-stress", par.TopK, want)
+						for _, workers := range workerCounts {
+							par, err := core.Mine(g, core.Options{
+								MinSupp: 1, MinScore: thresholds[m.Name], K: k, Metric: m,
+								DynamicFloor: dyn, NoGeneralityFilter: noGen, Parallelism: workers,
+							})
+							if err != nil {
+								t.Fatalf("%s x%d: %v", label, workers, err)
+							}
+							want := refExact.TopK
+							if workers <= 1 {
+								want = refPlain.TopK
+							}
+							assertSameResults(t, label+"-stress", par.TopK, want)
+						}
 					}
 				}
 			}
