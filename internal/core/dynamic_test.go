@@ -90,9 +90,8 @@ func (ds *dynamicStream) check(got []gr.Scored, opt core.Options) {
 // TestDynamicOracle is the headline equivalence gate of the fully dynamic
 // engine: randomized interleaved insert/delete batches against the
 // single-store engine, for every metric, both floor modes, the generality
-// filter on and off; after every
-// batch the maintained top-k must equal a full re-mine of the surviving
-// graph from scratch.
+// filter on and off; after every batch the maintained top-k must equal a
+// full re-mine of the surviving graph from scratch.
 func TestDynamicOracle(t *testing.T) {
 	seeds := []int64{0, 1, 2}
 	if testing.Short() {
