@@ -20,8 +20,8 @@
 //     condition (1). The pool is a superset of the top-k (it also holds
 //     generality-blocked candidates, which batches can unblock when their
 //     blocker decays below the thresholds), so conditions (2) and (3) can
-//     be re-applied exactly after every batch with the same
-//     most-general-first merge the parallel engine uses. Under
+//     be re-applied exactly after every batch by rankCandidates, the
+//     most-general-first merge every engine ends in. Under
 //     Options.PoolCap the pool is bounded; see trimPool for the exactness
 //     argument (score-ordered spill + re-mine-on-underflow).
 //
@@ -87,7 +87,6 @@ import (
 	"grminer/internal/intern"
 	"grminer/internal/metrics"
 	"grminer/internal/store"
-	"grminer/internal/topk"
 )
 
 // EdgeInsert is one edge to ingest: endpoints plus edge attribute values
@@ -653,16 +652,9 @@ func remineAffectedSubtrees(st *store.Store, opt Options, wit *witnesses, captur
 }
 
 // assemble applies Definition 5 conditions (2) and (3) to the pool and
-// packages the result. The pool is the complete condition-(1) set, so the
-// most-general-first blocker merge is exact — the same argument
-// mergeCandidates makes for the static-floor parallel collection. Unlike
-// mergeCandidates (a one-shot merge), this runs once per batch over the
-// whole pool, so it reuses the engine's candidate scratch and blocker table
-// and orders candidates by generality level alone — no per-entry key
-// strings. Level order suffices for exactness: a same-level subset relation
-// forces equality (equal condition counts), so same-level candidates can
-// never block one another, and the top-k list's strict total order (gr.Less)
-// makes the retained set independent of same-level insertion order.
+// packages the result. The pool is the complete condition-(1) set, so
+// rankCandidates decides both exactly; assemble runs once per batch, so it
+// reuses the engine's candidate scratch and blocker map.
 func (inc *Incremental) assemble(stats *Stats, d time.Duration) *Result {
 	collected := inc.mergeScratch[:0]
 	for i := range inc.pool.entries {
@@ -672,27 +664,8 @@ func (inc *Incremental) assemble(stats *Stats, d time.Duration) *Result {
 		})
 	}
 	inc.mergeScratch = collected
-	var top []gr.Scored
-	if inc.opt.NoGeneralityFilter {
-		top = topk.MergeItems(inc.opt.K, collected).Items()
-	} else {
-		sort.Slice(collected, func(i, j int) bool {
-			return len(collected[i].GR.L)+len(collected[i].GR.W) <
-				len(collected[j].GR.L)+len(collected[j].GR.W)
-		})
-		bm := inc.scr.blockers
-		bm.reset()
-		list := topk.New(inc.opt.K)
-		for _, s := range collected {
-			if bm.blocks(s.GR) {
-				stats.Blocked++
-				continue
-			}
-			bm.record(s.GR)
-			list.Consider(s)
-		}
-		top = list.Items()
-	}
+	inc.scr.blockers.reset()
+	top := rankCandidates(collected, inc.opt.K, !inc.opt.NoGeneralityFilter, inc.scr.blockers, stats)
 	stats.Candidates = int64(len(collected))
 	stats.Duration = d
 	return &Result{TopK: top, Stats: *stats, Options: inc.opt, TotalEdges: inc.st.NumEdges()}

@@ -1030,8 +1030,8 @@ func (m *miner) emit(g gr.GR, c metrics.Counts, score float64) {
 //
 // Parallel workers instead keep candidates private. With a static floor
 // they collect into a local slice and the generality filter runs in the
-// coordinator's final generality-ordered merge (the collected set is
-// complete, so the merge is exact). Under DynamicFloor the normalized
+// coordinator's final generality-ordered merge, rankCandidates (the
+// collected set is complete, so the merge is exact). Under DynamicFloor the normalized
 // options force ExactGenerality, making the blocking decision
 // order-independent so it happens right here; survivors enter the worker's
 // private top-k list, and whenever that list's own floor rises the worker

@@ -9,7 +9,6 @@ import (
 
 	"grminer/internal/gr"
 	"grminer/internal/graph"
-	"grminer/internal/intern"
 	"grminer/internal/store"
 	"grminer/internal/topk"
 )
@@ -33,19 +32,19 @@ import (
 // first through an atomic index, so the biggest subtrees start earliest and
 // stragglers do not tail the run; claiming a task is a single atomic add.
 //
-// Soundness (the sequential mergeCandidates argument carries over):
+// Soundness (the coordinator ends in rankCandidates, the one
+// condition-(2)/(3) merge every engine shares):
 //
 //   - the tasks partition the enumeration space exactly as the sequential
 //     walk does, so every GR is examined by exactly one worker;
 //   - supp pruning is local and unaffected;
 //   - with a static floor, workers prune only on MinScore, so the union of
 //     the per-worker candidate slices is the complete set of GRs satisfying
-//     Definition 5 condition (1); the coordinator then applies condition
-//     (2) in generality order (a complete candidate set makes the
-//     blocker-map filter exact) and condition (3) by rank — exactly what
-//     mergeCandidates did for the old shared-list coordinator, because that
-//     merge only ever consumed the union of collected candidates and never
-//     depended on *when* (or through which lock) candidates arrived;
+//     Definition 5 condition (1); rankCandidates then applies condition (2)
+//     in generality order (a complete candidate set makes the blocker-map
+//     filter exact) and condition (3) by rank. The merge consumes only the
+//     union of the collected candidates, never *when* (or through which
+//     worker) they arrived;
 //   - with DynamicFloor, normalize() forces ExactGenerality so condition
 //     (2) is decided order-independently inside each worker; each local
 //     list therefore holds only genuinely qualifying, unblocked candidates.
@@ -58,7 +57,7 @@ import (
 //     candidates scoring strictly below some floor value, hence strictly
 //     below the final k-th best score. Every global top-k entry survives in
 //     its worker's bound-k local list (it outranks the global k-th, so it
-//     can never be evicted), which makes the final topk.Merge of the local
+//     can never be evicted), which makes ranking the union of the local
 //     lists exact.
 
 // parFloor is the one piece of shared mutable state: the dynamic pruning
@@ -161,24 +160,20 @@ func mineParallel(st *store.Store, opt Options) (*Result, error) {
 	wg.Wait()
 
 	// Merge once: coordinator stats (supp pruning observed while building
-	// tasks) plus every worker's results.
+	// tasks) plus every worker's results. A static floor leaves candidates
+	// in collected, a dynamic one in the bound-k local lists; each run
+	// fills only one of the two. Unless ExactGenerality already blocked
+	// in-worker, condition (2) is decided here, through the coordinator's
+	// own (unused) blocker map.
 	stats := coord.stats
 	var collected []gr.Scored
-	lists := make([]*topk.List, 0, workers)
 	for _, w := range miners {
 		collected = append(collected, w.collected...)
-		lists = append(lists, w.top)
+		collected = append(collected, w.top.Items()...)
 		addStats(&stats, &w.stats)
 	}
-
-	var topList []gr.Scored
-	if opt.DynamicFloor {
-		// Workers kept bound-k local lists (generality was already decided
-		// in-worker, order-independently); merging them is exact.
-		topList = topk.Merge(opt.K, lists...).Items()
-	} else {
-		topList = mergeCandidates(collected, opt, st.Graph().Schema(), &stats)
-	}
+	block := !opt.NoGeneralityFilter && !opt.ExactGenerality
+	topList := rankCandidates(collected, opt.K, block, coord.scr.blockers, &stats)
 	stats.Duration = time.Since(start)
 	return &Result{TopK: topList, Stats: stats, Options: opt, TotalEdges: st.NumEdges()}, nil
 }
@@ -278,54 +273,34 @@ func buildTasks(m *miner) []parTask {
 	return tasks
 }
 
-// mergeCandidates applies Definition 5 conditions (2) and (3) to the union
-// of worker candidates. With ExactGenerality the candidates were already
-// blocked exactly inside the workers and only ranking remains; otherwise
-// candidates are processed most-general-first against a blocker map, which
-// is exact because the static-floor collection is complete. One-shot (a
-// fresh interning dictionary per merge); the per-batch incremental assemble
-// has its own allocation-reusing twin in incremental.go.
-func mergeCandidates(collected []gr.Scored, opt Options, schema *graph.Schema, stats *Stats) []gr.Scored {
-	if opt.NoGeneralityFilter || opt.ExactGenerality {
-		return topk.MergeItems(opt.K, collected).Items()
+// rankCandidates applies Definition 5 conditions (2) and (3) to a complete
+// condition-(1) candidate set; every engine ends in it. With block set, the
+// candidates are filtered most-general-first through bm (each blocked one
+// counted in stats.Blocked), which is exact because the set is complete:
+// every generalisation of a candidate that meets condition (1) is itself in
+// the set and is recorded before the candidate is probed. Sorting by
+// generality level (|L|+|W|) alone suffices — a same-level subset relation
+// forces equality, so same-level candidates never block one another, and
+// gr.Less is a strict total order, so the ranked top-k does not depend on
+// the order within a level. Without block, candidates were already filtered
+// (or the filter is off) and only the ranking remains. collected is
+// reordered in place.
+func rankCandidates(collected []gr.Scored, k int, block bool, bm *blockerMap, stats *Stats) []gr.Scored {
+	if !block {
+		return topk.MergeItems(k, collected).Items()
 	}
-	list := topk.New(opt.K)
-	// Keys are precomputed once: the comparator runs O(n log n) times per
-	// merge, where per-comparison Key() calls used to dominate profiles.
-	keys := make([]string, len(collected))
-	for i := range collected {
-		keys[i] = collected[i].GR.Key()
-	}
-	sort.Sort(&keyedCandidates{items: collected, keys: keys})
-	blockers := newBlockerMap(intern.NewDict(intern.NewLayout(schema)))
+	sort.Slice(collected, func(i, j int) bool {
+		return len(collected[i].GR.L)+len(collected[i].GR.W) <
+			len(collected[j].GR.L)+len(collected[j].GR.W)
+	})
+	list := topk.New(k)
 	for _, s := range collected {
-		if blockers.blocks(s.GR) {
+		if bm.blocks(s.GR) {
 			stats.Blocked++
 			continue
 		}
-		blockers.record(s.GR)
+		bm.record(s.GR)
 		list.Consider(s)
 	}
 	return list.Items()
-}
-
-// keyedCandidates sorts candidates most-general-first (fewest L∪W
-// conditions, then canonical key) with the keys computed once up front.
-type keyedCandidates struct {
-	items []gr.Scored
-	keys  []string
-}
-
-func (k *keyedCandidates) Len() int { return len(k.items) }
-func (k *keyedCandidates) Less(i, j int) bool {
-	li := len(k.items[i].GR.L) + len(k.items[i].GR.W)
-	lj := len(k.items[j].GR.L) + len(k.items[j].GR.W)
-	if li != lj {
-		return li < lj
-	}
-	return k.keys[i] < k.keys[j]
-}
-func (k *keyedCandidates) Swap(i, j int) {
-	k.items[i], k.items[j] = k.items[j], k.items[i]
-	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
 }

@@ -40,15 +40,9 @@
 //     counts — batched per worker — only for candidates whose summed bound
 //     can still reach minSupp, where a shard that never offered a candidate
 //     contributes at most min(t−1, its sketch's singleton bound). The
-//     surviving set is exactly the global condition-(1) set, so the
-//     most-general-first blocker merge (mergeCandidates) decides condition
-//     (2) exactly; condition (3) is rank.
-//
-// With the generality filter disabled there is nothing to block, and the
-// re-scoring merge workers instead keep private bound-k lists guarded by
-// the shared CAS-raised floor of parallel.go: a worker's local k-th best
-// never exceeds the global k-th best, so skipping candidates below the
-// floor is sound and the final topk.Merge of the worker lists is exact.
+//     surviving set is exactly the global condition-(1) set, so
+//     rankCandidates (parallel.go), the level-ordered blocker merge every
+//     engine ends in, decides condition (2) exactly; condition (3) is rank.
 //
 // Like the parallel and incremental engines, a dynamic floor forces
 // ExactGenerality so the result is order-independent; Options() returns the
@@ -68,13 +62,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"grminer/internal/gr"
 	"grminer/internal/graph"
+	"grminer/internal/intern"
 	"grminer/internal/metrics"
-	"grminer/internal/topk"
 )
 
 // DefaultCheckpointInterval is the acknowledged-batch count between worker
@@ -455,10 +448,13 @@ type mergeItem struct {
 // counts are fetched in one batched Counts call per worker. Stats records
 // the (candidate, shard) fetch volume (ExactCountRequests).
 //
+// Survivors are re-scored in one sequential loop and handed, with a fresh
+// blocker map, to rankCandidates, which applies conditions (2) and (3).
 // The pool is walked in slot order, and the result does not depend on it:
-// gr.Less and mergeCandidates break every tie by key. Each shard's round-2
-// request lists its GRs in slot order, which the sequence of offers and
-// deltas fixes, so the requests are deterministic too.
+// rankCandidates orders by generality level and gr.Less breaks every rank
+// tie by key. Each shard's round-2 request lists its GRs in slot order,
+// which the sequence of offers and deltas fixes, so the requests are
+// deterministic too.
 func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWorker, sketches []ShardSketch, pool *unionTable, schema *graph.Schema, stats *Stats) ([]gr.Scored, error) {
 	// Round-2 bound pass: pure arithmetic over known counts and sketches.
 	n := len(workers)
@@ -525,94 +521,35 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 		}
 	}
 
-	nw := opt.Parallelism
-	if nw < 1 {
-		nw = 1
-	}
-	if nw > len(items) {
-		nw = len(items)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	// With the generality filter off there is nothing to block: merge
-	// workers keep private bound-k lists behind the shared CAS-raised floor
-	// and the final topk.Merge is exact. With the filter on, every
-	// qualifying candidate is a potential blocker, so workers must collect
-	// all survivors for the blocker merge and the floor cannot skip any.
-	useFloor := opt.NoGeneralityFilter
-	floor := newParFloor()
-	lists := make([]*topk.List, nw)
-	survivors := make([][]gr.Scored, nw)
-	var next atomic.Int64
-	var qualifying atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		lists[wi] = topk.New(opt.K)
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
+	// Re-score from the summed counts. Candidates keeps its documented
+	// meaning — GRs meeting both *global* thresholds — so it is overwritten
+	// rather than added to the offer-round counters (work done at the
+	// relaxed shard thresholds), as the single-store assemble does.
+	var survivors []gr.Scored
+	for _, it := range items {
+		var c metrics.Counts
+		for s := 0; s < n; s++ {
+			per := it.u.per[s]
+			if !it.u.have[s] {
+				f := fetch[it.fetch+int32(s)]
+				if f < 0 {
+					continue // provably zero contribution, never fetched
 				}
-				it := items[i]
-				var c metrics.Counts
-				for s := 0; s < n; s++ {
-					per := it.u.per[s]
-					if !it.u.have[s] {
-						f := fetch[it.fetch+int32(s)]
-						if f < 0 {
-							continue // provably zero contribution, never fetched
-						}
-						per = fetched[s][f]
-					}
-					c.LWR += per.LWR
-					c.LW += per.LW
-					c.Hom += per.Hom
-					c.R += per.R
-				}
-				c.E = totalEdges
-				score := opt.Metric.Score(c)
-				if c.LWR < opt.MinSupp || !(score >= opt.MinScore) {
-					continue
-				}
-				qualifying.Add(1)
-				s := gr.Scored{GR: it.u.gr, Supp: c.LWR, Score: score, Conf: metrics.Conf(c)}
-				if useFloor {
-					if opt.K > 0 && score < floor.load() {
-						continue
-					}
-					if lists[wi].Consider(s) {
-						if fl, ok := lists[wi].Floor(); ok {
-							floor.raise(fl)
-						}
-					}
-				} else {
-					survivors[wi] = append(survivors[wi], s)
-				}
+				per = fetched[s][f]
 			}
-		}(wi)
+			c.LWR += per.LWR
+			c.LW += per.LW
+			c.Hom += per.Hom
+			c.R += per.R
+		}
+		c.E = totalEdges
+		score := opt.Metric.Score(c)
+		if c.LWR < opt.MinSupp || !(score >= opt.MinScore) {
+			continue
+		}
+		survivors = append(survivors, gr.Scored{GR: it.u.gr, Supp: c.LWR, Score: score, Conf: metrics.Conf(c)})
 	}
-	wg.Wait()
-
-	// Offer-round counters are work done at the relaxed shard thresholds;
-	// Candidates keeps its documented meaning — GRs meeting both *global*
-	// thresholds — by overwriting rather than adding (the same convention
-	// the single-store incremental assemble uses).
-	stats.Candidates = qualifying.Load()
-	if useFloor {
-		return topk.Merge(opt.K, lists...).Items(), nil
-	}
-	var collected []gr.Scored
-	for _, sv := range survivors {
-		collected = append(collected, sv...)
-	}
-	// The survivor set is the complete global condition-(1) set, so the
-	// most-general-first blocker merge is exact (no per-candidate
-	// generalisation scans needed — clear ExactGenerality for the merge).
-	mergeOpt := opt
-	mergeOpt.ExactGenerality = false
-	return mergeCandidates(collected, mergeOpt, schema, stats), nil
+	stats.Candidates = int64(len(survivors))
+	bm := newBlockerMap(intern.NewDict(intern.NewLayout(schema)))
+	return rankCandidates(survivors, opt.K, !opt.NoGeneralityFilter, bm, stats), nil
 }

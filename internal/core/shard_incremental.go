@@ -26,8 +26,8 @@
 //
 //   - Across shards, every ApplyBatch ends with the coordinator merge of
 //     shard.go over the maintained global pool: summed counts, global
-//     condition (1) with the sketch-capped round-2 bound, and the exact
-//     blocker merge for conditions (2)-(3). The coordinator keeps the
+//     condition (1) with the sketch-capped round-2 bound, and
+//     rankCandidates for conditions (2)-(3). The coordinator keeps the
 //     per-shard coarse count sketches fresh itself while routing (it sees
 //     every edge), so no extra round trip is spent on them.
 //

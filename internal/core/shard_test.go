@@ -91,8 +91,8 @@ func TestShardedAllShardCounts(t *testing.T) {
 	}
 }
 
-// With the generality filter off, the merge runs the floor-guarded private
-// top-k lists; the result must still match single-store mining.
+// With the generality filter off, the merge only ranks the survivors; the
+// result must still match single-store mining.
 func TestShardedNoGeneralityFilter(t *testing.T) {
 	g := randomGraph(7, true, false)
 	for _, dyn := range []bool{false, true} {

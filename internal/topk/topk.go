@@ -86,33 +86,15 @@ func ChangedFrom(prev, cur []gr.Scored) int {
 	return changed
 }
 
-// MergeItems folds loose scored slices into a bound-k list. Like Merge it is
-// exact when the groups together cover the full candidate set; the parallel
-// coordinator's post-filter ranking and the shard coordinator's survivor
-// merge both reduce to it.
+// MergeItems folds loose scored slices into a bound-k list. Merging groups
+// that each saw a disjoint share of a candidate stream is exact even when
+// each group was itself already cut to its own best k: any entry of the
+// global top-k outranks the global k-th entry, so it can never have been
+// cut from its group. Every engine's final ranking reduces to it.
 func MergeItems(k int, groups ...[]gr.Scored) *List {
 	out := New(k)
 	for _, g := range groups {
 		for _, s := range g {
-			out.Consider(s)
-		}
-	}
-	return out
-}
-
-// Merge returns a new list of bound k holding the best entries across ls.
-// Merging bound-k lists that each saw a disjoint share of a candidate
-// stream is exact: any entry of the global top-k outranks the global k-th
-// entry, so it can never have been evicted from its own bound-k list. The
-// parallel miner relies on this to combine per-worker lists once at the
-// end of a run.
-func Merge(k int, ls ...*List) *List {
-	out := New(k)
-	for _, l := range ls {
-		if l == nil {
-			continue
-		}
-		for _, s := range l.items {
 			out.Consider(s)
 		}
 	}

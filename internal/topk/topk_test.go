@@ -98,8 +98,8 @@ func TestItemsIsCopy(t *testing.T) {
 }
 
 // Merging sharded bound-k lists must equal one list that saw every
-// candidate — the exactness property the parallel miner's final merge
-// relies on.
+// candidate — the exactness property the parallel miner's final ranking of
+// its workers' dynamic-floor lists relies on.
 func TestMergeEqualsSingleList(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -114,7 +114,11 @@ func TestMergeEqualsSingleList(t *testing.T) {
 			single.Consider(s)
 			shards[r.Intn(len(shards))].Consider(s)
 		}
-		merged := Merge(k, shards...)
+		groups := make([][]gr.Scored, len(shards))
+		for i, l := range shards {
+			groups[i] = l.Items()
+		}
+		merged := MergeItems(k, groups...)
 		got, want := merged.Items(), single.Items()
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: merged %d items, want %d", seed, len(got), len(want))
@@ -125,7 +129,7 @@ func TestMergeEqualsSingleList(t *testing.T) {
 			}
 		}
 	}
-	if Merge(3, nil, New(3)).Len() != 0 {
+	if MergeItems(3, nil, New(3).Items()).Len() != 0 {
 		t.Error("merge of empty lists not empty")
 	}
 }
