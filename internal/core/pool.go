@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"grminer/internal/gr"
 	"grminer/internal/graph"
 	"grminer/internal/intern"
@@ -14,6 +16,9 @@ type tracked struct {
 	c        metrics.Counts
 	score    float64
 	betaMask uint64
+	// moved carries "some batch row matched" across a multi-chunk
+	// recount; false between recounts.
+	moved bool
 }
 
 // densePool is the candidate pool both incremental engines maintain — the
@@ -39,6 +44,14 @@ type densePool struct {
 	slots   []int32
 	entries []tracked
 	ids     []intern.GRID
+
+	// recount's batch value bitmaps, one word per (side, attribute, value):
+	// bit i of lm[nOff[a]+v] (rm, em[eOff[a]+v]) is set while row i of the
+	// chunk being counted carries value v on source (destination, edge)
+	// attribute a. Sized Σ(Domain+1) per side with the pool and all zero
+	// between chunks.
+	nOff, eOff []int
+	lm, rm, em []uint64
 }
 
 // poolChanges is a recount's report of what it changed, reused across
@@ -59,7 +72,25 @@ type demotion struct {
 // newDensePool returns an empty pool over st's dictionary, gated by the
 // capture options opt.
 func newDensePool(st *store.Store, opt Options) densePool {
-	return densePool{st: st, dict: st.Dict(), opt: opt}
+	schema := st.Graph().Schema()
+	p := densePool{st: st, dict: st.Dict(), opt: opt}
+	var nWords, eWords int
+	p.nOff, nWords = valueOffsets(schema.Node)
+	p.eOff, eWords = valueOffsets(schema.Edge)
+	p.lm, p.rm, p.em = make([]uint64, nWords), make([]uint64, nWords), make([]uint64, eWords)
+	return p
+}
+
+// valueOffsets lays the attributes' values 0..Domain out end to end: the
+// first word of each attribute, and the total.
+func valueOffsets(attrs []graph.Attribute) ([]int, int) {
+	off := make([]int, len(attrs))
+	n := 0
+	for a := range attrs {
+		off[a] = n
+		n += attrs[a].Domain + 1
+	}
+	return off, n
 }
 
 // captureOptions derives the options of pool-building mines from an
@@ -155,88 +186,140 @@ func (p *densePool) reset() {
 // by the β-value conflict can never also match l[β]); matching l[β] instead
 // moves Hom alongside LW; matching r alone moves R — with inserted rows
 // adding and deleted rows subtracting. A non-nil ch is refilled with the
-// kept entries whose counts moved and the dropped ones.
+// kept entries whose counts moved and the dropped ones, in entry order with
+// swap-remove revisit.
+//
+// The batch is counted in words, not rows: newRows ++ delRows is taken in
+// chunks of at most 64 rows, each chunk's rows are marked into the value
+// bitmaps (markChunk), and an entry's rows in the chunk are the AND of its
+// conditions' words — |L|+|W|+|R| ANDs and a few popcounts per entry and
+// chunk, whatever the chunk's row count. The last chunk's pass also
+// applies the gate.
 func (p *densePool) recount(newRows, delRows []int32, ch *poolChanges) (recounted, dropped int) {
 	if ch != nil {
 		ch.touched, ch.demoted = ch.touched[:0], ch.demoted[:0]
 	}
-	needR := p.opt.Metric.NeedsR
 	totalE := p.st.NumEdges() - len(delRows)
-	for i := 0; i < p.len(); {
-		t := &p.entries[i]
-		moved := p.delta(t, newRows, 1, needR)
-		moved = p.delta(t, delRows, -1, needR) || moved
-		t.c.E = totalE
-		t.score = p.opt.Metric.Score(t.c)
-		if moved {
-			recounted++
+	n := len(newRows) + len(delRows)
+	for lo := 0; ; lo += 64 {
+		hi := min(lo+64, n)
+		p.markChunk(newRows, delRows, lo, hi, true)
+		all := ^uint64(0) >> uint(64-(hi-lo))
+		// neg holds the chunk's deleted rows: batch positions ≥ len(newRows).
+		neg := all
+		if d := len(newRows) - lo; d > 0 {
+			neg = all &^ (uint64(1)<<uint(min(d, 64)) - 1)
 		}
-		if t.score < p.opt.MinScore || t.c.LWR < p.opt.MinSupp {
-			// Swap-remove: index i now holds a not-yet-visited entry, so the
-			// loop re-examines it instead of advancing.
-			if ch != nil {
-				ch.demoted = append(ch.demoted, demotion{id: p.ids[i], c: t.c})
+		if hi < n {
+			for i := range p.entries {
+				t := &p.entries[i]
+				t.moved = p.countChunk(t, all, neg) || t.moved
 			}
-			p.deleteAt(i)
-			dropped++
+			p.markChunk(newRows, delRows, lo, hi, false)
 			continue
 		}
-		if moved && ch != nil {
-			ch.touched = append(ch.touched, p.ids[i])
+		for i := 0; i < p.len(); {
+			t := &p.entries[i]
+			moved := p.countChunk(t, all, neg) || t.moved
+			t.moved = false
+			t.c.E = totalE
+			t.score = p.opt.Metric.Score(t.c)
+			if moved {
+				recounted++
+			}
+			if t.score < p.opt.MinScore || t.c.LWR < p.opt.MinSupp {
+				// Swap-remove: index i now holds a not-yet-visited entry, so
+				// the loop re-examines it instead of advancing.
+				if ch != nil {
+					ch.demoted = append(ch.demoted, demotion{id: p.ids[i], c: t.c})
+				}
+				p.deleteAt(i)
+				dropped++
+				continue
+			}
+			if moved && ch != nil {
+				ch.touched = append(ch.touched, p.ids[i])
+			}
+			i++
 		}
-		i++
+		p.markChunk(newRows, delRows, lo, hi, false)
+		return recounted, dropped
 	}
-	return recounted, dropped
 }
 
-// delta adds sign × (rows' contribution) to t's counts and reports whether
-// any count moved.
-func (p *densePool) delta(t *tracked, rows []int32, sign int, needR bool) bool {
+// countChunk adds the marked chunk's contribution to t's counts — rows in
+// all, the deleted ones in neg, subtracting — and reports whether any row
+// matched l ∧ w, or r when the metric reads R.
+func (p *densePool) countChunk(t *tracked, all, neg uint64) bool {
+	lw := all
+	for _, c := range t.gr.L {
+		lw &= p.lm[p.nOff[c.Attr]+int(c.Val)]
+	}
+	for _, c := range t.gr.W {
+		lw &= p.em[p.eOff[c.Attr]+int(c.Val)]
+	}
+	needR := p.opt.Metric.NeedsR
+	if lw == 0 && !needR {
+		return false
+	}
+	r := all
+	for _, c := range t.gr.R {
+		r &= p.rm[p.nOff[c.Attr]+int(c.Val)]
+	}
+	t.c.LW += signedPop(lw, neg)
+	t.c.LWR += signedPop(lw&r, neg)
+	if t.betaMask != 0 {
+		hom := lw &^ r
+		for _, c := range t.gr.L {
+			if t.betaMask&(1<<uint(c.Attr)) != 0 {
+				hom &= p.rm[p.nOff[c.Attr]+int(c.Val)]
+			}
+		}
+		t.c.Hom += signedPop(hom, neg)
+	}
+	if needR {
+		t.c.R += signedPop(r, neg)
+		return lw != 0 || r != 0
+	}
+	return true
+}
+
+// signedPop counts x's rows, the deleted ones (in neg) negatively.
+func signedPop(x, neg uint64) int {
+	return bits.OnesCount64(x) - 2*bits.OnesCount64(x&neg)
+}
+
+// markChunk sets (set) or clears (!set) the value-bitmap words of batch
+// positions [lo, hi) of newRows ++ delRows: position lo+i sets bit i of
+// each word naming one of its row's source, destination and edge values.
+// Clearing walks the same rows, so it costs the chunk, never the table.
+func (p *densePool) markChunk(newRows, delRows []int32, lo, hi int, set bool) {
 	st := p.st
-	moved := false
-	for _, e := range rows {
-		if matchOn(st.LVal, e, t.gr.L) && matchOn(st.EVal, e, t.gr.W) {
-			t.c.LW += sign
-			moved = true
-			if matchOn(st.RVal, e, t.gr.R) {
-				t.c.LWR += sign
-			} else if t.betaMask != 0 && matchHomOn(st, e, t.gr.L, t.betaMask) {
-				t.c.Hom += sign
+	for k := lo; k < hi; k++ {
+		e := int32(0)
+		if k < len(newRows) {
+			e = newRows[k]
+		} else {
+			e = delRows[k-len(newRows)]
+		}
+		bit := uint64(1) << uint(k-lo)
+		for a, off := range p.nOff {
+			l, r := &p.lm[off+int(st.LVal(e, a))], &p.rm[off+int(st.RVal(e, a))]
+			if set {
+				*l, *r = *l|bit, *r|bit
+			} else {
+				*l, *r = 0, 0
 			}
 		}
-		if needR && matchOn(st.RVal, e, t.gr.R) {
-			t.c.R += sign
-			moved = true
+		for a, off := range p.eOff {
+			w := &p.em[off+int(st.EVal(e, a))]
+			if set {
+				*w |= bit
+			} else {
+				*w = 0
+			}
 		}
 	}
-	return moved
-}
-
-// matchOn reports whether edge e satisfies every condition of d under the
-// given per-edge accessor (LVal, EVal, or RVal).
-func matchOn(val func(int32, int) graph.Value, e int32, d gr.Descriptor) bool {
-	for _, c := range d {
-		if val(e, c.Attr) != c.Val {
-			return false
-		}
-	}
-	return true
-}
-
-// matchHomOn is the store-level homophily-effect row test: row e (already
-// known to match l ∧ w) counts toward l -w-> l[β] when its destination
-// carries the LHS value on every attribute of betaMask.
-func matchHomOn(st *store.Store, e int32, l gr.Descriptor, betaMask uint64) bool {
-	for a := 0; a < len(st.Graph().Schema().Node); a++ {
-		if betaMask&(1<<uint(a)) == 0 {
-			continue
-		}
-		lv, _ := l.Get(a)
-		if st.RVal(e, a) != lv {
-			return false
-		}
-	}
-	return true
 }
 
 // betaMaskOf computes β (Equation 4) as a node-attribute bitmask; shared by

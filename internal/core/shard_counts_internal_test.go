@@ -39,6 +39,17 @@ func rowScanCounts(st *store.Store, m metrics.Metric, g gr.GR) metrics.Counts {
 	return c
 }
 
+// matchOn reports whether edge e satisfies every condition of d under the
+// given per-edge accessor (LVal, EVal, or RVal).
+func matchOn(val func(int32, int) graph.Value, e int32, d gr.Descriptor) bool {
+	for _, c := range d {
+		if val(e, c.Attr) != c.Val {
+			return false
+		}
+	}
+	return true
+}
+
 // countsSchema has two homophily attributes (so β ≠ ∅ arises), and domains
 // wider than the values the fixture draws, so some descriptor values are
 // carried by no row and their posting bitmaps are nil.
