@@ -159,7 +159,12 @@ func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, e
 	}
 	if img.Seeded {
 		w.seeded = true
-		for _, cand := range img.Pool {
+		for i, cand := range img.Pool {
+			// An out-of-schema condition would index past the dictionary's
+			// pair layout and the recount's value bitmaps.
+			if err := cand.GR.Valid(w.g.Schema()); err != nil {
+				return nil, fmt.Errorf("core: shard %d: checkpoint pool entry %d: %w", spec.Index, i, err)
+			}
 			w.pool.upsert(cand.GR, cand.Counts, w.pool.opt.Metric.Score(cand.Counts))
 		}
 	}

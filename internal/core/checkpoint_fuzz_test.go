@@ -1,0 +1,50 @@
+package core
+
+import (
+	"testing"
+
+	"grminer/internal/graph"
+)
+
+// FuzzWorkerCheckpoint feeds arbitrary bytes to the checkpoint restore that
+// shardd's Restore takes off the wire. A blob must restore or fail with an
+// error, never panic; a blob that restores must leave a worker that can
+// ingest and checkpoint again. The checked-in corpus holds a real blob and
+// the two corruptions that used to panic (an edge row past the LArray, a
+// pool GR outside the schema).
+func FuzzWorkerCheckpoint(f *testing.F) {
+	spec := realWorkerSpec(f, 11, 2, 0)
+	w, err := NewWorkerState(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := w.Offer(nil); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := w.Ingest(Batch{
+		Ins: []EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}},
+		Del: []EdgeDelete{specDelete(spec, 0)},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	blob, err := w.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	next := Batch{
+		Ins: []EdgeInsert{{Src: 2, Dst: 3, Vals: []graph.Value{2}}, {Src: 3, Dst: 2, Vals: []graph.Value{1}}},
+		Del: []EdgeDelete{specDelete(spec, 2)},
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		r, err := NewWorkerStateFromCheckpoint(spec, blob)
+		if err != nil {
+			return
+		}
+		// Either outcome is fine for a restored blob; only a panic fails.
+		_, _ = r.Ingest(next)
+		if _, err := r.Checkpoint(); err != nil {
+			t.Fatalf("restored worker cannot checkpoint: %v", err)
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"grminer/internal/gr"
 	"grminer/internal/graph"
 	"grminer/internal/metrics"
 )
@@ -16,7 +17,7 @@ import (
 // realWorkerSpec builds shard idx's spec of a random partitioned graph —
 // the same construction buildShardDeployment runs, so the worker under
 // test is exactly what a deployment would host.
-func realWorkerSpec(t *testing.T, seed int64, shards, idx int) WorkerSpec {
+func realWorkerSpec(t testing.TB, seed int64, shards, idx int) WorkerSpec {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	schema, err := graph.NewSchema(
@@ -176,8 +177,10 @@ func TestWorkerCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointRejectsMismatch pins the fail-closed checks: a blob must
-// refuse a foreign shard's spec, undecodable bytes, and a version this
-// build does not speak.
+// refuse a foreign shard's spec, undecodable bytes, a version this build
+// does not speak, and the two corruptions that used to panic inside the
+// restore — an edge row pointing past the LArray and a pool GR naming an
+// attribute the schema lacks.
 func TestCheckpointRejectsMismatch(t *testing.T) {
 	spec0 := realWorkerSpec(t, 11, 2, 0)
 	spec1 := realWorkerSpec(t, 11, 2, 1)
@@ -201,19 +204,36 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 		t.Error("garbage blob accepted")
 	}
 
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*checkpointImage)
+	}{
+		{"foreign blob version", "version", func(img *checkpointImage) { img.Version = CheckpointVersion + 1 }},
+		{"edge row past LArray", "out of range", func(img *checkpointImage) { img.Store.ESrc[0] = 1 << 20 }},
+		{"pool GR outside the schema", "pool entry", func(img *checkpointImage) {
+			img.Pool[0].GR.R = gr.Descriptor{{Attr: 7, Val: 1}}
+		}},
+	} {
+		if _, err := NewWorkerStateFromCheckpoint(spec0, editBlob(t, blob, tc.edit)); err == nil ||
+			!strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s accepted: %v", tc.name, err)
+		}
+	}
+}
+
+// editBlob decodes a checkpoint blob, applies edit, and re-encodes it.
+func editBlob(t testing.TB, blob []byte, edit func(*checkpointImage)) []byte {
+	t.Helper()
 	var img checkpointImage
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&img); err != nil {
 		t.Fatal(err)
 	}
-	img.Version = CheckpointVersion + 1
+	edit(&img)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWorkerStateFromCheckpoint(spec0, buf.Bytes()); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("foreign blob version accepted: %v", err)
-	}
+	return buf.Bytes()
 }
 
 // TestDoubleSeedIdempotent pins the invariant the recovery path's

@@ -81,25 +81,15 @@ func (s *Store) State() State {
 }
 
 // FromState reconstructs a store over g from a snapshot. g must be the same
-// graph the snapshot was taken against (same schema, nodes, and edge ids);
-// only cheap structural consistency is checked here — callers wanting the
-// full cross-check run Validate on the result.
+// graph the snapshot was taken against (same schema, nodes, and edge ids).
+// A snapshot arrives from outside the process (a checkpoint blob), so it
+// fails closed: every array length and row reference is bounds-checked,
+// every LArray and RArray row must name its node and carry that node's
+// values (the rows later appends extend), and the restored store must pass
+// Validate before its posting lists are built from its rows.
 func FromState(g *graph.Graph, st State) (*Store, error) {
-	rows := len(st.EID)
-	if len(st.ESrc) != rows || len(st.EPtr) != rows {
-		return nil, fmt.Errorf("store: state: EArray columns disagree (%d ids, %d srcs, %d ptrs)",
-			rows, len(st.ESrc), len(st.EPtr))
-	}
-	if st.Dead != nil && len(st.Dead) != rows {
-		return nil, fmt.Errorf("store: state: %d tombstone marks for %d rows", len(st.Dead), rows)
-	}
-	if st.DeadCount > rows || st.DeadCount < 0 {
-		return nil, fmt.Errorf("store: state: dead count %d out of range for %d rows", st.DeadCount, rows)
-	}
-	n := g.NumNodes()
-	if len(st.LRowOf) != n || len(st.RRowOf) != n {
-		return nil, fmt.Errorf("store: state: row maps cover %d/%d nodes, graph has %d",
-			len(st.LRowOf), len(st.RRowOf), n)
+	if err := checkState(g, &st); err != nil {
+		return nil, err
 	}
 	s := &Store{
 		g:         g,
@@ -120,6 +110,9 @@ func FromState(g *graph.Graph, st State) (*Store, error) {
 		dead:      st.Dead,
 		deadCount: st.DeadCount,
 	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("store: state: %w", err)
+	}
 	if st.HasDict {
 		s.dict = intern.FromState(intern.NewLayout(g.Schema()), st.Dict)
 	}
@@ -127,4 +120,74 @@ func FromState(g *graph.Graph, st State) (*Store, error) {
 		s.EnablePostings()
 	}
 	return s, nil
+}
+
+// checkState is FromState's structural validation.
+func checkState(g *graph.Graph, st *State) error {
+	nv, ne := len(g.Schema().Node), len(g.Schema().Edge)
+	n, edges := g.NumNodes(), g.NumEdges()
+	rows := len(st.EID)
+	if len(st.ESrc) != rows || len(st.EPtr) != rows || len(st.EVals) != rows*ne {
+		return fmt.Errorf("store: state: EArray columns disagree (%d ids, %d srcs, %d ptrs, %d values)",
+			rows, len(st.ESrc), len(st.EPtr), len(st.EVals))
+	}
+	lRows, rRows := len(st.LNode), len(st.RNode)
+	if len(st.LVals) != lRows*nv || len(st.LOut) != lRows || len(st.LInd) != lRows || len(st.RVals) != rRows*nv {
+		return fmt.Errorf("store: state: LArray/RArray columns disagree with %d/%d rows", lRows, rRows)
+	}
+	if st.Dead != nil && len(st.Dead) != rows {
+		return fmt.Errorf("store: state: %d tombstone marks for %d rows", len(st.Dead), rows)
+	}
+	dead := 0
+	for _, d := range st.Dead {
+		if d {
+			dead++
+		}
+	}
+	if st.DeadCount != dead {
+		return fmt.Errorf("store: state: dead count %d, %d rows marked", st.DeadCount, dead)
+	}
+	if st.Ingested < 0 || st.Ingested > edges {
+		return fmt.Errorf("store: state: high-water mark %d outside %d graph edges", st.Ingested, edges)
+	}
+	for e := 0; e < rows; e++ {
+		if src, ptr, id := st.ESrc[e], st.EPtr[e], st.EID[e]; src < 0 || int(src) >= lRows ||
+			ptr < 0 || int(ptr) >= rRows || id < 0 || int(id) >= edges {
+			return fmt.Errorf("store: state: edge row %d references LArray row %d, RArray row %d, edge %d out of range",
+				e, src, ptr, id)
+		}
+	}
+	if len(st.LRowOf) != n || len(st.RRowOf) != n {
+		return fmt.Errorf("store: state: row maps cover %d/%d nodes, graph has %d",
+			len(st.LRowOf), len(st.RRowOf), n)
+	}
+	if err := checkNodeRows("LArray", g, st.LNode, st.LVals, st.LRowOf); err != nil {
+		return err
+	}
+	return checkNodeRows("RArray", g, st.RNode, st.RVals, st.RRowOf)
+}
+
+// checkNodeRows checks one node-row array against g: each row names a
+// distinct node the row map sends back to it, and carries that node's
+// values; every other node maps to -1.
+func checkNodeRows(name string, g *graph.Graph, node []int32, vals []graph.Value, rowOf []int32) error {
+	nv := len(g.Schema().Node)
+	for row, v := range node {
+		if v < 0 || int(v) >= len(rowOf) || rowOf[v] != int32(row) {
+			return fmt.Errorf("store: state: %s row %d names node %d, which the row map does not send back", name, row, v)
+		}
+		want := g.NodeValues(int(v))
+		for a, x := range vals[row*nv : (row+1)*nv] {
+			if x != want[a] {
+				return fmt.Errorf("store: state: %s row %d carries value %d for attribute %d, node %d has %d",
+					name, row, x, a, v, want[a])
+			}
+		}
+	}
+	for v, row := range rowOf {
+		if row < -1 || int(row) >= len(node) || (row >= 0 && node[row] != int32(v)) {
+			return fmt.Errorf("store: state: %s row map sends node %d to row %d", name, v, row)
+		}
+	}
+	return nil
 }

@@ -182,4 +182,33 @@ func TestFromStateRejectsCorruptSnapshots(t *testing.T) {
 	if _, err := FromState(g, bad); err == nil {
 		t.Error("short node row map accepted")
 	}
+
+	// Corruptions that used to install, or to panic inside the restore:
+	// each edits one copied array.
+	for _, tc := range []struct {
+		name string
+		edit func(*State)
+	}{
+		{"edge row past the LArray", func(st *State) { st.ESrc = append([]int32(nil), st.ESrc...); st.ESrc[0] = 1 << 20 }},
+		{"edge id past the graph", func(st *State) { st.EID = append([]int32(nil), st.EID...); st.EID[0] = -1 }},
+		{"negative high-water mark", func(st *State) { st.Ingested = -1 }},
+		{"LArray row with another node's values", func(st *State) {
+			st.LVals = append([]graph.Value(nil), st.LVals...)
+			st.LVals[0]++
+		}},
+		{"row map disowning a row", func(st *State) {
+			st.RRowOf = append([]int32(nil), st.RRowOf...)
+			st.RRowOf[st.RNode[0]] = -1
+		}},
+		{"edge value outside the domain", func(st *State) {
+			st.EVals = append([]graph.Value(nil), st.EVals...)
+			st.EVals[0] = 60000
+		}},
+	} {
+		bad := base
+		tc.edit(&bad)
+		if _, err := FromState(g, bad); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
 }
