@@ -142,7 +142,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	log.Printf("grminerd listening on %s (API v1)", ln.Addr())
 
 	stop := make(chan os.Signal, 1)

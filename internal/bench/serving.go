@@ -117,7 +117,7 @@ func Serving(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: srv.Handler()}
+		hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
 		go hs.Serve(ln) //nolint:errcheck // closed below
 		defer hs.Close()
 		base = "http://" + ln.Addr().String()

@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"grminer/internal/core"
 	"grminer/internal/gr"
@@ -257,15 +258,46 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiv1.Error{Error: fmt.Sprintf(format, args...), Code: status})
 }
 
+// MaxBodyBytes caps every POST body. It sits far above any batch a live
+// stream sends (a +64/−16 ingest is ~5 KB of JSON), so only a hostile or
+// broken client reaches it; the request is then refused with 413 before
+// the engine sees any of it.
+const MaxBodyBytes = 8 << 20
+
+// ReadHeaderTimeout is the header deadline for an http.Server hosting
+// Handler: a client that opens a connection but dribbles its request line
+// and headers is cut off instead of holding the connection indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
+// readJSON strictly decodes one JSON body of at most MaxBodyBytes into v.
+// On failure it answers the request — 413 for an oversized body, 400
+// otherwise, naming the request kind — and returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, kind string, v any) bool {
+	err := decodeJSON(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "%s request body exceeds %d bytes", kind, tooBig.Limit)
+	default:
+		writeErr(w, http.StatusBadRequest, "bad %s request: %v", kind, err)
+	}
+	return false
+}
+
 // decodeJSON strictly decodes one JSON body into v.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeJSON(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
 	var extra json.RawMessage
 	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return err
+		}
 		return fmt.Errorf("trailing data after JSON body")
 	}
 	return nil
@@ -331,8 +363,7 @@ func (s *Server) handleRule(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.RecommendRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad recommend request: %v", err)
+	if !readJSON(w, r, "recommend", &req) {
 		return
 	}
 	if (req.Node == nil) == (req.RHS == "") {
@@ -388,8 +419,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.PropagateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad propagate request: %v", err)
+	if !readJSON(w, r, "propagate", &req) {
 		return
 	}
 	snap := s.snap.Load()
@@ -443,8 +473,7 @@ func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.IngestRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad ingest request: %v", err)
+	if !readJSON(w, r, "ingest", &req) {
 		return
 	}
 	if len(req.Ins) == 0 && len(req.Del) == 0 {

@@ -338,6 +338,34 @@ func TestIngestAtomicRejection(t *testing.T) {
 	}
 }
 
+// An ingest body over MaxBodyBytes is refused with 413 and the usual JSON
+// error before the engine sees it: the epoch and graph stay put. The body
+// is a well-formed batch, so only its size can be at fault.
+func TestIngestOversizedBody(t *testing.T) {
+	s, _ := newServer(t)
+	h := s.Handler()
+	before := s.Snapshot()
+
+	const edge = `{"src":0,"dst":7,"vals":[1]}`
+	var body strings.Builder
+	body.WriteString(`{"ins":[` + edge)
+	for body.Len() <= serve.MaxBodyBytes {
+		body.WriteString("," + edge)
+	}
+	body.WriteString("]}")
+	wantErr(t, post(t, h, "/v1/ingest", body.String()), http.StatusRequestEntityTooLarge)
+
+	if after := s.Snapshot(); after.Epoch != before.Epoch || after.TotalEdges != before.TotalEdges {
+		t.Fatalf("oversized body moved the engine: epoch %d -> %d, %d -> %d edges",
+			before.Epoch, after.Epoch, before.TotalEdges, after.TotalEdges)
+	}
+	var ok apiv1.IngestResponse
+	decode(t, post(t, h, "/v1/ingest", `{"ins":[`+edge+`]}`), http.StatusOK, &ok)
+	if ok.Epoch != before.Epoch+1 {
+		t.Errorf("good batch after the refusal published epoch %d, want %d", ok.Epoch, before.Epoch+1)
+	}
+}
+
 func TestStatusHandler(t *testing.T) {
 	s, _ := newServer(t)
 	h := s.Handler()
