@@ -121,10 +121,12 @@ func BenchmarkApplyBatch(b *testing.B) {
 }
 
 // BenchmarkRecount isolates the per-batch pool maintenance: the tracked-pool
-// delta recount (every pool entry matched against the batch rows) plus the
-// witness collection the scoped re-mine narrows its walk by. Passing
-// the same live rows as inserted and doomed leaves every count where it
-// started, so iterations are identical work on identical state.
+// delta recount (the 256-row batch marked into value bitmaps in four 64-row
+// chunks, every pool entry ANDed against each) plus the witness collection
+// the scoped re-mine narrows its walk by. Passing the same live rows as
+// inserted and doomed leaves every count where it started, so iterations
+// are identical work on identical state; the bitmaps are allocated with the
+// pool, so the recount itself allocates nothing.
 func BenchmarkRecount(b *testing.B) {
 	gateFixture(b)
 	inc := gateEngine(b, gateOpt)

@@ -16,9 +16,6 @@ type tracked struct {
 	c        metrics.Counts
 	score    float64
 	betaMask uint64
-	// moved carries "some batch row matched" across a multi-chunk
-	// recount; false between recounts.
-	moved bool
 }
 
 // densePool is the candidate pool both incremental engines maintain — the
@@ -44,6 +41,9 @@ type densePool struct {
 	slots   []int32
 	entries []tracked
 	ids     []intern.GRID
+	// moved[i] carries "some batch row matched entry i" across the chunks
+	// of a recount; all false between recounts.
+	moved []bool
 
 	// recount's batch value bitmaps, one word per (side, attribute, value):
 	// bit i of lm[nOff[a]+v] (rm, em[eOff[a]+v]) is set while row i of the
@@ -127,6 +127,7 @@ func (p *densePool) upsert(g gr.GR, c metrics.Counts, score float64) (intern.GRI
 	}
 	p.entries = append(p.entries, t)
 	p.ids = append(p.ids, id)
+	p.moved = append(p.moved, false)
 	p.slots[id] = int32(len(p.entries))
 	return id, true
 }
@@ -142,9 +143,11 @@ func (p *densePool) deleteAt(i int) {
 	last := len(p.entries) - 1
 	p.entries[i] = p.entries[last]
 	p.ids[i] = p.ids[last]
+	p.moved[i] = p.moved[last]
 	p.slots[p.ids[i]] = int32(i) + 1
 	p.entries = p.entries[:last]
 	p.ids = p.ids[:last]
+	p.moved = p.moved[:last]
 	p.slots[id] = 0
 }
 
@@ -174,6 +177,7 @@ func (p *densePool) reset() {
 	}
 	p.entries = p.entries[:0]
 	p.ids = p.ids[:0]
+	p.moved = p.moved[:0]
 }
 
 // recount delta-updates every pool entry against the batch's inserted and
@@ -201,50 +205,43 @@ func (p *densePool) recount(newRows, delRows []int32, ch *poolChanges) (recounte
 	}
 	totalE := p.st.NumEdges() - len(delRows)
 	n := len(newRows) + len(delRows)
-	for lo := 0; ; lo += 64 {
-		hi := min(lo+64, n)
-		p.markChunk(newRows, delRows, lo, hi, true)
-		all := ^uint64(0) >> uint(64-(hi-lo))
-		// neg holds the chunk's deleted rows: batch positions ≥ len(newRows).
-		neg := all
-		if d := len(newRows) - lo; d > 0 {
-			neg = all &^ (uint64(1)<<uint(min(d, 64)) - 1)
+	// Every chunk but the last only counts, carrying "some row matched" in
+	// p.moved; the last (possibly empty) chunk's pass also gates.
+	last := (n - 1) / 64 * 64
+	for lo := 0; lo < last; lo += 64 {
+		all, neg := p.markChunk(newRows, delRows, lo, lo+64, true)
+		for i := range p.entries {
+			p.moved[i] = p.countChunk(&p.entries[i], all, neg) || p.moved[i]
 		}
-		if hi < n {
-			for i := range p.entries {
-				t := &p.entries[i]
-				t.moved = p.countChunk(t, all, neg) || t.moved
+		p.markChunk(newRows, delRows, lo, lo+64, false)
+	}
+	all, neg := p.markChunk(newRows, delRows, last, n, true)
+	for i := 0; i < p.len(); {
+		t := &p.entries[i]
+		moved := p.countChunk(t, all, neg) || p.moved[i]
+		p.moved[i] = false
+		t.c.E = totalE
+		t.score = p.opt.Metric.Score(t.c)
+		if moved {
+			recounted++
+		}
+		if t.score < p.opt.MinScore || t.c.LWR < p.opt.MinSupp {
+			// Swap-remove: index i now holds a not-yet-visited entry, so the
+			// loop re-examines it instead of advancing.
+			if ch != nil {
+				ch.demoted = append(ch.demoted, demotion{id: p.ids[i], c: t.c})
 			}
-			p.markChunk(newRows, delRows, lo, hi, false)
+			p.deleteAt(i)
+			dropped++
 			continue
 		}
-		for i := 0; i < p.len(); {
-			t := &p.entries[i]
-			moved := p.countChunk(t, all, neg) || t.moved
-			t.moved = false
-			t.c.E = totalE
-			t.score = p.opt.Metric.Score(t.c)
-			if moved {
-				recounted++
-			}
-			if t.score < p.opt.MinScore || t.c.LWR < p.opt.MinSupp {
-				// Swap-remove: index i now holds a not-yet-visited entry, so
-				// the loop re-examines it instead of advancing.
-				if ch != nil {
-					ch.demoted = append(ch.demoted, demotion{id: p.ids[i], c: t.c})
-				}
-				p.deleteAt(i)
-				dropped++
-				continue
-			}
-			if moved && ch != nil {
-				ch.touched = append(ch.touched, p.ids[i])
-			}
-			i++
+		if moved && ch != nil {
+			ch.touched = append(ch.touched, p.ids[i])
 		}
-		p.markChunk(newRows, delRows, lo, hi, false)
-		return recounted, dropped
+		i++
 	}
+	p.markChunk(newRows, delRows, last, n, false)
+	return recounted, dropped
 }
 
 // countChunk adds the marked chunk's contribution to t's counts — rows in
@@ -292,8 +289,14 @@ func signedPop(x, neg uint64) int {
 // markChunk sets (set) or clears (!set) the value-bitmap words of batch
 // positions [lo, hi) of newRows ++ delRows: position lo+i sets bit i of
 // each word naming one of its row's source, destination and edge values.
-// Clearing walks the same rows, so it costs the chunk, never the table.
-func (p *densePool) markChunk(newRows, delRows []int32, lo, hi int, set bool) {
+// Clearing walks the same rows, so it costs the chunk, never the table. It
+// returns the chunk's row mask and, within it, the deleted rows' mask.
+func (p *densePool) markChunk(newRows, delRows []int32, lo, hi int, set bool) (all, neg uint64) {
+	all = ^uint64(0) >> uint(64-(hi-lo))
+	neg = all
+	if d := len(newRows) - lo; d > 0 {
+		neg = all &^ (uint64(1)<<uint(min(d, 64)) - 1)
+	}
 	st := p.st
 	for k := lo; k < hi; k++ {
 		e := int32(0)
@@ -320,6 +323,7 @@ func (p *densePool) markChunk(newRows, delRows []int32, lo, hi int, set bool) {
 			}
 		}
 	}
+	return all, neg
 }
 
 // betaMaskOf computes β (Equation 4) as a node-attribute bitmask; shared by

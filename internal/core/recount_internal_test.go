@@ -81,12 +81,13 @@ func referenceHom(st *store.Store, e int32, l gr.Descriptor, betaMask uint64) bo
 	return true
 }
 
-// clonePool copies p's entry, id and slot tables, so two recounts can run
-// from the same starting pool.
+// clonePool copies p's entry tables, so two recounts can run from the same
+// starting pool.
 func clonePool(p *densePool) *densePool {
 	c := *p
 	c.entries = append([]tracked(nil), p.entries...)
 	c.ids = append([]intern.GRID(nil), p.ids...)
+	c.moved = append([]bool(nil), p.moved...)
 	c.slots = append([]int32(nil), p.slots...)
 	return &c
 }
@@ -179,6 +180,16 @@ func comparePools(t *testing.T, where string, got, want *densePool) {
 	for id, s := range want.slots {
 		if got.slots[id] != s {
 			t.Fatalf("%s: slot of GR %d is %d, reference %d", where, id, got.slots[id], s)
+		}
+	}
+	// The cross-chunk flags must be clear again, or they leak into the
+	// next batch.
+	if len(got.moved) != got.len() {
+		t.Fatalf("%s: %d moved flags for %d entries", where, len(got.moved), got.len())
+	}
+	for i, m := range got.moved {
+		if m {
+			t.Fatalf("%s: moved flag %d left set", where, i)
 		}
 	}
 }
