@@ -45,13 +45,12 @@ type densePool struct {
 	// of a recount; all false between recounts.
 	moved []bool
 
-	// recount's batch value bitmaps, one word per (side, attribute, value):
-	// bit i of lm[nOff[a]+v] (rm, em[eOff[a]+v]) is set while row i of the
-	// chunk being counted carries value v on source (destination, edge)
-	// attribute a. Sized Σ(Domain+1) per side with the pool and all zero
-	// between chunks.
-	nOff, eOff []int
-	lm, rm, em []uint64
+	// recount's batch value bitmaps, indexed by the dictionary's pair ids:
+	// bit i of lwm[p] is set while row i of the chunk being counted
+	// carries node pair p on its source or edge pair p on the edge, and
+	// bit i of rm[p] while it carries node pair p on its destination.
+	// Allocated with the pool and all zero between chunks.
+	lwm, rm []uint64
 }
 
 // poolChanges is a recount's report of what it changed, reused across
@@ -72,25 +71,9 @@ type demotion struct {
 // newDensePool returns an empty pool over st's dictionary, gated by the
 // capture options opt.
 func newDensePool(st *store.Store, opt Options) densePool {
-	schema := st.Graph().Schema()
-	p := densePool{st: st, dict: st.Dict(), opt: opt}
-	var nWords, eWords int
-	p.nOff, nWords = valueOffsets(schema.Node)
-	p.eOff, eWords = valueOffsets(schema.Edge)
-	p.lm, p.rm, p.em = make([]uint64, nWords), make([]uint64, nWords), make([]uint64, eWords)
-	return p
-}
-
-// valueOffsets lays the attributes' values 0..Domain out end to end: the
-// first word of each attribute, and the total.
-func valueOffsets(attrs []graph.Attribute) ([]int, int) {
-	off := make([]int, len(attrs))
-	n := 0
-	for a := range attrs {
-		off[a] = n
-		n += attrs[a].Domain + 1
-	}
-	return off, n
+	dict := st.Dict()
+	pairs := dict.Layout().NumPairs()
+	return densePool{st: st, dict: dict, opt: opt, lwm: make([]uint64, pairs), rm: make([]uint64, pairs)}
 }
 
 // captureOptions derives the options of pool-building mines from an
@@ -248,12 +231,13 @@ func (p *densePool) recount(newRows, delRows []int32, ch *poolChanges) (recounte
 // all, the deleted ones in neg, subtracting — and reports whether any row
 // matched l ∧ w, or r when the metric reads R.
 func (p *densePool) countChunk(t *tracked, all, neg uint64) bool {
+	lay := p.dict.Layout()
 	lw := all
 	for _, c := range t.gr.L {
-		lw &= p.lm[p.nOff[c.Attr]+int(c.Val)]
+		lw &= p.lwm[lay.NodePair(c.Attr, c.Val)]
 	}
 	for _, c := range t.gr.W {
-		lw &= p.em[p.eOff[c.Attr]+int(c.Val)]
+		lw &= p.lwm[lay.EdgePair(c.Attr, c.Val)]
 	}
 	needR := p.opt.Metric.NeedsR
 	if lw == 0 && !needR {
@@ -261,7 +245,7 @@ func (p *densePool) countChunk(t *tracked, all, neg uint64) bool {
 	}
 	r := all
 	for _, c := range t.gr.R {
-		r &= p.rm[p.nOff[c.Attr]+int(c.Val)]
+		r &= p.rm[lay.NodePair(c.Attr, c.Val)]
 	}
 	t.c.LW += signedPop(lw, neg)
 	t.c.LWR += signedPop(lw&r, neg)
@@ -269,7 +253,7 @@ func (p *densePool) countChunk(t *tracked, all, neg uint64) bool {
 		hom := lw &^ r
 		for _, c := range t.gr.L {
 			if t.betaMask&(1<<uint(c.Attr)) != 0 {
-				hom &= p.rm[p.nOff[c.Attr]+int(c.Val)]
+				hom &= p.rm[lay.NodePair(c.Attr, c.Val)]
 			}
 		}
 		t.c.Hom += signedPop(hom, neg)
@@ -288,16 +272,18 @@ func signedPop(x, neg uint64) int {
 
 // markChunk sets (set) or clears (!set) the value-bitmap words of batch
 // positions [lo, hi) of newRows ++ delRows: position lo+i sets bit i of
-// each word naming one of its row's source, destination and edge values.
-// Clearing walks the same rows, so it costs the chunk, never the table. It
-// returns the chunk's row mask and, within it, the deleted rows' mask.
+// the word of each non-null source, destination and edge value of its row
+// (a null matches no condition). Clearing walks the same rows, so it costs
+// the chunk, never the table. It returns the chunk's row mask and, within
+// it, the deleted rows' mask.
 func (p *densePool) markChunk(newRows, delRows []int32, lo, hi int, set bool) (all, neg uint64) {
 	all = ^uint64(0) >> uint(64-(hi-lo))
 	neg = all
 	if d := len(newRows) - lo; d > 0 {
 		neg = all &^ (uint64(1)<<uint(min(d, 64)) - 1)
 	}
-	st := p.st
+	st, lay := p.st, p.dict.Layout()
+	schema := st.Graph().Schema()
 	for k := lo; k < hi; k++ {
 		e := int32(0)
 		if k < len(newRows) {
@@ -306,24 +292,30 @@ func (p *densePool) markChunk(newRows, delRows []int32, lo, hi int, set bool) (a
 			e = delRows[k-len(newRows)]
 		}
 		bit := uint64(1) << uint(k-lo)
-		for a, off := range p.nOff {
-			l, r := &p.lm[off+int(st.LVal(e, a))], &p.rm[off+int(st.RVal(e, a))]
-			if set {
-				*l, *r = *l|bit, *r|bit
-			} else {
-				*l, *r = 0, 0
+		for a := range schema.Node {
+			if v := st.LVal(e, a); v != graph.Null {
+				markWord(&p.lwm[lay.NodePair(a, v)], bit, set)
+			}
+			if v := st.RVal(e, a); v != graph.Null {
+				markWord(&p.rm[lay.NodePair(a, v)], bit, set)
 			}
 		}
-		for a, off := range p.eOff {
-			w := &p.em[off+int(st.EVal(e, a))]
-			if set {
-				*w |= bit
-			} else {
-				*w = 0
+		for a := range schema.Edge {
+			if v := st.EVal(e, a); v != graph.Null {
+				markWord(&p.lwm[lay.EdgePair(a, v)], bit, set)
 			}
 		}
 	}
 	return all, neg
+}
+
+// markWord ORs bit into *w, or with !set zeroes it.
+func markWord(w *uint64, bit uint64, set bool) {
+	if set {
+		*w |= bit
+	} else {
+		*w = 0
+	}
 }
 
 // betaMaskOf computes β (Equation 4) as a node-attribute bitmask; shared by
