@@ -49,7 +49,7 @@ type DynamicReport struct {
 	Nodes     int    `json:"nodes"`
 	BaseEdges int    `json:"base_edges"`
 	// Dims is the GR search-space dimensionality (2 × node attributes, the
-	// Figure 4d convention); the posting-list saving scales with it.
+	// Figure 4d convention); the postings saving scales with it.
 	Dims    int            `json:"dims"`
 	MinSupp int            `json:"min_supp"`
 	MinNhp  float64        `json:"min_nhp"`

@@ -7,22 +7,10 @@ import (
 	"grminer/internal/store"
 )
 
-// bitmapSource serves the live-exact row bitmap of one (side, attribute,
-// value) and the live row count. Two implementations exist: a
-// postings-enabled *store.Store (shard workers, whose round-2 Counts read
-// the maintained posting bitmaps) and *store.BitmapIndex (static mines,
-// whose ExactGenerality checks fill a per-mine index lazily). Returned
-// bitmaps are read-only to the counter.
-type bitmapSource interface {
-	LBitmap(attr int, val graph.Value) store.Bitmap
-	WBitmap(attr int, val graph.Value) store.Bitmap
-	RBitmap(attr int, val graph.Value) store.Bitmap
-	NumEdges() int
-}
-
-// bitmapCounter is the exact count kernel over posting bitmaps, serving
-// both round-2 Counts on shard workers and the ExactGenerality
-// generalisation checks of static mines. Per GR the cost is
+// bitmapCounter is the exact count kernel over a store.BitmapIndex, serving
+// both round-2 Counts on shard workers (the store's maintained postings)
+// and the ExactGenerality generalisation checks of mines (the postings when
+// the store keeps them, else a lazily filled per-mine index). Per GR the cost is
 // O(conditions × rows/64): L∧W is intersected once into scratch (an empty
 // L∧W is every live row), then intersected-and-counted against the R
 // bitmaps for LWR and against the destination-side l[β] bitmaps for Hom; R
@@ -32,9 +20,9 @@ type bitmapSource interface {
 //
 // The value holds reusable scratch — the current L∧W intersection and a
 // buffer for deeper multi-way intersections. The zero value is ready; it
-// never writes into source-owned bitmaps. Single-owner.
+// never writes into index-owned bitmaps. Single-owner.
 type bitmapCounter struct {
-	lw      store.Bitmap // L∧W rows; aliases a source bitmap for one condition
+	lw      store.Bitmap // L∧W rows; aliases an index bitmap for one condition
 	lwAll   bool         // L = W = ∅: every live row
 	lwN     int          // |L∧W|
 	lwBuf   store.Bitmap // backing storage for a multi-condition lw
@@ -43,17 +31,17 @@ type bitmapCounter struct {
 }
 
 // intersectLW computes g's L∧W row set.
-func (k *bitmapCounter) intersectLW(src bitmapSource, g gr.GR) {
+func (k *bitmapCounter) intersectLW(idx *store.BitmapIndex, g gr.GR) {
 	k.operand = k.operand[:0]
 	for _, c := range g.L {
-		k.operand = append(k.operand, src.LBitmap(c.Attr, c.Val))
+		k.operand = append(k.operand, idx.LBitmap(c.Attr, c.Val))
 	}
 	for _, c := range g.W {
-		k.operand = append(k.operand, src.WBitmap(c.Attr, c.Val))
+		k.operand = append(k.operand, idx.WBitmap(c.Attr, c.Val))
 	}
 	switch len(k.operand) {
 	case 0:
-		k.lw, k.lwAll, k.lwN = nil, true, src.NumEdges()
+		k.lw, k.lwAll, k.lwN = nil, true, idx.NumEdges()
 		return
 	case 1:
 		k.lw = k.operand[0]
@@ -69,9 +57,9 @@ func (k *bitmapCounter) intersectLW(src bitmapSource, g gr.GR) {
 
 // count fills g's counts from the current L∧W intersection, which must be
 // g's (intersectLW on g or on a GR with the same L and W).
-func (k *bitmapCounter) count(src bitmapSource, schema *graph.Schema, m metrics.Metric, g gr.GR) metrics.Counts {
-	c := metrics.Counts{E: src.NumEdges(), LW: k.lwN}
-	k.loadR(src, g.R)
+func (k *bitmapCounter) count(idx *store.BitmapIndex, schema *graph.Schema, m metrics.Metric, g gr.GR) metrics.Counts {
+	c := metrics.Counts{E: idx.NumEdges(), LW: k.lwN}
+	k.loadR(idx, g.R)
 	if c.LW > 0 {
 		c.LWR = k.andCount(k.lw, k.lwAll, c.LW, k.operand)
 	}
@@ -84,7 +72,7 @@ func (k *bitmapCounter) count(src bitmapSource, schema *graph.Schema, m metrics.
 			k.operand = k.operand[:0]
 			for _, lc := range g.L {
 				if beta&(1<<uint(lc.Attr)) != 0 {
-					k.operand = append(k.operand, src.RBitmap(lc.Attr, lc.Val))
+					k.operand = append(k.operand, idx.RBitmap(lc.Attr, lc.Val))
 				}
 			}
 			c.Hom = k.andCount(k.lw, false, c.LW, k.operand)
@@ -95,16 +83,16 @@ func (k *bitmapCounter) count(src bitmapSource, schema *graph.Schema, m metrics.
 
 // countR returns |E(r)|: the live rows whose destination matches every
 // condition of r.
-func (k *bitmapCounter) countR(src bitmapSource, r gr.Descriptor) int {
-	k.loadR(src, r)
-	return k.andCount(nil, true, src.NumEdges(), k.operand)
+func (k *bitmapCounter) countR(idx *store.BitmapIndex, r gr.Descriptor) int {
+	k.loadR(idx, r)
+	return k.andCount(nil, true, idx.NumEdges(), k.operand)
 }
 
 // loadR sets the operands to r's destination-side bitmaps.
-func (k *bitmapCounter) loadR(src bitmapSource, r gr.Descriptor) {
+func (k *bitmapCounter) loadR(idx *store.BitmapIndex, r gr.Descriptor) {
 	k.operand = k.operand[:0]
 	for _, rc := range r {
-		k.operand = append(k.operand, src.RBitmap(rc.Attr, rc.Val))
+		k.operand = append(k.operand, idx.RBitmap(rc.Attr, rc.Val))
 	}
 }
 

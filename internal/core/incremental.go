@@ -10,10 +10,10 @@
 //     LArray/RArray rows as nodes activate); deletions tombstone their rows
 //     (store.RemoveEdges), which keeps the removed values readable for the
 //     delta recount and folds into a compaction once the dead fraction
-//     crosses the store's threshold. Per-(attribute, value) posting lists
-//     maintained by the store hand the scoped re-mine its first-level
-//     partitions directly, replacing the O(|E| × dims) per-batch partition
-//     pass that used to floor every batch.
+//     crosses the store's threshold. Per-(attribute, value) live-row
+//     bitmaps maintained by the store (its postings) hand the scoped
+//     re-mine its first-level partitions directly, replacing the
+//     O(|E| × dims) per-batch partition pass that used to floor every batch.
 //
 //  2. A tracked candidate pool — the "guarded frontier": the exact counts
 //     (LWR, LW, Hom, R, E) of every GR currently satisfying Definition 5
@@ -556,11 +556,11 @@ func rightSubtreeAffected(opt Options, n, liveE int) bool {
 // buildTasks (root RIGHT, EDGE, and LEFT blocks) so every GR of the full
 // walk belongs to exactly one subtree. Shared by the single-store
 // incremental engine and the shard workers (whose witnesses are
-// insert-only); both stores keep posting lists, so first-level partitions
-// come straight from the store's per-(attribute, value) lists — no
-// O(|E| × dims) counting-sort pass over the full edge set — and every
-// deeper descent narrows the node's witness set (miner.wit), pruning
-// descents it empties.
+// insert-only); both stores keep postings, so each first-level partition's
+// size and rows come straight off the store's per-(attribute, value)
+// live-row bitmap — no O(|E| × dims) counting-sort pass over the full edge
+// set — and every deeper descent narrows the node's witness set
+// (miner.wit), pruning descents it empties.
 // That is exact at every depth: an entrant's witness matches the entrant's
 // descriptor, so it matches every ancestor's, and it survives on the whole
 // SFDF path. scr is reset first.
@@ -588,6 +588,7 @@ func remineAffectedSubtrees(st *store.Store, opt Options, wit *witnesses, captur
 	// First-level partitions land in the depth-1 recursion buffer (the walks
 	// below start at depth 2), so per-subtree row slices allocate nothing.
 	var all []int32
+	idx := st.Postings()
 	sr := rhsOrder(schema, gr.Descriptor(nil).Has)
 	if m.opt.StaticRHSOrder {
 		sr = staticRHSOrder(schema)
@@ -595,7 +596,8 @@ func remineAffectedSubtrees(st *store.Store, opt Options, wit *witnesses, captur
 	for pos := 0; pos < len(sr); pos++ {
 		attr := sr[pos]
 		for val := graph.Value(1); int(val) <= schema.Node[attr].Domain; val++ {
-			n := st.LiveCountR(attr, val)
+			bm := idx.RBitmap(attr, val)
+			n := bm.Count()
 			if n < m.opt.MinSupp {
 				continue
 			}
@@ -614,13 +616,14 @@ func remineAffectedSubtrees(st *store.Store, opt Options, wit *witnesses, captur
 				m.scr.allRows = all
 			}
 			rc := &rctx{base: all, sr: sr}
-			m.rightGroup(rc, st.RRowsInto(m.buffer(1, n), attr, val), 1, gr.Descriptor(nil).With(attr, val), pos)
+			m.rightGroup(rc, bm.RowsInto(m.buffer(1, n)), 1, gr.Descriptor(nil).With(attr, val), pos)
 		}
 	}
 	for pos := 0; pos < len(m.swOrder); pos++ {
 		attr := m.swOrder[pos]
 		for val := graph.Value(1); int(val) <= schema.Edge[attr].Domain; val++ {
-			n := st.LiveCountW(attr, val)
+			bm := idx.WBitmap(attr, val)
+			n := bm.Count()
 			if n < m.opt.MinSupp {
 				continue
 			}
@@ -629,13 +632,14 @@ func remineAffectedSubtrees(st *store.Store, opt Options, wit *witnesses, captur
 				continue
 			}
 			remined++
-			m.edgeGroup(st.WRowsInto(m.buffer(1, n), attr, val), 1, nil, gr.Descriptor(nil).With(attr, val), pos)
+			m.edgeGroup(bm.RowsInto(m.buffer(1, n)), 1, nil, gr.Descriptor(nil).With(attr, val), pos)
 		}
 	}
 	for pos := 0; pos < len(m.slOrder); pos++ {
 		attr := m.slOrder[pos]
 		for val := graph.Value(1); int(val) <= schema.Node[attr].Domain; val++ {
-			n := st.LiveCountL(attr, val)
+			bm := idx.LBitmap(attr, val)
+			n := bm.Count()
 			if n < m.opt.MinSupp {
 				continue
 			}
@@ -644,7 +648,7 @@ func remineAffectedSubtrees(st *store.Store, opt Options, wit *witnesses, captur
 				continue
 			}
 			remined++
-			m.leftGroup(st.LRowsInto(m.buffer(1, n), attr, val), 1, gr.Descriptor(nil).With(attr, val), pos)
+			m.leftGroup(bm.RowsInto(m.buffer(1, n)), 1, gr.Descriptor(nil).With(attr, val), pos)
 		}
 	}
 	addStats(stats, &m.stats)

@@ -92,7 +92,8 @@ type Options struct {
 	// order-independent and the shared floor stays sound (for patterns up
 	// to 20 conditions — see hasQualifyingGeneralization's fallback; cap
 	// MaxL/MaxW to stay inside it on extremely wide schemas). 0 and 1 mean
-	// sequential. AutoTune (plan.go) fills this from the input size.
+	// sequential. The facade's EngineConfig.Auto fills this from the input
+	// size through Plan.Apply (plan.go).
 	Parallelism int
 }
 
@@ -282,8 +283,9 @@ type minerScratch struct {
 	// 0 unknown, 1 non-qualifying, 2 qualifying.
 	qual        []uint8
 	qualTouched []intern.GRID
-	// genIdx is the lazy bitmap index behind the ExactGenerality counts and
-	// |E(r)|, built on the run's first count and dropped by reset (the store
+	// genIdx is the bitmap index behind the ExactGenerality counts, |E(r)|
+	// and bitmap descents: the store's postings when it keeps them, else a
+	// lazy index built on the run's first count. reset drops it (the store
 	// may mutate between runs); counter is the count kernel's scratch.
 	genIdx  *store.BitmapIndex
 	counter bitmapCounter
@@ -607,7 +609,7 @@ func (m *miner) edgeGroup(part []int32, depth int, lhs, w2 gr.Descriptor, pos in
 // prune inspects every group, not just witnessed ones. Eligible nodes still
 // weigh the two techniques with bitmapsPayOff.
 func (m *miner) useBitmaps() bool {
-	return m.wit != nil && m.bound == nil && m.st.PostingsEnabled()
+	return m.wit != nil && m.bound == nil && m.st.Postings() != nil
 }
 
 // bitmapsPayOff decides, per descent node, whether serving the witnessed
@@ -746,12 +748,12 @@ func (m *miner) intersect(dataBM, valBM store.Bitmap, buf []int32) []int32 {
 // from the partition intersects to the empty set, mirroring the group
 // counting sort never forms.
 func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM := m.dataBitmap(depth, data)
+	dataBM, idx := m.dataBitmap(depth, data), m.bitmapIndex()
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.slOrder[pos]
 		for _, val := range lv.at(pos) {
-			part := m.intersect(dataBM, m.st.LBitmap(attr, val), buf)
+			part := m.intersect(dataBM, idx.LBitmap(attr, val), buf)
 			if len(part) == 0 {
 				continue
 			}
@@ -768,12 +770,12 @@ func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos i
 
 // edgeBitmaps is the bitmap form of edge's loop body; see leftBitmaps.
 func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM := m.dataBitmap(depth, data)
+	dataBM, idx := m.dataBitmap(depth, data), m.bitmapIndex()
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.swOrder[pos]
 		for _, val := range lv.at(pos) {
-			part := m.intersect(dataBM, m.st.WBitmap(attr, val), buf)
+			part := m.intersect(dataBM, idx.WBitmap(attr, val), buf)
 			if len(part) == 0 {
 				continue
 			}
@@ -793,12 +795,12 @@ func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPo
 // node's R extensions must examine every RHS group, which is exactly the
 // counting-sort walk.
 func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM := m.dataBitmap(depth, data)
+	dataBM, idx := m.dataBitmap(depth, data), m.bitmapIndex()
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := rc.sr[pos]
 		for _, val := range lv.at(pos) {
-			part := m.intersect(dataBM, m.st.RBitmap(attr, val), buf)
+			part := m.intersect(dataBM, idx.RBitmap(attr, val), buf)
 			if len(part) == 0 {
 				continue
 			}
@@ -1146,10 +1148,13 @@ func (m *miner) generalityCounts(g gr.GR) metrics.Counts {
 	return m.scr.counter.count(idx, m.schema, m.metric, g)
 }
 
-// bitmapIndex returns the run's lazy bitmap index, created on first use.
+// bitmapIndex returns the run's bitmap index: the store's maintained
+// postings when it keeps them, else a lazy index created on first use.
 func (m *miner) bitmapIndex() *store.BitmapIndex {
 	if m.scr.genIdx == nil {
-		m.scr.genIdx = store.NewBitmapIndex(m.st)
+		if m.scr.genIdx = m.st.Postings(); m.scr.genIdx == nil {
+			m.scr.genIdx = store.NewBitmapIndex(m.st)
+		}
 	}
 	return m.scr.genIdx
 }

@@ -167,7 +167,7 @@ func checkCounts(t *testing.T, label string, w *WorkerState, r *rand.Rand, cov *
 		cov.emptyR = cov.emptyR || len(g.R) == 0
 		cov.betaHom = cov.betaHom || (w.pool.opt.Metric.NeedsHom && want.Hom > 0)
 		for _, c := range g.L {
-			b := w.st.LBitmap(c.Attr, c.Val)
+			b := w.st.Postings().LBitmap(c.Attr, c.Val)
 			cov.nilBitmap = cov.nilBitmap || b == nil
 			cov.shortBitmap = cov.shortBitmap || (b != nil && len(b) < words)
 		}

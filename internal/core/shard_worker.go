@@ -550,8 +550,8 @@ func NewWorkerState(spec WorkerSpec) (*WorkerState, error) {
 // NewWorkerStateFromCheckpoint: it checks the spec, resolves its options,
 // builds the private graph — schema and node table from the spec, then the
 // edge log src/dst/vals (row-major, one row per edge) in id order — and
-// wraps the store build returns for it. Shard stores always keep posting
-// lists: Counts reads their bitmaps and the scoped re-mine their lists.
+// wraps the store build returns for it. Shard stores always keep postings:
+// Counts and the scoped re-mine both read their bitmaps.
 func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, build func(*graph.Graph) (*store.Store, error)) (*WorkerState, error) {
 	schema, err := graph.NewSchema(spec.NodeAttrs, spec.EdgeAttrs)
 	if err != nil {
@@ -600,7 +600,7 @@ func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, build func
 	if err != nil {
 		return nil, err
 	}
-	if !st.PostingsEnabled() {
+	if st.Postings() == nil {
 		st.EnablePostings()
 	}
 	// A shard's capture mines run at the lowered support threshold with no
@@ -663,7 +663,7 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 // checked against the shard schema before any table is read, so a malformed
 // request fails closed instead of indexing out of a posting table.
 //
-// Counts come from the store's live-exact posting bitmaps through the
+// Counts come from the store's live-exact postings bitmaps through the
 // bitmapCounter kernel (bitmap_counter.go), filling only the fields the
 // metric reads so gap-filled counts sum consistently with in-search capture
 // counts. A GR with the same L∧W as the one before it reuses that
@@ -677,12 +677,12 @@ func (w *WorkerState) Counts(grs []gr.GR) ([]metrics.Counts, error) {
 		}
 	}
 	out := make([]metrics.Counts, len(grs))
-	k := &w.counter
+	k, idx := &w.counter, w.st.Postings()
 	for i, g := range grs {
 		if i == 0 || !g.L.Equal(grs[i-1].L) || !g.W.Equal(grs[i-1].W) {
-			k.intersectLW(w.st, g)
+			k.intersectLW(idx, g)
 		}
-		out[i] = k.count(w.st, schema, w.pool.opt.Metric, g)
+		out[i] = k.count(idx, schema, w.pool.opt.Metric, g)
 	}
 	return out, nil
 }

@@ -12,7 +12,7 @@
 // stores participate) whose body contains no EdgeAlive/Alive call.
 //
 // Not flagged: loops that check liveness; iteration through the live
-// accessors (Store.AllEdges, the posting-list [LRW]Rows, LiveCount*);
+// accessors (Store.AllEdges, the postings bitmaps of Store.Postings);
 // files that implement those accessors, marked with a file-level
 // "grlint:edge-accessors" comment; and lines carrying
 // //grlint:ignore deadedge <reason> (e.g. code that provably runs before
@@ -68,7 +68,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 			recv, method := callParts(bound)
 			pass.Reportf(n.Pos(),
-				"loop over %s.%s() iterates tombstoned edges: check %s inside, use a live accessor (AllEdges, [LRW]Rows, LiveCount*), or mark an accessor file with grlint:edge-accessors",
+				"loop over %s.%s() iterates tombstoned edges: check %s inside, use a live accessor (AllEdges, Postings bitmaps), or mark an accessor file with grlint:edge-accessors",
 				recv, method, aliveNameFor(method))
 			return true
 		})

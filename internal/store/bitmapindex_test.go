@@ -7,14 +7,15 @@ import (
 	"grminer/internal/graph"
 )
 
-// TestBitmapIndexMatchesPostings pins the lazily built bitmaps against the
-// maintained posting bitmaps: two stores over one graph go through the same
-// random appends, removals (leaving tombstones) and a compaction, one with
-// postings and one without, and after every phase a fresh BitmapIndex over
-// the plain store must serve, for every (side, attribute, value), exactly
-// the postings store's live rows — including B's top value, which no node
-// carries. Each bitmap is built on first request at exactly ⌈NumRows/64⌉
-// words, and later requests return the same bitmap.
+// TestBitmapIndexMatchesPostings pins the lazy index against the maintained
+// one: two stores over one graph go through the same random appends,
+// removals (leaving tombstones) and a compaction, one with postings and one
+// without, and after every phase a fresh NewBitmapIndex over the plain store
+// must serve, for every (side, attribute, value), exactly the postings
+// store's live rows — including B's top value, which no node carries and
+// which the maintained index must leave unbuilt. Each lazy bitmap is built
+// on first request at exactly ⌈NumRows/64⌉ words, and later requests return
+// the same bitmap.
 func TestBitmapIndexMatchesPostings(t *testing.T) {
 	schema := dynSchema(t)
 	r := rand.New(rand.NewSource(11))
@@ -66,7 +67,7 @@ func TestBitmapIndexMatchesPostings(t *testing.T) {
 			t.Fatalf("%s: stores diverged: %d/%d rows, %d/%d live", phase,
 				post.NumRows(), plain.NumRows(), post.NumEdges(), plain.NumEdges())
 		}
-		x := NewBitmapIndex(plain)
+		x, ref := NewBitmapIndex(plain), post.Postings()
 		if x.NumEdges() != post.NumEdges() {
 			t.Fatalf("%s: index NumEdges %d, want %d", phase, x.NumEdges(), post.NumEdges())
 		}
@@ -78,9 +79,9 @@ func TestBitmapIndexMatchesPostings(t *testing.T) {
 			table     [][]Bitmap
 			lazy, ref func(int, graph.Value) Bitmap
 		}{
-			{"L", schema.Node, x.l, x.LBitmap, post.LBitmap},
-			{"W", schema.Edge, x.w, x.WBitmap, post.WBitmap},
-			{"R", schema.Node, x.r, x.RBitmap, post.RBitmap},
+			{"L", schema.Node, x.l, x.LBitmap, ref.LBitmap},
+			{"W", schema.Edge, x.w, x.WBitmap, ref.WBitmap},
+			{"R", schema.Node, x.r, x.RBitmap, ref.RBitmap},
 		}
 		for _, sd := range sides {
 			for a, at := range sd.attrs {
@@ -113,6 +114,9 @@ func TestBitmapIndexMatchesPostings(t *testing.T) {
 		}
 		if c := x.RBitmap(1, 4).Count(); c != 0 {
 			t.Fatalf("%s: value carried by no node has %d rows", phase, c)
+		}
+		if ref.RBitmap(1, 4) != nil || ref.r[1][4] != nil {
+			t.Fatalf("%s: the maintained index filled the bitmap of a value no row carries", phase)
 		}
 	}
 

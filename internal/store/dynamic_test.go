@@ -91,10 +91,11 @@ func TestAppendHighWaterAfterBuildSubset(t *testing.T) {
 	}
 }
 
-// scanCounts recomputes one (side, attr) histogram of live rows by brute
-// force — the from-scratch partition pass the posting lists must match.
-func scanCounts(s *Store, side byte, attr, domain int) []int {
-	counts := make([]int, domain+1)
+// scanRows recomputes one (side, attr) partition of the live rows by brute
+// force — per value, the ascending live rows carrying it — which the
+// postings bitmaps must match.
+func scanRows(s *Store, side byte, attr, domain int) [][]int32 {
+	rows := make([][]int32, domain+1)
 	for e := int32(0); int(e) < s.NumRows(); e++ {
 		if !s.Alive(e) {
 			continue
@@ -108,80 +109,71 @@ func scanCounts(s *Store, side byte, attr, domain int) []int {
 		case 'W':
 			v = s.EVal(e, attr)
 		}
-		counts[v]++
+		rows[v] = append(rows[v], e)
 	}
-	return counts
+	return rows
 }
 
-// assertPostingsMatchScan checks every posting list, live counter, and packed
-// bitmap against the brute-force partition pass. The bitmap must be
-// live-exact (unlike the lists, which may carry tombstones): its Count, its
-// enumerated rows, and per-row Has must all agree with the filtered list.
+// assertPostingsMatchScan checks every postings bitmap against the
+// brute-force partition pass: each must be live-exact, so its Count, its
+// enumerated rows (ascending) and per-row Has over the whole row space must
+// all agree with the scan. The index must also read the store it is
+// installed in — compaction swaps the store's arrays under it.
 func assertPostingsMatchScan(t *testing.T, s *Store) {
 	t.Helper()
-	var scratch []int32
-	checkBitmap := func(name string, a int, v graph.Value, bm Bitmap, rows []int32) {
+	x := s.Postings()
+	if x == nil {
+		t.Fatal("postings not enabled")
+	}
+	if x.NumEdges() != s.NumEdges() {
+		t.Fatalf("Postings().NumEdges() = %d, store holds %d live rows", x.NumEdges(), s.NumEdges())
+	}
+	var got []int32
+	check := func(name string, a int, v graph.Value, bm Bitmap, want []int32) {
 		t.Helper()
-		if got := bm.Count(); got != len(rows) {
-			t.Fatalf("%s(%d,%d) bitmap Count = %d, list has %d live rows", name, a, v, got, len(rows))
+		if n := bm.Count(); n != len(want) {
+			t.Fatalf("%s(%d,%d) Count = %d, scan has %d live rows", name, a, v, n, len(want))
 		}
-		scratch = bm.RowsInto(scratch)
-		if len(scratch) != len(rows) {
-			t.Fatalf("%s(%d,%d) bitmap enumerates %d rows, list has %d", name, a, v, len(scratch), len(rows))
+		got = bm.RowsInto(got)
+		if len(got) != len(want) {
+			t.Fatalf("%s(%d,%d) enumerates %d rows, scan has %d", name, a, v, len(got), len(want))
 		}
-		for i, row := range rows {
-			if scratch[i] != row {
-				t.Fatalf("%s(%d,%d) bitmap row %d = %d, list says %d", name, a, v, i, scratch[i], row)
+		for i, row := range want {
+			if got[i] != row {
+				t.Fatalf("%s(%d,%d) row %d = %d, scan says %d", name, a, v, i, got[i], row)
 			}
-			if !bm.Has(row) {
-				t.Fatalf("%s(%d,%d) bitmap misses live row %d", name, a, v, row)
+		}
+		i := 0
+		for row := int32(0); int(row) < s.NumRows(); row++ {
+			in := i < len(want) && want[i] == row
+			if in {
+				i++
+			}
+			if bm.Has(row) != in {
+				t.Fatalf("%s(%d,%d) Has(%d) = %v, scan says %v", name, a, v, row, !in, in)
 			}
 		}
 	}
 	schema := s.Graph().Schema()
 	for a := range schema.Node {
-		wantL := scanCounts(s, 'L', a, schema.Node[a].Domain)
-		wantR := scanCounts(s, 'R', a, schema.Node[a].Domain)
+		wantL := scanRows(s, 'L', a, schema.Node[a].Domain)
+		wantR := scanRows(s, 'R', a, schema.Node[a].Domain)
 		for v := graph.Value(1); int(v) <= schema.Node[a].Domain; v++ {
-			if got := s.LiveCountL(a, v); got != wantL[v] {
-				t.Fatalf("LiveCountL(%d,%d) = %d, scan says %d", a, v, got, wantL[v])
-			}
-			lRows := s.LRows(a, v)
-			if got := len(lRows); got != wantL[v] {
-				t.Fatalf("LRows(%d,%d) holds %d rows, scan says %d", a, v, got, wantL[v])
-			}
-			checkBitmap("LBitmap", a, v, s.LBitmap(a, v), lRows)
-			if got := s.LiveCountR(a, v); got != wantR[v] {
-				t.Fatalf("LiveCountR(%d,%d) = %d, scan says %d", a, v, got, wantR[v])
-			}
-			rRows := s.RRows(a, v)
-			if got := len(rRows); got != wantR[v] {
-				t.Fatalf("RRows(%d,%d) holds %d rows, scan says %d", a, v, got, wantR[v])
-			}
-			checkBitmap("RBitmap", a, v, s.RBitmap(a, v), rRows)
+			check("LBitmap", a, v, x.LBitmap(a, v), wantL[v])
+			check("RBitmap", a, v, x.RBitmap(a, v), wantR[v])
 		}
 	}
 	for a := range schema.Edge {
-		wantW := scanCounts(s, 'W', a, schema.Edge[a].Domain)
+		wantW := scanRows(s, 'W', a, schema.Edge[a].Domain)
 		for v := graph.Value(1); int(v) <= schema.Edge[a].Domain; v++ {
-			if got := s.LiveCountW(a, v); got != wantW[v] {
-				t.Fatalf("LiveCountW(%d,%d) = %d, scan says %d", a, v, got, wantW[v])
-			}
-			wRows := s.WRows(a, v)
-			if got := len(wRows); got != wantW[v] {
-				t.Fatalf("WRows(%d,%d) holds %d rows, scan says %d", a, v, got, wantW[v])
-			}
-			checkBitmap("WBitmap", a, v, s.WBitmap(a, v), wRows)
-			if got := s.WRowsInto(scratch, a, v); len(got) != wantW[v] {
-				t.Fatalf("WRowsInto(%d,%d) holds %d rows, scan says %d", a, v, len(got), wantW[v])
-			}
+			check("WBitmap", a, v, x.WBitmap(a, v), wantW[v])
 		}
 	}
 }
 
 // TestPostingListsMatchScanUnderChurn drives a randomized insert/delete
 // sequence — long enough to cross the compaction threshold several times —
-// and asserts after every batch that posting-list counts equal a
+// and asserts after every batch that the postings bitmaps equal a
 // from-scratch partition pass, and that the store still validates.
 func TestPostingListsMatchScanUnderChurn(t *testing.T) {
 	schema := dynSchema(t)

@@ -1,4 +1,4 @@
-// Bench-gate microbenchmark for the posting-list layer (DESIGN.md §7): the
+// Bench-gate microbenchmark for the postings layer (DESIGN.md §7): the
 // cost of materialising a first-level partition and of intersecting two
 // posting dimensions — the operation deep re-mine descents are built from.
 package store
@@ -31,15 +31,16 @@ func pgateFixture(b *testing.B) {
 		g := datagen.Pokec(cfg)
 		pgateSt = Build(g)
 		pgateSt.EnablePostings()
+		x := pgateSt.Postings()
 		// Pick the most populous (attr, val) on each side so the benchmark
 		// intersects real, non-trivial partitions.
 		bestR, bestL := 0, 0
 		for a := 0; a < len(g.Schema().Node); a++ {
 			for v := graph.Value(1); int(v) <= g.Schema().Node[a].Domain; v++ {
-				if n := pgateSt.LiveCountR(a, v); n > bestR {
+				if n := x.RBitmap(a, v).Count(); n > bestR {
 					bestR, pgateAttr.rAttr, pgateAttr.rVal = n, a, v
 				}
-				if n := pgateSt.LiveCountL(a, v); n > bestL {
+				if n := x.LBitmap(a, v).Count(); n > bestL {
 					bestL, pgateAttr.lAttr, pgateAttr.lVal = n, a, v
 				}
 			}
@@ -49,16 +50,18 @@ func pgateFixture(b *testing.B) {
 
 // BenchmarkPostingIntersect measures computing the rows that satisfy a
 // destination condition AND a source condition — the sub-partition a deeper
-// re-mine level needs. The "filter" variant is the posting-list scan
-// (materialise the R partition, test each row's L value); it is the
-// pre-bitmap technique, kept as the measured reference.
+// re-mine level needs. The "filter" variant is the row scan (materialise
+// the R partition, test each row's L value); it is the pre-intersection
+// technique, kept as the measured reference.
 func BenchmarkPostingIntersect(b *testing.B) {
 	pgateFixture(b)
+	x := pgateSt.Postings()
 	b.Run("filter", func(b *testing.B) {
 		b.ReportAllocs()
 		count := 0
 		for i := 0; i < b.N; i++ {
-			rows := pgateSt.RRows(pgateAttr.rAttr, pgateAttr.rVal)
+			rBM := x.RBitmap(pgateAttr.rAttr, pgateAttr.rVal)
+			rows := rBM.RowsInto(make([]int32, 0, rBM.Count()))
 			count = 0
 			for _, row := range rows {
 				if pgateSt.LVal(row, pgateAttr.lAttr) == pgateAttr.lVal {
@@ -80,8 +83,8 @@ func BenchmarkPostingIntersect(b *testing.B) {
 		count := 0
 		for i := 0; i < b.N; i++ {
 			words = AndInto(words,
-				pgateSt.RBitmap(pgateAttr.rAttr, pgateAttr.rVal),
-				pgateSt.LBitmap(pgateAttr.lAttr, pgateAttr.lVal))
+				x.RBitmap(pgateAttr.rAttr, pgateAttr.rVal),
+				x.LBitmap(pgateAttr.lAttr, pgateAttr.lVal))
 			rows = words.RowsInto(rows)
 			count = len(rows)
 		}

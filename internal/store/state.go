@@ -9,7 +9,7 @@ import (
 
 // State is a Store's serializable snapshot: every array of the compact
 // model, the tombstone set, the subset/high-water bookkeeping, whether
-// posting lists were enabled, and the intern dictionary's id assignments.
+// postings were enabled, and the intern dictionary's id assignments.
 // It is the store half of a worker checkpoint blob (DESIGN.md §9) — the
 // graph itself is not included (the checkpoint layer reconstructs it from
 // the spec plus the edge log) — and round-trips bit-identically:
@@ -42,7 +42,7 @@ type State struct {
 	DeadCount int
 
 	// Postings records that EnablePostings had run; the restoring side
-	// rebuilds the lists from the rows (they are a pure function of them)
+	// rebuilds the bitmaps from the rows (they are a pure function of them)
 	// instead of shipping them.
 	Postings bool
 
@@ -86,7 +86,7 @@ func (s *Store) State() State {
 // fails closed: every array length and row reference is bounds-checked,
 // every LArray and RArray row must name its node and carry that node's
 // values (the rows later appends extend), and the restored store must pass
-// Validate before its posting lists are built from its rows.
+// Validate before its postings bitmaps are built from its rows.
 func FromState(g *graph.Graph, st State) (*Store, error) {
 	if err := checkState(g, &st); err != nil {
 		return nil, err

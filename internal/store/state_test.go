@@ -100,7 +100,7 @@ func TestStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(normalizeState(want), normalizeState(got)) {
 		t.Fatalf("restored state differs:\n got %+v\nwant %+v", got, want)
 	}
-	if !r.PostingsEnabled() {
+	if r.Postings() == nil {
 		t.Fatal("postings flag lost")
 	}
 	assertPostingsMatchScan(t, r)

@@ -66,9 +66,10 @@ type Store struct {
 	dead      []bool
 	deadCount int
 
-	// post, when non-nil (EnablePostings), holds the per-(attribute, value)
-	// posting lists the incremental engines partition from.
-	post *postings
+	// post, when non-nil (EnablePostings), is the maintained live-row
+	// BitmapIndex the incremental engines partition from and shard workers
+	// count on.
+	post *BitmapIndex
 
 	// dict, once created by Dict(), is the store's intern dictionary: the
 	// dense descriptor/GR id space the engine's slice-indexed tables are
@@ -282,7 +283,7 @@ func (s *Store) AppendEdges(edges []int32) []int32 {
 			s.dead = append(s.dead, false)
 		}
 		if s.post != nil {
-			s.post.addRow(s, row)
+			s.post.mark(row, true)
 		}
 		if e >= s.ingested {
 			s.ingested = e + 1
@@ -297,9 +298,8 @@ func (s *Store) AppendEdges(edges []int32) []int32 {
 // against a deletion read them first — until the dead fraction crosses the
 // compaction threshold, at which point the arrays are rebuilt over the
 // surviving rows and ALL ROW IDS ARE RENUMBERED: treat previously returned
-// row ids as invalid after any RemoveEdges call. Posting lists and live
-// counts are maintained either way. Not safe to call concurrently with
-// readers.
+// row ids as invalid after any RemoveEdges call. The postings bitmaps are
+// kept live-exact either way. Not safe to call concurrently with readers.
 func (s *Store) RemoveEdges(rows []int32) error {
 	for _, row := range rows {
 		if row < 0 || int(row) >= len(s.ePtr) {
@@ -317,7 +317,7 @@ func (s *Store) RemoveEdges(rows []int32) error {
 			s.lOut[lRow]--
 		}
 		if s.post != nil {
-			s.post.removeRow(s, row)
+			s.post.mark(row, false)
 		}
 	}
 	if s.deadCount >= compactMinDead && s.deadCount*compactFraction >= len(s.ePtr) {
@@ -327,8 +327,8 @@ func (s *Store) RemoveEdges(rows []int32) error {
 }
 
 // compact rebuilds the arrays over the surviving rows, dropping tombstones
-// and renumbering rows; subset/high-water bookkeeping and posting lists are
-// preserved (lists are rebuilt against the new row ids).
+// and renumbering rows; subset/high-water bookkeeping and postings are
+// preserved (the bitmaps are rebuilt against the new row ids).
 func (s *Store) compact() {
 	live := make([]int32, 0, s.NumEdges())
 	for row := range s.ePtr {
@@ -340,10 +340,12 @@ func (s *Store) compact() {
 	n.subset = s.subset
 	n.ingested = s.ingested
 	n.dict = s.dict
-	if s.post != nil {
-		n.EnablePostings()
-	}
+	postings := s.post != nil
 	*s = *n
+	if postings {
+		// Built on s, not n: the index reads its store's rows and NumEdges.
+		s.EnablePostings()
+	}
 }
 
 // Dict returns the store's intern dictionary, creating it on first use. The
