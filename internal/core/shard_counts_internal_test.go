@@ -264,6 +264,34 @@ func TestWorkerCountsRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestWorkerOfferRejectsIllShapedBound pins the offer's fail-closed check:
+// a bound whose tables do not have one Domain+1 row per schema attribute is
+// refused before mining (the empty bound used to panic in prune), and the
+// worker keeps serving well-shaped bounds.
+func TestWorkerOfferRejectsIllShapedBound(t *testing.T) {
+	w, _, _ := countsWorker(t, 5, metrics.NhpMetric)
+	schema := w.g.Schema()
+	good := func() *OfferBound { return buildOfferBounds(2, []ShardSketch{newShardSketch(schema)})[0] }
+	cases := map[string]func(*OfferBound){
+		"empty bound":            func(b *OfferBound) { *b = OfferBound{MinSupp: 1} },
+		"HL missing a row":       func(b *OfferBound) { b.HL = b.HL[:1] },
+		"OR with extra row":      func(b *OfferBound) { b.OR = append(b.OR, []int{0}) },
+		"HW row too short":       func(b *OfferBound) { b.HW = [][]int{b.HW[0][:1]} },
+		"OW row too long":        func(b *OfferBound) { b.OW = [][]int{append(b.OW[0], 0)} },
+		"HR row of another attr": func(b *OfferBound) { b.HR = [][]int{b.HR[0], b.HR[0], b.HR[2]} },
+	}
+	for name, edit := range cases {
+		b := good()
+		edit(b)
+		if offers, _, err := w.Offer(b); err == nil || offers != nil {
+			t.Errorf("%s: Offer = %d offers, %v; want a refusal", name, len(offers), err)
+		}
+	}
+	if _, _, err := w.Offer(good()); err != nil {
+		t.Fatalf("well-shaped bound after refusals: %v", err)
+	}
+}
+
 // TestWorkerCountsAllocsFlat pins the kernel's allocation budget: with its
 // scratch warm, a request costs the reply slice alone, however many GRs it
 // carries.

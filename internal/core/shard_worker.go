@@ -486,6 +486,32 @@ func buildOfferBounds(minSupp int, sketches []ShardSketch) []*OfferBound {
 	return bounds
 }
 
+// check verifies that the bound's tables fit schema: one row per node
+// attribute in HL/OL/HR/OR and per edge attribute in HW/OW, each Domain+1
+// long. The tables arrive over the wire and prune indexes them by
+// descriptor attribute and value, so an ill-shaped bound fails the offer.
+func (b *OfferBound) check(schema *graph.Schema) error {
+	for _, t := range []struct {
+		name  string
+		rows  [][]int
+		attrs []graph.Attribute
+	}{
+		{"HL", b.HL, schema.Node}, {"OL", b.OL, schema.Node},
+		{"HR", b.HR, schema.Node}, {"OR", b.OR, schema.Node},
+		{"HW", b.HW, schema.Edge}, {"OW", b.OW, schema.Edge},
+	} {
+		if len(t.rows) != len(t.attrs) {
+			return fmt.Errorf("offer bound %s: %d rows for %d attributes", t.name, len(t.rows), len(t.attrs))
+		}
+		for a, row := range t.rows {
+			if len(row) != t.attrs[a].Domain+1 {
+				return fmt.Errorf("offer bound %s: attribute %d has %d entries, want %d", t.name, a, len(row), t.attrs[a].Domain+1)
+			}
+		}
+	}
+	return nil
+}
+
 // prune reports whether the subtree below a partition of partSize edges,
 // whose GRs all carry at least the conditions l ∧ w ∧ r, provably contains
 // no globally qualifying GR. Both bounds are monotone under condition
@@ -635,8 +661,14 @@ func (w *WorkerState) Close() error { return nil }
 // filtering (shard.go's completeness argument). A non-nil bound prunes
 // subtrees that provably hold no globally qualifying GR (round 1 of the
 // two-round protocol); a nil bound also (re)seeds the maintained pool the
-// incremental engine's Ingest path delta-updates.
+// incremental engine's Ingest path delta-updates. A bound whose tables do
+// not fit the shard schema is rejected before any mining.
 func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) {
+	if bound != nil {
+		if err := bound.check(w.g.Schema()); err != nil {
+			return nil, Stats{}, fmt.Errorf("core: worker %d: %w", w.idx, err)
+		}
+	}
 	var out []ShardCandidate
 	w.scr.reset()
 	m := newMinerScr(w.st, w.pool.opt, w.scr)

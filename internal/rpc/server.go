@@ -117,97 +117,102 @@ func serveSession(conn net.Conn, capacity int, logf func(string, ...any)) error 
 			// our protocol and then broke it — treat like a bad handshake.
 			return fmt.Errorf("rpc: %v: malformed request: %w", peer, err)
 		}
-		var rep Reply
-		if req.Shard < 0 || req.Shard >= capacity {
-			rep.Err = fmt.Sprintf("shard slot %d out of range (daemon capacity %d)", req.Shard, capacity)
-			if err := enc.Encode(rep); err != nil {
-				logf("session from %v: reply failed: %v", peer, err)
-				return nil
-			}
-			continue
-		}
-		worker := workers[req.Shard]
-		switch req.Op {
-		case OpBuild:
-			if req.Spec == nil {
-				rep.Err = "build request without a worker spec"
-				break
-			}
-			w, err := core.NewWorkerState(*req.Spec)
-			if err != nil {
-				rep.Err = err.Error()
-				break
-			}
-			workers[req.Shard] = w
-			rep.NumEdges = w.NumEdges()
-			logf("built shard %d/%d in slot %d: %d edges", req.Spec.Index+1, req.Spec.Shards, req.Shard, rep.NumEdges)
-		case OpOffer:
-			if worker == nil {
-				rep.Err = "offer before build"
-				break
-			}
-			offers, stats, err := worker.Offer(req.Bound)
-			if err != nil {
-				rep.Err = err.Error()
-				break
-			}
-			rep.Offers, rep.Stats, rep.NumEdges = offers, stats, worker.NumEdges()
-		case OpCounts:
-			if worker == nil {
-				rep.Err = "counts before build"
-				break
-			}
-			counts, err := answerCounts(worker, req.Query)
-			if err != nil {
-				rep.Err = err.Error()
-				break
-			}
-			rep.Counts, rep.NumEdges = counts, worker.NumEdges()
-		case OpIngest:
-			if worker == nil {
-				rep.Err = "ingest before build"
-				break
-			}
-			ing, err := worker.Ingest(core.Batch{Ins: req.Edges, Del: req.Deletes})
-			if err != nil {
-				rep.Err = err.Error()
-				break
-			}
-			rep.Ingest, rep.NumEdges = ing, ing.NumEdges
-		case OpCheckpoint:
-			if worker == nil {
-				rep.Err = "checkpoint before build"
-				break
-			}
-			blob, err := worker.Checkpoint()
-			if err != nil {
-				rep.Err = err.Error()
-				break
-			}
-			rep.Checkpoint, rep.NumEdges = blob, worker.NumEdges()
-			logf("checkpointed slot %d: %d bytes", req.Shard, len(blob))
-		case OpRestore:
-			if req.Spec == nil || req.Checkpoint == nil {
-				rep.Err = "restore request without a worker spec and checkpoint blob"
-				break
-			}
-			w, err := core.NewWorkerStateFromCheckpoint(*req.Spec, req.Checkpoint)
-			if err != nil {
-				rep.Err = err.Error()
-				break
-			}
-			workers[req.Shard] = w
-			rep.NumEdges = w.NumEdges()
-			logf("restored shard %d/%d into slot %d from a %d-byte checkpoint: %d edges",
-				req.Spec.Index+1, req.Spec.Shards, req.Shard, len(req.Checkpoint), rep.NumEdges)
-		default:
-			rep.Err = fmt.Sprintf("unknown op %q", req.Op)
-		}
-		if err := enc.Encode(rep); err != nil {
+		if err := enc.Encode(serveRequest(workers, req, logf)); err != nil {
 			logf("session from %v: reply failed: %v", peer, err)
 			return nil // peer gone mid-reply; not a protocol violation
 		}
 	}
+}
+
+// serveRequest answers one shard-addressed request against a session's
+// worker slots, installing the worker a build or restore makes. Every
+// failure — a slot beyond capacity, an op before its build, a request the
+// worker rejects — is reported in-band in Reply.Err; a session survives
+// any request its peer can encode.
+func serveRequest(workers []*core.WorkerState, req Request, logf func(string, ...any)) Reply {
+	var rep Reply
+	if req.Shard < 0 || req.Shard >= len(workers) {
+		rep.Err = fmt.Sprintf("shard slot %d out of range (daemon capacity %d)", req.Shard, len(workers))
+		return rep
+	}
+	worker := workers[req.Shard]
+	switch req.Op {
+	case OpBuild:
+		if req.Spec == nil {
+			rep.Err = "build request without a worker spec"
+			break
+		}
+		w, err := core.NewWorkerState(*req.Spec)
+		if err != nil {
+			rep.Err = err.Error()
+			break
+		}
+		workers[req.Shard] = w
+		rep.NumEdges = w.NumEdges()
+		logf("built shard %d/%d in slot %d: %d edges", req.Spec.Index+1, req.Spec.Shards, req.Shard, rep.NumEdges)
+	case OpOffer:
+		if worker == nil {
+			rep.Err = "offer before build"
+			break
+		}
+		offers, stats, err := worker.Offer(req.Bound)
+		if err != nil {
+			rep.Err = err.Error()
+			break
+		}
+		rep.Offers, rep.Stats, rep.NumEdges = offers, stats, worker.NumEdges()
+	case OpCounts:
+		if worker == nil {
+			rep.Err = "counts before build"
+			break
+		}
+		counts, err := answerCounts(worker, req.Query)
+		if err != nil {
+			rep.Err = err.Error()
+			break
+		}
+		rep.Counts, rep.NumEdges = counts, worker.NumEdges()
+	case OpIngest:
+		if worker == nil {
+			rep.Err = "ingest before build"
+			break
+		}
+		ing, err := worker.Ingest(core.Batch{Ins: req.Edges, Del: req.Deletes})
+		if err != nil {
+			rep.Err = err.Error()
+			break
+		}
+		rep.Ingest, rep.NumEdges = ing, ing.NumEdges
+	case OpCheckpoint:
+		if worker == nil {
+			rep.Err = "checkpoint before build"
+			break
+		}
+		blob, err := worker.Checkpoint()
+		if err != nil {
+			rep.Err = err.Error()
+			break
+		}
+		rep.Checkpoint, rep.NumEdges = blob, worker.NumEdges()
+		logf("checkpointed slot %d: %d bytes", req.Shard, len(blob))
+	case OpRestore:
+		if req.Spec == nil || req.Checkpoint == nil {
+			rep.Err = "restore request without a worker spec and checkpoint blob"
+			break
+		}
+		w, err := core.NewWorkerStateFromCheckpoint(*req.Spec, req.Checkpoint)
+		if err != nil {
+			rep.Err = err.Error()
+			break
+		}
+		workers[req.Shard] = w
+		rep.NumEdges = w.NumEdges()
+		logf("restored shard %d/%d into slot %d from a %d-byte checkpoint: %d edges",
+			req.Spec.Index+1, req.Spec.Shards, req.Shard, len(req.Checkpoint), rep.NumEdges)
+	default:
+		rep.Err = fmt.Sprintf("unknown op %q", req.Op)
+	}
+	return rep
 }
 
 // connDropped reports whether err is a connection-level failure — the peer
