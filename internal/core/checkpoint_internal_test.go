@@ -11,6 +11,7 @@ import (
 
 	"grminer/internal/gr"
 	"grminer/internal/graph"
+	"grminer/internal/intern"
 	"grminer/internal/metrics"
 )
 
@@ -212,6 +213,21 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 		{"edge row past LArray", "out of range", func(img *checkpointImage) { img.Store.ESrc[0] = 1 << 20 }},
 		{"pool GR outside the schema", "pool entry", func(img *checkpointImage) {
 			img.Pool[0].GR.R = gr.Descriptor{{Attr: 7, Val: 1}}
+		}},
+		{"dictionary descriptor hanging off a later one", "hangs off", func(img *checkpointImage) {
+			img.Store.Dict.Descs[0] = 5 << 32
+		}},
+		{"dictionary pair past the layout", "steps by pair", func(img *checkpointImage) {
+			img.Store.Dict.Descs[0] = 1 << 20
+		}},
+		{"dictionary repeated trie edge", "repeats a trie edge", func(img *checkpointImage) {
+			img.Store.Dict.Descs[1] = img.Store.Dict.Descs[0]
+		}},
+		{"dictionary GR naming an unknown descriptor", "names descriptor", func(img *checkpointImage) {
+			img.Store.Dict.GRs[0][2] = intern.DescID(len(img.Store.Dict.Descs) + 1)
+		}},
+		{"dictionary repeated GR triple", "repeats a descriptor triple", func(img *checkpointImage) {
+			img.Store.Dict.GRs[1] = img.Store.Dict.GRs[0]
 		}},
 	} {
 		if _, err := NewWorkerStateFromCheckpoint(spec0, editBlob(t, blob, tc.edit)); err == nil ||

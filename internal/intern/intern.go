@@ -22,6 +22,8 @@
 package intern
 
 import (
+	"fmt"
+
 	"grminer/internal/gr"
 	"grminer/internal/graph"
 )
@@ -192,16 +194,39 @@ func (d *Dict) State() DictState {
 	return st
 }
 
-// FromState rebuilds a dictionary over layout with st's id assignments.
-func FromState(layout *Layout, st DictState) *Dict {
+// FromState rebuilds a dictionary over layout with st's id assignments. A
+// state arrives from outside the process (a checkpoint blob), so it fails
+// closed on anything NewDict and its interning could not have produced: a
+// trie edge whose parent is not an earlier descriptor, a pair id outside
+// layout, a repeated key (which would silently shift every id handed out
+// later), or a GR triple naming an unknown descriptor or repeating another.
+func FromState(layout *Layout, st DictState) (*Dict, error) {
 	d := NewDict(layout)
 	for i, key := range st.Descs {
-		d.trie[key] = DescID(i + 1)
-	}
-	for i, key := range st.GRs {
-		d.grs[key] = GRID(i)
+		id := DescID(i + 1)
+		if parent := key >> 32; parent >= uint64(id) {
+			return nil, fmt.Errorf("intern: state: descriptor %d hangs off descriptor %d", id, parent)
+		}
+		if p := uint32(key); p >= uint32(layout.NumPairs()) {
+			return nil, fmt.Errorf("intern: state: descriptor %d steps by pair %d of %d", id, p, layout.NumPairs())
+		}
+		if _, dup := d.trie[key]; dup {
+			return nil, fmt.Errorf("intern: state: descriptor %d repeats a trie edge", id)
+		}
+		d.trie[key] = id
 	}
 	d.nDesc = DescID(len(st.Descs) + 1)
+	for i, key := range st.GRs {
+		for _, desc := range key {
+			if desc < 0 || desc >= d.nDesc {
+				return nil, fmt.Errorf("intern: state: GR %d names descriptor %d of %d", i, desc, d.nDesc)
+			}
+		}
+		if _, dup := d.grs[key]; dup {
+			return nil, fmt.Errorf("intern: state: GR %d repeats a descriptor triple", i)
+		}
+		d.grs[key] = GRID(i)
+	}
 	d.nGR = GRID(len(st.GRs))
-	return d
+	return d, nil
 }

@@ -85,8 +85,9 @@ func (s *Store) State() State {
 // A snapshot arrives from outside the process (a checkpoint blob), so it
 // fails closed: every array length and row reference is bounds-checked,
 // every LArray and RArray row must name its node and carry that node's
-// values (the rows later appends extend), and the restored store must pass
-// Validate before its postings bitmaps are built from its rows.
+// values (the rows later appends extend), the restored store must pass
+// Validate before its postings bitmaps are built from its rows, and its
+// dictionary must pass intern.FromState's checks.
 func FromState(g *graph.Graph, st State) (*Store, error) {
 	if err := checkState(g, &st); err != nil {
 		return nil, err
@@ -114,7 +115,11 @@ func FromState(g *graph.Graph, st State) (*Store, error) {
 		return nil, fmt.Errorf("store: state: %w", err)
 	}
 	if st.HasDict {
-		s.dict = intern.FromState(intern.NewLayout(g.Schema()), st.Dict)
+		d, err := intern.FromState(intern.NewLayout(g.Schema()), st.Dict)
+		if err != nil {
+			return nil, err
+		}
+		s.dict = d
 	}
 	if st.Postings {
 		s.EnablePostings()
