@@ -10,13 +10,13 @@ import (
 // bitmapCounter is the exact count kernel over a store.BitmapIndex, serving
 // both round-2 Counts on shard workers (the store's maintained postings)
 // and the ExactGenerality generalisation checks of mines (the postings when
-// the store keeps them, else a lazily filled per-mine index). Per GR the cost is
-// O(conditions × rows/64): L∧W is intersected once into scratch (an empty
-// L∧W is every live row), then intersected-and-counted against the R
-// bitmaps for LWR and against the destination-side l[β] bitmaps for Hom; R
-// alone is counted when the metric reads it. Only the fields the metric
-// reads are filled, so counts sum consistently with in-search capture
-// counts.
+// the store keeps them, else a lazily filled per-mine index). Per GR the
+// cost is O(conditions × rows/64): L∧W is intersected once into scratch
+// (an empty L∧W is every live row), then intersected-and-counted against
+// the R bitmaps for LWR and against the destination-side l[β] bitmaps for
+// Hom; R alone is counted when the metric reads it. Only the fields the
+// metric reads are filled, so counts sum consistently with in-search
+// capture counts.
 //
 // The value holds reusable scratch — the current L∧W intersection and a
 // buffer for deeper multi-way intersections. The zero value is ready; it

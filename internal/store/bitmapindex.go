@@ -25,13 +25,11 @@ type BitmapIndex struct {
 }
 
 // NewBitmapIndex returns an empty lazy index over s. No bitmap is built yet.
-func NewBitmapIndex(s *Store) *BitmapIndex { return newBitmapIndex(s, true) }
-
-func newBitmapIndex(s *Store, lazy bool) *BitmapIndex {
+func NewBitmapIndex(s *Store) *BitmapIndex {
 	schema := s.g.Schema()
 	return &BitmapIndex{
 		s:    s,
-		lazy: lazy,
+		lazy: true,
 		l:    newBitmaps(schema.Node),
 		w:    newBitmaps(schema.Edge),
 		r:    newBitmaps(schema.Node),

@@ -144,6 +144,7 @@ func assertPostingsMatchScan(t *testing.T, s *Store) {
 			}
 		}
 		i := 0
+		//grlint:ignore deadedge tombstoned rows are probed on purpose: Has must deny them
 		for row := int32(0); int(row) < s.NumRows(); row++ {
 			in := i < len(want) && want[i] == row
 			if in {

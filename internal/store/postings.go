@@ -109,7 +109,8 @@ func (b Bitmap) Clear(row int32) {
 // over its current rows and keeps it live-exact through AppendEdges and
 // RemoveEdges from now on. Idempotent rebuild; O(rows × dims).
 func (s *Store) EnablePostings() {
-	x := newBitmapIndex(s, false)
+	x := NewBitmapIndex(s)
+	x.lazy = false // filled here, then kept live-exact by the store
 	s.post = x
 	for row := int32(0); int(row) < len(s.ePtr); row++ {
 		if s.Alive(row) {
@@ -126,23 +127,24 @@ func (s *Store) Postings() *BitmapIndex { return s.post }
 
 // mark sets (live) or clears one row's bits in a maintained index.
 func (x *BitmapIndex) mark(row int32, live bool) {
-	flip := func(b *Bitmap, v graph.Value) {
-		switch {
-		case v == graph.Null:
-		case live:
-			*b = b.Set(row)
-		default:
-			b.Clear(row)
-		}
-	}
 	s := x.s
 	for a := range x.l {
-		v, u := s.LVal(row, a), s.RVal(row, a)
-		flip(&x.l[a][v], v)
-		flip(&x.r[a][u], u)
+		flip(x.l[a], s.LVal(row, a), row, live)
+		flip(x.r[a], s.RVal(row, a), row, live)
 	}
 	for a := range x.w {
-		v := s.EVal(row, a)
-		flip(&x.w[a][v], v)
+		flip(x.w[a], s.EVal(row, a), row, live)
+	}
+}
+
+// flip sets (live) or clears row in the bitmap of value v; null values are
+// never indexed.
+func flip(bms []Bitmap, v graph.Value, row int32, live bool) {
+	switch {
+	case v == graph.Null:
+	case live:
+		bms[v] = bms[v].Set(row)
+	default:
+		bms[v].Clear(row)
 	}
 }

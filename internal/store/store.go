@@ -448,15 +448,7 @@ func (s *Store) DstNode(e int32) int32 { return s.rNode[s.ePtr[e]] }
 
 // AllEdges returns a fresh slice of every live EArray row id, the root
 // partition for the miner.
-func (s *Store) AllEdges() []int32 {
-	ids := make([]int32, 0, s.NumEdges())
-	for i := 0; i < len(s.ePtr); i++ {
-		if s.Alive(int32(i)) {
-			ids = append(ids, int32(i))
-		}
-	}
-	return ids
-}
+func (s *Store) AllEdges() []int32 { return s.AllEdgesInto(make([]int32, 0, s.NumEdges())) }
 
 // AllEdgesInto is AllEdges appending into dst[:0], letting per-batch callers
 // reuse one scratch slice instead of allocating the root partition each time.
