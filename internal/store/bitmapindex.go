@@ -7,10 +7,10 @@ import "grminer/internal/graph"
 // never indexed and reads as the empty set). Bitmaps are owned by the index
 // and read-only to callers. It comes in two forms:
 //
-//   - maintained (Store.Postings, after EnablePostings): filled completely
-//     and kept live-exact by the store through every append, removal and
-//     compaction. It never builds anything on read, so concurrent readers
-//     are safe while the store is not mutated; a nil bitmap is an empty set.
+//   - maintained (Store.Postings; see EnablePostings): complete and kept
+//     live-exact by the store. It never builds on read, so concurrent
+//     readers are safe while the store is not mutated; a nil bitmap is an
+//     empty set.
 //   - lazy (NewBitmapIndex, for static mines over stores without
 //     postings): each bitmap is filled on first request in one pass over the
 //     rows and allocated once at exactly ⌈NumRows/64⌉ words, so a caller
@@ -50,31 +50,46 @@ func (x *BitmapIndex) NumEdges() int { return x.s.NumEdges() }
 // LBitmap returns the live rows whose source node carries val on node
 // attribute attr.
 func (x *BitmapIndex) LBitmap(attr int, val graph.Value) Bitmap {
-	return x.get(x.l, x.s.lVals, x.s.eSrc, len(x.l), attr, val)
+	if b := x.l[attr][val]; b != nil {
+		return b
+	}
+	return x.fill('L', attr, val)
 }
 
 // WBitmap is LBitmap for edge attribute attr.
 func (x *BitmapIndex) WBitmap(attr int, val graph.Value) Bitmap {
-	return x.get(x.w, x.s.eVals, nil, len(x.w), attr, val)
+	if b := x.w[attr][val]; b != nil {
+		return b
+	}
+	return x.fill('W', attr, val)
 }
 
 // RBitmap is LBitmap for the destination side.
 func (x *BitmapIndex) RBitmap(attr int, val graph.Value) Bitmap {
-	return x.get(x.r, x.s.rVals, x.s.ePtr, len(x.r), attr, val)
-}
-
-// get returns the bitmap of table[attr][val], filling it first when the
-// index is lazy and it was never requested. Row e's value sits at
-// vals[idx[e]*stride+attr], or vals[e*stride+attr] when idx is nil (edge
-// attributes are stored per row).
-func (x *BitmapIndex) get(table [][]Bitmap, vals []graph.Value, idx []int32, stride, attr int, val graph.Value) Bitmap {
-	if val == graph.Null {
-		return nil
-	}
-	if b := table[attr][val]; b != nil || !x.lazy {
+	if b := x.r[attr][val]; b != nil {
 		return b
 	}
+	return x.fill('R', attr, val)
+}
+
+// fill builds a lazy index's bitmap of (side, attr, val) on its first
+// request. Null, and a value no row of a maintained index carries, stay
+// the empty set: a maintained index never builds on read.
+func (x *BitmapIndex) fill(side byte, attr int, val graph.Value) Bitmap {
+	if val == graph.Null || !x.lazy {
+		return nil
+	}
+	// Row e's value sits at vals[idx[e]*len(table)+attr], or at
+	// vals[e*len(table)+attr] when idx is nil (edge values are per row).
 	s := x.s
+	table, vals, idx := x.l, s.lVals, s.eSrc
+	switch side {
+	case 'W':
+		table, vals, idx = x.w, s.eVals, nil
+	case 'R':
+		table, vals, idx = x.r, s.rVals, s.ePtr
+	}
+	stride := len(table)
 	b := make(Bitmap, (s.NumRows()+63)/64)
 	for row := range s.ePtr {
 		i := row

@@ -6,26 +6,6 @@ import (
 	"grminer/internal/graph"
 )
 
-// Per-(attribute, value) live-row bitmaps ("postings"): for every non-null
-// value of every node attribute (on the source and destination side) and
-// every edge attribute, the set of live EArray rows carrying it, packed one
-// bit per row (see BitmapIndex, the one type that holds them). They exist
-// for the incremental engines, whose per-batch scoped re-mine otherwise has
-// to counting-sort the full edge set once per dimension just to recover the
-// handful of first-level partitions a batch touched — the O(|E| × dims)
-// floor of every Apply. With postings enabled a re-mine reads each affected
-// partition's size and rows straight off its bitmap, deeper levels intersect
-// bitmaps word-wide, and shard workers count round-2 queries on them.
-//
-// Invariant (asserted by the store tests against a brute-force scan after
-// arbitrary insert/delete sequences): the bitmap of (side, attr, val) holds
-// exactly the live rows whose side-value for attr is val. AppendEdges sets
-// the new row's bits, RemoveEdges clears the tombstoned row's bits at once,
-// and compaction rebuilds every bitmap against the renumbered rows.
-//
-// Null values are never indexed: descriptors cannot constrain on null, so no
-// subtree is keyed by one.
-
 // Bitmap is a packed set of EArray row ids (bit row%64 of word row/64). The
 // tail is implicitly zero: a bitmap only grows to the highest row it holds.
 type Bitmap []uint64
@@ -105,9 +85,16 @@ func (b Bitmap) Clear(row int32) {
 	b[row>>6] &^= 1 << uint(row&63)
 }
 
-// EnablePostings builds (or rebuilds) the store's maintained BitmapIndex
-// over its current rows and keeps it live-exact through AppendEdges and
-// RemoveEdges from now on. Idempotent rebuild; O(rows × dims).
+// EnablePostings builds (or rebuilds) the store's maintained BitmapIndex —
+// its postings — over its current rows and keeps it live-exact from now on:
+// AppendEdges sets a new row's bits, RemoveEdges clears a tombstoned row's
+// bits at once, and compaction rebuilds the index against the renumbered
+// rows (the store tests check every bitmap against a brute-force scan
+// after arbitrary insert/delete sequences). The incremental engines keep
+// postings: their scoped re-mine reads each first-level partition's size
+// and rows off a bitmap instead of counting-sorting the full edge set per
+// dimension, deeper levels intersect bitmaps word-wide, and shard workers
+// count round-2 queries on them. Idempotent rebuild; O(rows × dims).
 func (s *Store) EnablePostings() {
 	x := NewBitmapIndex(s)
 	x.lazy = false // filled here, then kept live-exact by the store
