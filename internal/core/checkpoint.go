@@ -5,7 +5,10 @@ import (
 	"encoding/gob"
 	"fmt"
 
+	"grminer/internal/gr"
 	"grminer/internal/graph"
+	"grminer/internal/intern"
+	"grminer/internal/metrics"
 	"grminer/internal/store"
 )
 
@@ -17,7 +20,10 @@ import (
 // closed (the supervisor then marks the shard down rather than guessing).
 // Version 2 serializes the intern dictionary as id-ordered slices instead
 // of maps and the pool in entry order, so blobs are deterministic.
-const CheckpointVersion = 2
+// Version 3 writes the pool and the dictionary's GR table as flat columns
+// (poolColumns, intern.DictState) instead of slices of structs and arrays,
+// which gob walks value by value at every nesting level.
+const CheckpointVersion = 3
 
 // Checkpointer is a ShardWorker that can serialize its full shard state
 // into an opaque versioned blob. Supervisors checkpoint through it every
@@ -71,7 +77,94 @@ type checkpointImage struct {
 	Store store.State
 
 	Seeded bool
-	Pool   []ShardCandidate
+	Pool   poolColumns
+}
+
+// poolColumns is the maintained pool in entry order: the GRs in gr's
+// column layout and one int32 column per maintained count. Hom rides only
+// when the metric reads it and R only when it reads R — the fields the
+// pool maintains, as in IngestReply. E does not ride at all: every entry's
+// E is the shard's live edge count (recount sets it so each batch), which
+// the restore reads off the restored store.
+type poolColumns struct {
+	GRs             gr.Columns
+	LWR, LW, Hom, R []int32
+}
+
+// columns lays the pool out as poolColumns, in entry order.
+func (p *densePool) columns() (poolColumns, error) {
+	n, conds := len(p.entries), 0
+	for i := range p.entries {
+		g := &p.entries[i].gr
+		conds += len(g.L) + len(g.W) + len(g.R)
+	}
+	m := p.opt.Metric
+	pc := poolColumns{GRs: gr.MakeColumns(n, conds), LWR: make([]int32, n), LW: make([]int32, n)}
+	if m.NeedsHom {
+		pc.Hom = make([]int32, n)
+	}
+	if m.NeedsR {
+		pc.R = make([]int32, n)
+	}
+	for i := range p.entries {
+		t := &p.entries[i]
+		if err := pc.GRs.Append(t.gr); err != nil {
+			return poolColumns{}, fmt.Errorf("pool entry %d: %w", i, err)
+		}
+		pc.LWR[i], pc.LW[i] = int32(t.c.LWR), int32(t.c.LW)
+		if m.NeedsHom {
+			pc.Hom[i] = int32(t.c.Hom)
+		}
+		if m.NeedsR {
+			pc.R[i] = int32(t.c.R)
+		}
+	}
+	return pc, nil
+}
+
+// restore upserts the entries of untrusted columns into the pool, in
+// order. The GR columns must unpack, every count column must hold one
+// entry per GR (Hom exactly when the metric reads it, R exactly when it
+// reads R), and every GR must be valid for the schema — an out-of-schema
+// condition would index past the dictionary's pair layout and the
+// recount's value bitmaps. Every entry's E is the store's live edge count.
+// The pool must be empty; on error it holds a prefix of the entries and
+// callers discard it.
+func (p *densePool) restore(pc poolColumns) error {
+	grs, err := pc.GRs.Unpack()
+	if err != nil {
+		return fmt.Errorf("pool GR columns: %w", err)
+	}
+	n, m := len(grs), p.opt.Metric
+	want := func(on bool) int {
+		if on {
+			return n
+		}
+		return 0
+	}
+	if len(pc.LWR) != n || len(pc.LW) != n || len(pc.Hom) != want(m.NeedsHom) || len(pc.R) != want(m.NeedsR) {
+		return fmt.Errorf("pool count columns (LWR %d, LW %d, Hom %d, R %d) misaligned with %d GRs under metric %s",
+			len(pc.LWR), len(pc.LW), len(pc.Hom), len(pc.R), n, m.Name)
+	}
+	p.entries = make([]tracked, 0, n)
+	p.ids = make([]intern.GRID, 0, n)
+	p.moved = make([]bool, 0, n)
+	p.slots = make([]int32, p.dict.NumGRs())
+	schema, numEdges := p.st.Graph().Schema(), p.st.NumEdges()
+	for i, g := range grs {
+		if err := g.Valid(schema); err != nil {
+			return fmt.Errorf("pool entry %d: %w", i, err)
+		}
+		c := metrics.Counts{LWR: int(pc.LWR[i]), LW: int(pc.LW[i]), E: numEdges}
+		if m.NeedsHom {
+			c.Hom = int(pc.Hom[i])
+		}
+		if m.NeedsR {
+			c.R = int(pc.R[i])
+		}
+		p.upsert(g, c, m.Score(c))
+	}
+	return nil
 }
 
 // Checkpoint serializes the worker's full shard state — graph edge log with
@@ -107,10 +200,11 @@ func (w *WorkerState) Checkpoint() ([]byte, error) {
 	if w.seeded {
 		// Entry order, not map order: restore upserts in blob order, so the
 		// restored pool's dense layout — and its next checkpoint — match.
-		img.Pool = make([]ShardCandidate, len(w.pool.entries))
-		for i, t := range w.pool.entries {
-			img.Pool[i] = ShardCandidate{GR: t.gr, Counts: t.c}
+		pool, err := w.pool.columns()
+		if err != nil {
+			return nil, fmt.Errorf("core: worker %d: checkpoint: %w", w.idx, err)
 		}
+		img.Pool = pool
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
@@ -126,7 +220,14 @@ func (w *WorkerState) Checkpoint() ([]byte, error) {
 func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, error) {
 	var img checkpointImage
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("core: shard %d: checkpoint decode: %w", spec.Index, err)
+		// A blob of another generation may not even decode (version 3
+		// changed field types); gob skips the fields a struct lacks, so
+		// its version alone still reads, and names the real mismatch.
+		var hdr struct{ Version int }
+		if gob.NewDecoder(bytes.NewReader(blob)).Decode(&hdr) != nil || hdr.Version == CheckpointVersion {
+			return nil, fmt.Errorf("core: shard %d: checkpoint decode: %w", spec.Index, err)
+		}
+		img.Version = hdr.Version
 	}
 	if img.Version != CheckpointVersion {
 		return nil, fmt.Errorf("core: shard %d: checkpoint version %d, this build speaks %d",
@@ -158,15 +259,10 @@ func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, e
 		return nil, err
 	}
 	if img.Seeded {
-		w.seeded = true
-		for i, cand := range img.Pool {
-			// An out-of-schema condition would index past the dictionary's
-			// pair layout and the recount's value bitmaps.
-			if err := cand.GR.Valid(w.g.Schema()); err != nil {
-				return nil, fmt.Errorf("core: shard %d: checkpoint pool entry %d: %w", spec.Index, i, err)
-			}
-			w.pool.upsert(cand.GR, cand.Counts, w.pool.opt.Metric.Score(cand.Counts))
+		if err := w.pool.restore(img.Pool); err != nil {
+			return nil, fmt.Errorf("core: shard %d: checkpoint %w", spec.Index, err)
 		}
+		w.seeded = true
 	}
 	return w, nil
 }

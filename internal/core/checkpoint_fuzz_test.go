@@ -6,31 +6,41 @@ import (
 	"grminer/internal/graph"
 )
 
-// FuzzWorkerCheckpoint feeds arbitrary bytes to the checkpoint restore that
-// shardd's Restore takes off the wire. A blob must restore or fail with an
-// error, never panic; a blob that restores must leave a worker that can
-// ingest and checkpoint again. The checked-in corpus holds a real blob and
-// the two corruptions that used to panic (an edge row past the LArray, a
-// pool GR outside the schema).
-func FuzzWorkerCheckpoint(f *testing.F) {
-	spec := realWorkerSpec(f, 11, 2, 0)
+// checkpointFuzzFixture is FuzzWorkerCheckpoint's worker — seeded, then
+// one mixed batch, so the store carries a tombstone — with its spec and
+// checkpoint blob.
+func checkpointFuzzFixture(t testing.TB) (WorkerSpec, []byte) {
+	t.Helper()
+	spec := realWorkerSpec(t, 11, 2, 0)
 	w, err := NewWorkerState(spec)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	if _, _, err := w.Offer(nil); err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	if _, err := w.Ingest(Batch{
 		Ins: []EdgeInsert{{Src: 0, Dst: 1, Vals: []graph.Value{1}}},
 		Del: []EdgeDelete{specDelete(spec, 0)},
 	}); err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	blob, err := w.Checkpoint()
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
+	return spec, blob
+}
+
+// FuzzWorkerCheckpoint feeds arbitrary bytes to the checkpoint restore that
+// shardd's Restore takes off the wire. A blob must restore or fail with an
+// error, never panic; a blob that restores must leave a worker that can
+// ingest and checkpoint again. The checked-in corpus holds the fixture's
+// real blob, its version 2 predecessor, and one corruption of it per class
+// of blobCorruptions past the version check
+// (TestCheckpointFuzzCorpusCurrent keeps them current).
+func FuzzWorkerCheckpoint(f *testing.F) {
+	spec, blob := checkpointFuzzFixture(f)
 	f.Add(blob)
 	next := Batch{
 		Ins: []EdgeInsert{{Src: 2, Dst: 3, Vals: []graph.Value{2}}, {Src: 3, Dst: 2, Vals: []graph.Value{1}}},

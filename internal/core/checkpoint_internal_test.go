@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
-	"grminer/internal/gr"
 	"grminer/internal/graph"
 	"grminer/internal/intern"
 	"grminer/internal/metrics"
@@ -177,11 +179,56 @@ func TestWorkerCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// blobCorruptions are the corrupt blobs a restore must refuse, one per
+// class, each with the error text it must fail with. Every class that
+// reaches past the version check also seeds FuzzWorkerCheckpoint's corpus
+// under its file name (TestCheckpointFuzzCorpusCurrent).
+var blobCorruptions = []struct {
+	file, want string
+	edit       func(*checkpointImage)
+}{
+	{"foreign_version", "version", func(img *checkpointImage) { img.Version = CheckpointVersion + 1 }},
+	{"esrc_past_larray", "out of range", func(img *checkpointImage) { img.Store.ESrc[0] = 1 << 20 }},
+	{"pool_attr_outside_schema", "pool entry 0", func(img *checkpointImage) {
+		// GR 0's first RHS condition follows its L and W conditions.
+		lens := img.Pool.GRs.Lens
+		img.Pool.GRs.Attrs[int(lens[0])+int(lens[1])] = 7
+	}},
+	{"pool_counts_misaligned", "misaligned", func(img *checkpointImage) {
+		img.Pool.LW = img.Pool.LW[1:]
+	}},
+	{"pool_lens_sum", "descriptor lengths sum to", func(img *checkpointImage) {
+		img.Pool.GRs.Lens[0]++
+	}},
+	{"pool_lens_not_triples", "descriptor lengths are not whole", func(img *checkpointImage) {
+		img.Pool.GRs.Lens = append(img.Pool.GRs.Lens, 0)
+	}},
+	{"dict_parent_after_entry", "hangs off", func(img *checkpointImage) {
+		img.Store.Dict.Descs[0] = 5 << 32
+	}},
+	{"dict_pair_past_layout", "steps by pair", func(img *checkpointImage) {
+		img.Store.Dict.Descs[0] = 1 << 20
+	}},
+	{"dict_repeated_key", "repeats a trie edge", func(img *checkpointImage) {
+		img.Store.Dict.Descs[1] = img.Store.Dict.Descs[0]
+	}},
+	{"dict_grs_not_triples", "descriptor ids are not whole", func(img *checkpointImage) {
+		img.Store.Dict.GRs = img.Store.Dict.GRs[:len(img.Store.Dict.GRs)-1]
+	}},
+	{"dict_gr_unknown_desc", "names descriptor", func(img *checkpointImage) {
+		img.Store.Dict.GRs[2] = intern.DescID(len(img.Store.Dict.Descs) + 1)
+	}},
+	{"dict_repeated_gr", "repeats a descriptor triple", func(img *checkpointImage) {
+		copy(img.Store.Dict.GRs[3:6], img.Store.Dict.GRs[0:3])
+	}},
+}
+
 // TestCheckpointRejectsMismatch pins the fail-closed checks: a blob must
-// refuse a foreign shard's spec, undecodable bytes, a version this build
-// does not speak, and the two corruptions that used to panic inside the
-// restore — an edge row pointing past the LArray and a pool GR naming an
-// attribute the schema lacks.
+// refuse a foreign shard's spec, undecodable bytes, and every class of
+// blobCorruptions — a version this build does not speak, the corruptions
+// that used to panic inside the restore (an edge row pointing past the
+// LArray, a pool GR naming an attribute the schema lacks), column shapes
+// that do not line up, and dictionary states interning could not produce.
 func TestCheckpointRejectsMismatch(t *testing.T) {
 	spec0 := realWorkerSpec(t, 11, 2, 0)
 	spec1 := realWorkerSpec(t, 11, 2, 1)
@@ -204,37 +251,59 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	if _, err := NewWorkerStateFromCheckpoint(spec0, []byte("not a checkpoint")); err == nil {
 		t.Error("garbage blob accepted")
 	}
-
-	for _, tc := range []struct {
-		name, want string
-		edit       func(*checkpointImage)
-	}{
-		{"foreign blob version", "version", func(img *checkpointImage) { img.Version = CheckpointVersion + 1 }},
-		{"edge row past LArray", "out of range", func(img *checkpointImage) { img.Store.ESrc[0] = 1 << 20 }},
-		{"pool GR outside the schema", "pool entry", func(img *checkpointImage) {
-			img.Pool[0].GR.R = gr.Descriptor{{Attr: 7, Val: 1}}
-		}},
-		{"dictionary descriptor hanging off a later one", "hangs off", func(img *checkpointImage) {
-			img.Store.Dict.Descs[0] = 5 << 32
-		}},
-		{"dictionary pair past the layout", "steps by pair", func(img *checkpointImage) {
-			img.Store.Dict.Descs[0] = 1 << 20
-		}},
-		{"dictionary repeated trie edge", "repeats a trie edge", func(img *checkpointImage) {
-			img.Store.Dict.Descs[1] = img.Store.Dict.Descs[0]
-		}},
-		{"dictionary GR naming an unknown descriptor", "names descriptor", func(img *checkpointImage) {
-			img.Store.Dict.GRs[0][2] = intern.DescID(len(img.Store.Dict.Descs) + 1)
-		}},
-		{"dictionary repeated GR triple", "repeats a descriptor triple", func(img *checkpointImage) {
-			img.Store.Dict.GRs[1] = img.Store.Dict.GRs[0]
-		}},
-	} {
+	for _, tc := range blobCorruptions {
 		if _, err := NewWorkerStateFromCheckpoint(spec0, editBlob(t, blob, tc.edit)); err == nil ||
 			!strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s accepted: %v", tc.name, err)
+			t.Errorf("%s accepted: %v", tc.file, err)
 		}
 	}
+}
+
+// TestCheckpointFuzzCorpusCurrent keeps FuzzWorkerCheckpoint's checked-in
+// corpus meaningful across blob versions: "real" must restore, and each
+// corruption class past the version check must fail with its own error,
+// not at the version check. Each file holds editBlob of the fuzz target's
+// fixture blob (checkpointFuzzFixture) in the fuzz corpus encoding; when a
+// version bump fails this test, regenerate the files from blobCorruptions.
+// "v2_real" is the same fixture's blob at version 2, whose pool and
+// dictionary types version 3 changed: it must be refused by its version,
+// not by a decode error.
+func TestCheckpointFuzzCorpusCurrent(t *testing.T) {
+	spec, _ := checkpointFuzzFixture(t)
+	dir := filepath.Join("testdata", "fuzz", "FuzzWorkerCheckpoint")
+	if _, err := NewWorkerStateFromCheckpoint(spec, readCorpusBlob(t, filepath.Join(dir, "real"))); err != nil {
+		t.Errorf("corpus file real does not restore: %v", err)
+	}
+	_, err := NewWorkerStateFromCheckpoint(spec, readCorpusBlob(t, filepath.Join(dir, "v2_real")))
+	if err == nil || !strings.Contains(err.Error(), "checkpoint version 2, this build speaks") {
+		t.Errorf("version 2 blob: restore error %v, want a version mismatch", err)
+	}
+	for _, tc := range blobCorruptions[1:] {
+		_, err := NewWorkerStateFromCheckpoint(spec, readCorpusBlob(t, filepath.Join(dir, tc.file)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("corpus file %s: restore error %v, want one containing %q", tc.file, err, tc.want)
+		}
+	}
+}
+
+// readCorpusBlob reads the []byte argument of a one-argument fuzz corpus
+// file.
+func readCorpusBlob(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+		!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		t.Fatalf("%s is not a one-argument []byte fuzz corpus file", path)
+	}
+	blob, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(blob)
 }
 
 // editBlob decodes a checkpoint blob, applies edit, and re-encodes it.

@@ -51,9 +51,12 @@ type WorkerHealth struct {
 	// CheckpointEpoch counts checkpoints taken (each truncates the replay
 	// log); LogSuffixLen is the current log length — the batches a recovery
 	// right now would replay, at most the checkpoint interval once the
-	// first checkpoint has landed.
-	CheckpointEpoch int64
-	LogSuffixLen    int
+	// first checkpoint has landed. CheckpointFailures counts checkpoint
+	// attempts that failed; each leaves the log untruncated, so a rising
+	// count is why LogSuffixLen creeps past the interval.
+	CheckpointEpoch    int64
+	LogSuffixLen       int
+	CheckpointFailures int64
 	// LastError is the most recent worker-loss cause ("" if none ever).
 	LastError string
 }
@@ -192,10 +195,11 @@ func (s *supervisor) Ingest(batch Batch) (IngestReply, error) {
 
 // checkpoint pulls a full-state blob from w and truncates the replay log
 // it covers. Failure is deliberately non-fatal: the batch was acknowledged
-// and the engine's answer is unaffected, so the supervisor keeps the old
-// blob + longer log (still exact, just slower to recover) and tries again
-// next interval; if the worker actually died, the next operation discovers
-// it and engages normal failover with the state we kept.
+// and the engine's answer is unaffected, so the supervisor counts the
+// failure in WorkerHealth.CheckpointFailures, keeps the old blob + longer
+// log (still exact, just slower to recover) and tries again after the next
+// acknowledged batch; if the worker actually died, the next operation
+// discovers it and engages normal failover with the state we kept.
 func (s *supervisor) checkpoint(w ShardWorker) {
 	cp, ok := w.(Checkpointer)
 	if !ok {
@@ -203,6 +207,9 @@ func (s *supervisor) checkpoint(w ShardWorker) {
 	}
 	blob, err := cp.Checkpoint()
 	if err != nil {
+		s.mu.Lock()
+		s.health.CheckpointFailures++
+		s.mu.Unlock()
 		return
 	}
 	s.mu.Lock()

@@ -295,6 +295,11 @@ func TestSupervisorCheckpointFailureKeepsLog(t *testing.T) {
 	if h.CheckpointEpoch != 0 || h.LogSuffixLen != 4 {
 		t.Fatalf("failed checkpoints truncated: epoch %d suffix %d, want 0 and 4", h.CheckpointEpoch, h.LogSuffixLen)
 	}
+	// Interval 2: batch 2 fills the log, and while it stays full every
+	// acked batch retries — three attempts, all failed, all counted.
+	if h.CheckpointFailures != 3 {
+		t.Fatalf("checkpoint failures %d, want 3", h.CheckpointFailures)
+	}
 	// Recovery falls back to the full pre-checkpoint replay: seed + log.
 	// The replacement checkpoints fine, so the re-issued batch tips the
 	// (full) log over the interval and truncation finally resumes.
@@ -307,8 +312,9 @@ func TestSupervisorCheckpointFailureKeepsLog(t *testing.T) {
 		t.Errorf("fallback replay ops %v, want %v", fb.replacements[0].ops, want)
 	}
 	h = sup.healthSnapshot()
-	if h.CheckpointEpoch != 1 || h.LogSuffixLen != 0 {
-		t.Errorf("after recovery: epoch %d suffix %d, want 1 and 0", h.CheckpointEpoch, h.LogSuffixLen)
+	if h.CheckpointEpoch != 1 || h.LogSuffixLen != 0 || h.CheckpointFailures != 3 {
+		t.Errorf("after recovery: epoch %d suffix %d failures %d, want 1, 0 and 3",
+			h.CheckpointEpoch, h.LogSuffixLen, h.CheckpointFailures)
 	}
 }
 

@@ -180,6 +180,7 @@ func BenchmarkMineStatic(b *testing.B) {
 // coordinator really sent.
 type countsRecorder struct {
 	*WorkerState
+	spec WorkerSpec
 	last []gr.GR
 }
 
@@ -198,7 +199,7 @@ func gateSharded(b *testing.B) (*IncrementalSharded, []*countsRecorder) {
 		if err != nil {
 			return nil, err
 		}
-		rec := &countsRecorder{WorkerState: w}
+		rec := &countsRecorder{WorkerState: w, spec: spec}
 		workers = append(workers, rec)
 		return rec, nil
 	})
@@ -248,6 +249,38 @@ func BenchmarkShardedApplyBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := inc.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWorkerCheckpoint is the checkpoint kernel a supervisor pays
+// every CheckpointInterval batches and a replacement pays on failover: one
+// shard's Checkpoint plus NewWorkerStateFromCheckpoint, on a seeded worker
+// churned by four mixed batches, so the blob carries tombstones, dead
+// edges and a maintained pool.
+func BenchmarkWorkerCheckpoint(b *testing.B) {
+	gateFixture(b)
+	inc, workers := gateSharded(b)
+	defer inc.Close()
+	for i := 0; i < 4; i++ {
+		if _, _, err := inc.ApplyBatch(gateBatch(gateG, 64*i, 64*(i+1))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	w := workers[0]
+	if !w.seeded || w.pool.len() == 0 || !w.g.HasDeadEdges() {
+		b.Fatalf("fixture worker not churned (seeded %v, %d pool entries, dead edges %v)",
+			w.seeded, w.pool.len(), w.g.HasDeadEdges())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blob, err := w.Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := NewWorkerStateFromCheckpoint(w.spec, blob); err != nil {
 			b.Fatal(err)
 		}
 	}

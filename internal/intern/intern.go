@@ -165,9 +165,10 @@ func (d *Dict) GRFrom(l, w, r DescID) GRID {
 
 // DictState is a Dict's serializable interning state: every id's key, in id
 // order — Descs[i] is descriptor id i+1's trie edge (parent DescID << 32 |
-// PairID; id 0, the empty descriptor, has none) and GRs[i] is GR id i's
-// (L, W, R) triple. Ids are handed out densely, so the slices are complete
-// and, unlike the maps they index, encode deterministically: equal
+// PairID; id 0, the empty descriptor, has none) and GRs[3i:3i+3] is GR id
+// i's (L, W, R) triple, flat so a checkpoint encodes one slice rather than
+// a slice of arrays. Ids are handed out densely, so the slices are
+// complete and, unlike the maps they index, encode deterministically: equal
 // dictionaries serialize to equal bytes. The Layout is deliberately absent —
 // pair ids are pure schema arithmetic, so the restoring side rebuilds the
 // layout from its own schema and FromState grafts the interned ids back on.
@@ -176,20 +177,20 @@ func (d *Dict) GRFrom(l, w, r DescID) GRID {
 // checkpoint round trip (DESIGN.md §9).
 type DictState struct {
 	Descs []uint64
-	GRs   [][3]DescID
+	GRs   []DescID
 }
 
 // State snapshots the dictionary's interning state into fresh slices.
 func (d *Dict) State() DictState {
 	st := DictState{
 		Descs: make([]uint64, d.nDesc-1),
-		GRs:   make([][3]DescID, d.nGR),
+		GRs:   make([]DescID, 3*d.nGR),
 	}
 	for key, id := range d.trie {
 		st.Descs[id-1] = key
 	}
 	for key, id := range d.grs {
-		st.GRs[id] = key
+		copy(st.GRs[3*id:3*id+3], key[:])
 	}
 	return st
 }
@@ -199,9 +200,12 @@ func (d *Dict) State() DictState {
 // closed on anything NewDict and its interning could not have produced: a
 // trie edge whose parent is not an earlier descriptor, a pair id outside
 // layout, a repeated key (which would silently shift every id handed out
-// later), or a GR triple naming an unknown descriptor or repeating another.
+// later), a GR column that is not whole triples, or a GR triple naming an
+// unknown descriptor or repeating another.
 func FromState(layout *Layout, st DictState) (*Dict, error) {
 	d := NewDict(layout)
+	d.trie = make(map[uint64]DescID, len(st.Descs))
+	d.grs = make(map[[3]DescID]GRID, len(st.GRs)/3)
 	for i, key := range st.Descs {
 		id := DescID(i + 1)
 		if parent := key >> 32; parent >= uint64(id) {
@@ -216,7 +220,11 @@ func FromState(layout *Layout, st DictState) (*Dict, error) {
 		d.trie[key] = id
 	}
 	d.nDesc = DescID(len(st.Descs) + 1)
-	for i, key := range st.GRs {
+	if len(st.GRs)%3 != 0 {
+		return nil, fmt.Errorf("intern: state: %d GR descriptor ids are not whole (L, W, R) triples", len(st.GRs))
+	}
+	for i := 0; i < len(st.GRs)/3; i++ {
+		key := [3]DescID(st.GRs[3*i : 3*i+3])
 		for _, desc := range key {
 			if desc < 0 || desc >= d.nDesc {
 				return nil, fmt.Errorf("intern: state: GR %d names descriptor %d of %d", i, desc, d.nDesc)
@@ -227,6 +235,6 @@ func FromState(layout *Layout, st DictState) (*Dict, error) {
 		}
 		d.grs[key] = GRID(i)
 	}
-	d.nGR = GRID(len(st.GRs))
+	d.nGR = GRID(len(st.GRs) / 3)
 	return d, nil
 }

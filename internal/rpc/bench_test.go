@@ -129,11 +129,11 @@ func BenchmarkCountsWire(b *testing.B) {
 	reqEnc, reqDec := gob.NewEncoder(&reqBuf), gob.NewDecoder(&reqBuf)
 	repEnc, repDec := gob.NewEncoder(&repBuf), gob.NewDecoder(&repBuf)
 	trip := func() int {
-		q, err := packCountQuery(w.query)
+		q, err := gr.PackColumns(w.query)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := reqEnc.Encode(Request{Op: OpCounts, Query: q}); err != nil {
+		if err := reqEnc.Encode(Request{Op: OpCounts, Query: CountQuery(q)}); err != nil {
 			b.Fatal(err)
 		}
 		size := reqBuf.Len()
@@ -141,7 +141,7 @@ func BenchmarkCountsWire(b *testing.B) {
 		if err := reqDec.Decode(&req); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := req.Query.unpack(); err != nil {
+		if _, err := gr.Columns(req.Query).Unpack(); err != nil {
 			b.Fatal(err)
 		}
 		if err := repEnc.Encode(Reply{Counts: packCountColumns(m, counts), NumEdges: w.NumEdges()}); err != nil {

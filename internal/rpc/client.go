@@ -234,11 +234,11 @@ func (s *Slot) Offer(bound *core.OfferBound) ([]core.ShardCandidate, core.Stats,
 // counts cross the wire as columns (CountQuery, CountColumns); a reply
 // whose columns do not match the query is an error.
 func (s *Slot) Counts(grs []gr.GR) ([]metrics.Counts, error) {
-	q, err := packCountQuery(grs)
+	q, err := gr.PackColumns(grs)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: worker %s: counts: %w", s.c.addr, err)
 	}
-	rep, err := s.call(Request{Op: OpCounts, Query: q})
+	rep, err := s.call(Request{Op: OpCounts, Query: CountQuery(q)})
 	if err != nil {
 		return nil, err
 	}

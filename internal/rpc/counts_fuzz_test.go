@@ -57,7 +57,7 @@ func FuzzCountsRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		grs, err := q.unpack()
+		grs, err := gr.Columns(q).Unpack()
 		if err != nil {
 			t.Fatalf("answered a query that does not unpack: %v", err)
 		}

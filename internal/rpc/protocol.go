@@ -157,7 +157,8 @@ type Reply struct {
 
 // CountQuery is a round-2 exact-count request in columns. Lens holds three
 // entries per GR — |L|, |W|, |R| — and Attrs and Vals hold the conditions
-// of every descriptor in that order, GR after GR.
+// of every descriptor in that order, GR after GR. Its fields are
+// gr.Columns', so the two convert into each other and share gr's codec.
 //
 // grlint:wire v1
 type CountQuery struct {

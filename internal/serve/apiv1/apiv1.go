@@ -271,7 +271,7 @@ type Event struct {
 // WorkerStatus is one shard worker's failover record in GET /v1/status
 // (core.WorkerHealth over the wire).
 //
-// grlint:api v2
+// grlint:api v3
 type WorkerStatus struct {
 	// Shard is the shard index; Addr names the shardd daemon hosting it
 	// (absent for an in-process worker).
@@ -292,8 +292,12 @@ type WorkerStatus struct {
 	// LogSuffixLen is the replay-log suffix retained past the newest
 	// checkpoint — a healthy checkpointing shard keeps it hovering below
 	// the checkpoint interval, bounding recovery replay.
-	CheckpointEpoch int64 `json:"checkpoint_epoch"`
-	LogSuffixLen    int   `json:"log_suffix_len"`
+	// CheckpointFailures counts failed checkpoint attempts; each leaves the
+	// replay log untruncated, so a rising value explains a LogSuffixLen
+	// past the interval.
+	CheckpointEpoch    int64 `json:"checkpoint_epoch"`
+	LogSuffixLen       int   `json:"log_suffix_len"`
+	CheckpointFailures int64 `json:"checkpoint_failures"`
 	// LastError is the most recent worker-loss cause (absent if none).
 	LastError string `json:"last_error,omitempty"`
 }
@@ -332,16 +336,17 @@ type StatusResponse struct {
 // WorkerStatusFrom renders one core.WorkerHealth record over the wire.
 func WorkerStatusFrom(h core.WorkerHealth) WorkerStatus {
 	return WorkerStatus{
-		Shard:           h.Shard,
-		Addr:            h.Addr,
-		Live:            h.Live,
-		Recovering:      h.Recovering,
-		Retries:         h.Retries,
-		Replacements:    h.Replacements,
-		ReplayedBatches: h.ReplayedBatches,
-		CheckpointEpoch: h.CheckpointEpoch,
-		LogSuffixLen:    h.LogSuffixLen,
-		LastError:       h.LastError,
+		Shard:              h.Shard,
+		Addr:               h.Addr,
+		Live:               h.Live,
+		Recovering:         h.Recovering,
+		Retries:            h.Retries,
+		Replacements:       h.Replacements,
+		ReplayedBatches:    h.ReplayedBatches,
+		CheckpointEpoch:    h.CheckpointEpoch,
+		LogSuffixLen:       h.LogSuffixLen,
+		CheckpointFailures: h.CheckpointFailures,
+		LastError:          h.LastError,
 	}
 }
 
