@@ -37,7 +37,7 @@ func main() {
 	flag.IntVar(&cfg.K, "k", cfg.K, "default top-k for sweeps")
 	flag.BoolVar(&cfg.SkipBaselines, "skip-baselines", cfg.SkipBaselines, "omit BL1/BL2 from figure sweeps")
 	flag.IntVar(&cfg.Procs, "procs", cfg.Procs, "worker-count cap for the scaling experiment (0 = all cores)")
-	flag.BoolVar(&cfg.Auto, "auto", cfg.Auto, "add the AutoTune-planned point to the scaling experiment")
+	flag.BoolVar(&cfg.Auto, "auto", cfg.Auto, "add the planner-chosen point to the scaling experiment")
 	flag.IntVar(&cfg.MaxShards, "shards", cfg.MaxShards, "shard-count cap for the sharding experiment (0 = 8)")
 	flag.StringVar(&cfg.ShardBy, "shard-by", cfg.ShardBy, "restrict the sharding experiment to one strategy: src | rhs (empty = both)")
 	flag.StringVar(&cfg.JSONDir, "json-dir", ".", "directory for BENCH_*.json snapshots (empty = skip)")

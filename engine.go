@@ -62,10 +62,10 @@ type EngineConfig struct {
 	// with a spare slot — and the routed-batch log is replayed so results
 	// are unchanged. FleetHealth reports the failover counters.
 	Standbys []string
-	// Auto applies the AutoTune planner before construction: zero-valued
-	// execution knobs in Options (Parallelism, MaxL/MaxW/MaxR) are filled
-	// from the input size and Procs (0 = all cores); the CLIs' -auto flag
-	// sets it.
+	// Auto applies the size-aware planner (core.PlanFor) before
+	// construction: zero-valued execution knobs in Options (Parallelism,
+	// MaxL/MaxW/MaxR) are filled from the input size and Procs (0 = all
+	// cores); the CLIs' -auto flag sets it.
 	Auto bool
 	// Procs caps the CPU budget Auto plans for (0 = all cores).
 	Procs int

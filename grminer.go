@@ -80,8 +80,9 @@ type (
 	Result = core.Result
 	// Stats reports the work a mining run performed.
 	Stats = core.Stats
-	// Plan is the execution strategy AutoTune selects from the input size
-	// (worker count, descriptor caps, sequential/parallel crossover).
+	// Plan is the execution strategy the size-aware planner selects from
+	// the input size (worker count, descriptor caps, sequential/parallel
+	// crossover).
 	Plan = core.Plan
 	// Incremental maintains the top-k under edge insertions without full
 	// re-mines (tracked candidate pool + scoped subtree re-mining).

@@ -43,7 +43,7 @@ type Config struct {
 	// Procs caps the worker counts the scaling experiment sweeps
 	// (0 = runtime.NumCPU()).
 	Procs int
-	// Auto adds an AutoTune-planned point to the scaling experiment.
+	// Auto adds a planner-chosen point to the scaling experiment.
 	Auto bool
 	// MaxShards caps the shard counts the sharding experiment sweeps
 	// (0 = 8); ShardBy restricts it to one routing strategy ("" = both).

@@ -28,7 +28,7 @@ type ScalingPoint struct {
 	// Identical records whether the ranked results matched the same-floor
 	// sequential reference exactly.
 	Identical bool `json:"identical_results"`
-	// Auto marks the point whose worker count AutoTune chose.
+	// Auto marks the point whose worker count the planner (core.PlanFor) chose.
 	Auto bool `json:"auto,omitempty"`
 }
 
@@ -50,7 +50,7 @@ type ScalingReport struct {
 	// CrossoverStatic / CrossoverDynamic record the smallest measured
 	// worker count whose speedup exceeded 1.0 in each floor mode (0 = the
 	// parallel engine never beat the sequential miner on this machine) —
-	// the number the AutoTune crossover constants are validated against on
+	// the number the planner's crossover constants are validated against on
 	// multi-core CI runners.
 	CrossoverStatic  int `json:"crossover_workers_static"`
 	CrossoverDynamic int `json:"crossover_workers_dynamic"`

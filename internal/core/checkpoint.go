@@ -122,14 +122,17 @@ func (p *densePool) columns() (poolColumns, error) {
 	return pc, nil
 }
 
-// restore upserts the entries of untrusted columns into the pool, in
-// order. The GR columns must unpack, every count column must hold one
-// entry per GR (Hom exactly when the metric reads it, R exactly when it
-// reads R), and every GR must be valid for the schema — an out-of-schema
-// condition would index past the dictionary's pair layout and the
-// recount's value bitmaps. Every entry's E is the store's live edge count.
-// The pool must be empty; on error it holds a prefix of the entries and
-// callers discard it.
+// restore adds the entries of untrusted columns to the pool, in order. The
+// GR columns must unpack, every count column must hold one entry per GR
+// (Hom exactly when the metric reads it, R exactly when it reads R), and
+// every GR must be valid for the schema — an out-of-schema condition would
+// index past the dictionary's pair layout and the recount's value bitmaps.
+// A worker interns every pool GR before it tracks it, so the restored
+// dictionary already holds each one: restore finds its id with Dict.Lookup
+// instead of re-interning, and fails closed on a GR the dictionary lacks or
+// a GR listed twice, neither of which a real worker writes. Every entry's E
+// is the store's live edge count. The pool must be empty; on error it holds
+// a prefix of the entries and callers discard it.
 func (p *densePool) restore(pc poolColumns) error {
 	grs, err := pc.GRs.Unpack()
 	if err != nil {
@@ -162,7 +165,14 @@ func (p *densePool) restore(pc poolColumns) error {
 		if m.NeedsR {
 			c.R = int(pc.R[i])
 		}
-		p.upsert(g, c, m.Score(c))
+		id, ok := p.dict.Lookup(g)
+		if !ok {
+			return fmt.Errorf("pool entry %d: %s is not in the checkpoint's dictionary", i, g.Key())
+		}
+		if p.slots[id] != 0 {
+			return fmt.Errorf("pool entry %d: %s repeats entry %d", i, g.Key(), p.slots[id]-1)
+		}
+		p.add(id, g, c, m.Score(c))
 	}
 	return nil
 }

@@ -12,8 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"grminer/internal/gr"
 	"grminer/internal/graph"
-	"grminer/internal/intern"
 	"grminer/internal/metrics"
 )
 
@@ -203,6 +203,19 @@ var blobCorruptions = []struct {
 	{"pool_lens_not_triples", "descriptor lengths are not whole", func(img *checkpointImage) {
 		img.Pool.GRs.Lens = append(img.Pool.GRs.Lens, 0)
 	}},
+	{"pool_gr_not_in_dict", "not in the checkpoint's dictionary", func(img *checkpointImage) {
+		img.Store.Dict.GRs = img.Store.Dict.GRs[:0]
+	}},
+	{"pool_repeated_gr", "repeats entry 0", func(img *checkpointImage) {
+		grs, err := img.Pool.GRs.Unpack()
+		if err != nil {
+			panic(err)
+		}
+		grs[1] = grs[0]
+		if img.Pool.GRs, err = gr.PackColumns(grs); err != nil {
+			panic(err)
+		}
+	}},
 	{"dict_parent_after_entry", "hangs off", func(img *checkpointImage) {
 		img.Store.Dict.Descs[0] = 5 << 32
 	}},
@@ -216,7 +229,7 @@ var blobCorruptions = []struct {
 		img.Store.Dict.GRs = img.Store.Dict.GRs[:len(img.Store.Dict.GRs)-1]
 	}},
 	{"dict_gr_unknown_desc", "names descriptor", func(img *checkpointImage) {
-		img.Store.Dict.GRs[2] = intern.DescID(len(img.Store.Dict.Descs) + 1)
+		img.Store.Dict.GRs[2] = int32(len(img.Store.Dict.Descs) + 1)
 	}},
 	{"dict_repeated_gr", "repeats a descriptor triple", func(img *checkpointImage) {
 		copy(img.Store.Dict.GRs[3:6], img.Store.Dict.GRs[0:3])
@@ -228,7 +241,9 @@ var blobCorruptions = []struct {
 // blobCorruptions — a version this build does not speak, the corruptions
 // that used to panic inside the restore (an edge row pointing past the
 // LArray, a pool GR naming an attribute the schema lacks), column shapes
-// that do not line up, and dictionary states interning could not produce.
+// that do not line up, pool GRs no real worker tracks (one its dictionary
+// never interned, one listed twice), and dictionary states interning could
+// not produce.
 func TestCheckpointRejectsMismatch(t *testing.T) {
 	spec0 := realWorkerSpec(t, 11, 2, 0)
 	spec1 := realWorkerSpec(t, 11, 2, 1)
@@ -265,14 +280,20 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 // not at the version check. Each file holds editBlob of the fuzz target's
 // fixture blob (checkpointFuzzFixture) in the fuzz corpus encoding; when a
 // version bump fails this test, regenerate the files from blobCorruptions.
-// "v2_real" is the same fixture's blob at version 2, whose pool and
-// dictionary types version 3 changed: it must be refused by its version,
-// not by a decode error.
+// "real" must also restore to exactly the fixture's current state. "v2_real"
+// is the same fixture's blob at version 2, whose pool and dictionary types
+// version 3 changed: it must be refused by its version, not by a decode
+// error.
 func TestCheckpointFuzzCorpusCurrent(t *testing.T) {
-	spec, _ := checkpointFuzzFixture(t)
+	spec, blob := checkpointFuzzFixture(t)
 	dir := filepath.Join("testdata", "fuzz", "FuzzWorkerCheckpoint")
-	if _, err := NewWorkerStateFromCheckpoint(spec, readCorpusBlob(t, filepath.Join(dir, "real"))); err != nil {
+	if r, err := NewWorkerStateFromCheckpoint(spec, readCorpusBlob(t, filepath.Join(dir, "real"))); err != nil {
 		t.Errorf("corpus file real does not restore: %v", err)
+	} else if again, err := r.Checkpoint(); err != nil || !bytes.Equal(again, blob) {
+		// The file predates DictState.GRs turning from []DescID into
+		// []int32, which changed gob's type descriptor but not the
+		// version: it must still decode to the state the fixture has now.
+		t.Errorf("corpus file real restores to a state other than the fixture's (checkpoint error %v)", err)
 	}
 	_, err := NewWorkerStateFromCheckpoint(spec, readCorpusBlob(t, filepath.Join(dir, "v2_real")))
 	if err == nil || !strings.Contains(err.Error(), "checkpoint version 2, this build speaks") {

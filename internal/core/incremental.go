@@ -78,6 +78,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -182,13 +183,15 @@ type Incremental struct {
 	deltaSafe  bool
 	deleteSafe bool
 	// pool is keyed by the store's persistent interning dictionary (ids
-	// stable across batches and compactions); pool, scr, wit, and
+	// stable across batches and compactions); pool, scr, fan, wit, and
 	// mergeScratch are the engine's steady-state allocation set — every
 	// ApplyBatch recounts, re-mines, and assembles out of these instead of
 	// rebuilding maps (DESIGN.md §7). The engine is the store's exclusive
-	// writer, so single-owner use holds.
+	// writer, so single-owner use holds. scr has a private dictionary: it
+	// is the fan-out's worker 0, and workers never intern into the store's.
 	pool         densePool
 	scr          *minerScratch
+	fan          *fanOut
 	wit          witnesses
 	mergeScratch []gr.Scored
 	// spillFloor is the highest score ever spilled past Options.PoolCap
@@ -208,6 +211,11 @@ type Incremental struct {
 // ExactGenerality so the maintained result is order-independent (the
 // batch-equivalent reference is a fresh mine under Options()).
 func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
+	return newIncremental(g, opt, runtime.GOMAXPROCS(0))
+}
+
+// newIncremental is NewIncremental with the capture walks' fan-out width.
+func newIncremental(g *graph.Graph, opt Options, width int) (*Incremental, error) {
 	opt, err := opt.normalize()
 	if err != nil {
 		return nil, err
@@ -235,7 +243,8 @@ func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 		pool:       newDensePool(st, captureOptions(opt)),
 		spillFloor: math.Inf(-1),
 	}
-	inc.scr = newMinerScratch(st.Dict())
+	inc.scr = privateScratch(st)
+	inc.fan = newFanOut(st, inc.pool.opt, inc.scr, width)
 	var stats Stats
 	var seedStats IncStats
 	start := time.Now()
@@ -262,15 +271,14 @@ func (inc *Incremental) Cumulative() IncStats { return inc.cum }
 // threshold, spilled under PoolCap, or never a condition-(1) candidate) —
 // callers then fall back to a full scan of the graph. Counts.Hom and
 // Counts.R are only tracked when the engine's metric reads them (NeedsHom,
-// NeedsR); otherwise they are 0. Explain interns q through the
-// engine's dictionary, so like ApplyBatch it must not run concurrently with
-// other engine calls.
+// NeedsR); otherwise they are 0. Explain only reads the pool and its
+// dictionary (Dict.Lookup interns nothing), but the pool is ApplyBatch's
+// to mutate, so it must not run concurrently with ApplyBatch.
 func (inc *Incremental) Explain(q gr.GR) (metrics.Counts, bool) {
-	t, ok := inc.pool.get(inc.pool.dict.GR(q))
-	if !ok {
-		return metrics.Counts{}, false
+	if _, t := inc.pool.lookup(q); t != nil {
+		return t.c, true
 	}
-	return t.c, true
+	return metrics.Counts{}, false
 }
 
 // ApplyBatch ingests one mixed batch of insertions and deletions and returns
@@ -311,7 +319,7 @@ func (inc *Incremental) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		if err := inc.applyDeletes(delRows); err != nil {
 			return nil, IncStats{}, err
 		}
-		bs.SubtreesRemined, bs.SubtreesTotal = remineAffectedSubtrees(inc.st, inc.pool.opt, &inc.wit, inc.pool.capture, inc.scr, &stats)
+		bs.SubtreesRemined, bs.SubtreesTotal = remineAffectedSubtrees(inc.fan, &inc.pool, &inc.wit, inc.pool.capture, nil, &stats)
 	} else if len(newIDs) > 0 || len(delRows) > 0 {
 		// Full rebuild: the whole tree is re-walked, so no subtree
 		// selectivity is reported (SubtreesRemined/Total stay 0). The
@@ -445,11 +453,7 @@ func (inc *Incremental) applyDeletes(delRows []int32) error {
 // reuse the previous batch's capacity.
 func (inc *Incremental) rebuildPool(stats *Stats) {
 	inc.pool.reset()
-	inc.scr.reset()
-	m := newMinerScr(inc.st, inc.pool.opt, inc.scr)
-	m.capture = inc.pool.capture
-	m.run()
-	addStats(stats, &m.stats)
+	inc.fan.full(nil, inc.pool.capture, stats)
 	inc.spillFloor = math.Inf(-1)
 	inc.spilled = false
 }
@@ -551,107 +555,63 @@ func rightSubtreeAffected(opt Options, n, liveE int) bool {
 }
 
 // remineAffectedSubtrees re-mines exactly the first-level SFDF subtrees
-// some batch witness reaches, feeding every candidate found to the capture
-// hook. The enumeration mirrors the decomposition of parallel.go's
-// buildTasks (root RIGHT, EDGE, and LEFT blocks) so every GR of the full
-// walk belongs to exactly one subtree. Shared by the single-store
-// incremental engine and the shard workers (whose witnesses are
-// insert-only); both stores keep postings, so each first-level partition's
-// size and rows come straight off the store's per-(attribute, value)
-// live-row bitmap — no O(|E| × dims) counting-sort pass over the full edge
-// set — and every deeper descent narrows the node's witness set
-// (miner.wit), pruning descents it empties.
-// That is exact at every depth: an entrant's witness matches the entrant's
-// descriptor, so it matches every ancestor's, and it survives on the whole
-// SFDF path. scr is reset first.
+// some batch witness reaches, on f's workers, and leaves the pool's
+// condition-(1) set exact: every candidate found that pool already tracks
+// is updated in place, and every other one is replayed through emit, in the
+// sequential walk's order (see fanOut). The enumeration mirrors the
+// decomposition of parallel.go's buildTasks (root RIGHT, EDGE, and LEFT
+// blocks) so every GR of the full walk belongs to exactly one subtree.
+// Shared by the single-store incremental engine and the shard workers
+// (whose witnesses are insert-only); both stores keep postings, so each
+// first-level partition's size and rows come straight off the store's
+// per-(attribute, value) live-row bitmap — no O(|E| × dims) counting-sort
+// pass over the full edge set — and every deeper descent narrows the node's
+// witness set (miner.wit), pruning descents it empties. That is exact at
+// every depth: an entrant's witness matches the entrant's descriptor, so it
+// matches every ancestor's, and it survives on the whole SFDF path. A
+// non-nil touched receives the ids of the entries updated in place.
 //
 // Scoped re-mining is only sound when the metric cannot raise a score
 // outside the witnessed subtrees.
 //
 // grlint:requires DeltaSafe DeleteSafe
-func remineAffectedSubtrees(st *store.Store, opt Options, wit *witnesses, capture func(gr.GR, metrics.Counts, float64), scr *minerScratch, stats *Stats) (remined, total int) {
-	scr.reset()
-	schema := st.Graph().Schema()
-	m := newMinerScr(st, opt, scr)
-	m.capture = capture
-	m.wit = wit
-	wit.gather(st.Graph())
-	root := m.witLevel(0)
-	root.set = root.set[:0]
-	for i := range wit.edges {
-		root.set = append(root.set, int32(i))
-	}
-
-	// The full live edge list is only needed as the base partition (the LW
-	// denominator) of root RIGHT subtrees; materialise it lazily so
-	// insert-only batches that touch no RIGHT subtree skip the O(|E|) walk.
-	// First-level partitions land in the depth-1 recursion buffer (the walks
-	// below start at depth 2), so per-subtree row slices allocate nothing.
-	var all []int32
-	idx := st.Postings()
-	sr := rhsOrder(schema, gr.Descriptor(nil).Has)
+func remineAffectedSubtrees(f *fanOut, pool *densePool, wit *witnesses, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (remined, total int) {
+	wit.gather(f.st.Graph())
+	f.pool = pool
+	m := f.start(wit, nil).m
+	sr := rhsOrder(m.schema, gr.Descriptor(nil).Has)
 	if m.opt.StaticRHSOrder {
-		sr = staticRHSOrder(schema)
+		sr = staticRHSOrder(m.schema)
 	}
-	for pos := 0; pos < len(sr); pos++ {
-		attr := sr[pos]
-		for val := graph.Value(1); int(val) <= schema.Node[attr].Domain; val++ {
-			bm := idx.RBitmap(attr, val)
-			n := bm.Count()
-			if n < m.opt.MinSupp {
-				continue
-			}
-			total++
-			lv := m.witLevel(1)
-			m.narrow(1, wit.colR(attr), val)
-			if wit.hasDelete(lv.set) && !rightSubtreeAffected(opt, n, st.NumEdges()) {
-				lv.set = wit.inserted(lv.set)
-			}
-			if len(lv.set) == 0 {
-				continue
-			}
-			remined++
-			if all == nil {
-				all = st.AllEdgesInto(m.scr.allRows)
-				m.scr.allRows = all
-			}
-			rc := &rctx{base: all, sr: sr}
-			m.rightGroup(rc, bm.RowsInto(m.buffer(1, n)), 1, gr.Descriptor(nil).With(attr, val), pos)
+	f.tasks, total = planScoped(m, sr, f.tasks[:0])
+	remined = len(f.tasks)
+	// The full live edge list is only needed as the base partition (the LW
+	// denominator) of root RIGHT subtrees, so insert-only batches that
+	// touch none skip the O(|E|) walk.
+	var all []int32
+	if remined > 0 && f.tasks[0].block == blockRight {
+		all = f.st.AllEdgesInto(m.scr.allRows)
+		m.scr.allRows = all
+	}
+	ws := f.grow(remined)
+	// Any worker may draw the largest subtree, and its first-level rows
+	// land in the worker's depth-1 buffer: size every worker's buffer for
+	// it up front rather than regrow it task by task.
+	largest := 0
+	for i := range f.tasks {
+		largest = max(largest, f.tasks[i].size)
+	}
+	for _, w := range ws {
+		w.m.buffer(1, largest)
+	}
+	f.run(ws, all, sr, emit, stats, true)
+	for _, w := range ws {
+		if touched != nil {
+			*touched = append(*touched, w.touched...)
 		}
+		w.touched = w.touched[:0]
 	}
-	for pos := 0; pos < len(m.swOrder); pos++ {
-		attr := m.swOrder[pos]
-		for val := graph.Value(1); int(val) <= schema.Edge[attr].Domain; val++ {
-			bm := idx.WBitmap(attr, val)
-			n := bm.Count()
-			if n < m.opt.MinSupp {
-				continue
-			}
-			total++
-			if len(m.narrow(1, wit.colW(attr), val)) == 0 {
-				continue
-			}
-			remined++
-			m.edgeGroup(bm.RowsInto(m.buffer(1, n)), 1, nil, gr.Descriptor(nil).With(attr, val), pos)
-		}
-	}
-	for pos := 0; pos < len(m.slOrder); pos++ {
-		attr := m.slOrder[pos]
-		for val := graph.Value(1); int(val) <= schema.Node[attr].Domain; val++ {
-			bm := idx.LBitmap(attr, val)
-			n := bm.Count()
-			if n < m.opt.MinSupp {
-				continue
-			}
-			total++
-			if len(m.narrow(1, wit.colL(attr), val)) == 0 {
-				continue
-			}
-			remined++
-			m.leftGroup(bm.RowsInto(m.buffer(1, n)), 1, gr.Descriptor(nil).With(attr, val), pos)
-		}
-	}
-	addStats(stats, &m.stats)
+	f.pool = nil
 	return remined, total
 }
 

@@ -93,7 +93,10 @@ type Options struct {
 	// to 20 conditions — see hasQualifyingGeneralization's fallback; cap
 	// MaxL/MaxW to stay inside it on extremely wide schemas). 0 and 1 mean
 	// sequential. The facade's EngineConfig.Auto fills this from the input
-	// size through Plan.Apply (plan.go).
+	// size through Plan.Apply (plan.go). It drives the static mine only:
+	// the incremental engines' capture walks always fan out over
+	// GOMAXPROCS workers (fanout.go), whose output does not depend on the
+	// width.
 	Parallelism int
 }
 
@@ -265,11 +268,11 @@ func (bm *blockerMap) record(g gr.GR) {
 // minerScratch is the reusable allocation set behind one miner: the
 // recursion buffers, the dense id-indexed tables (all indexed by ids from
 // one intern.Dict), and the bitmap-descent scratch. A one-shot mine gets a
-// fresh scratch; the incremental engine keeps one per engine — with the
-// store's persistent dictionary — so per-batch re-mines run out of
-// steady-state buffers instead of re-growing maps (DESIGN.md §7). reset()
-// prepares it for the next run in O(entries touched last run); it never
-// releases memory. Single-owner, like the dictionary it wraps.
+// fresh scratch; the incremental engines keep one per fan-out worker, each
+// with a private dictionary, so per-batch re-mines run out of steady-state
+// buffers instead of re-growing maps (DESIGN.md §7). reset() prepares it
+// for the next run in O(entries touched last run); it never releases
+// memory. Single-owner, like the dictionary it wraps.
 type minerScratch struct {
 	dict      *intern.Dict
 	buffers   [][]int32
@@ -349,10 +352,10 @@ type miner struct {
 
 	part *csort.Partitioner
 	top  *topk.List
-	// dict is scr's interning dictionary (hoisted for hot-path access). It
-	// is private to this miner unless the caller supplied a persistent
-	// scratch (the incremental engine, which passes the store's dictionary
-	// so ids stay stable across batches).
+	// dict is scr's interning dictionary (hoisted for hot-path access),
+	// private to this miner's scratch: ids stable across an engine's
+	// batches belong to the store's dictionary, which only the pool interns
+	// into (see fanOut).
 	dict *intern.Dict
 	// scr holds the recursion buffers and dense tables: the generality
 	// blockers (recorded subset-first, so every generalisation precedes its
@@ -362,8 +365,8 @@ type miner struct {
 	scr *minerScratch
 	// capture, when set, receives every candidate satisfying Definition 5
 	// condition (1) together with its exact counts, replacing the top-k and
-	// generality machinery; the incremental engine uses it to build its
-	// tracked candidate pool.
+	// generality machinery; the incremental engines' fan-out workers use it
+	// to maintain their tracked candidate pools.
 	capture func(g gr.GR, c metrics.Counts, score float64)
 	// bound, when set (shard offer mines under the two-round protocol),
 	// additionally prunes subtrees whose GRs provably fail the *global*
@@ -399,9 +402,8 @@ func newMiner(st *store.Store, opt Options) *miner {
 }
 
 // newMinerScr builds a miner on an existing scratch (nil for a fresh private
-// one). Only a single-owner scratch may be passed: the incremental engine
-// hands its per-engine scratch — carrying the store's persistent dictionary —
-// to the re-mine and rebuild walks it runs one at a time.
+// one). Only a single-owner scratch may be passed: each fan-out worker of an
+// incremental engine builds its miner once, on its own scratch.
 func newMinerScr(st *store.Store, opt Options, scr *minerScratch) *miner {
 	schema := st.Graph().Schema()
 	maxDomain := 1
@@ -718,7 +720,9 @@ func (m *miner) dataBitmap(depth int, data []int32) store.Bitmap {
 	for len(s.dataBMs) <= depth {
 		s.dataBMs = append(s.dataBMs, nil)
 	}
-	bm := s.dataBMs[depth]
+	// Partitions keep their rows ascending, so setting the last row first
+	// sizes the bitmap once instead of regrowing it word by word.
+	bm := s.dataBMs[depth].Set(data[len(data)-1])
 	for _, row := range data {
 		bm = bm.Set(row)
 	}
@@ -1092,7 +1096,7 @@ func (m *miner) hasQualifyingGeneralization(g gr.GR) bool {
 		// fall back to the in-search blocker set. In parallel mode that set
 		// is worker-local, so for GRs beyond 20 conditions the sequential-
 		// equality guarantee narrows to runs whose descriptor caps (MaxL +
-		// MaxW ≤ 20 — AutoTune's caps are far below this) keep patterns
+		// MaxW ≤ 20 — the planner's caps are far below this) keep patterns
 		// inside the exact check's reach; such runs are otherwise
 		// pathological (2^20 subset counts per candidate).
 		return false

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,11 +96,87 @@ func (p *parFloor) raise(s float64) {
 	}
 }
 
-// parTask is one first-level subtree, tagged with its partition size so the
-// scheduler can start the largest subtrees first.
+// taskBlock names the root block a first-level subtree hangs off.
+type taskBlock uint8
+
+const (
+	blockRight taskBlock = iota
+	blockEdge
+	blockLeft
+)
+
+// parTask is one first-level subtree: the partition of (attr, val) at loop
+// position pos of its root block, tagged with its size so the runner can
+// start the largest subtrees first. rows holds the partition when
+// buildTasks materialised it; a task planned off the store's postings
+// leaves it nil and its worker reads the rows off the bitmap. worker, lo
+// and hi record where a capture walk ran the task: the worker, and the span
+// of that worker's capture buffer the task filled (see fanOut).
 type parTask struct {
-	size int
-	run  func(w *miner)
+	block     taskBlock
+	attr, pos int
+	val       graph.Value
+	size      int
+	rows      []int32
+
+	worker, lo, hi int32
+}
+
+// runTasks is the one task runner behind every walk that splits the SFDF
+// tree at its first level: the static parallel mine and the engines'
+// capture walks (fanOut). It drains tasks over up to width workers through
+// an atomic index into a largest-partition-first schedule — first-level
+// subtree cost grows with partition size, so starting big tasks early keeps
+// the tail of the run filled with small ones — and runs each task with
+// run(worker, task). Claiming a task is a single atomic add. Worker 0 is
+// the calling goroutine, so a width of 1 (or a single task) starts no
+// goroutine at all. The stable sort keeps the build order for equal sizes;
+// tasks itself is never reordered. order is the caller's schedule scratch,
+// returned for reuse.
+func runTasks(width int, tasks []parTask, order []int32, run func(worker int, t *parTask)) []int32 {
+	order = order[:0]
+	for i := range tasks {
+		order = append(order, int32(i))
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(tasks[b].size, tasks[a].size) })
+	width = min(width, len(tasks))
+	var next atomic.Int64
+	drain := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(order) {
+				return
+			}
+			run(w, &tasks[order[i]])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain(w)
+		}()
+	}
+	drain(0)
+	wg.Wait()
+	return order
+}
+
+// walkTask descends into t's first-level subtree over its partition rows.
+// all is the full live edge list, the base partition (LW denominator) of
+// root RIGHT subtrees, and sr the root RHS order; both are shared
+// read-only by every worker.
+func (m *miner) walkTask(t *parTask, rows, all []int32, sr []int) {
+	d := gr.Descriptor(nil).With(t.attr, t.val)
+	switch t.block {
+	case blockRight:
+		m.rightGroup(&rctx{base: all, sr: sr}, rows, 1, d, t.pos)
+	case blockEdge:
+		m.edgeGroup(rows, 1, nil, d, t.pos)
+	default:
+		m.leftGroup(rows, 1, d, t.pos)
+	}
 }
 
 // mineParallel runs GRMiner with opt.Parallelism workers.
@@ -107,7 +185,7 @@ func mineParallel(st *store.Store, opt Options) (*Result, error) {
 
 	// The coordinator miner builds the first-level partitions.
 	coord := newMiner(st, opt)
-	tasks := buildTasks(coord)
+	tasks, all, sr := buildTasks(coord, nil)
 
 	// With zero or one task there is nothing to run concurrently; spawning
 	// idle workers would only pay goroutine and merge overhead. Run the
@@ -118,8 +196,8 @@ func mineParallel(st *store.Store, opt Options) (*Result, error) {
 	// re-partitioning the full edge set.
 	if len(tasks) < 2 {
 		m := newMiner(st, opt)
-		for _, t := range tasks {
-			t.run(m)
+		for i := range tasks {
+			m.walkTask(&tasks[i], tasks[i].rows, all, sr)
 		}
 		stats := coord.stats
 		addStats(&stats, &m.stats)
@@ -127,37 +205,15 @@ func mineParallel(st *store.Store, opt Options) (*Result, error) {
 		return &Result{TopK: m.top.Items(), Stats: stats, Options: opt, TotalEdges: st.NumEdges()}, nil
 	}
 
-	// Largest partitions first: first-level subtree cost grows with
-	// partition size, so scheduling big tasks early keeps the tail of the
-	// run filled with small ones. The stable sort keeps the build order for
-	// equal sizes, which keeps scheduling deterministic.
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].size > tasks[j].size })
-
-	workers := opt.Parallelism
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
 	floor := newParFloor()
-	miners := make([]*miner, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		w := newMiner(st, opt)
-		w.parF = floor
-		miners[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= len(tasks) {
-					return
-				}
-				tasks[t].run(w)
-			}
-		}()
+	miners := make([]*miner, min(opt.Parallelism, len(tasks)))
+	for i := range miners {
+		miners[i] = newMiner(st, opt)
+		miners[i].parF = floor
 	}
-	wg.Wait()
+	runTasks(len(miners), tasks, nil, func(w int, t *parTask) {
+		miners[w].walkTask(t, t.rows, all, sr)
+	})
 
 	// Merge once: coordinator stats (supp pruning observed while building
 	// tasks) plus every worker's results. A static floor leaves candidates
@@ -193,84 +249,57 @@ func addStats(total, s *Stats) {
 	total.ExactCountRequests += s.ExactCountRequests
 }
 
-// buildTasks materialises the first-level partitions. Each partition's id
-// slice is copied out of the coordinator's scratch buffer because the tasks
-// outlive the loop.
-func buildTasks(m *miner) []parTask {
-	if m.totalE == 0 {
-		return nil
-	}
-	all := m.st.AllEdges()
-	var tasks []parTask
-	buf := m.buffer(1, len(all))
-
-	// Root RIGHT block: GRs with empty LHS and W. Each worker needs its own
-	// rctx (the homophily-effect cache is written during search), sharing
-	// the read-only full edge list as base.
+// buildTasks materialises the first-level partitions of the full walk,
+// appending one task per partition to tasks in the sequential walk's order
+// (root RIGHT, EDGE, then LEFT block; positions, then values ascending), and
+// returns them with the full live edge list and the root RHS order the
+// tasks share. Each partition's id slice is copied out of m's scratch
+// buffer because the tasks outlive the loop. A set OfferBound (shard offer
+// mines) prunes first-level partitions as the walk's loops do.
+func buildTasks(m *miner, tasks []parTask) ([]parTask, []int32, []int) {
 	sr := rhsOrder(m.schema, gr.Descriptor(nil).Has)
 	if m.opt.StaticRHSOrder {
 		sr = staticRHSOrder(m.schema)
 	}
-	for pos := 0; pos < len(sr); pos++ {
-		attr := sr[pos]
-		groups := m.partition(1, all, m.st.RValsInto, attr, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) {
-				continue
+	if m.totalE == 0 {
+		return tasks, nil, sr
+	}
+	all := m.st.AllEdgesInto(m.scr.allRows)
+	m.scr.allRows = all
+	buf := m.buffer(1, len(all))
+	blocks := [...]struct {
+		block  taskBlock
+		order  []int
+		gather func(dst []uint16, rows []int32, attr int) []uint16
+	}{
+		{blockRight, sr, m.st.RValsInto},
+		{blockEdge, m.swOrder, m.st.EValsInto},
+		{blockLeft, m.slOrder, m.st.LValsInto},
+	}
+	for _, b := range blocks {
+		for pos, attr := range b.order {
+			groups := m.partition(1, all, b.gather, attr, buf)
+			for _, grp := range groups {
+				if grp.Val == uint16(graph.Null) {
+					continue
+				}
+				if int(grp.N) < m.opt.MinSupp {
+					m.stats.PrunedSupp++
+					continue
+				}
+				val := graph.Value(grp.Val)
+				if m.bound != nil && m.bound.pruneFirst(b.block, int(grp.N), attr, val) {
+					m.stats.PrunedGlobal++
+					continue
+				}
+				tasks = append(tasks, parTask{
+					block: b.block, attr: attr, pos: pos, val: val, size: int(grp.N),
+					rows: append([]int32(nil), buf[grp.Lo:grp.Hi]...),
+				})
 			}
-			if int(grp.N) < m.opt.MinSupp {
-				m.stats.PrunedSupp++
-				continue
-			}
-			part := append([]int32(nil), buf[grp.Lo:grp.Hi]...)
-			rhs2 := gr.Descriptor(nil).With(attr, graph.Value(grp.Val))
-			tasks = append(tasks, parTask{size: len(part), run: func(w *miner) {
-				rc := &rctx{base: all, sr: sr}
-				w.rightGroup(rc, part, 1, rhs2, pos)
-			}})
 		}
 	}
-
-	// Root EDGE block.
-	for pos := 0; pos < len(m.swOrder); pos++ {
-		attr := m.swOrder[pos]
-		groups := m.partition(1, all, m.st.EValsInto, attr, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) {
-				continue
-			}
-			if int(grp.N) < m.opt.MinSupp {
-				m.stats.PrunedSupp++
-				continue
-			}
-			part := append([]int32(nil), buf[grp.Lo:grp.Hi]...)
-			w2 := gr.Descriptor(nil).With(attr, graph.Value(grp.Val))
-			tasks = append(tasks, parTask{size: len(part), run: func(w *miner) {
-				w.edgeGroup(part, 1, nil, w2, pos)
-			}})
-		}
-	}
-
-	// Root LEFT block.
-	for pos := 0; pos < len(m.slOrder); pos++ {
-		attr := m.slOrder[pos]
-		groups := m.partition(1, all, m.st.LValsInto, attr, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) {
-				continue
-			}
-			if int(grp.N) < m.opt.MinSupp {
-				m.stats.PrunedSupp++
-				continue
-			}
-			part := append([]int32(nil), buf[grp.Lo:grp.Hi]...)
-			lhs2 := gr.Descriptor(nil).With(attr, graph.Value(grp.Val))
-			tasks = append(tasks, parTask{size: len(part), run: func(w *miner) {
-				w.leftGroup(part, 1, lhs2, pos)
-			}})
-		}
-	}
-	return tasks
+	return tasks, all, sr
 }
 
 // rankCandidates applies Definition 5 conditions (2) and (3) to a complete

@@ -12,7 +12,7 @@ import (
 // the attribute arity (every extra attribute multiplies the first-level
 // fan-out and deepens the SFDF tree), and the parallel engine only pays off
 // once each worker gets enough work to amortise goroutine spawn, per-task
-// partition copies, and the final merge. AutoTune turns those size features
+// partition copies, and the final merge. PlanFor turns those size features
 // into a filled Options value so callers do not have to hand-tune
 // Parallelism or descriptor caps per dataset.
 
@@ -57,7 +57,7 @@ const (
 	autoCapW  = 4
 )
 
-// Plan is the execution strategy AutoTune selected for one input, kept as a
+// Plan is the execution strategy PlanFor selected for one input, kept as a
 // value so CLIs can display the decision before mining.
 type Plan struct {
 	// Edges, Dims, and Procs are the inputs the decision was made from:

@@ -104,6 +104,25 @@ func (p *densePool) upsert(g gr.GR, c metrics.Counts, score float64) (intern.GRI
 	} else {
 		p.slots = append(p.slots, make([]int32, int(id)+1-len(p.slots))...)
 	}
+	p.add(id, g, c, score)
+	return id, true
+}
+
+// lookup returns g's id and the entry the pool tracks for it, or a nil
+// entry when g is not tracked. It interns nothing and only reads, so the
+// fan-out's workers call it concurrently (each then writes only the
+// entries of its own subtree).
+func (p *densePool) lookup(g gr.GR) (intern.GRID, *tracked) {
+	id, ok := p.dict.Lookup(g)
+	if !ok || int(id) >= len(p.slots) || p.slots[id] == 0 {
+		return id, nil
+	}
+	return id, &p.entries[p.slots[id]-1]
+}
+
+// add appends a new entry for g under id, whose slot must exist and be
+// empty.
+func (p *densePool) add(id intern.GRID, g gr.GR, c metrics.Counts, score float64) {
 	t := tracked{gr: g, c: c, score: score}
 	if p.opt.Metric.NeedsHom {
 		t.betaMask = betaMaskOf(p.st.Graph().Schema(), g.L, g.R)
@@ -112,7 +131,6 @@ func (p *densePool) upsert(g gr.GR, c metrics.Counts, score float64) (intern.GRI
 	p.ids = append(p.ids, id)
 	p.moved = append(p.moved, false)
 	p.slots[id] = int32(len(p.entries))
-	return id, true
 }
 
 // capture is upsert in the miner's capture-hook shape.

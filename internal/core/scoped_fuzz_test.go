@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"grminer/internal/core"
@@ -10,7 +11,9 @@ import (
 
 // FuzzScopedApplyBatch drives the witness-scoped re-mine with
 // fuzzer-chosen mixed batches over a tiny fixed graph: after every batch
-// the maintained top-k must equal a fresh Mine of the surviving graph.
+// the maintained top-k must equal a fresh Mine of the surviving graph, and
+// a twin engine whose capture walks fan out over 4 workers instead of 1
+// must report the same result and the same work.
 //
 // ops[0] picks the options: a DeltaSafe metric (scoped for insert-only
 // batches; the DeleteSafe ones for deletions too), the floor mode, K, and
@@ -54,15 +57,29 @@ func FuzzScopedApplyBatch(f *testing.F) {
 			}
 		}
 		resetLive()
-		inc, err := core.NewIncremental(g, opt)
+		inc, err := newIncrementalAtWidth(g, opt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := newIncrementalAtWidth(randomGraph(3, true, false), opt, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b core.Batch
 		apply := func() {
-			res, _, err := inc.ApplyBatch(b)
+			res, bs, err := inc.ApplyBatch(b)
 			if err != nil {
 				t.Fatalf("batch %+v: %v", b, err)
+			}
+			res4, bs4, err := twin.ApplyBatch(b)
+			if err != nil {
+				t.Fatalf("batch %+v at width 4: %v", b, err)
+			}
+			bs.Duration, bs4.Duration = 0, 0
+			s, s4 := res.Stats, res4.Stats
+			s.Duration, s4.Duration = 0, 0
+			if bs != bs4 || s != s4 {
+				t.Fatalf("batch %+v: width 4 did other work:\n width 1 %+v %+v\n width 4 %+v %+v", b, bs, s, bs4, s4)
 			}
 			b = core.Batch{}
 			resetLive()
@@ -71,6 +88,7 @@ func FuzzScopedApplyBatch(f *testing.F) {
 				t.Fatal(err)
 			}
 			assertSameResults(t, "fuzz", res.TopK, ref.TopK)
+			assertSameResults(t, "fuzz width 4", res4.TopK, res.TopK)
 		}
 		n := g.NumNodes()
 		for ops = ops[1:]; len(ops) >= 3; ops = ops[3:] {
@@ -96,4 +114,11 @@ func FuzzScopedApplyBatch(f *testing.F) {
 		}
 		apply()
 	})
+}
+
+// newIncrementalAtWidth builds an engine whose capture walks fan out over
+// width workers: the engine takes its width from GOMAXPROCS when built.
+func newIncrementalAtWidth(g *graph.Graph, opt core.Options, width int) (*core.Incremental, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+	return core.NewIncremental(g, opt)
 }

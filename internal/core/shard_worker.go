@@ -61,6 +61,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"grminer/internal/gr"
@@ -538,6 +539,20 @@ func (b *OfferBound) prune(partSize int, l, w, r gr.Descriptor) bool {
 	return others != math.MaxInt && partSize+others < b.MinSupp
 }
 
+// pruneFirst is prune for the first-level partition of (attr, val), n
+// rows, in block.
+func (b *OfferBound) pruneFirst(block taskBlock, n, attr int, val graph.Value) bool {
+	d := gr.Descriptor(nil).With(attr, val)
+	switch block {
+	case blockRight:
+		return b.prune(n, nil, nil, d)
+	case blockEdge:
+		return b.prune(n, nil, d, nil)
+	default:
+		return b.prune(n, d, nil, nil)
+	}
+}
+
 // WorkerState is the reference ShardWorker: a private graph holding the
 // full node table and only this shard's edges, the compact store over it,
 // and (once seeded by Offer(nil)) the maintained relaxed pool. It backs
@@ -556,10 +571,11 @@ type WorkerState struct {
 	// every re-mine capture; entered the captures new to the pool.
 	changes poolChanges
 	entered []intern.GRID
-	// scr and wit are the worker's steady-state re-mine allocations, reused
-	// across Ingest batches; scr carries the shard store's persistent
-	// dictionary (the worker is the store's exclusive writer).
-	scr *minerScratch
+	// fan and wit are the worker's steady-state walk allocations, reused
+	// across Offer and Ingest calls; the fan-out's workers intern into
+	// private dictionaries, so only the pool interns into the shard store's
+	// persistent one (the worker is the store's exclusive writer).
+	fan *fanOut
 	wit witnesses
 	// counter is the round-2 Counts kernel's scratch, reused across calls.
 	counter bitmapCounter
@@ -642,7 +658,7 @@ func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, build func
 		idx:    spec.Index,
 		shards: spec.Shards,
 		pool:   newDensePool(st, capOpt),
-		scr:    newMinerScratch(st.Dict()),
+		fan:    newFanOut(st, capOpt, privateScratch(st), runtime.GOMAXPROCS(0)),
 	}, nil
 }
 
@@ -670,24 +686,21 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 		}
 	}
 	var out []ShardCandidate
-	w.scr.reset()
-	m := newMinerScr(w.st, w.pool.opt, w.scr)
-	m.bound = bound
 	seedPool := bound == nil
 	if seedPool {
 		w.pool.reset()
 		w.seeded = true
 	}
-	m.capture = func(g gr.GR, c metrics.Counts, score float64) {
+	var stats Stats
+	w.fan.full(bound, func(g gr.GR, c metrics.Counts, score float64) {
 		cand := ShardCandidate{GR: g, Counts: c}
 		if seedPool {
 			cand.Handle, _ = w.pool.upsert(g, c, score)
 		}
 		out = append(out, cand)
-	}
-	m.run()
-	m.stats.ShardOffers = int64(len(out))
-	return out, m.stats, nil
+	}, &stats)
+	stats.ShardOffers = int64(len(out))
+	return out, stats, nil
 }
 
 // Counts measures the given GRs' exact counts on this shard — the batched
@@ -788,16 +801,17 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	// The re-mine below is deliberately unguarded: deletions were resolved
 	// exactly by the recount above (support-gated pools have no deletion
 	// entrants), so only the insert side reaches the scoped walk. Every
-	// capture joins the recount's touched ids as a delta.
+	// capture joins the recount's touched ids as a delta: the entries it
+	// updates in place directly, the entrants as they are replayed.
 	//grlint:ignore metricsafety deletions are recounted exactly above; only inserts reach the scoped re-mine
-	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.st, w.pool.opt, &w.wit,
+	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.fan, &w.pool, &w.wit,
 		func(g gr.GR, c metrics.Counts, score float64) {
 			id, added := w.pool.upsert(g, c, score)
 			w.changes.touched = append(w.changes.touched, id)
 			if added {
 				w.entered = append(w.entered, id)
 			}
-		}, w.scr, &stats)
+		}, &w.changes.touched, &stats)
 	w.fillDeltas(&rep)
 	rep.NumEdges = w.st.NumEdges()
 	rep.Stats = stats

@@ -150,12 +150,13 @@ func TestIncrementalWitnessSkipsCrossDescriptor(t *testing.T) {
 	collectWitnessesInto(&wit, st, newIDs, nil)
 	var stats Stats
 	captured := 0
-	remined, _ := remineAffectedSubtrees(st, captureOptions(opt), &wit, func(g gr.GR, _ metrics.Counts, _ float64) {
+	fan := newFanOut(st, captureOptions(opt), privateScratch(st), 2)
+	remined, _ := remineAffectedSubtrees(fan, nil, &wit, func(g gr.GR, _ metrics.Counts, _ float64) {
 		captured++
 		if under(g) {
 			t.Errorf("scoped walk entered A=1 ∧ E=2, which no batch edge carries: captured %s", g.Key())
 		}
-	}, newMinerScratch(st.Dict()), &stats)
+	}, nil, &stats)
 	if remined == 0 || captured == 0 {
 		t.Fatalf("scoped walk did no work: %d subtrees, %d captures", remined, captured)
 	}

@@ -163,34 +163,60 @@ func (d *Dict) GRFrom(l, w, r DescID) GRID {
 	return id
 }
 
+// Lookup returns g's id if the dictionary already interns g, and false
+// otherwise. Unlike GR it never interns: it only reads, so any number of
+// goroutines may call it at once while nobody interns.
+func (d *Dict) Lookup(g gr.GR) (GRID, bool) {
+	var key [3]DescID
+	for i, desc := range [3]gr.Descriptor{g.L, g.W, g.R} {
+		id := DescID(0)
+		for _, c := range desc {
+			p := d.layout.NodePair(c.Attr, c.Val)
+			if i == 1 {
+				p = d.layout.EdgePair(c.Attr, c.Val)
+			}
+			var ok bool
+			if id, ok = d.trie[uint64(uint32(id))<<32|uint64(uint32(p))]; !ok {
+				return 0, false
+			}
+		}
+		key[i] = id
+	}
+	id, ok := d.grs[key]
+	return id, ok
+}
+
 // DictState is a Dict's serializable interning state: every id's key, in id
 // order — Descs[i] is descriptor id i+1's trie edge (parent DescID << 32 |
 // PairID; id 0, the empty descriptor, has none) and GRs[3i:3i+3] is GR id
-// i's (L, W, R) triple, flat so a checkpoint encodes one slice rather than
-// a slice of arrays. Ids are handed out densely, so the slices are
-// complete and, unlike the maps they index, encode deterministically: equal
-// dictionaries serialize to equal bytes. The Layout is deliberately absent —
-// pair ids are pure schema arithmetic, so the restoring side rebuilds the
-// layout from its own schema and FromState grafts the interned ids back on.
+// i's (L, W, R) triple of DescIDs, flat so a checkpoint encodes one slice
+// rather than a slice of arrays, and as plain int32s because gob's fast
+// path for slices takes only unnamed element types (a []DescID encodes
+// and decodes element by element through reflection). Ids are handed out
+// densely, so the slices are complete and, unlike the maps they index,
+// encode deterministically: equal dictionaries serialize to equal bytes.
+// The Layout is deliberately absent — pair ids are pure schema arithmetic,
+// so the restoring side rebuilds the layout from its own schema and
+// FromState grafts the interned ids back on.
 // A restored Dict hands out the exact same ids for the exact same inputs,
 // which is what lets slice tables indexed by DescID/GRID survive a worker
 // checkpoint round trip (DESIGN.md §9).
 type DictState struct {
 	Descs []uint64
-	GRs   []DescID
+	GRs   []int32
 }
 
 // State snapshots the dictionary's interning state into fresh slices.
 func (d *Dict) State() DictState {
 	st := DictState{
 		Descs: make([]uint64, d.nDesc-1),
-		GRs:   make([]DescID, 3*d.nGR),
+		GRs:   make([]int32, 3*d.nGR),
 	}
 	for key, id := range d.trie {
 		st.Descs[id-1] = key
 	}
 	for key, id := range d.grs {
-		copy(st.GRs[3*id:3*id+3], key[:])
+		st.GRs[3*id], st.GRs[3*id+1], st.GRs[3*id+2] = int32(key[0]), int32(key[1]), int32(key[2])
 	}
 	return st
 }
@@ -224,7 +250,7 @@ func FromState(layout *Layout, st DictState) (*Dict, error) {
 		return nil, fmt.Errorf("intern: state: %d GR descriptor ids are not whole (L, W, R) triples", len(st.GRs))
 	}
 	for i := 0; i < len(st.GRs)/3; i++ {
-		key := [3]DescID(st.GRs[3*i : 3*i+3])
+		key := [3]DescID{DescID(st.GRs[3*i]), DescID(st.GRs[3*i+1]), DescID(st.GRs[3*i+2])}
 		for _, desc := range key {
 			if desc < 0 || desc >= d.nDesc {
 				return nil, fmt.Errorf("intern: state: GR %d names descriptor %d of %d", i, desc, d.nDesc)

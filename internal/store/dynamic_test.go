@@ -340,3 +340,52 @@ func TestBuildOverTombstonedGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestPostingsSlackBounded pins the maintained postings' memory: every
+// bitmap grows a word at a time as rows arrive, so Bitmap.Set must
+// reallocate to a bounded over-allocation (an eighth) instead of append's
+// doubling, which left up to half of each bitmap as slack for the store's
+// lifetime. Checked after EnablePostings and after several appends.
+func TestPostingsSlackBounded(t *testing.T) {
+	schema := dynSchema(t)
+	r := rand.New(rand.NewSource(5))
+	const n = 200
+	g := graph.MustNew(schema, n)
+	for v := 0; v < n; v++ {
+		if err := g.SetNodeValues(v, graph.Value(1+r.Intn(3)), graph.Value(1+r.Intn(4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addEdges := func(k int) {
+		for i := 0; i < k; i++ {
+			if _, err := g.AddEdge(r.Intn(n), r.Intn(n), graph.Value(1+r.Intn(2))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var s *Store
+	check := func(phase string) {
+		t.Helper()
+		x := s.Postings()
+		for _, side := range [][][]Bitmap{x.l, x.w, x.r} {
+			for a := range side {
+				for v, b := range side[a] {
+					if cap(b) > len(b)+len(b)/8 {
+						t.Errorf("%s: bitmap [%d][%d] holds %d words in a capacity of %d", phase, a, v, len(b), cap(b))
+					}
+				}
+			}
+		}
+	}
+	addEdges(5000)
+	s = Build(g)
+	s.EnablePostings()
+	assertPostingsMatchScan(t, s)
+	check("EnablePostings")
+	for i := 0; i < 6; i++ {
+		addEdges(700)
+		s.Append()
+		check("Append")
+	}
+	assertPostingsMatchScan(t, s)
+}

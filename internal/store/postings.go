@@ -72,10 +72,27 @@ func AndCount(a, b Bitmap) int {
 // and undo with Clear.
 func (b Bitmap) Set(row int32) Bitmap {
 	w := int(row >> 6)
-	for len(b) <= w {
-		b = append(b, 0)
+	if w >= len(b) {
+		b = b.grow(w + 1)
 	}
 	b[w] |= 1 << uint(row&63)
+	return b
+}
+
+// grow extends b to n zero words, reallocating past its capacity to
+// n + n/8 words. A maintained posting bitmap grows a word at a time as
+// rows append: append's doubling would leave up to half of every bitmap
+// slack for the store's lifetime, while an exact fit would reallocate
+// every bitmap on the next append.
+func (b Bitmap) grow(n int) Bitmap {
+	if n > cap(b) {
+		nb := make(Bitmap, n, n+n/8)
+		copy(nb, b)
+		return nb
+	}
+	old := len(b)
+	b = b[:n]
+	clear(b[old:])
 	return b
 }
 
@@ -94,12 +111,14 @@ func (b Bitmap) Clear(row int32) {
 // postings: their scoped re-mine reads each first-level partition's size
 // and rows off a bitmap instead of counting-sorting the full edge set per
 // dimension, deeper levels intersect bitmaps word-wide, and shard workers
-// count round-2 queries on them. Idempotent rebuild; O(rows × dims).
+// count round-2 queries on them. Idempotent rebuild; O(rows × dims). Rows
+// are marked from the highest down, so every bitmap is allocated once, for
+// the word of its highest live row plus grow's eighth of headroom.
 func (s *Store) EnablePostings() {
 	x := NewBitmapIndex(s)
 	x.lazy = false // filled here, then kept live-exact by the store
 	s.post = x
-	for row := int32(0); int(row) < len(s.ePtr); row++ {
+	for row := int32(len(s.ePtr)) - 1; row >= 0; row-- {
 		if s.Alive(row) {
 			x.mark(row, true)
 		}
