@@ -50,6 +50,7 @@ import (
 	"strings"
 
 	"grminer"
+	"grminer/internal/cli"
 	"grminer/internal/serve/apiv1"
 )
 
@@ -105,11 +106,11 @@ func main() {
 	// address list ("host:port,host:port"). An explicit -shards below the
 	// address count (idle daemons) surfaces as ErrShardWorkerMismatch from
 	// the facade; above it, the extra shards multiplex onto the daemons.
-	parWorkers, remote, err := parseWorkersFlag(*workers)
+	parWorkers, remote, err := cli.ParseWorkers(*workers)
 	if err != nil {
 		fail(err)
 	}
-	standbys, err := parseAddrList("-standby", *standby)
+	standbys, err := cli.ParseAddrList("-standby", *standby)
 	if err != nil {
 		fail(err)
 	}
@@ -144,10 +145,10 @@ func main() {
 	var shardOpt grminer.ShardOptions
 	if *shards > 0 || len(remote) > 0 {
 		shardOpt = grminer.ShardOptions{Shards: *shards, Strategy: strategy,
-			CheckpointInterval: checkpointInterval(*chkEvery)}
+			CheckpointInterval: cli.CheckpointInterval(*chkEvery)}
 	}
 
-	g, err := loadGraph(*data, *schemaF, *nodesF, *edgesF, *nodes, *deg, *seed)
+	g, err := cli.LoadGraph(*data, *schemaF, *nodesF, *edgesF, *nodes, *deg, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -270,62 +271,6 @@ func printTopK(res *grminer.Result, g *grminer.Graph, m grminer.Metric) {
 		fmt.Printf("%3d. %-60s %s=%6.2f%% supp=%-8d conf=%5.1f%%\n",
 			i+1, s.GR.Format(g.Schema()), m.Name, 100*s.Score, s.Supp, 100*s.Conf)
 	}
-}
-
-// parseWorkersFlag splits the overloaded -workers value: a plain integer is
-// the parallel miner's worker count, anything with a ':' is a comma-
-// separated shardd address list for remote mining.
-func parseWorkersFlag(v string) (parallelism int, remote []string, err error) {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return 0, nil, nil
-	}
-	if n, errInt := strconv.Atoi(v); errInt == nil {
-		if n < 0 {
-			return 0, nil, fmt.Errorf("-workers %d: negative worker count", n)
-		}
-		return n, nil, nil
-	}
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			remote = append(remote, a)
-		}
-	}
-	if len(remote) == 0 {
-		return 0, nil, fmt.Errorf("-workers %q: want a worker count or host:port addresses", v)
-	}
-	for _, a := range remote {
-		if !strings.Contains(a, ":") {
-			return 0, nil, fmt.Errorf("-workers address %q: want host:port", a)
-		}
-	}
-	return 0, remote, nil
-}
-
-// checkpointInterval maps the -checkpoint-interval flag value onto
-// ShardOptions.CheckpointInterval, where zero means "use the default" and
-// disabling is spelled negative.
-func checkpointInterval(flagValue int) int {
-	if flagValue == 0 {
-		return -1
-	}
-	return flagValue
-}
-
-// parseAddrList splits a comma-separated host:port list, validating each
-// entry.
-func parseAddrList(flagName, v string) ([]string, error) {
-	var addrs []string
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a == "" {
-			continue
-		}
-		if !strings.Contains(a, ":") {
-			return nil, fmt.Errorf("%s address %q: want host:port", flagName, a)
-		}
-		addrs = append(addrs, a)
-	}
-	return addrs, nil
 }
 
 // openFollowStream resolves a -follow source: stdin for "-", an opened
@@ -505,28 +450,5 @@ func writeResults(res *grminer.Result, g *grminer.Graph, path, format string) er
 		return res.WriteJSON(f, g.Schema())
 	default:
 		return fmt.Errorf("unknown format %q (want tsv or json)", format)
-	}
-}
-
-func loadGraph(data, schemaF, nodesF, edgesF string, nodes int, deg float64, seed int64) (*grminer.Graph, error) {
-	switch {
-	case data == "toy":
-		return grminer.ToyDating(), nil
-	case data == "pokec":
-		cfg := grminer.DefaultPokecConfig()
-		cfg.Nodes = nodes
-		cfg.AvgOutDegree = deg
-		cfg.Seed = seed
-		return grminer.Pokec(cfg), nil
-	case data == "dblp":
-		cfg := grminer.DefaultDBLPConfig()
-		cfg.Seed = seed
-		return grminer.DBLP(cfg), nil
-	case data != "":
-		return nil, fmt.Errorf("unknown dataset %q (want toy, pokec, or dblp)", data)
-	case schemaF != "" && nodesF != "" && edgesF != "":
-		return grminer.LoadFiles(schemaF, nodesF, edgesF)
-	default:
-		return nil, fmt.Errorf("need -data or all of -schema/-nodes-file/-edges-file (see -h)")
 	}
 }

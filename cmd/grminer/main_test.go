@@ -21,41 +21,6 @@ func openIncremental(t *testing.T, g *grminer.Graph, opt grminer.Options, so grm
 	return eng
 }
 
-func TestLoadGraphBuiltins(t *testing.T) {
-	toy, err := loadGraph("toy", "", "", "", 0, 0, 1)
-	if err != nil || toy.NumNodes() != 14 {
-		t.Fatalf("toy: %v", err)
-	}
-	pokec, err := loadGraph("pokec", "", "", "", 500, 4, 1)
-	if err != nil || pokec.NumNodes() != 500 || pokec.NumEdges() != 2000 {
-		t.Fatalf("pokec: %v (%d nodes %d edges)", err, pokec.NumNodes(), pokec.NumEdges())
-	}
-	if _, err := loadGraph("nope", "", "", "", 0, 0, 1); err == nil {
-		t.Error("unknown dataset accepted")
-	}
-	if _, err := loadGraph("", "", "", "", 0, 0, 1); err == nil {
-		t.Error("missing inputs accepted")
-	}
-}
-
-func TestLoadGraphFiles(t *testing.T) {
-	dir := t.TempDir()
-	g := grminer.ToyDating()
-	sp := filepath.Join(dir, "s.txt")
-	np := filepath.Join(dir, "n.tsv")
-	ep := filepath.Join(dir, "e.tsv")
-	if err := grminer.SaveFiles(g, sp, np, ep); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadGraph("", sp, np, ep, 0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEdges() != 30 {
-		t.Errorf("loaded %d edges", got.NumEdges())
-	}
-}
-
 func TestWriteResults(t *testing.T) {
 	g := grminer.ToyDating()
 	res, err := core.Mine(g, grminer.Options{MinSupp: 2, MinScore: 0.9, K: 3})
@@ -238,37 +203,6 @@ func TestRunFollowRejectsMalformedInput(t *testing.T) {
 	}
 	if _, _, err := openFollowStream(filepath.Join(dir, "missing.stream")); err == nil {
 		t.Error("missing stream file accepted")
-	}
-}
-
-// Batch loading must fail loudly on malformed edge files instead of mining
-// the partial graph.
-func TestLoadGraphRejectsMalformedEdges(t *testing.T) {
-	dir := t.TempDir()
-	g := grminer.ToyDating()
-	sp := filepath.Join(dir, "s.txt")
-	np := filepath.Join(dir, "n.tsv")
-	ep := filepath.Join(dir, "e.tsv")
-	if err := grminer.SaveFiles(g, sp, np, ep); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, corrupt := range map[string]string{
-		"truncated": string(data) + "5\t6\n",
-		"garbage":   string(data) + "5\tsix\t1\n",
-		"domain":    string(data) + "5\t6\t42\n",
-		"wrap":      string(data) + "5\t6\t-65535\n", // would wrap to a valid 1
-	} {
-		bad := filepath.Join(dir, name+".tsv")
-		if err := os.WriteFile(bad, []byte(corrupt), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loadGraph("", sp, np, bad, 0, 0, 1); err == nil {
-			t.Errorf("%s edge file accepted", name)
-		}
 	}
 }
 

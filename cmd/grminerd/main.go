@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"grminer"
+	"grminer/internal/cli"
 	"grminer/internal/serve"
 )
 
@@ -65,9 +66,8 @@ func main() {
 		metric   = flag.String("metric", "nhp", "ranking metric: nhp|conf|laplace|gain|piatetsky-shapiro|conviction|lift")
 		dynamic  = flag.Bool("dynamic", true, "GRMiner(k): upgrade the pruning floor to the k-th best score")
 		trivial  = flag.Bool("include-trivial", false, "also report trivial homophily GRs")
-		workers  = flag.String("workers", "0", "parallel mining workers (0 = sequential unless -auto), or comma-separated shardd addresses (host:port,...) for one remote shard per worker")
-		auto     = flag.Bool("auto", false, "auto-tune workers and descriptor caps from the input size")
-		procs    = flag.Int("procs", 0, "CPU budget for -auto planning (0 = all cores)")
+		workers  = flag.String("workers", "", "comma-separated shardd addresses (host:port,...) for one remote shard per worker; mining width follows GOMAXPROCS")
+		auto     = flag.Bool("auto", false, "auto-tune descriptor caps from the input size")
 		shards   = flag.Int("shards", 0, "serve over N deterministic edge shards (0 = single store; may exceed the -workers address count to multiplex)")
 		shardBy  = flag.String("shard-by", "src", "shard routing strategy: src | rhs")
 		standby  = flag.String("standby", "", "comma-separated standby shardd addresses for failover replacement (remote shards only)")
@@ -80,18 +80,21 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	parWorkers, remote, err := parseWorkersFlag(*workers)
+	if _, err := strconv.Atoi(strings.TrimSpace(*workers)); err == nil {
+		fail(fmt.Errorf("-workers %s: the flag takes shardd addresses (host:port,...); mining width follows GOMAXPROCS", *workers))
+	}
+	remote, err := cli.ParseAddrList("-workers", *workers)
 	if err != nil {
 		fail(err)
 	}
-	standbys, err := parseAddrList("-standby", *standby)
+	standbys, err := cli.ParseAddrList("-standby", *standby)
 	if err != nil {
 		fail(err)
 	}
 	if len(standbys) > 0 && len(remote) == 0 {
 		fail(fmt.Errorf("-standby needs remote shards (-workers host:port,...)"))
 	}
-	g, err := loadGraph(*data, *schemaF, *nodesF, *edgesF, *nodes, *deg, *seed)
+	g, err := cli.LoadGraph(*data, *schemaF, *nodesF, *edgesF, *nodes, *deg, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -108,20 +111,18 @@ func main() {
 			DynamicFloor:   *dynamic && *k > 0,
 			Metric:         m,
 			IncludeTrivial: *trivial,
-			Parallelism:    parWorkers,
 			PoolCap:        *poolCap,
 		},
 		Workers:  remote,
 		Standbys: standbys,
 		Auto:     *auto,
-		Procs:    *procs,
 	}
 	if *chkEvery < 0 {
 		fail(fmt.Errorf("-checkpoint-interval must be >= 0 (0 disables checkpointing)"))
 	}
 	if *shards > 0 || len(remote) > 0 {
 		cfg.Shard = grminer.ShardOptions{Shards: *shards, Strategy: strategy,
-			CheckpointInterval: checkpointInterval(*chkEvery)}
+			CheckpointInterval: cli.CheckpointInterval(*chkEvery)}
 	}
 
 	gs := g.Stats()
@@ -175,83 +176,4 @@ func fail(err error) {
 	}
 	fmt.Fprintln(os.Stderr, "grminerd:", err)
 	os.Exit(1)
-}
-
-// checkpointInterval maps the -checkpoint-interval flag value onto
-// ShardOptions.CheckpointInterval, where zero means "use the default" and
-// disabling is spelled negative.
-func checkpointInterval(flagValue int) int {
-	if flagValue == 0 {
-		return -1
-	}
-	return flagValue
-}
-
-// parseAddrList splits a comma-separated host:port list, validating each
-// entry.
-func parseAddrList(flagName, v string) ([]string, error) {
-	var addrs []string
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a == "" {
-			continue
-		}
-		if !strings.Contains(a, ":") {
-			return nil, fmt.Errorf("%s address %q: want host:port", flagName, a)
-		}
-		addrs = append(addrs, a)
-	}
-	return addrs, nil
-}
-
-// parseWorkersFlag splits the overloaded -workers value: a plain integer is
-// the parallel miner's worker count, anything with a ':' is a comma-
-// separated shardd address list for remote shards.
-func parseWorkersFlag(v string) (parallelism int, remote []string, err error) {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return 0, nil, nil
-	}
-	if n, errInt := strconv.Atoi(v); errInt == nil {
-		if n < 0 {
-			return 0, nil, fmt.Errorf("-workers %d: negative worker count", n)
-		}
-		return n, nil, nil
-	}
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			remote = append(remote, a)
-		}
-	}
-	if len(remote) == 0 {
-		return 0, nil, fmt.Errorf("-workers %q: want a worker count or host:port addresses", v)
-	}
-	for _, a := range remote {
-		if !strings.Contains(a, ":") {
-			return 0, nil, fmt.Errorf("-workers address %q: want host:port", a)
-		}
-	}
-	return 0, remote, nil
-}
-
-func loadGraph(data, schemaF, nodesF, edgesF string, nodes int, deg float64, seed int64) (*grminer.Graph, error) {
-	switch {
-	case data == "toy":
-		return grminer.ToyDating(), nil
-	case data == "pokec":
-		cfg := grminer.DefaultPokecConfig()
-		cfg.Nodes = nodes
-		cfg.AvgOutDegree = deg
-		cfg.Seed = seed
-		return grminer.Pokec(cfg), nil
-	case data == "dblp":
-		cfg := grminer.DefaultDBLPConfig()
-		cfg.Seed = seed
-		return grminer.DBLP(cfg), nil
-	case data != "":
-		return nil, fmt.Errorf("unknown dataset %q (want toy, pokec, or dblp)", data)
-	case schemaF != "" && nodesF != "" && edgesF != "":
-		return grminer.LoadFiles(schemaF, nodesF, edgesF)
-	default:
-		return nil, fmt.Errorf("need -data or all of -schema/-nodes-file/-edges-file (see -h)")
-	}
 }

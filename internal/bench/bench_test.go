@@ -48,23 +48,25 @@ func TestEveryExperimentRuns(t *testing.T) {
 		t.Skip("harness smoke test is slow")
 	}
 	for _, name := range Names {
-		cfg := tinyConfig()
-		if name == "failover" {
-			// Its 4 shards would lower minSupp 20 to a per-shard offer
-			// threshold of 5, where the support-only shard pools blow up;
-			// 40 is the CI chaos step's threshold.
-			cfg.MinSupp = 40
-		}
-		var buf bytes.Buffer
-		if err := Run(name, &buf, cfg); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if buf.Len() == 0 {
-			t.Errorf("%s produced no output", name)
-		}
-		if name == "failover" && strings.Contains(buf.String(), "WARNING") {
-			t.Errorf("failover diverged, replaced nothing, or replayed past the checkpoint interval:\n%s", buf.String())
-		}
+		t.Run(name, func(t *testing.T) {
+			cfg := tinyConfig()
+			if name == "failover" {
+				// Its 4 shards would lower minSupp 20 to a per-shard offer
+				// threshold of 5, where the support-only shard pools blow
+				// up; 40 is the CI chaos step's threshold.
+				cfg.MinSupp = 40
+			}
+			var buf bytes.Buffer
+			if err := Run(name, &buf, cfg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if buf.Len() == 0 {
+				t.Errorf("%s produced no output", name)
+			}
+			if name == "failover" && strings.Contains(buf.String(), "WARNING") {
+				t.Errorf("failover diverged, replaced nothing, or replayed past the checkpoint interval:\n%s", buf.String())
+			}
+		})
 	}
 }
 

@@ -1,0 +1,142 @@
+package cli
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"grminer"
+)
+
+func TestLoadGraphBuiltins(t *testing.T) {
+	toy, err := LoadGraph("toy", "", "", "", 0, 0, 1)
+	if err != nil || toy.NumNodes() != 14 {
+		t.Fatalf("toy: %v", err)
+	}
+	pokec, err := LoadGraph("pokec", "", "", "", 500, 4, 1)
+	if err != nil || pokec.NumNodes() != 500 || pokec.NumEdges() != 2000 {
+		t.Fatalf("pokec: %v (%d nodes %d edges)", err, pokec.NumNodes(), pokec.NumEdges())
+	}
+	if _, err := LoadGraph("nope", "", "", "", 0, 0, 1); err == nil {
+		t.Error("unknown dataset accepted")
+	}
+	if _, err := LoadGraph("", "", "", "", 0, 0, 1); err == nil {
+		t.Error("missing inputs accepted")
+	}
+}
+
+func TestLoadGraphFiles(t *testing.T) {
+	dir := t.TempDir()
+	g := grminer.ToyDating()
+	sp := filepath.Join(dir, "s.txt")
+	np := filepath.Join(dir, "n.tsv")
+	ep := filepath.Join(dir, "e.tsv")
+	if err := grminer.SaveFiles(g, sp, np, ep); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadGraph("", sp, np, ep, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumEdges() != 30 {
+		t.Errorf("loaded %d edges", got.NumEdges())
+	}
+}
+
+// Batch loading must fail loudly on malformed edge files instead of mining
+// the partial graph.
+func TestLoadGraphRejectsMalformedEdges(t *testing.T) {
+	dir := t.TempDir()
+	g := grminer.ToyDating()
+	sp := filepath.Join(dir, "s.txt")
+	np := filepath.Join(dir, "n.tsv")
+	ep := filepath.Join(dir, "e.tsv")
+	if err := grminer.SaveFiles(g, sp, np, ep); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]string{
+		"truncated": string(data) + "5\t6\n",
+		"garbage":   string(data) + "5\tsix\t1\n",
+		"domain":    string(data) + "5\t6\t42\n",
+		"wrap":      string(data) + "5\t6\t-65535\n", // would wrap to a valid 1
+	} {
+		bad := filepath.Join(dir, name+".tsv")
+		if err := os.WriteFile(bad, []byte(corrupt), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadGraph("", sp, np, bad, 0, 0, 1); err == nil {
+			t.Errorf("%s edge file accepted", name)
+		}
+	}
+}
+
+func TestParseWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		in     string
+		n      int
+		remote []string
+		err    string
+	}{
+		{in: ""},
+		{in: "  "},
+		{in: "0"},
+		{in: " 4 ", n: 4},
+		{in: "-1", err: "negative worker count"},
+		{in: "127.0.0.1:9401", remote: []string{"127.0.0.1:9401"}},
+		{in: " a:1 , b:2 ,", remote: []string{"a:1", "b:2"}},
+		{in: ",", err: "want a worker count or host:port addresses"},
+		{in: "a:1,b", err: `-workers address "b": want host:port`},
+		{in: "four", err: `-workers address "four": want host:port`},
+	} {
+		n, remote, err := ParseWorkers(tc.in)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParseWorkers(%q) error %v, want one containing %q", tc.in, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || n != tc.n || !reflect.DeepEqual(remote, tc.remote) {
+			t.Errorf("ParseWorkers(%q) = %d, %q, %v; want %d, %q", tc.in, n, remote, err, tc.n, tc.remote)
+		}
+	}
+}
+
+func TestParseAddrList(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		addrs []string
+		err   string
+	}{
+		{in: ""},
+		{in: " , ,"},
+		{in: "h:1", addrs: []string{"h:1"}},
+		{in: " h:1 ,, [::1]:2 ", addrs: []string{"h:1", "[::1]:2"}},
+		{in: "h:1,h", err: `-standby address "h": want host:port`},
+		{in: "4", err: `-standby address "4": want host:port`},
+	} {
+		addrs, err := ParseAddrList("-standby", tc.in)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("ParseAddrList(%q) error %v, want %q", tc.in, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(addrs, tc.addrs) {
+			t.Errorf("ParseAddrList(%q) = %q, %v; want %q", tc.in, addrs, err, tc.addrs)
+		}
+	}
+}
+
+func TestCheckpointInterval(t *testing.T) {
+	for in, want := range map[int]int{0: -1, 1: 1, 8: 8} {
+		if got := CheckpointInterval(in); got != want {
+			t.Errorf("CheckpointInterval(%d) = %d, want %d", in, got, want)
+		}
+	}
+}

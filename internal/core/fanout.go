@@ -12,8 +12,9 @@ import (
 // witness-scoped re-mine, the incremental engine's full re-mines and a
 // shard worker's offer mines — splits at the SFDF tree's first level into
 // independent RIGHT, EDGE and LEFT subtrees, the decomposition the static
-// parallel mine runs (parallel.go), and runs them through runTasks on the
-// engine's width workers.
+// parallel mine runs (parallel.go), plans them through the one first-level
+// planner (plan) off the store's postings, and runs them through runTasks
+// on the engine's width workers.
 //
 // The walk's result must not depend on the schedule: the pool's entry
 // order, the store dictionary's GR ids, a shard's IngestReply deltas and
@@ -90,13 +91,6 @@ func (f *fanOut) addWorker(scr *minerScratch) {
 	f.ws = append(f.ws, w)
 }
 
-// start begins a walk on worker 0, which plans the walk's tasks, and
-// returns it.
-func (f *fanOut) start(wit *witnesses, bound *OfferBound) *fanWorker {
-	f.ws[0].begin(wit, bound)
-	return f.ws[0]
-}
-
 // grow begins worker 0's walk on as many further workers as n tasks can
 // keep busy, creating missing ones on scratches with private
 // dictionaries, and returns the walk's workers.
@@ -141,23 +135,49 @@ func (w *fanWorker) capture(g gr.GR, c metrics.Counts, score float64) {
 	w.caps = append(w.caps, captured{g: g, c: c, score: score})
 }
 
-// run fans f.tasks out over the workers the walk began (ws), adds their
-// work counters to stats, and replays the buffered captures through emit in
-// task order. A task without rows is a scoped one: its worker narrows the
-// witness set to the subtree and reads its rows off the store's postings.
-// keep retains the capture buffers' capacity for the next walk — the
-// scoped re-mine's few entrants per batch — while a full walk, which
-// buffers the whole pool, frees them.
-func (f *fanOut) run(ws []*fanWorker, all []int32, sr []int, emit func(gr.GR, metrics.Counts, float64), stats *Stats, keep bool) {
+// walk is every capture walk: it plans the first level on worker 0,
+// fans the tasks out over the workers, and replays what they buffered
+// through emit in the sequential walk's order. With wit nil it walks the
+// whole SFDF tree (seed, non-DeltaSafe and underflow re-mines, shard
+// offers); with a witness set it walks only the subtrees some witness
+// reaches and narrows every descent (the scoped re-mine). A non-nil pool is
+// updated in place for every GR it already tracks, and touched receives
+// those ids. A set bound prunes as in a shard offer mine. It returns the
+// number of subtrees walked and of subtrees that pass the support
+// threshold.
+func (f *fanOut) walk(wit *witnesses, pool *densePool, bound *OfferBound, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (walked, total int) {
+	f.pool = pool
+	f.ws[0].begin(wit, bound)
+	m, idx := f.ws[0].m, f.st.Postings()
+	var sr []int
+	f.tasks, sr, total = m.plan(idx, f.tasks[:0])
+	walked = len(f.tasks)
+	// The full live edge list is only needed as the base partition (the LW
+	// denominator) of root RIGHT subtrees, so walks that reach none skip
+	// the O(|E|) gather.
+	var all []int32
+	if walked > 0 && f.tasks[0].block == blockRight {
+		all = f.st.AllEdgesInto(m.scr.allRows)
+		m.scr.allRows = all
+	}
+	ws := f.grow(walked)
+	// Any worker may draw the largest subtree, and its first-level rows
+	// land in the worker's depth-1 buffer: size every worker's buffer for
+	// it up front rather than regrow it task by task.
+	largest := 0
+	for i := range f.tasks {
+		largest = max(largest, f.tasks[i].size)
+	}
+	for _, w := range ws {
+		w.m.buffer(1, largest)
+	}
 	f.order = runTasks(len(ws), f.tasks, f.order, func(i int, t *parTask) {
 		w := ws[i]
-		rows := t.rows
-		if rows == nil {
+		if wit != nil {
 			w.m.rootWitnesses(t)
-			rows = rootBitmap(f.st.Postings(), t).RowsInto(w.m.buffer(1, t.size))
 		}
 		t.worker, t.lo = int32(i), int32(len(w.caps))
-		w.m.walkTask(t, rows, all, sr)
+		w.m.walkTask(t, idx, all, sr)
 		t.hi = int32(len(w.caps))
 	})
 	for _, w := range ws {
@@ -169,27 +189,24 @@ func (f *fanOut) run(ws []*fanWorker, all []int32, sr []int, emit func(gr.GR, me
 			emit(c.g, c.c, c.score)
 		}
 	}
+	// A scoped walk keeps the capture buffers' capacity for the next batch's
+	// few entrants; a full walk, which buffers the whole pool, frees them.
 	for _, w := range ws {
-		if keep {
+		if wit != nil {
 			clear(w.caps)
 			w.caps = w.caps[:0]
 		} else {
 			w.caps = nil
 		}
+		if touched != nil {
+			*touched = append(*touched, w.touched...)
+		}
+		w.touched = w.touched[:0]
 	}
 	clear(f.tasks)
 	f.tasks = f.tasks[:0]
-}
-
-// full runs a capture walk over the whole SFDF tree, split into buildTasks'
-// first-level partitions, and replays every capture through emit in the
-// sequential walk's order. A set bound prunes as in a shard offer mine.
-func (f *fanOut) full(bound *OfferBound, emit func(gr.GR, metrics.Counts, float64), stats *Stats) {
 	f.pool = nil
-	w0 := f.start(nil, bound)
-	tasks, all, sr := buildTasks(w0.m, f.tasks[:0])
-	f.tasks = tasks
-	f.run(f.grow(len(tasks)), all, sr, emit, stats, false)
+	return walked, total
 }
 
 // rootBitmap returns the live-row bitmap of t's first-level partition.
@@ -224,35 +241,49 @@ func (m *miner) rootWitnesses(t *parTask) []int32 {
 	return lv.set
 }
 
-// planScoped appends one task per first-level subtree some witness of m's
-// walk reaches, in the sequential walk's order, reading each partition's
-// size off the store's postings, and returns the tasks with the number of
-// subtrees that pass the support threshold.
-func planScoped(m *miner, sr []int, tasks []parTask) ([]parTask, int) {
-	schema, idx := m.schema, m.st.Postings()
+// plan appends to tasks one task per first-level subtree of m's walk, in
+// the sequential walk's order (root RIGHT, EDGE, then LEFT block;
+// positions, then values ascending), reading each partition's size off idx.
+// It cuts partitions below MinSupp and, when m has an offer bound, those
+// the bound rules out; a scoped walk (m.wit set) also drops subtrees no
+// witness reaches. It returns the tasks with the root RHS order they share
+// and the number of subtrees that pass the support threshold.
+func (m *miner) plan(idx *store.BitmapIndex, tasks []parTask) ([]parTask, []int, int) {
+	sr := m.scr.staticSR
+	if !m.opt.StaticRHSOrder {
+		sr = rhsOrder(m.schema, gr.Descriptor(nil).Has)
+	}
 	total := 0
 	blocks := [...]struct {
 		block taskBlock
 		order []int
 		attrs []graph.Attribute
 	}{
-		{blockRight, sr, schema.Node},
-		{blockEdge, m.swOrder, schema.Edge},
-		{blockLeft, m.slOrder, schema.Node},
+		{blockRight, sr, m.schema.Node},
+		{blockEdge, m.swOrder, m.schema.Edge},
+		{blockLeft, m.slOrder, m.schema.Node},
 	}
 	for _, b := range blocks {
 		for pos, attr := range b.order {
 			for val := graph.Value(1); int(val) <= b.attrs[attr].Domain; val++ {
 				t := parTask{block: b.block, attr: attr, pos: pos, val: val}
-				if t.size = rootBitmap(idx, &t).Count(); t.size < m.opt.MinSupp {
+				switch t.size = rootBitmap(idx, &t).Count(); {
+				case t.size == 0:
+					continue
+				case t.size < m.opt.MinSupp:
+					m.stats.PrunedSupp++
 					continue
 				}
 				total++
-				if len(m.rootWitnesses(&t)) > 0 {
+				if m.bound != nil && m.bound.pruneFirst(b.block, t.size, attr, val) {
+					m.stats.PrunedGlobal++
+					continue
+				}
+				if m.wit == nil || len(m.rootWitnesses(&t)) > 0 {
 					tasks = append(tasks, t)
 				}
 			}
 		}
 	}
-	return tasks, total
+	return tasks, sr, total
 }

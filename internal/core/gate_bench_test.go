@@ -144,10 +144,12 @@ func BenchmarkRecount(b *testing.B) {
 	}
 }
 
-// BenchmarkMineStatic is the gate's batch-mine benchmark: a full sequential
-// GRMiner(k) run. The nhp variant exercises the blocker tables and homophily
-// scans; lift additionally drives the |E(r)| memo (rCounts); exactgen drives
-// the ExactGenerality verdict cache.
+// BenchmarkMineStatic is the gate's batch-mine benchmark: a full GRMiner(k)
+// run. The nhp variant exercises the blocker tables and homophily scans;
+// lift additionally drives the |E(r)| memo (rCounts); exactgen drives the
+// ExactGenerality verdict cache. parallel is exactgen on the static
+// parallel mine at two workers: its per-mine bitmap index, the first-level
+// plan read off it, and the per-worker scratch.
 func BenchmarkMineStatic(b *testing.B) {
 	gateFixture(b)
 	run := func(b *testing.B, opt Options) {
@@ -171,6 +173,12 @@ func BenchmarkMineStatic(b *testing.B) {
 	b.Run("exactgen", func(b *testing.B) {
 		opt := gateOpt
 		opt.ExactGenerality = true
+		run(b, opt)
+	})
+	b.Run("parallel", func(b *testing.B) {
+		opt := gateOpt
+		opt.ExactGenerality = true
+		opt.Parallelism = 2
 		run(b, opt)
 	})
 }

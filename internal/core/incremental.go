@@ -453,7 +453,7 @@ func (inc *Incremental) applyDeletes(delRows []int32) error {
 // reuse the previous batch's capacity.
 func (inc *Incremental) rebuildPool(stats *Stats) {
 	inc.pool.reset()
-	inc.fan.full(nil, inc.pool.capture, stats)
+	inc.fan.walk(nil, nil, nil, inc.pool.capture, nil, stats)
 	inc.spillFloor = math.Inf(-1)
 	inc.spilled = false
 }
@@ -558,12 +558,12 @@ func rightSubtreeAffected(opt Options, n, liveE int) bool {
 // some batch witness reaches, on f's workers, and leaves the pool's
 // condition-(1) set exact: every candidate found that pool already tracks
 // is updated in place, and every other one is replayed through emit, in the
-// sequential walk's order (see fanOut). The enumeration mirrors the
-// decomposition of parallel.go's buildTasks (root RIGHT, EDGE, and LEFT
-// blocks) so every GR of the full walk belongs to exactly one subtree.
-// Shared by the single-store incremental engine and the shard workers
-// (whose witnesses are insert-only); both stores keep postings, so each
-// first-level partition's size and rows come straight off the store's
+// sequential walk's order (see fanOut). It is the full capture walk
+// restricted by witnesses: the same planner (plan) splits the tree at its
+// first level, so every GR of the full walk belongs to exactly one
+// subtree. Shared by the single-store incremental engine and the shard
+// workers (whose witnesses are insert-only); both stores keep postings, so
+// each first-level partition's size and rows come straight off the store's
 // per-(attribute, value) live-row bitmap — no O(|E| × dims) counting-sort
 // pass over the full edge set — and every deeper descent narrows the node's
 // witness set (miner.wit), pruning descents it empties. That is exact at
@@ -577,42 +577,7 @@ func rightSubtreeAffected(opt Options, n, liveE int) bool {
 // grlint:requires DeltaSafe DeleteSafe
 func remineAffectedSubtrees(f *fanOut, pool *densePool, wit *witnesses, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (remined, total int) {
 	wit.gather(f.st.Graph())
-	f.pool = pool
-	m := f.start(wit, nil).m
-	sr := rhsOrder(m.schema, gr.Descriptor(nil).Has)
-	if m.opt.StaticRHSOrder {
-		sr = staticRHSOrder(m.schema)
-	}
-	f.tasks, total = planScoped(m, sr, f.tasks[:0])
-	remined = len(f.tasks)
-	// The full live edge list is only needed as the base partition (the LW
-	// denominator) of root RIGHT subtrees, so insert-only batches that
-	// touch none skip the O(|E|) walk.
-	var all []int32
-	if remined > 0 && f.tasks[0].block == blockRight {
-		all = f.st.AllEdgesInto(m.scr.allRows)
-		m.scr.allRows = all
-	}
-	ws := f.grow(remined)
-	// Any worker may draw the largest subtree, and its first-level rows
-	// land in the worker's depth-1 buffer: size every worker's buffer for
-	// it up front rather than regrow it task by task.
-	largest := 0
-	for i := range f.tasks {
-		largest = max(largest, f.tasks[i].size)
-	}
-	for _, w := range ws {
-		w.m.buffer(1, largest)
-	}
-	f.run(ws, all, sr, emit, stats, true)
-	for _, w := range ws {
-		if touched != nil {
-			*touched = append(*touched, w.touched...)
-		}
-		w.touched = w.touched[:0]
-	}
-	f.pool = nil
-	return remined, total
+	return f.walk(wit, pool, nil, emit, touched, stats)
 }
 
 // assemble applies Definition 5 conditions (2) and (3) to the pool and

@@ -53,11 +53,12 @@ type Options struct {
 	// this option, candidates that pass the in-search blocker check are
 	// verified against all their generalisations by direct (memoised)
 	// support queries before entering the top-k. The queries intersect
-	// per-(attribute, value) live-row bitmaps from an index each miner fills
-	// lazily and drops when the mine returns: one pass over the rows and
-	// ⌈rows/64⌉ words per distinct condition probed (114 bitmaps, 855 KB,
-	// on a 60k-edge Pokec-like mine). Off by default to match the paper's
-	// GRMiner(k).
+	// per-(attribute, value) live-row bitmaps: the store's postings, the
+	// complete index a parallel mine builds and shares, or an index a
+	// sequential miner fills lazily and drops when the mine returns (one
+	// pass over the rows and ⌈rows/64⌉ words per distinct condition probed:
+	// 114 bitmaps, 855 KB, on a 60k-edge Pokec-like mine). Off by default
+	// to match the paper's GRMiner(k).
 	ExactGenerality bool
 	// StaticRHSOrder disables the dynamic tail ordering of Equation 8 (an
 	// ablation of the paper's key pruning enabler). The same GRs are found
@@ -287,9 +288,10 @@ type minerScratch struct {
 	qual        []uint8
 	qualTouched []intern.GRID
 	// genIdx is the bitmap index behind the ExactGenerality counts, |E(r)|
-	// and bitmap descents: the store's postings when it keeps them, else a
-	// lazy index built on the run's first count. reset drops it (the store
-	// may mutate between runs); counter is the count kernel's scratch.
+	// and bitmap descents: the store's postings when it keeps them, the
+	// complete index a parallel mine sets on every worker, else a lazy
+	// index built on the run's first count. reset drops it (the store may
+	// mutate between runs); counter is the count kernel's scratch.
 	genIdx  *store.BitmapIndex
 	counter bitmapCounter
 	// dataBMs[depth] is the bitmap of the partition a bitmap descent is
@@ -1152,8 +1154,9 @@ func (m *miner) generalityCounts(g gr.GR) metrics.Counts {
 	return m.scr.counter.count(idx, m.schema, m.metric, g)
 }
 
-// bitmapIndex returns the run's bitmap index: the store's maintained
-// postings when it keeps them, else a lazy index created on first use.
+// bitmapIndex returns the run's bitmap index: the one set on the scratch
+// (a parallel mine's complete index), else the store's maintained postings
+// when it keeps them, else a lazy index created on first use.
 func (m *miner) bitmapIndex() *store.BitmapIndex {
 	if m.scr.genIdx == nil {
 		if m.scr.genIdx = m.st.Postings(); m.scr.genIdx == nil {

@@ -26,10 +26,9 @@ import (
 // that is CAS-raised (never lowered) when a worker's local k-th best score
 // beats it. Everything else is private: each worker accumulates candidates
 // into its own topk.List (DynamicFloor) or candidate slice (static floor),
-// decides ExactGenerality through its own dense verdict memo, count kernel
-// and lazily filled store.BitmapIndex (a worker rebuilds the few bitmaps
-// another worker already built rather than synchronise on a shared one),
-// and the coordinator merges the per-worker results exactly once after all
+// decides ExactGenerality through its own dense verdict memo and count
+// kernel over the mine's one complete, read-only store.BitmapIndex, and the
+// coordinator merges the per-worker results exactly once after all
 // workers finish. Tasks are drained from a slice ordered largest-partition-
 // first through an atomic index, so the biggest subtrees start earliest and
 // stragglers do not tail the run; claiming a task is a single atomic add.
@@ -107,17 +106,15 @@ const (
 
 // parTask is one first-level subtree: the partition of (attr, val) at loop
 // position pos of its root block, tagged with its size so the runner can
-// start the largest subtrees first. rows holds the partition when
-// buildTasks materialised it; a task planned off the store's postings
-// leaves it nil and its worker reads the rows off the bitmap. worker, lo
-// and hi record where a capture walk ran the task: the worker, and the span
-// of that worker's capture buffer the task filled (see fanOut).
+// start the largest subtrees first. It holds no rows: its worker reads them
+// off the bitmap index when the task starts (walkTask). worker, lo and hi
+// record where a capture walk ran the task: the worker, and the span of
+// that worker's capture buffer the task filled (see fanOut).
 type parTask struct {
 	block     taskBlock
 	attr, pos int
 	val       graph.Value
 	size      int
-	rows      []int32
 
 	worker, lo, hi int32
 }
@@ -163,11 +160,15 @@ func runTasks(width int, tasks []parTask, order []int32, run func(worker int, t 
 	return order
 }
 
-// walkTask descends into t's first-level subtree over its partition rows.
+// walkTask reads t's partition rows off idx into the depth-1 buffer and
+// descends into t's first-level subtree over them. Bitmaps yield rows
+// ascending, the order a stable counting sort of the ascending live edge
+// list leaves a partition in, so the walk below is the sequential walk's.
 // all is the full live edge list, the base partition (LW denominator) of
 // root RIGHT subtrees, and sr the root RHS order; both are shared
 // read-only by every worker.
-func (m *miner) walkTask(t *parTask, rows, all []int32, sr []int) {
+func (m *miner) walkTask(t *parTask, idx *store.BitmapIndex, all []int32, sr []int) {
+	rows := rootBitmap(idx, t).RowsInto(m.buffer(1, t.size))
 	d := gr.Descriptor(nil).With(t.attr, t.val)
 	switch t.block {
 	case blockRight:
@@ -183,26 +184,26 @@ func (m *miner) walkTask(t *parTask, rows, all []int32, sr []int) {
 func mineParallel(st *store.Store, opt Options) (*Result, error) {
 	start := time.Now()
 
-	// The coordinator miner builds the first-level partitions.
+	// One complete bitmap index serves the whole mine: the coordinator plans
+	// the first level off it, every worker reads its tasks' rows from it,
+	// and it backs every worker's ExactGenerality and |E(r)| counts, so no
+	// worker fills a bitmap another has already built.
+	idx := store.BuildBitmapIndex(st)
 	coord := newMiner(st, opt)
-	tasks, all, sr := buildTasks(coord, nil)
-
-	// With zero or one task there is nothing to run concurrently; spawning
-	// idle workers would only pay goroutine and merge overhead. Run the
-	// task (if any) on one sequential miner (parF nil, so consider() takes
-	// the sequential path; opt is already normalized, so the
-	// DynamicFloor/ExactGenerality semantics match the parallel path) and
-	// reuse the first-level work the coordinator already did rather than
-	// re-partitioning the full edge set.
+	tasks, sr, _ := coord.plan(idx, nil)
 	if len(tasks) < 2 {
+		// Nothing to run concurrently: mine sequentially, on the index
+		// already built. The options are normalized, so the semantics match
+		// the parallel path's.
 		m := newMiner(st, opt)
-		for i := range tasks {
-			m.walkTask(&tasks[i], tasks[i].rows, all, sr)
-		}
-		stats := coord.stats
-		addStats(&stats, &m.stats)
-		stats.Duration = time.Since(start)
-		return &Result{TopK: m.top.Items(), Stats: stats, Options: opt, TotalEdges: st.NumEdges()}, nil
+		m.scr.genIdx = idx
+		m.run()
+		m.stats.Duration = time.Since(start)
+		return &Result{TopK: m.top.Items(), Stats: m.stats, Options: opt, TotalEdges: st.NumEdges()}, nil
+	}
+	var all []int32
+	if tasks[0].block == blockRight {
+		all = st.AllEdges()
 	}
 
 	floor := newParFloor()
@@ -210,17 +211,18 @@ func mineParallel(st *store.Store, opt Options) (*Result, error) {
 	for i := range miners {
 		miners[i] = newMiner(st, opt)
 		miners[i].parF = floor
+		miners[i].scr.genIdx = idx
 	}
 	runTasks(len(miners), tasks, nil, func(w int, t *parTask) {
-		miners[w].walkTask(t, t.rows, all, sr)
+		miners[w].walkTask(t, idx, all, sr)
 	})
 
-	// Merge once: coordinator stats (supp pruning observed while building
-	// tasks) plus every worker's results. A static floor leaves candidates
-	// in collected, a dynamic one in the bound-k local lists; each run
-	// fills only one of the two. Unless ExactGenerality already blocked
-	// in-worker, condition (2) is decided here, through the coordinator's
-	// own (unused) blocker map.
+	// Merge once: coordinator stats (supp pruning observed while planning)
+	// plus every worker's results. A static floor leaves candidates in
+	// collected, a dynamic one in the bound-k local lists; each run fills
+	// only one of the two. Unless ExactGenerality already blocked in-worker,
+	// condition (2) is decided here, through the coordinator's own (unused)
+	// blocker map.
 	stats := coord.stats
 	var collected []gr.Scored
 	for _, w := range miners {
@@ -247,59 +249,6 @@ func addStats(total, s *Stats) {
 	total.PrunedGlobal += s.PrunedGlobal
 	total.ShardOffers += s.ShardOffers
 	total.ExactCountRequests += s.ExactCountRequests
-}
-
-// buildTasks materialises the first-level partitions of the full walk,
-// appending one task per partition to tasks in the sequential walk's order
-// (root RIGHT, EDGE, then LEFT block; positions, then values ascending), and
-// returns them with the full live edge list and the root RHS order the
-// tasks share. Each partition's id slice is copied out of m's scratch
-// buffer because the tasks outlive the loop. A set OfferBound (shard offer
-// mines) prunes first-level partitions as the walk's loops do.
-func buildTasks(m *miner, tasks []parTask) ([]parTask, []int32, []int) {
-	sr := rhsOrder(m.schema, gr.Descriptor(nil).Has)
-	if m.opt.StaticRHSOrder {
-		sr = staticRHSOrder(m.schema)
-	}
-	if m.totalE == 0 {
-		return tasks, nil, sr
-	}
-	all := m.st.AllEdgesInto(m.scr.allRows)
-	m.scr.allRows = all
-	buf := m.buffer(1, len(all))
-	blocks := [...]struct {
-		block  taskBlock
-		order  []int
-		gather func(dst []uint16, rows []int32, attr int) []uint16
-	}{
-		{blockRight, sr, m.st.RValsInto},
-		{blockEdge, m.swOrder, m.st.EValsInto},
-		{blockLeft, m.slOrder, m.st.LValsInto},
-	}
-	for _, b := range blocks {
-		for pos, attr := range b.order {
-			groups := m.partition(1, all, b.gather, attr, buf)
-			for _, grp := range groups {
-				if grp.Val == uint16(graph.Null) {
-					continue
-				}
-				if int(grp.N) < m.opt.MinSupp {
-					m.stats.PrunedSupp++
-					continue
-				}
-				val := graph.Value(grp.Val)
-				if m.bound != nil && m.bound.pruneFirst(b.block, int(grp.N), attr, val) {
-					m.stats.PrunedGlobal++
-					continue
-				}
-				tasks = append(tasks, parTask{
-					block: b.block, attr: attr, pos: pos, val: val, size: int(grp.N),
-					rows: append([]int32(nil), buf[grp.Lo:grp.Hi]...),
-				})
-			}
-		}
-	}
-	return tasks, all, sr
 }
 
 // rankCandidates applies Definition 5 conditions (2) and (3) to a complete

@@ -11,8 +11,8 @@ import (
 // Size-aware execution planning. Mining cost scales with the edge count and
 // the attribute arity (every extra attribute multiplies the first-level
 // fan-out and deepens the SFDF tree), and the parallel engine only pays off
-// once each worker gets enough work to amortise goroutine spawn, per-task
-// partition copies, and the final merge. PlanFor turns those size features
+// once each worker gets enough work to amortise goroutine spawn, the
+// mine's bitmap index build, and the final merge. PlanFor turns those size features
 // into a filled Options value so callers do not have to hand-tune
 // Parallelism or descriptor caps per dataset.
 

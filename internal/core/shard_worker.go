@@ -692,13 +692,13 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 		w.seeded = true
 	}
 	var stats Stats
-	w.fan.full(bound, func(g gr.GR, c metrics.Counts, score float64) {
+	w.fan.walk(nil, nil, bound, func(g gr.GR, c metrics.Counts, score float64) {
 		cand := ShardCandidate{GR: g, Counts: c}
 		if seedPool {
 			cand.Handle, _ = w.pool.upsert(g, c, score)
 		}
 		out = append(out, cand)
-	}, &stats)
+	}, nil, &stats)
 	stats.ShardOffers = int64(len(out))
 	return out, stats, nil
 }

@@ -174,9 +174,11 @@ type PropagateRequest struct {
 	FromRules bool `json:"from_rules,omitempty"`
 	// Epsilon is the LinBP damping factor (default 0.05).
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// MaxIter bounds the sweeps (default 100).
+	// MaxIter bounds the sweeps (default 100, at most 1000; a larger or
+	// negative value is refused with 400).
 	MaxIter int `json:"max_iter,omitempty"`
-	// Tol is the per-node L1 convergence threshold (default 1e-6).
+	// Tol is the per-node L1 convergence threshold (default 1e-6; a
+	// negative value, which no sweep can meet, is refused with 400).
 	Tol float64 `json:"tol,omitempty"`
 	// Nodes restricts the returned beliefs to these node ids (the run
 	// always covers the whole graph); nil returns every node.

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -258,6 +259,10 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiv1.Error{Error: fmt.Sprintf(format, args...), Code: status})
 }
 
+// MaxPropagateIter caps POST /v1/propagate's max_iter at ten times the
+// default of 100 sweeps. Every sweep runs under the ingest lock.
+const MaxPropagateIter = 1000
+
 // MaxBodyBytes caps every POST body. It sits far above any batch a live
 // stream sends (a +64/−16 ingest is ~5 KB of JSON), so only a hostile or
 // broken client reaches it; the request is then refused with 413 before
@@ -422,6 +427,17 @@ func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, "propagate", &req) {
 		return
 	}
+	// The run holds the ingest lock for every sweep, so its length is
+	// bounded up front: a sweep count past the cap, or a tolerance no sweep
+	// can meet, would block ingest for as long as the client asked.
+	if req.MaxIter < 0 || req.MaxIter > MaxPropagateIter {
+		writeErr(w, http.StatusBadRequest, "max_iter %d outside [0, %d]", req.MaxIter, MaxPropagateIter)
+		return
+	}
+	if req.Tol < 0 {
+		writeErr(w, http.StatusBadRequest, "negative tol %g can never be met", req.Tol)
+		return
+	}
 	snap := s.snap.Load()
 
 	s.mu.RLock()
@@ -446,6 +462,14 @@ func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	for _, b := range res.Beliefs {
+		for _, x := range b {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				writeErr(w, http.StatusBadRequest, "propagation diverged: epsilon %g is too large for this graph", req.Epsilon)
+				return
+			}
+		}
 	}
 	nodes := req.Nodes
 	if nodes == nil {

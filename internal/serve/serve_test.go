@@ -272,6 +272,23 @@ func TestPropagateHandler(t *testing.T) {
 	wantErr(t, post(t, h, "/v1/propagate", `{"attr":99}`), http.StatusBadRequest)
 	wantErr(t, post(t, h, "/v1/propagate", `{"attr":1,"nodes":[99]}`), http.StatusBadRequest)
 	wantErr(t, post(t, h, "/v1/propagate", `{"attr":"RACE"}`), http.StatusBadRequest)
+
+	// The run holds the ingest lock, so its sweep count is capped and a
+	// tolerance no sweep can meet is refused before any sweep runs.
+	var capped apiv1.PropagateResponse
+	decode(t, post(t, h, "/v1/propagate", fmt.Sprintf(`{"attr":1,"max_iter":%d,"tol":1e-300}`, serve.MaxPropagateIter)), http.StatusOK, &capped)
+	if capped.Iterations < 1 || capped.Iterations > serve.MaxPropagateIter {
+		t.Errorf("capped run made %d sweeps", capped.Iterations)
+	}
+	for _, body := range []string{
+		`{"attr":0,"max_iter":2000000000,"tol":-1}`,
+		fmt.Sprintf(`{"attr":1,"max_iter":%d}`, serve.MaxPropagateIter+1),
+		`{"attr":1,"max_iter":-1}`,
+		`{"attr":1,"tol":-1e-9}`,
+		`{"attr":1,"epsilon":1e300}`, // diverges to non-finite beliefs
+	} {
+		wantErr(t, post(t, h, "/v1/propagate", body), http.StatusBadRequest)
+	}
 }
 
 func TestIngestHandler(t *testing.T) {

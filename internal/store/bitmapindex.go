@@ -7,17 +7,19 @@ import "grminer/internal/graph"
 // never indexed and reads as the empty set). Bitmaps are owned by the index
 // and read-only to callers. It comes in two forms:
 //
-//   - maintained (Store.Postings; see EnablePostings): complete and kept
-//     live-exact by the store. It never builds on read, so concurrent
-//     readers are safe while the store is not mutated; a nil bitmap is an
-//     empty set.
-//   - lazy (NewBitmapIndex, for static mines over stores without
-//     postings): each bitmap is filled on first request in one pass over the
-//     rows and allocated once at exactly ⌈NumRows/64⌉ words, so a caller
-//     that probes a few dozen values pays for those alone. It reads the rows
-//     as they are at that request and is never updated: it is valid only
-//     while the store is not mutated, and single-owner. A static mine builds
-//     one per miner and drops it when the mine returns.
+//   - complete (BuildBitmapIndex): every bitmap is built up front, and a
+//     value no live row carries stays nil, the empty set. It never builds
+//     on read, so concurrent readers are safe while the store is not
+//     mutated. The store's postings (EnablePostings) are a complete index
+//     the store keeps live-exact; the static parallel mine builds one per
+//     mine, plans its first level off it and shares it with every worker.
+//   - lazy (NewBitmapIndex, for sequential static mines over stores without
+//     postings): each bitmap is filled on first request in one pass over
+//     the rows and allocated once at exactly ⌈NumRows/64⌉ words, so a
+//     caller that probes a few dozen values pays for those alone. It reads
+//     the rows as they are at that request and is never updated: it is
+//     valid only while the store is not mutated, and single-owner. A static
+//     mine builds one per miner and drops it when the mine returns.
 type BitmapIndex struct {
 	s       *Store
 	lazy    bool
@@ -26,13 +28,48 @@ type BitmapIndex struct {
 
 // NewBitmapIndex returns an empty lazy index over s. No bitmap is built yet.
 func NewBitmapIndex(s *Store) *BitmapIndex {
+	x := newIndex(s)
+	x.lazy = true
+	return x
+}
+
+// BuildBitmapIndex returns a complete index over s's live rows. It fills
+// one (side, attribute) column at a time, in one pass over the rows from
+// the highest down, so each bitmap is allocated once, on the highest live
+// row carrying its value: at that row's word plus an eighth of headroom
+// for the rows a maintained index gains by appends (Bitmap.grow's rule).
+// O(rows × dims).
+func BuildBitmapIndex(s *Store) *BitmapIndex {
+	x := newIndex(s)
+	for _, side := range []byte("LWR") {
+		table, vals, idx := x.column(side)
+		for attr, bms := range table {
+			for row := len(s.ePtr) - 1; row >= 0; row-- {
+				i := row
+				if idx != nil {
+					i = int(idx[row])
+				}
+				v := vals[i*len(table)+attr]
+				if v == graph.Null || !s.Alive(int32(row)) {
+					continue
+				}
+				if bms[v] == nil {
+					bms[v] = Bitmap(nil).grow(row>>6 + 1)
+				}
+				bms[v][row>>6] |= 1 << uint(row&63)
+			}
+		}
+	}
+	return x
+}
+
+func newIndex(s *Store) *BitmapIndex {
 	schema := s.g.Schema()
 	return &BitmapIndex{
-		s:    s,
-		lazy: true,
-		l:    newBitmaps(schema.Node),
-		w:    newBitmaps(schema.Edge),
-		r:    newBitmaps(schema.Node),
+		s: s,
+		l: newBitmaps(schema.Node),
+		w: newBitmaps(schema.Edge),
+		r: newBitmaps(schema.Node),
 	}
 }
 
@@ -42,6 +79,21 @@ func newBitmaps(attrs []graph.Attribute) [][]Bitmap {
 		out[a] = make([]Bitmap, attrs[a].Domain+1)
 	}
 	return out
+}
+
+// column returns side's bitmap table and the store's value column behind
+// it: row e's value of attribute attr sits at vals[idx[e]*len(table)+attr],
+// or at vals[e*len(table)+attr] when idx is nil (edge values are per row).
+func (x *BitmapIndex) column(side byte) (table [][]Bitmap, vals []graph.Value, idx []int32) {
+	s := x.s
+	switch side {
+	case 'W':
+		return x.w, s.eVals, nil
+	case 'R':
+		return x.r, s.rVals, s.ePtr
+	default:
+		return x.l, s.lVals, s.eSrc
+	}
 }
 
 // NumEdges returns the store's live row count.
@@ -73,30 +125,21 @@ func (x *BitmapIndex) RBitmap(attr int, val graph.Value) Bitmap {
 }
 
 // fill builds a lazy index's bitmap of (side, attr, val) on its first
-// request. Null, and a value no row of a maintained index carries, stay
-// the empty set: a maintained index never builds on read.
+// request. Null, and a value no row of a complete index carries, stay the
+// empty set: a complete index never builds on read.
 func (x *BitmapIndex) fill(side byte, attr int, val graph.Value) Bitmap {
 	if val == graph.Null || !x.lazy {
 		return nil
 	}
-	// Row e's value sits at vals[idx[e]*len(table)+attr], or at
-	// vals[e*len(table)+attr] when idx is nil (edge values are per row).
 	s := x.s
-	table, vals, idx := x.l, s.lVals, s.eSrc
-	switch side {
-	case 'W':
-		table, vals, idx = x.w, s.eVals, nil
-	case 'R':
-		table, vals, idx = x.r, s.rVals, s.ePtr
-	}
-	stride := len(table)
+	table, vals, idx := x.column(side)
 	b := make(Bitmap, (s.NumRows()+63)/64)
 	for row := range s.ePtr {
 		i := row
 		if idx != nil {
 			i = int(idx[row])
 		}
-		if vals[i*stride+attr] == val && s.Alive(int32(row)) {
+		if vals[i*len(table)+attr] == val && s.Alive(int32(row)) {
 			b[row>>6] |= 1 << uint(row&63)
 		}
 	}

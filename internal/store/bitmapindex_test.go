@@ -134,3 +134,76 @@ func TestBitmapIndexMatchesPostings(t *testing.T) {
 	remove(5)
 	check("churn after compaction")
 }
+
+// TestBuildBitmapIndexSizing pins the complete index's allocation: each
+// bitmap of a value some live row carries is allocated once, on its
+// highest live row (tombstoned rows above it do not count), with an eighth
+// of headroom, and a value no live row carries stays nil.
+func TestBuildBitmapIndexSizing(t *testing.T) {
+	schema := dynSchema(t)
+	r := rand.New(rand.NewSource(3))
+	const n = 40
+	g := graph.MustNew(schema, n)
+	for v := 0; v < n; v++ {
+		// B draws 0..3 of its domain of 4, so B's value 4 is never carried.
+		if err := g.SetNodeValues(v, graph.Value(r.Intn(4)), graph.Value(r.Intn(4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 700; i++ {
+		if _, err := g.AddEdge(r.Intn(n), r.Intn(n), graph.Value(r.Intn(3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := Build(g)
+	doomed := s.AllEdges()[600:]
+	for _, row := range doomed {
+		if err := g.RemoveEdge(int(s.EdgeID(row))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RemoveEdges(doomed); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumRows() != 700 {
+		t.Fatalf("removals compacted the store to %d rows", s.NumRows())
+	}
+	x := BuildBitmapIndex(s)
+	sides := []struct {
+		name  string
+		attrs []graph.Attribute
+		table [][]Bitmap
+		val   func(int32, int) graph.Value
+	}{
+		{"L", schema.Node, x.l, s.LVal},
+		{"W", schema.Edge, x.w, s.EVal},
+		{"R", schema.Node, x.r, s.RVal},
+	}
+	for _, sd := range sides {
+		for a, at := range sd.attrs {
+			for v := graph.Value(1); int(v) <= at.Domain; v++ {
+				hi, live := int32(-1), 0
+				for row := int32(0); int(row) < s.NumRows(); row++ {
+					if s.Alive(row) && sd.val(row, a) == v {
+						hi, live = row, live+1
+					}
+				}
+				b := sd.table[a][v]
+				if hi < 0 {
+					if b != nil {
+						t.Fatalf("%s(%d,%d): no live row carries it, yet it has %d words", sd.name, a, v, len(b))
+					}
+					continue
+				}
+				want := int(hi>>6) + 1
+				if len(b) != want || cap(b) != want+want/8 || b.Count() != live {
+					t.Fatalf("%s(%d,%d): len %d cap %d count %d, want len %d cap %d count %d",
+						sd.name, a, v, len(b), cap(b), b.Count(), want, want+want/8, live)
+				}
+			}
+		}
+	}
+	if x.r[1][4] != nil || x.l[1][4] != nil {
+		t.Fatal("the bitmap of a value no node carries was built")
+	}
+}

@@ -7,7 +7,7 @@ import (
 )
 
 // Bitmap is a packed set of EArray row ids (bit row%64 of word row/64). The
-// tail is implicitly zero: a bitmap only grows to the highest row it holds.
+// tail is implicitly zero: a bitmap may end before the store's last row.
 type Bitmap []uint64
 
 // Has reports whether row is in the set.
@@ -103,27 +103,17 @@ func (b Bitmap) Clear(row int32) {
 }
 
 // EnablePostings builds (or rebuilds) the store's maintained BitmapIndex —
-// its postings — over its current rows and keeps it live-exact from now on:
-// AppendEdges sets a new row's bits, RemoveEdges clears a tombstoned row's
-// bits at once, and compaction rebuilds the index against the renumbered
-// rows (the store tests check every bitmap against a brute-force scan
-// after arbitrary insert/delete sequences). The incremental engines keep
-// postings: their scoped re-mine reads each first-level partition's size
-// and rows off a bitmap instead of counting-sorting the full edge set per
-// dimension, deeper levels intersect bitmaps word-wide, and shard workers
-// count round-2 queries on them. Idempotent rebuild; O(rows × dims). Rows
-// are marked from the highest down, so every bitmap is allocated once, for
-// the word of its highest live row plus grow's eighth of headroom.
-func (s *Store) EnablePostings() {
-	x := NewBitmapIndex(s)
-	x.lazy = false // filled here, then kept live-exact by the store
-	s.post = x
-	for row := int32(len(s.ePtr)) - 1; row >= 0; row-- {
-		if s.Alive(row) {
-			x.mark(row, true)
-		}
-	}
-}
+// its postings — with BuildBitmapIndex over its current rows, then attaches
+// it and keeps it live-exact from now on: AppendEdges sets a new row's
+// bits, RemoveEdges clears a tombstoned row's bits at once, and compaction
+// rebuilds the index against the renumbered rows (the store tests check
+// every bitmap against a brute-force scan after arbitrary insert/delete
+// sequences). The incremental engines keep postings: their capture walks
+// read each first-level partition's size and rows off a bitmap instead of
+// counting-sorting the full edge set per dimension, deeper scoped levels
+// intersect bitmaps word-wide, and shard workers count round-2 queries on
+// them. Idempotent rebuild; O(rows × dims).
+func (s *Store) EnablePostings() { s.post = BuildBitmapIndex(s) }
 
 // Postings returns the store's maintained BitmapIndex, or nil when postings
 // are off. The index and its bitmaps are owned by the store: callers must
