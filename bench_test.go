@@ -5,6 +5,7 @@
 package grminer_test
 
 import (
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -221,13 +222,15 @@ func BenchmarkOrderingAblation(b *testing.B) {
 	})
 }
 
-// Parallel worker sweep (speedup requires multicore; on one core this
+// The static mine's width sweep: MineStore fans out over GOMAXPROCS, set
+// here per sub-benchmark (speedup requires multicore; on one core this
 // measures pure decomposition overhead).
 func BenchmarkParallel(b *testing.B) {
 	fixtures(b)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			mineStore(b, pokec4St, core.Options{MinSupp: 50, MinScore: 0.5, Parallelism: workers})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			mineStore(b, pokec4St, core.Options{MinSupp: 50, MinScore: 0.5})
 		})
 	}
 }

@@ -10,7 +10,7 @@
 //	grbench -exp fig4a -pokec-nodes 50000 -pokec-deg 15
 //	grbench -exp tableIIb
 //	grbench -exp fig4d -skip-baselines
-//	grbench -exp scaling -procs 8 -auto
+//	grbench -exp scaling -procs 8
 package main
 
 import (
@@ -36,8 +36,7 @@ func main() {
 	flag.Float64Var(&cfg.MinNhp, "minnhp", cfg.MinNhp, "default minNhp for sweeps")
 	flag.IntVar(&cfg.K, "k", cfg.K, "default top-k for sweeps")
 	flag.BoolVar(&cfg.SkipBaselines, "skip-baselines", cfg.SkipBaselines, "omit BL1/BL2 from figure sweeps")
-	flag.IntVar(&cfg.Procs, "procs", cfg.Procs, "worker-count cap for the scaling experiment (0 = all cores)")
-	flag.BoolVar(&cfg.Auto, "auto", cfg.Auto, "add the planner-chosen point to the scaling experiment")
+	flag.IntVar(&cfg.Procs, "procs", cfg.Procs, "width (GOMAXPROCS) cap for the scaling experiment (0 = all cores)")
 	flag.IntVar(&cfg.MaxShards, "shards", cfg.MaxShards, "shard-count cap for the sharding experiment (0 = 8)")
 	flag.StringVar(&cfg.ShardBy, "shard-by", cfg.ShardBy, "restrict the sharding experiment to one strategy: src | rhs (empty = both)")
 	flag.StringVar(&cfg.JSONDir, "json-dir", ".", "directory for BENCH_*.json snapshots (empty = skip)")

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"grminer/internal/lint/analysis"
-	"grminer/internal/lint/atomicfloor"
 	"grminer/internal/lint/deadedge"
 	"grminer/internal/lint/metricsafety"
 	"grminer/internal/lint/wire"
@@ -31,7 +30,6 @@ import (
 )
 
 var analyzers = []*analysis.Analyzer{
-	atomicfloor.Analyzer,
 	metricsafety.Analyzer,
 	deadedge.Analyzer,
 	wirecompat.Analyzer,

@@ -15,10 +15,9 @@
 //
 // With -workers host:port,... the shards live on remote shardd daemons
 // (cmd/shardd): each worker receives its shard at session start and mines
-// it behind the internal/rpc protocol; a plain integer keeps the old
-// meaning of in-process parallel mining workers. Remote mining composes
-// with -follow: routed batches stream to the owning worker, which
-// maintains its own candidate pool.
+// it behind the internal/rpc protocol. A number is refused: mining width
+// follows GOMAXPROCS. Remote mining composes with -follow: routed batches
+// stream to the owning worker, which maintains its own candidate pool.
 //
 // With -query the tool reports supp/conf/nhp of one GR instead of mining
 // (the hypothesis-workbench mode of the paper's Remark 3).
@@ -80,9 +79,8 @@ func main() {
 		showStats = flag.Bool("stats", false, "print search statistics")
 		out       = flag.String("out", "", "also write results to this file")
 		format    = flag.String("format", "tsv", "output file format: tsv | json")
-		workers   = flag.String("workers", "0", "parallel mining workers (0 = sequential unless -auto), or comma-separated shardd addresses (host:port,...) to mine one shard per remote worker")
-		auto      = flag.Bool("auto", false, "auto-tune workers and descriptor caps from the input size")
-		procs     = flag.Int("procs", 0, "CPU budget for -auto planning (0 = all cores)")
+		workers   = flag.String("workers", "", "comma-separated shardd addresses (host:port,...) to mine one shard per remote worker; mining width follows GOMAXPROCS")
+		auto      = flag.Bool("auto", false, "auto-tune descriptor caps from the input size")
 		follow    = flag.String("follow", "", "after the initial mine, stream edge insertions (\"src dst vals...\") and retractions (\"- src dst vals...\") from this file (\"-\" = stdin) through the incremental engine")
 		batchSize = flag.Int("batch", 0, "in -follow mode, commit a batch every N changes in addition to blank-line commits (0 = blank lines/EOF only)")
 		poolCap   = flag.Int("pool-cap", 0, "in single-store -follow mode, bound the tracked candidate pool to N entries (0 = unbounded; exact via re-mine-on-underflow)")
@@ -102,11 +100,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// -workers is either a parallel worker count ("4") or a remote shardd
-	// address list ("host:port,host:port"). An explicit -shards below the
-	// address count (idle daemons) surfaces as ErrShardWorkerMismatch from
-	// the facade; above it, the extra shards multiplex onto the daemons.
-	parWorkers, remote, err := cli.ParseWorkers(*workers)
+	// An explicit -shards below the -workers address count (idle daemons)
+	// surfaces as ErrShardWorkerMismatch from the facade; above it, the
+	// extra shards multiplex onto the daemons.
+	remote, err := cli.ParseWorkers(*workers)
 	if err != nil {
 		fail(err)
 	}
@@ -177,7 +174,6 @@ func main() {
 		DynamicFloor:   *dynamic && *k > 0,
 		Metric:         m,
 		IncludeTrivial: *trivial,
-		Parallelism:    parWorkers,
 		PoolCap:        *poolCap,
 	}
 	cfg := grminer.EngineConfig{
@@ -186,7 +182,6 @@ func main() {
 		Workers:  remote,
 		Standbys: standbys,
 		Auto:     *auto,
-		Procs:    *procs,
 	}
 	var in io.Reader
 	if *follow != "" {

@@ -40,8 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -80,10 +78,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if _, err := strconv.Atoi(strings.TrimSpace(*workers)); err == nil {
-		fail(fmt.Errorf("-workers %s: the flag takes shardd addresses (host:port,...); mining width follows GOMAXPROCS", *workers))
-	}
-	remote, err := cli.ParseAddrList("-workers", *workers)
+	remote, err := cli.ParseWorkers(*workers)
 	if err != nil {
 		fail(err)
 	}

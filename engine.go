@@ -63,12 +63,9 @@ type EngineConfig struct {
 	// are unchanged. FleetHealth reports the failover counters.
 	Standbys []string
 	// Auto applies the size-aware planner (core.PlanFor) before
-	// construction: zero-valued execution knobs in Options (Parallelism,
-	// MaxL/MaxW/MaxR) are filled from the input size and Procs (0 = all
-	// cores); the CLIs' -auto flag sets it.
+	// construction: zero-valued descriptor caps in Options (MaxL/MaxW/MaxR)
+	// are filled from the schema's width; the CLIs' -auto flag sets it.
 	Auto bool
-	// Procs caps the CPU budget Auto plans for (0 = all cores).
-	Procs int
 }
 
 // ErrShardWorkerMismatch reports an explicit shard count smaller than the
@@ -127,7 +124,7 @@ func Open(g *Graph, cfg EngineConfig) (*Engine, error) {
 	}
 	e := &Engine{mode: cfg.Mode, g: g, opt: cfg.Options}
 	if cfg.Auto {
-		e.plan = core.PlanForSize(g.NumEdges(), g.Schema(), cfg.Procs, e.opt)
+		e.plan = core.PlanForSize(g.NumEdges(), g.Schema(), e.opt)
 		e.opt = e.plan.Apply(e.opt)
 		e.planned = true
 	}
@@ -163,7 +160,7 @@ func OpenStore(st *Store, cfg EngineConfig) (*Engine, error) {
 	}
 	e := &Engine{mode: ModeStatic, g: st.Graph(), opt: cfg.Options, st: st}
 	if cfg.Auto {
-		e.plan = core.PlanFor(st, cfg.Procs, e.opt)
+		e.plan = core.PlanFor(st, e.opt)
 		e.opt = e.plan.Apply(e.opt)
 		e.planned = true
 	}

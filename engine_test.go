@@ -57,7 +57,7 @@ func TestOpenStaticLocal(t *testing.T) {
 
 	// Auto path == the reference miner under the store-sized plan.
 	st := store.Build(g)
-	wantPlan := core.PlanFor(st, 0, opt)
+	wantPlan := core.PlanFor(st, opt)
 	refAuto, err := core.MineStore(st, wantPlan.Apply(opt))
 	if err != nil {
 		t.Fatal(err)

@@ -40,11 +40,9 @@ type Config struct {
 	// SkipBaselines drops BL1/BL2 from the figure sweeps (they dominate
 	// the runtime, exactly as the paper reports).
 	SkipBaselines bool
-	// Procs caps the worker counts the scaling experiment sweeps
+	// Procs caps the widths (GOMAXPROCS) the scaling experiment sweeps
 	// (0 = runtime.NumCPU()).
 	Procs int
-	// Auto adds a planner-chosen point to the scaling experiment.
-	Auto bool
 	// MaxShards caps the shard counts the sharding experiment sweeps
 	// (0 = 8); ShardBy restricts it to one routing strategy ("" = both).
 	MaxShards int

@@ -75,7 +75,6 @@ func TestEveryExperimentRuns(t *testing.T) {
 func TestScalingReport(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Procs = 4
-	cfg.Auto = true
 	cfg.JSONDir = t.TempDir()
 	var buf bytes.Buffer
 	if err := Scaling(&buf, cfg); err != nil {

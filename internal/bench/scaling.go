@@ -7,19 +7,18 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 
 	"grminer/internal/core"
 	"grminer/internal/store"
 )
 
-// ScalingPoint is one measured worker count of the scaling experiment.
+// ScalingPoint is one measured width of the scaling experiment.
 type ScalingPoint struct {
-	// Workers is the Parallelism setting measured.
+	// Workers is the width measured: the GOMAXPROCS the mine ran under.
 	Workers int `json:"workers"`
 	// Floor is the pruning mode: "static" (plain Definition 5 top-k) or
-	// "dynamic" (GRMiner(k) with ExactGenerality, the semantics the
-	// parallel engine guarantees under a dynamic floor).
+	// "dynamic" (GRMiner(k) with ExactGenerality, the dynamic-floor mine
+	// that fans out).
 	Floor string `json:"floor"`
 	// Seconds is the mining wall clock.
 	Seconds float64 `json:"seconds"`
@@ -28,13 +27,11 @@ type ScalingPoint struct {
 	// Identical records whether the ranked results matched the same-floor
 	// sequential reference exactly.
 	Identical bool `json:"identical_results"`
-	// Auto marks the point whose worker count the planner (core.PlanFor) chose.
-	Auto bool `json:"auto,omitempty"`
 }
 
 // ScalingReport is the machine-readable snapshot written to
-// BENCH_scaling.json: the speedup trajectory of the lock-light parallel
-// engine over the sequential miner, in both floor modes.
+// BENCH_scaling.json: the speedup trajectory of the static mine's fan-out
+// over the sequential walk, in both floor modes.
 type ScalingReport struct {
 	Dataset           string         `json:"dataset"`
 	Nodes             int            `json:"nodes"`
@@ -46,22 +43,18 @@ type ScalingReport struct {
 	SequentialStatic  float64        `json:"sequential_static_seconds"`
 	SequentialDynamic float64        `json:"sequential_dynamic_seconds"`
 	Points            []ScalingPoint `json:"points"`
-	Plan              string         `json:"plan,omitempty"`
 	// CrossoverStatic / CrossoverDynamic record the smallest measured
-	// worker count whose speedup exceeded 1.0 in each floor mode (0 = the
-	// parallel engine never beat the sequential miner on this machine) —
-	// the number the planner's crossover constants are validated against on
-	// multi-core CI runners.
+	// width whose speedup exceeded 1.0 in each floor mode (0 = the fan-out
+	// never beat the sequential walk on this machine).
 	CrossoverStatic  int `json:"crossover_workers_static"`
 	CrossoverDynamic int `json:"crossover_workers_dynamic"`
 }
 
-// Scaling measures the parallel engine's speedup trajectory on the
-// Pokec-like generator at the configured size, in both floor modes. Each
-// parallel run is compared against the sequential run with identical
-// semantics — static floor both sides, or dynamic floor with
-// ExactGenerality both sides — so the result lists must match exactly.
-// With cfg.JSONDir set, the trajectory is also written to
+// Scaling measures the static mine's speedup trajectory on the Pokec-like
+// generator at the configured size, in both floor modes, sweeping the width
+// through GOMAXPROCS. Each fanned-out run is compared against the same
+// options at width 1, the sequential walk, so the result lists must match
+// exactly. With cfg.JSONDir set, the trajectory is also written to
 // BENCH_scaling.json.
 func Scaling(w io.Writer, cfg Config) error {
 	g := cfg.pokec()
@@ -85,25 +78,17 @@ func Scaling(w io.Writer, cfg Config) error {
 		}
 	}
 	if len(counts) == 0 {
-		// Even on a single-CPU budget, exercise the engine once so the
-		// trajectory always has at least one parallel point.
+		// Even on a single-CPU budget, exercise the fan-out once so the
+		// trajectory always has at least one fanned-out point.
 		counts = []int{2}
 	}
-	autoWorkers := 0
-	if cfg.Auto {
-		plan := core.PlanFor(st, cfg.Procs, core.Options{})
-		rep.Plan = plan.String()
-		if plan.Parallelism > 1 {
-			autoWorkers = plan.Parallelism
-		}
-	}
 
-	fmt.Fprintf(w, "== Scaling: lock-light parallel engine ==  |V|=%d |E|=%d minSupp=%d minNhp=%0.0f%% k=%d NumCPU=%d\n",
+	fmt.Fprintf(w, "== Scaling: the static mine's fan-out ==  |V|=%d |E|=%d minSupp=%d minNhp=%0.0f%% k=%d NumCPU=%d\n",
 		rep.Nodes, rep.Edges, rep.MinSupp, 100*rep.MinNhp, rep.K, rep.NumCPU)
 	fmt.Fprintf(w, "  %-10s %-8s %10s %9s %10s\n", "workers", "floor", "seconds", "speedup", "identical")
 	allIdentical := true
 	for _, mode := range modes {
-		seq, err := core.MineStore(st, mode.base)
+		seq, err := mineAtWidth(st, mode.base, 1)
 		if err != nil {
 			return err
 		}
@@ -115,17 +100,8 @@ func Scaling(w io.Writer, cfg Config) error {
 		}
 		fmt.Fprintf(w, "  %-10s %-8s %10.4f %9s %10s\n", "seq", mode.name, seqSecs, "1.00x", "-")
 
-		// When the planned count is already swept, the matching point is
-		// marked instead of mining the same configuration twice.
-		modeCounts := counts
-		if autoWorkers > 0 && !slices.Contains(counts, autoWorkers) {
-			modeCounts = append(append([]int(nil), counts...), autoWorkers)
-		}
-		for _, n := range modeCounts {
-			auto := n == autoWorkers
-			opt := mode.base
-			opt.Parallelism = n
-			par, err := core.MineStore(st, opt)
+		for _, n := range counts {
+			par, err := mineAtWidth(st, mode.base, n)
 			if err != nil {
 				return err
 			}
@@ -133,7 +109,6 @@ func Scaling(w io.Writer, cfg Config) error {
 				Workers: n, Floor: mode.name,
 				Seconds:   par.Stats.Duration.Seconds(),
 				Identical: sameTop(par.TopK, seq.TopK),
-				Auto:      auto,
 			}
 			// Guard degenerate timings: Inf/NaN would make the JSON
 			// marshal fail and discard the whole measured trajectory.
@@ -142,11 +117,7 @@ func Scaling(w io.Writer, cfg Config) error {
 			}
 			rep.Points = append(rep.Points, pt)
 			allIdentical = allIdentical && pt.Identical
-			label := fmt.Sprintf("%d", n)
-			if auto {
-				label += " (auto)"
-			}
-			fmt.Fprintf(w, "  %-10s %-8s %10.4f %8.2fx %10v\n", label, mode.name, pt.Seconds, pt.Speedup, pt.Identical)
+			fmt.Fprintf(w, "  %-10d %-8s %10.4f %8.2fx %10v\n", n, mode.name, pt.Seconds, pt.Speedup, pt.Identical)
 		}
 	}
 	for _, pt := range rep.Points {
@@ -162,16 +133,13 @@ func Scaling(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintf(w, "  crossover: static=%s dynamic=%s\n",
 		crossoverLabel(rep.CrossoverStatic), crossoverLabel(rep.CrossoverDynamic))
-	if rep.Plan != "" {
-		fmt.Fprintf(w, "  %s\n", rep.Plan)
-	}
 	switch {
 	case !allIdentical:
-		fmt.Fprintln(w, "  shape: WARNING — a parallel run diverged from its sequential reference")
+		fmt.Fprintln(w, "  shape: WARNING — a fanned-out run diverged from its sequential reference")
 	case rep.NumCPU == 1:
 		fmt.Fprintln(w, "  shape: results identical; speedup bounded by a single CPU on this machine")
 	default:
-		fmt.Fprintln(w, "  shape: results identical at every worker count and floor mode")
+		fmt.Fprintln(w, "  shape: results identical at every width and floor mode")
 	}
 
 	if cfg.JSONDir != "" {
@@ -188,10 +156,17 @@ func Scaling(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// crossoverLabel renders a measured crossover worker count for the report.
+// crossoverLabel renders a measured crossover width for the report.
 func crossoverLabel(workers int) string {
 	if workers == 0 {
 		return "not reached"
 	}
 	return fmt.Sprintf("%d workers", workers)
+}
+
+// mineAtWidth runs MineStore with GOMAXPROCS, the width the static mine
+// fans out to, set to n, and restores it.
+func mineAtWidth(st *store.Store, opt core.Options, n int) (*core.Result, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return core.MineStore(st, opt)
 }

@@ -11,34 +11,14 @@ import (
 	"grminer"
 )
 
-// ParseWorkers splits grminer's overloaded -workers value: a plain integer
-// is the parallel miner's worker count, anything with a ':' is a comma-
-// separated shardd address list for remote mining.
-func ParseWorkers(v string) (parallelism int, remote []string, err error) {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return 0, nil, nil
+// ParseWorkers parses the -workers flag of grminer and grminerd: a
+// comma-separated list of shardd addresses. A number is refused: mining
+// width follows GOMAXPROCS, so there is no worker count to give.
+func ParseWorkers(v string) ([]string, error) {
+	if _, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
+		return nil, fmt.Errorf("-workers %s: the flag takes shardd addresses (host:port,...); mining width follows GOMAXPROCS", strings.TrimSpace(v))
 	}
-	if n, errInt := strconv.Atoi(v); errInt == nil {
-		if n < 0 {
-			return 0, nil, fmt.Errorf("-workers %d: negative worker count", n)
-		}
-		return n, nil, nil
-	}
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			remote = append(remote, a)
-		}
-	}
-	if len(remote) == 0 {
-		return 0, nil, fmt.Errorf("-workers %q: want a worker count or host:port addresses", v)
-	}
-	for _, a := range remote {
-		if !strings.Contains(a, ":") {
-			return 0, nil, fmt.Errorf("-workers address %q: want host:port", a)
-		}
-	}
-	return 0, remote, nil
+	return ParseAddrList("-workers", v)
 }
 
 // ParseAddrList splits a comma-separated host:port list, validating each

@@ -79,30 +79,29 @@ func TestLoadGraphRejectsMalformedEdges(t *testing.T) {
 func TestParseWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		in     string
-		n      int
 		remote []string
 		err    string
 	}{
 		{in: ""},
 		{in: "  "},
-		{in: "0"},
-		{in: " 4 ", n: 4},
-		{in: "-1", err: "negative worker count"},
+		{in: "0", err: "-workers 0: the flag takes shardd addresses (host:port,...); mining width follows GOMAXPROCS"},
+		{in: " 4 ", err: "-workers 4: the flag takes shardd addresses"},
+		{in: "-1", err: "-workers -1: the flag takes shardd addresses"},
 		{in: "127.0.0.1:9401", remote: []string{"127.0.0.1:9401"}},
 		{in: " a:1 , b:2 ,", remote: []string{"a:1", "b:2"}},
-		{in: ",", err: "want a worker count or host:port addresses"},
+		{in: ","},
 		{in: "a:1,b", err: `-workers address "b": want host:port`},
 		{in: "four", err: `-workers address "four": want host:port`},
 	} {
-		n, remote, err := ParseWorkers(tc.in)
+		remote, err := ParseWorkers(tc.in)
 		if tc.err != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.err) {
 				t.Errorf("ParseWorkers(%q) error %v, want one containing %q", tc.in, err, tc.err)
 			}
 			continue
 		}
-		if err != nil || n != tc.n || !reflect.DeepEqual(remote, tc.remote) {
-			t.Errorf("ParseWorkers(%q) = %d, %q, %v; want %d, %q", tc.in, n, remote, err, tc.n, tc.remote)
+		if err != nil || !reflect.DeepEqual(remote, tc.remote) {
+			t.Errorf("ParseWorkers(%q) = %q, %v; want %q", tc.in, remote, err, tc.remote)
 		}
 	}
 }

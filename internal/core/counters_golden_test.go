@@ -27,7 +27,7 @@ func TestSearchCountersGolden(t *testing.T) {
 
 	var b strings.Builder
 	mine := func(name string, opt Options) {
-		res, err := MineStore(st, opt)
+		res, err := mineStore(st, opt, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -12,7 +12,7 @@ import (
 // witness-scoped re-mine, the incremental engine's full re-mines and a
 // shard worker's offer mines — splits at the SFDF tree's first level into
 // independent RIGHT, EDGE and LEFT subtrees, the decomposition the static
-// parallel mine runs (parallel.go), plans them through the one first-level
+// mine fans out over (parallel.go), plans them through the one first-level
 // planner (plan) off the store's postings, and runs them through runTasks
 // on the engine's width workers.
 //

@@ -147,39 +147,38 @@ func BenchmarkRecount(b *testing.B) {
 // BenchmarkMineStatic is the gate's batch-mine benchmark: a full GRMiner(k)
 // run. The nhp variant exercises the blocker tables and homophily scans;
 // lift additionally drives the |E(r)| memo (rCounts); exactgen drives the
-// ExactGenerality verdict cache. parallel is exactgen on the static
-// parallel mine at two workers: its per-mine bitmap index, the first-level
-// plan read off it, and the per-worker scratch.
+// ExactGenerality verdict cache. Those three pin the sequential walk (width
+// 1). parallel is exactgen fanned out over two workers: its per-mine bitmap
+// index, the first-level plan read off it, and the per-worker scratch.
 func BenchmarkMineStatic(b *testing.B) {
 	gateFixture(b)
-	run := func(b *testing.B, opt Options) {
+	run := func(b *testing.B, opt Options, width int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := MineStore(gateSt, opt); err != nil {
+			if _, err := mineStore(gateSt, opt, width); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("nhp", func(b *testing.B) {
-		run(b, gateOpt)
+		run(b, gateOpt, 1)
 	})
 	b.Run("lift", func(b *testing.B) {
 		opt := gateOpt
 		opt.Metric = metrics.LiftMetric
 		opt.MinScore = 1
 		opt.DynamicFloor = false
-		run(b, opt)
+		run(b, opt, 1)
 	})
 	b.Run("exactgen", func(b *testing.B) {
 		opt := gateOpt
 		opt.ExactGenerality = true
-		run(b, opt)
+		run(b, opt, 1)
 	})
 	b.Run("parallel", func(b *testing.B) {
 		opt := gateOpt
 		opt.ExactGenerality = true
-		opt.Parallelism = 2
-		run(b, opt)
+		run(b, opt, 2)
 	})
 }
 

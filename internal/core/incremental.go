@@ -53,9 +53,9 @@
 //     few dozen edges mark nearly every value of a small domain, but few
 //     of them match any one deep descriptor.
 //
-//     This is the same candidate-union soundness argument the parallel
-//     engine makes for its task decomposition (parallel.go), applied to the
-//     subset of tasks the batch touches. Metrics that are not DeltaSafe
+//     This is the same candidate-union soundness argument the static
+//     mine's fan-out makes for its task decomposition (parallel.go),
+//     applied to the subset of tasks the batch touches. Metrics that are not DeltaSafe
 //     (the lift family, whose scores can rise when |E| grows) rebuild the
 //     pool every batch; metrics that are DeltaSafe but not DeleteSafe
 //     (gain, which reads E) rebuild only for batches containing deletions.
@@ -64,13 +64,13 @@
 // persisted across batches. Every ApplyBatch re-derives the k-th best score
 // from the surviving pool in assemble — a deletion that demotes or evicts a
 // current top-k member simply yields a lower merged floor next batch,
-// whereas a CAS-raised floor carried across batches (the parallel engine's
-// in-run device) would wrongly keep pruning at the stale, higher value.
+// whereas a floor carried across batches would wrongly keep pruning at the
+// stale, higher value.
 //
 // Exactness: after every ApplyBatch, the returned top-k equals a fresh batch
-// mine of the surviving graph under the engine's effective options. Like
-// the parallel engine, a dynamic floor forces ExactGenerality so condition
-// (2) is order-independent; the oracle tests in incremental_test.go and
+// mine of the surviving graph under the engine's effective options. A
+// dynamic floor forces ExactGenerality so condition (2) is
+// order-independent; the oracle tests in incremental_test.go and
 // dynamic_test.go assert the equivalence after every batch, for every
 // metric, in both floor modes.
 package core
@@ -206,10 +206,10 @@ type Incremental struct {
 }
 
 // NewIncremental builds the compact store for g, runs one full mine to seed
-// the tracked pool, and returns the engine. Options follow MineStore, with
-// the parallel engine's normalization: a dynamic floor forces
-// ExactGenerality so the maintained result is order-independent (the
-// batch-equivalent reference is a fresh mine under Options()).
+// the tracked pool, and returns the engine. Options follow MineStore, except
+// that a dynamic floor forces ExactGenerality so the maintained result is
+// order-independent (the batch-equivalent reference is a fresh mine under
+// Options()).
 func NewIncremental(g *graph.Graph, opt Options) (*Incremental, error) {
 	return newIncremental(g, opt, runtime.GOMAXPROCS(0))
 }
@@ -224,9 +224,9 @@ func newIncremental(g *graph.Graph, opt Options, width int) (*Incremental, error
 		return nil, fmt.Errorf("core: %d node attributes exceed the supported maximum of 64", n)
 	}
 	if opt.DynamicFloor && !opt.NoGeneralityFilter {
-		// Mirror the parallel engine: order-independent blocking is what
-		// makes "maintained result ≡ fresh mine" well-defined under a
-		// dynamic floor (see Options.ExactGenerality).
+		// Order-independent blocking is what makes "maintained result ≡
+		// fresh mine" well-defined under a dynamic floor (see
+		// Options.ExactGenerality).
 		opt.ExactGenerality = true
 	}
 	st := store.Build(g)

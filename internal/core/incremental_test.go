@@ -55,8 +55,8 @@ var oracleThresholds = map[string]float64{
 // through the incremental engine in random batch sizes and assert the
 // maintained top-k equals a fresh batch mine after every batch — for every
 // metric, both floor modes, with the reference mined at worker counts
-// cycling through 1–8 (under -race this also exercises the parallel
-// engine's shared floor and generality memo).
+// cycling through widths 1–8 (under -race this also exercises the static
+// mine's fan-out).
 func TestIncrementalOracle(t *testing.T) {
 	seeds := []int64{0, 1, 2, 3}
 	if testing.Short() {
@@ -106,8 +106,7 @@ func TestIncrementalOracle(t *testing.T) {
 						}
 						cut = next
 						workerCycle++
-						refOpt.Parallelism = workerCycle%8 + 1
-						ref, err := core.Mine(prefixGraph(full, cut), refOpt)
+						ref, err := mineStoreAt(store.Build(prefixGraph(full, cut)), refOpt, workerCycle%8+1)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -296,9 +295,9 @@ func TestSharedGeneralityMemoParallel(t *testing.T) {
 	}
 	for rep := 0; rep < 5; rep++ {
 		for _, workers := range []int{4, 8} {
-			par, err := core.MineStore(st, core.Options{
-				MinSupp: 1, MinScore: 0.25, K: 8, DynamicFloor: true, Parallelism: workers,
-			})
+			par, err := mineStoreAt(st, core.Options{
+				MinSupp: 1, MinScore: 0.25, K: 8, DynamicFloor: true, ExactGenerality: true,
+			}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

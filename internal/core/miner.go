@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -54,11 +55,12 @@ type Options struct {
 	// verified against all their generalisations by direct (memoised)
 	// support queries before entering the top-k. The queries intersect
 	// per-(attribute, value) live-row bitmaps: the store's postings, the
-	// complete index a parallel mine builds and shares, or an index a
-	// sequential miner fills lazily and drops when the mine returns (one
-	// pass over the rows and ⌈rows/64⌉ words per distinct condition probed:
-	// 114 bitmaps, 855 KB, on a 60k-edge Pokec-like mine). Off by default
-	// to match the paper's GRMiner(k).
+	// index a fanned-out mine builds and shares, or an index a sequential
+	// miner fills lazily and drops when the mine returns (one pass over the
+	// rows and ⌈rows/64⌉ words per distinct condition probed: 114 bitmaps,
+	// 855 KB, on a 60k-edge Pokec-like mine). Off by default to match the
+	// paper's GRMiner(k); with it, a dynamic-floor mine may fan out over
+	// every core (see MineStore).
 	ExactGenerality bool
 	// StaticRHSOrder disables the dynamic tail ordering of Equation 8 (an
 	// ablation of the paper's key pruning enabler). The same GRs are found
@@ -82,23 +84,6 @@ type Options struct {
 	// pigeonhole threshold and bounding them would break offer completeness
 	// (DESIGN.md §4e).
 	PoolCap int
-	// Parallelism > 1 mines first-level partitions on that many worker
-	// goroutines, drained largest-partition-first from a lock-free task
-	// queue; workers keep private top-k lists and share only an atomic
-	// pruning floor (see parallel.go for the engine and soundness
-	// argument). Results are deterministic and equal to the sequential
-	// run's: with a static floor the workers collect candidates that a
-	// final generality-ordered merge filters exactly; with DynamicFloor,
-	// ExactGenerality is enabled automatically so blocking is
-	// order-independent and the shared floor stays sound (for patterns up
-	// to 20 conditions — see hasQualifyingGeneralization's fallback; cap
-	// MaxL/MaxW to stay inside it on extremely wide schemas). 0 and 1 mean
-	// sequential. The facade's EngineConfig.Auto fills this from the input
-	// size through Plan.Apply (plan.go). It drives the static mine only:
-	// the incremental engines' capture walks always fan out over
-	// GOMAXPROCS workers (fanout.go), whose output does not depend on the
-	// width.
-	Parallelism int
 }
 
 // normalize fills defaults and validates.
@@ -115,19 +100,11 @@ func (o Options) normalize() (Options, error) {
 	if o.DynamicFloor && o.K == 0 {
 		return o, fmt.Errorf("core: DynamicFloor requires K > 0")
 	}
-	if o.Parallelism < 0 {
-		return o, fmt.Errorf("core: negative Parallelism %d", o.Parallelism)
-	}
 	if o.PoolCap < 0 {
 		return o, fmt.Errorf("core: negative PoolCap %d", o.PoolCap)
 	}
 	if o.PoolCap > 0 && o.K == 0 {
 		return o, fmt.Errorf("core: PoolCap requires K > 0 (an unbounded result can never be proven independent of spilled pool entries)")
-	}
-	if o.Parallelism > 1 && o.DynamicFloor && !o.NoGeneralityFilter {
-		// Parallel dynamic-floor pruning needs order-independent blocking
-		// to stay sound and deterministic; see parallel.go.
-		o.ExactGenerality = true
 	}
 	return o, nil
 }
@@ -185,17 +162,30 @@ func Mine(g *graph.Graph, opt Options) (*Result, error) {
 
 // MineStore runs GRMiner over a pre-built store (Algorithm 1). The store is
 // read-only during the run and may be reused across runs.
+//
+// The mine fans its first-level subtrees out over GOMAXPROCS workers
+// whenever its answer cannot depend on the schedule (fanOutExact: the
+// generality filter is off, or the mine is not the paper's order-dependent
+// dynamic-floor blocking and its patterns stay within the exact generality
+// kernel's 20 conditions); otherwise it runs the sequential walk. Either
+// way the result equals the sequential run's.
 func MineStore(st *store.Store, opt Options) (*Result, error) {
+	return mineStore(st, opt, runtime.GOMAXPROCS(0))
+}
+
+// mineStore is MineStore on up to width workers.
+func mineStore(st *store.Store, opt Options, width int) (*Result, error) {
 	opt, err := opt.normalize()
 	if err != nil {
 		return nil, err
 	}
-	if n := len(st.Graph().Schema().Node); n > 64 {
+	schema := st.Graph().Schema()
+	if n := len(schema.Node); n > 64 {
 		// betaMask packs node-attribute indices into a uint64.
 		return nil, fmt.Errorf("core: %d node attributes exceed the supported maximum of 64", n)
 	}
-	if opt.Parallelism > 1 {
-		return mineParallel(st, opt)
+	if width > 1 && fanOutExact(opt, schema) {
+		return mineParallel(st, opt, width), nil
 	}
 	m := newMiner(st, opt)
 	start := time.Now()
@@ -289,8 +279,8 @@ type minerScratch struct {
 	qualTouched []intern.GRID
 	// genIdx is the bitmap index behind the ExactGenerality counts, |E(r)|
 	// and bitmap descents: the store's postings when it keeps them, the
-	// complete index a parallel mine sets on every worker, else a lazy
-	// index built on the run's first count. reset drops it (the store may
+	// index a fanned-out mine sets on every worker, else a lazy index built
+	// on the run's first count. reset drops it (the store may
 	// mutate between runs); counter is the count kernel's scratch.
 	genIdx  *store.BitmapIndex
 	counter bitmapCounter
@@ -363,7 +353,7 @@ type miner struct {
 	// blockers (recorded subset-first, so every generalisation precedes its
 	// specialisations), the |E(r)| memo for metrics that need supp(r), and
 	// the ExactGenerality verdict memo with its count kernel and bitmap
-	// index. Parallel workers each own one, like the sequential miner.
+	// index. Fan-out workers each own one, like the sequential miner.
 	scr *minerScratch
 	// capture, when set, receives every candidate satisfying Definition 5
 	// condition (1) together with its exact counts, replacing the top-k and
@@ -390,13 +380,6 @@ type miner struct {
 	swOrder []int
 	totalE  int
 	stats   Stats
-
-	// Parallel-worker state (nil in sequential mode): candidates live in
-	// the worker's private top list (DynamicFloor) or collected slice
-	// (static floor) and are merged once after all workers finish; the only
-	// shared mutable state is the atomic pruning floor. See parallel.go.
-	parF      *parFloor
-	collected []gr.Scored
 }
 
 func newMiner(st *store.Store, opt Options) *miner {
@@ -1002,18 +985,11 @@ func (m *miner) rightGroup(rc *rctx, part []int32, depth int, rhs2 gr.Descriptor
 }
 
 // floor returns the effective pruning threshold: the user's MinScore,
-// upgraded to the k-th best score under GRMiner(k) semantics. Parallel
-// workers read the shared atomic floor — a single lock-free load — which
-// only ever rises and never exceeds the final k-th best score, so pruning
-// with it is sound.
+// upgraded to the k-th best score under GRMiner(k) semantics.
 func (m *miner) floor() float64 {
 	f := m.opt.MinScore
 	if m.opt.DynamicFloor {
-		if m.parF != nil {
-			if fl := m.parF.load(); fl > f {
-				f = fl
-			}
-		} else if fl, ok := m.top.Floor(); ok && fl > f {
+		if fl, ok := m.top.Floor(); ok && fl > f {
 			f = fl
 		}
 	}
@@ -1034,41 +1010,11 @@ func (m *miner) emit(g gr.GR, c metrics.Counts, score float64) {
 
 // consider applies Definition 5 condition (2) — drop a GR if a strictly more
 // general GR already satisfied condition (1) — then offers the survivor to
-// the top-k list and records it as a future blocker.
-//
-// Parallel workers instead keep candidates private. With a static floor
-// they collect into a local slice and the generality filter runs in the
-// coordinator's final generality-ordered merge, rankCandidates (the
-// collected set is complete, so the merge is exact). Under DynamicFloor the normalized
-// options force ExactGenerality, making the blocking decision
-// order-independent so it happens right here; survivors enter the worker's
-// private top-k list, and whenever that list's own floor rises the worker
-// tries to CAS-raise the shared atomic floor with it.
+// the top-k list and records it as a future blocker. The blocker map is
+// checked first: a recorded blocker is itself a qualifying generalisation,
+// so a hit proves the verdict the exact (and expensive) generalisation scan
+// would reach.
 func (m *miner) consider(s gr.Scored) {
-	if m.parF != nil {
-		if !m.opt.NoGeneralityFilter && m.opt.ExactGenerality {
-			// The worker-local blocker map is a sound pre-filter before the
-			// exact (and expensive) generalisation scan: a recorded blocker
-			// is itself a qualifying generalisation, so a hit proves the
-			// verdict the scan would reach. Misses fall through to the scan
-			// because another worker may have enumerated the blocker.
-			if m.scr.blockers.blocks(s.GR) || m.hasQualifyingGeneralization(s.GR) {
-				m.stats.Blocked++
-				return
-			}
-			m.scr.blockers.record(s.GR)
-		}
-		if m.opt.DynamicFloor {
-			if m.top.Consider(s) {
-				if fl, ok := m.top.Floor(); ok {
-					m.parF.raise(fl)
-				}
-			}
-		} else {
-			m.collected = append(m.collected, s)
-		}
-		return
-	}
 	if m.opt.NoGeneralityFilter {
 		m.top.Consider(s)
 		return
@@ -1093,14 +1039,12 @@ func (m *miner) consider(s gr.Scored) {
 // itself counts — and verdicts are memoised per interned GR id.
 func (m *miner) hasQualifyingGeneralization(g gr.GR) bool {
 	n := len(g.L) + len(g.W)
-	if n == 0 || n > 20 {
+	if n == 0 || n > maxExactConditions {
 		// No strict generalisation exists, or the enumeration would explode;
-		// fall back to the in-search blocker set. In parallel mode that set
-		// is worker-local, so for GRs beyond 20 conditions the sequential-
-		// equality guarantee narrows to runs whose descriptor caps (MaxL +
-		// MaxW ≤ 20 — the planner's caps are far below this) keep patterns
-		// inside the exact check's reach; such runs are otherwise
-		// pathological (2^20 subset counts per candidate).
+		// fall back to the in-search blocker set. A fanned-out worker holds
+		// that set for its own subtrees only, so a static mine whose patterns
+		// can exceed maxExactConditions never fans out (fanOutExact); such
+		// runs are otherwise pathological (2^20 subset counts per candidate).
 		return false
 	}
 	scr := m.scr
@@ -1155,7 +1099,7 @@ func (m *miner) generalityCounts(g gr.GR) metrics.Counts {
 }
 
 // bitmapIndex returns the run's bitmap index: the one set on the scratch
-// (a parallel mine's complete index), else the store's maintained postings
+// (a fanned-out mine's shared index), else the store's maintained postings
 // when it keeps them, else a lazy index created on first use.
 func (m *miner) bitmapIndex() *store.BitmapIndex {
 	if m.scr.genIdx == nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -15,84 +14,65 @@ import (
 	"grminer/internal/topk"
 )
 
-// Parallel mining decomposes the SFDF tree at its first level: the root's
-// children — one per (attribute, value) partition of the full edge set,
-// across the RIGHT, EDGE, and LEFT blocks — become independent tasks that
-// worker goroutines process with private miner state (partitioner, scratch
-// buffers, caches, statistics).
+// The static mine's fan-out splits the SFDF tree at its first level like
+// every other walk (fanout.go): the root's children, one per (attribute,
+// value) partition of the full edge set across the RIGHT, EDGE and LEFT
+// blocks, become independent tasks that runTasks drains over width workers.
+// A worker is a plain sequential miner on its own scratch: it blocks
+// in-worker, keeps a bound-k list and prunes on that list's own floor.
+// Workers share no mutable state; the coordinator merges their lists once,
+// after all of them finish, with topk.MergeItems.
 //
-// The execution engine is lock-light. Workers share exactly one word of
-// mutable state: the pruning floor, an atomic.Uint64 holding float64 bits
-// that is CAS-raised (never lowered) when a worker's local k-th best score
-// beats it. Everything else is private: each worker accumulates candidates
-// into its own topk.List (DynamicFloor) or candidate slice (static floor),
-// decides ExactGenerality through its own dense verdict memo and count
-// kernel over the mine's one complete, read-only store.BitmapIndex, and the
-// coordinator merges the per-worker results exactly once after all
-// workers finish. Tasks are drained from a slice ordered largest-partition-
-// first through an atomic index, so the biggest subtrees start earliest and
-// stragglers do not tail the run; claiming a task is a single atomic add.
+// Soundness. The tasks partition the enumeration space exactly as the
+// sequential walk does, so every GR is examined by exactly one worker, and
+// supp pruning is local. Definition 5 condition (2) is decided in-worker
+// through the exact-generality kernel (hasQualifyingGeneralization), with
+// the worker's own blocker map as a pre-filter: a recorded blocker is a
+// qualifying generalisation, so a hit proves the verdict the kernel would
+// reach. The kernel's verdict depends only on the store, not on which
+// worker enumerated what, and it equals the sequential walk's blocking
+// whenever the latter is itself schedule-free: under a static floor every
+// qualifying generalisation of a candidate is examined before it (pruning
+// only cuts subtrees scoring below MinScore, Theorem 3), so the blocker map
+// finds exactly what the kernel finds. Each local list therefore holds only
+// genuinely unblocked candidates. A worker's local k-th best score is a
+// lower bound on the global k-th best (the best k of a superset dominate
+// the best k of any subset), so pruning a subtree below it only cuts GRs
+// scoring strictly below the final k-th best; every global top-k entry
+// survives in its worker's bound-k list, which makes merging the lists
+// exact.
 //
-// Soundness (the coordinator ends in rankCandidates, the one
-// condition-(2)/(3) merge every engine shares):
-//
-//   - the tasks partition the enumeration space exactly as the sequential
-//     walk does, so every GR is examined by exactly one worker;
-//   - supp pruning is local and unaffected;
-//   - with a static floor, workers prune only on MinScore, so the union of
-//     the per-worker candidate slices is the complete set of GRs satisfying
-//     Definition 5 condition (1); rankCandidates then applies condition (2)
-//     in generality order (a complete candidate set makes the blocker-map
-//     filter exact) and condition (3) by rank. The merge consumes only the
-//     union of the collected candidates, never *when* (or through which
-//     worker) they arrived;
-//   - with DynamicFloor, normalize() forces ExactGenerality so condition
-//     (2) is decided order-independently inside each worker; each local
-//     list therefore holds only genuinely qualifying, unblocked candidates.
-//     A worker's local k-th best score is a lower bound on the global k-th
-//     best (the best k of a superset dominate the best k of any subset), so
-//     the shared atomic floor — the maximum of local k-th bests published
-//     so far — never exceeds the final k-th best score and subtree pruning
-//     below it is sound. Floor *timing* varies across runs, affecting work
-//     done but never the result set: a pruned subtree only contains
-//     candidates scoring strictly below some floor value, hence strictly
-//     below the final k-th best score. Every global top-k entry survives in
-//     its worker's bound-k local list (it outranks the global k-th, so it
-//     can never be evicted), which makes ranking the union of the local
-//     lists exact.
+// fanOutExact names the mines for which this holds.
 
-// parFloor is the one piece of shared mutable state: the dynamic pruning
-// floor as atomic float64 bits. Reads are a single atomic load; raises are
-// a CAS loop comparing as floats (bit-pattern ordering would be wrong for
-// negative scores, which gain and Piatetsky-Shapiro can produce).
-type parFloor struct {
-	// grlint:atomic every worker reads this on every candidate; a plain
-	// load/store would race with the CAS raise.
-	bits atomic.Uint64
-}
+// maxExactConditions is the largest pattern (|L| + |W|) the exact
+// generality kernel decides; beyond it hasQualifyingGeneralization falls
+// back to the in-search blocker map, which a fanned-out worker holds for
+// its own subtrees only.
+const maxExactConditions = 20
 
-func newParFloor() *parFloor {
-	f := &parFloor{}
-	f.bits.Store(math.Float64bits(math.Inf(-1)))
-	return f
-}
-
-// load returns the current floor (-Inf until the first raise).
-func (p *parFloor) load() float64 { return math.Float64frombits(p.bits.Load()) }
-
-// raise lifts the floor to s if s beats the current value. The floor is
-// monotonically non-decreasing: a stale competing CAS can only have
-// published a lower value, which the retry loop then overwrites.
-func (p *parFloor) raise(s float64) {
-	for {
-		old := p.bits.Load()
-		if s <= math.Float64frombits(old) {
-			return
-		}
-		if p.bits.CompareAndSwap(old, math.Float64bits(s)) {
-			return
-		}
+// fanOutExact reports whether a static mine under opt over schema returns
+// the same answer at every width, so it may fan out. That holds when the
+// generality filter is off, or when the mine is not the paper's
+// order-dependent blocking (a dynamic floor without ExactGenerality, whose
+// answer depends on the order the walk meets candidates in) and no pattern
+// can exceed the exact kernel's reach.
+func fanOutExact(opt Options, schema *graph.Schema) bool {
+	if opt.NoGeneralityFilter {
+		return true
 	}
+	if opt.DynamicFloor && !opt.ExactGenerality {
+		return false
+	}
+	return descriptorCap(opt.MaxL, len(schema.Node))+descriptorCap(opt.MaxW, len(schema.Edge)) <= maxExactConditions
+}
+
+// descriptorCap is the largest descriptor a cap (0 = unlimited) admits over
+// n attributes.
+func descriptorCap(limit, n int) int {
+	if limit > 0 {
+		return min(limit, n)
+	}
+	return n
 }
 
 // taskBlock names the root block a first-level subtree hangs off.
@@ -120,7 +100,7 @@ type parTask struct {
 }
 
 // runTasks is the one task runner behind every walk that splits the SFDF
-// tree at its first level: the static parallel mine and the engines'
+// tree at its first level: the static mine's fan-out and the engines'
 // capture walks (fanOut). It drains tasks over up to width workers through
 // an atomic index into a largest-partition-first schedule — first-level
 // subtree cost grows with partition size, so starting big tasks early keeps
@@ -180,60 +160,54 @@ func (m *miner) walkTask(t *parTask, idx *store.BitmapIndex, all []int32, sr []i
 	}
 }
 
-// mineParallel runs GRMiner with opt.Parallelism workers.
-func mineParallel(st *store.Store, opt Options) (*Result, error) {
+// mineParallel runs GRMiner over up to width workers; fanOutExact(opt)
+// must hold.
+func mineParallel(st *store.Store, opt Options, width int) *Result {
 	start := time.Now()
 
-	// One complete bitmap index serves the whole mine: the coordinator plans
+	// One bitmap index serves the whole mine: the coordinator plans
 	// the first level off it, every worker reads its tasks' rows from it,
-	// and it backs every worker's ExactGenerality and |E(r)| counts, so no
-	// worker fills a bitmap another has already built.
-	idx := store.BuildBitmapIndex(st)
+	// and it backs every worker's generality and |E(r)| counts. Values
+	// below MinSupp are left out; the coordinator counts them as pruned.
+	idx, cut := store.BuildBitmapIndex(st, opt.MinSupp)
 	coord := newMiner(st, opt)
+	coord.stats.PrunedSupp += int64(cut)
 	tasks, sr, _ := coord.plan(idx, nil)
 	if len(tasks) < 2 {
 		// Nothing to run concurrently: mine sequentially, on the index
-		// already built. The options are normalized, so the semantics match
-		// the parallel path's.
+		// already built.
 		m := newMiner(st, opt)
 		m.scr.genIdx = idx
 		m.run()
 		m.stats.Duration = time.Since(start)
-		return &Result{TopK: m.top.Items(), Stats: m.stats, Options: opt, TotalEdges: st.NumEdges()}, nil
+		return &Result{TopK: m.top.Items(), Stats: m.stats, Options: opt, TotalEdges: st.NumEdges()}
 	}
 	var all []int32
 	if tasks[0].block == blockRight {
 		all = st.AllEdges()
 	}
 
-	floor := newParFloor()
-	miners := make([]*miner, min(opt.Parallelism, len(tasks)))
+	// A worker's blocker map sees its own subtrees only, so workers block
+	// through the exact kernel too.
+	wopt := opt
+	wopt.ExactGenerality = !opt.NoGeneralityFilter
+	miners := make([]*miner, min(width, len(tasks)))
 	for i := range miners {
-		miners[i] = newMiner(st, opt)
-		miners[i].parF = floor
+		miners[i] = newMiner(st, wopt)
 		miners[i].scr.genIdx = idx
 	}
 	runTasks(len(miners), tasks, nil, func(w int, t *parTask) {
 		miners[w].walkTask(t, idx, all, sr)
 	})
 
-	// Merge once: coordinator stats (supp pruning observed while planning)
-	// plus every worker's results. A static floor leaves candidates in
-	// collected, a dynamic one in the bound-k local lists; each run fills
-	// only one of the two. Unless ExactGenerality already blocked in-worker,
-	// condition (2) is decided here, through the coordinator's own (unused)
-	// blocker map.
 	stats := coord.stats
-	var collected []gr.Scored
-	for _, w := range miners {
-		collected = append(collected, w.collected...)
-		collected = append(collected, w.top.Items()...)
+	lists := make([][]gr.Scored, len(miners))
+	for i, w := range miners {
+		lists[i] = w.top.Items()
 		addStats(&stats, &w.stats)
 	}
-	block := !opt.NoGeneralityFilter && !opt.ExactGenerality
-	topList := rankCandidates(collected, opt.K, block, coord.scr.blockers, &stats)
 	stats.Duration = time.Since(start)
-	return &Result{TopK: topList, Stats: stats, Options: opt, TotalEdges: st.NumEdges()}, nil
+	return &Result{TopK: topk.MergeItems(opt.K, lists...).Items(), Stats: stats, Options: opt, TotalEdges: st.NumEdges()}
 }
 
 // addStats accumulates one miner's counters (not Duration) into total.

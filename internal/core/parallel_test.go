@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"grminer/internal/baseline"
@@ -13,19 +14,30 @@ import (
 	"grminer/internal/store"
 )
 
+// mineAt mines g with GOMAXPROCS, the width MineStore fans out to, set to
+// width.
+func mineAt(g *graph.Graph, opt core.Options, width int) (*core.Result, error) {
+	return mineStoreAt(store.Build(g), opt, width)
+}
+
+// mineStoreAt is mineAt on a built store.
+func mineStoreAt(st *store.Store, opt core.Options, width int) (*core.Result, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+	return core.MineStore(st, opt)
+}
+
 // Parallel mining with a static floor must match the sequential miner (and
 // hence the oracle) exactly, for every worker count.
 func TestParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		g := randomGraph(seed, seed%2 == 0, seed%3 != 0)
-		seq, err := core.Mine(g, core.Options{MinSupp: 1, MinScore: 0.3, K: 10})
+		opt := core.Options{MinSupp: 1, MinScore: 0.3, K: 10}
+		seq, err := mineAt(g, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			par, err := core.Mine(g, core.Options{
-				MinSupp: 1, MinScore: 0.3, K: 10, Parallelism: workers,
-			})
+			par, err := mineAt(g, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,28 +46,22 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// Parallel + DynamicFloor (which auto-enables ExactGenerality) must equal
-// the sequential exact run and be deterministic across repetitions.
+// Parallel + DynamicFloor with ExactGenerality must equal the sequential
+// exact run and be deterministic across repetitions.
 func TestParallelDynamicFloor(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomGraph(seed, true, seed%2 == 0)
-		exact, err := core.Mine(g, core.Options{
-			MinSupp: 1, MinScore: 0.3, K: 5, DynamicFloor: true, ExactGenerality: true,
-		})
+		opt := core.Options{MinSupp: 1, MinScore: 0.3, K: 5, DynamicFloor: true, ExactGenerality: true}
+		exact, err := mineAt(g, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			par, err := core.Mine(g, core.Options{
-				MinSupp: 1, MinScore: 0.3, K: 5, DynamicFloor: true, Parallelism: 4,
-			})
+			par, err := mineAt(g, opt, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameResults(t, "parallel-dynamic", par.TopK, exact.TopK)
-			if !par.Options.ExactGenerality {
-				t.Fatal("parallel dynamic run did not auto-enable ExactGenerality")
-			}
 		}
 	}
 }
@@ -65,11 +71,11 @@ func TestParallelDynamicFloor(t *testing.T) {
 // sequential run's.
 func TestParallelStatsCoverage(t *testing.T) {
 	g := randomGraph(3, true, true)
-	seq, err := core.Mine(g, core.Options{MinSupp: 2, MinScore: 0.4})
+	seq, err := mineAt(g, core.Options{MinSupp: 2, MinScore: 0.4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.Mine(g, core.Options{MinSupp: 2, MinScore: 0.4, Parallelism: 4})
+	par, err := mineAt(g, core.Options{MinSupp: 2, MinScore: 0.4}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +92,11 @@ func TestParallelStatsCoverage(t *testing.T) {
 
 func TestParallelOnToyAndEmpty(t *testing.T) {
 	g := dataset.ToyDating()
-	seq, err := core.Mine(g, core.Options{MinSupp: 2, MinScore: 0.5})
+	seq, err := mineAt(g, core.Options{MinSupp: 2, MinScore: 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.Mine(g, core.Options{MinSupp: 2, MinScore: 0.5, Parallelism: 6})
+	par, err := mineAt(g, core.Options{MinSupp: 2, MinScore: 0.5}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestParallelOnToyAndEmpty(t *testing.T) {
 
 	schema, _ := graph.NewSchema([]graph.Attribute{{Name: "A", Domain: 2}}, nil)
 	empty := graph.MustNew(schema, 0)
-	res, err := core.Mine(empty, core.Options{MinSupp: 1, Parallelism: 4})
+	res, err := mineAt(empty, core.Options{MinSupp: 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,59 +113,49 @@ func TestParallelOnToyAndEmpty(t *testing.T) {
 	}
 }
 
-// Stress matrix for the lock-light engine: sequential and parallel results
-// must agree for every combination of metric, K, floor mode, generality
-// filter on or off, and worker count 1–16. Run under -race this also exercises the atomic floor and the
-// task-queue draining for data races. The DynamicFloor reference runs with
-// ExactGenerality, the semantics the parallel engine guarantees.
+// Stress matrix for the fan-out: every width must return the sequential
+// walk's answer for every combination of metric, K, floor mode, exact
+// generality, generality filter on or off, and width 1–16. Run under -race
+// this also exercises the task-queue draining for data races. Paper
+// blocking (a dynamic floor without ExactGenerality) runs sequentially at
+// every width; every other combination fans out.
 func TestParallelStressMatrix(t *testing.T) {
 	ms := []metrics.Metric{metrics.NhpMetric, metrics.ConfMetric, metrics.LiftMetric}
 	thresholds := map[string]float64{"nhp": 0.3, "conf": 0.3, "lift": 1.1}
-	workerCounts := []int{1, 2, 3, 4, 6, 8, 12, 16}
+	workerCounts := []int{2, 3, 4, 6, 8, 12, 16}
 	for seed := int64(0); seed < 4; seed++ {
 		g := randomGraph(seed, seed%2 == 0, seed%3 != 0)
+		st := store.Build(g)
 		for _, m := range ms {
 			for _, k := range []int{0, 5} {
 				for _, dyn := range []bool{false, true} {
-					for _, noGen := range []bool{false, true} {
-						if dyn && k == 0 {
-							continue // DynamicFloor requires K > 0
-						}
-						label := m.Name
-						if noGen {
-							label += "-nogen"
-						}
-						// Two sequential references: Parallelism ≤ 1 runs the
-						// paper-faithful plain floor, while Parallelism > 1
-						// auto-enables ExactGenerality under DynamicFloor (the
-						// documented parallel semantics).
-						refPlain, err := core.Mine(g, core.Options{
-							MinSupp: 1, MinScore: thresholds[m.Name], K: k, Metric: m,
-							DynamicFloor: dyn, NoGeneralityFilter: noGen,
-						})
-						if err != nil {
-							t.Fatalf("%s seq: %v", label, err)
-						}
-						refExact, err := core.Mine(g, core.Options{
-							MinSupp: 1, MinScore: thresholds[m.Name], K: k, Metric: m,
-							DynamicFloor: dyn, ExactGenerality: dyn, NoGeneralityFilter: noGen,
-						})
-						if err != nil {
-							t.Fatalf("%s seq exact: %v", label, err)
-						}
-						for _, workers := range workerCounts {
-							par, err := core.Mine(g, core.Options{
+					for _, exact := range []bool{false, true} {
+						for _, noGen := range []bool{false, true} {
+							if dyn && k == 0 || exact && noGen {
+								continue // DynamicFloor requires K > 0; no filter, nothing to decide exactly
+							}
+							label := m.Name
+							if exact {
+								label += "-exact"
+							}
+							if noGen {
+								label += "-nogen"
+							}
+							opt := core.Options{
 								MinSupp: 1, MinScore: thresholds[m.Name], K: k, Metric: m,
-								DynamicFloor: dyn, NoGeneralityFilter: noGen, Parallelism: workers,
-							})
+								DynamicFloor: dyn, ExactGenerality: exact, NoGeneralityFilter: noGen,
+							}
+							ref, err := mineStoreAt(st, opt, 1)
 							if err != nil {
-								t.Fatalf("%s x%d: %v", label, workers, err)
+								t.Fatalf("%s seq: %v", label, err)
 							}
-							want := refExact.TopK
-							if workers <= 1 {
-								want = refPlain.TopK
+							for _, workers := range workerCounts {
+								par, err := mineStoreAt(st, opt, workers)
+								if err != nil {
+									t.Fatalf("%s x%d: %v", label, workers, err)
+								}
+								assertSameResults(t, label+"-stress", par.TopK, ref.TopK)
 							}
-							assertSameResults(t, label+"-stress", par.TopK, want)
 						}
 					}
 				}
@@ -172,7 +168,7 @@ func TestParallelStressMatrix(t *testing.T) {
 // generality blockers, and the exact generalisation check must honour
 // that. A trivial specialisation whose only qualifying generalisation is a
 // trivial GR enumerated by a *different* worker used to escape blocking in
-// parallel dynamic-floor runs (the exact scan skipped trivial candidates
+// fanned-out dynamic-floor runs (the exact scan skipped trivial candidates
 // unconditionally), diverging from the sequential results.
 func TestParallelIncludeTrivialDynamicFloor(t *testing.T) {
 	schema, err := graph.NewSchema([]graph.Attribute{
@@ -198,14 +194,14 @@ func TestParallelIncludeTrivialDynamicFloor(t *testing.T) {
 			}
 		}
 		for _, minScore := range []float64{0.2, 0.4} {
-			seq, err := core.Mine(g, core.Options{MinSupp: 1, MinScore: minScore, K: 30,
-				DynamicFloor: true, ExactGenerality: true, IncludeTrivial: true})
+			opt := core.Options{MinSupp: 1, MinScore: minScore, K: 30,
+				DynamicFloor: true, ExactGenerality: true, IncludeTrivial: true}
+			seq, err := mineAt(g, opt, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4} {
-				par, err := core.Mine(g, core.Options{MinSupp: 1, MinScore: minScore, K: 30,
-					DynamicFloor: true, IncludeTrivial: true, Parallelism: workers})
+				par, err := mineAt(g, opt, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,11 +231,11 @@ func TestParallelSingleTaskShortCircuit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seq, err := core.Mine(g, core.Options{MinSupp: 1, MinScore: 0})
+	seq, err := mineAt(g, core.Options{MinSupp: 1, MinScore: 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.Mine(g, core.Options{MinSupp: 1, MinScore: 0, Parallelism: 8})
+	par, err := mineAt(g, core.Options{MinSupp: 1, MinScore: 0}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,17 +247,16 @@ func TestParallelSingleTaskShortCircuit(t *testing.T) {
 	}
 }
 
+// Width 1 runs the sequential walk; the answer must not move from the
+// default width's.
 func TestParallelValidation(t *testing.T) {
 	g := dataset.ToyDating()
-	if _, err := core.Mine(g, core.Options{Parallelism: -2}); err == nil {
-		t.Error("negative parallelism accepted")
-	}
-	// Parallelism 1 is sequential; must behave identically.
-	a, err := core.Mine(g, core.Options{MinSupp: 2, MinScore: 0.5, Parallelism: 1})
+	opt := core.Options{MinSupp: 2, MinScore: 0.5}
+	a, err := mineAt(g, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Mine(g, core.Options{MinSupp: 2, MinScore: 0.5})
+	b, err := core.Mine(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +272,11 @@ func TestParallelOnSyntheticDBLP(t *testing.T) {
 	g := datagen.DBLP(cfg)
 	st := store.Build(g)
 
-	seq, err := core.MineStore(st, core.Options{MinSupp: 10, MinScore: 0.4, K: 15, IncludeTrivial: true})
+	seq, err := mineStoreAt(st, core.Options{MinSupp: 10, MinScore: 0.4, K: 15, IncludeTrivial: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.MineStore(st, core.Options{
-		MinSupp: 10, MinScore: 0.4, K: 15, IncludeTrivial: true, Parallelism: 4,
-	})
+	par, err := mineStoreAt(st, core.Options{MinSupp: 10, MinScore: 0.4, K: 15, IncludeTrivial: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

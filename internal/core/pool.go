@@ -85,7 +85,6 @@ func captureOptions(o Options) Options {
 	o.DynamicFloor = false
 	o.ExactGenerality = false
 	o.NoGeneralityFilter = false
-	o.Parallelism = 0
 	return o
 }
 

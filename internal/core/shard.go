@@ -2,9 +2,9 @@
 // an independent worker, and merge the per-shard results into the exact
 // global top-k.
 //
-// Soundness rests on the same candidate-union argument the parallel engine
-// (parallel.go) and the incremental engine (incremental.go) already make,
-// lifted from subtrees to shards. Every count a metric reads — LWR, LW, Hom,
+// Soundness rests on the same candidate-union argument the static mine's
+// fan-out (parallel.go) and the incremental engine (incremental.go) already
+// make, lifted from subtrees to shards. Every count a metric reads — LWR, LW, Hom,
 // R, E — is an edge count, and the shards partition the edge set, so a GR's
 // global count is exactly the sum of its per-shard counts. Consequences:
 //
@@ -44,7 +44,7 @@
 //     rankCandidates (parallel.go), the level-ordered blocker merge every
 //     engine ends in, decides condition (2) exactly; condition (3) is rank.
 //
-// Like the parallel and incremental engines, a dynamic floor forces
+// Like the incremental engines, a dynamic floor forces
 // ExactGenerality so the result is order-independent; Options() returns the
 // effective settings a single-store mine must use to reproduce the sharded
 // result.
@@ -230,8 +230,8 @@ type ShardCoordinator struct {
 
 // NewShardCoordinator partitions g's edges under so, builds one in-process
 // worker per shard, and returns a coordinator ready to Mine. Options follow
-// MineStore, with the parallel engine's normalization: a dynamic floor
-// forces ExactGenerality so the merged result is order-independent.
+// MineStore, except that a dynamic floor forces ExactGenerality so the
+// merged result is order-independent.
 func NewShardCoordinator(g *graph.Graph, opt Options, so ShardOptions) (*ShardCoordinator, error) {
 	return NewShardCoordinatorFrom(g, opt, so, WorkerBuilder(InProcessWorkers))
 }
@@ -352,7 +352,7 @@ func normalizeSharded(g *graph.Graph, opt Options, so ShardOptions) (Options, Sh
 		return opt, so, fmt.Errorf("core: PoolCap is not supported by the sharded engines (it would break offer completeness)")
 	}
 	if opt.DynamicFloor && !opt.NoGeneralityFilter {
-		// Mirror the parallel and incremental engines: order-independent
+		// Mirror the incremental engines: order-independent
 		// blocking is what makes "sharded ≡ single store" well-defined
 		// under a dynamic floor (see Options.ExactGenerality).
 		opt.ExactGenerality = true

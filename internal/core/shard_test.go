@@ -102,7 +102,7 @@ func TestShardedNoGeneralityFilter(t *testing.T) {
 			}
 			opt := core.Options{
 				MinSupp: 1, MinScore: 0.3, K: k,
-				DynamicFloor: dyn, NoGeneralityFilter: true, Parallelism: 4,
+				DynamicFloor: dyn, NoGeneralityFilter: true,
 			}
 			sc, err := core.NewShardCoordinator(g, opt, core.ShardOptions{Shards: 5})
 			if err != nil {

@@ -74,7 +74,7 @@ import (
 // WireOptions is Options in a transport-friendly form: the metric travels by
 // name, everything else by value. The zero Metric name means nhp.
 //
-// grlint:wire v3
+// grlint:wire v4
 type WireOptions struct {
 	MinSupp            int
 	MinScore           float64
@@ -86,7 +86,6 @@ type WireOptions struct {
 	IncludeTrivial     bool
 	ExactGenerality    bool
 	StaticRHSOrder     bool
-	Parallelism        int
 	// PoolCap travels for completeness; normalizeSharded rejects a non-zero
 	// value before any spec is built (per-shard pools are support-gated and
 	// cannot be bounded without losing offer completeness), so workers only
@@ -104,7 +103,6 @@ func (o Options) Wire() WireOptions {
 		IncludeTrivial:     o.IncludeTrivial,
 		ExactGenerality:    o.ExactGenerality,
 		StaticRHSOrder:     o.StaticRHSOrder,
-		Parallelism:        o.Parallelism,
 		PoolCap:            o.PoolCap,
 	}
 }
@@ -119,7 +117,6 @@ func (w WireOptions) Options() (Options, error) {
 		IncludeTrivial:     w.IncludeTrivial,
 		ExactGenerality:    w.ExactGenerality,
 		StaticRHSOrder:     w.StaticRHSOrder,
-		Parallelism:        w.Parallelism,
 		PoolCap:            w.PoolCap,
 	}
 	if w.Metric != "" {
@@ -599,12 +596,14 @@ func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, build func
 	if err != nil {
 		return nil, fmt.Errorf("core: worker spec schema: %w", err)
 	}
+	// Row counts are checked by division: a hostile NumNodes times the
+	// attribute count can overflow to the table's length.
 	nv, ne := len(schema.Node), len(schema.Edge)
-	if len(spec.NodeVals) != spec.NumNodes*nv {
+	if len(spec.NodeVals)%nv != 0 || len(spec.NodeVals)/nv != spec.NumNodes {
 		return nil, fmt.Errorf("core: worker spec: %d node values for %d nodes × %d attrs",
 			len(spec.NodeVals), spec.NumNodes, nv)
 	}
-	if len(src) != len(dst) || (ne > 0 && len(vals) != len(src)*ne) {
+	if len(src) != len(dst) || (ne > 0 && (len(vals)%ne != 0 || len(vals)/ne != len(src))) {
 		return nil, fmt.Errorf("core: shard %d: inconsistent edge arrays", spec.Index)
 	}
 	if spec.Index < 0 || spec.Index >= spec.Shards {

@@ -10,8 +10,7 @@
 //
 //   - Annotations: a comment line of the form "grlint:<directive> [args]"
 //     (with or without a space after //) attached to a declaration opts it
-//     into an analyzer's contract, e.g. "grlint:atomic" on a struct field
-//     or "grlint:wire v2" on a wire struct.
+//     into an analyzer's contract, e.g. "grlint:wire v2" on a wire struct.
 //
 //   - Suppressions: "//grlint:ignore <analyzer> <reason>" on the flagged
 //     line or the line above silences that analyzer there. The reason is
@@ -123,7 +122,7 @@ func ParseIgnore(comment string) (analyzer, reason string, ok bool) {
 }
 
 // Directive extracts the body of a "grlint:" comment line: Directive("//
-// grlint:atomic") = ("atomic", true). Both "//grlint:x" and "// grlint:x"
+// grlint:wire v2") = ("wire v2", true). Both "//grlint:x" and "// grlint:x"
 // spellings are accepted.
 func Directive(comment string) (string, bool) {
 	text := strings.TrimSpace(strings.TrimPrefix(comment, "//"))
@@ -134,7 +133,7 @@ func Directive(comment string) (string, bool) {
 }
 
 // HasDirective reports whether any comment in the group carries the given
-// grlint directive (exact match on the first word, e.g. "atomic").
+// grlint directive (exact match on the first word, e.g. "wire").
 func HasDirective(cg *ast.CommentGroup, directive string) bool {
 	_, ok := DirectiveArgs(cg, directive)
 	return ok

@@ -29,9 +29,11 @@ type wireOptionsV2 struct {
 }
 
 // TestWireOptionsV2Compat pins why dropping NoPostingLists needed no rpc
-// Version bump: a v2 peer's options, flag set, decode into v3 WireOptions
-// with every other field intact, and v3 options decode into the v2 shape
-// with the flag simply false (which v2 workers ignored anyway).
+// Version bump: a v2 peer's options, flag set, decode into WireOptions
+// with every field the current version keeps intact, and current options
+// decode into the v2 shape with the flag simply false (which v2 workers
+// ignored anyway) and Parallelism zero (v4 dropped it; see
+// TestWireOptionsV3Compat).
 func TestWireOptionsV2Compat(t *testing.T) {
 	v2 := wireOptionsV2{
 		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
@@ -42,23 +44,75 @@ func TestWireOptionsV2Compat(t *testing.T) {
 	want := core.WireOptions{
 		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
 		MaxL: 3, MaxW: 2, MaxR: 4, NoGeneralityFilter: true, IncludeTrivial: true,
-		ExactGenerality: true, StaticRHSOrder: true, Parallelism: 3, PoolCap: 9,
+		ExactGenerality: true, StaticRHSOrder: true, PoolCap: 9,
 	}
-	var v3 core.WireOptions
-	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v2))).Decode(&v3); err != nil {
-		t.Fatalf("v2 → v3 decode: %v", err)
+	var cur core.WireOptions
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v2))).Decode(&cur); err != nil {
+		t.Fatalf("v2 → current decode: %v", err)
 	}
-	if v3 != want {
-		t.Errorf("v2 → v3 decode = %+v, want %+v", v3, want)
+	if cur != want {
+		t.Errorf("v2 → current decode = %+v, want %+v", cur, want)
 	}
 
 	var back wireOptionsV2
 	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, want))).Decode(&back); err != nil {
-		t.Fatalf("v3 → v2 decode: %v", err)
+		t.Fatalf("current → v2 decode: %v", err)
 	}
-	v2.NoPostingLists = false
+	v2.NoPostingLists, v2.Parallelism = false, 0
 	if back != v2 {
-		t.Errorf("v3 → v2 decode = %+v, want %+v", back, v2)
+		t.Errorf("current → v2 decode = %+v, want %+v", back, v2)
+	}
+}
+
+// wireOptionsV3 is core.WireOptions as grlint:wire v3 shipped it, with the
+// Parallelism field v4 dropped.
+type wireOptionsV3 struct {
+	MinSupp            int
+	MinScore           float64
+	K                  int
+	DynamicFloor       bool
+	Metric             string
+	MaxL, MaxW, MaxR   int
+	NoGeneralityFilter bool
+	IncludeTrivial     bool
+	ExactGenerality    bool
+	StaticRHSOrder     bool
+	Parallelism        int
+	PoolCap            int
+}
+
+// TestWireOptionsV3Compat pins why dropping Parallelism needed no rpc
+// Version bump: a v3 peer's options, worker count set, decode into v4
+// WireOptions with every other field intact, and v4 options decode into the
+// v3 shape with the count simply zero, which a v3 worker reads as the
+// sequential walk — the count only ever drove the static mine, which no
+// shard worker runs.
+func TestWireOptionsV3Compat(t *testing.T) {
+	v3 := wireOptionsV3{
+		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
+		MaxL: 3, MaxW: 2, MaxR: 4, NoGeneralityFilter: true, IncludeTrivial: true,
+		ExactGenerality: true, StaticRHSOrder: true, Parallelism: 3, PoolCap: 9,
+	}
+	want := core.WireOptions{
+		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
+		MaxL: 3, MaxW: 2, MaxR: 4, NoGeneralityFilter: true, IncludeTrivial: true,
+		ExactGenerality: true, StaticRHSOrder: true, PoolCap: 9,
+	}
+	var v4 core.WireOptions
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v3))).Decode(&v4); err != nil {
+		t.Fatalf("v3 → v4 decode: %v", err)
+	}
+	if v4 != want {
+		t.Errorf("v3 → v4 decode = %+v, want %+v", v4, want)
+	}
+
+	var back wireOptionsV3
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, want))).Decode(&back); err != nil {
+		t.Fatalf("v4 → v3 decode: %v", err)
+	}
+	v3.Parallelism = 0
+	if back != v3 {
+		t.Errorf("v4 → v3 decode = %+v, want %+v", back, v3)
 	}
 }
 

@@ -11,8 +11,9 @@ import "grminer/internal/graph"
 //     value no live row carries stays nil, the empty set. It never builds
 //     on read, so concurrent readers are safe while the store is not
 //     mutated. The store's postings (EnablePostings) are a complete index
-//     the store keeps live-exact; the static parallel mine builds one per
-//     mine, plans its first level off it and shares it with every worker.
+//     of every value that the store keeps live-exact; a fanned-out static
+//     mine builds one per mine without the values below its minSupp, plans
+//     its first level off it and shares it with every worker.
 //   - lazy (NewBitmapIndex, for sequential static mines over stores without
 //     postings): each bitmap is filled on first request in one pass over
 //     the rows and allocated once at exactly ⌈NumRows/64⌉ words, so a
@@ -33,24 +34,50 @@ func NewBitmapIndex(s *Store) *BitmapIndex {
 	return x
 }
 
-// BuildBitmapIndex returns a complete index over s's live rows. It fills
-// one (side, attribute) column at a time, in one pass over the rows from
-// the highest down, so each bitmap is allocated once, on the highest live
-// row carrying its value: at that row's word plus an eighth of headroom
-// for the rows a maintained index gains by appends (Bitmap.grow's rule).
-// O(rows × dims).
-func BuildBitmapIndex(s *Store) *BitmapIndex {
+// BuildBitmapIndex returns a complete index over s's live rows, leaving out
+// every value fewer than minSupp live rows carry (minSupp ≤ 1 keeps every
+// carried value), and the number of values it left out. On the destination
+// side of a homophily attribute it also keeps every value at least minSupp
+// live rows carry as a source: a homophily-effect count reads R(a = l[a])
+// at such a source value, whatever its destination support. A mine reads no
+// other value after planning: every condition of an examined GR, and of
+// each of its generalisations, carries at least minSupp live rows.
+//
+// It fills one (side, attribute) column at a time: under a minSupp, a size
+// pass counts each value's live rows first; then one pass over the rows
+// from the highest down allocates each kept bitmap once, on the highest
+// live row carrying its value: at that row's word plus an eighth of
+// headroom for the rows a maintained index gains by appends (Bitmap.grow's
+// rule). O(rows × dims).
+func BuildBitmapIndex(s *Store, minSupp int) (*BitmapIndex, int) {
 	x := newIndex(s)
+	node := s.g.Schema().Node
+	cut := 0
 	for _, side := range []byte("LWR") {
 		table, vals, idx := x.column(side)
 		for attr, bms := range table {
+			var keep []bool // nil keeps every carried value
+			if minSupp > 1 {
+				keep = make([]bool, len(bms))
+				sizes := x.liveSizes(side, attr)
+				var src []int
+				if side == 'R' && node[attr].Homophily {
+					src = x.liveSizes('L', attr)
+				}
+				for v := 1; v < len(sizes); v++ {
+					keep[v] = sizes[v] >= minSupp || src != nil && src[v] >= minSupp
+					if sizes[v] > 0 && !keep[v] {
+						cut++
+					}
+				}
+			}
 			for row := len(s.ePtr) - 1; row >= 0; row-- {
 				i := row
 				if idx != nil {
 					i = int(idx[row])
 				}
 				v := vals[i*len(table)+attr]
-				if v == graph.Null || !s.Alive(int32(row)) {
+				if v == graph.Null || !s.Alive(int32(row)) || keep != nil && !keep[v] {
 					continue
 				}
 				if bms[v] == nil {
@@ -60,7 +87,25 @@ func BuildBitmapIndex(s *Store) *BitmapIndex {
 			}
 		}
 	}
-	return x
+	return x, cut
+}
+
+// liveSizes counts, per value, the live rows carrying it in side's column
+// of attr.
+func (x *BitmapIndex) liveSizes(side byte, attr int) []int {
+	s := x.s
+	table, vals, idx := x.column(side)
+	sizes := make([]int, len(table[attr]))
+	for row := range s.ePtr {
+		i := row
+		if idx != nil {
+			i = int(idx[row])
+		}
+		if s.Alive(int32(row)) {
+			sizes[vals[i*len(table)+attr]]++
+		}
+	}
+	return sizes
 }
 
 func newIndex(s *Store) *BitmapIndex {

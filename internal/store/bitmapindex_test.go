@@ -138,7 +138,10 @@ func TestBitmapIndexMatchesPostings(t *testing.T) {
 // TestBuildBitmapIndexSizing pins the complete index's allocation: each
 // bitmap of a value some live row carries is allocated once, on its
 // highest live row (tombstoned rows above it do not count), with an eighth
-// of headroom, and a value no live row carries stays nil.
+// of headroom, and a value no live row carries stays nil. Under a minSupp,
+// a value fewer live rows carry stays nil too and is counted as cut, unless
+// it is a value of the homophily attribute A on the destination side that
+// at least minSupp live rows carry as a source.
 func TestBuildBitmapIndexSizing(t *testing.T) {
 	schema := dynSchema(t)
 	r := rand.New(rand.NewSource(3))
@@ -168,42 +171,59 @@ func TestBuildBitmapIndexSizing(t *testing.T) {
 	if s.NumRows() != 700 {
 		t.Fatalf("removals compacted the store to %d rows", s.NumRows())
 	}
-	x := BuildBitmapIndex(s)
-	sides := []struct {
-		name  string
-		attrs []graph.Attribute
-		table [][]Bitmap
-		val   func(int32, int) graph.Value
-	}{
-		{"L", schema.Node, x.l, s.LVal},
-		{"W", schema.Edge, x.w, s.EVal},
-		{"R", schema.Node, x.r, s.RVal},
-	}
-	for _, sd := range sides {
-		for a, at := range sd.attrs {
-			for v := graph.Value(1); int(v) <= at.Domain; v++ {
-				hi, live := int32(-1), 0
-				for row := int32(0); int(row) < s.NumRows(); row++ {
-					if s.Alive(row) && sd.val(row, a) == v {
-						hi, live = row, live+1
+	for _, minSupp := range []int{1, 60} {
+		x, cut := BuildBitmapIndex(s, minSupp)
+		sides := []struct {
+			name  string
+			attrs []graph.Attribute
+			table [][]Bitmap
+			val   func(int32, int) graph.Value
+		}{
+			{"L", schema.Node, x.l, s.LVal},
+			{"W", schema.Edge, x.w, s.EVal},
+			{"R", schema.Node, x.r, s.RVal},
+		}
+		wantCut := 0
+		for _, sd := range sides {
+			for a, at := range sd.attrs {
+				for v := graph.Value(1); int(v) <= at.Domain; v++ {
+					hi, live, asSrc := int32(-1), 0, 0
+					for row := int32(0); int(row) < s.NumRows(); row++ {
+						if s.Alive(row) && sd.val(row, a) == v {
+							hi, live = row, live+1
+						}
+						if s.Alive(row) && a < len(schema.Node) && s.LVal(row, a) == v {
+							asSrc++
+						}
 					}
-				}
-				b := sd.table[a][v]
-				if hi < 0 {
-					if b != nil {
-						t.Fatalf("%s(%d,%d): no live row carries it, yet it has %d words", sd.name, a, v, len(b))
+					b := sd.table[a][v]
+					srcKept := sd.name == "R" && at.Homophily && asSrc >= minSupp
+					if live > 0 && live < minSupp && !srcKept {
+						wantCut++
+						hi = -1
 					}
-					continue
-				}
-				want := int(hi>>6) + 1
-				if len(b) != want || cap(b) != want+want/8 || b.Count() != live {
-					t.Fatalf("%s(%d,%d): len %d cap %d count %d, want len %d cap %d count %d",
-						sd.name, a, v, len(b), cap(b), b.Count(), want, want+want/8, live)
+					if hi < 0 {
+						if b != nil {
+							t.Fatalf("minSupp %d: %s(%d,%d): %d live rows carry it, yet it has %d words", minSupp, sd.name, a, v, live, len(b))
+						}
+						continue
+					}
+					want := int(hi>>6) + 1
+					if len(b) != want || cap(b) != want+want/8 || b.Count() != live {
+						t.Fatalf("minSupp %d: %s(%d,%d): len %d cap %d count %d, want len %d cap %d count %d",
+							minSupp, sd.name, a, v, len(b), cap(b), b.Count(), want, want+want/8, live)
+					}
 				}
 			}
 		}
-	}
-	if x.r[1][4] != nil || x.l[1][4] != nil {
-		t.Fatal("the bitmap of a value no node carries was built")
+		if cut != wantCut {
+			t.Fatalf("minSupp %d: cut %d values, want %d", minSupp, cut, wantCut)
+		}
+		if minSupp > 1 && cut == 0 {
+			t.Fatalf("minSupp %d cut no value; the fixture no longer exercises the cut", minSupp)
+		}
+		if x.r[1][4] != nil || x.l[1][4] != nil {
+			t.Fatal("the bitmap of a value no node carries was built")
+		}
 	}
 }

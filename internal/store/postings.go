@@ -113,7 +113,7 @@ func (b Bitmap) Clear(row int32) {
 // counting-sorting the full edge set per dimension, deeper scoped levels
 // intersect bitmaps word-wide, and shard workers count round-2 queries on
 // them. Idempotent rebuild; O(rows × dims).
-func (s *Store) EnablePostings() { s.post = BuildBitmapIndex(s) }
+func (s *Store) EnablePostings() { s.post, _ = BuildBitmapIndex(s, 1) }
 
 // Postings returns the store's maintained BitmapIndex, or nil when postings
 // are off. The index and its bitmaps are owned by the store: callers must

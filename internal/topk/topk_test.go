@@ -98,8 +98,8 @@ func TestItemsIsCopy(t *testing.T) {
 }
 
 // Merging sharded bound-k lists must equal one list that saw every
-// candidate — the exactness property the parallel miner's final ranking of
-// its workers' dynamic-floor lists relies on.
+// candidate — the exactness property the static mine's fan-out relies on
+// when it merges its workers' bound-k lists.
 func TestMergeEqualsSingleList(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
