@@ -275,7 +275,7 @@ func (m *miner) plan(idx *store.BitmapIndex, tasks []parTask) ([]parTask, []int,
 					continue
 				}
 				total++
-				if m.bound != nil && m.bound.pruneFirst(b.block, t.size, attr, val) {
+				if m.bound != nil && m.bound.prune(t.size, nil, nil, nil, b.block, attr, val) {
 					m.stats.PrunedGlobal++
 					continue
 				}

@@ -113,7 +113,8 @@ func (o Options) normalize() (Options, error) {
 //
 // grlint:wire v2
 type Stats struct {
-	// PartitionCalls counts counting-sort invocations.
+	// PartitionCalls counts counting-sort histograms, whether or not any
+	// of their groups was then scattered.
 	PartitionCalls int64
 	// Examined counts non-trivial GRs whose score was computed (the paper's
 	// "GRs examined"; Theorem 4(2) bounds which GRs ever get here).
@@ -295,11 +296,14 @@ type minerScratch struct {
 	// depth (see witLevel); pointers, so growing the table never moves a
 	// level an enclosing loop is still reading.
 	wits []*witLevel
-	// keys is the key column partition gathers into. One serves every
-	// depth: a column is dead once its partition call returns, before any
+	// keys is the key column count gathers into. One serves every depth: a
+	// column is dead once its node's groups are scattered, before any
 	// recursion. The incremental engine keeps its scratch for its lifetime,
 	// so per-depth columns would stay on its live heap.
 	keys []uint16
+	// slot is the next free offset of the row buffer the node being
+	// planned scatters into (see take).
+	slot int32
 	// The attribute position lists of Equations 7/8 are schema-static, so
 	// they are computed once per scratch and shared by every run.
 	ordersInit  bool
@@ -437,29 +441,82 @@ func (m *miner) buffer(depth, n int) []int32 {
 	for len(s.buffers) <= depth {
 		s.buffers = append(s.buffers, nil)
 	}
-	if cap(s.buffers[depth]) < n {
-		s.buffers[depth] = make([]int32, n)
-	}
+	s.buffers[depth] = slices.Grow(s.buffers[depth][:0], n)
 	return s.buffers[depth][:n]
 }
 
-// partition gathers data's key column for attr with one of the store's
-// batch gathers, counting-sorts data by it into out, and snapshots the group
-// list into a depth-scoped buffer: the Partitioner reuses its internal group
-// slice, so recursive Partition calls would otherwise clobber the groups a
-// caller is still iterating. Only groups of at least MinSupp rows with a
-// non-null value are scattered into out; every caller prunes the others
-// before reading a group's rows.
-func (m *miner) partition(depth int, data []int32, gather func(dst []uint16, rows []int32, attr int) []uint16, attr int, out []int32) []csort.Group {
+// count gathers data's key column for attr with one of the store's batch
+// gathers and counts it, and starts depth's list of entered groups. It
+// returns the Partitioner's groups, valid until the next count: the caller
+// plans them — take for each group it will enter, scatter to move the rows
+// of those it gave a slot — before any recursion counts again. The plan
+// pass must not allocate or intern: it runs for every node of the walk.
+func (m *miner) count(depth int, data []int32, gather func(dst []uint16, rows []int32, attr int) []uint16, attr int) []csort.Group {
 	m.stats.PartitionCalls++
 	s := m.scr
 	s.keys = gather(s.keys, data, attr)
-	groups := m.part.Partition(data, s.keys, m.opt.MinSupp, uint16(graph.Null), out)
 	for len(s.groupBufs) <= depth {
 		s.groupBufs = append(s.groupBufs, nil)
 	}
-	s.groupBufs[depth] = append(s.groupBufs[depth][:0], groups...)
+	s.groupBufs[depth] = s.groupBufs[depth][:0]
+	s.slot = 0
+	return m.part.Count(s.keys)
+}
+
+// take appends grp to depth's entered groups. With rows set it first gives
+// grp the next slot of the node's row buffer, so scatter moves its rows
+// there; otherwise the walk enters grp on its size alone (Lo == Hi).
+func (m *miner) take(depth int, grp *csort.Group, rows bool) {
+	s := m.scr
+	if rows {
+		grp.Lo, grp.Hi = s.slot, s.slot+grp.N
+		s.slot = grp.Hi
+	}
+	s.groupBufs[depth] = append(s.groupBufs[depth], *grp)
+}
+
+// scatter moves the rows of every slotted group of the last count into
+// out, skipping the pass when no group has a slot, and returns depth's
+// entered groups, ascending like the histogram.
+func (m *miner) scatter(depth int, data, out []int32) []csort.Group {
+	s := m.scr
+	if s.slot > 0 {
+		m.part.Scatter(data, s.keys, out)
+	}
 	return s.groupBufs[depth]
+}
+
+// admit is the plan rule every counting-sort node shares: a group is
+// entered only if its value is not null, it meets MinSupp (a cut counts in
+// PrunedSupp), and, in a scoped walk (lv set), some witness of the node
+// carries its value. vals is the position's carried values, consumed
+// forward as the ascending groups pass.
+func (m *miner) admit(grp *csort.Group, lv *witLevel, vals *[]graph.Value) bool {
+	if grp.Val == uint16(graph.Null) {
+		return false // null never forms a descriptor
+	}
+	if int(grp.N) < m.opt.MinSupp {
+		m.stats.PrunedSupp++
+		return false
+	}
+	if lv != nil {
+		var ok bool
+		if *vals, ok = seek(*vals, graph.Value(grp.Val)); !ok {
+			return false // no witness carries the value ⇒ no entrant below it
+		}
+	}
+	return true
+}
+
+// boundPrunes applies a shard offer's global bound to the child that
+// extends (lhs, w, rhs) by (attr : grp.Val) on block's side, counting a cut
+// in PrunedGlobal.
+func (m *miner) boundPrunes(grp *csort.Group, lhs, w, rhs gr.Descriptor, block taskBlock, attr int) bool {
+	if m.bound != nil && m.bound.prune(int(grp.N), lhs, w, rhs, block, attr, graph.Value(grp.Val)) {
+		m.stats.PrunedGlobal++
+		return true
+	}
+	return false
 }
 
 // run is Algorithm 1's Main: RIGHT, EDGE, LEFT over the full edge set.
@@ -498,29 +555,17 @@ func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
 				continue // no witness carries a value ⇒ no entrant below any group
 			}
 		}
-		groups := m.partition(depth, data, m.st.LValsInto, attr, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) {
-				continue // null never forms a descriptor
+		groups := m.count(depth, data, m.st.LValsInto, attr)
+		for i := range groups {
+			if grp := &groups[i]; m.admit(grp, lv, &vals) && !m.boundPrunes(grp, lhs, nil, nil, blockLeft, attr) {
+				m.take(depth, grp, true)
 			}
-			if int(grp.N) < m.opt.MinSupp {
-				m.stats.PrunedSupp++
-				continue
-			}
-			part := buf[grp.Lo:grp.Hi]
+		}
+		for _, grp := range m.scatter(depth, data, buf) {
 			if lv != nil {
-				var ok bool
-				if vals, ok = seek(vals, graph.Value(grp.Val)); !ok {
-					continue
-				}
 				m.narrow(depth, m.wit.colL(attr), graph.Value(grp.Val))
 			}
-			lhs2 := lhs.With(attr, graph.Value(grp.Val))
-			if m.bound != nil && m.bound.prune(len(part), lhs2, nil, nil) {
-				m.stats.PrunedGlobal++
-				continue
-			}
-			m.leftGroup(part, depth, lhs2, pos)
+			m.leftGroup(buf[grp.Lo:grp.Hi], depth, lhs.With(attr, graph.Value(grp.Val)), pos)
 		}
 	}
 }
@@ -556,29 +601,17 @@ func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) 
 				continue // no witness carries a value ⇒ no entrant below any group
 			}
 		}
-		groups := m.partition(depth, data, m.st.EValsInto, attr, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) {
-				continue
+		groups := m.count(depth, data, m.st.EValsInto, attr)
+		for i := range groups {
+			if grp := &groups[i]; m.admit(grp, lv, &vals) && !m.boundPrunes(grp, lhs, w, nil, blockEdge, attr) {
+				m.take(depth, grp, true)
 			}
-			if int(grp.N) < m.opt.MinSupp {
-				m.stats.PrunedSupp++
-				continue
-			}
-			part := buf[grp.Lo:grp.Hi]
+		}
+		for _, grp := range m.scatter(depth, data, buf) {
 			if lv != nil {
-				var ok bool
-				if vals, ok = seek(vals, graph.Value(grp.Val)); !ok {
-					continue
-				}
 				m.narrow(depth, m.wit.colW(attr), graph.Value(grp.Val))
 			}
-			w2 := w.With(attr, graph.Value(grp.Val))
-			if m.bound != nil && m.bound.prune(len(part), lhs, w2, nil) {
-				m.stats.PrunedGlobal++
-				continue
-			}
-			m.edgeGroup(part, depth, lhs, w2, pos)
+			m.edgeGroup(buf[grp.Lo:grp.Hi], depth, lhs, w.With(attr, graph.Value(grp.Val)), pos)
 		}
 	}
 }
@@ -701,6 +734,9 @@ func seek(vals []graph.Value, v graph.Value) ([]graph.Value, bool) {
 // must clear it with clearDataBitmap(depth, data) before returning; only one
 // descent per depth is ever live, so per-depth scratch suffices.
 func (m *miner) dataBitmap(depth int, data []int32) store.Bitmap {
+	if len(data) == 0 {
+		panic("core: bitmap descent over an empty partition")
+	}
 	s := m.scr
 	for len(s.dataBMs) <= depth {
 		s.dataBMs = append(s.dataBMs, nil)
@@ -798,7 +834,7 @@ func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descripto
 				continue
 			}
 			m.narrow(depth, m.wit.colR(attr), val)
-			m.rightGroup(rc, part, depth, rhs.With(attr, val), pos)
+			m.rightGroup(rc, part, len(part), depth, rhs.With(attr, val), pos)
 		}
 	}
 	m.clearDataBitmap(depth, data)
@@ -858,8 +894,13 @@ func (m *miner) rhsOrderInto(lhs gr.Descriptor) []int {
 // resulting GRs, prune by supp (Theorem 2(1)) and — for anti-monotone
 // metrics — by the score floor (Theorem 3), and feed candidates through the
 // generality filter into the top-k list.
+//
+// The histogram settles most groups: a group's size is its LWR, and LW and
+// the homophily effect come from the base partition. So the plan moves the
+// rows of a group only when the walk will recurse below it (rightRows);
+// every other entered group is scored on its size alone.
 func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int) {
-	if m.opt.MaxR > 0 && len(rhs) >= m.opt.MaxR {
+	if !m.rightExtends(len(rhs), maxPos) {
 		return
 	}
 	// lv stays nil (no value filter) in the static mine and below a node
@@ -874,6 +915,11 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 		}
 	}
 	buf := m.buffer(depth, len(data))
+	// A child's RHS is rhs ∧ (attr : v). It is trivial when rhs is (or is
+	// empty) and v repeats the LHS value of a homophily attr; its β is
+	// rhs's plus attr when v differs from that LHS value.
+	rhsTrivial := len(rhs) == 0 || gr.GR{L: rc.lhs, R: rhs}.Trivial(m.schema)
+	rhsMask := m.betaMask(rc.lhs, rhs)
 	for pos := 0; pos < maxPos; pos++ {
 		attr := rc.sr[pos]
 		var vals []graph.Value
@@ -882,38 +928,80 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 				continue // no witness carries a value ⇒ no entrant below any group
 			}
 		}
-		groups := m.partition(depth, data, m.st.RValsInto, attr, buf)
-		for _, grp := range groups {
-			if grp.Val == uint16(graph.Null) {
+		// homL: attr is a homophily attribute the LHS constrains to lval.
+		lval, homL := rc.lhs.Get(attr)
+		homL = homL && m.schema.Node[attr].Homophily
+		groups := m.count(depth, data, m.st.RValsInto, attr)
+		for i := range groups {
+			grp := &groups[i]
+			if !m.admit(grp, lv, &vals) || m.boundPrunes(grp, rc.lhs, rc.w, rhs, blockRight, attr) {
 				continue
 			}
-			if int(grp.N) < m.opt.MinSupp {
-				m.stats.PrunedSupp++
-				continue
+			v := graph.Value(grp.Val)
+			trivial, mask := rhsTrivial && homL && lval == v, rhsMask
+			if homL && lval != v {
+				mask |= 1 << uint(attr)
 			}
-			part := buf[grp.Lo:grp.Hi]
-			if lv != nil {
-				var ok bool
-				if vals, ok = seek(vals, graph.Value(grp.Val)); !ok {
-					continue
-				}
-			}
+			m.take(depth, grp, m.rightRows(rc, int(grp.N), len(rhs)+1, pos, trivial, mask))
+		}
+		for _, grp := range m.scatter(depth, data, buf) {
 			if m.wit != nil {
 				m.narrow(depth, m.wit.colR(attr), graph.Value(grp.Val))
 			}
-			rhs2 := rhs.With(attr, graph.Value(grp.Val))
-			if m.bound != nil && m.bound.prune(len(part), rc.lhs, rc.w, rhs2) {
-				m.stats.PrunedGlobal++
-				continue
-			}
-			m.rightGroup(rc, part, depth, rhs2, pos)
+			m.rightGroup(rc, buf[grp.Lo:grp.Hi], int(grp.N), depth, rhs.With(attr, graph.Value(grp.Val)), pos)
 		}
 	}
 }
 
-// rightGroup scores one RHS partition and recurses (the body of Algorithm
-// 1, lines 25-29).
-func (m *miner) rightGroup(rc *rctx, part []int32, depth int, rhs2 gr.Descriptor, pos int) {
+// rightExtends reports whether right extends an RHS of rhsLen conditions at
+// any of maxPos positions: not at position 0, and not once MaxR is reached.
+func (m *miner) rightExtends(rhsLen, maxPos int) bool {
+	return maxPos > 0 && (m.opt.MaxR == 0 || rhsLen < m.opt.MaxR)
+}
+
+// rightRows reports whether the walk needs the rows of an RHS child of n
+// rows whose RHS has rhsLen conditions at position pos, with the given
+// triviality and β mask: only to recurse below it. A child's own children
+// cannot extend at position 0 or at MaxR, and rightGroup cuts a non-trivial
+// child whose score already falls below the floor. The floor only rises
+// during a walk, so the floor rightGroup reads later cuts it too. The test
+// allocates nothing and never interns: it reads no |E(r)|, so a metric that
+// needs one gets only the position and MaxR rules.
+func (m *miner) rightRows(rc *rctx, n, rhsLen, pos int, trivial bool, mask uint64) bool {
+	if !m.rightExtends(rhsLen, pos) {
+		return false
+	}
+	if trivial || m.metric.NeedsR || !m.scorePrunable(mask) {
+		return true
+	}
+	return m.metric.Score(m.rightCounts(rc, n, mask)) >= m.floor()
+}
+
+// scorePrunable reports whether Theorem 3 licenses cutting the subtree of a
+// non-trivial GR with β mask by its score.
+func (m *miner) scorePrunable(mask uint64) bool {
+	// Ablation mode: without the dynamic ordering, a homophily value
+	// conflicting with the LHS may still be appended below a node with an
+	// empty β, flipping β to non-empty and possibly raising nhp (Remark 2)
+	// — the pruning Theorem 3 licenses is unavailable there.
+	return m.metric.RHSAntiMonotone && !(m.opt.StaticRHSOrder && m.metric.NeedsHom && mask == 0)
+}
+
+// rightCounts returns the counts of an RHS child of n rows with β mask, all
+// but |E(r)|: LWR is the group size, LW and the homophily effect come from
+// the base partition.
+func (m *miner) rightCounts(rc *rctx, n int, mask uint64) metrics.Counts {
+	c := metrics.Counts{LWR: n, LW: len(rc.base), E: m.totalE}
+	if m.metric.NeedsHom && mask != 0 {
+		c.Hom = m.homEffect(rc, mask)
+	}
+	return c
+}
+
+// rightGroup scores one RHS partition of n rows and recurses (the body of
+// Algorithm 1, lines 25-29). part holds the rows only when the walk needs
+// them (rightRows); it is empty otherwise.
+func (m *miner) rightGroup(rc *rctx, part []int32, n, depth int, rhs2 gr.Descriptor, pos int) {
 	g := gr.GR{L: rc.lhs, W: rc.w, R: rhs2}
 
 	if g.Trivial(m.schema) {
@@ -927,7 +1015,7 @@ func (m *miner) rightGroup(rc *rctx, part []int32, depth int, rhs2 gr.Descriptor
 		// effect.
 		m.stats.TrivialSeen++
 		if m.opt.IncludeTrivial {
-			c := metrics.Counts{LWR: len(part), LW: len(rc.base), E: m.totalE}
+			c := m.rightCounts(rc, n, 0)
 			if m.metric.NeedsR {
 				c.R = m.rCount(g)
 			}
@@ -942,17 +1030,15 @@ func (m *miner) rightGroup(rc *rctx, part []int32, depth int, rhs2 gr.Descriptor
 				return
 			}
 		}
-		m.right(rc, part, depth+1, rhs2, pos)
+		m.descend(rc, part, n, depth, rhs2, pos)
 		return
 	}
 
-	c := metrics.Counts{LWR: len(part), LW: len(rc.base), E: m.totalE}
 	var mask uint64
 	if m.metric.NeedsHom {
-		if mask = m.betaMask(rc.lhs, rhs2); mask != 0 {
-			c.Hom = m.homEffect(rc, mask)
-		}
+		mask = m.betaMask(rc.lhs, rhs2)
 	}
+	c := m.rightCounts(rc, n, mask)
 	if m.metric.NeedsR {
 		c.R = m.rCount(g)
 	}
@@ -967,19 +1053,25 @@ func (m *miner) rightGroup(rc *rctx, part []int32, depth int, rhs2 gr.Descriptor
 		m.stats.Candidates++
 		m.emit(g, c, score)
 	}
-	prunable := m.metric.RHSAntiMonotone
-	if m.opt.StaticRHSOrder && m.metric.NeedsHom && mask == 0 {
-		// Ablation mode: without the dynamic ordering, a homophily value
-		// conflicting with the LHS may still be appended below this node,
-		// flipping β to non-empty and possibly raising nhp (Remark 2) —
-		// the pruning Theorem 3 licenses is unavailable here.
-		prunable = false
-	}
-	if prunable && score < m.floor() {
+	if m.scorePrunable(mask) && score < m.floor() {
 		// Theorem 3: every RHS extension of this non-trivial GR scores no
 		// higher; cut the subtree.
 		m.stats.PrunedScore++
 		return
+	}
+	m.descend(rc, part, n, depth, rhs2, pos)
+}
+
+// descend runs RIGHT below an RHS partition of n rows. It panics when the
+// walk would recurse into a partition whose rows were never moved: a plan
+// rule (rightRows) that skipped the rows of a group rightGroup does not cut
+// would otherwise mine an empty partition and silently lose its subtree.
+func (m *miner) descend(rc *rctx, part []int32, n, depth int, rhs2 gr.Descriptor, pos int) {
+	if !m.rightExtends(len(rhs2), pos) {
+		return
+	}
+	if len(part) != n {
+		panic("core: RIGHT recursion into unscattered rows")
 	}
 	m.right(rc, part, depth+1, rhs2, pos)
 }

@@ -146,13 +146,22 @@ func runTasks(width int, tasks []parTask, order []int32, run func(worker int, t 
 // list leaves a partition in, so the walk below is the sequential walk's.
 // all is the full live edge list, the base partition (LW denominator) of
 // root RIGHT subtrees, and sr the root RHS order; both are shared
-// read-only by every worker.
+// read-only by every worker. A root RIGHT subtree reads its rows only when
+// RIGHT recurses below it (rightRows; its RHS child has an empty LHS, so it
+// is non-trivial with an empty β).
 func (m *miner) walkTask(t *parTask, idx *store.BitmapIndex, all []int32, sr []int) {
-	rows := rootBitmap(idx, t).RowsInto(m.buffer(1, t.size))
 	d := gr.Descriptor(nil).With(t.attr, t.val)
+	if t.block == blockRight {
+		rc := &rctx{base: all, sr: sr}
+		var rows []int32
+		if m.rightRows(rc, t.size, 1, t.pos, false, 0) {
+			rows = rootBitmap(idx, t).RowsInto(m.buffer(1, t.size))
+		}
+		m.rightGroup(rc, rows, t.size, 1, d, t.pos)
+		return
+	}
+	rows := rootBitmap(idx, t).RowsInto(m.buffer(1, t.size))
 	switch t.block {
-	case blockRight:
-		m.rightGroup(&rctx{base: all, sr: sr}, rows, 1, d, t.pos)
 	case blockEdge:
 		m.edgeGroup(rows, 1, nil, d, t.pos)
 	default:

@@ -511,43 +511,31 @@ func (b *OfferBound) check(schema *graph.Schema) error {
 }
 
 // prune reports whether the subtree below a partition of partSize edges,
-// whose GRs all carry at least the conditions l ∧ w ∧ r, provably contains
-// no globally qualifying GR. Both bounds are monotone under condition
-// extension and partition shrinkage, so cutting the subtree is sound.
-func (b *OfferBound) prune(partSize int, l, w, r gr.Descriptor) bool {
-	global := math.MaxInt
-	others := math.MaxInt
+// whose GRs all carry at least the conditions l ∧ w ∧ r plus (attr : val)
+// on block's side, provably contains no globally qualifying GR. Both bounds
+// are monotone under condition extension and partition shrinkage, so
+// cutting the subtree is sound. The extension is passed apart from the
+// parent's descriptors so a walk can test a child before building its
+// descriptor.
+func (b *OfferBound) prune(partSize int, l, w, r gr.Descriptor, block taskBlock, attr int, val graph.Value) bool {
+	h, o := b.HL, b.OL
+	switch block {
+	case blockRight:
+		h, o = b.HR, b.OR
+	case blockEdge:
+		h, o = b.HW, b.OW
+	}
+	global, others := h[attr][val], o[attr][val]
 	scan := func(d gr.Descriptor, h, o [][]int) {
 		for _, c := range d {
-			if n := h[c.Attr][c.Val]; n < global {
-				global = n
-			}
-			if n := o[c.Attr][c.Val]; n < others {
-				others = n
-			}
+			global = min(global, h[c.Attr][c.Val])
+			others = min(others, o[c.Attr][c.Val])
 		}
 	}
 	scan(l, b.HL, b.OL)
 	scan(w, b.HW, b.OW)
 	scan(r, b.HR, b.OR)
-	if global < b.MinSupp {
-		return true
-	}
-	return others != math.MaxInt && partSize+others < b.MinSupp
-}
-
-// pruneFirst is prune for the first-level partition of (attr, val), n
-// rows, in block.
-func (b *OfferBound) pruneFirst(block taskBlock, n, attr int, val graph.Value) bool {
-	d := gr.Descriptor(nil).With(attr, val)
-	switch block {
-	case blockRight:
-		return b.prune(n, nil, nil, d)
-	case blockEdge:
-		return b.prune(n, nil, d, nil)
-	default:
-		return b.prune(n, d, nil, nil)
-	}
+	return global < b.MinSupp || partSize+others < b.MinSupp
 }
 
 // WorkerState is the reference ShardWorker: a private graph holding the

@@ -4,23 +4,27 @@
 // partition. It sorts in O(N) time without any key comparisons").
 //
 // The partitioner takes a pre-gathered key column, not a key function: the
-// caller reads each row's value once into a dense []uint16, and both the
-// histogram and the scatter then stream that column with no indirect calls.
-// The histogram comes first, so groups a search would prune at once (below a
-// minimum size, or the null value) are reported by size but never scattered;
-// when no group survives, the scatter pass is skipped entirely.
+// caller reads each row's value once into a dense []uint16, and both passes
+// then stream that column with no indirect calls. The kernel is two calls:
+// Count builds the histogram, which is every group's aggregate, and Scatter
+// moves only the rows of the groups the caller gave a slot. A search settles
+// most groups from their size alone (below a minimum size, the null value,
+// a group it prunes), so those are reported by size but never moved; when
+// the caller slots no group, it skips the scatter pass entirely.
 //
 // A Partitioner owns the counting buckets and resets only the buckets it
 // touched, so partitioning a small slice by a large-domain attribute (for
-// example Pokec's Region with |A| = 188) stays proportional to the slice.
+// example Pokec's Region with |A| = 188) stays proportional to the slice
+// plus its largest key.
 package csort
 
 import "fmt"
 
 // Group is one non-empty value of the input: N ids have key Val. A group
-// Partition scattered occupies out[Lo:Hi] (Hi-Lo == N); a group it did not
-// scatter (smaller than the minimum size, or the skip value) has Lo == Hi.
-// Groups are emitted in ascending Val order; absent values produce no group.
+// that was scattered occupies out[Lo:Hi] (Hi-Lo == N); a group that was not
+// (smaller than the minimum size, the skip value, or one the caller left
+// without a slot) has Lo == Hi. Groups are emitted in ascending Val order;
+// absent values produce no group.
 type Group struct {
 	Val uint16
 	N   int32
@@ -34,6 +38,9 @@ type Partitioner struct {
 	counts []int32
 	starts []int32
 	groups []Group
+	// rows is the length of the column the last Count read; Scatter checks
+	// it is handed a column of the same length.
+	rows int
 }
 
 // New returns a Partitioner able to handle keys in 0..maxDomain.
@@ -45,73 +52,94 @@ func New(maxDomain int) *Partitioner {
 	}
 }
 
-// Partition counts keys, where keys[i] is the key of ids[i], and returns
-// every non-empty group in ascending key order with its size. It then
-// stably scatters into out only the ids of groups with at least minSize
-// members whose key is not skip; those groups lie back to back from out[0],
-// and the rest of out is left as it was. out must have the same length as
-// ids and keys and not alias ids. Every key must lie within the
-// Partitioner's domain; Partition panics otherwise (an out-of-domain key
-// indicates data corruption upstream, since the graph layer validates every
-// stored value).
+// Count builds the histogram of keys and returns every non-empty group in
+// ascending key order with its size and no slot (Lo == Hi == 0). Every key
+// must lie within the Partitioner's domain; Count panics otherwise (an
+// out-of-domain key indicates data corruption upstream, since the graph
+// layer validates every stored value).
 //
-// The returned group slice is owned by the Partitioner and is invalidated by
-// the next Partition call.
-func (p *Partitioner) Partition(ids []int32, keys []uint16, minSize int, skip uint16, out []int32) []Group {
-	if len(keys) != len(ids) || len(out) != len(ids) {
-		panic(fmt.Sprintf("csort: ids length %d, keys length %d, out length %d differ", len(ids), len(keys), len(out)))
-	}
+// The returned slice is owned by the Partitioner and is invalidated by the
+// next Count. The caller gives a group a slot by setting its Lo and Hi
+// (Hi-Lo == N) in that slice, then calls Scatter.
+func (p *Partitioner) Count(keys []uint16) []Group {
 	p.groups = p.groups[:0]
-	// Count occurrences; track touched values through the groups list so the
-	// reset below is O(distinct values), not O(domain).
+	p.rows = len(keys)
 	counts := p.counts
-	for _, k := range keys {
+	for i, k := range keys {
 		if int(k) >= len(counts) {
+			for _, k := range keys[:i] {
+				counts[k] = 0
+			}
 			panic(fmt.Sprintf("csort: key %d out of domain %d", k, len(counts)-1))
-		}
-		if counts[k] == 0 {
-			p.groups = append(p.groups, Group{Val: k})
 		}
 		counts[k]++
 	}
-	// Groups were appended in first-seen order; order them by value with an
-	// insertion sort (the group count is the number of *distinct* values,
-	// which is small; this does not touch the O(N) id pass).
-	for i := 1; i < len(p.groups); i++ {
-		g := p.groups[i]
-		j := i - 1
-		for j >= 0 && p.groups[j].Val > g.Val {
-			p.groups[j+1] = p.groups[j]
-			j--
+	// Walking the buckets up from 0 until every key is accounted for yields
+	// the groups in ascending order with no comparison sort, and stops at
+	// the largest key; reading a bucket also resets it.
+	for v, left := 0, int32(len(keys)); left > 0; v++ {
+		if n := counts[v]; n != 0 {
+			p.groups = append(p.groups, Group{Val: uint16(v), N: n})
+			counts[v] = 0
+			left -= n
 		}
-		p.groups[j+1] = g
 	}
-	// Prefix sums over the surviving groups give each its slot range; a
-	// negative start marks a value whose ids are not scattered. Reading a
-	// count also resets its bucket.
-	var off int32
-	for i := range p.groups {
-		g := &p.groups[i]
-		g.N = counts[g.Val]
-		counts[g.Val] = 0
-		if int(g.N) < minSize || g.Val == skip {
-			p.starts[g.Val] = -1
+	return p.groups
+}
+
+// Scatter stably moves into out[g.Lo:g.Hi] the ids of every group g of the
+// last Count that the caller gave a slot, where keys[i] is the key of ids[i]
+// and keys is the column Count read. Unslotted groups are not moved and the
+// rest of out is left as it was. ids, keys and out must have the same
+// length, out must not alias ids, and slots must not overlap; Scatter panics
+// on a slot whose size is not its group's or that lies outside out.
+func (p *Partitioner) Scatter(ids []int32, keys []uint16, out []int32) {
+	if len(keys) != len(ids) || len(out) != len(ids) || len(keys) != p.rows {
+		panic(fmt.Sprintf("csort: ids length %d, keys length %d, out length %d, counted %d differ", len(ids), len(keys), len(out), p.rows))
+	}
+	// A negative start marks a value whose ids stay where they are.
+	starts := p.starts
+	for _, g := range p.groups {
+		if g.Lo == g.Hi {
+			starts[g.Val] = -1
 			continue
 		}
-		g.Lo, g.Hi = off, off+g.N
-		p.starts[g.Val] = off
-		off += g.N
+		if g.Hi-g.Lo != g.N || g.Lo < 0 || int(g.Hi) > len(out) {
+			panic(fmt.Sprintf("csort: slot [%d, %d) of value %d does not fit %d ids in %d", g.Lo, g.Hi, g.Val, g.N, len(out)))
+		}
+		starts[g.Val] = g.Lo
 	}
-	if off == 0 {
-		return p.groups
-	}
-	// Stable scatter of the surviving groups.
-	starts := p.starts
 	for i, k := range keys {
 		if s := starts[k]; s >= 0 {
 			out[s] = ids[i]
 			starts[k] = s + 1
 		}
 	}
-	return p.groups
+}
+
+// Partition is Count, then a slot for every group with at least minSize
+// members whose key is not skip, then Scatter: the slotted groups lie back
+// to back from out[0] and the rest of out is left as it was. out must have
+// the same length as ids and keys and not alias ids.
+//
+// The returned group slice is owned by the Partitioner and is invalidated by
+// the next Count or Partition call.
+func (p *Partitioner) Partition(ids []int32, keys []uint16, minSize int, skip uint16, out []int32) []Group {
+	if len(keys) != len(ids) || len(out) != len(ids) {
+		panic(fmt.Sprintf("csort: ids length %d, keys length %d, out length %d differ", len(ids), len(keys), len(out)))
+	}
+	groups := p.Count(keys)
+	var off int32
+	for i := range groups {
+		g := &groups[i]
+		if int(g.N) < minSize || g.Val == skip {
+			continue
+		}
+		g.Lo, g.Hi = off, off+g.N
+		off += g.N
+	}
+	if off > 0 {
+		p.Scatter(ids, keys, out)
+	}
+	return groups
 }

@@ -237,3 +237,153 @@ func BenchmarkPartition(b *testing.B) {
 	}
 	b.SetBytes(int64(n * 2))
 }
+
+// Property: Count, a slot for a random subset of the groups, then Scatter
+// equals a stable filter of the ids by key restricted to the slotted
+// groups. Count reports every key's exact size in ascending order; each
+// slotted group's ids land in its slot in input order; every position of
+// out outside the slots keeps its old value. Keys span the whole domain,
+// its maximum included.
+func TestCountScatterMatchesStableFilterProperty(t *testing.T) {
+	const domain = 16
+	p := New(domain)
+	f := func(raw []uint16, pick uint64, gap uint8) bool {
+		keys := make([]uint16, len(raw))
+		ids := make([]int32, len(raw))
+		for i, k := range raw {
+			keys[i] = k % (domain + 1)
+			ids[i] = int32(len(raw) - i) // not the identity: ids and keys are parallel
+		}
+		count := map[uint16]int32{}
+		for _, k := range keys {
+			count[k]++
+		}
+		groups := p.Count(keys)
+		if len(groups) != len(count) {
+			return false
+		}
+		prev := -1
+		for _, g := range groups {
+			if int(g.Val) <= prev || g.N != count[g.Val] || g.Lo != 0 || g.Hi != 0 {
+				return false
+			}
+			prev = int(g.Val)
+		}
+		// Slot a random subset, leaving a gap before each slot so the
+		// unslotted positions are spread through out.
+		out := make([]int32, len(ids))
+		for i := range out {
+			out[i] = -1
+		}
+		off, skip := int32(0), int32(gap%3)
+		slotted := map[uint16]*Group{}
+		for i := range groups {
+			g := &groups[i]
+			if pick&(1<<(uint(g.Val)%64)) == 0 || off+skip+g.N > int32(len(out)) {
+				continue
+			}
+			off += skip
+			g.Lo, g.Hi = off, off+g.N
+			off = g.Hi
+			slotted[g.Val] = g
+		}
+		p.Scatter(ids, keys, out)
+
+		written := make([]bool, len(out))
+		for val, g := range slotted {
+			var ref []int32
+			for i, k := range keys {
+				if k == val {
+					ref = append(ref, ids[i])
+				}
+			}
+			for j, id := range ref {
+				if out[int(g.Lo)+j] != id {
+					return false
+				}
+				written[int(g.Lo)+j] = true
+			}
+		}
+		for i, w := range written {
+			if !w && out[i] != -1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A key outside the domain panics in Count and leaves no count behind: the
+// Partitioner counts the next column exactly.
+func TestCountOutOfDomainPanics(t *testing.T) {
+	p := New(3)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("key 4 in domain 3: no panic")
+			}
+		}()
+		p.Count([]uint16{3, 1, 3, 4})
+	}()
+	groups := p.Count([]uint16{3, 0})
+	want := []Group{{Val: 0, N: 1}, {Val: 3, N: 1}}
+	if len(groups) != len(want) || groups[0] != want[0] || groups[1] != want[1] {
+		t.Fatalf("groups after the panic = %+v, want %+v", groups, want)
+	}
+}
+
+// Scatter refuses a column other than the one counted, and slots that do
+// not hold their group or fall outside out.
+func TestScatterPanics(t *testing.T) {
+	assertPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	p := New(2)
+	keys := []uint16{1, 2, 1}
+	ids := seq(3)
+	assertPanic("column length differs from the counted one", func() {
+		p.Count(keys)
+		p.Scatter(ids[:2], keys[:2], make([]int32, 2))
+	})
+	assertPanic("slot size differs from the group's", func() {
+		g := p.Count(keys)
+		g[0].Lo, g[0].Hi = 0, 1
+		p.Scatter(ids, keys, make([]int32, 3))
+	})
+	assertPanic("slot outside out", func() {
+		g := p.Count(keys)
+		g[0].Lo, g[0].Hi = 2, 4
+		p.Scatter(ids, keys, make([]int32, 3))
+	})
+}
+
+// BenchmarkCountSmall partitions a 256-row key column over Pokec's largest
+// domain (Region, |A| = 188) with a minimum above every group, so nothing
+// is scattered: the miner's typical call deep in the search, where a
+// partition is small and every group falls below the support threshold.
+func BenchmarkCountSmall(b *testing.B) {
+	const n = 256
+	keys := make([]uint16, n)
+	r := rand.New(rand.NewSource(1))
+	for i := range keys {
+		keys[i] = uint16(r.Intn(188))
+	}
+	ids := seq(n)
+	out := make([]int32, n)
+	p := New(188)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Partition(ids, keys, n+1, 0, out)
+	}
+	b.SetBytes(int64(n * 2))
+}
