@@ -8,7 +8,9 @@
 //	go vet -vettool=$(go env GOPATH)/bin/grlint ./...  # under the vet driver (covers every test variant and build-tag combination vet builds)
 //
 // Diagnostics print as "file:line:col: message (analyzer)"; the exit code
-// is 1 when any diagnostic fired, 2 on internal error. Suppress a finding
+// is 1 when any diagnostic fired, 2 on internal error or when a package
+// does not type-check (standalone mode skips an ill-typed external test
+// package with a warning: the vet-driver mode analyses those). Suppress a finding
 // with "//grlint:ignore <analyzer> <reason>" on its line or the line above
 // — the reason is mandatory and checked.
 package main
@@ -124,22 +126,42 @@ type finding struct {
 	analyzer string
 }
 
+// runPackages analyses pkgs and returns the exit code: 2 when a package
+// other than an external test package does not type-check, else 1 when any
+// diagnostic fired, else 0.
 func runPackages(pkgs []*analysis.Package) int {
 	var findings []finding
+	illTyped := false
 	for _, pkg := range pkgs {
-		if pkg.IllTyped {
+		switch {
+		case pkg.IllTyped && pkg.XTest:
 			// External test packages can depend on test-variant exports the
 			// compiled export data lacks; the vet-driver mode covers those
 			// exactly, so standalone mode skips them loudly instead of
 			// reporting phantom findings on half-typed syntax.
 			fmt.Fprintf(os.Stderr, "grlint: skipping %s (type errors: %s)\n", pkg.Path, pkg.TypeErrors)
-			continue
+		case pkg.IllTyped:
+			// Any other package type-checks against the same export data
+			// the compiler builds it with: an error here leaves the package
+			// unanalysed, so the run fails.
+			fmt.Fprintf(os.Stderr, "grlint: %s does not type-check: %s\n", pkg.Path, pkg.TypeErrors)
+			illTyped = true
+		default:
+			findings = append(findings, analyzePackage(pkg)...)
 		}
-		findings = append(findings, analyzePackage(pkg)...)
 	}
-	if len(findings) == 0 {
-		return 0
+	printFindings(findings)
+	switch {
+	case illTyped:
+		return 2
+	case len(findings) > 0:
+		return 1
 	}
+	return 0
+}
+
+// printFindings prints findings sorted by position, then message.
+func printFindings(findings []finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		if findings[i].pos != findings[j].pos {
 			return findings[i].pos < findings[j].pos
@@ -149,7 +171,6 @@ func runPackages(pkgs []*analysis.Package) int {
 	for _, f := range findings {
 		fmt.Printf("%s: %s (%s)\n", f.pos, f.message, f.analyzer)
 	}
-	return 1
 }
 
 func analyzePackage(pkg *analysis.Package) []finding {

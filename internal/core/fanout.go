@@ -5,6 +5,7 @@ import (
 	"grminer/internal/graph"
 	"grminer/internal/intern"
 	"grminer/internal/metrics"
+	"grminer/internal/sched"
 	"grminer/internal/store"
 )
 
@@ -13,7 +14,7 @@ import (
 // shard worker's offer mines — splits at the SFDF tree's first level into
 // independent RIGHT, EDGE and LEFT subtrees, the decomposition the static
 // mine fans out over (parallel.go), plans them through the one first-level
-// planner (plan) off the store's postings, and runs them through runTasks
+// planner (plan) off the store's postings, and runs them through sched.Run
 // on the engine's width workers.
 //
 // The walk's result must not depend on the schedule: the pool's entry
@@ -171,12 +172,12 @@ func (f *fanOut) walk(wit *witnesses, pool *densePool, bound *OfferBound, emit f
 	for _, w := range ws {
 		w.m.buffer(1, largest)
 	}
-	f.order = runTasks(len(ws), f.tasks, f.order, func(i int, t *parTask) {
-		w := ws[i]
+	f.order = sched.Run(len(ws), len(f.tasks), func(i int) int { return f.tasks[i].size }, f.order, func(wi, i int) {
+		w, t := ws[wi], &f.tasks[i]
 		if wit != nil {
 			w.m.rootWitnesses(t)
 		}
-		t.worker, t.lo = int32(i), int32(len(w.caps))
+		t.worker, t.lo = int32(wi), int32(len(w.caps))
 		w.m.walkTask(t, idx, all, sr)
 		t.hi = int32(len(w.caps))
 	})

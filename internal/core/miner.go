@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"time"
@@ -445,16 +446,17 @@ func (m *miner) buffer(depth, n int) []int32 {
 	return s.buffers[depth][:n]
 }
 
-// count gathers data's key column for attr with one of the store's batch
-// gathers and counts it, and starts depth's list of entered groups. It
-// returns the Partitioner's groups, valid until the next count: the caller
-// plans them — take for each group it will enter, scatter to move the rows
-// of those it gave a slot — before any recursion counts again. The plan
-// pass must not allocate or intern: it runs for every node of the walk.
-func (m *miner) count(depth int, data []int32, gather func(dst []uint16, rows []int32, attr int) []uint16, attr int) []csort.Group {
+// count counts keys, the key column one of the store's batch gathers
+// filled into the scratch's keys buffer, and starts depth's list of entered
+// groups. It returns the Partitioner's groups, valid until the next count:
+// the caller plans them — take for each group it will enter, scatter to
+// move the rows of those it gave a slot — before any recursion counts
+// again. The plan pass must not allocate or intern: it runs for every node
+// of the walk.
+func (m *miner) count(depth int, keys []uint16) []csort.Group {
 	m.stats.PartitionCalls++
 	s := m.scr
-	s.keys = gather(s.keys, data, attr)
+	s.keys = keys
 	for len(s.groupBufs) <= depth {
 		s.groupBufs = append(s.groupBufs, nil)
 	}
@@ -555,7 +557,7 @@ func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
 				continue // no witness carries a value ⇒ no entrant below any group
 			}
 		}
-		groups := m.count(depth, data, m.st.LValsInto, attr)
+		groups := m.count(depth, m.st.LValsInto(m.scr.keys, data, attr))
 		for i := range groups {
 			if grp := &groups[i]; m.admit(grp, lv, &vals) && !m.boundPrunes(grp, lhs, nil, nil, blockLeft, attr) {
 				m.take(depth, grp, true)
@@ -601,7 +603,7 @@ func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) 
 				continue // no witness carries a value ⇒ no entrant below any group
 			}
 		}
-		groups := m.count(depth, data, m.st.EValsInto, attr)
+		groups := m.count(depth, m.st.EValsInto(m.scr.keys, data, attr))
 		for i := range groups {
 			if grp := &groups[i]; m.admit(grp, lv, &vals) && !m.boundPrunes(grp, lhs, w, nil, blockEdge, attr) {
 				m.take(depth, grp, true)
@@ -821,6 +823,18 @@ func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPo
 // counting-sort walk.
 func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int, lv *witLevel) {
 	dataBM, idx := m.dataBitmap(depth, data), m.bitmapIndex()
+	if len(rhs) == 0 {
+		// A bitmap root counts no histogram: it intersects for each
+		// homophily effect instead, one AND-count per homophily attribute
+		// of l at a position some witness carries a value at. No RHS below
+		// takes a value at any other position (witness sets only narrow).
+		for pos := 0; pos < maxPos; pos++ {
+			attr := rc.sr[pos]
+			if lval, ok := rc.lhs.Get(attr); ok && m.schema.Node[attr].Homophily && len(lv.at(pos)) > 0 {
+				rc.recordHom(attr, store.AndCount(dataBM, idx.RBitmap(attr, lval)))
+			}
+		}
+	}
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := rc.sr[pos]
@@ -842,16 +856,61 @@ func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descripto
 
 // rctx is the context of one RHS-expansion subtree: the base partition
 // E(l ∧ w) it hangs off, the fixed l and w, the dynamic RHS order for this
-// l, and the memoised homophily-effect supports (Section IV-D: every
-// supp(l -w-> l[β]) a descendant needs is countable from base). The memo is
-// a parallel key/value pair of slices scanned linearly — a subtree sees at
-// most 2^|Hom| distinct β masks, and in practice a handful.
+// l, and the homophily-effect supports (Section IV-D: every
+// supp(l -w-> l[β]) a descendant needs is countable from base).
+//
+// A single-attribute effect supp(l -w-> l[a]) is the size of the group
+// R(a = l[a]) of base, which the subtree's root counts anyway: hom1[a]
+// holds it once hom1Set has bit a. The root counts position p_a before it
+// enters any subtree whose RHS holds a, and records it before planning
+// that position's groups, so every read finds it. Larger β are counted by
+// a scan of base, memoised as a parallel key/value pair of slices scanned
+// linearly — a subtree sees at most 2^|Hom| distinct β masks, and in
+// practice a handful.
+//
+// offs holds base's destination value offsets (store.ROffsetsInto) once
+// offsOK is set: the root gathers each key column and every β scan reads
+// destination values through them.
 type rctx struct {
 	base    []int32
 	lhs, w  gr.Descriptor
 	sr      []int
+	offs    []int32
+	offsOK  bool
+	hom1    []int32
+	hom1Set uint64
 	homKeys []uint64
 	homVals []int
+}
+
+// recordHom records supp(l -w-> l[attr]) = n (see rctx).
+func (rc *rctx) recordHom(attr, n int) {
+	rc.hom1[attr] = int32(n)
+	rc.hom1Set |= 1 << uint(attr)
+}
+
+// recordHomGroup records supp(l -w-> l[attr]) from the root's histogram of
+// attr: the size of the group of lval, or 0 when base has none.
+func (rc *rctx) recordHomGroup(attr int, lval graph.Value, groups []csort.Group) {
+	n := 0
+	for i := range groups {
+		if v := graph.Value(groups[i].Val); v >= lval {
+			if v == lval {
+				n = int(groups[i].N)
+			}
+			break
+		}
+	}
+	rc.recordHom(attr, n)
+}
+
+// destOffsets returns base's destination value offsets, gathering them on
+// the subtree's first request.
+func (m *miner) destOffsets(rc *rctx) []int32 {
+	if !rc.offsOK {
+		rc.offs, rc.offsOK = m.st.ROffsetsInto(rc.offs, rc.base), true
+	}
+	return rc.offs
 }
 
 // enterRight opens an RHS-expansion subtree below the node for (lhs, w).
@@ -860,6 +919,11 @@ type rctx struct {
 func (m *miner) enterRight(base []int32, depth int, lhs, w gr.Descriptor) {
 	rc := &m.scr.rc
 	rc.base, rc.lhs, rc.w = base, lhs, w
+	rc.offsOK = false
+	if rc.hom1 == nil {
+		rc.hom1 = make([]int32, len(m.schema.Node))
+	}
+	rc.hom1Set = 0
 	rc.homKeys = rc.homKeys[:0]
 	rc.homVals = rc.homVals[:0]
 	if m.opt.StaticRHSOrder {
@@ -898,7 +962,10 @@ func (m *miner) rhsOrderInto(lhs gr.Descriptor) []int {
 // The histogram settles most groups: a group's size is its LWR, and LW and
 // the homophily effect come from the base partition. So the plan moves the
 // rows of a group only when the walk will recurse below it (rightRows);
-// every other entered group is scored on its size alone.
+// every other entered group is scored on its size alone. The subtree's root
+// (rhs empty, data the base partition) gathers its key columns through the
+// base's destination offsets, and its histogram of a homophily attribute
+// the LHS constrains is that attribute's single-attribute homophily effect.
 func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int) {
 	if !m.rightExtends(len(rhs), maxPos) {
 		return
@@ -931,7 +998,21 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 		// homL: attr is a homophily attribute the LHS constrains to lval.
 		lval, homL := rc.lhs.Get(attr)
 		homL = homL && m.schema.Node[attr].Homophily
-		groups := m.count(depth, data, m.st.RValsInto, attr)
+		// A subtree root reads its base's destination values at every
+		// position, so it reads them through offsets gathered once. The
+		// walk's own root, over the whole live edge list, reads the RArray
+		// pointers in row order already: offsets would save it little and
+		// cost an |E|-sized buffer per mine.
+		keys := m.scr.keys
+		if len(rhs) == 0 && len(data) < m.totalE {
+			keys = m.st.RValsAtInto(keys, m.destOffsets(rc), attr)
+		} else {
+			keys = m.st.RValsInto(keys, data, attr)
+		}
+		groups := m.count(depth, keys)
+		if len(rhs) == 0 && homL {
+			rc.recordHomGroup(attr, lval, groups)
+		}
 		for i := range groups {
 			grp := &groups[i]
 			if !m.admit(grp, lv, &vals) || m.boundPrunes(grp, rc.lhs, rc.w, rhs, blockRight, attr) {
@@ -1210,12 +1291,19 @@ func (m *miner) betaMask(lhs, rhs gr.Descriptor) uint64 {
 	return betaMaskOf(m.schema, lhs, rhs)
 }
 
-// homEffect returns supp(l -w-> l[β]) for the β encoded by mask, counting
-// within the subtree's base partition E(l ∧ w) and memoising per β. This
-// realises Section IV-D: case 1 (β ⊂ R) and case 2 (β = R) collapse into a
-// single bounded scan because base is exactly the partition whose earlier
-// enumeration the paper's Property 2 relies on.
+// homEffect returns supp(l -w-> l[β]) for the β encoded by mask, counted
+// within the subtree's base partition E(l ∧ w). This realises Section IV-D:
+// case 1 (β ⊂ R) and case 2 (β = R) both read base, the partition whose
+// earlier enumeration the paper's Property 2 relies on. A one-attribute β
+// reads the count its root recorded (see rctx); a larger β is one scan of
+// base, memoised per β.
 func (m *miner) homEffect(rc *rctx, mask uint64) int {
+	if mask&(mask-1) == 0 {
+		if rc.hom1Set&mask == 0 {
+			panic("core: homophily effect read before the RHS root counted it")
+		}
+		return int(rc.hom1[bits.TrailingZeros64(mask)])
+	}
 	for i, k := range rc.homKeys {
 		if k == mask {
 			return rc.homVals[i]
@@ -1236,10 +1324,10 @@ func (m *miner) homEffect(rc *rctx, mask uint64) int {
 	}
 	m.scr.homAttrBuf, m.scr.homWantBuf = attrs, want
 	count := 0
-	for _, e := range rc.base {
+	for _, off := range m.destOffsets(rc) {
 		match := true
 		for i, a := range attrs {
-			if m.st.RVal(e, a) != want[i] {
+			if m.st.RValAt(off, a) != want[i] {
 				match = false
 				break
 			}

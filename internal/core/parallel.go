@@ -1,15 +1,12 @@
 package core
 
 import (
-	"cmp"
-	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"grminer/internal/gr"
 	"grminer/internal/graph"
+	"grminer/internal/sched"
 	"grminer/internal/store"
 	"grminer/internal/topk"
 )
@@ -17,7 +14,7 @@ import (
 // The static mine's fan-out splits the SFDF tree at its first level like
 // every other walk (fanout.go): the root's children, one per (attribute,
 // value) partition of the full edge set across the RIGHT, EDGE and LEFT
-// blocks, become independent tasks that runTasks drains over width workers.
+// blocks, become independent tasks that sched.Run drains over width workers.
 // A worker is a plain sequential miner on its own scratch: it blocks
 // in-worker, keeps a bound-k list and prunes on that list's own floor.
 // Workers share no mutable state; the coordinator merges their lists once,
@@ -99,47 +96,6 @@ type parTask struct {
 	worker, lo, hi int32
 }
 
-// runTasks is the one task runner behind every walk that splits the SFDF
-// tree at its first level: the static mine's fan-out and the engines'
-// capture walks (fanOut). It drains tasks over up to width workers through
-// an atomic index into a largest-partition-first schedule — first-level
-// subtree cost grows with partition size, so starting big tasks early keeps
-// the tail of the run filled with small ones — and runs each task with
-// run(worker, task). Claiming a task is a single atomic add. Worker 0 is
-// the calling goroutine, so a width of 1 (or a single task) starts no
-// goroutine at all. The stable sort keeps the build order for equal sizes;
-// tasks itself is never reordered. order is the caller's schedule scratch,
-// returned for reuse.
-func runTasks(width int, tasks []parTask, order []int32, run func(worker int, t *parTask)) []int32 {
-	order = order[:0]
-	for i := range tasks {
-		order = append(order, int32(i))
-	}
-	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(tasks[b].size, tasks[a].size) })
-	width = min(width, len(tasks))
-	var next atomic.Int64
-	drain := func(w int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(order) {
-				return
-			}
-			run(w, &tasks[order[i]])
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain(w)
-		}()
-	}
-	drain(0)
-	wg.Wait()
-	return order
-}
-
 // walkTask reads t's partition rows off idx into the depth-1 buffer and
 // descends into t's first-level subtree over them. Bitmaps yield rows
 // ascending, the order a stable counting sort of the ascending live edge
@@ -205,8 +161,8 @@ func mineParallel(st *store.Store, opt Options, width int) *Result {
 		miners[i] = newMiner(st, wopt)
 		miners[i].scr.genIdx = idx
 	}
-	runTasks(len(miners), tasks, nil, func(w int, t *parTask) {
-		miners[w].walkTask(t, idx, all, sr)
+	sched.Run(len(miners), len(tasks), func(i int) int { return tasks[i].size }, nil, func(w, i int) {
+		miners[w].walkTask(&tasks[i], idx, all, sr)
 	})
 
 	stats := coord.stats

@@ -2,53 +2,13 @@ package core_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"grminer/internal/baseline"
 	"grminer/internal/core"
-	"grminer/internal/graph"
+	"grminer/internal/dataset"
 	"grminer/internal/metrics"
 )
-
-// planGraph builds a small graph whose RHS can grow to three conditions:
-// two homophily attributes (so β and trivial RHSs occur) and one that is
-// not, plus one edge attribute. Null values occur on every attribute. Half
-// the edges join nodes that share A, so homophily effects are large and an
-// RHS extension that makes β non-empty can raise nhp (Remark 2).
-func planGraph(seed int64) *graph.Graph {
-	r := rand.New(rand.NewSource(seed))
-	schema, err := graph.NewSchema(
-		[]graph.Attribute{
-			{Name: "A", Domain: 3, Homophily: true},
-			{Name: "B", Domain: 2, Homophily: true},
-			{Name: "C", Domain: 3},
-		},
-		[]graph.Attribute{{Name: "W", Domain: 2}},
-	)
-	if err != nil {
-		panic(err)
-	}
-	n := 10 + r.Intn(8)
-	g := graph.MustNew(schema, n)
-	for v := 0; v < n; v++ {
-		if err := g.SetNodeValues(v, graph.Value(r.Intn(4)), graph.Value(r.Intn(3)), graph.Value(r.Intn(4))); err != nil {
-			panic(err)
-		}
-	}
-	for e := 30 + r.Intn(40); e > 0; e-- {
-		src, dst := r.Intn(n), r.Intn(n)
-		if r.Intn(2) == 0 {
-			for try := 0; try < 4*n && g.NodeValue(dst, 0) != g.NodeValue(src, 0); try++ {
-				dst = r.Intn(n)
-			}
-		}
-		if _, err := g.AddEdge(src, dst, graph.Value(r.Intn(3))); err != nil {
-			panic(err)
-		}
-	}
-	return g
-}
 
 // planCase is one metric setting of the RIGHT plan grid.
 type planCase struct {
@@ -90,7 +50,7 @@ func planCases() []planCase {
 // pre-scoring trivial groups would lose it.
 func TestRightPlanMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{0, 1, 2, 3, 4, 5, 25} {
-		g := planGraph(seed)
+		g := dataset.TinyHomophily(seed)
 		for _, c := range planCases() {
 			want, err := baseline.Oracle(g, baseline.OracleOptions{
 				MinSupp: c.opt.MinSupp, MinScore: c.opt.MinScore, K: c.opt.K, Metric: c.opt.Metric,
@@ -115,7 +75,7 @@ func TestRightPlanMatchesOracle(t *testing.T) {
 // after every batch the top-k must equal a fresh mine of the surviving
 // graph.
 func TestRightPlanScopedWithDeletes(t *testing.T) {
-	full := planGraph(7)
+	full := dataset.TinyHomophily(7)
 	for i, c := range planCases() {
 		inc, err := core.NewIncremental(prefixGraph(full, full.NumEdges()), c.opt)
 		if err != nil {

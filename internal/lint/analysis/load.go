@@ -29,6 +29,7 @@ type Package struct {
 	Info       *types.Info
 	IllTyped   bool   // type-checking reported errors
 	TypeErrors string // first few errors, for the driver's warning
+	XTest      bool   // an external (package foo_test) test package
 }
 
 // Loader type-checks packages against compiler export data served by the
@@ -185,6 +186,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", e.ImportPath+"_test", err)
 			}
+			xpkg.XTest = true
 			pkgs = append(pkgs, xpkg)
 		}
 	}

@@ -1,6 +1,11 @@
 package store
 
-import "grminer/internal/graph"
+import (
+	"runtime"
+
+	"grminer/internal/graph"
+	"grminer/internal/sched"
+)
 
 // BitmapIndex is the live-row bitmap index: for each (side, attribute,
 // value), the packed set of live EArray rows carrying the value (null is
@@ -43,51 +48,76 @@ func NewBitmapIndex(s *Store) *BitmapIndex {
 // other value after planning: every condition of an examined GR, and of
 // each of its generalisations, carries at least minSupp live rows.
 //
-// It fills one (side, attribute) column at a time: under a minSupp, a size
-// pass counts each value's live rows first; then one pass over the rows
-// from the highest down allocates each kept bitmap once, on the highest
-// live row carrying its value: at that row's word plus an eighth of
-// headroom for the rows a maintained index gains by appends (Bitmap.grow's
-// rule). O(rows × dims).
+// Each (side, attribute) column is filled independently, so the columns
+// fan out over GOMAXPROCS workers through sched.Run; the index and the cut
+// count do not depend on the width. Under a minSupp, a size pass counts
+// each value's live rows first; then one pass over the rows from the
+// highest down allocates each kept bitmap once, on the highest live row
+// carrying its value: at that row's word plus an eighth of headroom for the
+// rows a maintained index gains by appends (Bitmap.grow's rule). O(rows ×
+// dims) work in all.
 func BuildBitmapIndex(s *Store, minSupp int) (*BitmapIndex, int) {
 	x := newIndex(s)
-	node := s.g.Schema().Node
-	cut := 0
+	type task struct {
+		side byte
+		attr int
+	}
+	var tasks []task
 	for _, side := range []byte("LWR") {
-		table, vals, idx := x.column(side)
-		for attr, bms := range table {
-			var keep []bool // nil keeps every carried value
-			if minSupp > 1 {
-				keep = make([]bool, len(bms))
-				sizes := x.liveSizes(side, attr)
-				var src []int
-				if side == 'R' && node[attr].Homophily {
-					src = x.liveSizes('L', attr)
-				}
-				for v := 1; v < len(sizes); v++ {
-					keep[v] = sizes[v] >= minSupp || src != nil && src[v] >= minSupp
-					if sizes[v] > 0 && !keep[v] {
-						cut++
-					}
-				}
-			}
-			for row := len(s.ePtr) - 1; row >= 0; row-- {
-				i := row
-				if idx != nil {
-					i = int(idx[row])
-				}
-				v := vals[i*len(table)+attr]
-				if v == graph.Null || !s.Alive(int32(row)) || keep != nil && !keep[v] {
-					continue
-				}
-				if bms[v] == nil {
-					bms[v] = Bitmap(nil).grow(row>>6 + 1)
-				}
-				bms[v][row>>6] |= 1 << uint(row&63)
+		table, _, _ := x.column(side)
+		for attr := range table {
+			tasks = append(tasks, task{side, attr})
+		}
+	}
+	cuts := make([]int, len(tasks))
+	sched.Run(runtime.GOMAXPROCS(0), len(tasks), func(int) int { return 0 }, nil, func(_, i int) {
+		cuts[i] = x.fillColumn(tasks[i].side, tasks[i].attr, minSupp)
+	})
+	cut := 0
+	for _, c := range cuts {
+		cut += c
+	}
+	return x, cut
+}
+
+// fillColumn builds every kept bitmap of side's column of attr (see
+// BuildBitmapIndex) and returns the number of carried values it left out.
+// It writes that column's bitmaps only, so columns fill concurrently.
+func (x *BitmapIndex) fillColumn(side byte, attr, minSupp int) int {
+	s := x.s
+	table, vals, idx := x.column(side)
+	bms := table[attr]
+	cut := 0
+	var keep []bool // nil keeps every carried value
+	if minSupp > 1 {
+		keep = make([]bool, len(bms))
+		sizes := x.liveSizes(side, attr)
+		var src []int
+		if side == 'R' && s.g.Schema().Node[attr].Homophily {
+			src = x.liveSizes('L', attr)
+		}
+		for v := 1; v < len(sizes); v++ {
+			keep[v] = sizes[v] >= minSupp || src != nil && src[v] >= minSupp
+			if sizes[v] > 0 && !keep[v] {
+				cut++
 			}
 		}
 	}
-	return x, cut
+	for row := len(s.ePtr) - 1; row >= 0; row-- {
+		i := row
+		if idx != nil {
+			i = int(idx[row])
+		}
+		v := vals[i*len(table)+attr]
+		if v == graph.Null || !s.Alive(int32(row)) || keep != nil && !keep[v] {
+			continue
+		}
+		if bms[v] == nil {
+			bms[v] = Bitmap(nil).grow(row>>6 + 1)
+		}
+		bms[v][row>>6] |= 1 << uint(row&63)
+	}
+	return cut
 }
 
 // liveSizes counts, per value, the live rows carrying it in side's column

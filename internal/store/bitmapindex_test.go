@@ -2,6 +2,8 @@ package store
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"grminer/internal/graph"
@@ -143,34 +145,8 @@ func TestBitmapIndexMatchesPostings(t *testing.T) {
 // it is a value of the homophily attribute A on the destination side that
 // at least minSupp live rows carry as a source.
 func TestBuildBitmapIndexSizing(t *testing.T) {
-	schema := dynSchema(t)
-	r := rand.New(rand.NewSource(3))
-	const n = 40
-	g := graph.MustNew(schema, n)
-	for v := 0; v < n; v++ {
-		// B draws 0..3 of its domain of 4, so B's value 4 is never carried.
-		if err := g.SetNodeValues(v, graph.Value(r.Intn(4)), graph.Value(r.Intn(4))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 700; i++ {
-		if _, err := g.AddEdge(r.Intn(n), r.Intn(n), graph.Value(r.Intn(3))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := Build(g)
-	doomed := s.AllEdges()[600:]
-	for _, row := range doomed {
-		if err := g.RemoveEdge(int(s.EdgeID(row))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.RemoveEdges(doomed); err != nil {
-		t.Fatal(err)
-	}
-	if s.NumRows() != 700 {
-		t.Fatalf("removals compacted the store to %d rows", s.NumRows())
-	}
+	s := tombstonedIndexStore(t)
+	schema := s.Graph().Schema()
 	for _, minSupp := range []int{1, 60} {
 		x, cut := BuildBitmapIndex(s, minSupp)
 		sides := []struct {
@@ -226,4 +202,85 @@ func TestBuildBitmapIndexSizing(t *testing.T) {
 			t.Fatal("the bitmap of a value no node carries was built")
 		}
 	}
+}
+
+// TestBuildBitmapIndexWidthInvariant: the columns of a complete index fill
+// concurrently, so the bitmaps (lengths and capacities included) and the
+// cut count must not depend on how many workers built them.
+func TestBuildBitmapIndexWidthInvariant(t *testing.T) {
+	s := tombstonedIndexStore(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, minSupp := range []int{1, 60} {
+		runtime.GOMAXPROCS(1)
+		want, wantCut := BuildBitmapIndex(s, minSupp)
+		for _, width := range []int{2, 4} {
+			runtime.GOMAXPROCS(width)
+			got, cut := BuildBitmapIndex(s, minSupp)
+			if cut != wantCut {
+				t.Fatalf("minSupp %d width %d: cut %d, width 1 cut %d", minSupp, width, cut, wantCut)
+			}
+			for _, side := range []byte("LWR") {
+				a, _, _ := want.column(side)
+				b, _, _ := got.column(side)
+				if !sameBitmaps(a, b) {
+					t.Fatalf("minSupp %d width %d: side %c differs from width 1", minSupp, width, side)
+				}
+			}
+		}
+	}
+}
+
+// sameBitmaps reports whether two bitmap tables hold the same bitmaps with
+// the same lengths and capacities, nil where the other is nil.
+func sameBitmaps(a, b [][]Bitmap) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for v := range a[i] {
+			x, y := a[i][v], b[i][v]
+			if (x == nil) != (y == nil) || cap(x) != cap(y) || !slices.Equal(x, y) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// tombstonedIndexStore is the index tests' fixture: 700 rows over 40 nodes
+// of dynSchema, the last 100 tombstoned but not compacted away. B draws
+// 0..3 of its domain of 4, so B's value 4 is never carried.
+func tombstonedIndexStore(t *testing.T) *Store {
+	t.Helper()
+	schema := dynSchema(t)
+	r := rand.New(rand.NewSource(3))
+	const n = 40
+	g := graph.MustNew(schema, n)
+	for v := 0; v < n; v++ {
+		if err := g.SetNodeValues(v, graph.Value(r.Intn(4)), graph.Value(r.Intn(4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 700; i++ {
+		if _, err := g.AddEdge(r.Intn(n), r.Intn(n), graph.Value(r.Intn(3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := Build(g)
+	doomed := s.AllEdges()[600:]
+	for _, row := range doomed {
+		if err := g.RemoveEdge(int(s.EdgeID(row))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RemoveEdges(doomed); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumRows() != 700 {
+		t.Fatalf("removals compacted the store to %d rows", s.NumRows())
+	}
+	return s
 }

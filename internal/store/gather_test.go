@@ -1,6 +1,12 @@
 package store
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"grminer/internal/graph"
+)
 
 // TestValsIntoMatchAccessors pins the batch key gathers against the per-row
 // accessors on every store shape the miner partitions: one carrying
@@ -70,4 +76,61 @@ func TestValsIntoMatchAccessors(t *testing.T) {
 		t.Fatalf("removal did not compact: %d rows before, %d after", before, s.NumRows())
 	}
 	check("compacted", s)
+}
+
+// TestOffsetGatherMatchesRValsInto is a property test of the destination
+// offset gather: over random row subsets (any order, repeats allowed) of a
+// store with tombstoned rows and a tail appended after the build, and of a
+// full store grown by Append, gathering ROffsetsInto once and reading each
+// column with RValsAtInto must give RValsInto's column, and RValAt must give
+// RVal, for every node attribute.
+func TestOffsetGatherMatchesRValsInto(t *testing.T) {
+	_, churned := churnedStore(t)
+	rng := rand.New(rand.NewSource(11))
+	g := graph.MustNew(dynSchema(t), 12)
+	for v := 0; v < 12; v++ {
+		if err := g.SetNodeValues(v, graph.Value(v%4), graph.Value(1+v%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addEdges := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := g.AddEdge(rng.Intn(12), rng.Intn(12), graph.Value(1+i%2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	addEdges(30)
+	grown := Build(g)
+	addEdges(25)
+	if rows := grown.Append(); len(rows) != 25 {
+		t.Fatalf("Append ingested %d rows, want 25", len(rows))
+	}
+	for _, s := range []*Store{churned, grown} {
+		nv := len(s.Graph().Schema().Node)
+		var offs []int32
+		var col, want []uint16
+		for trial := 0; trial < 200; trial++ {
+			rows := make([]int32, rng.Intn(s.NumRows()+1))
+			for i := range rows {
+				rows[i] = int32(rng.Intn(s.NumRows()))
+			}
+			offs = s.ROffsetsInto(offs, rows)
+			if len(offs) != len(rows) {
+				t.Fatalf("ROffsetsInto returned %d offsets for %d rows", len(offs), len(rows))
+			}
+			for a := 0; a < nv; a++ {
+				col = s.RValsAtInto(col, offs, a)
+				want = s.RValsInto(want, rows, a)
+				if !slices.Equal(col, want) {
+					t.Fatalf("trial %d attr %d: RValsAtInto %v, RValsInto %v", trial, a, col, want)
+				}
+				for i, e := range rows {
+					if s.RValAt(offs[i], a) != s.RVal(e, a) {
+						t.Fatalf("trial %d attr %d row %d: RValAt %d, RVal %d", trial, a, e, s.RValAt(offs[i], a), s.RVal(e, a))
+					}
+				}
+			}
+		}
+	}
 }

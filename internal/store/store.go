@@ -9,6 +9,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 
 	"grminer/internal/graph"
 	"grminer/internal/intern"
@@ -428,6 +429,44 @@ func (s *Store) RValsInto(dst []uint16, rows []int32, attr int) []uint16 {
 	}
 	return dst
 }
+
+// ROffsetsInto gathers, for each of rows, the offset of its destination
+// node's values in the RArray value table: RVal(rows[i], attr) is
+// RValAt(dst[i], attr) for every node attribute. A caller that reads many
+// destination columns of one row set gathers the offsets once and reads
+// each column with RValsAtInto, instead of reloading every row's RArray
+// row per column. Offsets stay valid until the store is next mutated. It
+// reuses dst's storage when large enough and returns the filled slice,
+// len(rows) long.
+func (s *Store) ROffsetsInto(dst []int32, rows []int32) []int32 {
+	if len(s.rVals) > math.MaxInt32 {
+		panic("store: RArray value table too large for int32 offsets")
+	}
+	if cap(dst) < len(rows) {
+		dst = make([]int32, len(rows))
+	}
+	dst = dst[:len(rows)]
+	nv := int32(len(s.g.Schema().Node))
+	for i, e := range rows {
+		dst[i] = s.ePtr[e] * nv
+	}
+	return dst
+}
+
+// RValsAtInto is RValsInto over offsets from ROffsetsInto: dst[i] =
+// RValAt(offs[i], attr).
+func (s *Store) RValsAtInto(dst []uint16, offs []int32, attr int) []uint16 {
+	dst = column(dst, len(offs))
+	vals := s.rVals
+	for i, off := range offs {
+		dst[i] = uint16(vals[int(off)+attr])
+	}
+	return dst
+}
+
+// RValAt returns the value of node attribute attr at an offset from
+// ROffsetsInto.
+func (s *Store) RValAt(off int32, attr int) graph.Value { return s.rVals[int(off)+attr] }
 
 // column returns dst resized to n, reallocating only when it is too small.
 func column(dst []uint16, n int) []uint16 {
