@@ -152,6 +152,16 @@ type IncStats struct {
 	UnderflowRemines int
 	// Duration is the wall-clock ApplyBatch time.
 	Duration time.Duration
+	// The phase times of a sharded batch (IncrementalSharded; zero on the
+	// single-store engine), which sum to at most Duration: RouteTime
+	// validates the batch, applies it to the graph and splits it by shard;
+	// IngestTime waits for the slowest worker's ingest reply; ApplyTime
+	// applies the replies' deltas to the union pool; BoundTime is the
+	// merge's round-2 bound pass, which also scores every entry all shards
+	// track; FetchTime waits for the round-2 exact counts; RankTime scores
+	// the fetched entries and ranks the survivors.
+	RouteTime, IngestTime, ApplyTime time.Duration
+	BoundTime, FetchTime, RankTime   time.Duration
 }
 
 // add accumulates b into s.
@@ -168,6 +178,12 @@ func (s *IncStats) add(b IncStats) {
 	s.Spilled += b.Spilled
 	s.UnderflowRemines += b.UnderflowRemines
 	s.Duration += b.Duration
+	s.RouteTime += b.RouteTime
+	s.IngestTime += b.IngestTime
+	s.ApplyTime += b.ApplyTime
+	s.BoundTime += b.BoundTime
+	s.FetchTime += b.FetchTime
+	s.RankTime += b.RankTime
 }
 
 // Incremental maintains the top-k GRs of a growing network. It owns the

@@ -140,80 +140,251 @@ func (p ShardPlan) String() string {
 	return b.String()
 }
 
-// shardCand is one union-pool entry: a GR with its per-shard counts. have
-// marks shards whose counts are known (offered, or delta-reported by a
-// worker's Ingest); the merge fetches the rest through the worker interface
-// without writing them back — a shard that never offered an entry may grow
-// its count later, so only worker-reported counts are durable. slot is the
-// entry's index in its unionTable while it is live, −1 once it has left.
-type shardCand struct {
-	gr   gr.GR
-	per  []metrics.Counts
-	have []bool
-	slot int
-}
-
 // unionTable is the coordinator's union pool: every GR some shard offered
-// or tracks, in a dense slot table the merge walks in place. An entry takes
-// the next slot when it first enters and gives it up by swap-remove when
-// the last shard drops it, so the slot order — and with it the round-2
-// request order — depends only on the sequence of offers and deltas. The
-// key map is consulted only when an entry enters or leaves; the merge
-// itself never computes a key.
+// or tracks, held in slot-indexed columns the merge scans in place. An
+// entry takes the next slot when it first enters and gives it up by
+// swap-remove when the last shard drops it, so the slot order — and with it
+// the round-2 request order — depends only on the sequence of offers and
+// deltas. The key map is consulted only when an entry enters or leaves; the
+// merge itself never computes a key.
+//
+// A slot's columns are its GR, its key, a shard-membership bitset (have:
+// shard s's counts are known — offered, or delta-reported by a worker's
+// Ingest) and, per shard, the counts the metric reads. E is not kept per
+// entry: a shard's E is its edge count, held once in ShardPlan.Edges, and
+// the merge reads only the global one. The merge fetches unknown counts
+// through the worker interface without writing them back — a shard that
+// never offered an entry may grow its count later, so only
+// worker-reported counts are durable.
+//
+// The round-2 bound caps an untracking shard's share of a slot's support
+// by its sketch (see shardMerge.run); capUntil caches that cap across
+// batches (see sketchCap), and routed counts the edges routed to each shard
+// since the table was built.
+//
+// The sharded incremental engine also names entries by the workers' pool
+// handles: handle[s][slot] is the handle shard s's worker gives the slot's
+// GR and mirror[s] maps it back to the slot, so a swap-remove re-points the
+// moved entry's mirror entries. The static mine enters offers without
+// handles.
 type unionTable struct {
 	shards int
-	slots  []*shardCand
-	byKey  map[string]*shardCand
+	words  int // bitset words per slot
+	grs    []gr.GR
+	keys   []string // keys[slot] = grs[slot].Key(), shared with byKey
+	have   []uint64 // slot's shard bitset at have[slot*words:][:words]
+	all    []uint64 // the bitset of a slot every shard tracks
+	// lwr[s][slot], lw, hom and r are shard s's counts for the slot, zero
+	// where have says the shard does not track it. hom and r are nil
+	// unless the metric reads them.
+	lwr, lw, hom, r [][]int32
+	handle          [][]int32 // handle[s][slot]: shard s's handle, −1 for none
+	mirror          []handleTable
+	byKey           map[string]int32
+	capUntil        [][]int64
+	routed          []int64
 }
 
-func newUnionTable(shards int) *unionTable {
-	return &unionTable{shards: shards, byKey: make(map[string]*shardCand)}
+// handleTable maps one worker's pool handles (dense interned GR ids) to
+// union slots: cand[h] is the slot handle h names, −1 where the shard does
+// not track one. seen stamps the handles of the reply being applied, to
+// refuse a repeat.
+type handleTable struct {
+	cand  []int32
+	seen  []uint32
+	stamp uint32
+}
+
+func newUnionTable(shards int, m metrics.Metric) *unionTable {
+	t := &unionTable{
+		shards:   shards,
+		words:    (shards + 63) / 64,
+		lwr:      make([][]int32, shards),
+		lw:       make([][]int32, shards),
+		handle:   make([][]int32, shards),
+		mirror:   make([]handleTable, shards),
+		byKey:    make(map[string]int32),
+		capUntil: make([][]int64, shards),
+		routed:   make([]int64, shards),
+	}
+	t.all = make([]uint64, t.words)
+	for s := range shards {
+		t.all[s>>6] |= 1 << (s & 63)
+	}
+	if m.NeedsHom {
+		t.hom = make([][]int32, shards)
+	}
+	if m.NeedsR {
+		t.r = make([][]int32, shards)
+	}
+	return t
+}
+
+// len returns the number of live entries.
+func (t *unionTable) len() int { return len(t.grs) }
+
+// has reports whether shard s's counts for slot are known.
+func (t *unionTable) has(slot int32, s int) bool {
+	return t.have[int(slot)*t.words+s>>6]&(1<<(s&63)) != 0
 }
 
 // enter records that shard s tracks g, creating g's entry on first sight,
-// and returns the entry; the caller fills per[s]. g is untrusted worker
-// output: a GR that is malformed for the schema, or that shard s already
-// tracks, is an error and leaves the table unchanged.
-func (t *unionTable) enter(schema *graph.Schema, g gr.GR, s int) (*shardCand, error) {
+// and returns its slot; the caller then sets the shard's counts. A handle
+// h ≥ 0 binds the slot to shard s's handle h, for which mirror[s] must
+// already have room. g is untrusted worker output: a GR that is malformed
+// for the schema, or that shard s already tracks, is an error and leaves
+// the table unchanged.
+func (t *unionTable) enter(schema *graph.Schema, g gr.GR, s int, h int32) (int32, error) {
 	if err := validGR(schema, g); err != nil {
-		return nil, err
+		return -1, err
 	}
 	key := g.Key()
-	u := t.byKey[key]
-	if u == nil {
-		u = &shardCand{
-			gr:   g,
-			per:  make([]metrics.Counts, t.shards),
-			have: make([]bool, t.shards),
-			slot: len(t.slots),
+	slot, ok := t.byKey[key]
+	if !ok {
+		slot = int32(len(t.grs))
+		t.byKey[key] = slot
+		t.grs = append(t.grs, g)
+		t.keys = append(t.keys, key)
+		for range t.words {
+			t.have = append(t.have, 0)
 		}
-		t.byKey[key] = u
-		t.slots = append(t.slots, u)
-	} else if u.have[s] {
-		return nil, fmt.Errorf("GR %v already tracked by shard %d", g, s)
+		for i := range t.shards {
+			t.lwr[i] = append(t.lwr[i], 0)
+			t.lw[i] = append(t.lw[i], 0)
+			if t.hom != nil {
+				t.hom[i] = append(t.hom[i], 0)
+			}
+			if t.r != nil {
+				t.r[i] = append(t.r[i], 0)
+			}
+			t.handle[i] = append(t.handle[i], -1)
+			t.capUntil[i] = append(t.capUntil[i], -1)
+		}
+	} else if t.has(slot, s) {
+		return -1, fmt.Errorf("GR %v already tracked by shard %d", g, s)
 	}
-	u.have[s] = true
-	return u, nil
+	t.have[int(slot)*t.words+s>>6] |= 1 << (s & 63)
+	if h >= 0 {
+		t.handle[s][slot] = h
+		t.mirror[s].cand[h] = slot
+	}
+	return slot, nil
 }
 
-// drop forgets shard s's counts for u and frees u's slot once no shard
-// tracks it: the last slot's entry moves into the hole.
-func (t *unionTable) drop(u *shardCand, s int) {
-	u.per[s] = metrics.Counts{}
-	u.have[s] = false
-	for _, h := range u.have {
-		if h {
+// set writes shard s's counts for slot into the columns the metric reads.
+func (t *unionTable) set(slot int32, s int, c metrics.Counts) {
+	t.lwr[s][slot] = int32(c.LWR)
+	t.lw[s][slot] = int32(c.LW)
+	if t.hom != nil {
+		t.hom[s][slot] = int32(c.Hom)
+	}
+	if t.r != nil {
+		t.r[s][slot] = int32(c.R)
+	}
+}
+
+// drop forgets that shard s tracks slot, unbinding its handle, and frees
+// the slot once no shard tracks it: the last slot's entry moves into the
+// hole, and every shard's mirror of the moved entry follows it.
+func (t *unionTable) drop(slot int32, s int) {
+	base := int(slot) * t.words
+	t.have[base+s>>6] &^= 1 << (s & 63)
+	t.set(slot, s, metrics.Counts{})
+	if h := t.handle[s][slot]; h >= 0 {
+		t.mirror[s].cand[h] = -1
+		t.handle[s][slot] = -1
+	}
+	for _, w := range t.have[base : base+t.words] {
+		if w != 0 {
 			return
 		}
 	}
-	delete(t.byKey, u.gr.Key())
-	last := len(t.slots) - 1
-	moved := t.slots[last]
-	t.slots[u.slot] = moved
-	moved.slot = u.slot
-	t.slots[last] = nil
-	t.slots = t.slots[:last]
-	u.slot = -1
+	delete(t.byKey, t.keys[slot])
+	last := int32(len(t.grs) - 1)
+	if slot != last {
+		t.grs[slot], t.keys[slot] = t.grs[last], t.keys[last]
+		t.byKey[t.keys[slot]] = slot
+		copy(t.have[base:base+t.words], t.have[int(last)*t.words:])
+		for i := range t.shards {
+			t.lwr[i][slot], t.lw[i][slot] = t.lwr[i][last], t.lw[i][last]
+			if t.hom != nil {
+				t.hom[i][slot] = t.hom[i][last]
+			}
+			if t.r != nil {
+				t.r[i][slot] = t.r[i][last]
+			}
+			t.capUntil[i][slot] = t.capUntil[i][last]
+			h := t.handle[i][last]
+			t.handle[i][slot] = h
+			if h >= 0 {
+				t.mirror[i].cand[h] = slot
+			}
+		}
+	}
+	t.grs[last], t.keys[last] = gr.GR{}, ""
+	t.grs, t.keys = t.grs[:last], t.keys[:last]
+	t.have = t.have[:int(last)*t.words]
+	for i := range t.shards {
+		t.lwr[i], t.lw[i] = t.lwr[i][:last], t.lw[i][:last]
+		if t.hom != nil {
+			t.hom[i] = t.hom[i][:last]
+		}
+		if t.r != nil {
+			t.r[i] = t.r[i][:last]
+		}
+		t.handle[i] = t.handle[i][:last]
+		t.capUntil[i] = t.capUntil[i][:last]
+	}
+}
+
+// sketchCap returns min(limit, sk.minSingle(g)) for the GR in slot, where
+// sk is shard s's sketch and limit is shardMinSupp−1 on every call: the
+// most of the GR's support the shard can hold when it does not track the
+// GR. An edge routed to the shard moves each sketch count by at most one,
+// so a minimum m ≥ limit read after r routed edges stays at or above limit
+// until r+m−limit have been routed. Until then the cap is limit, and
+// capUntil[s][slot] saves reading the GR and the sketch.
+func (t *unionTable) sketchCap(s int, slot int32, sk *ShardSketch, limit int) int {
+	until := &t.capUntil[s][slot]
+	if t.routed[s] <= *until {
+		return limit
+	}
+	m := sk.minSingle(t.grs[slot])
+	if m < limit {
+		*until = -1
+		return m
+	}
+	*until = t.routed[s] + int64(m-limit)
+	return limit
+}
+
+// known sums the LWR, LW, Hom and R counts of every shard that tracks
+// slot; a shard that does not track the slot holds zero counts. The sums
+// come back as four ints, not a metrics.Counts: the compiler keeps a
+// five-field struct in memory, and summing into one stalled on every
+// store-to-load in the merge's loops.
+func (t *unionTable) known(slot int32) (lwr, lw, hom, r int) {
+	for s := range t.shards {
+		lwr += int(t.lwr[s][slot])
+		lw += int(t.lw[s][slot])
+	}
+	for _, col := range t.hom {
+		hom += int(col[slot])
+	}
+	for _, col := range t.r {
+		r += int(col[slot])
+	}
+	return lwr, lw, hom, r
+}
+
+// tracked reports whether every shard tracks slot.
+func (t *unionTable) tracked(slot int32) bool {
+	for w, word := range t.have[int(slot)*t.words:][:t.words] {
+		if word != t.all[w] {
+			return false
+		}
+	}
+	return true
 }
 
 // ShardCoordinator owns a sharded mining run: the plan, the per-shard
@@ -406,18 +577,19 @@ func (sc *ShardCoordinator) Mine() (*Result, error) {
 		addStats(&stats, &shardStats[i])
 	}
 
-	pool := newUnionTable(len(sc.workers))
+	pool := newUnionTable(len(sc.workers), sc.opt.Metric)
 	for i, offers := range pools {
 		for j, cand := range offers {
-			u, err := pool.enter(sc.schema, cand.GR, i)
+			slot, err := pool.enter(sc.schema, cand.GR, i, -1)
 			if err != nil {
 				return nil, fmt.Errorf("core: shard %d offer %d: %w", i, j, err)
 			}
-			u.per[i] = cand.Counts
+			pool.set(slot, i, cand.Counts)
 		}
 	}
 
-	topList, err := mergeShardPool(sc.opt, sc.plan.ShardMinSupp, sc.totalEdges, sc.workers, sc.sketches, pool, sc.schema, &stats)
+	var merge shardMerge
+	topList, err := merge.run(sc.opt, sc.plan.ShardMinSupp, sc.totalEdges, sc.workers, sc.sketches, pool, sc.schema, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -425,18 +597,29 @@ func (sc *ShardCoordinator) Mine() (*Result, error) {
 	return &Result{TopK: topList, Stats: stats, Options: sc.opt, TotalEdges: sc.totalEdges}, nil
 }
 
-// mergeItem is one merge survivor: the union-pool entry plus, when some
-// shard's counts are unknown, the offset of its n per-shard fetch indexes
-// in the merge's fetch column (−1 when every shard's counts are known).
-// Fetched counts live beside the pool, never in it.
-type mergeItem struct {
-	u     *shardCand
-	fetch int32
+// shardMerge is the coordinator merge with its scratch: the sharded
+// incremental engine keeps one and reuses every slice and the blocker map
+// across batches. items lists the slots waiting for round-2 counts; the
+// k-th one's per-shard indexes into the fetched counts are
+// fetch[k*n:(k+1)*n] for n shards, −1 where none was fetched. Fetched
+// counts live beside the pool, never in it. After run, bound, fetchTime
+// and rank hold the times of its three phases.
+type shardMerge struct {
+	items     []int32
+	caps      []int
+	needs     [][]gr.GR
+	fetch     []int32
+	fetched   [][]metrics.Counts
+	fetchErrs []error
+	survivors []gr.Scored
+	bm        *blockerMap
+
+	bound, fetchTime, rank time.Duration
 }
 
-// mergeShardPool re-scores every pool candidate from its summed per-shard
-// counts and applies Definition 5 conditions (1)-(3) globally. It is shared
-// by the batch coordinator and the sharded incremental engine.
+// run re-scores every pool candidate from its summed per-shard counts and
+// applies Definition 5 conditions (1)-(3) globally. It is shared by the
+// batch coordinator and the sharded incremental engine.
 //
 // Round-2 bounding: a shard that did not offer a candidate holds at most
 // t−1 = shardMinSupp−1 of its support (the offer round enumerates every GR
@@ -448,58 +631,87 @@ type mergeItem struct {
 // counts are fetched in one batched Counts call per worker. Stats records
 // the (candidate, shard) fetch volume (ExactCountRequests).
 //
-// Survivors are re-scored in one sequential loop and handed, with a fresh
+// A candidate every shard tracks is scored in the bound pass; the rest
+// are scored once their counts arrive. Survivors go, with the reset
 // blocker map, to rankCandidates, which applies conditions (2) and (3).
-// The pool is walked in slot order, and the result does not depend on it:
+// The pool is scanned in slot order, and the result does not depend on it:
 // rankCandidates orders by generality level and gr.Less breaks every rank
 // tie by key. Each shard's round-2 request lists its GRs in slot order,
 // which the sequence of offers and deltas fixes, so the requests are
 // deterministic too.
-func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWorker, sketches []ShardSketch, pool *unionTable, schema *graph.Schema, stats *Stats) ([]gr.Scored, error) {
+func (mg *shardMerge) run(opt Options, shardMinSupp, totalEdges int, workers []ShardWorker, sketches []ShardSketch, pool *unionTable, schema *graph.Schema, stats *Stats) ([]gr.Scored, error) {
+	// Candidates keeps its documented meaning — GRs meeting both *global*
+	// thresholds — so it is overwritten rather than added to the
+	// offer-round counters (work done at the relaxed shard thresholds), as
+	// the single-store assemble does.
+	survivors := mg.survivors[:0]
+	consider := func(slot int32, lwr, lw, hom, r int) {
+		c := metrics.Counts{LWR: lwr, LW: lw, Hom: hom, R: r, E: totalEdges}
+		score := opt.Metric.Score(c)
+		if lwr >= opt.MinSupp && score >= opt.MinScore {
+			survivors = append(survivors, gr.Scored{GR: pool.grs[slot], Supp: lwr, Score: score, Conf: metrics.Conf(c)})
+		}
+	}
+
 	// Round-2 bound pass: pure arithmetic over known counts and sketches.
+	t0 := time.Now()
 	n := len(workers)
-	items := make([]mergeItem, 0, len(pool.slots))
-	needs := make([][]gr.GR, n)
-	var fetch []int32
-	for _, u := range pool.slots {
-		bound, unknown := 0, 0
+	if len(mg.needs) != n {
+		mg.caps = make([]int, n)
+		mg.needs = make([][]gr.GR, n)
+		mg.fetched = make([][]metrics.Counts, n)
+		mg.fetchErrs = make([]error, n)
+	}
+	caps, needs := mg.caps, mg.needs
+	for s := range needs {
+		needs[s] = needs[s][:0]
+	}
+	items, fetch := mg.items[:0], mg.fetch[:0]
+	words := pool.words
+	for slot := range int32(pool.len()) {
+		if pool.tracked(slot) {
+			if lwr, lw, hom, r := pool.known(slot); lwr >= opt.MinSupp {
+				consider(slot, lwr, lw, hom, r)
+			}
+			continue
+		}
+		bound := 0
+		have := pool.have[int(slot)*words:][:words]
 		for s := 0; s < n; s++ {
-			if u.have[s] {
-				bound += u.per[s].LWR
-				continue
+			bound += int(pool.lwr[s][slot])
+			if have[s>>6]&(1<<(s&63)) == 0 {
+				caps[s] = pool.sketchCap(s, slot, &sketches[s], shardMinSupp-1)
+				bound += caps[s]
 			}
-			unknown++
-			slack := shardMinSupp - 1
-			if ms := sketches[s].minSingle(u.gr); ms < slack {
-				slack = ms
-			}
-			bound += slack
 		}
 		if bound < opt.MinSupp {
 			continue // cannot satisfy condition (1); skip the verify round
 		}
-		it := mergeItem{u: u, fetch: -1}
-		if unknown > 0 {
-			it.fetch = int32(len(fetch))
-			for s := 0; s < n; s++ {
-				// A shard whose sketch proves it cannot contribute to any
-				// count the metric reads is taken as zero without a fetch
-				// (fetch index stays -1).
-				f := int32(-1)
-				if !u.have[s] && sketches[s].contributes(opt.Metric, u.gr) {
-					f = int32(len(needs[s]))
-					needs[s] = append(needs[s], u.gr)
-					stats.ExactCountRequests++
-				}
-				fetch = append(fetch, f)
+		g := &pool.grs[slot]
+		items = append(items, slot)
+		for s := 0; s < n; s++ {
+			// A shard whose sketch proves it cannot contribute to any
+			// count the metric reads is taken as zero without a fetch
+			// (fetch index stays -1). A positive cap already proves every
+			// condition's singleton count positive, so only a zero cap
+			// asks the sketch.
+			f := int32(-1)
+			if have[s>>6]&(1<<(s&63)) == 0 && (caps[s] > 0 || sketches[s].contributes(opt.Metric, *g)) {
+				f = int32(len(needs[s]))
+				needs[s] = append(needs[s], *g)
+				stats.ExactCountRequests++
 			}
+			fetch = append(fetch, f)
 		}
-		items = append(items, it)
 	}
+	mg.items, mg.fetch = items, fetch
+	t1 := time.Now()
+	mg.bound = t1.Sub(t0)
 
 	// Round-2 fetch pass: one batched exact-count query per worker.
-	fetched := make([][]metrics.Counts, n)
-	fetchErrs := make([]error, n)
+	fetched, fetchErrs := mg.fetched, mg.fetchErrs
+	clear(fetched)
+	clear(fetchErrs)
 	var fwg sync.WaitGroup
 	for s := 0; s < n; s++ {
 		if len(needs[s]) == 0 {
@@ -512,6 +724,8 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 		}(s)
 	}
 	fwg.Wait()
+	t2 := time.Now()
+	mg.fetchTime = t2.Sub(t1)
 	for s, err := range fetchErrs {
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d exact counts: %w", s, err)
@@ -521,35 +735,29 @@ func mergeShardPool(opt Options, shardMinSupp, totalEdges int, workers []ShardWo
 		}
 	}
 
-	// Re-score from the summed counts. Candidates keeps its documented
-	// meaning — GRs meeting both *global* thresholds — so it is overwritten
-	// rather than added to the offer-round counters (work done at the
-	// relaxed shard thresholds), as the single-store assemble does.
-	var survivors []gr.Scored
-	for _, it := range items {
-		var c metrics.Counts
-		for s := 0; s < n; s++ {
-			per := it.u.per[s]
-			if !it.u.have[s] {
-				f := fetch[it.fetch+int32(s)]
-				if f < 0 {
-					continue // provably zero contribution, never fetched
-				}
-				per = fetched[s][f]
+	// Re-score the rest from the known plus the fetched counts.
+	for k, slot := range items {
+		lwr, lw, hom, r := pool.known(slot)
+		for s, f := range fetch[k*n : (k+1)*n] {
+			if f < 0 {
+				continue // tracked, or provably zero and never fetched
 			}
-			c.LWR += per.LWR
-			c.LW += per.LW
-			c.Hom += per.Hom
-			c.R += per.R
+			per := &fetched[s][f]
+			lwr += per.LWR
+			lw += per.LW
+			hom += per.Hom
+			r += per.R
 		}
-		c.E = totalEdges
-		score := opt.Metric.Score(c)
-		if c.LWR < opt.MinSupp || !(score >= opt.MinScore) {
-			continue
-		}
-		survivors = append(survivors, gr.Scored{GR: it.u.gr, Supp: c.LWR, Score: score, Conf: metrics.Conf(c)})
+		consider(slot, lwr, lw, hom, r)
 	}
+	mg.survivors = survivors
+	clear(fetched) // the workers' replies are not scratch; let them go
 	stats.Candidates = int64(len(survivors))
-	bm := newBlockerMap(intern.NewDict(intern.NewLayout(schema)))
-	return rankCandidates(survivors, opt.K, !opt.NoGeneralityFilter, bm, stats), nil
+	if mg.bm == nil {
+		mg.bm = newBlockerMap(intern.NewDict(intern.NewLayout(schema)))
+	}
+	mg.bm.reset()
+	top := rankCandidates(survivors, opt.K, !opt.NoGeneralityFilter, mg.bm, stats)
+	mg.rank = time.Since(t2)
+	return top, nil
 }

@@ -63,13 +63,13 @@ type IncrementalSharded struct {
 	sketches []ShardSketch
 	// pool is the maintained union of the per-shard relaxed pools: exact
 	// per-shard counts for every GR some shard's support qualifies,
-	// assembled purely from worker offers and ingest deltas.
+	// assembled purely from worker offers and ingest deltas. Its handle
+	// mirrors let a delta apply by handle without re-keying its GR.
 	pool *unionTable
-	// mirror[s] maps shard s's pool handles to their union entries, so a
-	// delta applies by handle without re-keying its GR.
-	mirror []handleTable
-	last   *Result
-	cum    IncStats
+	// merge is the coordinator merge and its scratch, reused every batch.
+	merge shardMerge
+	last  *Result
+	cum   IncStats
 	// broken poisons the engine after a failure past the point of no
 	// return: once the owned graph has grown, a worker that failed to
 	// ingest (a dropped remote connection, a restarted daemon) holds less
@@ -104,8 +104,7 @@ func NewIncrementalShardedFrom(g *graph.Graph, opt Options, so ShardOptions, bui
 		plan:     plan,
 		workers:  workers,
 		sketches: sketches,
-		pool:     newUnionTable(len(workers)),
-		mirror:   make([]handleTable, len(workers)),
+		pool:     newUnionTable(len(workers), opt.Metric),
 	}
 
 	start := time.Now()
@@ -124,12 +123,12 @@ func NewIncrementalShardedFrom(g *graph.Graph, opt Options, so ShardOptions, bui
 			return nil, fmt.Errorf("core: shard %d seed: %w", i, err)
 		}
 	}
-	inc.last, err = inc.assemble(&stats, time.Since(start))
+	inc.last, err = inc.assemble(&stats, start)
 	if err != nil {
 		inc.Close()
 		return nil, err
 	}
-	inc.cum.Tracked = len(inc.pool.slots)
+	inc.cum.Tracked = inc.pool.len()
 	return inc, nil
 }
 
@@ -196,6 +195,7 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		// The coordinator routes every edge, so it keeps the coarse count
 		// sketches fresh without a round trip.
 		inc.sketches[s].addEdge(inc.g.NodeValues(e.Src), inc.g.NodeValues(e.Dst), e.Vals)
+		inc.pool.routed[s]++
 	}
 	for i, id := range delIDs {
 		src, dst := inc.g.Src(id), inc.g.Dst(id)
@@ -210,9 +210,12 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		// Tombstoned values stay readable; the sketch keeps matching the
 		// shard's surviving edges.
 		inc.sketches[s].removeEdge(inc.g.NodeValues(src), inc.g.NodeValues(dst), inc.g.EdgeValues(id))
+		inc.pool.routed[s]++
 	}
 
 	bs := IncStats{Batches: 1, Edges: len(b.Ins), Deleted: len(b.Del)}
+	t0 := time.Now()
+	bs.RouteTime = t0.Sub(start)
 	replies := make([]IngestReply, len(inc.workers))
 	ingErrs := make([]error, len(inc.workers))
 	var wg sync.WaitGroup
@@ -227,6 +230,8 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		}(s)
 	}
 	wg.Wait()
+	t1 := time.Now()
+	bs.IngestTime = t1.Sub(t0)
 	var stats Stats
 	for s := range inc.workers {
 		if len(owned[s].Ins) == 0 && len(owned[s].Del) == 0 {
@@ -247,7 +252,8 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 			return nil, IncStats{}, inc.broken
 		}
 	}
-	inc.last, err = inc.assemble(&stats, time.Since(start))
+	bs.ApplyTime = time.Since(t1)
+	inc.last, err = inc.assemble(&stats, start)
 	if err != nil {
 		// The batch is already ingested everywhere; only the merge's
 		// round-2 fetch can fail here, and retrying it needs worker state
@@ -255,7 +261,8 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		inc.broken = err
 		return nil, IncStats{}, err
 	}
-	bs.Tracked = len(inc.pool.slots)
+	bs.BoundTime, bs.FetchTime, bs.RankTime = inc.merge.bound, inc.merge.fetchTime, inc.merge.rank
+	bs.Tracked = inc.pool.len()
 	bs.Duration = inc.last.Stats.Duration
 	inc.cum.add(bs)
 	return inc.last, bs, nil
@@ -273,16 +280,6 @@ func resolveGraphDeletes(g *graph.Graph, dels []EdgeDelete) ([]int, error) {
 		}
 		return g.Src(e), g.Dst(e), true
 	}, g.EdgeValue)
-}
-
-// handleTable is the coordinator's copy of one worker's pool, addressed by
-// the worker's handles (dense interned GR ids): cand[h] is the union entry
-// handle h names, nil where the shard does not track one. seen stamps the
-// handles of the reply being applied, to refuse a repeat.
-type handleTable struct {
-	cand  []*shardCand
-	seen  []uint32
-	stamp uint32
 }
 
 // seedReply recasts a seeding offer as an ingest reply in which every
@@ -325,7 +322,8 @@ func (inc *IncrementalSharded) applyDeltas(s int, rep *IngestReply) error {
 		return fmt.Errorf("count columns (LWR %d, LW %d, Hom %d, R %d) misaligned with %d deltas",
 			len(rep.LWR), len(rep.LW), len(rep.Hom), len(rep.R), n)
 	}
-	ht := &inc.mirror[s]
+	t := inc.pool
+	ht := &t.mirror[s]
 	limit := len(ht.cand) + len(rep.Entered)
 	for _, e := range rep.Entered {
 		h := int(e.Handle)
@@ -333,44 +331,40 @@ func (inc *IncrementalSharded) applyDeltas(s int, rep *IngestReply) error {
 			return fmt.Errorf("entrant handle %d outside [0, %d)", h, limit)
 		}
 		for len(ht.cand) <= h {
-			ht.cand = append(ht.cand, nil)
+			ht.cand = append(ht.cand, -1)
 			ht.seen = append(ht.seen, 0)
 		}
-		if ht.cand[h] != nil {
+		if ht.cand[h] >= 0 {
 			return fmt.Errorf("entrant handle %d already tracked", h)
 		}
-		u, err := inc.pool.enter(inc.g.Schema(), e.GR, s)
-		if err != nil {
+		if _, err := t.enter(inc.g.Schema(), e.GR, s, int32(h)); err != nil {
 			return fmt.Errorf("entrant handle %d: %w", h, err)
 		}
-		ht.cand[h] = u
 	}
 	if ht.stamp++; ht.stamp == 0 {
 		clear(ht.seen)
 		ht.stamp = 1
 	}
 	for i, h := range rep.Deltas {
-		if h < 0 || int(h) >= len(ht.cand) || ht.cand[h] == nil {
+		if h < 0 || int(h) >= len(ht.cand) || ht.cand[h] < 0 {
 			return fmt.Errorf("delta %d: handle %d neither tracked nor entering", i, h)
 		}
 		if ht.seen[h] == ht.stamp {
 			return fmt.Errorf("delta %d: handle %d repeated", i, h)
 		}
 		ht.seen[h] = ht.stamp
-		u := ht.cand[h]
+		slot := ht.cand[h]
 		if int(rep.LWR[i]) < inc.plan.ShardMinSupp {
-			ht.cand[h] = nil
-			inc.pool.drop(u, s)
+			t.drop(slot, s)
 			continue
 		}
-		c := metrics.Counts{LWR: int(rep.LWR[i]), LW: int(rep.LW[i]), E: rep.NumEdges}
+		t.lwr[s][slot], t.lw[s][slot] = rep.LWR[i], rep.LW[i]
 		if m.NeedsHom {
-			c.Hom = int(rep.Hom[i])
+			t.hom[s][slot] = rep.Hom[i]
 		}
 		if m.NeedsR {
-			c.R = int(rep.R[i])
+			t.r[s][slot] = rep.R[i]
 		}
-		u.per[s] = c
 	}
 	for _, e := range rep.Entered {
 		if ht.seen[e.Handle] != ht.stamp {
@@ -390,12 +384,13 @@ func colLen(needed bool, n int) int {
 }
 
 // assemble runs the coordinator merge (with its round-2 exact-count
-// fetches) over the maintained pool.
-func (inc *IncrementalSharded) assemble(stats *Stats, d time.Duration) (*Result, error) {
-	top, err := mergeShardPool(inc.opt, inc.plan.ShardMinSupp, inc.g.NumLiveEdges(), inc.workers, inc.sketches, inc.pool, inc.g.Schema(), stats)
+// fetches) over the maintained pool; Duration runs from start to the end
+// of the merge.
+func (inc *IncrementalSharded) assemble(stats *Stats, start time.Time) (*Result, error) {
+	top, err := inc.merge.run(inc.opt, inc.plan.ShardMinSupp, inc.g.NumLiveEdges(), inc.workers, inc.sketches, inc.pool, inc.g.Schema(), stats)
 	if err != nil {
 		return nil, err
 	}
-	stats.Duration = d
+	stats.Duration = time.Since(start)
 	return &Result{TopK: top, Stats: *stats, Options: inc.opt, TotalEdges: inc.g.NumLiveEdges()}, nil
 }

@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"grminer/internal/core"
 	"grminer/internal/datagen"
@@ -221,5 +223,67 @@ func TestIncrementalShardedThresholdCrossing(t *testing.T) {
 			t.Errorf("shards=%d minSupp=%d: pool never grew (%d entries); no threshold crossing exercised",
 				tc.shards, tc.minSupp, seedTracked)
 		}
+	}
+}
+
+// TestIncrementalShardedPhaseTimes checks the per-batch phase times of the
+// sharded engine on a 2-shard stream that inserts and retracts: each is
+// non-negative, they sum to at most the batch's Duration, every phase the
+// batch runs is set (the round-2 fetch on batches that sent round-2
+// requests), and Cumulative sums them.
+func TestIncrementalShardedPhaseTimes(t *testing.T) {
+	cfg := datagen.DefaultPokecConfig()
+	cfg.Nodes, cfg.AvgOutDegree = 300, 8
+	full := datagen.Pokec(cfg)
+	base := full.NumEdges() * 3 / 4
+	inc, err := core.NewIncrementalSharded(prefixGraph(full, base),
+		core.Options{MinSupp: 30, MinScore: 0.4, K: 20, DynamicFloor: true}, core.ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inc.Close()
+	phases := func(s core.IncStats) []time.Duration {
+		return []time.Duration{s.RouteTime, s.IngestTime, s.ApplyTime, s.BoundTime, s.FetchTime, s.RankTime}
+	}
+	var sum core.IncStats
+	fetched := 0
+	for b, cut := 0, base; b < 6; b++ {
+		batch := core.Batch{Ins: insertsFor(full, cut, cut+10)}
+		cut += 10
+		for e := b; len(batch.Del) < 10; e += 37 {
+			batch.Del = append(batch.Del, core.EdgeDelete{Src: full.Src(e), Dst: full.Dst(e), Vals: full.EdgeValues(e)})
+		}
+		res, bs, err := inc.ApplyBatch(batch)
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		var total time.Duration
+		for i, d := range phases(bs) {
+			total += d
+			switch {
+			case d < 0:
+				t.Errorf("batch %d: phase %d took %v", b, i, d)
+			case d == 0 && (i != 4 || res.Stats.ExactCountRequests > 0):
+				t.Errorf("batch %d: phase %d not timed (%d round-2 requests)", b, i, res.Stats.ExactCountRequests)
+			}
+		}
+		if total > bs.Duration {
+			t.Errorf("batch %d: phases sum to %v, the batch took %v", b, total, bs.Duration)
+		}
+		if res.Stats.ExactCountRequests > 0 {
+			fetched++
+		}
+		sum.RouteTime += bs.RouteTime
+		sum.IngestTime += bs.IngestTime
+		sum.ApplyTime += bs.ApplyTime
+		sum.BoundTime += bs.BoundTime
+		sum.FetchTime += bs.FetchTime
+		sum.RankTime += bs.RankTime
+	}
+	if fetched == 0 {
+		t.Fatal("no batch sent a round-2 request: the fetch phase went untested")
+	}
+	if got, want := phases(inc.Cumulative()), phases(sum); !slices.Equal(got, want) {
+		t.Errorf("Cumulative phases %v, the batches sum to %v", got, want)
 	}
 }

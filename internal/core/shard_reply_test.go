@@ -141,9 +141,9 @@ func TestShardReplyFailsClosed(t *testing.T) {
 	// refreshed returns the index of a delta that is neither an entrant nor
 	// a demotion.
 	refreshed := func(rep *core.IngestReply) int {
-		in := map[intern.GRID]bool{}
+		in := map[int32]bool{}
 		for _, e := range rep.Entered {
-			in[e.Handle] = true
+			in[int32(e.Handle)] = true
 		}
 		for i, h := range rep.Deltas {
 			if !in[h] && rep.LWR[i] >= 2 {
@@ -166,7 +166,7 @@ func TestShardReplyFailsClosed(t *testing.T) {
 		{"entrant dropped", "neither tracked nor entering", func(r *core.IngestReply) { r.Entered = r.Entered[:len(r.Entered)-1] }},
 		{"entrant handle far out of range", "outside", func(r *core.IngestReply) { entrant(r).Handle = 1 << 30 }},
 		{"entrant handle already tracked", "already tracked", func(r *core.IngestReply) {
-			entrant(r).Handle = r.Deltas[refreshed(r)]
+			entrant(r).Handle = intern.GRID(r.Deltas[refreshed(r)])
 		}},
 		{"entrant attribute out of range", "out of range", func(r *core.IngestReply) {
 			entrant(r).GR = gr.GR{L: gr.Descriptor{{Attr: 9, Val: 1}}}
@@ -183,7 +183,7 @@ func TestShardReplyFailsClosed(t *testing.T) {
 		{"entrant without a delta", "has no delta", func(r *core.IngestReply) {
 			h := r.Entered[0].Handle
 			for j := range r.Deltas {
-				if r.Deltas[j] == h {
+				if r.Deltas[j] == int32(h) {
 					r.Deltas = append(r.Deltas[:j:j], r.Deltas[j+1:]...)
 					r.LWR = append(r.LWR[:j:j], r.LWR[j+1:]...)
 					r.LW = append(r.LW[:j:j], r.LW[j+1:]...)
@@ -309,8 +309,9 @@ func TestShardCoordinatorOfferFailsClosed(t *testing.T) {
 // truncates or extends a count column, overwrites, repeats, swaps or
 // appends a delta handle, rewrites a count, or drops, repeats, re-handles
 // or malforms an entrant. Whatever the edits, the coordinator must not
-// panic: a rejected reply must leave the engine poisoned, and an unedited
-// reply must apply exactly.
+// panic: a rejected reply must leave the engine poisoned, an accepted one
+// must leave the union table's invariants intact, and an unedited reply
+// must apply exactly.
 func FuzzApplyIngestReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 32 {
@@ -321,6 +322,9 @@ func FuzzApplyIngestReply(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer fx.inc.Close()
+		if err := core.CheckUnionTable(fx.inc); err != nil {
+			t.Fatalf("after the seed: %v", err)
+		}
 		edits := len(ops) / 2
 		fx.w0.ingest = func(r *core.IngestReply) {
 			for ; len(ops) >= 2; ops = ops[2:] {
@@ -334,6 +338,9 @@ func FuzzApplyIngestReply(f *testing.F) {
 			}
 			return
 		}
+		if err := core.CheckUnionTable(fx.inc); err != nil {
+			t.Fatalf("after an accepted reply: %v", err)
+		}
 		if edits == 0 {
 			ref, err := core.Mine(fx.g, fx.inc.Options())
 			if err != nil {
@@ -346,7 +353,7 @@ func FuzzApplyIngestReply(f *testing.F) {
 
 // corruptReply applies one fuzz edit to r (see FuzzApplyIngestReply).
 func corruptReply(r *core.IngestReply, kind, arg byte) {
-	handle := intern.GRID(int(arg) - 8)
+	handle := int32(arg) - 8
 	if kind&0x80 != 0 {
 		handle <<= 20
 	}
@@ -401,7 +408,7 @@ func corruptReply(r *core.IngestReply, kind, arg byte) {
 		}
 	case 9: // re-handle an entrant
 		if ne > 0 {
-			r.Entered[j].Handle = handle
+			r.Entered[j].Handle = intern.GRID(handle)
 		}
 	case 10: // give an entrant a condition that may be malformed
 		if ne > 0 {

@@ -61,6 +61,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -218,10 +219,13 @@ type ShardCandidate struct {
 // only the GRs that joined the pool this batch — the handles the
 // coordinator does not yet mirror.
 //
-// grlint:wire v3
+// Deltas is a plain []int32, not a []intern.GRID, because gob encodes
+// only unnamed basic slices through its typed-slice fast path.
+//
+// grlint:wire v4
 type IngestReply struct {
 	NumEdges        int
-	Deltas          []intern.GRID
+	Deltas          []int32
 	LWR, LW, Hom, R []int32
 	Entered         []ShardCandidate
 	Recounted       int
@@ -233,7 +237,7 @@ type IngestReply struct {
 // addDelta appends one pool delta: its handle, and its counts to the
 // columns the metric reads.
 func (rep *IngestReply) addDelta(m metrics.Metric, id intern.GRID, c metrics.Counts) {
-	rep.Deltas = append(rep.Deltas, id)
+	rep.Deltas = append(rep.Deltas, int32(id))
 	rep.LWR = append(rep.LWR, int32(c.LWR))
 	rep.LW = append(rep.LW, int32(c.LW))
 	if m.NeedsHom {
@@ -556,6 +560,9 @@ type WorkerState struct {
 	// every re-mine capture; entered the captures new to the pool.
 	changes poolChanges
 	entered []intern.GRID
+	// mark is fillDeltas' bitset over the handle space; it is all zero
+	// between calls.
+	mark []uint64
 	// fan and wit are the worker's steady-state walk allocations, reused
 	// across Offer and Ingest calls; the fan-out's workers intern into
 	// private dictionaries, so only the pool interns into the shard store's
@@ -811,13 +818,24 @@ func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 // tracked entry the recount moved or the re-mine captured, once each, in
 // id order; the re-mine's entrants also go to Entered by value, in the
 // same order. Counts are exact, so a demoted GR cannot be re-captured in
-// the same batch, and every handle appears once.
+// the same batch, and every handle appears once. The touched ids are
+// ordered and deduplicated by marking them in a bitset over the handle
+// space and scanning the marked words, which the scan clears again.
 func (w *WorkerState) fillDeltas(rep *IngestReply) {
 	ch := &w.changes
-	slices.Sort(ch.touched)
-	ch.touched = slices.Compact(ch.touched)
-	n := len(ch.demoted) + len(ch.touched)
-	rep.Deltas = make([]intern.GRID, 0, n)
+	distinct := 0
+	for _, id := range ch.touched {
+		i, bit := int(id)>>6, uint64(1)<<(id&63)
+		if i >= len(w.mark) {
+			w.mark = append(w.mark, make([]uint64, i+1-len(w.mark))...)
+		}
+		if w.mark[i]&bit == 0 {
+			w.mark[i] |= bit
+			distinct++
+		}
+	}
+	n := len(ch.demoted) + distinct
+	rep.Deltas = make([]int32, 0, n)
 	rep.LWR = make([]int32, 0, n)
 	rep.LW = make([]int32, 0, n)
 	if w.pool.opt.Metric.NeedsHom {
@@ -829,10 +847,14 @@ func (w *WorkerState) fillDeltas(rep *IngestReply) {
 	for _, d := range ch.demoted {
 		rep.addDelta(w.pool.opt.Metric, d.id, d.c)
 	}
-	for _, id := range ch.touched {
-		if t, ok := w.pool.get(id); ok {
-			rep.addDelta(w.pool.opt.Metric, id, t.c)
+	for i, word := range w.mark {
+		for ; word != 0; word &= word - 1 {
+			id := intern.GRID(i<<6 | bits.TrailingZeros64(word))
+			if t, ok := w.pool.get(id); ok {
+				rep.addDelta(w.pool.opt.Metric, id, t.c)
+			}
 		}
+		w.mark[i] = 0
 	}
 	slices.Sort(w.entered)
 	for _, id := range w.entered {

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"grminer/internal/datagen"
@@ -28,47 +30,133 @@ func (r *requestLog) Counts(grs []gr.GR) ([]metrics.Counts, error) {
 	return r.WorkerState.Counts(grs)
 }
 
-// checkUnionTable asserts the coordinator's union table invariants: every
-// slot holds a live entry that knows its slot and is found under its key,
-// the key map holds nothing else, every entry is tracked by some shard,
-// every shard's handle mirror points at live entries that shard tracks, and
-// each shard tracks exactly as many entries as its worker's pool holds.
+// check verifies the union table's invariants: every column has one row
+// per slot; every slot's key is its GR's key and maps back to the slot;
+// the key map holds nothing else; every slot is tracked by some shard and
+// by no shard past the last; a bound handle belongs to a tracked entry and
+// its shard's mirror points back at the slot; a shard that does not track
+// a slot holds zero counts for it; and every mirror entry names
+// a live slot bound to that handle. With bound set, every tracked entry
+// has a handle, and its known support is at least minLWR.
+func (t *unionTable) check(bound bool, minLWR int32) error {
+	n := t.len()
+	if len(t.keys) != n || len(t.have) != n*t.words || len(t.byKey) != n {
+		return fmt.Errorf("%d slots, %d keys, %d bitset words (%d per slot), %d mapped keys", n, len(t.keys), len(t.have), t.words, len(t.byKey))
+	}
+	for s := range t.shards {
+		if len(t.capUntil[s]) != n {
+			return fmt.Errorf("shard %d: the cap cache holds %d rows for %d slots", s, len(t.capUntil[s]), n)
+		}
+		cols := [][]int32{t.lwr[s], t.lw[s], t.handle[s]}
+		if t.hom != nil {
+			cols = append(cols, t.hom[s])
+		}
+		if t.r != nil {
+			cols = append(cols, t.r[s])
+		}
+		for _, c := range cols {
+			if len(c) != n {
+				return fmt.Errorf("shard %d: a column holds %d rows for %d slots", s, len(c), n)
+			}
+		}
+	}
+	for slot := range int32(n) {
+		g := t.grs[slot]
+		if t.keys[slot] != g.Key() || t.byKey[t.keys[slot]] != slot {
+			return fmt.Errorf("slot %d holds %v under key %q, which maps to slot %d", slot, g, t.keys[slot], t.byKey[t.keys[slot]])
+		}
+		tracked := 0
+		for s := range t.words * 64 {
+			if t.have[int(slot)*t.words+s>>6]&(1<<(s&63)) == 0 {
+				continue
+			}
+			if s >= t.shards {
+				return fmt.Errorf("slot %d (%v) is tracked by shard %d of %d", slot, g, s, t.shards)
+			}
+			tracked++
+			if bound && (t.handle[s][slot] < 0 || t.lwr[s][slot] < minLWR) {
+				return fmt.Errorf("slot %d (%v): shard %d tracks it under handle %d with support %d", slot, g, s, t.handle[s][slot], t.lwr[s][slot])
+			}
+		}
+		if tracked == 0 {
+			return fmt.Errorf("slot %d (%v) is tracked by no shard", slot, g)
+		}
+		for s := range t.shards {
+			if !t.has(slot, s) {
+				c := metrics.Counts{LWR: int(t.lwr[s][slot]), LW: int(t.lw[s][slot])}
+				if t.hom != nil {
+					c.Hom = int(t.hom[s][slot])
+				}
+				if t.r != nil {
+					c.R = int(t.r[s][slot])
+				}
+				if c != (metrics.Counts{}) {
+					return fmt.Errorf("slot %d (%v): shard %d does not track it but holds counts %+v", slot, g, s, c)
+				}
+			}
+			h := t.handle[s][slot]
+			if h < 0 {
+				continue
+			}
+			if !t.has(slot, s) || int(h) >= len(t.mirror[s].cand) || t.mirror[s].cand[h] != slot {
+				return fmt.Errorf("slot %d (%v): shard %d handle %d is not a mirrored handle of a tracked entry", slot, g, s, h)
+			}
+		}
+	}
+	for s, ht := range t.mirror {
+		for h, slot := range ht.cand {
+			if slot < 0 {
+				continue
+			}
+			if int(slot) >= n || t.handle[s][slot] != int32(h) {
+				return fmt.Errorf("shard %d handle %d points at slot %d of %d, which it is not bound to", s, h, slot, n)
+			}
+		}
+	}
+	return nil
+}
+
+// checkCaps verifies the sketch cap cache: wherever it still vouches for
+// a slot, the shard's sketch caps the slot's GR at limit or above.
+func (t *unionTable) checkCaps(sketches []ShardSketch, limit int) error {
+	for s, sk := range sketches {
+		for slot, until := range t.capUntil[s] {
+			if t.routed[s] <= until {
+				if m := sk.minSingle(t.grs[slot]); m < limit {
+					return fmt.Errorf("shard %d: the cache caps slot %d (%v) at %d until %d routed edges (now %d), its sketch at %d",
+						s, slot, t.grs[slot], limit, until, t.routed[s], m)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkUnionTable asserts the coordinator's union table invariants (see
+// unionTable.check and checkCaps) and that each shard tracks exactly as many entries as
+// its worker's pool holds.
 func checkUnionTable(t *testing.T, label string, inc *IncrementalSharded, logs []*requestLog) {
 	t.Helper()
 	pool := inc.pool
-	if len(pool.byKey) != len(pool.slots) {
-		t.Fatalf("%s: %d keys for %d slots", label, len(pool.byKey), len(pool.slots))
+	if err := CheckUnionTable(inc); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	tracked := make([]int, len(inc.workers))
-	for i, u := range pool.slots {
-		if u.slot != i || pool.byKey[u.gr.Key()] != u {
-			t.Fatalf("%s: slot %d holds %v, which claims slot %d and is keyed to %p", label, i, u.gr, u.slot, pool.byKey[u.gr.Key()])
-		}
-		any := false
-		for s, h := range u.have {
-			if h {
-				tracked[s]++
-				any = true
-			}
-		}
-		if !any {
-			t.Fatalf("%s: slot %d (%v) is tracked by no shard", label, i, u.gr)
-		}
-	}
-	for s, ht := range inc.mirror {
+	for s, ht := range pool.mirror {
 		handles := 0
-		for h, u := range ht.cand {
-			if u == nil {
-				continue
-			}
-			handles++
-			if u.slot < 0 || u.slot >= len(pool.slots) || pool.slots[u.slot] != u || !u.have[s] {
-				t.Fatalf("%s: shard %d handle %d points at %v, which is not a live entry the shard tracks", label, s, h, u.gr)
+		for _, slot := range ht.cand {
+			if slot >= 0 {
+				handles++
 			}
 		}
-		if handles != tracked[s] || handles != logs[s].pool.len() {
+		tracked := 0
+		for slot := range int32(pool.len()) {
+			if pool.has(slot, s) {
+				tracked++
+			}
+		}
+		if handles != tracked || handles != logs[s].pool.len() {
 			t.Fatalf("%s: shard %d mirrors %d handles, the table tracks %d entries, the worker pool holds %d",
-				label, s, handles, tracked[s], logs[s].pool.len())
+				label, s, handles, tracked, logs[s].pool.len())
 		}
 	}
 }
@@ -121,9 +209,9 @@ func TestShardUnionTableInvariants(t *testing.T) {
 		var retracted []EdgeInsert
 		left := 0
 		for b := 0; b < 20; b++ {
-			before := make(map[*shardCand]bool, len(inc.pool.slots))
-			for _, u := range inc.pool.slots {
-				before[u] = true
+			before := make(map[string]bool, inc.pool.len())
+			for _, k := range inc.pool.keys {
+				before[k] = true
 			}
 			var batch Batch
 			for len(batch.Del) < 12 {
@@ -155,8 +243,8 @@ func TestShardUnionTableInvariants(t *testing.T) {
 				t.Fatalf("batch %d: %v", b, err)
 			}
 			checkUnionTable(t, "after a batch", inc, logs)
-			for _, u := range inc.pool.slots {
-				delete(before, u)
+			for _, k := range inc.pool.keys {
+				delete(before, k)
 			}
 			left += len(before)
 		}
@@ -199,5 +287,159 @@ func TestShardUnionTableInvariants(t *testing.T) {
 	}
 	if sent == 0 {
 		t.Fatal("the stream sent no round-2 requests")
+	}
+}
+
+// TestUnionTableMatchesReference drives the union table with random enter,
+// count and drop operations at 1, 2, 3 and 65 shards (65 needs a two-word
+// bitset) and compares it with a reference after every operation: the
+// same entries in the same slots — the reference frees a slot by the same
+// swap-remove — with the same per-shard counts and handles, and every
+// mirror pointing at its entry's slot. A repeated enter must fail and
+// leave the table unchanged.
+func TestUnionTableMatchesReference(t *testing.T) {
+	schema := &graph.Schema{
+		Node: []graph.Attribute{{Name: "A", Domain: 4}, {Name: "B", Domain: 4}},
+		Edge: []graph.Attribute{{Name: "W", Domain: 2}},
+	}
+	var universe []gr.GR
+	for l := 0; l <= 4; l++ {
+		for w := 0; w <= 2; w++ {
+			for r := 1; r <= 4; r++ {
+				g := gr.GR{R: gr.Descriptor{{Attr: 1, Val: graph.Value(r)}}}
+				if l > 0 {
+					g.L = gr.Descriptor{{Attr: 0, Val: graph.Value(l)}}
+				}
+				if w > 0 {
+					g.W = gr.Descriptor{{Attr: 0, Val: graph.Value(w)}}
+				}
+				universe = append(universe, g)
+			}
+		}
+	}
+	// A reference entry: shard s tracks it under handle h[s] ≥ 0 with
+	// counts c[s]. Shard s names universe[i] by handle i.
+	type refEntry struct {
+		key string
+		h   []int32
+		c   []metrics.Counts
+	}
+	for _, tc := range []struct {
+		shards int
+		m      metrics.Metric
+	}{{1, metrics.NhpMetric}, {2, metrics.LiftMetric}, {3, metrics.NhpMetric}, {65, metrics.ConfMetric}} {
+		t.Run(fmt.Sprintf("%d shards %s", tc.shards, tc.m.Name), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(tc.shards)))
+			tab := newUnionTable(tc.shards, tc.m)
+			for s := range tab.mirror {
+				for range universe {
+					tab.mirror[s].cand = append(tab.mirror[s].cand, -1)
+				}
+			}
+			var ref []*refEntry
+			picks := []int{0, tc.shards / 2, tc.shards - 1}
+			moved, fixups := 0, 0
+			for step := 0; step < 4000; step++ {
+				s := picks[r.Intn(len(picks))]
+				if r.Intn(4) == 0 {
+					s = r.Intn(tc.shards)
+				}
+				h := int32(r.Intn(len(universe)))
+				g := universe[h]
+				at := -1
+				for i, e := range ref {
+					if e.key == g.Key() {
+						at = i
+					}
+				}
+				c := metrics.Counts{LWR: r.Intn(100), LW: r.Intn(100), Hom: r.Intn(100), R: r.Intn(100)}
+				switch slot := tab.mirror[s].cand[h]; {
+				case slot < 0 && r.Intn(3) > 0: // enter
+					got, err := tab.enter(schema, g, s, h)
+					if err != nil {
+						t.Fatalf("step %d: enter %v on shard %d: %v", step, g, s, err)
+					}
+					tab.set(got, s, c)
+					if at < 0 {
+						at = len(ref)
+						ref = append(ref, &refEntry{key: g.Key(), h: make([]int32, tc.shards), c: make([]metrics.Counts, tc.shards)})
+						for i := range ref[at].h {
+							ref[at].h[i] = -1
+						}
+					}
+					if int(got) != at {
+						t.Fatalf("step %d: %v entered slot %d, the reference slot %d", step, g, got, at)
+					}
+					ref[at].h[s], ref[at].c[s] = h, c
+				case slot < 0: // nothing to do
+				case r.Intn(5) == 0: // a repeated enter fails
+					if _, err := tab.enter(schema, g, s, h); err == nil {
+						t.Fatalf("step %d: shard %d entered %v twice", step, s, g)
+					}
+				case r.Intn(2) == 0: // new counts
+					tab.set(slot, s, c)
+					ref[at].c[s] = c
+				default: // drop
+					tab.drop(slot, s)
+					ref[at].h[s] = -1
+					if !slices.ContainsFunc(ref[at].h, func(h int32) bool { return h >= 0 }) {
+						last := len(ref) - 1
+						if at != last {
+							moved++
+							tracked := 0
+							for _, h := range ref[last].h {
+								if h >= 0 {
+									tracked++
+								}
+							}
+							if tracked > 1 {
+								fixups++
+							}
+						}
+						ref[at] = ref[last]
+						ref = ref[:last]
+					}
+				}
+
+				if err := tab.check(true, 0); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if tab.len() != len(ref) {
+					t.Fatalf("step %d: %d slots, the reference %d", step, tab.len(), len(ref))
+				}
+				for i, e := range ref {
+					slot := int32(i)
+					if tab.keys[slot] != e.key {
+						t.Fatalf("step %d: slot %d holds %s, the reference %s", step, i, tab.keys[slot], e.key)
+					}
+					for s, h := range e.h {
+						if tab.handle[s][slot] != h || tab.has(slot, s) != (h >= 0) {
+							t.Fatalf("step %d: slot %d shard %d: handle %d (tracked %v), the reference %d", step, i, s, tab.handle[s][slot], tab.has(slot, s), h)
+						}
+						if h < 0 {
+							continue
+						}
+						want := e.c[s]
+						got := metrics.Counts{LWR: int(tab.lwr[s][slot]), LW: int(tab.lw[s][slot])}
+						if tc.m.NeedsHom {
+							got.Hom = int(tab.hom[s][slot])
+						} else {
+							want.Hom = 0
+						}
+						if tc.m.NeedsR {
+							got.R = int(tab.r[s][slot])
+						} else {
+							want.R = 0
+						}
+						if got != want {
+							t.Fatalf("step %d: slot %d shard %d counts %+v, the reference %+v", step, i, s, got, want)
+						}
+					}
+				}
+			}
+			if moved == 0 || tc.shards > 1 && fixups == 0 {
+				t.Fatalf("%d swap-removes moved an entry, %d of them one several shards track: the sequence missed the mirror fix-ups", moved, fixups)
+			}
+		})
 	}
 }

@@ -3,10 +3,14 @@ package rpc_test
 import (
 	"bytes"
 	"encoding/gob"
+	"reflect"
 	"testing"
 	"time"
 
 	"grminer/internal/core"
+	"grminer/internal/gr"
+	"grminer/internal/intern"
+	"grminer/internal/metrics"
 )
 
 // wireOptionsV2 is core.WireOptions as grlint:wire v2 shipped it, with the
@@ -165,4 +169,85 @@ func TestStatsV1Compat(t *testing.T) {
 	if back != v1 {
 		t.Errorf("v2 → v1 decode = %+v, want %+v", back, v1)
 	}
+}
+
+// ingestReplyV3 is core.IngestReply as grlint:wire v3 shipped it, with the
+// delta handles typed []intern.GRID; v4 types them []int32.
+type ingestReplyV3 struct {
+	NumEdges        int
+	Deltas          []intern.GRID
+	LWR, LW, Hom, R []int32
+	Entered         []core.ShardCandidate
+	Recounted       int
+	SubtreesRemined int
+	SubtreesTotal   int
+	Stats           core.Stats
+}
+
+// TestIngestReplyV3Compat pins why retyping IngestReply.Deltas needed no
+// rpc Version bump: a v3 reply decodes into v4 with every field intact and
+// a v4 reply into the v3 shape, because gob matches a slice by its element
+// kind, not its type name. Past the one-time type descriptor, which names
+// the slice type, the two encode every reply to the same bytes.
+func TestIngestReplyV3Compat(t *testing.T) {
+	entered := []core.ShardCandidate{{
+		GR:     gr.GR{L: gr.Descriptor{{Attr: 0, Val: 1}}, R: gr.Descriptor{{Attr: 1, Val: 2}}},
+		Counts: metrics.Counts{LWR: 5, LW: 6},
+		Handle: 7,
+	}}
+	v3 := ingestReplyV3{
+		NumEdges: 100, Deltas: []intern.GRID{3, 7, 1 << 20},
+		LWR: []int32{4, 5, 1}, LW: []int32{8, 6, 2}, Hom: []int32{1, 2, 0},
+		Entered: entered, Recounted: 9, SubtreesRemined: 2, SubtreesTotal: 5,
+		Stats: core.Stats{Examined: 11, Duration: time.Millisecond},
+	}
+	want := core.IngestReply{
+		NumEdges: 100, Deltas: []int32{3, 7, 1 << 20},
+		LWR: []int32{4, 5, 1}, LW: []int32{8, 6, 2}, Hom: []int32{1, 2, 0},
+		Entered: entered, Recounted: 9, SubtreesRemined: 2, SubtreesTotal: 5,
+		Stats: core.Stats{Examined: 11, Duration: time.Millisecond},
+	}
+	var v4 core.IngestReply
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v3))).Decode(&v4); err != nil {
+		t.Fatalf("v3 → v4 decode: %v", err)
+	}
+	if !reflect.DeepEqual(v4, want) {
+		t.Errorf("v3 → v4 decode = %+v, want %+v", v4, want)
+	}
+	var back ingestReplyV3
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, want))).Decode(&back); err != nil {
+		t.Fatalf("v4 → v3 decode: %v", err)
+	}
+	if !reflect.DeepEqual(back, v3) {
+		t.Errorf("v4 → v3 decode = %+v, want %+v", back, v3)
+	}
+
+	if a, b := gobPayload(t, v3), gobPayload(t, want); !bytes.Equal(a, b) {
+		t.Errorf("a v3 reply encodes to %x, the same reply at v4 to %x", a, b)
+	}
+}
+
+// gobPayload returns the bytes a session's encoder sends for v once it has
+// sent v's type: the second message of a stream, without its length and
+// the process-local type id that open it.
+func gobPayload(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	msg := buf.Bytes()
+	for range 2 { // the message length, then the type id
+		if msg[0] < 0x80 {
+			msg = msg[1:]
+		} else {
+			msg = msg[1+int(-int8(msg[0])):]
+		}
+	}
+	return msg
 }

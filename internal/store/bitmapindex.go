@@ -50,18 +50,21 @@ func NewBitmapIndex(s *Store) *BitmapIndex {
 //
 // Each (side, attribute) column is filled independently, so the columns
 // fan out over GOMAXPROCS workers through sched.Run; the index and the cut
-// count do not depend on the width. Under a minSupp, a size pass counts
-// each value's live rows first; then one pass over the rows from the
-// highest down allocates each kept bitmap once, on the highest live row
-// carrying its value: at that row's word plus an eighth of headroom for the
-// rows a maintained index gains by appends (Bitmap.grow's rule). O(rows ×
-// dims) work in all.
+// count do not depend on the width. Under a minSupp, a size pass first
+// counts each column's live rows per value, once per column: the
+// destination column of a homophily attribute reads its source column's
+// sizes from that pass. Then one pass over the rows from the highest down
+// allocates each kept bitmap once, on the highest live row carrying its
+// value: at that row's word plus an eighth of headroom for the rows a
+// maintained index gains by appends (Bitmap.grow's rule). O(rows × dims)
+// work in all.
 func BuildBitmapIndex(s *Store, minSupp int) (*BitmapIndex, int) {
 	x := newIndex(s)
 	type task struct {
 		side byte
 		attr int
 	}
+	// The L columns come first, so L attribute a is task a.
 	var tasks []task
 	for _, side := range []byte("LWR") {
 		table, _, _ := x.column(side)
@@ -69,9 +72,22 @@ func BuildBitmapIndex(s *Store, minSupp int) (*BitmapIndex, int) {
 			tasks = append(tasks, task{side, attr})
 		}
 	}
+	workers := runtime.GOMAXPROCS(0)
+	noFloor := func(int) int { return 0 }
+	sizes := make([][]int, len(tasks))
+	if minSupp > 1 {
+		sched.Run(workers, len(tasks), noFloor, nil, func(_, i int) {
+			sizes[i] = x.liveSizes(tasks[i].side, tasks[i].attr)
+		})
+	}
 	cuts := make([]int, len(tasks))
-	sched.Run(runtime.GOMAXPROCS(0), len(tasks), func(int) int { return 0 }, nil, func(_, i int) {
-		cuts[i] = x.fillColumn(tasks[i].side, tasks[i].attr, minSupp)
+	sched.Run(workers, len(tasks), noFloor, nil, func(_, i int) {
+		t := tasks[i]
+		var src []int
+		if t.side == 'R' && s.g.Schema().Node[t.attr].Homophily {
+			src = sizes[t.attr]
+		}
+		cuts[i] = x.fillColumn(t.side, t.attr, minSupp, sizes[i], src)
 	})
 	cut := 0
 	for _, c := range cuts {
@@ -82,20 +98,18 @@ func BuildBitmapIndex(s *Store, minSupp int) (*BitmapIndex, int) {
 
 // fillColumn builds every kept bitmap of side's column of attr (see
 // BuildBitmapIndex) and returns the number of carried values it left out.
-// It writes that column's bitmaps only, so columns fill concurrently.
-func (x *BitmapIndex) fillColumn(side byte, attr, minSupp int) int {
+// sizes holds the column's live rows per value (nil when minSupp ≤ 1 keeps
+// every carried value); src, on the destination column of a homophily
+// attribute, holds its source column's. It writes that column's bitmaps
+// only, so columns fill concurrently.
+func (x *BitmapIndex) fillColumn(side byte, attr, minSupp int, sizes, src []int) int {
 	s := x.s
 	table, vals, idx := x.column(side)
 	bms := table[attr]
 	cut := 0
 	var keep []bool // nil keeps every carried value
-	if minSupp > 1 {
+	if sizes != nil {
 		keep = make([]bool, len(bms))
-		sizes := x.liveSizes(side, attr)
-		var src []int
-		if side == 'R' && s.g.Schema().Node[attr].Homophily {
-			src = x.liveSizes('L', attr)
-		}
 		for v := 1; v < len(sizes); v++ {
 			keep[v] = sizes[v] >= minSupp || src != nil && src[v] >= minSupp
 			if sizes[v] > 0 && !keep[v] {
