@@ -50,9 +50,7 @@ func fanOutBatch(r *rand.Rand, g *graph.Graph, ins, del int) Batch {
 // count; only the wall-clock time may differ.
 func sameResult(t *testing.T, what string, a, b *Result) {
 	t.Helper()
-	sa, sb := a.Stats, b.Stats
-	sa.Duration, sb.Duration = 0, 0
-	if sa != sb || a.TotalEdges != b.TotalEdges || !reflect.DeepEqual(a.TopK, b.TopK) {
+	if Untimed(a.Stats) != Untimed(b.Stats) || a.TotalEdges != b.TotalEdges || !reflect.DeepEqual(a.TopK, b.TopK) {
 		t.Fatalf("%s: results differ:\n width 1 %+v\n width 4 %+v", what, a.Stats, b.Stats)
 	}
 }

@@ -112,7 +112,7 @@ func (o Options) normalize() (Options, error) {
 
 // Stats reports the work a run performed.
 //
-// grlint:wire v2
+// grlint:wire v3
 type Stats struct {
 	// PartitionCalls counts counting-sort histograms, whether or not any
 	// of their groups was then scattered.
@@ -142,6 +142,13 @@ type Stats struct {
 	ExactCountRequests int64
 	// Duration is the wall-clock mining time.
 	Duration time.Duration
+	// A static mine's phases, wall-clock: IndexTime builds the bitmap
+	// index, PlanTime cuts the first level into tasks, WalkTime runs the
+	// tasks and MergeTime merges the workers' lists. WalkBusy sums the
+	// time each worker spent in a task, so WalkBusy below the workers ×
+	// WalkTime shows idle workers. A sequential mine is all walk (its
+	// WalkBusy is its WalkTime); other runs leave the phases zero.
+	IndexTime, PlanTime, WalkTime, WalkBusy, MergeTime time.Duration
 }
 
 // Result is a completed mining run.
@@ -193,6 +200,7 @@ func mineStore(st *store.Store, opt Options, width int) (*Result, error) {
 	start := time.Now()
 	m.run()
 	m.stats.Duration = time.Since(start)
+	m.stats.WalkTime, m.stats.WalkBusy = m.stats.Duration, m.stats.Duration
 	res := &Result{TopK: m.top.Items(), Stats: m.stats, Options: opt, TotalEdges: st.NumEdges()}
 	return res, nil
 }
@@ -320,6 +328,9 @@ type minerScratch struct {
 	rc         rctx
 	homAttrBuf []int
 	homWantBuf []graph.Value
+	// rootHists[a] is an RHS subtree root's histogram of node attribute a
+	// (see right), indexed by value. Between roots every entry is zero.
+	rootHists [][]int32
 }
 
 func newMinerScratch(dict *intern.Dict) *minerScratch {
@@ -417,6 +428,15 @@ func newMinerScr(st *store.Store, opt Options, scr *minerScratch) *miner {
 		scr.staticSR = staticRHSOrder(schema)
 		scr.nonHomAttrs = schema.NonHomophilyNodeAttrs()
 		scr.homAttrs = schema.HomophilyNodeAttrs()
+		n := 0
+		for a := range schema.Node {
+			n += schema.Node[a].Domain + 1
+		}
+		hist := make([]int32, n)
+		scr.rootHists = make([][]int32, len(schema.Node))
+		for a := range schema.Node {
+			scr.rootHists[a], hist = hist[:schema.Node[a].Domain+1], hist[schema.Node[a].Domain+1:]
+		}
 	}
 	return &miner{
 		st:      st,
@@ -454,15 +474,31 @@ func (m *miner) buffer(depth, n int) []int32 {
 // again. The plan pass must not allocate or intern: it runs for every node
 // of the walk.
 func (m *miner) count(depth int, keys []uint16) []csort.Group {
+	m.startPlan(depth)
+	m.scr.keys = keys
+	return m.part.Count(keys)
+}
+
+// countRoot is count for an RHS subtree root over rows destination rows:
+// it turns attr's histogram of the root's one counting pass (see right)
+// into groups, leaving that histogram zero. The caller gathers the key
+// column into the scratch's keys buffer only if it slots a group, before
+// scatter.
+func (m *miner) countRoot(depth, attr, rows int) []csort.Group {
+	m.startPlan(depth)
+	return m.part.Groups(m.scr.rootHists[attr], rows)
+}
+
+// startPlan counts one histogram in PartitionCalls and starts depth's list
+// of entered groups.
+func (m *miner) startPlan(depth int) {
 	m.stats.PartitionCalls++
 	s := m.scr
-	s.keys = keys
 	for len(s.groupBufs) <= depth {
 		s.groupBufs = append(s.groupBufs, nil)
 	}
 	s.groupBufs[depth] = s.groupBufs[depth][:0]
 	s.slot = 0
-	return m.part.Count(s.keys)
 }
 
 // take appends grp to depth's entered groups. With rows set it first gives
@@ -869,7 +905,8 @@ func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descripto
 // practice a handful.
 //
 // offs holds base's destination value offsets (store.ROffsetsInto) once
-// offsOK is set: the root gathers each key column and every β scan reads
+// offsOK is set: the root counts every position through them and gathers
+// the key column of each position it scatters, and every β scan reads
 // destination values through them.
 type rctx struct {
 	base    []int32
@@ -963,9 +1000,10 @@ func (m *miner) rhsOrderInto(lhs gr.Descriptor) []int {
 // the homophily effect come from the base partition. So the plan moves the
 // rows of a group only when the walk will recurse below it (rightRows);
 // every other entered group is scored on its size alone. The subtree's root
-// (rhs empty, data the base partition) gathers its key columns through the
-// base's destination offsets, and its histogram of a homophily attribute
-// the LHS constrains is that attribute's single-attribute homophily effect.
+// (rhs empty, data the base partition) counts all its positions in one pass
+// over the base's destination offsets, and its histogram of a homophily
+// attribute the LHS constrains is that attribute's single-attribute
+// homophily effect.
 func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int) {
 	if !m.rightExtends(len(rhs), maxPos) {
 		return
@@ -987,29 +1025,41 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 	// rhs's plus attr when v differs from that LHS value.
 	rhsTrivial := len(rhs) == 0 || gr.GR{L: rc.lhs, R: rhs}.Trivial(m.schema)
 	rhsMask := m.betaMask(rc.lhs, rhs)
+	// A subtree root counts every position over the same rows, so it
+	// counts them all in one pass over its base's destination offsets,
+	// reading each row's values side by side, and gathers a position's key
+	// column only when its plan moves rows. The walk's own root, over the
+	// whole live edge list, gathers and counts one position at a time: it
+	// reads the RArray pointers in row order already, and offsets would
+	// cost an |E|-sized buffer per mine.
+	root := len(rhs) == 0 && len(data) < m.totalE
+	var offs []int32
+	if root {
+		offs = m.destOffsets(rc)
+		m.st.RCountAt(m.scr.rootHists, offs)
+	}
 	for pos := 0; pos < maxPos; pos++ {
 		attr := rc.sr[pos]
 		var vals []graph.Value
 		if lv != nil {
 			if vals = lv.at(pos); len(vals) == 0 {
+				if root {
+					// The next root counts into this histogram
+					// again; Groups would panic on what is left.
+					clear(m.scr.rootHists[attr])
+				}
 				continue // no witness carries a value ⇒ no entrant below any group
 			}
 		}
 		// homL: attr is a homophily attribute the LHS constrains to lval.
 		lval, homL := rc.lhs.Get(attr)
 		homL = homL && m.schema.Node[attr].Homophily
-		// A subtree root reads its base's destination values at every
-		// position, so it reads them through offsets gathered once. The
-		// walk's own root, over the whole live edge list, reads the RArray
-		// pointers in row order already: offsets would save it little and
-		// cost an |E|-sized buffer per mine.
-		keys := m.scr.keys
-		if len(rhs) == 0 && len(data) < m.totalE {
-			keys = m.st.RValsAtInto(keys, m.destOffsets(rc), attr)
+		var groups []csort.Group
+		if root {
+			groups = m.countRoot(depth, attr, len(data))
 		} else {
-			keys = m.st.RValsInto(keys, data, attr)
+			groups = m.count(depth, m.st.RValsInto(m.scr.keys, data, attr))
 		}
-		groups := m.count(depth, keys)
 		if len(rhs) == 0 && homL {
 			rc.recordHomGroup(attr, lval, groups)
 		}
@@ -1024,6 +1074,9 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 				mask |= 1 << uint(attr)
 			}
 			m.take(depth, grp, m.rightRows(rc, int(grp.N), len(rhs)+1, pos, trivial, mask))
+		}
+		if root && m.scr.slot > 0 {
+			m.scr.keys = m.st.RValsAtInto(m.scr.keys, offs, attr)
 		}
 		for _, grp := range m.scatter(depth, data, buf) {
 			if m.wit != nil {

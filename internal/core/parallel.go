@@ -135,16 +135,19 @@ func mineParallel(st *store.Store, opt Options, width int) *Result {
 	// and it backs every worker's generality and |E(r)| counts. Values
 	// below MinSupp are left out; the coordinator counts them as pruned.
 	idx, cut := store.BuildBitmapIndex(st, opt.MinSupp)
+	indexed := time.Now()
 	coord := newMiner(st, opt)
 	coord.stats.PrunedSupp += int64(cut)
 	tasks, sr, _ := coord.plan(idx, nil)
+	planned := time.Now()
 	if len(tasks) < 2 {
 		// Nothing to run concurrently: mine sequentially, on the index
 		// already built.
 		m := newMiner(st, opt)
 		m.scr.genIdx = idx
 		m.run()
-		m.stats.Duration = time.Since(start)
+		m.stats.phases(start, indexed, planned, time.Now())
+		m.stats.WalkBusy = m.stats.WalkTime
 		return &Result{TopK: m.top.Items(), Stats: m.stats, Options: opt, TotalEdges: st.NumEdges()}
 	}
 	var all []int32
@@ -157,25 +160,41 @@ func mineParallel(st *store.Store, opt Options, width int) *Result {
 	wopt := opt
 	wopt.ExactGenerality = !opt.NoGeneralityFilter
 	miners := make([]*miner, min(width, len(tasks)))
+	busy := make([]time.Duration, len(miners))
 	for i := range miners {
 		miners[i] = newMiner(st, wopt)
 		miners[i].scr.genIdx = idx
 	}
 	sched.Run(len(miners), len(tasks), func(i int) int { return tasks[i].size }, nil, func(w, i int) {
+		t0 := time.Now()
 		miners[w].walkTask(&tasks[i], idx, all, sr)
+		busy[w] += time.Since(t0)
 	})
+	walked := time.Now()
 
 	stats := coord.stats
 	lists := make([][]gr.Scored, len(miners))
 	for i, w := range miners {
 		lists[i] = w.top.Items()
 		addStats(&stats, &w.stats)
+		stats.WalkBusy += busy[i]
 	}
-	stats.Duration = time.Since(start)
-	return &Result{TopK: topk.MergeItems(opt.K, lists...).Items(), Stats: stats, Options: opt, TotalEdges: st.NumEdges()}
+	top := topk.MergeItems(opt.K, lists...).Items()
+	stats.phases(start, indexed, planned, walked)
+	return &Result{TopK: top, Stats: stats, Options: opt, TotalEdges: st.NumEdges()}
 }
 
-// addStats accumulates one miner's counters (not Duration) into total.
+// phases sets Duration and the phase times of a static mine that started
+// at start, had built its index at indexed, its plan at planned and walked
+// its tasks by walked, and has merged until now.
+func (s *Stats) phases(start, indexed, planned, walked time.Time) {
+	s.Duration = time.Since(start)
+	s.IndexTime, s.PlanTime, s.WalkTime = indexed.Sub(start), planned.Sub(indexed), walked.Sub(planned)
+	s.MergeTime = s.Duration - walked.Sub(start)
+}
+
+// addStats accumulates one miner's counters (not Duration or the phase
+// times) into total.
 func addStats(total, s *Stats) {
 	total.PartitionCalls += s.PartitionCalls
 	total.Examined += s.Examined

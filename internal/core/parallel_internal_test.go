@@ -305,3 +305,36 @@ func TestMineIndexCountsEveryGeneralisation(t *testing.T) {
 		t.Logf("%s: %d examined GRs, %d counts checked, %d values left out", c.name, len(examined), checked, cut)
 	}
 }
+
+// TestStaticMinePhases: a fanned-out static mine splits its wall time into
+// index, plan, walk and merge, in that order and within Duration, and its
+// workers' busy time is positive and at most width × the walk; the
+// sequential walk reports its whole run as walk.
+func TestStaticMinePhases(t *testing.T) {
+	g := gateGraph()
+	st := store.Build(g)
+	opt := Options{MinSupp: g.NumEdges() / 200, MinScore: 0.5, K: 50, DynamicFloor: true, ExactGenerality: true}
+	seq, err := mineStore(st, opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := seq.Stats
+	if s.WalkTime != s.Duration || s.WalkBusy != s.Duration || s.IndexTime != 0 || s.PlanTime != 0 || s.MergeTime != 0 {
+		t.Errorf("sequential mine: phases %+v, want all walk", s)
+	}
+	const width = 2
+	par, err := mineStore(st, opt, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := par.Stats
+	if p.IndexTime <= 0 || p.PlanTime <= 0 || p.WalkTime <= 0 || p.MergeTime <= 0 {
+		t.Fatalf("fanned-out mine: a phase took no time: %+v", p)
+	}
+	if sum := p.IndexTime + p.PlanTime + p.WalkTime + p.MergeTime; sum != p.Duration {
+		t.Errorf("fanned-out mine: phases sum to %v, Duration %v", sum, p.Duration)
+	}
+	if p.WalkBusy <= 0 || p.WalkBusy > width*p.WalkTime {
+		t.Errorf("fanned-out mine: WalkBusy %v outside (0, %d × WalkTime %v]", p.WalkBusy, width, p.WalkTime)
+	}
+}

@@ -240,8 +240,7 @@ func TestParallelSingleTaskShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResults(t, "single-task", par.TopK, seq.TopK)
-	seqStats, parStats := seq.Stats, par.Stats
-	seqStats.Duration, parStats.Duration = 0, 0
+	seqStats, parStats := core.Untimed(seq.Stats), core.Untimed(par.Stats)
 	if seqStats != parStats {
 		t.Errorf("short-circuit stats differ from sequential: %+v vs %+v", parStats, seqStats)
 	}

@@ -10,7 +10,10 @@
 // moves only the rows of the groups the caller gave a slot. A search settles
 // most groups from their size alone (below a minimum size, the null value,
 // a group it prunes), so those are reported by size but never moved; when
-// the caller slots no group, it skips the scatter pass entirely.
+// the caller slots no group, it skips the scatter pass entirely. A caller
+// that counts several attributes of one row set in a single pass hands each
+// histogram to Groups instead of Count, and gathers a key column only for
+// an attribute whose groups it scatters.
 //
 // A Partitioner owns the counting buckets and resets only the buckets it
 // touched, so partitioning a small slice by a large-domain attribute (for
@@ -83,6 +86,42 @@ func (p *Partitioner) Count(keys []uint16) []Group {
 			counts[v] = 0
 			left -= n
 		}
+	}
+	return p.groups
+}
+
+// Groups is Count over a histogram the caller built: counts[v] is how many
+// of a column's rows keys hold value v. It returns every non-empty value in
+// ascending order with its size and no slot, like Count, and resets counts
+// to zero; Scatter then takes the column the histogram describes. counts
+// must not be longer than the Partitioner's domain. Groups reads every
+// entry of counts and panics when they are not the histogram of rows keys
+// (a negative entry, or a sum other than rows): stale counts left by an
+// earlier caller would otherwise come back as groups of the wrong size.
+func (p *Partitioner) Groups(counts []int32, rows int) []Group {
+	if len(counts) > len(p.counts) {
+		panic(fmt.Sprintf("csort: histogram of %d values exceeds domain %d", len(counts), len(p.counts)-1))
+	}
+	// Every bucket writes a group into the next slot, and only a non-empty
+	// one advances past it: the loop never branches on a count, whose
+	// pattern over a sparse histogram the branch predictor would miss.
+	groups := p.groups[:len(counts)]
+	k := 0
+	var sum int64
+	var neg int32
+	for v, n := range counts {
+		groups[k] = Group{Val: uint16(v), N: n}
+		if n != 0 {
+			k++
+		}
+		sum += int64(n)
+		neg |= n
+	}
+	clear(counts)
+	p.rows = rows
+	p.groups = groups[:k]
+	if sum != int64(rows) || neg < 0 {
+		panic(fmt.Sprintf("csort: histogram counts %d keys, not %d (negative entry: %v)", sum, rows, neg < 0))
 	}
 	return p.groups
 }

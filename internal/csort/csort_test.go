@@ -335,6 +335,96 @@ func TestCountOutOfDomainPanics(t *testing.T) {
 	}
 }
 
+// Groups over a histogram the caller built gives Count's groups for the
+// column it describes, leaves the histogram zero, and sets up Scatter for
+// that column, on random columns over random domains.
+func TestGroupsMatchesCount(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	p, q := New(300), New(300)
+	for trial := 0; trial < 500; trial++ {
+		domain := 1 + r.Intn(300)
+		keys := make([]uint16, r.Intn(400))
+		for i := range keys {
+			keys[i] = uint16(r.Intn(domain + 1))
+		}
+		counts := make([]int32, domain+1)
+		for _, k := range keys {
+			counts[k]++
+		}
+		want := append([]Group(nil), q.Count(keys)...)
+		got := p.Groups(counts, len(keys))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: Groups %+v, Count %+v", trial, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: Groups %+v, Count %+v", trial, got, want)
+			}
+		}
+		for v, n := range counts {
+			if n != 0 {
+				t.Fatalf("trial %d: histogram holds %d at %d after Groups", trial, n, v)
+			}
+		}
+		var off int32
+		for i := range got {
+			if r.Intn(2) == 0 {
+				got[i].Lo, got[i].Hi = off, off+got[i].N
+				off += got[i].N
+			}
+		}
+		ids := seq(len(keys))
+		out := make([]int32, len(keys))
+		p.Scatter(ids, keys, out)
+		for _, g := range got {
+			for _, id := range out[g.Lo:g.Hi] {
+				if keys[id] != g.Val {
+					t.Fatalf("trial %d: id %d with key %d scattered into the group of %d", trial, id, keys[id], g.Val)
+				}
+			}
+		}
+	}
+}
+
+// Groups fails closed on a histogram that does not count the rows it is
+// told of: short, over, or balanced by a negative entry, and one longer
+// than the domain. Every entry it read is zero afterwards.
+func TestGroupsBadHistogramPanics(t *testing.T) {
+	p := New(3)
+	for _, c := range []struct {
+		name   string
+		counts []int32
+		rows   int
+	}{
+		{"short", []int32{1, 2, 0, 1}, 5},
+		{"stale count above the rows", []int32{1, 2, 0, 1}, 3},
+		{"negative entry", []int32{2, -1, 0, 1}, 2},
+		{"no rows, stale count", []int32{0, 0, 1, 0}, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			p.Groups(c.counts, c.rows)
+		}()
+		for v, n := range c.counts {
+			if n != 0 {
+				t.Errorf("%s: entry %d holds %d after the panic", c.name, v, n)
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("histogram of 5 values in domain 3: no panic")
+			}
+		}()
+		p.Groups(make([]int32, 5), 0)
+	}()
+}
+
 // Scatter refuses a column other than the one counted, and slots that do
 // not hold their group or fall outside out.
 func TestScatterPanics(t *testing.T) {

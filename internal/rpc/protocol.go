@@ -85,7 +85,9 @@ import (
 // other side lacks in both directions and workers already ignored it
 // (TestWireOptionsV2Compat). core.Stats v2 dropped OneRoundGapFill the
 // same way: only the coordinator's merge ever set it, so no worker reply
-// carried a non-zero value (TestStatsV1Compat). core.IngestReply v4 retyped
+// carried a non-zero value (TestStatsV1Compat); v3 added the static mine's
+// phase times, which gob likewise zeroes or skips across the skew and no
+// worker reply sets (TestStatsV2Compat). core.IngestReply v4 retyped
 // Deltas from []intern.GRID to []int32 without one: gob matches a slice by
 // its element kind, so either side decodes the other's replies, and past
 // the one-time type descriptor both encode a reply to the same bytes

@@ -171,6 +171,58 @@ func TestStatsV1Compat(t *testing.T) {
 	}
 }
 
+// statsV2 is core.Stats as grlint:wire v2 shipped it, before v3 added the
+// static mine's phase times.
+type statsV2 struct {
+	PartitionCalls     int64
+	Examined           int64
+	TrivialSeen        int64
+	PrunedSupp         int64
+	PrunedScore        int64
+	Candidates         int64
+	Blocked            int64
+	HomScans           int64
+	PrunedGlobal       int64
+	ShardOffers        int64
+	ExactCountRequests int64
+	Duration           time.Duration
+}
+
+// TestStatsV2Compat pins why adding the phase times needed no rpc Version
+// bump: a v2 peer's stats decode into v3 Stats with the phases zero, and v3
+// stats, phases set, decode into the v2 shape with every shared field
+// intact. Only a static Mine sets the phases, and no worker reply carries
+// one.
+func TestStatsV2Compat(t *testing.T) {
+	v2 := statsV2{
+		PartitionCalls: 1, Examined: 2, TrivialSeen: 3, PrunedSupp: 4, PrunedScore: 5,
+		Candidates: 6, Blocked: 7, HomScans: 8, PrunedGlobal: 9, ShardOffers: 10,
+		ExactCountRequests: 11, Duration: 12 * time.Millisecond,
+	}
+	want := core.Stats{
+		PartitionCalls: 1, Examined: 2, TrivialSeen: 3, PrunedSupp: 4, PrunedScore: 5,
+		Candidates: 6, Blocked: 7, HomScans: 8, PrunedGlobal: 9, ShardOffers: 10,
+		ExactCountRequests: 11, Duration: 12 * time.Millisecond,
+	}
+	var v3 core.Stats
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v2))).Decode(&v3); err != nil {
+		t.Fatalf("v2 → v3 decode: %v", err)
+	}
+	if v3 != want {
+		t.Errorf("v2 → v3 decode = %+v, want %+v", v3, want)
+	}
+
+	timed := want
+	timed.IndexTime, timed.PlanTime, timed.WalkTime, timed.WalkBusy, timed.MergeTime = 1, 2, 3, 4, 5
+	var back statsV2
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, timed))).Decode(&back); err != nil {
+		t.Fatalf("v3 → v2 decode: %v", err)
+	}
+	if back != v2 {
+		t.Errorf("v3 → v2 decode = %+v, want %+v", back, v2)
+	}
+}
+
 // ingestReplyV3 is core.IngestReply as grlint:wire v3 shipped it, with the
 // delta handles typed []intern.GRID; v4 types them []int32.
 type ingestReplyV3 struct {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"grminer/internal/csort"
 	"grminer/internal/graph"
 )
 
@@ -128,6 +129,109 @@ func TestOffsetGatherMatchesRValsInto(t *testing.T) {
 				for i, e := range rows {
 					if s.RValAt(offs[i], a) != s.RVal(e, a) {
 						t.Fatalf("trial %d attr %d row %d: RValAt %d, RVal %d", trial, a, e, s.RValAt(offs[i], a), s.RVal(e, a))
+					}
+				}
+			}
+		}
+	}
+}
+
+// rootHists returns one zero histogram per node attribute of s, sized to
+// the attribute's domain, cut from one backing array as the miner lays
+// them out.
+func rootHists(s *Store) [][]int32 {
+	schema := s.Graph().Schema()
+	n := 0
+	for _, a := range schema.Node {
+		n += a.Domain + 1
+	}
+	hist := make([]int32, n)
+	hists := make([][]int32, len(schema.Node))
+	for i, a := range schema.Node {
+		hists[i], hist = hist[:a.Domain+1], hist[a.Domain+1:]
+	}
+	return hists
+}
+
+// TestRCountAtMatchesCount is a property test of the fused destination
+// count an RHS subtree root makes: over random offset sets of a tombstoned
+// store with a tail segment and of a full store grown by Append, counting
+// every node attribute in one RCountAt pass and turning each histogram
+// into groups with Groups must give, attribute by attribute, the groups
+// Count makes of the column RValsAtInto gathers, and leave every histogram
+// zero. A value beyond its attribute's histogram panics and leaves every
+// histogram zero, so the next count is exact.
+func TestRCountAtMatchesCount(t *testing.T) {
+	_, churned := churnedStore(t)
+	rng := rand.New(rand.NewSource(17))
+	g := graph.MustNew(dynSchema(t), 16)
+	for v := 0; v < 16; v++ {
+		if err := g.SetNodeValues(v, graph.Value(rng.Intn(4)), graph.Value(rng.Intn(5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addEdges := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := g.AddEdge(rng.Intn(16), rng.Intn(16), graph.Value(1+i%2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	addEdges(40)
+	grown := Build(g)
+	addEdges(30)
+	grown.Append()
+
+	fused, ref := csort.New(graph.MaxDomain), csort.New(graph.MaxDomain)
+	for _, s := range []*Store{churned, grown} {
+		hists := rootHists(s)
+		var offs []int32
+		var col []uint16
+		for trial := 0; trial < 200; trial++ {
+			rows := make([]int32, rng.Intn(s.NumRows()+1))
+			for i := range rows {
+				rows[i] = int32(rng.Intn(s.NumRows()))
+			}
+			offs = s.ROffsetsInto(offs, rows)
+			s.RCountAt(hists, offs)
+			for a, h := range hists {
+				got := fused.Groups(h, len(offs))
+				col = s.RValsAtInto(col, offs, a)
+				want := ref.Count(col)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d attr %d: fused %+v, Count %+v", trial, a, got, want)
+				}
+				if slices.ContainsFunc(h, func(n int32) bool { return n != 0 }) {
+					t.Fatalf("trial %d attr %d: histogram %v not zero after Groups", trial, a, h)
+				}
+			}
+		}
+
+		// Narrow one attribute's histogram below the largest value the
+		// store holds there, and count every row (four at a time) or the
+		// first row holding that value alone (the single-row tail).
+		all := s.ROffsetsInto(nil, s.AllEdges())
+		for a := range hists {
+			col := s.RValsAtInto(nil, all, a)
+			top := slices.Max(col)
+			if top == 0 {
+				continue
+			}
+			first := all[slices.Index(col, top)]
+			narrow := slices.Clone(hists)
+			narrow[a] = hists[a][:top]
+			for _, offs := range [][]int32{all, {first}} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("attr %d value %d beyond a histogram of %d, %d rows: no panic", a, top, top, len(offs))
+						}
+					}()
+					s.RCountAt(narrow, offs)
+				}()
+				for b, h := range hists {
+					if slices.ContainsFunc(h, func(n int32) bool { return n != 0 }) {
+						t.Fatalf("attr %d, %d rows: histogram of attr %d %v not zero after the panic", a, len(offs), b, h)
 					}
 				}
 			}

@@ -464,6 +464,59 @@ func (s *Store) RValsAtInto(dst []uint16, offs []int32, attr int) []uint16 {
 	return dst
 }
 
+// RCountAt adds the histograms of every node attribute over offsets from
+// ROffsetsInto to hists, hists[a] counting attribute a's values: each row's
+// values lie side by side in the RArray value table, so one pass reads them
+// once instead of once per attribute. The pass takes four rows at a time,
+// loading each histogram once for their four values. A value beyond its
+// attribute's histogram indicates data corruption upstream (the graph layer
+// validates every stored value); RCountAt then clears every histogram and
+// panics, rather than count it anywhere.
+func (s *Store) RCountAt(hists [][]int32, offs []int32) {
+	if nv := len(s.g.Schema().Node); len(hists) != nv {
+		panic(fmt.Sprintf("store: %d histograms for %d node attributes", len(hists), nv))
+	}
+	// Rows sliced to len(hists) let the compiler drop their bounds checks.
+	nv := len(hists)
+	vals := s.rVals
+	i := 0
+	for ; i+4 <= len(offs); i += 4 {
+		r0 := vals[int(offs[i]) : int(offs[i])+nv]
+		r1 := vals[int(offs[i+1]) : int(offs[i+1])+nv]
+		r2 := vals[int(offs[i+2]) : int(offs[i+2])+nv]
+		r3 := vals[int(offs[i+3]) : int(offs[i+3])+nv]
+		for a, h := range hists {
+			v0, v1, v2, v3 := r0[a], r1[a], r2[a], r3[a]
+			if int(v0) >= len(h) || int(v1) >= len(h) || int(v2) >= len(h) || int(v3) >= len(h) {
+				panic(outOfHistogram(hists, a, max(v0, v1, v2, v3)))
+			}
+			h[v0]++
+			h[v1]++
+			h[v2]++
+			h[v3]++
+		}
+	}
+	for _, off := range offs[i:] {
+		row := vals[int(off) : int(off)+nv]
+		for a, h := range hists {
+			v := row[a]
+			if int(v) >= len(h) {
+				panic(outOfHistogram(hists, a, v))
+			}
+			h[v]++
+		}
+	}
+}
+
+// outOfHistogram clears hists and describes value v of node attribute a,
+// which lies beyond its histogram.
+func outOfHistogram(hists [][]int32, a int, v graph.Value) string {
+	for _, h := range hists {
+		clear(h)
+	}
+	return fmt.Sprintf("store: node attribute %d value %d out of its histogram of %d", a, v, len(hists[a]))
+}
+
 // RValAt returns the value of node attribute attr at an offset from
 // ROffsetsInto.
 func (s *Store) RValAt(off int32, attr int) graph.Value { return s.rVals[int(off)+attr] }
