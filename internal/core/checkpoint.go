@@ -9,7 +9,6 @@ import (
 	"grminer/internal/graph"
 	"grminer/internal/intern"
 	"grminer/internal/metrics"
-	"grminer/internal/store"
 )
 
 // CheckpointVersion is the checkpoint blob format generation. A blob is
@@ -23,7 +22,10 @@ import (
 // Version 3 writes the pool and the dictionary's GR table as flat columns
 // (poolColumns, intern.DictState) instead of slices of structs and arrays,
 // which gob walks value by value at every nesting level.
-const CheckpointVersion = 3
+// Version 4 carries the live edges, the dictionary and the pool only: the
+// restore rebuilds the compact store from the edges, so neither the dead
+// edges nor a second copy of the store's arrays travel.
+const CheckpointVersion = 4
 
 // Checkpointer is a ShardWorker that can serialize its full shard state
 // into an opaque versioned blob. Supervisors checkpoint through it every
@@ -40,9 +42,8 @@ type Checkpointer interface {
 // blob plus the shard's spec. The spec supplies what the blob deliberately
 // omits — schema and the full node table, which checkpointing would
 // otherwise re-ship unchanged every interval — and the blob supplies
-// everything that moved since build: the shard's edge log, tombstones, the
-// compact store's exact arrays, the intern dictionary, and the maintained
-// pool.
+// everything that moved since build: the shard's live edges, the intern
+// dictionary, and the maintained pool.
 type Restorer interface {
 	Restore(spec WorkerSpec, blob []byte) error
 }
@@ -57,24 +58,26 @@ type RestoringBuilder interface {
 }
 
 // checkpointImage is the serialized form of a WorkerState. The worker's
-// private graph is persisted as its append-only edge log (every edge ever
-// added, in id order, dead ids listed separately) because edge ids — which
-// the store's EID column references — are positional in that log; the node
-// table and schema come from the spec at restore time. The store rides
-// along as its exact array snapshot, so a restored worker is bit-identical,
-// not merely equivalent: same row ids, same tombstones, same interned ids,
-// same maintained pool.
+// private graph is persisted as its live edges in graph id order; the node
+// table and schema come from the spec at restore time, and the compact
+// store, a pure function of the edges, is rebuilt rather than shipped. The
+// restored worker is therefore equivalent, not array-identical: its graph
+// edge ids and store row ids differ from the original's, but no reply
+// exposes either — deletions resolve by value, and the pool travels by
+// interned id, which the dictionary keeps. Among edges that share a
+// source, both workers keep rows in graph id order, so a retraction of
+// duplicate edges claims the same one on each, and the next blob lists the
+// same edges in the same order.
 type checkpointImage struct {
 	Version       int
 	Index, Shards int
 	NumNodes      int
 
-	EdgeSrc   []int32
-	EdgeDst   []int32
-	EdgeVals  []graph.Value
-	DeadEdges []int32
+	EdgeSrc  []int32
+	EdgeDst  []int32
+	EdgeVals []graph.Value
 
-	Store store.State
+	Dict intern.DictState
 
 	Seeded bool
 	Pool   poolColumns
@@ -177,35 +180,32 @@ func (p *densePool) restore(pc poolColumns) error {
 	return nil
 }
 
-// Checkpoint serializes the worker's full shard state — graph edge log with
-// tombstones, compact store arrays, intern dictionary, maintained pool and
-// its seeded-ness, ingestion high-water mark — into an opaque versioned
-// blob. The inverse is Restore / NewWorkerStateFromCheckpoint.
+// Checkpoint serializes the worker's shard state — live edges, intern
+// dictionary, maintained pool and its seeded-ness — into an opaque
+// versioned blob. The inverse is Restore / NewWorkerStateFromCheckpoint.
 func (w *WorkerState) Checkpoint() ([]byte, error) {
 	ne := len(w.g.Schema().Edge)
-	m := w.g.NumEdges()
+	m := w.g.NumLiveEdges()
 	img := checkpointImage{
 		Version:  CheckpointVersion,
 		Index:    w.idx,
 		Shards:   w.shards,
 		NumNodes: w.g.NumNodes(),
-		EdgeSrc:  make([]int32, m),
-		EdgeDst:  make([]int32, m),
-		Store:    w.st.State(),
+		EdgeSrc:  make([]int32, 0, m),
+		EdgeDst:  make([]int32, 0, m),
+		Dict:     w.st.Dict().State(),
 		Seeded:   w.seeded,
 	}
 	if ne > 0 {
-		img.EdgeVals = make([]graph.Value, m*ne)
+		img.EdgeVals = make([]graph.Value, 0, m*ne)
 	}
-	for e := 0; e < m; e++ {
-		img.EdgeSrc[e] = int32(w.g.Src(e))
-		img.EdgeDst[e] = int32(w.g.Dst(e))
-		if ne > 0 {
-			copy(img.EdgeVals[e*ne:(e+1)*ne], w.g.EdgeValues(e))
-		}
+	for e := 0; e < w.g.NumEdges(); e++ {
 		if !w.g.EdgeAlive(e) {
-			img.DeadEdges = append(img.DeadEdges, int32(e))
+			continue
 		}
+		img.EdgeSrc = append(img.EdgeSrc, int32(w.g.Src(e)))
+		img.EdgeDst = append(img.EdgeDst, int32(w.g.Dst(e)))
+		img.EdgeVals = append(img.EdgeVals, w.g.EdgeValues(e)...)
 	}
 	if w.seeded {
 		// Entry order, not map order: restore upserts in blob order, so the
@@ -224,8 +224,10 @@ func (w *WorkerState) Checkpoint() ([]byte, error) {
 }
 
 // NewWorkerStateFromCheckpoint builds a live worker from its spec and a
-// checkpoint blob, reproducing the checkpointed worker bit-identically. The
-// spec must describe the same shard the blob was taken from (index, shard
+// checkpoint blob: the private graph from the blob's live edges, the store
+// built over it with the blob's dictionary, and the blob's pool. The result
+// answers every later request as the checkpointed worker would. The spec
+// must describe the same shard the blob was taken from (index, shard
 // count, node table); mismatches and foreign blob versions fail closed.
 func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, error) {
 	var img checkpointImage
@@ -251,20 +253,7 @@ func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, e
 		return nil, fmt.Errorf("core: shard %d: checkpoint node table (%d nodes) disagrees with spec (%d)",
 			spec.Index, img.NumNodes, spec.NumNodes)
 	}
-	// Replay the edge log in id order — edge ids are positional, and the
-	// store snapshot's EID column references them — then re-tombstone.
-	w, err := newWorker(spec, img.EdgeSrc, img.EdgeDst, img.EdgeVals, func(g *graph.Graph) (*store.Store, error) {
-		for _, e := range img.DeadEdges {
-			if err := g.RemoveEdge(int(e)); err != nil {
-				return nil, fmt.Errorf("core: shard %d: checkpoint tombstone %d: %w", spec.Index, e, err)
-			}
-		}
-		st, err := store.FromState(g, img.Store)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: checkpoint store: %w", spec.Index, err)
-		}
-		return st, nil
-	})
+	w, err := newWorker(spec, img.EdgeSrc, img.EdgeDst, img.EdgeVals, &img.Dict)
 	if err != nil {
 		return nil, err
 	}

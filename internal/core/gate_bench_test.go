@@ -264,8 +264,9 @@ func BenchmarkShardedApplyBatch(b *testing.B) {
 // BenchmarkWorkerCheckpoint is the checkpoint kernel a supervisor pays
 // every CheckpointInterval batches and a replacement pays on failover: one
 // shard's Checkpoint plus NewWorkerStateFromCheckpoint, on a seeded worker
-// churned by four mixed batches, so the blob carries tombstones, dead
-// edges and a maintained pool.
+// churned by four mixed batches and holding a maintained pool. The
+// worker's graph and store carry dead edges, which the blob leaves out:
+// it lists the live edges only, and the restore rebuilds the store.
 func BenchmarkWorkerCheckpoint(b *testing.B) {
 	gateFixture(b)
 	inc, workers := gateSharded(b)

@@ -575,18 +575,17 @@ type WorkerState struct {
 
 // NewWorkerState builds a live worker from its spec.
 func NewWorkerState(spec WorkerSpec) (*WorkerState, error) {
-	return newWorker(spec, spec.EdgeSrc, spec.EdgeDst, spec.EdgeVals, func(g *graph.Graph) (*store.Store, error) {
-		return store.Build(g), nil
-	})
+	return newWorker(spec, spec.EdgeSrc, spec.EdgeDst, spec.EdgeVals, nil)
 }
 
 // newWorker is the one constructor behind NewWorkerState and
 // NewWorkerStateFromCheckpoint: it checks the spec, resolves its options,
 // builds the private graph — schema and node table from the spec, then the
-// edge log src/dst/vals (row-major, one row per edge) in id order — and
-// wraps the store build returns for it. Shard stores always keep postings:
-// Counts and the scoped re-mine both read their bitmaps.
-func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, build func(*graph.Graph) (*store.Store, error)) (*WorkerState, error) {
+// edges src/dst/vals (row-major, one row per edge) in order — and the store
+// over it. A non-nil dict becomes the store's dictionary before anything
+// interns. Shard stores always keep postings: Counts and the scoped
+// re-mine both read their bitmaps.
+func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, dict *intern.DictState) (*WorkerState, error) {
 	schema, err := graph.NewSchema(spec.NodeAttrs, spec.EdgeAttrs)
 	if err != nil {
 		return nil, fmt.Errorf("core: worker spec schema: %w", err)
@@ -632,13 +631,13 @@ func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, build func
 			return nil, fmt.Errorf("core: shard %d: edge %d: %w", spec.Index, i, err)
 		}
 	}
-	st, err := build(g)
-	if err != nil {
-		return nil, err
+	st := store.Build(g)
+	if dict != nil {
+		if err := st.RestoreDict(*dict); err != nil {
+			return nil, fmt.Errorf("core: shard %d: checkpoint dictionary: %w", spec.Index, err)
+		}
 	}
-	if st.Postings() == nil {
-		st.EnablePostings()
-	}
+	st.EnablePostings()
 	// A shard's capture mines run at the lowered support threshold with no
 	// score threshold; metric, descriptor caps, triviality and RHS-order
 	// settings pass through so the per-shard enumeration space matches the

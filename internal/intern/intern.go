@@ -9,7 +9,7 @@
 //     value) pair of a schema gets a dense id by pure arithmetic — node
 //     attributes first, edge attributes after — so pair ids need no map, no
 //     allocation, and are trivially stable under every store mutation
-//     (AppendEdges, deletions, rebuild-compaction): they depend on nothing
+//     (Append, deletions, rebuild-compaction): they depend on nothing
 //     but the immutable schema.
 //
 //   - Dict: a trie over pair ids interning condition paths (descriptors)

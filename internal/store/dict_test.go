@@ -10,7 +10,7 @@ import (
 )
 
 // TestDictStableUnderChurn is the intern stability property at the store
-// level: the dictionary Dict() hands out survives AppendEdges, deletions,
+// level: the dictionary Dict() hands out survives Append, deletions,
 // and rebuild-compaction — the same object, with every previously interned
 // descriptor and GR keeping its id and the id space only ever growing (ids
 // are never reused for a different (attribute, value) path). This is what
@@ -112,4 +112,41 @@ func TestDictStableUnderChurn(t *testing.T) {
 	if compactions == 0 {
 		t.Fatal("churn never triggered a compaction — dict survival untested")
 	}
+}
+
+// TestRestoreDict pins the hook a worker checkpoint restore installs its
+// dictionary through: a store rebuilt from the churned store's live edges,
+// given the churned dictionary's state, hands out the ids it recorded —
+// for known GRs and for the next new one alike. A corrupt state is refused
+// and leaves the store without a dictionary; restoring over an existing
+// one panics.
+func TestRestoreDict(t *testing.T) {
+	g, s := churnedStore(t)
+	d := s.Dict()
+	r := Build(g)
+	if err := r.RestoreDict(intern.DictState{Descs: []uint64{1 << 40}}); err == nil {
+		t.Fatal("corrupt dictionary state accepted")
+	}
+	if r.dict != nil {
+		t.Fatal("a refused state left a dictionary behind")
+	}
+	if err := r.RestoreDict(d.State()); err != nil {
+		t.Fatal(err)
+	}
+	rd := r.Dict()
+	for _, x := range internedGRs() {
+		if got, want := rd.GR(x), d.GR(x); got != want {
+			t.Errorf("GR %s restored to id %d, want %d", x.Key(), got, want)
+		}
+	}
+	fresh := gr.GR{L: gr.D(0, 3), R: gr.D(1, 1)}
+	if got, want := rd.GR(fresh), d.GR(fresh); got != want {
+		t.Errorf("new GR interned as %d after restore, %d before", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RestoreDict over an existing dictionary did not panic")
+		}
+	}()
+	_ = r.RestoreDict(d.State())
 }

@@ -23,19 +23,12 @@ func dynSchema(t *testing.T) *graph.Schema {
 	return schema
 }
 
-// TestAppendHighWaterAfterBuildSubset pins the high-water-mark semantics of
-// Append and AppendEdges:
-//
-//   - Append on a subset store is a no-op — the shard owner routes edges
-//     explicitly with AppendEdges, and catching up to the graph would pull
-//     in edges belonging to other shards.
-//   - AppendEdges advances the full-store high-water mark to max(id)+1 of
-//     the ingested edges: it is a MARK, not a set. A caller that skips an
-//     intermediate graph edge id has taken ownership of routing, and a
-//     later Append will NOT backfill the skipped id.
-func TestAppendHighWaterAfterBuildSubset(t *testing.T) {
-	schema := dynSchema(t)
-	g := graph.MustNew(schema, 6)
+// TestAppendSkipsEdgesDeadBeforeIngest pins Append's high-water mark: an
+// edge removed from the graph before the store ingested it is skipped, not
+// ingested, and the mark still passes it, so no later Append revisits it;
+// edges added after the mark flow in normally.
+func TestAppendSkipsEdgesDeadBeforeIngest(t *testing.T) {
+	g := graph.MustNew(dynSchema(t), 6)
 	for v := 0; v < 6; v++ {
 		if err := g.SetNodeValues(v, graph.Value(1+v%3), graph.Value(1+v%4)); err != nil {
 			t.Fatal(err)
@@ -46,48 +39,33 @@ func TestAppendHighWaterAfterBuildSubset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	sub := BuildSubset(g, []int32{0, 2, 4})
-	if _, err := g.AddEdge(0, 5, 1); err != nil { // edge 8
+	s := Build(g)
+	for e := 0; e < 3; e++ { // edges 8, 9, 10
+		if _, err := g.AddEdge(e, 5, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.RemoveEdge(9); err != nil {
 		t.Fatal(err)
 	}
-	if rows := sub.Append(); rows != nil {
-		t.Fatalf("Append on a subset store ingested %v", rows)
+	rows := s.Append()
+	if len(rows) != 2 || s.EdgeID(rows[0]) != 8 || s.EdgeID(rows[1]) != 10 {
+		t.Fatalf("Append ingested rows %v, want edges 8 and 10", rows)
 	}
-	if sub.NumEdges() != 3 {
-		t.Fatalf("subset store grew to %d edges", sub.NumEdges())
-	}
-	// Explicit routing still works and keeps the subset coherent.
-	if rows := sub.AppendEdges([]int32{8}); len(rows) != 1 {
-		t.Fatalf("AppendEdges ingested %v", rows)
-	}
-	if err := sub.Validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-
-	full := Build(g)                              // 9 edges
-	if _, err := g.AddEdge(1, 2, 1); err != nil { // edge 9
+	if rows := s.Append(); rows != nil {
+		t.Fatalf("second Append ingested %v", rows)
+	}
+	if _, err := g.AddEdge(3, 4, 2); err != nil { // edge 11
 		t.Fatal(err)
 	}
-	if _, err := g.AddEdge(2, 3, 2); err != nil { // edge 10
-		t.Fatal(err)
-	}
-	// Explicitly ingest only edge 10: the mark advances past 9.
-	if rows := full.AppendEdges([]int32{10}); len(rows) != 1 {
-		t.Fatalf("AppendEdges ingested %v", rows)
-	}
-	if rows := full.Append(); rows != nil {
-		t.Fatalf("Append backfilled past the high-water mark: %v", rows)
-	}
-	if full.NumEdges() != 10 {
-		t.Fatalf("full store holds %d edges, want 10 (edge 9 skipped by contract)", full.NumEdges())
-	}
-	// New appends beyond the mark flow normally again.
-	if _, err := g.AddEdge(3, 4, 1); err != nil { // edge 11
-		t.Fatal(err)
-	}
-	if rows := full.Append(); len(rows) != 1 {
+	if rows := s.Append(); len(rows) != 1 || s.EdgeID(rows[0]) != 11 {
 		t.Fatalf("Append after the mark ingested %v", rows)
+	}
+	if s.NumEdges() != 11 {
+		t.Fatalf("store holds %d edges, want 11", s.NumEdges())
 	}
 }
 

@@ -6,13 +6,71 @@ import (
 	"testing"
 
 	"grminer/internal/csort"
+	"grminer/internal/gr"
 	"grminer/internal/graph"
 )
 
+// churnedStore builds a store that has seen the mutation surface a shard
+// store accumulates: a build, a tail segment appended after it, postings,
+// tombstoning removals (below the compaction threshold, so tombstones are
+// actually present) mirrored in the graph, and an intern dictionary with
+// descriptors and GRs interned.
+func churnedStore(t *testing.T) (*graph.Graph, *Store) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	g := graph.MustNew(dynSchema(t), 12)
+	for v := 0; v < 12; v++ {
+		if err := g.SetNodeValues(v, graph.Value(1+v%3), graph.Value(1+v%4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addEdges := func(from, to int) {
+		for e := from; e < to; e++ {
+			if _, err := g.AddEdge(rng.Intn(12), rng.Intn(12), graph.Value(1+e%2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	addEdges(0, 20)
+	s := Build(g)
+	s.EnablePostings()
+	addEdges(20, 40)
+	if rows := s.Append(); len(rows) != 20 {
+		t.Fatalf("Append ingested %d edges, want 20", len(rows))
+	}
+	doomed := []int32{3, 11, 26}
+	for _, row := range doomed {
+		if err := g.RemoveEdge(int(s.EdgeID(row))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RemoveEdges(doomed); err != nil {
+		t.Fatal(err)
+	}
+	if s.deadCount != 3 {
+		t.Fatalf("compaction fired early (dead=%d); the test wants live tombstones", s.deadCount)
+	}
+	d := s.Dict()
+	for _, g := range internedGRs() {
+		d.GR(g)
+	}
+	return g, s
+}
+
+// internedGRs is the rule set churnedStore interns.
+func internedGRs() []gr.GR {
+	return []gr.GR{
+		{L: gr.D(0, 1), W: gr.D(0, 2), R: gr.D(1, 3)},
+		{L: gr.D(0, 2, 1, 1), W: nil, R: gr.D(0, 1)},
+		{L: gr.D(1, 4), W: gr.D(0, 1), R: gr.D(0, 2, 1, 2)},
+	}
+}
+
 // TestValsIntoMatchAccessors pins the batch key gathers against the per-row
 // accessors on every store shape the miner partitions: one carrying
-// tombstones (whose values stay readable), one restored from a checkpoint,
-// and one compacted and renumbered.
+// tombstones (whose values stay readable), one rebuilt from its graph's
+// live edges as a checkpoint restore builds it, and one compacted and
+// renumbered.
 func TestValsIntoMatchAccessors(t *testing.T) {
 	g, s := churnedStore(t)
 	schema := g.Schema()
@@ -62,11 +120,7 @@ func TestValsIntoMatchAccessors(t *testing.T) {
 	}
 	check("tombstoned", s)
 
-	r, err := FromState(g, s.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("restored", r)
+	check("rebuilt", Build(g))
 
 	live := s.AllEdges()
 	before := s.NumRows()

@@ -104,7 +104,7 @@ func (b Bitmap) Clear(row int32) {
 
 // EnablePostings builds (or rebuilds) the store's maintained BitmapIndex —
 // its postings — with BuildBitmapIndex over its current rows, then attaches
-// it and keeps it live-exact from now on: AppendEdges sets a new row's
+// it and keeps it live-exact from now on: Append sets a new row's
 // bits, RemoveEdges clears a tombstoned row's bits at once, and compaction
 // rebuilds the index against the renumbered rows (the store tests check
 // every bitmap against a brute-force scan after arbitrary insert/delete

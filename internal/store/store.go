@@ -25,18 +25,11 @@ import (
 // of EArray (the CSR grouping of lInd covers only the Build-time segment —
 // nothing in the miner depends on that grouping, only on per-edge accessors),
 // and LArray/RArray grow rows for nodes whose out/in degree becomes non-zero.
-//
-// A store may also cover only a subset of its graph's edges (BuildSubset) —
-// the per-shard layout of the sharded mining engine. Subset stores are kept
-// in sync by their owner through AppendEdges with explicitly routed edge
-// ids; Append's catch-up-to-the-graph semantics apply to full stores only.
 type Store struct {
 	g *graph.Graph
 
-	// subset marks a store built over an explicit edge subset; ingested is
-	// the high-water mark of graph edge ids synced into a full store (the
-	// resume point for Append).
-	subset   bool
+	// ingested is the high-water mark of graph edge ids synced into the
+	// store (the resume point for Append).
 	ingested int
 
 	// LArray: one row per node with out-degree > 0.
@@ -104,24 +97,6 @@ func Build(g *graph.Graph) *Store {
 	}
 	s := buildFrom(g, edges)
 	s.ingested = g.NumEdges()
-	return s
-}
-
-// BuildSubset constructs the compact model over the given subset of g's
-// edges (graph edge ids, ascending). The store's edge rows cover exactly
-// that subset — NumEdges is the subset size, and EdgeID maps rows back to
-// the original graph edge ids — which is the per-shard layout of the
-// sharded mining engine. Nodes inactive within the subset get no LArray or
-// RArray row. Keep a subset store in sync with AppendEdges; Append is a
-// no-op for it.
-func BuildSubset(g *graph.Graph, edges []int32) *Store {
-	if edges == nil {
-		// An empty shard: nil must mean "no edges" here, never the
-		// full-build sentinel buildFrom uses.
-		edges = []int32{}
-	}
-	s := buildFrom(g, edges)
-	s.subset = true
 	return s
 }
 
@@ -214,45 +189,25 @@ func buildFrom(g *graph.Graph, edges []int32) *Store {
 	return s
 }
 
-// Append brings a full store in sync with its graph after edges were
-// appended to the graph (node attribute values must not have changed). New
+// Append brings the store in sync with its graph after edges were appended
+// to the graph (node attribute values must not have changed). New live
 // edges are appended to EArray as a tail segment in graph-edge order; nodes
 // appearing as a source (destination) for the first time gain an LArray
 // (RArray) row. It returns the EArray row ids of the newly ingested edges.
-// On a subset store Append is a no-op (the owner routes edges explicitly
-// with AppendEdges). Append is not safe to call concurrently with readers.
+// Append is not safe to call concurrently with readers.
 func (s *Store) Append() []int32 {
-	if s.subset {
-		return nil
-	}
 	total := s.g.NumEdges()
 	if s.ingested >= total {
 		return nil
 	}
-	ids := make([]int32, 0, total-s.ingested)
-	for e := s.ingested; e < total; e++ {
-		if s.g.EdgeAlive(e) {
-			ids = append(ids, int32(e))
-		}
-	}
-	rows := s.AppendEdges(ids)
-	// Dead ids in the scanned range were skipped, not ingested; advance the
-	// high-water mark past them so they are not rescanned forever.
-	s.ingested = total
-	return rows
-}
-
-// AppendEdges ingests the given graph edges (which must already exist in the
-// graph and not yet be in the store) as a tail segment of EArray, growing
-// LArray/RArray rows for newly active nodes. It is how a subset store — one
-// shard of a partitioned edge set — receives the edges routed to it. It
-// returns the EArray row ids of the ingested edges, in input order. Not safe
-// to call concurrently with readers.
-func (s *Store) AppendEdges(edges []int32) []int32 {
 	ne := len(s.g.Schema().Edge)
-	ids := make([]int32, 0, len(edges))
-	for _, e32 := range edges {
-		e := int(e32)
+	rows := make([]int32, 0, total-s.ingested)
+	for e := s.ingested; e < total; e++ {
+		// Edges dead before the store saw them are skipped, not ingested;
+		// the high-water mark still passes them, so they are not rescanned.
+		if !s.g.EdgeAlive(e) {
+			continue
+		}
 		src, dst := s.g.Src(e), s.g.Dst(e)
 		lRow := s.lRowOf[src]
 		if lRow < 0 {
@@ -276,7 +231,7 @@ func (s *Store) AppendEdges(edges []int32) []int32 {
 		row := int32(len(s.ePtr))
 		s.eSrc = append(s.eSrc, lRow)
 		s.ePtr = append(s.ePtr, rRow)
-		s.eID = append(s.eID, e32)
+		s.eID = append(s.eID, int32(e))
 		if ne > 0 {
 			s.eVals = append(s.eVals, s.g.EdgeValues(e)...)
 		}
@@ -286,12 +241,10 @@ func (s *Store) AppendEdges(edges []int32) []int32 {
 		if s.post != nil {
 			s.post.mark(row, true)
 		}
-		if e >= s.ingested {
-			s.ingested = e + 1
-		}
-		ids = append(ids, row)
+		rows = append(rows, row)
 	}
-	return ids
+	s.ingested = total
+	return rows
 }
 
 // RemoveEdges tombstones the given EArray rows (which must be distinct and
@@ -328,8 +281,8 @@ func (s *Store) RemoveEdges(rows []int32) error {
 }
 
 // compact rebuilds the arrays over the surviving rows, dropping tombstones
-// and renumbering rows; subset/high-water bookkeeping and postings are
-// preserved (the bitmaps are rebuilt against the new row ids).
+// and renumbering rows; the high-water mark, the dictionary and postings
+// are preserved (the bitmaps are rebuilt against the new row ids).
 func (s *Store) compact() {
 	live := make([]int32, 0, s.NumEdges())
 	for row := range s.ePtr {
@@ -338,7 +291,6 @@ func (s *Store) compact() {
 		}
 	}
 	n := buildFrom(s.g, live)
-	n.subset = s.subset
 	n.ingested = s.ingested
 	n.dict = s.dict
 	postings := s.post != nil
@@ -359,6 +311,23 @@ func (s *Store) Dict() *intern.Dict {
 		s.dict = intern.NewDict(intern.NewLayout(s.g.Schema()))
 	}
 	return s.dict
+}
+
+// RestoreDict rebuilds a dictionary from st with intern.FromState, laid out
+// over the store's schema, and makes it the store's, so it hands out the
+// ids st recorded. A worker checkpoint restore calls it on the store it
+// just built, before anything interns. It fails on a state interning could
+// not have produced, and panics if the store already has a dictionary.
+func (s *Store) RestoreDict(st intern.DictState) error {
+	if s.dict != nil {
+		panic("store: RestoreDict over an existing dictionary")
+	}
+	d, err := intern.FromState(intern.NewLayout(s.g.Schema()), st)
+	if err != nil {
+		return err
+	}
+	s.dict = d
+	return nil
 }
 
 // Graph returns the underlying graph.
@@ -555,10 +524,9 @@ func (s *Store) AllEdgesInto(dst []int32) []int32 {
 }
 
 // Validate cross-checks the store against its graph; used by tests and as a
-// guard after Build on huge inputs. A subset store validates only the edges
-// it covers.
+// guard after Build on huge inputs.
 func (s *Store) Validate() error {
-	if !s.subset && s.NumEdges() != s.g.NumLiveEdges() {
+	if s.NumEdges() != s.g.NumLiveEdges() {
 		return fmt.Errorf("store: %d live EArray rows for %d live edges", s.NumEdges(), s.g.NumLiveEdges())
 	}
 	nv := len(s.g.Schema().Node)

@@ -274,148 +274,3 @@ func TestAppendEdgeCases(t *testing.T) {
 		t.Errorf("rows = %d, %d; want 2, 2", s.NumLRows(), s.NumRRows())
 	}
 }
-
-// A subset store must expose exactly its edge slice, with accessors and
-// EdgeID agreeing with the underlying graph edge by edge.
-func TestBuildSubset(t *testing.T) {
-	sch, err := graph.NewSchema([]graph.Attribute{
-		{Name: "A", Domain: 4},
-		{Name: "B", Domain: 3},
-	}, []graph.Attribute{{Name: "W", Domain: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	g := graph.MustNew(sch, 10)
-	for v := 0; v < 10; v++ {
-		if err := g.SetNodeValues(v, graph.Value(r.Intn(5)), graph.Value(r.Intn(4))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for e := 0; e < 40; e++ {
-		if _, err := g.AddEdge(r.Intn(10), r.Intn(10), graph.Value(r.Intn(3))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A scattered, non-contiguous subset.
-	var subset []int32
-	for e := 1; e < 40; e += 3 {
-		subset = append(subset, int32(e))
-	}
-	s := BuildSubset(g, subset)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if s.NumEdges() != len(subset) {
-		t.Fatalf("NumEdges = %d, want %d", s.NumEdges(), len(subset))
-	}
-	for row := int32(0); int(row) < s.NumRows(); row++ {
-		if !s.Alive(row) {
-			continue
-		}
-		orig := int(s.EdgeID(row))
-		if int(s.SrcNode(row)) != g.Src(orig) || int(s.DstNode(row)) != g.Dst(orig) {
-			t.Fatalf("row %d endpoints mismatch", row)
-		}
-		for a := 0; a < 2; a++ {
-			if s.LVal(row, a) != g.NodeValue(g.Src(orig), a) {
-				t.Fatalf("row %d LVal attr %d mismatch", row, a)
-			}
-			if s.RVal(row, a) != g.NodeValue(g.Dst(orig), a) {
-				t.Fatalf("row %d RVal attr %d mismatch", row, a)
-			}
-		}
-		if s.EVal(row, 0) != g.EdgeValue(orig, 0) {
-			t.Fatalf("row %d EVal mismatch", row)
-		}
-	}
-	// Nodes inactive within the subset must not occupy rows.
-	inSubset := make(map[int]bool)
-	srcs := make(map[int]bool)
-	for _, e := range subset {
-		inSubset[int(e)] = true
-		srcs[g.Src(int(e))] = true
-	}
-	if s.NumLRows() != len(srcs) {
-		t.Fatalf("LArray rows = %d, want %d subset sources", s.NumLRows(), len(srcs))
-	}
-	// Append on a subset store is a no-op: the owner routes explicitly.
-	if _, err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if rows := s.Append(); rows != nil {
-		t.Fatalf("Append on subset store ingested %d edges", len(rows))
-	}
-	if s.NumEdges() != len(subset) {
-		t.Fatalf("Append on subset store changed NumEdges to %d", s.NumEdges())
-	}
-}
-
-// AppendEdges must ingest exactly the routed edges, activating new nodes,
-// and full-store Append must remain equivalent to the catch-up it was.
-func TestAppendEdgesRouted(t *testing.T) {
-	sch, err := graph.NewSchema([]graph.Attribute{{Name: "A", Domain: 3}},
-		[]graph.Attribute{{Name: "W", Domain: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.MustNew(sch, 6)
-	for v := 0; v < 6; v++ {
-		if err := g.SetNodeValues(v, graph.Value(v%3+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for e := 0; e < 8; e++ {
-		if _, err := g.AddEdge(e%3, (e+1)%4, graph.Value(e%2+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	even := BuildSubset(g, []int32{0, 2, 4, 6})
-	odd := BuildSubset(g, []int32{1, 3, 5, 7})
-
-	// New edges routed by parity; node 5 becomes active for the first time.
-	id1, err := g.AddEdge(5, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := g.AddEdge(1, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := even.AppendEdges([]int32{int32(id1)})
-	if len(rows) != 1 || even.NumEdges() != 5 {
-		t.Fatalf("even shard: rows %v, NumEdges %d", rows, even.NumEdges())
-	}
-	if int(even.SrcNode(rows[0])) != 5 || even.EVal(rows[0], 0) != 2 {
-		t.Fatalf("even shard misingested edge %d", id1)
-	}
-	rows = odd.AppendEdges([]int32{int32(id2)})
-	if len(rows) != 1 || odd.NumEdges() != 5 {
-		t.Fatalf("odd shard: rows %v, NumEdges %d", rows, odd.NumEdges())
-	}
-	if int(odd.DstNode(rows[0])) != 5 {
-		t.Fatalf("odd shard misingested edge %d", id2)
-	}
-	if err := even.Validate(); err != nil {
-		t.Fatalf("even shard Validate: %v", err)
-	}
-	if err := odd.Validate(); err != nil {
-		t.Fatalf("odd shard Validate: %v", err)
-	}
-
-	// A full store built before the growth catches up through Append and
-	// validates end to end.
-	full := Build(g)
-	if _, err := g.AddEdge(2, 5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := full.Append(); len(got) != 1 {
-		t.Fatalf("full-store Append ingested %d edges, want 1", len(got))
-	}
-	if full.Append() != nil {
-		t.Fatal("second Append was not a no-op")
-	}
-	if err := full.Validate(); err != nil {
-		t.Fatalf("full store Validate: %v", err)
-	}
-}
