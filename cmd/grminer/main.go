@@ -226,7 +226,7 @@ func main() {
 			res.Stats.Examined, res.Stats.TrivialSeen, res.Stats.PrunedSupp,
 			res.Stats.PrunedScore, res.Stats.Blocked, res.Stats.PartitionCalls, res.Stats.Duration)
 		if res.Stats.ShardOffers > 0 {
-			fmt.Fprintf(info, "shard protocol: offers=%d prunedGlobal=%d round2-requests=%d\n",
+			fmt.Fprintf(info, "shard protocol: offers=%d bound-dropped-offers=%d round2-requests=%d\n",
 				res.Stats.ShardOffers, res.Stats.PrunedGlobal, res.Stats.ExactCountRequests)
 		}
 	}

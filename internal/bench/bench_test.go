@@ -77,6 +77,9 @@ func TestEveryExperimentRuns(t *testing.T) {
 			if name == "failover" && strings.Contains(buf.String(), "WARNING") {
 				t.Errorf("failover diverged, replaced nothing, or replayed past the checkpoint interval:\n%s", buf.String())
 			}
+			if strings.HasPrefix(name, "fig4") && strings.Contains(buf.String(), "shape: WARNING") {
+				t.Errorf("a baseline beat a GRMiner variant at a compared point:\n%s", buf.String())
+			}
 		})
 	}
 }

@@ -29,9 +29,9 @@ type DistributedPoint struct {
 	Seconds float64 `json:"seconds"`
 	Speedup float64 `json:"speedup"`
 	// Round1Offers counts candidates offered across workers; PrunedGlobal
-	// the subtrees the OfferBound cut worker-side.
+	// the offers the OfferBound dropped worker-side.
 	Round1Offers int64 `json:"round1_offers"`
-	PrunedGlobal int64 `json:"pruned_global_subtrees"`
+	PrunedGlobal int64 `json:"pruned_global_offers"`
 	// Round2Requests is the (candidate, shard) exact-count volume the
 	// two-round merge fetched over the wire.
 	Round2Requests int64 `json:"round2_exact_count_requests"`

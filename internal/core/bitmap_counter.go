@@ -9,8 +9,8 @@ import (
 
 // bitmapCounter is the exact count kernel over a store.BitmapIndex, serving
 // both round-2 Counts on shard workers (the store's maintained postings)
-// and the ExactGenerality generalisation checks of mines (the postings when
-// the store keeps them, else a lazily filled per-mine index). Per GR the
+// and the ExactGenerality generalisation checks of mines (the store's
+// postings in a capture walk, the static mine's own index). Per GR the
 // cost is O(conditions × rows/64): L∧W is intersected once into scratch
 // (an empty L∧W is every live row), then intersected-and-counted against
 // the R bitmaps for LWR and against the destination-side l[β] bitmaps for

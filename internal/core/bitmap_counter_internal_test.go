@@ -158,8 +158,10 @@ func checkGeneralityCounts(t *testing.T, g *graph.Graph, st *store.Store, m metr
 		return c.LWR >= opt.MinSupp && m.Score(c) >= opt.MinScore
 	}
 
-	counter := newMiner(st, opt) // kernel counts, one lazy index for the run
+	idx, _ := store.BuildBitmapIndex(st, 1)
+	counter := newMiner(st, opt) // kernel counts
 	checker := newMiner(st, opt) // hasQualifyingGeneralization with its memo
+	counter.scr.genIdx, checker.scr.genIdx = idx, idx
 	seen := map[string]bool{}
 	var probed, emptyLW, betaHom, qualifying int
 	for _, cand := range all.TopK {

@@ -27,12 +27,13 @@ func TestSearchCountersGolden(t *testing.T) {
 
 	var b strings.Builder
 	mine := func(name string, opt Options) {
-		res, err := mineStore(st, opt, 1)
+		res, _, err := mineStore(st, opt, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		writeCounters(&b, name, res)
 	}
+	mine("nhp-paper", base)
 	exact := base
 	exact.ExactGenerality = true
 	mine("nhp-exactgen", exact)

@@ -19,7 +19,7 @@ import (
 //
 // The walk's result must not depend on the schedule: the pool's entry
 // order, the store dictionary's GR ids, a shard's IngestReply deltas and
-// its checkpoint bytes all equal the sequential walk's. A replacement shard
+// its checkpoint bytes all equal the one-worker walk's. A replacement shard
 // worker replays the routed-batch log and must hand out the very pool
 // handles the coordinator mirrors, so any schedule-dependent id would break
 // failover. Three rules keep it so:
@@ -34,9 +34,9 @@ import (
 //     update neither moves an entry nor interns anything.
 //   - Everything else a worker captures — the new entrants, and every
 //     capture of a full walk — is buffered per task and replayed after the
-//     workers finish, task by task in the sequential walk's order. The
+//     workers finish, task by task in the one-worker walk's order. The
 //     replay is the only place the pool grows and the dictionary interns,
-//     so both see exactly the sequence of the sequential walk.
+//     so both see exactly the sequence of the one-worker walk.
 //
 // The width comes from GOMAXPROCS, not from an option: the output is the
 // same at every width, so there is nothing to choose.
@@ -102,18 +102,20 @@ func (f *fanOut) grow(n int) []*fanWorker {
 		if i == len(f.ws) {
 			f.addWorker(privateScratch(f.st))
 		}
-		f.ws[i].begin(w0.wit, w0.bound)
+		f.ws[i].begin(w0.wit)
 	}
 	return f.ws[:n]
 }
 
-// begin prepares the worker's miner for one walk over the current store.
-func (w *fanWorker) begin(wit *witnesses, bound *OfferBound) {
+// begin prepares the worker's miner for one walk over the current store,
+// on the store's postings.
+func (w *fanWorker) begin(wit *witnesses) {
 	m := w.m
 	m.scr.reset()
+	m.scr.genIdx = w.f.st.Postings()
 	m.stats = Stats{}
 	m.totalE = w.f.st.NumEdges()
-	m.wit, m.bound = wit, bound
+	m.wit = wit
 	if wit != nil {
 		root := m.witLevel(0)
 		root.set = root.set[:0]
@@ -138,29 +140,20 @@ func (w *fanWorker) capture(g gr.GR, c metrics.Counts, score float64) {
 
 // walk is every capture walk: it plans the first level on worker 0,
 // fans the tasks out over the workers, and replays what they buffered
-// through emit in the sequential walk's order. With wit nil it walks the
+// through emit in the one-worker walk's order. With wit nil it walks the
 // whole SFDF tree (seed, non-DeltaSafe and underflow re-mines, shard
 // offers); with a witness set it walks only the subtrees some witness
 // reaches and narrows every descent (the scoped re-mine). A non-nil pool is
 // updated in place for every GR it already tracks, and touched receives
-// those ids. A set bound prunes as in a shard offer mine. It returns the
-// number of subtrees walked and of subtrees that pass the support
-// threshold.
-func (f *fanOut) walk(wit *witnesses, pool *densePool, bound *OfferBound, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (walked, total int) {
+// those ids. It returns the number of subtrees walked and of subtrees that
+// pass the support threshold.
+func (f *fanOut) walk(wit *witnesses, pool *densePool, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (walked, total int) {
 	f.pool = pool
-	f.ws[0].begin(wit, bound)
+	f.ws[0].begin(wit)
 	m, idx := f.ws[0].m, f.st.Postings()
 	var sr []int
 	f.tasks, sr, total = m.plan(idx, f.tasks[:0])
 	walked = len(f.tasks)
-	// The full live edge list is only needed as the base partition (the LW
-	// denominator) of root RIGHT subtrees, so walks that reach none skip
-	// the O(|E|) gather.
-	var all []int32
-	if walked > 0 && f.tasks[0].block == blockRight {
-		all = f.st.AllEdgesInto(m.scr.allRows)
-		m.scr.allRows = all
-	}
 	ws := f.grow(walked)
 	// Any worker may draw the largest subtree, and its first-level rows
 	// land in the worker's depth-1 buffer: size every worker's buffer for
@@ -178,7 +171,7 @@ func (f *fanOut) walk(wit *witnesses, pool *densePool, bound *OfferBound, emit f
 			w.m.rootWitnesses(t)
 		}
 		t.worker, t.lo = int32(wi), int32(len(w.caps))
-		w.m.walkTask(t, idx, all, sr)
+		w.m.walkTask(t, idx, sr)
 		t.hi = int32(len(w.caps))
 	})
 	for _, w := range ws {
@@ -243,12 +236,12 @@ func (m *miner) rootWitnesses(t *parTask) []int32 {
 }
 
 // plan appends to tasks one task per first-level subtree of m's walk, in
-// the sequential walk's order (root RIGHT, EDGE, then LEFT block;
-// positions, then values ascending), reading each partition's size off idx.
-// It cuts partitions below MinSupp and, when m has an offer bound, those
-// the bound rules out; a scoped walk (m.wit set) also drops subtrees no
-// witness reaches. It returns the tasks with the root RHS order they share
-// and the number of subtrees that pass the support threshold.
+// Algorithm 1's order (root RIGHT, EDGE, then LEFT block; positions, then
+// values ascending): the plan order a one-worker walk follows. It reads
+// each partition's size off idx and cuts partitions below MinSupp; a
+// scoped walk (m.wit set) also drops subtrees no witness reaches. It
+// returns the tasks with the root RHS order they share and the number of
+// subtrees that pass the support threshold.
 func (m *miner) plan(idx *store.BitmapIndex, tasks []parTask) ([]parTask, []int, int) {
 	sr := m.scr.staticSR
 	if !m.opt.StaticRHSOrder {
@@ -276,10 +269,6 @@ func (m *miner) plan(idx *store.BitmapIndex, tasks []parTask) ([]parTask, []int,
 					continue
 				}
 				total++
-				if m.bound != nil && m.bound.prune(t.size, nil, nil, nil, b.block, attr, val) {
-					m.stats.PrunedGlobal++
-					continue
-				}
 				if m.wit == nil || len(m.rootWitnesses(&t)) > 0 {
 					tasks = append(tasks, t)
 				}

@@ -155,7 +155,7 @@ func BenchmarkMineStatic(b *testing.B) {
 	run := func(b *testing.B, opt Options, width int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mineStore(gateSt, opt, width); err != nil {
+			if _, _, err := mineStore(gateSt, opt, width); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -127,7 +127,7 @@ func TestRootHomophilyEffects(t *testing.T) {
 			static.t, static.label = t, label+" static"
 			m := newMiner(store.Build(g), opt)
 			static.wrap(m)
-			m.run()
+			walkAll(m)
 
 			opt.K = 8
 			inc, err := newIncremental(dataset.TinyHomophily(seed), opt, 1)

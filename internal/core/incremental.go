@@ -469,7 +469,7 @@ func (inc *Incremental) applyDeletes(delRows []int32) error {
 // reuse the previous batch's capacity.
 func (inc *Incremental) rebuildPool(stats *Stats) {
 	inc.pool.reset()
-	inc.fan.walk(nil, nil, nil, inc.pool.capture, nil, stats)
+	inc.fan.walk(nil, nil, inc.pool.capture, nil, stats)
 	inc.spillFloor = math.Inf(-1)
 	inc.spilled = false
 }
@@ -574,7 +574,7 @@ func rightSubtreeAffected(opt Options, n, liveE int) bool {
 // some batch witness reaches, on f's workers, and leaves the pool's
 // condition-(1) set exact: every candidate found that pool already tracks
 // is updated in place, and every other one is replayed through emit, in the
-// sequential walk's order (see fanOut). It is the full capture walk
+// one-worker walk's order (see fanOut). It is the full capture walk
 // restricted by witnesses: the same planner (plan) splits the tree at its
 // first level, so every GR of the full walk belongs to exactly one
 // subtree. Shared by the single-store incremental engine and the shard
@@ -593,7 +593,7 @@ func rightSubtreeAffected(opt Options, n, liveE int) bool {
 // grlint:requires DeltaSafe DeleteSafe
 func remineAffectedSubtrees(f *fanOut, pool *densePool, wit *witnesses, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (remined, total int) {
 	wit.gather(f.st.Graph())
-	return f.walk(wit, pool, nil, emit, touched, stats)
+	return f.walk(wit, pool, emit, touched, stats)
 }
 
 // assemble applies Definition 5 conditions (2) and (3) to the pool and

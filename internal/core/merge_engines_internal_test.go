@@ -30,7 +30,7 @@ func TestMergeAgreesAcrossEngines(t *testing.T) {
 		for _, k := range []int{0, 50} {
 			opt := Options{MinSupp: g.NumEdges() / 200, MinScore: tc.minScore, K: k, Metric: tc.m}
 			label := fmt.Sprintf("%s-k%d", tc.m.Name, k)
-			ref, err := mineStore(st, opt, 1)
+			ref, _, err := mineStore(st, opt, 1)
 			if err != nil {
 				t.Fatalf("%s sequential: %v", label, err)
 			}
@@ -55,7 +55,7 @@ func TestMergeAgreesAcrossEngines(t *testing.T) {
 				}
 			}
 			for _, p := range []int{2, 4} {
-				res, err := mineStore(st, opt, p)
+				res, _, err := mineStore(st, opt, p)
 				if err != nil {
 					t.Fatalf("%s x%d: %v", label, p, err)
 				}

@@ -55,13 +55,11 @@ type Options struct {
 	// this option, candidates that pass the in-search blocker check are
 	// verified against all their generalisations by direct (memoised)
 	// support queries before entering the top-k. The queries intersect
-	// per-(attribute, value) live-row bitmaps: the store's postings, the
-	// index a fanned-out mine builds and shares, or an index a sequential
-	// miner fills lazily and drops when the mine returns (one pass over the
-	// rows and ⌈rows/64⌉ words per distinct condition probed: 114 bitmaps,
-	// 855 KB, on a 60k-edge Pokec-like mine). Off by default to match the
-	// paper's GRMiner(k); with it, a dynamic-floor mine may fan out over
-	// every core (see MineStore).
+	// per-(attribute, value) live-row bitmaps: the store's postings in an
+	// engine's capture walks, the index a static mine builds at MinSupp
+	// and shares with every worker. Off by default to match the paper's
+	// GRMiner(k); with it, a dynamic-floor mine may fan out over every
+	// core (see MineStore).
 	ExactGenerality bool
 	// StaticRHSOrder disables the dynamic tail ordering of Equation 8 (an
 	// ablation of the paper's key pruning enabler). The same GRs are found
@@ -132,8 +130,8 @@ type Stats struct {
 	Blocked int64
 	// HomScans counts homophily-effect counting scans (cache misses).
 	HomScans int64
-	// PrunedGlobal counts subtrees a shard offer mine cut with the
-	// two-round protocol's OfferBound (globally unreachable support).
+	// PrunedGlobal counts the offers a shard's round-1 offer dropped under
+	// the two-round protocol's OfferBound (globally unreachable support).
 	PrunedGlobal int64
 	// ShardOffers counts round-1 candidates offered across shard workers.
 	ShardOffers int64
@@ -146,8 +144,9 @@ type Stats struct {
 	// index, PlanTime cuts the first level into tasks, WalkTime runs the
 	// tasks and MergeTime merges the workers' lists. WalkBusy sums the
 	// time each worker spent in a task, so WalkBusy below the workers ×
-	// WalkTime shows idle workers. A sequential mine is all walk (its
-	// WalkBusy is its WalkTime); other runs leave the phases zero.
+	// WalkTime shows idle workers. Every static mine reports them, at every
+	// width (one worker's WalkBusy is its WalkTime); other runs leave the
+	// phases zero.
 	IndexTime, PlanTime, WalkTime, WalkBusy, MergeTime time.Duration
 }
 
@@ -172,37 +171,16 @@ func Mine(g *graph.Graph, opt Options) (*Result, error) {
 // MineStore runs GRMiner over a pre-built store (Algorithm 1). The store is
 // read-only during the run and may be reused across runs.
 //
-// The mine fans its first-level subtrees out over GOMAXPROCS workers
-// whenever its answer cannot depend on the schedule (fanOutExact: the
-// generality filter is off, or the mine is not the paper's order-dependent
-// dynamic-floor blocking and its patterns stay within the exact generality
-// kernel's 20 conditions); otherwise it runs the sequential walk. Either
-// way the result equals the sequential run's.
+// The mine plans its first-level subtrees and fans them out over
+// GOMAXPROCS workers whenever its answer cannot depend on the schedule
+// (fanOutExact: the generality filter is off, or the mine is not the
+// paper's order-dependent dynamic-floor blocking and its patterns stay
+// within the exact generality kernel's 20 conditions); otherwise one miner
+// walks them in plan order. Either way the result equals the one-worker
+// walk's.
 func MineStore(st *store.Store, opt Options) (*Result, error) {
-	return mineStore(st, opt, runtime.GOMAXPROCS(0))
-}
-
-// mineStore is MineStore on up to width workers.
-func mineStore(st *store.Store, opt Options, width int) (*Result, error) {
-	opt, err := opt.normalize()
-	if err != nil {
-		return nil, err
-	}
-	schema := st.Graph().Schema()
-	if n := len(schema.Node); n > 64 {
-		// betaMask packs node-attribute indices into a uint64.
-		return nil, fmt.Errorf("core: %d node attributes exceed the supported maximum of 64", n)
-	}
-	if width > 1 && fanOutExact(opt, schema) {
-		return mineParallel(st, opt, width), nil
-	}
-	m := newMiner(st, opt)
-	start := time.Now()
-	m.run()
-	m.stats.Duration = time.Since(start)
-	m.stats.WalkTime, m.stats.WalkBusy = m.stats.Duration, m.stats.Duration
-	res := &Result{TopK: m.top.Items(), Stats: m.stats, Options: opt, TotalEdges: st.NumEdges()}
-	return res, nil
+	res, _, err := mineStore(st, opt, runtime.GOMAXPROCS(0))
+	return res, err
 }
 
 // lwPair is a recorded blocker for the generality filter: the LHS and edge
@@ -214,9 +192,9 @@ type lwPair struct {
 // blockerMap indexes recorded blockers by interned RHS descriptor id — a
 // slice lookup instead of the string RHSKey the hot path used to build per
 // probe (DESIGN.md §7). It is the single implementation of Definition 5
-// condition (2)'s subset test, shared by the sequential walk, the parallel
-// workers, and the coordinators' final merges so blocking semantics cannot
-// fork between them. Like its dictionary, a blockerMap is single-owner
+// condition (2)'s subset test, shared by the static mine's workers and the
+// coordinators' final merges so blocking semantics cannot fork between
+// them. Like its dictionary, a blockerMap is single-owner
 // state: parallel workers each hold their own.
 type blockerMap struct {
 	dict *intern.Dict
@@ -288,10 +266,10 @@ type minerScratch struct {
 	qual        []uint8
 	qualTouched []intern.GRID
 	// genIdx is the bitmap index behind the ExactGenerality counts, |E(r)|
-	// and bitmap descents: the store's postings when it keeps them, the
-	// index a fanned-out mine sets on every worker, else a lazy index built
-	// on the run's first count. reset drops it (the store may
-	// mutate between runs); counter is the count kernel's scratch.
+	// and bitmap descents: whoever starts a walk sets it (the store's
+	// postings in a capture walk, the static mine's own index). reset drops
+	// it (the store may mutate between runs); counter is the count kernel's
+	// scratch.
 	genIdx  *store.BitmapIndex
 	counter bitmapCounter
 	// dataBMs[depth] is the bitmap of the partition a bitmap descent is
@@ -299,8 +277,6 @@ type minerScratch struct {
 	// before any deeper descent, so one suffices for all depths).
 	dataBMs []store.Bitmap
 	andBM   store.Bitmap
-	// allRows is the AllEdgesInto scratch for root base partitions.
-	allRows []int32
 	// wits[depth] is a scoped re-mine's witness scratch for one recursion
 	// depth (see witLevel); pointers, so growing the table never moves a
 	// level an enclosing loop is still reading.
@@ -369,18 +345,13 @@ type miner struct {
 	// blockers (recorded subset-first, so every generalisation precedes its
 	// specialisations), the |E(r)| memo for metrics that need supp(r), and
 	// the ExactGenerality verdict memo with its count kernel and bitmap
-	// index. Fan-out workers each own one, like the sequential miner.
+	// index. Every worker of a walk owns one.
 	scr *minerScratch
 	// capture, when set, receives every candidate satisfying Definition 5
 	// condition (1) together with its exact counts, replacing the top-k and
 	// generality machinery; the incremental engines' fan-out workers use it
 	// to maintain their tracked candidate pools.
 	capture func(g gr.GR, c metrics.Counts, score float64)
-	// bound, when set (shard offer mines under the two-round protocol),
-	// additionally prunes subtrees whose GRs provably fail the *global*
-	// support threshold — the local MinSupp here is the relaxed per-shard
-	// one, so this is the only global pruning a shard walk gets.
-	bound *OfferBound
 	// wit, when set (scoped incremental re-mines), holds the batch's
 	// witnesses, and every descent narrows the node's witness set to the
 	// batch edges still matching the child's descriptor: an inserted edge
@@ -546,29 +517,6 @@ func (m *miner) admit(grp *csort.Group, lv *witLevel, vals *[]graph.Value) bool 
 	return true
 }
 
-// boundPrunes applies a shard offer's global bound to the child that
-// extends (lhs, w, rhs) by (attr : grp.Val) on block's side, counting a cut
-// in PrunedGlobal.
-func (m *miner) boundPrunes(grp *csort.Group, lhs, w, rhs gr.Descriptor, block taskBlock, attr int) bool {
-	if m.bound != nil && m.bound.prune(int(grp.N), lhs, w, rhs, block, attr, graph.Value(grp.Val)) {
-		m.stats.PrunedGlobal++
-		return true
-	}
-	return false
-}
-
-// run is Algorithm 1's Main: RIGHT, EDGE, LEFT over the full edge set.
-func (m *miner) run() {
-	if m.totalE == 0 {
-		return
-	}
-	all := m.st.AllEdgesInto(m.scr.allRows)
-	m.scr.allRows = all
-	m.enterRight(all, 1, nil, nil)
-	m.edge(all, 1, nil, nil, len(m.swOrder))
-	m.left(all, 1, nil, len(m.slOrder))
-}
-
 // left is Algorithm 1's LEFT: extend the LHS descriptor by each node
 // attribute at a position below maxPos, then branch into RIGHT, EDGE, and
 // deeper LEFT on every surviving partition.
@@ -579,7 +527,7 @@ func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
 	var lv *witLevel
 	if m.wit != nil {
 		lv = m.carried(depth, m.wit.colL(0), m.slOrder[:maxPos])
-		if m.useBitmaps() && m.bitmapsPayOff(len(data), lv) {
+		if m.bitmapsPayOff(len(data), lv) {
 			m.leftBitmaps(data, depth, lhs, maxPos, lv)
 			return
 		}
@@ -595,7 +543,7 @@ func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
 		}
 		groups := m.count(depth, m.st.LValsInto(m.scr.keys, data, attr))
 		for i := range groups {
-			if grp := &groups[i]; m.admit(grp, lv, &vals) && !m.boundPrunes(grp, lhs, nil, nil, blockLeft, attr) {
+			if grp := &groups[i]; m.admit(grp, lv, &vals) {
 				m.take(depth, grp, true)
 			}
 		}
@@ -625,7 +573,7 @@ func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) 
 	var lv *witLevel
 	if m.wit != nil {
 		lv = m.carried(depth, m.wit.colW(0), m.swOrder[:maxPos])
-		if m.useBitmaps() && m.bitmapsPayOff(len(data), lv) {
+		if m.bitmapsPayOff(len(data), lv) {
 			m.edgeBitmaps(data, depth, lhs, w, maxPos, lv)
 			return
 		}
@@ -641,7 +589,7 @@ func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) 
 		}
 		groups := m.count(depth, m.st.EValsInto(m.scr.keys, data, attr))
 		for i := range groups {
-			if grp := &groups[i]; m.admit(grp, lv, &vals) && !m.boundPrunes(grp, lhs, w, nil, blockEdge, attr) {
+			if grp := &groups[i]; m.admit(grp, lv, &vals) {
 				m.take(depth, grp, true)
 			}
 		}
@@ -661,17 +609,9 @@ func (m *miner) edgeGroup(part []int32, depth int, lhs, w2 gr.Descriptor, pos in
 	m.edge(part, depth+1, lhs, w2, pos)
 }
 
-// useBitmaps reports whether a scoped descent may run on packed posting
-// bitmaps instead of counting sort at all: scoped re-mine only (wit set),
-// postings maintained, and not an offer mine — the offer's global-bound
-// prune inspects every group, not just witnessed ones. Eligible nodes still
-// weigh the two techniques with bitmapsPayOff.
-func (m *miner) useBitmaps() bool {
-	return m.wit != nil && m.bound == nil && m.st.Postings() != nil
-}
-
-// bitmapsPayOff decides, per descent node, whether serving the witnessed
-// groups by bitmap intersection beats counting sort. A scoped re-mine only
+// bitmapsPayOff decides, per descent node of a scoped re-mine, whether
+// serving the witnessed groups by intersecting the store's posting bitmaps
+// beats counting sort. A scoped re-mine only
 // needs the groups whose value some witness of the node carries, so ANDing
 // the partition's bitmap against each carried value's live-row bitmap costs
 // ~words-per-bitmap word ops per carried value (plus packing the partition
@@ -811,7 +751,7 @@ func (m *miner) intersect(dataBM, valBM store.Bitmap, buf []int32) []int32 {
 // from the partition intersects to the empty set, mirroring the group
 // counting sort never forms.
 func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM, idx := m.dataBitmap(depth, data), m.bitmapIndex()
+	dataBM, idx := m.dataBitmap(depth, data), m.scr.genIdx
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.slOrder[pos]
@@ -833,7 +773,7 @@ func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos i
 
 // edgeBitmaps is the bitmap form of edge's loop body; see leftBitmaps.
 func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM, idx := m.dataBitmap(depth, data), m.bitmapIndex()
+	dataBM, idx := m.dataBitmap(depth, data), m.scr.genIdx
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.swOrder[pos]
@@ -858,7 +798,7 @@ func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPo
 // node's R extensions must examine every RHS group, which is exactly the
 // counting-sort walk.
 func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM, idx := m.dataBitmap(depth, data), m.bitmapIndex()
+	dataBM, idx := m.dataBitmap(depth, data), m.scr.genIdx
 	if len(rhs) == 0 {
 		// A bitmap root counts no histogram: it intersects for each
 		// homophily effect instead, one AND-count per homophily attribute
@@ -891,7 +831,7 @@ func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descripto
 }
 
 // rctx is the context of one RHS-expansion subtree: the base partition
-// E(l ∧ w) it hangs off, the fixed l and w, the dynamic RHS order for this
+// E(l ∧ w) it hangs off and its size lw (LW), the fixed l and w, the dynamic RHS order for this
 // l, and the homophily-effect supports (Section IV-D: every
 // supp(l -w-> l[β]) a descendant needs is countable from base).
 //
@@ -908,8 +848,13 @@ func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descripto
 // offsOK is set: the root counts every position through them and gathers
 // the key column of each position it scatters, and every β scan reads
 // destination values through them.
+//
+// A root RIGHT task (walkTask) hangs off the whole live edge list with
+// empty l and w: its β is always empty and no subtree root lies below it,
+// so it reads lw alone and leaves base nil.
 type rctx struct {
 	base    []int32
+	lw      int
 	lhs, w  gr.Descriptor
 	sr      []int
 	offs    []int32
@@ -955,7 +900,7 @@ func (m *miner) destOffsets(rc *rctx) []int32 {
 // extends the RHS, so at most one subtree is live at a time.
 func (m *miner) enterRight(base []int32, depth int, lhs, w gr.Descriptor) {
 	rc := &m.scr.rc
-	rc.base, rc.lhs, rc.w = base, lhs, w
+	rc.base, rc.lw, rc.lhs, rc.w = base, len(base), lhs, w
 	rc.offsOK = false
 	if rc.hom1 == nil {
 		rc.hom1 = make([]int32, len(m.schema.Node))
@@ -1014,7 +959,7 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 	var lv *witLevel
 	if m.wit != nil && !m.wit.hasDelete(m.witLevel(depth-1).set) {
 		lv = m.carried(depth, m.wit.colR(0), rc.sr[:maxPos])
-		if m.useBitmaps() && m.bitmapsPayOff(len(data), lv) {
+		if m.bitmapsPayOff(len(data), lv) {
 			m.rightBitmaps(rc, data, depth, rhs, maxPos, lv)
 			return
 		}
@@ -1028,11 +973,8 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 	// A subtree root counts every position over the same rows, so it
 	// counts them all in one pass over its base's destination offsets,
 	// reading each row's values side by side, and gathers a position's key
-	// column only when its plan moves rows. The walk's own root, over the
-	// whole live edge list, gathers and counts one position at a time: it
-	// reads the RArray pointers in row order already, and offsets would
-	// cost an |E|-sized buffer per mine.
-	root := len(rhs) == 0 && len(data) < m.totalE
+	// column only when its plan moves rows.
+	root := len(rhs) == 0
 	var offs []int32
 	if root {
 		offs = m.destOffsets(rc)
@@ -1065,7 +1007,7 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 		}
 		for i := range groups {
 			grp := &groups[i]
-			if !m.admit(grp, lv, &vals) || m.boundPrunes(grp, rc.lhs, rc.w, rhs, blockRight, attr) {
+			if !m.admit(grp, lv, &vals) {
 				continue
 			}
 			v := graph.Value(grp.Val)
@@ -1125,7 +1067,7 @@ func (m *miner) scorePrunable(mask uint64) bool {
 // but |E(r)|: LWR is the group size, LW and the homophily effect come from
 // the base partition.
 func (m *miner) rightCounts(rc *rctx, n int, mask uint64) metrics.Counts {
-	c := metrics.Counts{LWR: n, LW: len(rc.base), E: m.totalE}
+	c := metrics.Counts{LWR: n, LW: rc.lw, E: m.totalE}
 	if m.metric.NeedsHom && mask != 0 {
 		c.Hom = m.homEffect(rc, mask)
 	}
@@ -1319,21 +1261,9 @@ func (m *miner) hasQualifyingGeneralization(g gr.GR) bool {
 // generalityCounts returns g's exact counts over the store's live rows from
 // the bitmap count kernel, filling the fields the metric reads.
 func (m *miner) generalityCounts(g gr.GR) metrics.Counts {
-	idx := m.bitmapIndex()
+	idx := m.scr.genIdx
 	m.scr.counter.intersectLW(idx, g)
 	return m.scr.counter.count(idx, m.schema, m.metric, g)
-}
-
-// bitmapIndex returns the run's bitmap index: the one set on the scratch
-// (a fanned-out mine's shared index), else the store's maintained postings
-// when it keeps them, else a lazy index created on first use.
-func (m *miner) bitmapIndex() *store.BitmapIndex {
-	if m.scr.genIdx == nil {
-		if m.scr.genIdx = m.st.Postings(); m.scr.genIdx == nil {
-			m.scr.genIdx = store.NewBitmapIndex(m.st)
-		}
-	}
-	return m.scr.genIdx
 }
 
 // betaMask computes β (Equation 4) as a bitmask over node attribute
@@ -1395,7 +1325,7 @@ func (m *miner) homEffect(rc *rctx, mask uint64) int {
 }
 
 // rCount returns |E(r)| over the whole live edge set, counted by the bitmap
-// kernel over the mine's lazy index and memoised per interned RHS id in a
+// kernel over the walk's index and memoised per interned RHS id in a
 // dense table (stored as count+1; 0 means unseen).
 func (m *miner) rCount(g gr.GR) int {
 	scr := m.scr
@@ -1405,7 +1335,7 @@ func (m *miner) rCount(g gr.GR) int {
 			return int(v) - 1
 		}
 	}
-	count := scr.counter.countR(m.bitmapIndex(), g.R)
+	count := scr.counter.countR(scr.genIdx, g.R)
 	if n := m.dict.NumDescs(); len(scr.rCounts) < n {
 		scr.rCounts = append(scr.rCounts, make([]int32, n-len(scr.rCounts))...)
 	}

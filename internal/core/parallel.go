@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -11,23 +12,24 @@ import (
 	"grminer/internal/topk"
 )
 
-// The static mine's fan-out splits the SFDF tree at its first level like
-// every other walk (fanout.go): the root's children, one per (attribute,
-// value) partition of the full edge set across the RIGHT, EDGE and LEFT
-// blocks, become independent tasks that sched.Run drains over width workers.
-// A worker is a plain sequential miner on its own scratch: it blocks
-// in-worker, keeps a bound-k list and prunes on that list's own floor.
+// The static mine splits the SFDF tree at its first level like every other
+// walk (fanout.go): the root's children, one per (attribute, value)
+// partition of the full edge set across the RIGHT, EDGE and LEFT blocks,
+// become tasks. One miner walks them in plan order, or sched.Run drains
+// them over width workers. A worker is a plain miner on its own scratch: it
+// blocks in-worker, keeps a bound-k list and prunes on that list's own
+// floor.
 // Workers share no mutable state; the coordinator merges their lists once,
 // after all of them finish, with topk.MergeItems.
 //
 // Soundness. The tasks partition the enumeration space exactly as the
-// sequential walk does, so every GR is examined by exactly one worker, and
+// one-worker walk does, so every GR is examined by exactly one worker, and
 // supp pruning is local. Definition 5 condition (2) is decided in-worker
 // through the exact-generality kernel (hasQualifyingGeneralization), with
 // the worker's own blocker map as a pre-filter: a recorded blocker is a
 // qualifying generalisation, so a hit proves the verdict the kernel would
 // reach. The kernel's verdict depends only on the store, not on which
-// worker enumerated what, and it equals the sequential walk's blocking
+// worker enumerated what, and it equals the one-worker walk's blocking
 // whenever the latter is itself schedule-free: under a static floor every
 // qualifying generalisation of a candidate is examined before it (pruning
 // only cuts subtrees scoring below MinScore, Theorem 3), so the blocker map
@@ -86,29 +88,28 @@ const (
 // start the largest subtrees first. It holds no rows: its worker reads them
 // off the bitmap index when the task starts (walkTask). worker, lo and hi
 // record where a capture walk ran the task: the worker, and the span of
-// that worker's capture buffer the task filled (see fanOut).
+// that worker's capture buffer the task filled (see fanOut). The fields
+// run largest first, so a task packs into 40 bytes.
 type parTask struct {
-	block     taskBlock
-	attr, pos int
-	val       graph.Value
-	size      int
-
-	worker, lo, hi int32
+	attr, pos, size int
+	worker, lo, hi  int32
+	val             graph.Value
+	block           taskBlock
 }
 
 // walkTask reads t's partition rows off idx into the depth-1 buffer and
 // descends into t's first-level subtree over them. Bitmaps yield rows
 // ascending, the order a stable counting sort of the ascending live edge
-// list leaves a partition in, so the walk below is the sequential walk's.
-// all is the full live edge list, the base partition (LW denominator) of
-// root RIGHT subtrees, and sr the root RHS order; both are shared
-// read-only by every worker. A root RIGHT subtree reads its rows only when
-// RIGHT recurses below it (rightRows; its RHS child has an empty LHS, so it
-// is non-trivial with an empty β).
-func (m *miner) walkTask(t *parTask, idx *store.BitmapIndex, all []int32, sr []int) {
+// list leaves a partition in, so the walk below is the one-worker walk's.
+// sr is the root RHS order, shared read-only by every worker. A root RIGHT
+// subtree hangs off the whole live edge list, of which it reads only the
+// size (LW = |E|), and reads its own rows only when RIGHT recurses below it
+// (rightRows; its RHS child has an empty LHS, so it is non-trivial with an
+// empty β).
+func (m *miner) walkTask(t *parTask, idx *store.BitmapIndex, sr []int) {
 	d := gr.Descriptor(nil).With(t.attr, t.val)
 	if t.block == blockRight {
-		rc := &rctx{base: all, sr: sr}
+		rc := &rctx{lw: m.totalE, sr: sr}
 		var rows []int32
 		if m.rightRows(rc, t.size, 1, t.pos, false, 0) {
 			rows = rootBitmap(idx, t).RowsInto(m.buffer(1, t.size))
@@ -125,9 +126,19 @@ func (m *miner) walkTask(t *parTask, idx *store.BitmapIndex, all []int32, sr []i
 	}
 }
 
-// mineParallel runs GRMiner over up to width workers; fanOutExact(opt)
-// must hold.
-func mineParallel(st *store.Store, opt Options, width int) *Result {
+// mineStore is MineStore on up to width workers. It also returns the
+// number of workers that walked: min(width, tasks) when it fans out
+// (fanOutExact holds, and width and tasks are both at least 2), else 1.
+func mineStore(st *store.Store, opt Options, width int) (*Result, int, error) {
+	opt, err := opt.normalize()
+	if err != nil {
+		return nil, 0, err
+	}
+	schema := st.Graph().Schema()
+	if n := len(schema.Node); n > 64 {
+		// betaMask packs node-attribute indices into a uint64.
+		return nil, 0, fmt.Errorf("core: %d node attributes exceed the supported maximum of 64", n)
+	}
 	start := time.Now()
 
 	// One bitmap index serves the whole mine: the coordinator plans
@@ -137,51 +148,55 @@ func mineParallel(st *store.Store, opt Options, width int) *Result {
 	idx, cut := store.BuildBitmapIndex(st, opt.MinSupp)
 	indexed := time.Now()
 	coord := newMiner(st, opt)
+	coord.scr.genIdx = idx
 	coord.stats.PrunedSupp += int64(cut)
 	tasks, sr, _ := coord.plan(idx, nil)
 	planned := time.Now()
-	if len(tasks) < 2 {
-		// Nothing to run concurrently: mine sequentially, on the index
-		// already built.
-		m := newMiner(st, opt)
-		m.scr.genIdx = idx
-		m.run()
-		m.stats.phases(start, indexed, planned, time.Now())
-		m.stats.WalkBusy = m.stats.WalkTime
-		return &Result{TopK: m.top.Items(), Stats: m.stats, Options: opt, TotalEdges: st.NumEdges()}
-	}
-	var all []int32
-	if tasks[0].block == blockRight {
-		all = st.AllEdges()
-	}
 
-	// A worker's blocker map sees its own subtrees only, so workers block
-	// through the exact kernel too.
-	wopt := opt
-	wopt.ExactGenerality = !opt.NoGeneralityFilter
-	miners := make([]*miner, min(width, len(tasks)))
-	busy := make([]time.Duration, len(miners))
-	for i := range miners {
-		miners[i] = newMiner(st, wopt)
-		miners[i].scr.genIdx = idx
+	miners := []*miner{coord}
+	if width > 1 && len(tasks) > 1 && fanOutExact(opt, schema) {
+		// A worker's blocker map sees its own subtrees only, so workers
+		// block through the exact kernel too.
+		wopt := opt
+		wopt.ExactGenerality = !opt.NoGeneralityFilter
+		miners = make([]*miner, min(width, len(tasks)))
+		for i := range miners {
+			miners[i] = newMiner(st, wopt)
+			miners[i].scr.genIdx = idx
+		}
 	}
-	sched.Run(len(miners), len(tasks), func(i int) int { return tasks[i].size }, nil, func(w, i int) {
+	busy := make([]time.Duration, len(miners))
+	walk := func(w, i int) {
 		t0 := time.Now()
-		miners[w].walkTask(&tasks[i], idx, all, sr)
+		miners[w].walkTask(&tasks[i], idx, sr)
 		busy[w] += time.Since(t0)
-	})
+	}
+	if len(miners) == 1 {
+		// One miner walks the tasks in plan order: the order paper
+		// blocking depends on.
+		for i := range tasks {
+			walk(0, i)
+		}
+	} else {
+		sched.Run(len(miners), len(tasks), func(i int) int { return tasks[i].size }, nil, walk)
+	}
 	walked := time.Now()
 
-	stats := coord.stats
-	lists := make([][]gr.Scored, len(miners))
-	for i, w := range miners {
-		lists[i] = w.top.Items()
-		addStats(&stats, &w.stats)
-		stats.WalkBusy += busy[i]
+	stats, top := &coord.stats, coord.top
+	if len(miners) > 1 {
+		lists := make([][]gr.Scored, len(miners))
+		for i, w := range miners {
+			lists[i] = w.top.Items()
+			addStats(stats, &w.stats)
+		}
+		top = topk.MergeItems(opt.K, lists...)
 	}
-	top := topk.MergeItems(opt.K, lists...).Items()
-	stats.phases(start, indexed, planned, walked)
-	return &Result{TopK: top, Stats: stats, Options: opt, TotalEdges: st.NumEdges()}
+	for _, b := range busy {
+		stats.WalkBusy += b
+	}
+	res := &Result{TopK: top.Items(), Stats: *stats, Options: opt, TotalEdges: st.NumEdges()}
+	res.Stats.phases(start, indexed, planned, walked)
+	return res, len(miners), nil
 }
 
 // phases sets Duration and the phase times of a static mine that started

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"grminer/internal/gr"
 	"grminer/internal/graph"
@@ -13,12 +14,11 @@ import (
 )
 
 // TestStaticMineWidthInvariant pins the static mine's contract: MineStore
-// returns the same top-k at every width. A static-floor mine also examines
-// and admits the same GRs at every width, since only MinScore prunes it;
-// and as a fanned-out mine skips the sequential walk's first-level counting
-// sorts (its plan reads the partitions off the per-mine index), fewer
-// PartitionCalls show that it really fanned out. Paper blocking declines
-// and matches the sequential walk counter for counter.
+// returns the same top-k at every width. A mine that may fan out walks on
+// as many workers as the width allows, and under a static floor examines
+// and admits the same GRs at every width, since only MinScore prunes it.
+// Paper blocking declines: one worker walks, and the mine matches the
+// one-worker walk counter for counter.
 func TestStaticMineWidthInvariant(t *testing.T) {
 	g := gateGraph()
 	st := store.Build(g)
@@ -52,12 +52,15 @@ func TestStaticMineWidthInvariant(t *testing.T) {
 		config{"static-rhs-order", staticOrder}, config{"paper-blocking", paper})
 
 	for _, c := range configs {
-		ref, err := mineStore(st, c.opt, 1)
+		ref, workers, err := mineStore(st, c.opt, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if len(ref.TopK) == 0 {
 			t.Fatalf("%s: the fixture mines nothing", c.name)
+		}
+		if workers != 1 {
+			t.Fatalf("%s: %d workers at width 1", c.name, workers)
 		}
 		fans := fanOutExact(ref.Options, g.Schema())
 		if fans == (c.name == "paper-blocking") {
@@ -65,21 +68,23 @@ func TestStaticMineWidthInvariant(t *testing.T) {
 		}
 		for _, width := range []int{2, 4} {
 			label := fmt.Sprintf("%s x%d", c.name, width)
-			res, err := mineStore(st, c.opt, width)
+			res, workers, err := mineStore(st, c.opt, width)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if !fans {
+				if workers != 1 {
+					t.Errorf("%s: %d workers, want 1", label, workers)
+				}
 				sameResult(t, label, ref, res)
 				continue
+			}
+			if workers != width {
+				t.Errorf("%s: %d workers: the mine did not fan out", label, workers)
 			}
 			sameTopK(t, label, res.TopK, ref.TopK)
 			if c.opt.DynamicFloor {
 				continue // the local floors rise at their own pace: work varies, the answer does not
-			}
-			if res.Stats.PartitionCalls >= ref.Stats.PartitionCalls {
-				t.Errorf("%s: %d partition calls, sequential %d: the mine did not fan out", label,
-					res.Stats.PartitionCalls, ref.Stats.PartitionCalls)
 			}
 			if res.Stats.Examined != ref.Stats.Examined || res.Stats.Candidates != ref.Stats.Candidates {
 				t.Errorf("%s: examined/candidates %d/%d, sequential %d/%d", label,
@@ -130,7 +135,7 @@ func wideGraph(seed int64) *graph.Graph {
 }
 
 // A static mine whose patterns can exceed the exact kernel's 20 conditions
-// declines the fan-out and runs the sequential walk at every width; caps
+// declines the fan-out and walks on one worker at every width; caps
 // that keep patterns within reach let it fan out again, with the same
 // answer.
 func TestStaticMineWideSchemaDeclinesFanOut(t *testing.T) {
@@ -143,7 +148,7 @@ func TestStaticMineWideSchemaDeclinesFanOut(t *testing.T) {
 		opt  Options
 		fans bool
 	}{{"uncapped", uncapped, false}, {"capped", capped, true}} {
-		ref, err := mineStore(st, c.opt, 1)
+		ref, _, err := mineStore(st, c.opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,9 +158,12 @@ func TestStaticMineWideSchemaDeclinesFanOut(t *testing.T) {
 		if got := fanOutExact(ref.Options, st.Graph().Schema()); got != c.fans {
 			t.Fatalf("%s: fanOutExact = %v, want %v", c.name, got, c.fans)
 		}
-		res, err := mineStore(st, c.opt, 4)
+		res, workers, err := mineStore(st, c.opt, 4)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := map[bool]int{true: 4, false: 1}[c.fans]; workers != want {
+			t.Errorf("%s: %d workers, want %d", c.name, workers, want)
 		}
 		if c.fans {
 			sameTopK(t, c.name, res.TopK, ref.TopK)
@@ -274,7 +282,7 @@ func TestMineIndexCountsEveryGeneralisation(t *testing.T) {
 		m := newMiner(st, Options{MinSupp: c.minSupp, MinScore: math.Inf(-1), IncludeTrivial: true, Metric: all})
 		var examined []gr.GR
 		m.capture = func(g gr.GR, _ metrics.Counts, _ float64) { examined = append(examined, g) }
-		m.run()
+		walkAll(m)
 		var onCut, onFull bitmapCounter
 		checked := 0
 		for _, g := range examined {
@@ -306,35 +314,41 @@ func TestMineIndexCountsEveryGeneralisation(t *testing.T) {
 	}
 }
 
-// TestStaticMinePhases: a fanned-out static mine splits its wall time into
-// index, plan, walk and merge, in that order and within Duration, and its
-// workers' busy time is positive and at most width × the walk; the
-// sequential walk reports its whole run as walk.
+// walkAll runs m's whole walk, one task after another in plan order, off
+// a complete index of its store.
+func walkAll(m *miner) {
+	idx, _ := store.BuildBitmapIndex(m.st, 1)
+	m.scr.genIdx = idx
+	tasks, sr, _ := m.plan(idx, nil)
+	for i := range tasks {
+		m.walkTask(&tasks[i], idx, sr)
+	}
+}
+
+// TestStaticMinePhases: a static mine splits its wall time into index,
+// plan, walk and merge, in that order, summing to Duration, at every
+// width; its workers' busy time is positive and at most width × the walk.
 func TestStaticMinePhases(t *testing.T) {
 	g := gateGraph()
 	st := store.Build(g)
 	opt := Options{MinSupp: g.NumEdges() / 200, MinScore: 0.5, K: 50, DynamicFloor: true, ExactGenerality: true}
-	seq, err := mineStore(st, opt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := seq.Stats
-	if s.WalkTime != s.Duration || s.WalkBusy != s.Duration || s.IndexTime != 0 || s.PlanTime != 0 || s.MergeTime != 0 {
-		t.Errorf("sequential mine: phases %+v, want all walk", s)
-	}
-	const width = 2
-	par, err := mineStore(st, opt, width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := par.Stats
-	if p.IndexTime <= 0 || p.PlanTime <= 0 || p.WalkTime <= 0 || p.MergeTime <= 0 {
-		t.Fatalf("fanned-out mine: a phase took no time: %+v", p)
-	}
-	if sum := p.IndexTime + p.PlanTime + p.WalkTime + p.MergeTime; sum != p.Duration {
-		t.Errorf("fanned-out mine: phases sum to %v, Duration %v", sum, p.Duration)
-	}
-	if p.WalkBusy <= 0 || p.WalkBusy > width*p.WalkTime {
-		t.Errorf("fanned-out mine: WalkBusy %v outside (0, %d × WalkTime %v]", p.WalkBusy, width, p.WalkTime)
+	for _, width := range []int{1, 2} {
+		res, workers, err := mineStore(st, opt, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Stats
+		if workers != width {
+			t.Fatalf("width %d: %d workers", width, workers)
+		}
+		if p.IndexTime <= 0 || p.PlanTime <= 0 || p.WalkTime <= 0 || p.MergeTime <= 0 {
+			t.Fatalf("width %d: a phase took no time: %+v", width, p)
+		}
+		if sum := p.IndexTime + p.PlanTime + p.WalkTime + p.MergeTime; sum != p.Duration {
+			t.Errorf("width %d: phases sum to %v, Duration %v", width, sum, p.Duration)
+		}
+		if p.WalkBusy <= 0 || p.WalkBusy > time.Duration(width)*p.WalkTime {
+			t.Errorf("width %d: WalkBusy %v outside (0, %d × WalkTime %v]", width, p.WalkBusy, width, p.WalkTime)
+		}
 	}
 }

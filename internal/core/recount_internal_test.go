@@ -118,7 +118,7 @@ func TestRecountMatchesReference(t *testing.T) {
 			base := newDensePool(st, opt)
 			mn := newMinerScr(st, opt, newMinerScratch(st.Dict()))
 			mn.capture = base.capture
-			mn.run()
+			walkAll(mn)
 			if base.len() == 0 {
 				t.Fatalf("%s/%s: empty pool", m.Name, gate.name)
 			}

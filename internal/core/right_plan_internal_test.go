@@ -26,16 +26,16 @@ func assertPanics(t *testing.T, want string, f func()) {
 func TestRightGroupRefusesUnscatteredRows(t *testing.T) {
 	st := store.Build(dataset.ToyDating())
 	m := newMiner(st, Options{MinSupp: 1, Metric: metrics.NhpMetric})
-	all := st.AllEdgesInto(nil)
+	n := st.NumEdges()
 	sr := m.scr.staticSR
-	rc := &rctx{base: all, sr: sr}
+	rc := &rctx{lw: n, sr: sr}
 	top := len(sr) - 1
 	rhs := gr.Descriptor(nil).With(sr[top], 1)
 	assertPanics(t, "core: RIGHT recursion into unscattered rows", func() {
-		m.rightGroup(rc, nil, len(all), 1, rhs, top)
+		m.rightGroup(rc, nil, n, 1, rhs, top)
 	})
 	// At position 0 no child extends the RHS, so the rows are never read.
-	m.rightGroup(rc, nil, len(all), 1, gr.Descriptor(nil).With(sr[0], 1), 0)
+	m.rightGroup(rc, nil, n, 1, gr.Descriptor(nil).With(sr[0], 1), 0)
 }
 
 // A bitmap descent over an empty partition is a caller bug: dataBitmap

@@ -30,12 +30,12 @@
 //     tight, and per-shard enumeration at t blows up as shards get thinner
 //     (measured in BENCH_sharding.json). The protocol therefore runs in two
 //     rounds. Round 1 (count): each worker mines its relaxed pool at t
-//     under an OfferBound derived from the coarse count sketches the
-//     coordinator collected while partitioning — subtrees whose global
-//     singleton bound or own-support-plus-others'-capacity bound falls
-//     below minSupp are cut, because every GR below them provably fails
+//     and filters it through an OfferBound derived from the coarse count
+//     sketches the coordinator collected while partitioning — a GR whose
+//     global singleton bound or own-support-plus-others'-capacity bound
+//     falls below minSupp is not offered, because it provably fails
 //     condition (1) globally (shard_worker.go carries the math; no
-//     qualifying GR is ever pruned). Round 2 (verify): the coordinator
+//     qualifying GR is ever dropped). Round 2 (verify): the coordinator
 //     re-scores the offered union from summed counts and requests exact
 //     counts — batched per worker — only for candidates whose summed bound
 //     can still reach minSupp, where a shard that never offered a candidate
@@ -623,7 +623,7 @@ type shardMerge struct {
 //
 // Round-2 bounding: a shard that did not offer a candidate holds at most
 // t−1 = shardMinSupp−1 of its support (the offer round enumerates every GR
-// at or above that threshold; the OfferBound prune only ever removes
+// at or above that threshold; the OfferBound filter only ever drops
 // globally non-qualifying GRs, for which any rejection is correct), and at
 // most its sketch's smallest singleton count for the candidate's
 // conditions. A candidate whose known supports plus those caps cannot reach

@@ -32,8 +32,8 @@
 //     every edge), so no extra round trip is spent on them.
 //
 // The maintained per-shard pools deliberately omit the batch protocol's
-// OfferBound prune: a bound derived from a past edge set can rise as other
-// shards grow, which would demand re-widening pruned subtrees. The
+// OfferBound filter: a bound derived from a past edge set can rise as other
+// shards grow, which would demand re-admitting dropped offers. The
 // merge-side sketch caps — always computed from the current sketches, and
 // valid as pure upper bounds regardless of how the pools were built —
 // recover the round-2 saving for the incremental path too.

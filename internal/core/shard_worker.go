@@ -27,14 +27,12 @@
 //     supp_global(g) ≤ s_i(g) + min_{c∈C} Σ_{j≠i} H_j(c) (others' capacity)
 //
 //     where H_j(c) is shard j's singleton count for condition c and
-//     H = Σ_j H_j. Both right-hand sides only shrink as C grows and as the
-//     walk descends (s_i bounded by the current partition size), so either
-//     bound dipping below minSupp soundly prunes the whole subtree: every
-//     GR below it fails Definition 5 condition (1) globally. A qualifying
-//     GR is never pruned — its true global support lower-bounds every
-//     bound — so the offer-union completeness argument of shard.go
-//     survives: on the shard holding ≥ t of its support, a qualifying GR
-//     is offered. The effective local threshold this induces,
+//     H = Σ_j H_j. A GR for which either bound dips below minSupp fails
+//     Definition 5 condition (1) globally, so the worker drops it from its
+//     offer. A qualifying GR is never dropped — its true global support
+//     lower-bounds every bound — so the offer-union completeness argument
+//     of shard.go survives: on the shard holding ≥ t of its support, a
+//     qualifying GR is offered. The effective local threshold this induces,
 //     max(t, minSupp − min_{c∈C} Σ_{j≠i} H_j(c)), rises exactly when
 //     shards get thin — the enumeration blow-up BENCH_sharding.json
 //     measured for the one-round protocol.
@@ -50,12 +48,11 @@
 //     counts in columns, shipping a GR by value only when it first joins
 //     the pool. The coordinator never reads shard-local state; only routed
 //     batches go down and handle-addressed deltas come back. (The
-//     incremental pool is maintained
-//     WITHOUT the OfferBound prune: bounds derived from a past edge set can
-//     rise as other shards grow, so a seed-time prune could hide an entry a
-//     later batch promotes. The bound is a batch-mine optimisation; the
-//     merge-side caps below recover most of the saving for the maintained
-//     pool too.)
+//     incremental pool is maintained WITHOUT the OfferBound filter: bounds
+//     derived from a past edge set can rise as other shards grow, so a
+//     seed-time cut could hide an entry a later batch promotes. The bound
+//     is a batch-mine optimisation; the merge-side caps below recover most
+//     of the saving for the maintained pool too.)
 package core
 
 import (
@@ -429,8 +426,8 @@ func (sk *ShardSketch) contributes(m metrics.Metric, g gr.GR) bool {
 	return false
 }
 
-// OfferBound carries the global knowledge a shard's round-1 offer mine
-// prunes with (see the package comment for the math). HL/HW/HR are the
+// OfferBound carries the global knowledge a shard's round-1 offer is
+// filtered with (see the package comment for the math). HL/HW/HR are the
 // summed singleton supports over all shards; OL/OW/OR the sums over the
 // *other* shards (H minus the worker's own sketch).
 //
@@ -490,7 +487,7 @@ func buildOfferBounds(minSupp int, sketches []ShardSketch) []*OfferBound {
 
 // check verifies that the bound's tables fit schema: one row per node
 // attribute in HL/OL/HR/OR and per edge attribute in HW/OW, each Domain+1
-// long. The tables arrive over the wire and prune indexes them by
+// long. The tables arrive over the wire and cuts indexes them by
 // descriptor attribute and value, so an ill-shaped bound fails the offer.
 func (b *OfferBound) check(schema *graph.Schema) error {
 	for _, t := range []struct {
@@ -514,32 +511,23 @@ func (b *OfferBound) check(schema *graph.Schema) error {
 	return nil
 }
 
-// prune reports whether the subtree below a partition of partSize edges,
-// whose GRs all carry at least the conditions l ∧ w ∧ r plus (attr : val)
-// on block's side, provably contains no globally qualifying GR. Both bounds
-// are monotone under condition extension and partition shrinkage, so
-// cutting the subtree is sound. The extension is passed apart from the
-// parent's descriptors so a walk can test a child before building its
-// descriptor.
-func (b *OfferBound) prune(partSize int, l, w, r gr.Descriptor, block taskBlock, attr int, val graph.Value) bool {
-	h, o := b.HL, b.OL
-	switch block {
-	case blockRight:
-		h, o = b.HR, b.OR
-	case blockEdge:
-		h, o = b.HW, b.OW
-	}
-	global, others := h[attr][val], o[attr][val]
+// cuts reports whether g, with shard support localSupp, provably fails the
+// global support threshold. Both bounds only shrink as g gains conditions
+// and as its local support falls, so an offer walk that cut every subtree
+// the bound rules out would offer exactly the GRs this keeps; the worker
+// walks unbounded and filters its offers instead.
+func (b *OfferBound) cuts(g gr.GR, localSupp int) bool {
+	global, others := math.MaxInt, math.MaxInt
 	scan := func(d gr.Descriptor, h, o [][]int) {
 		for _, c := range d {
 			global = min(global, h[c.Attr][c.Val])
 			others = min(others, o[c.Attr][c.Val])
 		}
 	}
-	scan(l, b.HL, b.OL)
-	scan(w, b.HW, b.OW)
-	scan(r, b.HR, b.OR)
-	return global < b.MinSupp || partSize+others < b.MinSupp
+	scan(g.L, b.HL, b.OL)
+	scan(g.W, b.HW, b.OW)
+	scan(g.R, b.HR, b.OR)
+	return global < b.MinSupp || localSupp+others < b.MinSupp
 }
 
 // WorkerState is the reference ShardWorker: a private graph holding the
@@ -667,11 +655,12 @@ func (w *WorkerState) Close() error { return nil }
 
 // Offer mines the shard's relaxed candidate pool: every GR whose shard
 // support reaches ShardMinSupp, with exact shard counts and no score
-// filtering (shard.go's completeness argument). A non-nil bound prunes
-// subtrees that provably hold no globally qualifying GR (round 1 of the
-// two-round protocol); a nil bound also (re)seeds the maintained pool the
-// incremental engine's Ingest path delta-updates. A bound whose tables do
-// not fit the shard schema is rejected before any mining.
+// filtering (shard.go's completeness argument). A non-nil bound drops the
+// offers that provably fail the global support threshold (round 1 of the
+// two-round protocol), each counted in PrunedGlobal; a nil bound also
+// (re)seeds the maintained pool the incremental engine's Ingest path
+// delta-updates. A bound whose tables do not fit the shard schema is
+// rejected before any mining.
 func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) {
 	if bound != nil {
 		if err := bound.check(w.g.Schema()); err != nil {
@@ -685,7 +674,11 @@ func (w *WorkerState) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) 
 		w.seeded = true
 	}
 	var stats Stats
-	w.fan.walk(nil, nil, bound, func(g gr.GR, c metrics.Counts, score float64) {
+	w.fan.walk(nil, nil, func(g gr.GR, c metrics.Counts, score float64) {
+		if bound != nil && bound.cuts(g, c.LWR) {
+			stats.PrunedGlobal++
+			return
+		}
 		cand := ShardCandidate{GR: g, Counts: c}
 		if seedPool {
 			cand.Handle, _ = w.pool.upsert(g, c, score)

@@ -138,7 +138,7 @@ func TestIncrementalWitnessSkipsCrossDescriptor(t *testing.T) {
 	full.capture = func(g gr.GR, _ metrics.Counts, _ float64) {
 		found = found || g.Key() == cross.Key()
 	}
-	full.run()
+	walkAll(full)
 	if !found {
 		t.Fatalf("fixture broken: %s is not a condition-(1) candidate", cross.Key())
 	}

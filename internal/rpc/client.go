@@ -54,12 +54,15 @@ type Client struct {
 // DialTimeout — the coordinator must never hang on a bad worker. Transient
 // I/O failures come back as *TransportError (retry may help); a handshake
 // rejection is a deployment error and comes back plain (retry cannot help).
-func Dial(addr string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
+func Dial(addr string) (*Client, error) { return dial(addr, DialTimeout) }
+
+// dial is Dial within timeout.
+func dial(addr string, timeout time.Duration) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, &TransportError{Addr: addr, Op: "dial", Err: err}
 	}
-	conn.SetDeadline(time.Now().Add(DialTimeout))
+	conn.SetDeadline(time.Now().Add(timeout))
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
 	if err := enc.Encode(Hello{Magic: Magic, Version: Version}); err != nil {

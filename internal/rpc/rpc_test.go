@@ -387,27 +387,27 @@ func TestDialSurfacesMismatch(t *testing.T) {
 
 // A silent peer (accepts, never answers) must not hang Dial.
 func TestDialDoesNotHangOnSilentPeer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("waits out the full handshake timeout")
-	}
+	const timeout = 200 * time.Millisecond
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		time.Sleep(2 * rpc.DialTimeout) // never reply
+		<-done // never reply
 	}()
 	start := time.Now()
-	if _, err := rpc.Dial(l.Addr().String()); err == nil {
+	if _, err := rpc.DialWithin(l.Addr().String(), timeout); err == nil {
 		t.Fatal("Dial succeeded against a silent peer")
 	}
-	if d := time.Since(start); d > rpc.DialTimeout+5*time.Second {
+	if d := time.Since(start); d > timeout+2*time.Second {
 		t.Fatalf("Dial hung %v on a silent peer", d)
 	}
 }

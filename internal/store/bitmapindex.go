@@ -10,33 +10,16 @@ import (
 // BitmapIndex is the live-row bitmap index: for each (side, attribute,
 // value), the packed set of live EArray rows carrying the value (null is
 // never indexed and reads as the empty set). Bitmaps are owned by the index
-// and read-only to callers. It comes in two forms:
-//
-//   - complete (BuildBitmapIndex): every bitmap is built up front, and a
-//     value no live row carries stays nil, the empty set. It never builds
-//     on read, so concurrent readers are safe while the store is not
-//     mutated. The store's postings (EnablePostings) are a complete index
-//     of every value that the store keeps live-exact; a fanned-out static
-//     mine builds one per mine without the values below its minSupp, plans
-//     its first level off it and shares it with every worker.
-//   - lazy (NewBitmapIndex, for sequential static mines over stores without
-//     postings): each bitmap is filled on first request in one pass over
-//     the rows and allocated once at exactly ⌈NumRows/64⌉ words, so a
-//     caller that probes a few dozen values pays for those alone. It reads
-//     the rows as they are at that request and is never updated: it is
-//     valid only while the store is not mutated, and single-owner. A static
-//     mine builds one per miner and drops it when the mine returns.
+// and read-only to callers. Every bitmap is built up front
+// (BuildBitmapIndex), and a value no live row carries stays nil, the empty
+// set. Reads never build, so concurrent readers are safe while the store is
+// not mutated. The store's postings (EnablePostings) are an index of every
+// value that the store keeps live-exact; a static mine builds one per mine
+// without the values below its minSupp, plans its first level off it and
+// shares it with every worker.
 type BitmapIndex struct {
 	s       *Store
-	lazy    bool
 	l, w, r [][]Bitmap // [attr][val] -> live rows
-}
-
-// NewBitmapIndex returns an empty lazy index over s. No bitmap is built yet.
-func NewBitmapIndex(s *Store) *BitmapIndex {
-	x := newIndex(s)
-	x.lazy = true
-	return x
 }
 
 // BuildBitmapIndex returns a complete index over s's live rows, leaving out
@@ -190,48 +173,10 @@ func (x *BitmapIndex) NumEdges() int { return x.s.NumEdges() }
 
 // LBitmap returns the live rows whose source node carries val on node
 // attribute attr.
-func (x *BitmapIndex) LBitmap(attr int, val graph.Value) Bitmap {
-	if b := x.l[attr][val]; b != nil {
-		return b
-	}
-	return x.fill('L', attr, val)
-}
+func (x *BitmapIndex) LBitmap(attr int, val graph.Value) Bitmap { return x.l[attr][val] }
 
 // WBitmap is LBitmap for edge attribute attr.
-func (x *BitmapIndex) WBitmap(attr int, val graph.Value) Bitmap {
-	if b := x.w[attr][val]; b != nil {
-		return b
-	}
-	return x.fill('W', attr, val)
-}
+func (x *BitmapIndex) WBitmap(attr int, val graph.Value) Bitmap { return x.w[attr][val] }
 
 // RBitmap is LBitmap for the destination side.
-func (x *BitmapIndex) RBitmap(attr int, val graph.Value) Bitmap {
-	if b := x.r[attr][val]; b != nil {
-		return b
-	}
-	return x.fill('R', attr, val)
-}
-
-// fill builds a lazy index's bitmap of (side, attr, val) on its first
-// request. Null, and a value no row of a complete index carries, stay the
-// empty set: a complete index never builds on read.
-func (x *BitmapIndex) fill(side byte, attr int, val graph.Value) Bitmap {
-	if val == graph.Null || !x.lazy {
-		return nil
-	}
-	s := x.s
-	table, vals, idx := x.column(side)
-	b := make(Bitmap, (s.NumRows()+63)/64)
-	for row := range s.ePtr {
-		i := row
-		if idx != nil {
-			i = int(idx[row])
-		}
-		if vals[i*len(table)+attr] == val && s.Alive(int32(row)) {
-			b[row>>6] |= 1 << uint(row&63)
-		}
-	}
-	table[attr][val] = b
-	return b
-}
+func (x *BitmapIndex) RBitmap(attr int, val graph.Value) Bitmap { return x.r[attr][val] }

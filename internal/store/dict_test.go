@@ -83,7 +83,7 @@ func TestDictStableUnderChurn(t *testing.T) {
 		}
 		if s.NumRows() < before {
 			compactions++
-			live = s.AllEdgesInto(live)
+			live = s.AllEdges()
 		}
 		for i := 0; i < r.Intn(5); i++ {
 			if _, err := g.AddEdge(r.Intn(n), r.Intn(n), graph.Value(1+r.Intn(2))); err != nil {

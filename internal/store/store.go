@@ -303,7 +303,7 @@ func (s *Store) compact() {
 
 // Dict returns the store's intern dictionary, creating it on first use. The
 // dictionary is owned by the store's exclusive writer (the incremental
-// engine, or a sequential mine) — it is not safe for concurrent use, so
+// engine) — it is not safe for concurrent use, so
 // parallel mine workers must intern through private dictionaries instead
 // (pair ids still agree; see intern.Dict).
 func (s *Store) Dict() *intern.Dict {
@@ -507,14 +507,9 @@ func (s *Store) SrcNode(e int32) int32 { return s.lNode[s.eSrc[e]] }
 // DstNode returns the destination graph node id of EArray row e.
 func (s *Store) DstNode(e int32) int32 { return s.rNode[s.ePtr[e]] }
 
-// AllEdges returns a fresh slice of every live EArray row id, the root
-// partition for the miner.
-func (s *Store) AllEdges() []int32 { return s.AllEdgesInto(make([]int32, 0, s.NumEdges())) }
-
-// AllEdgesInto is AllEdges appending into dst[:0], letting per-batch callers
-// reuse one scratch slice instead of allocating the root partition each time.
-func (s *Store) AllEdgesInto(dst []int32) []int32 {
-	dst = dst[:0]
+// AllEdges returns a fresh slice of every live EArray row id, ascending.
+func (s *Store) AllEdges() []int32 {
+	dst := make([]int32, 0, s.NumEdges())
 	for i := 0; i < len(s.ePtr); i++ {
 		if s.Alive(int32(i)) {
 			dst = append(dst, int32(i))
