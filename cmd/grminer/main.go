@@ -111,19 +111,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if len(standbys) > 0 && len(remote) == 0 {
-		fmt.Fprintln(os.Stderr, "grminer: -standby needs remote shards (-workers host:port,...)")
-		os.Exit(1)
-	}
-	shardBySet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shard-by" {
-			shardBySet = true
-		}
-	})
-	if shardBySet && *shards <= 0 && len(remote) == 0 {
-		fmt.Fprintln(os.Stderr, "grminer: -shard-by has no effect without -shards N (N > 0) or -workers")
-		os.Exit(1)
+	if err := cli.CheckShardFlags(flag.CommandLine, remote, standbys, *shards, *chkEvery); err != nil {
+		fail(err)
 	}
 	if *poolCap > 0 {
 		if *follow == "" {
@@ -134,10 +123,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "grminer: -pool-cap bounds the single-store incremental pool; sharded pools are support-gated and cannot be bounded without losing offer completeness")
 			os.Exit(1)
 		}
-	}
-	if *chkEvery < 0 {
-		fmt.Fprintln(os.Stderr, "grminer: -checkpoint-interval must be >= 0 (0 disables checkpointing)")
-		os.Exit(1)
 	}
 	var shardOpt grminer.ShardOptions
 	if *shards > 0 || len(remote) > 0 {

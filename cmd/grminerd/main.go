@@ -86,8 +86,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if len(standbys) > 0 && len(remote) == 0 {
-		fail(fmt.Errorf("-standby needs remote shards (-workers host:port,...)"))
+	if err := cli.CheckShardFlags(flag.CommandLine, remote, standbys, *shards, *chkEvery); err != nil {
+		fail(err)
 	}
 	g, err := cli.LoadGraph(*data, *schemaF, *nodesF, *edgesF, *nodes, *deg, *seed)
 	if err != nil {
@@ -111,9 +111,6 @@ func main() {
 		Workers:  remote,
 		Standbys: standbys,
 		Auto:     *auto,
-	}
-	if *chkEvery < 0 {
-		fail(fmt.Errorf("-checkpoint-interval must be >= 0 (0 disables checkpointing)"))
 	}
 	if *shards > 0 || len(remote) > 0 {
 		cfg.Shard = grminer.ShardOptions{Shards: *shards, Strategy: strategy,

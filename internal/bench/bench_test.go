@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -43,23 +44,90 @@ func TestToyReport(t *testing.T) {
 	}
 }
 
+// reportRun is one run of an experiment that has a report test. It runs
+// once per test binary: its TestEveryExperimentRuns subtest and its report
+// test check the same output.
+type reportRun struct {
+	once    sync.Once
+	cfg     Config
+	out     string
+	err     error // from Run
+	json    []byte
+	jsonErr error // from reading the snapshot
+}
+
+var reportRuns = map[string]*reportRun{
+	"scaling": {}, "sharding": {}, "distributed": {}, "serving": {},
+}
+
+// reportConfig sizes each report experiment.
+func reportConfig(name string) Config {
+	cfg := tinyConfig()
+	switch name {
+	case "scaling":
+		cfg.Procs = 4
+	case "sharding", "serving":
+		cfg.PokecNodes = 600
+		cfg.PokecDeg = 6
+	case "distributed":
+		cfg.PokecNodes = 600
+		cfg.PokecDeg = 6
+		cfg.MaxShards = 4
+	}
+	return cfg
+}
+
+// runReport runs the named experiment through Run on its first call and
+// returns the cached run, its BENCH_<name>.json snapshot included.
+func runReport(name string) *reportRun {
+	r := reportRuns[name]
+	r.once.Do(func() {
+		r.cfg = reportConfig(name)
+		dir, err := os.MkdirTemp("", "grbench-"+name)
+		if err != nil {
+			r.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		r.cfg.JSONDir = dir
+		var buf bytes.Buffer
+		r.err = Run(name, &buf, r.cfg)
+		r.out = buf.String()
+		r.json, r.jsonErr = os.ReadFile(filepath.Join(dir, "BENCH_"+name+".json"))
+	})
+	return r
+}
+
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test is slow")
 	}
 	for _, name := range Names {
+		if _, ok := reportRuns[name]; ok {
+			// Its report test checks the same run's JSON snapshot.
+			t.Run(name, func(t *testing.T) {
+				r := runReport(name)
+				if r.err != nil {
+					t.Fatalf("%s: %v", name, r.err)
+				}
+				if r.out == "" {
+					t.Errorf("%s produced no output", name)
+				}
+				if strings.Contains(r.out, "WARNING") {
+					t.Errorf("%s diverged:\n%s", name, r.out)
+				}
+			})
+			continue
+		}
 		t.Run(name, func(t *testing.T) {
 			cfg := tinyConfig()
-			// The four slowest experiments run on smaller graphs; their
-			// checks (each sharded, remote and recovered top-k against the
-			// single store's) hold at any size.
+			// Two slow experiments run on smaller graphs; their checks hold
+			// at any size.
 			switch name {
 			case "fig4a":
 				// Its baselines at minSupp 2 take most of the test's time:
 				// |E| 4,000 instead of 12,000.
 				cfg.PokecNodes = 500
-			case "sharding", "distributed":
-				cfg.PokecNodes = 600
 			case "failover":
 				// Its 4 shards would lower minSupp 20 to a per-shard offer
 				// threshold of 5, where the support-only shard pools blow
@@ -87,18 +155,14 @@ func TestEveryExperimentRuns(t *testing.T) {
 // The scaling experiment must produce identical parallel results and a
 // well-formed BENCH_scaling.json snapshot.
 func TestScalingReport(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Procs = 4
-	cfg.JSONDir = t.TempDir()
-	var buf bytes.Buffer
-	if err := Scaling(&buf, cfg); err != nil {
-		t.Fatal(err)
+	r := runReport("scaling")
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	out := buf.String()
-	if strings.Contains(out, "WARNING") {
-		t.Errorf("scaling run diverged from sequential:\n%s", out)
+	if strings.Contains(r.out, "WARNING") {
+		t.Errorf("scaling run diverged from sequential:\n%s", r.out)
 	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_scaling.json"))
+	data, err := r.json, r.jsonErr
 	if err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
@@ -168,19 +232,14 @@ func TestDistributedReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins loopback workers and mines repeatedly")
 	}
-	cfg := tinyConfig()
-	cfg.PokecNodes = 600
-	cfg.PokecDeg = 6
-	cfg.MaxShards = 4
-	cfg.JSONDir = t.TempDir()
-	var buf bytes.Buffer
-	if err := Distributed(&buf, cfg); err != nil {
-		t.Fatal(err)
+	r := runReport("distributed")
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if out := buf.String(); strings.Contains(out, "WARNING") {
-		t.Errorf("distributed run diverged:\n%s", out)
+	if strings.Contains(r.out, "WARNING") {
+		t.Errorf("distributed run diverged:\n%s", r.out)
 	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_distributed.json"))
+	data, err := r.json, r.jsonErr
 	if err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
@@ -204,18 +263,14 @@ func TestDistributedReport(t *testing.T) {
 // The sharding experiment must produce identical merged results at every
 // layout and a well-formed BENCH_sharding.json snapshot.
 func TestShardingReport(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.PokecNodes = 600
-	cfg.PokecDeg = 6
-	cfg.JSONDir = t.TempDir()
-	var buf bytes.Buffer
-	if err := Sharding(&buf, cfg); err != nil {
-		t.Fatal(err)
+	r := runReport("sharding")
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if out := buf.String(); strings.Contains(out, "WARNING") {
-		t.Errorf("sharded run diverged from single store:\n%s", out)
+	if strings.Contains(r.out, "WARNING") {
+		t.Errorf("sharded run diverged from single store:\n%s", r.out)
 	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_sharding.json"))
+	data, err := r.json, r.jsonErr
 	if err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
@@ -234,8 +289,8 @@ func TestShardingReport(t *testing.T) {
 		if !pt.Identical {
 			t.Errorf("%d shards by %s (%s floor) diverged", pt.Shards, pt.Strategy, pt.Floor)
 		}
-		if pt.Shards > cfg.MaxShards {
-			t.Errorf("point with %d shards exceeds the configured cap %d", pt.Shards, cfg.MaxShards)
+		if pt.Shards > r.cfg.MaxShards {
+			t.Errorf("point with %d shards exceeds the configured cap %d", pt.Shards, r.cfg.MaxShards)
 		}
 		seen[pt.Floor+"/"+pt.Strategy] = true
 	}
@@ -253,18 +308,14 @@ func TestServingReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins a loopback HTTP server and mines repeatedly")
 	}
-	cfg := tinyConfig()
-	cfg.PokecNodes = 600
-	cfg.PokecDeg = 6
-	cfg.JSONDir = t.TempDir()
-	var buf bytes.Buffer
-	if err := Serving(&buf, cfg); err != nil {
-		t.Fatal(err)
+	r := runReport("serving")
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if out := buf.String(); strings.Contains(out, "WARNING") {
-		t.Errorf("serving run diverged:\n%s", out)
+	if strings.Contains(r.out, "WARNING") {
+		t.Errorf("serving run diverged:\n%s", r.out)
 	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_serving.json"))
+	data, err := r.json, r.jsonErr
 	if err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}

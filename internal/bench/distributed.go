@@ -102,7 +102,7 @@ func Distributed(w io.Writer, cfg Config) error {
 		}
 		listeners[i] = l
 		addrs[i] = l.Addr().String()
-		go rpc.Serve(l, nil) //nolint:errcheck // closed below
+		go rpc.ServeShards(l, 1, nil) //nolint:errcheck // closed below
 	}
 	defer func() {
 		for _, l := range listeners {
@@ -131,7 +131,7 @@ func Distributed(w io.Writer, cfg Config) error {
 		for _, strategy := range strategies {
 			for _, n := range counts {
 				sc, err := core.NewShardCoordinatorFrom(g, mode.base,
-					core.ShardOptions{Shards: n, Strategy: strategy}, rpc.Builder(addrs[:n]))
+					core.ShardOptions{Shards: n, Strategy: strategy}, rpc.NewFleet(addrs[:n], rpc.FleetOptions{}))
 				if err != nil {
 					return err
 				}
@@ -213,7 +213,7 @@ func distributedIncremental(schema *graph.Schema, cfg Config, addrs []string) (i
 		DynamicFloor: true, ExactGenerality: true,
 	}
 	inc, err := core.NewIncrementalShardedFrom(g, opt,
-		core.ShardOptions{Shards: len(addrs)}, rpc.Builder(addrs))
+		core.ShardOptions{Shards: len(addrs)}, rpc.NewFleet(addrs, rpc.FleetOptions{}))
 	if err != nil {
 		return false, 0, err
 	}

@@ -1,9 +1,12 @@
 // Package cli holds the flag helpers the grminer and grminerd commands
-// share: the -workers and address-list parsers, the -checkpoint-interval
-// mapping and the input loader behind -data and the file flags.
+// share: the -workers and address-list parsers, the shard flag checks, the
+// -checkpoint-interval mapping and the input loader behind -data and the
+// file flags.
 package cli
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -35,6 +38,24 @@ func ParseAddrList(flagName, v string) ([]string, error) {
 		addrs = append(addrs, a)
 	}
 	return addrs, nil
+}
+
+// CheckShardFlags refuses the shard flag combinations both commands reject
+// before they load any input: -standby without remote shards, -shard-by
+// given on fs without sharding (-shards N > 0 or -workers), and a negative
+// -checkpoint-interval.
+func CheckShardFlags(fs *flag.FlagSet, remote, standbys []string, shards, checkpointInterval int) error {
+	shardBySet := false
+	fs.Visit(func(f *flag.Flag) { shardBySet = shardBySet || f.Name == "shard-by" })
+	switch {
+	case len(standbys) > 0 && len(remote) == 0:
+		return errors.New("-standby needs remote shards (-workers host:port,...)")
+	case shardBySet && shards <= 0 && len(remote) == 0:
+		return errors.New("-shard-by has no effect without -shards N (N > 0) or -workers")
+	case checkpointInterval < 0:
+		return errors.New("-checkpoint-interval must be >= 0 (0 disables checkpointing)")
+	}
+	return nil
 }
 
 // CheckpointInterval maps the -checkpoint-interval flag value onto

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -128,6 +129,40 @@ func TestParseAddrList(t *testing.T) {
 		}
 		if err != nil || !reflect.DeepEqual(addrs, tc.addrs) {
 			t.Errorf("ParseAddrList(%q) = %q, %v; want %q", tc.in, addrs, err, tc.addrs)
+		}
+	}
+}
+
+func TestCheckShardFlags(t *testing.T) {
+	addrs := []string{"127.0.0.1:9401"}
+	for _, tc := range []struct {
+		name     string
+		args     []string
+		remote   []string
+		standbys []string
+		shards   int
+		chk      int
+		err      string
+	}{
+		{name: "single store", chk: 8},
+		{name: "sharded", args: []string{"-shard-by", "rhs"}, shards: 2, chk: 8},
+		{name: "remote", args: []string{"-shard-by", "rhs"}, remote: addrs, standbys: addrs, chk: 0},
+		{name: "default -shard-by", args: []string{"-shard-by", "src"}, chk: 8, err: "-shard-by has no effect"},
+		{name: "-shard-by alone", args: []string{"-shard-by", "rhs"}, chk: 8, err: "-shard-by has no effect"},
+		{name: "-standby alone", standbys: addrs, shards: 2, chk: 8, err: "-standby needs remote shards"},
+		{name: "negative interval", shards: 2, chk: -1, err: "-checkpoint-interval must be >= 0"},
+	} {
+		fs := flag.NewFlagSet(tc.name, flag.ContinueOnError)
+		fs.String("shard-by", "src", "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := CheckShardFlags(fs, tc.remote, tc.standbys, tc.shards, tc.chk)
+		if tc.err == "" && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.err)
 		}
 	}
 }

@@ -158,7 +158,7 @@ func checkGeneralityCounts(t *testing.T, g *graph.Graph, st *store.Store, m metr
 		return c.LWR >= opt.MinSupp && m.Score(c) >= opt.MinScore
 	}
 
-	idx, _ := store.BuildBitmapIndex(st, 1)
+	idx, _ := store.BuildBitmapIndex(st, 1, 1)
 	counter := newMiner(st, opt) // kernel counts
 	checker := newMiner(st, opt) // hasQualifyingGeneralization with its memo
 	counter.scr.genIdx, checker.scr.genIdx = idx, idx

@@ -27,34 +27,16 @@ import (
 // edges nor a second copy of the store's arrays travel.
 const CheckpointVersion = 4
 
-// Checkpointer is a ShardWorker that can serialize its full shard state
-// into an opaque versioned blob. Supervisors checkpoint through it every
-// CheckpointInterval acknowledged batches and truncate their replay logs to
-// the post-checkpoint suffix (DESIGN.md §9): recovery becomes
-// install-checkpoint + replay-at-most-interval-batches instead of
-// replay-everything. Workers without it (or remote daemons predating wire
-// v4) simply keep the full-log behavior.
+// Checkpointer serializes a worker's full shard state into an opaque
+// versioned blob; every ShardWorker implements it. Supervisors checkpoint
+// every CheckpointInterval acknowledged batches and truncate their replay
+// logs to the post-checkpoint suffix (DESIGN.md §9): recovery becomes
+// RebuildRestore + replay-at-most-interval-batches instead of
+// replay-everything. The blob omits what the shard's WorkerSpec already
+// carries (schema, node table); it holds the live edges, the intern
+// dictionary and the maintained pool.
 type Checkpointer interface {
 	Checkpoint() ([]byte, error)
-}
-
-// Restorer is a ShardWorker that can be (re)initialized from a checkpoint
-// blob plus the shard's spec. The spec supplies what the blob deliberately
-// omits — schema and the full node table, which checkpointing would
-// otherwise re-ship unchanged every interval — and the blob supplies
-// everything that moved since build: the shard's live edges, the intern
-// dictionary, and the maintained pool.
-type Restorer interface {
-	Restore(spec WorkerSpec, blob []byte) error
-}
-
-// RestoringBuilder is a RebuildingBuilder that can place a replacement
-// worker directly from a checkpoint blob, skipping the wasted spec-time
-// store build a Rebuild-then-Restore pair would pay. internal/rpc.Fleet
-// implements it by shipping the blob to the replacement daemon.
-type RestoringBuilder interface {
-	RebuildingBuilder
-	RebuildRestore(spec WorkerSpec, blob []byte) (ShardWorker, error)
 }
 
 // checkpointImage is the serialized form of a WorkerState. The worker's
@@ -182,7 +164,7 @@ func (p *densePool) restore(pc poolColumns) error {
 
 // Checkpoint serializes the worker's shard state — live edges, intern
 // dictionary, maintained pool and its seeded-ness — into an opaque
-// versioned blob. The inverse is Restore / NewWorkerStateFromCheckpoint.
+// versioned blob. The inverse is NewWorkerStateFromCheckpoint.
 func (w *WorkerState) Checkpoint() ([]byte, error) {
 	ne := len(w.g.Schema().Edge)
 	m := w.g.NumLiveEdges()
@@ -264,16 +246,4 @@ func NewWorkerStateFromCheckpoint(spec WorkerSpec, blob []byte) (*WorkerState, e
 		w.seeded = true
 	}
 	return w, nil
-}
-
-// Restore reinitializes the worker in place from a checkpoint blob; the
-// shardd daemon uses it to install a shipped checkpoint into an existing
-// slot. On error the worker is left unchanged.
-func (w *WorkerState) Restore(spec WorkerSpec, blob []byte) error {
-	nw, err := NewWorkerStateFromCheckpoint(spec, blob)
-	if err != nil {
-		return err
-	}
-	*w = *nw
-	return nil
 }

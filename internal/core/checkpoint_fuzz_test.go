@@ -33,7 +33,7 @@ func checkpointFuzzFixture(t testing.TB) (WorkerSpec, []byte) {
 }
 
 // FuzzWorkerCheckpoint feeds arbitrary bytes to the checkpoint restore that
-// shardd's Restore takes off the wire. A blob must restore or fail with an
+// shardd's OpRestore takes off the wire. A blob must restore or fail with an
 // error, never panic; a blob that restores must leave a worker that can
 // ingest and checkpoint again. The checked-in corpus holds the fixture's
 // real blob, its version 2 predecessor, and one corruption of it per class

@@ -18,8 +18,8 @@ func (chaosLostErr) WorkerLost() bool { return true }
 
 // chaosWorker wraps a real in-process WorkerState with a kill switch: once
 // armed, the next operation fails with worker loss, exactly as a torn
-// daemon connection would. Checkpoint/Restore forward to the real worker so
-// the supervisor's truncation machinery engages.
+// daemon connection would. Checkpoint forwards to the real worker so the
+// supervisor's truncation machinery engages.
 type chaosWorker struct {
 	w     *core.WorkerState
 	armed bool
@@ -64,10 +64,6 @@ func (c *chaosWorker) Checkpoint() ([]byte, error) {
 	return c.w.Checkpoint()
 }
 
-func (c *chaosWorker) Restore(spec core.WorkerSpec, blob []byte) error {
-	return c.w.Restore(spec, blob)
-}
-
 // chaosBuilder is an in-process RebuildingBuilder whose live workers the
 // test can kill by shard index.
 type chaosBuilder struct {
@@ -75,8 +71,7 @@ type chaosBuilder struct {
 	rebuilds int
 }
 
-func (b *chaosBuilder) place(spec core.WorkerSpec) (core.ShardWorker, error) {
-	w, err := core.NewWorkerState(spec)
+func (b *chaosBuilder) place(spec core.WorkerSpec, w *core.WorkerState, err error) (core.ShardWorker, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +80,20 @@ func (b *chaosBuilder) place(spec core.WorkerSpec) (core.ShardWorker, error) {
 	return cw, nil
 }
 
-func (b *chaosBuilder) Build(spec core.WorkerSpec) (core.ShardWorker, error) { return b.place(spec) }
+func (b *chaosBuilder) Build(spec core.WorkerSpec) (core.ShardWorker, error) {
+	w, err := core.NewWorkerState(spec)
+	return b.place(spec, w, err)
+}
 
 func (b *chaosBuilder) Rebuild(spec core.WorkerSpec) (core.ShardWorker, error) {
 	b.rebuilds++
-	return b.place(spec)
+	return b.Build(spec)
+}
+
+func (b *chaosBuilder) RebuildRestore(spec core.WorkerSpec, blob []byte) (core.ShardWorker, error) {
+	b.rebuilds++
+	w, err := core.NewWorkerStateFromCheckpoint(spec, blob)
+	return b.place(spec, w, err)
 }
 
 // TestShardedCheckpointFailoverOracle is the randomized kill-after-checkpoint

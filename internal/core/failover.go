@@ -65,17 +65,17 @@ type WorkerHealth struct {
 // machine. It keeps the shard's self-contained WorkerSpec, the latest
 // checkpoint blob, and the routed batches acknowledged since that
 // checkpoint; when an operation fails with worker loss it places a
-// replacement through the RebuildingBuilder, reproduces the lost state
-// (install checkpoint + replay the log suffix, or seed + full replay if no
-// checkpoint exists), re-issues the failed operation once, and the run
-// continues as if nothing happened.
+// replacement through the RebuildingBuilder and reproduces the lost state
+// in one of two ways — with a blob, RebuildRestore it and replay the log
+// suffix; without one, Rebuild from the spec, re-seed if the shard was
+// seeded, and replay the whole log — then re-issues the failed operation
+// once, and the run continues as if nothing happened.
 //
 // Replay is exact, not approximate:
 //
-//   - the checkpoint blob is a faithful serialization of the worker's full
-//     shard state (graph edge log with tombstones, exact store arrays,
-//     intern dictionary, maintained pool), so a restored worker is
-//     bit-identical to the one that wrote the blob;
+//   - the checkpoint blob carries the worker's live edges, intern
+//     dictionary and maintained pool, so a restored worker answers every
+//     later request as the one that wrote the blob would;
 //   - without a blob, the spec rebuilds the shard store bit-for-bit (the
 //     partitioner is deterministic and insertion-stable, and the spec
 //     carries the shard's own edges) and the maintained pool is a pure
@@ -143,7 +143,7 @@ func (s *supervisor) NumEdges() int { return s.worker().NumEdges() }
 func (s *supervisor) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) {
 	offers, stats, err := s.worker().Offer(bound)
 	if err != nil && workerLost(err) {
-		if rerr := s.recover(err, bound == nil); rerr != nil {
+		if rerr := s.recover(err); rerr != nil {
 			return nil, Stats{}, rerr
 		}
 		offers, stats, err = s.worker().Offer(bound)
@@ -160,7 +160,7 @@ func (s *supervisor) Offer(bound *OfferBound) ([]ShardCandidate, Stats, error) {
 func (s *supervisor) Counts(grs []gr.GR) ([]metrics.Counts, error) {
 	counts, err := s.worker().Counts(grs)
 	if err != nil && workerLost(err) {
-		if rerr := s.recover(err, false); rerr != nil {
+		if rerr := s.recover(err); rerr != nil {
 			return nil, rerr
 		}
 		counts, err = s.worker().Counts(grs)
@@ -175,7 +175,7 @@ func (s *supervisor) Counts(grs []gr.GR) ([]metrics.Counts, error) {
 func (s *supervisor) Ingest(batch Batch) (IngestReply, error) {
 	rep, err := s.worker().Ingest(batch)
 	if err != nil && workerLost(err) {
-		if rerr := s.recover(err, false); rerr != nil {
+		if rerr := s.recover(err); rerr != nil {
 			return IngestReply{}, rerr
 		}
 		rep, err = s.worker().Ingest(batch)
@@ -201,11 +201,7 @@ func (s *supervisor) Ingest(batch Batch) (IngestReply, error) {
 // acknowledged batch; if the worker actually died, the next operation
 // discovers it and engages normal failover with the state we kept.
 func (s *supervisor) checkpoint(w ShardWorker) {
-	cp, ok := w.(Checkpointer)
-	if !ok {
-		return
-	}
-	blob, err := cp.Checkpoint()
+	blob, err := w.Checkpoint()
 	if err != nil {
 		s.mu.Lock()
 		s.health.CheckpointFailures++
@@ -219,15 +215,18 @@ func (s *supervisor) checkpoint(w ShardWorker) {
 	s.mu.Unlock()
 }
 
+// Checkpoint forwards to the current worker; the supervisor's own
+// checkpoints go through checkpoint, which also truncates the log.
+func (s *supervisor) Checkpoint() ([]byte, error) { return s.worker().Checkpoint() }
+
 // Close releases the current worker.
 func (s *supervisor) Close() error { return s.worker().Close() }
 
 // recover places a replacement worker and reproduces the lost shard state
-// on it. seedInFlight marks that the failed operation was itself a seeding
-// Offer(nil); when additionally nothing needs replaying, the replay-side
-// re-seed is skipped — the caller's re-issue IS the seed, and running it
-// twice would only recompute the identical pool (the pool is a pure
-// function of the store; pinned by TestDoubleSeedIdempotent).
+// on it. If the failed operation was itself a seeding Offer(nil) on a
+// seeded shard, the replacement is seeded by the replay and again by the
+// re-issue; the second seed recomputes the identical pool (the pool is a
+// pure function of the store; pinned by TestDoubleSeedIdempotent).
 //
 // The lock is held only to read and swap state, never across the rebuild
 // and replay themselves: FleetHealth keeps answering during a recovery,
@@ -236,7 +235,7 @@ func (s *supervisor) Close() error { return s.worker().Close() }
 // why no replacement could take over. s.inner is left pointing at the dead
 // worker (Close on a lost worker is safe and idempotent) so a later Close
 // of the deployment still releases whatever is left.
-func (s *supervisor) recover(cause error, seedInFlight bool) error {
+func (s *supervisor) recover(cause error) error {
 	s.mu.Lock()
 	s.health.LastError = cause.Error()
 	s.health.Recovering = true
@@ -252,7 +251,7 @@ func (s *supervisor) recover(cause error, seedInFlight bool) error {
 	if old != nil {
 		old.Close() // best effort; the transport is already gone
 	}
-	w, err := s.rebuildReplacement(chk, seeded, log, seedInFlight)
+	w, err := s.rebuildReplacement(chk, seeded, log)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,28 +269,29 @@ func (s *supervisor) recover(cause error, seedInFlight bool) error {
 	return nil
 }
 
-// rebuildReplacement builds a replacement worker and reproduces the lost
-// state on it: install the checkpoint blob (when one exists) and replay
-// the post-checkpoint log suffix, or — before any checkpoint — rebuild
-// from the spec and replay seed + full log. Runs without s.mu held.
-func (s *supervisor) rebuildReplacement(chk []byte, seeded bool, log []Batch, seedInFlight bool) (ShardWorker, error) {
-	if chk == nil {
-		w, err := s.rb.Rebuild(s.spec)
-		if err != nil {
+// rebuildReplacement places a replacement worker and reproduces the lost
+// state on it: RebuildRestore the checkpoint blob when one exists, or —
+// before any checkpoint — Rebuild from the spec and re-seed if the shard
+// was seeded; then replay the logged batches in ingest order. Runs without
+// s.mu held. With a blob the log prefix it covers is gone, so a failed
+// restore cannot fall back to full replay and the recovery fails closed.
+func (s *supervisor) rebuildReplacement(chk []byte, seeded bool, log []Batch) (ShardWorker, error) {
+	var w ShardWorker
+	var err error
+	if chk != nil {
+		if w, err = s.rb.RebuildRestore(s.spec, chk); err != nil {
+			return nil, fmt.Errorf("worker lost and checkpoint restore failed: %w", err)
+		}
+	} else {
+		if w, err = s.rb.Rebuild(s.spec); err != nil {
 			return nil, fmt.Errorf("worker lost and no replacement available: %w", err)
 		}
-		if err := replayInto(w, seeded, log, seedInFlight); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("replay into replacement failed: %w", err)
+		if seeded {
+			if _, _, err := w.Offer(nil); err != nil {
+				w.Close()
+				return nil, fmt.Errorf("replay into replacement failed: re-seed: %w", err)
+			}
 		}
-		return w, nil
-	}
-	// With a checkpoint the log prefix it covers is gone, so a replacement
-	// that cannot restore the blob cannot host the shard — full replay is
-	// no longer possible and the recovery fails closed.
-	w, err := s.restoreReplacement(chk)
-	if err != nil {
-		return nil, fmt.Errorf("worker lost and checkpoint restore failed: %w", err)
 	}
 	for i, b := range log {
 		if _, err := w.Ingest(b); err != nil {
@@ -300,52 +300,6 @@ func (s *supervisor) rebuildReplacement(chk []byte, seeded bool, log []Batch, se
 		}
 	}
 	return w, nil
-}
-
-// restoreReplacement places a worker initialized from the checkpoint blob:
-// in one round trip when the builder can (rpc.Fleet ships the blob with
-// the placement), otherwise by building from the spec and restoring into
-// the fresh worker.
-func (s *supervisor) restoreReplacement(chk []byte) (ShardWorker, error) {
-	if rr, ok := s.rb.(RestoringBuilder); ok {
-		return rr.RebuildRestore(s.spec, chk)
-	}
-	w, err := s.rb.Rebuild(s.spec)
-	if err != nil {
-		return nil, err
-	}
-	r, ok := w.(Restorer)
-	if !ok {
-		w.Close()
-		return nil, fmt.Errorf("replacement worker cannot restore a checkpoint")
-	}
-	if err := r.Restore(s.spec, chk); err != nil {
-		w.Close()
-		return nil, err
-	}
-	return w, nil
-}
-
-// replayInto reproduces a lost pre-checkpoint worker's state on a fresh
-// replacement: pool seed first (if the shard was ever seeded), then every
-// logged batch in ingest order. When the operation that died was itself
-// the seeding Offer and there are no batches to replay, the seed is left
-// to the re-issued operation (seedInFlight) — replaying it here too would
-// double-seed for nothing. With batches in the log the seed is mandatory
-// regardless (workers refuse Ingest before a seeding Offer), and the
-// re-issued Offer(nil) then recomputes the identical pool.
-func replayInto(w ShardWorker, seeded bool, log []Batch, seedInFlight bool) error {
-	if seeded && !(seedInFlight && len(log) == 0) {
-		if _, _, err := w.Offer(nil); err != nil {
-			return fmt.Errorf("re-seed: %w", err)
-		}
-	}
-	for i, b := range log {
-		if _, err := w.Ingest(b); err != nil {
-			return fmt.Errorf("batch %d/%d: %w", i+1, len(log), err)
-		}
-	}
-	return nil
 }
 
 // healthSnapshot copies the current failover record.

@@ -19,18 +19,16 @@ func (e lostErr) Error() string    { return e.msg }
 func (e lostErr) WorkerLost() bool { return true }
 
 // fakeWorker scripts a ShardWorker: it records every operation and can be
-// told to fail the next ops with transport loss or an in-band error. It
-// also implements Checkpointer/Restorer so the supervisor's truncation
-// bookkeeping can be tested without real worker state: a checkpoint blob
-// is just the worker's address.
+// told to fail the next ops with transport loss or an in-band error. Its
+// checkpoint blob is just the worker's address, so the supervisor's
+// truncation bookkeeping can be tested without real worker state.
 type fakeWorker struct {
-	addr       string
-	ops        []string
-	failLost   int   // fail this many upcoming ops with worker loss
-	inBand     error // non-nil: fail every op with this plain error
-	chkErr     error // non-nil: Checkpoint fails with this
-	restoreErr error // non-nil: Restore fails with this
-	closed     bool
+	addr     string
+	ops      []string
+	failLost int   // fail this many upcoming ops with worker loss
+	inBand   error // non-nil: fail every op with this plain error
+	chkErr   error // non-nil: Checkpoint fails with this
+	closed   bool
 }
 
 func (f *fakeWorker) step(op string) error {
@@ -76,20 +74,12 @@ func (f *fakeWorker) Checkpoint() ([]byte, error) {
 	return []byte(f.addr), nil
 }
 
-func (f *fakeWorker) Restore(spec WorkerSpec, blob []byte) error {
-	if f.restoreErr != nil {
-		return f.restoreErr
-	}
-	f.ops = append(f.ops, "restore:"+string(blob))
-	return nil
-}
-
 // fakeBuilder hands out scripted replacement workers.
 type fakeBuilder struct {
 	rebuilds              int
 	replacements          []*fakeWorker
 	replacementFailLost   int   // scripted failLost for each new replacement
-	replacementRestoreErr error // scripted restoreErr for each new replacement
+	replacementRestoreErr error // non-nil: RebuildRestore places, then fails with this
 	err                   error
 }
 
@@ -103,12 +93,28 @@ func (fb *fakeBuilder) Rebuild(WorkerSpec) (ShardWorker, error) {
 		return nil, fb.err
 	}
 	w := &fakeWorker{
-		addr:       fmt.Sprintf("replacement-%d", fb.rebuilds),
-		failLost:   fb.replacementFailLost,
-		restoreErr: fb.replacementRestoreErr,
+		addr:     fmt.Sprintf("replacement-%d", fb.rebuilds),
+		failLost: fb.replacementFailLost,
 	}
 	fb.replacements = append(fb.replacements, w)
 	return w, nil
+}
+
+// RebuildRestore places a replacement and records the blob it was
+// restored from; a scripted restore failure closes the placed worker, as
+// rpc.Fleet releases a slot whose restore the daemon refused.
+func (fb *fakeBuilder) RebuildRestore(spec WorkerSpec, blob []byte) (ShardWorker, error) {
+	w, err := fb.Rebuild(spec)
+	if err != nil {
+		return nil, err
+	}
+	f := w.(*fakeWorker)
+	if fb.replacementRestoreErr != nil {
+		f.Close()
+		return nil, fb.replacementRestoreErr
+	}
+	f.ops = append(f.ops, "restore:"+string(blob))
+	return f, nil
 }
 
 func batchOf(n int) Batch {
@@ -345,32 +351,29 @@ func TestSupervisorRestoreFailureMarksDown(t *testing.T) {
 	}
 }
 
-// Regression for the kill-during-seed double-offer: when the op that died
-// IS the seeding Offer and nothing else needs replaying, the replay side
-// must leave the seed to the re-issued operation — the replacement sees
-// exactly one seed, not two.
+// A worker lost during its first seed is rebuilt unseeded: the supervisor
+// marks a shard seeded only once a seed succeeds, so the re-issued
+// Offer(nil) is the replacement's one seed.
+//
+// A seeding Offer(nil) that dies on an already-seeded shard is recovered
+// like any other operation: the replacement is rebuilt, re-seeded and
+// replayed, and the re-issued Offer(nil) seeds it again. Workers refuse
+// Ingest before a seeding Offer, so the replay seed is mandatory;
+// TestDoubleSeedIdempotent pins that the second seed is harmless on real
+// state.
 func TestSupervisorKillDuringSeedSingleSeed(t *testing.T) {
-	w0 := &fakeWorker{addr: "home"}
+	w0 := &fakeWorker{addr: "home", failLost: 1}
 	fb := &fakeBuilder{}
 	sup := newSupervisor(WorkerSpec{Index: 0, Shards: 1}, fb, w0, 0)
 
 	if _, _, err := sup.Offer(nil); err != nil {
-		t.Fatal(err)
-	}
-	// A mid-run re-seed (the engine re-offers on every sharded mine) dies:
-	// seeded is already true, the log is empty.
-	w0.failLost = 1
-	if _, _, err := sup.Offer(nil); err != nil {
-		t.Fatalf("seed offer across the loss: %v", err)
+		t.Fatalf("first seed across the loss: %v", err)
 	}
 	want := []string{"seed"}
 	if got := fmt.Sprint(fb.replacements[0].ops); got != fmt.Sprint(want) {
 		t.Errorf("replacement ops %v, want exactly one seed", fb.replacements[0].ops)
 	}
 
-	// With batches in the log the replay seed is mandatory (workers refuse
-	// Ingest before a seeding Offer): the double-seed is kept there, and
-	// TestDoubleSeedIdempotent pins that it is harmless on real state.
 	if _, err := sup.Ingest(batchOf(1)); err != nil {
 		t.Fatal(err)
 	}

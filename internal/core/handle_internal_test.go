@@ -57,8 +57,7 @@ func (k *killableWorker) Checkpoint() ([]byte, error) {
 // placement, in order.
 type killableBuilder struct{ placed []*killableWorker }
 
-func (b *killableBuilder) Build(spec WorkerSpec) (ShardWorker, error) {
-	w, err := NewWorkerState(spec)
+func (b *killableBuilder) place(w *WorkerState, err error) (ShardWorker, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +66,15 @@ func (b *killableBuilder) Build(spec WorkerSpec) (ShardWorker, error) {
 	return k, nil
 }
 
+func (b *killableBuilder) Build(spec WorkerSpec) (ShardWorker, error) {
+	return b.place(NewWorkerState(spec))
+}
+
 func (b *killableBuilder) Rebuild(spec WorkerSpec) (ShardWorker, error) { return b.Build(spec) }
+
+func (b *killableBuilder) RebuildRestore(spec WorkerSpec, blob []byte) (ShardWorker, error) {
+	return b.place(NewWorkerStateFromCheckpoint(spec, blob))
+}
 
 // poolHandles maps each maintained pool entry's GR to its handle.
 func poolHandles(w *WorkerState) map[string]intern.GRID {

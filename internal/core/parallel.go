@@ -145,7 +145,7 @@ func mineStore(st *store.Store, opt Options, width int) (*Result, int, error) {
 	// the first level off it, every worker reads its tasks' rows from it,
 	// and it backs every worker's generality and |E(r)| counts. Values
 	// below MinSupp are left out; the coordinator counts them as pruned.
-	idx, cut := store.BuildBitmapIndex(st, opt.MinSupp)
+	idx, cut := store.BuildBitmapIndex(st, opt.MinSupp, width)
 	indexed := time.Now()
 	coord := newMiner(st, opt)
 	coord.scr.genIdx = idx

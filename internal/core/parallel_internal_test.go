@@ -274,8 +274,8 @@ func TestMineIndexCountsEveryGeneralisation(t *testing.T) {
 		minSupp int
 	}{{"pokec", fanOutGraph(), 24}, {"homophily-targets", homophilyTargetsGraph(t), 10}} {
 		st := store.Build(c.g)
-		cutIdx, cut := store.BuildBitmapIndex(st, c.minSupp)
-		fullIdx, _ := store.BuildBitmapIndex(st, 1)
+		cutIdx, cut := store.BuildBitmapIndex(st, c.minSupp, 1)
+		fullIdx, _ := store.BuildBitmapIndex(st, 1, 1)
 		if cut == 0 {
 			t.Fatalf("%s: the minSupp index leaves nothing out", c.name)
 		}
@@ -317,7 +317,7 @@ func TestMineIndexCountsEveryGeneralisation(t *testing.T) {
 // walkAll runs m's whole walk, one task after another in plan order, off
 // a complete index of its store.
 func walkAll(m *miner) {
-	idx, _ := store.BuildBitmapIndex(m.st, 1)
+	idx, _ := store.BuildBitmapIndex(m.st, 1, 1)
 	m.scr.genIdx = idx
 	tasks, sr, _ := m.plan(idx, nil)
 	for i := range tasks {

@@ -409,10 +409,10 @@ func NewShardCoordinator(g *graph.Graph, opt Options, so ShardOptions) (*ShardCo
 
 // NewShardCoordinatorFrom is NewShardCoordinator with an explicit worker
 // builder: InProcessWorkers for the single-machine deployment, or a remote
-// builder (internal/rpc.Builder, internal/rpc.Fleet) that hands every
-// WorkerSpec to a shardd daemon. When the builder is a RebuildingBuilder,
-// workers are wrapped in replay supervisors and the run survives worker
-// loss (see FleetHealth). Close releases the workers.
+// builder (internal/rpc.Fleet) that hands every WorkerSpec to a shardd
+// daemon. When the builder is a RebuildingBuilder, workers are wrapped in
+// replay supervisors and the run survives worker loss (see FleetHealth).
+// Close releases the workers.
 func NewShardCoordinatorFrom(g *graph.Graph, opt Options, so ShardOptions, build FleetBuilder) (*ShardCoordinator, error) {
 	opt, plan, sketches, workers, err := buildShardDeployment(g, opt, so, build)
 	if err != nil {

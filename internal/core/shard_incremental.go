@@ -88,11 +88,10 @@ func NewIncrementalSharded(g *graph.Graph, opt Options, so ShardOptions) (*Incre
 }
 
 // NewIncrementalShardedFrom is NewIncrementalSharded with an explicit
-// worker builder (internal/rpc.Builder places every shard on a shardd
-// daemon; internal/rpc.Fleet adds multiplexed placement and failover —
-// when the builder is a RebuildingBuilder, a lost worker is rebuilt and
-// its routed-batch log replayed mid-stream instead of poisoning the
-// engine). Close releases the workers.
+// worker builder (internal/rpc.Fleet places every shard on a shardd
+// daemon; when the builder is a RebuildingBuilder, as a Fleet is, a lost
+// worker is rebuilt and its routed-batch log replayed mid-stream instead
+// of poisoning the engine). Close releases the workers.
 func NewIncrementalShardedFrom(g *graph.Graph, opt Options, so ShardOptions, build FleetBuilder) (*IncrementalSharded, error) {
 	opt, plan, sketches, workers, err := buildShardDeployment(g, opt, so, build)
 	if err != nil {

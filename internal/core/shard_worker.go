@@ -246,9 +246,9 @@ func (rep *IngestReply) addDelta(m metrics.Metric, id intern.GRID, c metrics.Cou
 }
 
 // ShardWorker is the narrow contract one shard presents to the coordinator.
-// The four methods are the whole offer/count/ingest surface, deliberately
-// chatty-free so a remote transport (internal/rpc) pays one round trip per
-// protocol round:
+// Its methods are the whole offer/count/ingest/checkpoint surface,
+// deliberately chatty-free so a remote transport (internal/rpc) pays one
+// round trip per protocol round:
 //
 //   - Offer mines the shard's relaxed candidate pool (round 1). A non-nil
 //     bound applies the count-then-verify prune; nil asks for the plain
@@ -257,12 +257,14 @@ func (rep *IngestReply) addDelta(m metrics.Metric, id intern.GRID, c metrics.Cou
 //   - Counts answers the batched round-2 exact-count query.
 //   - Ingest applies a routed incremental batch slice (insertions and
 //     retractions) worker-side.
+//   - Checkpoint serializes the shard state for failover (Checkpointer).
 //   - Close releases transport resources (a no-op in-process).
 //
 // Implementations need not be safe for concurrent calls; the coordinator
 // issues at most one call per worker at a time (different workers are
 // driven concurrently).
 type ShardWorker interface {
+	Checkpointer
 	NumEdges() int
 	Offer(bound *OfferBound) ([]ShardCandidate, Stats, error)
 	Counts(grs []gr.GR) ([]metrics.Counts, error)
@@ -271,8 +273,7 @@ type ShardWorker interface {
 }
 
 // WorkerBuilder turns a WorkerSpec into a live worker: in-process
-// construction (InProcessWorkers) or a connection to a shardd daemon
-// (internal/rpc.Builder).
+// construction (InProcessWorkers) or a slot on a shardd daemon.
 type WorkerBuilder func(spec WorkerSpec) (ShardWorker, error)
 
 // Build implements FleetBuilder, so any WorkerBuilder func can stand in
@@ -286,16 +287,18 @@ type FleetBuilder interface {
 	Build(spec WorkerSpec) (ShardWorker, error)
 }
 
-// RebuildingBuilder is a FleetBuilder that can also build a replacement
+// RebuildingBuilder is a FleetBuilder that can also place a replacement
 // worker for a shard whose original was lost mid-run (a torn connection, a
-// dead daemon). Deployments built from one get their workers wrapped in
-// replay supervisors: the coordinator keeps each shard's spec and
-// routed-batch log and, on worker loss, rebuilds and replays into the
-// replacement, then resumes the in-flight operation. See WorkerHealth and
-// DESIGN.md §9 for the failure model.
+// dead daemon): Rebuild from the spec alone, RebuildRestore from the spec
+// and the shard's latest checkpoint blob. Deployments built from one get
+// their workers wrapped in replay supervisors: the coordinator keeps each
+// shard's spec, latest blob and routed-batch log and, on worker loss,
+// places a replacement and replays into it, then resumes the in-flight
+// operation. See WorkerHealth and DESIGN.md §9 for the failure model.
 type RebuildingBuilder interface {
 	FleetBuilder
 	Rebuild(spec WorkerSpec) (ShardWorker, error)
+	RebuildRestore(spec WorkerSpec, blob []byte) (ShardWorker, error)
 }
 
 // InProcessWorkers is the WorkerBuilder running every shard in this process.

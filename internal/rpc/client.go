@@ -274,8 +274,9 @@ func (s *Slot) Checkpoint() ([]byte, error) {
 }
 
 // Restore installs a checkpointed shard state into the slot, replacing any
-// worker built there (see core.Restorer). The spec must describe the same
-// shard the blob was taken from; the daemon rejects mismatches in-band.
+// worker built there; Fleet.RebuildRestore places replacements with it. The
+// spec must describe the same shard the blob was taken from; the daemon
+// rejects mismatches in-band.
 func (s *Slot) Restore(spec core.WorkerSpec, blob []byte) error {
 	_, err := s.call(Request{Op: OpRestore, Spec: &spec, Checkpoint: blob})
 	return err
@@ -304,19 +305,4 @@ func (s *Slot) call(req Request) (Reply, error) {
 	s.numEdges = rep.NumEdges
 	s.mu.Unlock()
 	return rep, nil
-}
-
-// Builder returns a core.WorkerBuilder that places shard i of a deployment
-// on addrs[i]: dial, handshake, ship the spec. The address list length must
-// match the shard count of the layout the coordinator builds — one shard
-// per daemon, no failover. NewFleet is the full-featured path: multiplexed
-// placement, standby workers, and rebuild-with-replay on worker loss.
-func Builder(addrs []string) core.WorkerBuilder {
-	f := NewFleet(addrs, FleetOptions{})
-	return func(spec core.WorkerSpec) (core.ShardWorker, error) {
-		if spec.Shards != len(addrs) {
-			return nil, fmt.Errorf("rpc: layout has %d shards but %d worker addresses were given", spec.Shards, len(addrs))
-		}
-		return f.Build(spec)
-	}
 }

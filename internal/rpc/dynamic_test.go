@@ -62,7 +62,7 @@ func TestRemoteDynamicOracle(t *testing.T) {
 				DynamicFloor: dyn, Metric: m,
 			}
 			inc, err := core.NewIncrementalShardedFrom(g, opt,
-				core.ShardOptions{Shards: workers}, rpc.Builder(addrs))
+				core.ShardOptions{Shards: workers}, rpc.NewFleet(addrs, rpc.FleetOptions{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestRemoteUnmatchedRetractionRejected(t *testing.T) {
 	g := randomGraph(8, true, true)
 	addrs := startWorkers(t, 2)
 	inc, err := core.NewIncrementalShardedFrom(g, core.Options{MinSupp: 2, MinScore: 0.3, K: 5},
-		core.ShardOptions{Shards: 2}, rpc.Builder(addrs))
+		core.ShardOptions{Shards: 2}, rpc.NewFleet(addrs, rpc.FleetOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

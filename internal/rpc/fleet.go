@@ -32,13 +32,12 @@ type FleetOptions struct {
 
 // Fleet places the shards of a deployment across a set of worker daemons,
 // multiplexing slots when there are fewer daemons than shards, and rebuilds
-// lost shards onto replacement daemons. It implements core.RebuildingBuilder
-// and core.RestoringBuilder, so coordinators constructed from a Fleet survive
-// worker loss: core wraps each worker in a replay supervisor that rebuilds
-// the dead shard here — from its latest checkpoint blob when one exists,
-// from the WorkerSpec otherwise — and replays the coordinator-kept
-// routed-batch log (or just its post-checkpoint suffix) into the
-// replacement (DESIGN.md §9).
+// lost shards onto replacement daemons. It implements core.RebuildingBuilder,
+// so coordinators constructed from a Fleet survive worker loss: core wraps
+// each worker in a replay supervisor that rebuilds the dead shard here —
+// from its latest checkpoint blob when one exists, from the WorkerSpec
+// otherwise — and replays the coordinator-kept routed-batch log (or just
+// its post-checkpoint suffix) into the replacement (DESIGN.md §9).
 //
 // Placement is deterministic: shard i of an n-daemon fleet lives on
 // addrs[i mod n]. Each daemon advertises its slot capacity at handshake;
@@ -127,9 +126,8 @@ func (f *Fleet) Rebuild(spec core.WorkerSpec) (core.ShardWorker, error) {
 // RebuildRestore builds a replacement worker for a lost shard from a
 // checkpoint blob instead of from scratch: the spec and blob ship together
 // and the daemon installs the deserialized state into the slot. Candidate
-// ordering matches Rebuild. It implements core.RestoringBuilder, so
-// supervisors that hold a checkpoint replay only the post-checkpoint log
-// suffix into the worker returned here.
+// ordering matches Rebuild. Supervisors that hold a checkpoint replay only
+// the post-checkpoint log suffix into the worker returned here.
 func (f *Fleet) RebuildRestore(spec core.WorkerSpec, blob []byte) (core.ShardWorker, error) {
 	if len(f.addrs) == 0 {
 		return nil, errors.New("rpc: fleet has no worker addresses")

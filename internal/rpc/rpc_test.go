@@ -42,7 +42,7 @@ func startWorkers(t *testing.T, n int) []string {
 			t.Fatal(err)
 		}
 		addrs[i] = l.Addr().String()
-		go rpc.Serve(l, nil) //nolint:errcheck // closed by cleanup
+		go rpc.ServeShards(l, 1, nil) //nolint:errcheck // closed by cleanup
 		t.Cleanup(func() { l.Close() })
 	}
 	return addrs
@@ -127,7 +127,7 @@ func TestRemoteShardedOracle(t *testing.T) {
 				}
 				addrs := startWorkers(t, workers)
 				sc, err := core.NewShardCoordinatorFrom(g, opt,
-					core.ShardOptions{Shards: workers, Strategy: strategy}, rpc.Builder(addrs))
+					core.ShardOptions{Shards: workers, Strategy: strategy}, rpc.NewFleet(addrs, rpc.FleetOptions{}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +173,7 @@ func TestRemoteIncrementalOracle(t *testing.T) {
 				DynamicFloor: dyn, Metric: m,
 			}
 			inc, err := core.NewIncrementalShardedFrom(g, opt,
-				core.ShardOptions{Shards: workers}, rpc.Builder(addrs))
+				core.ShardOptions{Shards: workers}, rpc.NewFleet(addrs, rpc.FleetOptions{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +215,7 @@ func TestRemoteBatchRejectedAtomically(t *testing.T) {
 	g := randomGraph(7, true, true)
 	addrs := startWorkers(t, 2)
 	inc, err := core.NewIncrementalShardedFrom(g, core.Options{MinSupp: 2, MinScore: 0.3, K: 5},
-		core.ShardOptions{Shards: 2}, rpc.Builder(addrs))
+		core.ShardOptions{Shards: 2}, rpc.NewFleet(addrs, rpc.FleetOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestRemoteBatchRejectedAtomically(t *testing.T) {
 	assertSameResults(t, "after-reject-prev", inc.Result().TopK, prev)
 }
 
-// serveOnce runs one Serve loop on a fresh listener and reports its exit
+// serveOnce runs one ServeShards loop on a fresh listener and reports its exit
 // error — the daemon-fatal path the handshake tests assert.
 func serveOnce(t *testing.T) (addr string, errCh chan error) {
 	t.Helper()
@@ -249,7 +249,7 @@ func serveOnce(t *testing.T) (addr string, errCh chan error) {
 		t.Fatal(err)
 	}
 	errCh = make(chan error, 1)
-	go func() { errCh <- rpc.Serve(l, nil) }()
+	go func() { errCh <- rpc.ServeShards(l, 1, nil) }()
 	t.Cleanup(func() { l.Close() })
 	return l.Addr().String(), errCh
 }
@@ -412,14 +412,45 @@ func TestDialDoesNotHangOnSilentPeer(t *testing.T) {
 	}
 }
 
-// A mismatched worker-list length must be rejected during construction.
-func TestBuilderShardCountMismatch(t *testing.T) {
-	g := randomGraph(3, true, true)
-	addrs := startWorkers(t, 1)
-	_, err := core.NewShardCoordinatorFrom(g, core.Options{MinSupp: 2, K: 5},
-		core.ShardOptions{Shards: 3}, rpc.Builder(addrs))
-	if err == nil || !strings.Contains(err.Error(), "addresses") {
-		t.Fatalf("3 shards over 1 address accepted: %v", err)
+// A daemon that completes the handshake and then never answers must not
+// hang a fleet call: FleetOptions.OpTimeout bounds the round trip, and the
+// timed-out call surfaces as worker loss, which is what engages failover.
+func TestFleetOpTimeoutIsWorkerLoss(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+		var h rpc.Hello
+		if dec.Decode(&h) != nil || enc.Encode(rpc.HelloReply{OK: true, Shards: 1}) != nil {
+			return
+		}
+		// Read requests and never answer; the client's timeout tears the
+		// connection down, which ends this loop.
+		for {
+			var req rpc.Request
+			if dec.Decode(&req) != nil {
+				return
+			}
+		}
+	}()
+	f := rpc.NewFleet([]string{l.Addr().String()}, rpc.FleetOptions{OpTimeout: 200 * time.Millisecond})
+	defer f.Close()
+	start := time.Now()
+	_, err = f.Build(core.WorkerSpec{Index: 0, Shards: 1})
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Build took %v against a silent daemon", d)
+	}
+	var lost interface{ WorkerLost() bool }
+	if err == nil || !errors.As(err, &lost) || !lost.WorkerLost() {
+		t.Fatalf("Build against a silent daemon returned %v, want worker loss", err)
 	}
 }
 

@@ -17,13 +17,6 @@ import (
 // accept loop.
 const handshakeTimeout = 10 * time.Second
 
-// Serve accepts coordinator sessions on l with a single worker slot per
-// session; it is ServeShards with capacity 1 (one shard per daemon, the
-// pre-multiplexing deployment shape).
-func Serve(l net.Listener, logf func(format string, args ...any)) error {
-	return ServeShards(l, 1, logf)
-}
-
 // ServeShards accepts coordinator sessions on l, one at a time, until the
 // listener closes. Each session handshakes (advertising capacity worker
 // slots), builds up to capacity independent shard workers from the

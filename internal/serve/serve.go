@@ -152,8 +152,9 @@ func New(eng Engine, g *graph.Graph) *Server {
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
 // buildSnapshot clones res into an immutable snapshot following prev.
-// Callers must hold the write lock (or be the constructor): Explain interns
-// through the engine's dictionary.
+// Callers must hold the write lock (or be the constructor): Explain only
+// looks GRs up, but it reads the pool and dictionary that ApplyBatch
+// mutates.
 func (s *Server) buildSnapshot(res *core.Result, prev *Snapshot) *Snapshot {
 	snap := &Snapshot{
 		Epoch:      1,

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"runtime"
-
 	"grminer/internal/graph"
 	"grminer/internal/sched"
 )
@@ -32,7 +30,7 @@ type BitmapIndex struct {
 // each of its generalisations, carries at least minSupp live rows.
 //
 // Each (side, attribute) column is filled independently, so the columns
-// fan out over GOMAXPROCS workers through sched.Run; the index and the cut
+// fan out over width workers through sched.Run; the index and the cut
 // count do not depend on the width. Under a minSupp, a size pass first
 // counts each column's live rows per value, once per column: the
 // destination column of a homophily attribute reads its source column's
@@ -41,7 +39,7 @@ type BitmapIndex struct {
 // value: at that row's word plus an eighth of headroom for the rows a
 // maintained index gains by appends (Bitmap.grow's rule). O(rows × dims)
 // work in all.
-func BuildBitmapIndex(s *Store, minSupp int) (*BitmapIndex, int) {
+func BuildBitmapIndex(s *Store, minSupp, width int) (*BitmapIndex, int) {
 	x := newIndex(s)
 	type task struct {
 		side byte
@@ -55,16 +53,15 @@ func BuildBitmapIndex(s *Store, minSupp int) (*BitmapIndex, int) {
 			tasks = append(tasks, task{side, attr})
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
 	noFloor := func(int) int { return 0 }
 	sizes := make([][]int, len(tasks))
 	if minSupp > 1 {
-		sched.Run(workers, len(tasks), noFloor, nil, func(_, i int) {
+		sched.Run(width, len(tasks), noFloor, nil, func(_, i int) {
 			sizes[i] = x.liveSizes(tasks[i].side, tasks[i].attr)
 		})
 	}
 	cuts := make([]int, len(tasks))
-	sched.Run(workers, len(tasks), noFloor, nil, func(_, i int) {
+	sched.Run(width, len(tasks), noFloor, nil, func(_, i int) {
 		t := tasks[i]
 		var src []int
 		if t.side == 'R' && s.g.Schema().Node[t.attr].Homophily {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -67,7 +66,7 @@ func TestBitmapIndexMatchesPostings(t *testing.T) {
 			t.Fatalf("%s: stores diverged: %d/%d rows, %d/%d live", phase,
 				post.NumRows(), plain.NumRows(), post.NumEdges(), plain.NumEdges())
 		}
-		x, _ := BuildBitmapIndex(plain, 1)
+		x, _ := BuildBitmapIndex(plain, 1, 1)
 		ref := post.Postings()
 		if x.NumEdges() != post.NumEdges() {
 			t.Fatalf("%s: index NumEdges %d, want %d", phase, x.NumEdges(), post.NumEdges())
@@ -131,7 +130,7 @@ func TestBuildBitmapIndexSizing(t *testing.T) {
 	s := tombstonedIndexStore(t)
 	schema := s.Graph().Schema()
 	for _, minSupp := range []int{1, 60} {
-		x, cut := BuildBitmapIndex(s, minSupp)
+		x, cut := BuildBitmapIndex(s, minSupp, 1)
 		sides := []struct {
 			name  string
 			attrs []graph.Attribute
@@ -192,13 +191,10 @@ func TestBuildBitmapIndexSizing(t *testing.T) {
 // cut count must not depend on how many workers built them.
 func TestBuildBitmapIndexWidthInvariant(t *testing.T) {
 	s := tombstonedIndexStore(t)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, minSupp := range []int{1, 60} {
-		runtime.GOMAXPROCS(1)
-		want, wantCut := BuildBitmapIndex(s, minSupp)
+		want, wantCut := BuildBitmapIndex(s, minSupp, 1)
 		for _, width := range []int{2, 4} {
-			runtime.GOMAXPROCS(width)
-			got, cut := BuildBitmapIndex(s, minSupp)
+			got, cut := BuildBitmapIndex(s, minSupp, width)
 			if cut != wantCut {
 				t.Fatalf("minSupp %d width %d: cut %d, width 1 cut %d", minSupp, width, cut, wantCut)
 			}

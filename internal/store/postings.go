@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/bits"
+	"runtime"
 
 	"grminer/internal/graph"
 )
@@ -112,8 +113,8 @@ func (b Bitmap) Clear(row int32) {
 // read each first-level partition's size and rows off a bitmap instead of
 // counting-sorting the full edge set per dimension, deeper scoped levels
 // intersect bitmaps word-wide, and shard workers count round-2 queries on
-// them. Idempotent rebuild; O(rows × dims).
-func (s *Store) EnablePostings() { s.post, _ = BuildBitmapIndex(s, 1) }
+// them. Idempotent rebuild; O(rows × dims), filled on GOMAXPROCS workers.
+func (s *Store) EnablePostings() { s.post, _ = BuildBitmapIndex(s, 1, runtime.GOMAXPROCS(0)) }
 
 // Postings returns the store's maintained BitmapIndex, or nil when postings
 // are off. The index and its bitmaps are owned by the store: callers must
