@@ -32,9 +32,7 @@
 // commits the pending batch, -batch N also commits every N changes, and
 // EOF commits the remainder. Malformed lines, edges the schema rejects, and
 // retractions matching no live edge abort the run with a non-zero exit
-// before the bad batch mutates anything. -pool-cap N bounds the engine's
-// tracked candidate pool (single-store -follow only); results stay exact
-// through re-mine-on-underflow.
+// before the bad batch mutates anything.
 package main
 
 import (
@@ -83,7 +81,6 @@ func main() {
 		auto      = flag.Bool("auto", false, "auto-tune descriptor caps from the input size")
 		follow    = flag.String("follow", "", "after the initial mine, stream edge insertions (\"src dst vals...\") and retractions (\"- src dst vals...\") from this file (\"-\" = stdin) through the incremental engine")
 		batchSize = flag.Int("batch", 0, "in -follow mode, commit a batch every N changes in addition to blank-line commits (0 = blank lines/EOF only)")
-		poolCap   = flag.Int("pool-cap", 0, "in single-store -follow mode, bound the tracked candidate pool to N entries (0 = unbounded; exact via re-mine-on-underflow)")
 		shards    = flag.Int("shards", 0, "mine over N deterministic edge shards merged by the shard coordinator (0 = single store; may exceed the -workers address count to multiplex)")
 		standby   = flag.String("standby", "", "comma-separated standby shardd addresses for failover replacement (remote shards only)")
 		shardBy   = flag.String("shard-by", "src", "shard routing strategy: src (hash of source node) | rhs (hash of destination attribute row)")
@@ -113,16 +110,6 @@ func main() {
 	}
 	if err := cli.CheckShardFlags(flag.CommandLine, remote, standbys, *shards, *chkEvery); err != nil {
 		fail(err)
-	}
-	if *poolCap > 0 {
-		if *follow == "" {
-			fmt.Fprintln(os.Stderr, "grminer: -pool-cap has no effect without -follow")
-			os.Exit(1)
-		}
-		if *shards > 0 || len(remote) > 0 {
-			fmt.Fprintln(os.Stderr, "grminer: -pool-cap bounds the single-store incremental pool; sharded pools are support-gated and cannot be bounded without losing offer completeness")
-			os.Exit(1)
-		}
 	}
 	var shardOpt grminer.ShardOptions
 	if *shards > 0 || len(remote) > 0 {
@@ -159,7 +146,6 @@ func main() {
 		DynamicFloor:   *dynamic && *k > 0,
 		Metric:         m,
 		IncludeTrivial: *trivial,
-		PoolCap:        *poolCap,
 	}
 	cfg := grminer.EngineConfig{
 		Options:  opt,
@@ -297,9 +283,6 @@ func runFollow(inc *grminer.Engine, g *grminer.Graph, m grminer.Metric, in io.Re
 		if bs.FullRemines > 0 {
 			work = "full re-mine (metric not delta-safe)"
 		}
-		if bs.UnderflowRemines > 0 {
-			work += " +underflow re-mine"
-		}
 		fmt.Fprintf(info, "batch %3d: +%d/-%d edges  |E|=%-8d top-k changed=%-3d %s  %v\n",
 			batchNo, bs.Edges, bs.Deleted, r.TotalEdges, changed, work, bs.Duration)
 		return nil
@@ -347,9 +330,9 @@ func runFollow(inc *grminer.Engine, g *grminer.Graph, m grminer.Metric, in io.Re
 	printTopK(final, g, m)
 	if showStats {
 		c := inc.Cumulative()
-		fmt.Fprintf(info, "stats: batches=%d edges=%d deleted=%d tracked=%d recounted=%d dropped=%d remined=%d/%d full-remines=%d spilled=%d underflow-remines=%d in %v\n",
+		fmt.Fprintf(info, "stats: batches=%d edges=%d deleted=%d tracked=%d recounted=%d dropped=%d remined=%d/%d full-remines=%d in %v\n",
 			c.Batches, c.Edges, c.Deleted, c.Tracked, c.Recounted, c.Dropped,
-			c.SubtreesRemined, c.SubtreesTotal, c.FullRemines, c.Spilled, c.UnderflowRemines, c.Duration)
+			c.SubtreesRemined, c.SubtreesTotal, c.FullRemines, c.Duration)
 	}
 	if outPath != "" {
 		if err := writeResults(final, g, outPath, outFormat); err != nil {

@@ -69,7 +69,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "serve over N deterministic edge shards (0 = single store; may exceed the -workers address count to multiplex)")
 		shardBy  = flag.String("shard-by", "src", "shard routing strategy: src | rhs")
 		standby  = flag.String("standby", "", "comma-separated standby shardd addresses for failover replacement (remote shards only)")
-		poolCap  = flag.Int("pool-cap", 0, "bound the tracked candidate pool (single-store only; exact via re-mine-on-underflow)")
 		chkEvery = flag.Int("checkpoint-interval", grminer.DefaultCheckpointInterval, "checkpoint each shard's worker state every N acknowledged ingest batches, truncating its replay log so recovery replays at most N batches (0 = never checkpoint, full replay; sharded engines only)")
 	)
 	flag.Parse()
@@ -106,7 +105,6 @@ func main() {
 			DynamicFloor:   *dynamic && *k > 0,
 			Metric:         m,
 			IncludeTrivial: *trivial,
-			PoolCap:        *poolCap,
 		},
 		Workers:  remote,
 		Standbys: standbys,

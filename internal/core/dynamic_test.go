@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"grminer/internal/core"
@@ -331,91 +330,4 @@ func TestDynamicRejectsMalformedBatchAtomically(t *testing.T) {
 		t.Fatalf("sharded rejection mutated the graph")
 	}
 	assertSameResults(t, "sharded-post-reject", sharded.Result().TopK, prev.TopK)
-}
-
-// TestBoundedPoolProperty is the bounded-pool exactness property: with
-// PoolCap set — including caps far below what the workload needs — the
-// maintained top-k must equal the unbounded engine's after every batch of a
-// randomized fully dynamic stream, with underflow re-mines (not
-// approximation) absorbing the spilled frontier.
-func TestBoundedPoolProperty(t *testing.T) {
-	caps := []int{2, 8, 64}
-	for _, seed := range []int64{11, 12} {
-		full := randomGraph(seed, seed%2 == 0, true)
-		for _, capN := range caps {
-			for _, dyn := range []bool{false, true} {
-				opt := core.Options{MinSupp: 1, MinScore: 0.3, K: 5, DynamicFloor: dyn}
-				unbounded, err := core.NewIncremental(prefixGraph(full, full.NumEdges()), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				boundedOpt := opt
-				boundedOpt.PoolCap = capN
-				bounded, err := core.NewIncremental(prefixGraph(full, full.NumEdges()), boundedOpt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := "pool-cap"
-				ds := newDynamicStream(t, label, seed*7+int64(capN), full)
-				for batch := 0; batch < 8; batch++ {
-					b := ds.nextBatch()
-					ru, _, err := unbounded.ApplyBatch(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rb, _, err := bounded.ApplyBatch(b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResults(t, label, rb.TopK, ru.TopK)
-					ds.check(rb.TopK, bounded.Options())
-				}
-				cum := bounded.Cumulative()
-				if cum.Tracked > 0 && capN < 8 && cum.Spilled == 0 {
-					t.Errorf("cap %d never spilled (tracked %d) — property not exercised", capN, cum.Tracked)
-				}
-			}
-		}
-	}
-}
-
-// Tight caps must actually take the underflow path at least once across the
-// property workloads; a bounded pool that never underflows under cap 2 with
-// K 5 would mean the proof obligation is vacuous (or wrong).
-func TestBoundedPoolUnderflowExercised(t *testing.T) {
-	full := randomGraph(13, true, true)
-	opt := core.Options{MinSupp: 1, MinScore: 0.2, K: 6, DynamicFloor: true, PoolCap: 2}
-	inc, err := core.NewIncremental(prefixGraph(full, full.NumEdges()), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := newDynamicStream(t, "underflow", 99, full)
-	for batch := 0; batch < 10; batch++ {
-		res, _, err := inc.ApplyBatch(ds.nextBatch())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds.check(res.TopK, inc.Options())
-	}
-	if c := inc.Cumulative(); c.UnderflowRemines == 0 {
-		t.Errorf("cap 2 under k=6 never re-mined on underflow: %+v", c)
-	}
-}
-
-// PoolCap is rejected where it cannot be sound: without K, and anywhere in
-// the sharded engines (bounding a support-gated per-shard pool would break
-// the pigeonhole offer completeness).
-func TestPoolCapRejections(t *testing.T) {
-	g := randomGraph(15, true, true)
-	if _, err := core.NewIncremental(prefixGraph(g, g.NumEdges()), core.Options{MinSupp: 1, PoolCap: 4}); err == nil || !strings.Contains(err.Error(), "PoolCap") {
-		t.Errorf("PoolCap without K accepted: %v", err)
-	}
-	if _, err := core.NewIncrementalSharded(prefixGraph(g, g.NumEdges()),
-		core.Options{MinSupp: 1, K: 5, PoolCap: 4}, core.ShardOptions{Shards: 2}); err == nil || !strings.Contains(err.Error(), "PoolCap") {
-		t.Errorf("sharded PoolCap accepted: %v", err)
-	}
-	if _, err := core.NewShardCoordinator(prefixGraph(g, g.NumEdges()),
-		core.Options{MinSupp: 1, K: 5, PoolCap: 4}, core.ShardOptions{Shards: 2}); err == nil || !strings.Contains(err.Error(), "PoolCap") {
-		t.Errorf("NewShardCoordinator PoolCap accepted: %v", err)
-	}
 }

@@ -141,12 +141,12 @@ func (w *fanWorker) capture(g gr.GR, c metrics.Counts, score float64) {
 // walk is every capture walk: it plans the first level on worker 0,
 // fans the tasks out over the workers, and replays what they buffered
 // through emit in the one-worker walk's order. With wit nil it walks the
-// whole SFDF tree (seed, non-DeltaSafe and underflow re-mines, shard
-// offers); with a witness set it walks only the subtrees some witness
-// reaches and narrows every descent (the scoped re-mine). A non-nil pool is
-// updated in place for every GR it already tracks, and touched receives
-// those ids. It returns the number of subtrees walked and of subtrees that
-// pass the support threshold.
+// whole SFDF tree (seed and non-DeltaSafe re-mines, shard offers); with a
+// witness set it walks only the subtrees some witness reaches and narrows
+// every descent (the scoped re-mine). A non-nil pool is updated in place
+// for every GR it already tracks, and touched receives those ids. It
+// returns the number of subtrees walked and of subtrees that pass the
+// support threshold.
 func (f *fanOut) walk(wit *witnesses, pool *densePool, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (walked, total int) {
 	f.pool = pool
 	f.ws[0].begin(wit)

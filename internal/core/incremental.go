@@ -1,5 +1,5 @@
 // Fully dynamic top-k GR mining: edge insertions AND deletions in mixed
-// batches, over a bounded tracked pool.
+// batches, over a tracked candidate pool.
 //
 // The batch miner re-enumerates the whole SFDF tree on every change; this
 // file maintains the same result while ingesting edge batches. The engine
@@ -21,9 +21,7 @@
 //     generality-blocked candidates, which batches can unblock when their
 //     blocker decays below the thresholds), so conditions (2) and (3) can
 //     be re-applied exactly after every batch by rankCandidates, the
-//     most-general-first merge every engine ends in. Under
-//     Options.PoolCap the pool is bounded; see trimPool for the exactness
-//     argument (score-ordered spill + re-mine-on-underflow).
+//     most-general-first merge every engine ends in.
 //
 //  3. A scoped re-mine covering every possible pool *entrant*, scoped by
 //     per-edge witnesses:
@@ -77,10 +75,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"grminer/internal/gr"
@@ -144,12 +140,6 @@ type IncStats struct {
 	// (non-DeltaSafe metric, negative minScore, or a deletion under a
 	// metric that is not DeleteSafe).
 	FullRemines int
-	// Spilled counts pool entries spilled past Options.PoolCap;
-	// UnderflowRemines counts batches whose bounded pool could not prove
-	// the top-k independent of the spilled frontier and re-mined the
-	// complete pool before answering.
-	Spilled          int
-	UnderflowRemines int
 	// Duration is the wall-clock ApplyBatch time.
 	Duration time.Duration
 	// The phase times of a sharded batch (IncrementalSharded; zero on the
@@ -175,8 +165,6 @@ func (s *IncStats) add(b IncStats) {
 	s.SubtreesRemined += b.SubtreesRemined
 	s.SubtreesTotal += b.SubtreesTotal
 	s.FullRemines += b.FullRemines
-	s.Spilled += b.Spilled
-	s.UnderflowRemines += b.UnderflowRemines
 	s.Duration += b.Duration
 	s.RouteTime += b.RouteTime
 	s.IngestTime += b.IngestTime
@@ -210,15 +198,8 @@ type Incremental struct {
 	fan          *fanOut
 	wit          witnesses
 	mergeScratch []gr.Scored
-	// spillFloor is the highest score ever spilled past Options.PoolCap
-	// since the pool was last complete (-Inf when nothing is spilled);
-	// spilled records whether the frontier is non-empty. Together they are
-	// the bounded pool's proof obligation: a merged top-k whose k-th score
-	// beats spillFloor is provably unaffected by every spilled entry.
-	spillFloor float64
-	spilled    bool
-	last       *Result
-	cum        IncStats
+	last         *Result
+	cum          IncStats
 }
 
 // NewIncremental builds the compact store for g, runs one full mine to seed
@@ -256,17 +237,14 @@ func newIncremental(g *graph.Graph, opt Options, width int) (*Incremental, error
 		deleteSafe: opt.Metric.DeleteSafe,
 		// The single store captures every condition-(1) candidate: the
 		// pool's gate is the engine's own (MinSupp, MinScore).
-		pool:       newDensePool(st, captureOptions(opt)),
-		spillFloor: math.Inf(-1),
+		pool: newDensePool(st, captureOptions(opt)),
 	}
 	inc.scr = privateScratch(st)
 	inc.fan = newFanOut(st, inc.pool.opt, inc.scr, width)
 	var stats Stats
-	var seedStats IncStats
 	start := time.Now()
 	inc.rebuildPool(&stats)
-	inc.last = inc.assembleBounded(&stats, &seedStats, start)
-	inc.cum.Spilled += seedStats.Spilled
+	inc.last = inc.assemble(&stats, time.Since(start))
 	inc.cum.Tracked = inc.pool.len()
 	return inc, nil
 }
@@ -283,11 +261,10 @@ func (inc *Incremental) Result() *Result { return inc.last }
 func (inc *Incremental) Cumulative() IncStats { return inc.cum }
 
 // Explain returns the exact maintained counts of q from the tracked
-// candidate pool, or false when q is not tracked (below the support
-// threshold, spilled under PoolCap, or never a condition-(1) candidate) —
-// callers then fall back to a full scan of the graph. Counts.Hom and
-// Counts.R are only tracked when the engine's metric reads them (NeedsHom,
-// NeedsR); otherwise they are 0. Explain only reads the pool and its
+// candidate pool, or false when q is not tracked (it is not a
+// condition-(1) candidate) — callers then fall back to a full scan of the
+// graph. Counts.Hom and Counts.R are only tracked when the engine's metric
+// reads them (NeedsHom, NeedsR); otherwise they are 0. Explain only reads the pool and its
 // dictionary (Dict.Lookup interns nothing), but the pool is ApplyBatch's
 // to mutate, so it must not run concurrently with ApplyBatch.
 func (inc *Incremental) Explain(q gr.GR) (metrics.Counts, bool) {
@@ -338,16 +315,14 @@ func (inc *Incremental) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		bs.SubtreesRemined, bs.SubtreesTotal = remineAffectedSubtrees(inc.fan, &inc.pool, &inc.wit, inc.pool.capture, nil, &stats)
 	} else if len(newIDs) > 0 || len(delRows) > 0 {
 		// Full rebuild: the whole tree is re-walked, so no subtree
-		// selectivity is reported (SubtreesRemined/Total stay 0). The
-		// rebuild recovers a complete pool, so the spilled frontier (if
-		// any) is subsumed and its floor resets.
+		// selectivity is reported (SubtreesRemined/Total stay 0).
 		if err := inc.applyDeletes(delRows); err != nil {
 			return nil, IncStats{}, err
 		}
 		inc.rebuildPool(&stats)
 		bs.FullRemines = 1
 	}
-	inc.last = inc.assembleBounded(&stats, &bs, start)
+	inc.last = inc.assemble(&stats, time.Since(start))
 	bs.Tracked = inc.pool.len()
 	bs.Duration = inc.last.Stats.Duration
 	inc.cum.add(bs)
@@ -385,7 +360,8 @@ func resolveDeletes(st *store.Store, dels []EdgeDelete) ([]int32, error) {
 // lowest-id unclaimed instance goes). The scan pre-filters by an endpoint
 // hash so the common case — a huge edge set, a handful of retractions —
 // touches two ints per row, not a per-row formatted key. An unmatched
-// retraction is an error; callers reject the whole batch unmutated.
+// retraction is an error naming the lowest unmatched index; callers reject
+// the whole batch unmutated.
 func resolveRetractions(dels []EdgeDelete, ne, numRows int, endpoints func(e int) (src, dst int, alive bool), val func(e, a int) graph.Value) ([]int, error) {
 	if len(dels) == 0 {
 		return nil, nil
@@ -436,13 +412,17 @@ func resolveRetractions(dels []EdgeDelete, ne, numRows int, endpoints func(e int
 		}
 	}
 	if matched < len(dels) {
+		// Name the lowest unmatched retraction: each pending list is
+		// ascending, so it is the least head (map order is random).
+		first := len(dels)
 		for _, idxs := range pending {
 			if len(idxs) > 0 {
-				d := dels[idxs[0]]
-				return nil, fmt.Errorf("core: batch retraction %d: no live edge %d->%d with those values",
-					idxs[0], d.Src, d.Dst)
+				first = min(first, idxs[0])
 			}
 		}
+		d := dels[first]
+		return nil, fmt.Errorf("core: batch retraction %d: no live edge %d->%d with those values",
+			first, d.Src, d.Dst)
 	}
 	return ids, nil
 }
@@ -462,16 +442,12 @@ func (inc *Incremental) applyDeletes(delRows []int32) error {
 }
 
 // rebuildPool re-seeds the pool with a full capture mine over the current
-// store (seed mine, the per-batch fallback for non-delta-safe batches, and
-// the bounded pool's underflow re-mine). The rebuilt pool is complete, so
-// any spilled frontier is subsumed and its floor resets. The pool and the
-// mining scratch are reset in place, not reallocated: steady-state rebuilds
-// reuse the previous batch's capacity.
+// store (seed mine and the per-batch fallback for non-delta-safe batches).
+// The pool and the mining scratch are reset in place, not reallocated:
+// steady-state rebuilds reuse the previous batch's capacity.
 func (inc *Incremental) rebuildPool(stats *Stats) {
 	inc.pool.reset()
 	inc.fan.walk(nil, nil, inc.pool.capture, nil, stats)
-	inc.spillFloor = math.Inf(-1)
-	inc.spilled = false
 }
 
 // witnesses is the scoped re-mine's batch: every inserted and deleted edge,
@@ -614,112 +590,4 @@ func (inc *Incremental) assemble(stats *Stats, d time.Duration) *Result {
 	stats.Candidates = int64(len(collected))
 	stats.Duration = d
 	return &Result{TopK: top, Stats: *stats, Options: inc.opt, TotalEdges: inc.st.NumEdges()}
-}
-
-// assembleBounded is assemble wrapped in the bounded-pool protocol: when a
-// spilled frontier exists and the merged top-k cannot be proven independent
-// of it, the complete pool is re-mined from the store (re-mine-on-underflow)
-// and the merge repeated — the answer is then exact by the unbounded
-// argument. Afterwards the pool is trimmed back under PoolCap. With PoolCap
-// unset this is exactly assemble.
-func (inc *Incremental) assembleBounded(stats *Stats, bs *IncStats, start time.Time) *Result {
-	res := inc.assemble(stats, time.Since(start))
-	if inc.opt.PoolCap > 0 {
-		if inc.spilled && inc.underflow(res) {
-			inc.rebuildPool(stats)
-			bs.UnderflowRemines = 1
-			res = inc.assemble(stats, time.Since(start))
-		}
-		bs.Spilled += inc.trimPool()
-	}
-	return res
-}
-
-// underflow reports whether the merged result may depend on a spilled pool
-// entry. Every spilled entry's current score is at most spillFloor: its
-// score at spill time was, and any rise since would have required a
-// witness — an inserted edge matching its l ∧ w ∧ r, or a deleted edge
-// matching its l ∧ w — and a witness of an entry matches every node on the
-// entry's SFDF path, so the scoped re-mine reached the entry and
-// re-captured it into the pool (unless the root RIGHT bound proved it no
-// candidate at all). So a top-k whose k-th score strictly beats spillFloor,
-// at full length, is provably what the unbounded pool would have produced
-// (spilled generality blockers are retained by trimPool, so blocking
-// decisions cannot depend on the frontier either). Ties are treated as
-// underflow: rank order among equal scores could differ.
-func (inc *Incremental) underflow(res *Result) bool {
-	if len(res.TopK) < inc.opt.K {
-		return true
-	}
-	return res.TopK[len(res.TopK)-1].Score <= inc.spillFloor
-}
-
-// trimPool spills the pool down to PoolCap entries, keeping the cap
-// best-scoring ones plus — a soft overflow — every would-be-spilled entry
-// that generalises a kept one (same RHS, L and W subsets): those are the
-// generality blockers condition (2) needs, and dropping one could wrongly
-// surface a kept specialisation. Transitivity makes checking against the
-// top-cap set sufficient: a blocker's blocker generalises the same kept
-// entry. The highest spilled score feeds spillFloor, the underflow bound;
-// the floor resets only when rebuildPool recovers the complete pool.
-//
-// Exactness of the spill itself rests on the re-capture argument in
-// underflow's comment: a spilled entry re-enters the pool in the same
-// ApplyBatch that could raise its score or make it block a new entrant (the
-// batch edge driving either change is a witness of the entry: a new
-// entrant's witness matches the entrant's descriptor, hence that of every
-// generalisation that could block it), so between batches the frontier only ever holds
-// entries that are provably irrelevant while the k-th score stays above
-// spillFloor.
-func (inc *Incremental) trimPool() (spilled int) {
-	cap := inc.opt.PoolCap
-	if cap <= 0 || inc.pool.len() <= cap {
-		return 0
-	}
-	entries := inc.pool.entries
-	order := make([]int32, len(entries))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := &entries[order[i]], &entries[order[j]]
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		return a.gr.Key() < b.gr.Key()
-	})
-	kept := order[:cap]
-	byRHS := make(map[intern.DescID][]int32, cap)
-	if !inc.opt.NoGeneralityFilter {
-		for _, i := range kept {
-			rid := inc.pool.dict.NodeDesc(entries[i].gr.R)
-			byRHS[rid] = append(byRHS[rid], i)
-		}
-	}
-	// Spill ids are collected first: deleting swap-removes dense slots, which
-	// would invalidate the index order mid-iteration.
-	spillIDs := make([]intern.GRID, 0, len(order)-cap)
-	for _, i := range order[cap:] {
-		t := &entries[i]
-		blocks := false
-		for _, k := range byRHS[inc.pool.dict.NodeDesc(t.gr.R)] {
-			if t.gr.L.SubsetOf(entries[k].gr.L) && t.gr.W.SubsetOf(entries[k].gr.W) {
-				blocks = true
-				break
-			}
-		}
-		if blocks {
-			continue // retained as a generality blocker (soft overflow)
-		}
-		spillIDs = append(spillIDs, inc.pool.ids[i])
-		if t.score > inc.spillFloor {
-			inc.spillFloor = t.score
-		}
-		inc.spilled = true
-		spilled++
-	}
-	for _, id := range spillIDs {
-		inc.pool.delete(id)
-	}
-	return spilled
 }

@@ -68,21 +68,6 @@ type Options struct {
 	// withhold nhp pruning in exactly those states and examines strictly
 	// more GRs. `grbench -exp ablation` quantifies the cost.
 	StaticRHSOrder bool
-	// PoolCap bounds the incremental engine's tracked candidate pool
-	// (0 = unbounded; batch mining ignores it). With a cap, the pool keeps
-	// its PoolCap best-scoring condition-(1) entries (plus any spilled
-	// entry's generality blockers, a soft overflow) and spills the rest to a
-	// score-ordered frontier recorded only as the highest spilled score.
-	// Results stay exact: whenever the merged top-k cannot be proven
-	// independent of the spilled frontier (its k-th score does not beat the
-	// spill floor, or fewer than K results survive), the engine re-mines the
-	// complete pool from the store before answering — re-mine-on-underflow,
-	// never approximation. Requires K > 0: an unbounded result list can
-	// never be proven independent of spilled entries. Only the single-store
-	// incremental engine supports it; sharded pools are support-gated by the
-	// pigeonhole threshold and bounding them would break offer completeness
-	// (DESIGN.md §4e).
-	PoolCap int
 }
 
 // normalize fills defaults and validates.
@@ -98,12 +83,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.DynamicFloor && o.K == 0 {
 		return o, fmt.Errorf("core: DynamicFloor requires K > 0")
-	}
-	if o.PoolCap < 0 {
-		return o, fmt.Errorf("core: negative PoolCap %d", o.PoolCap)
-	}
-	if o.PoolCap > 0 && o.K == 0 {
-		return o, fmt.Errorf("core: PoolCap requires K > 0 (an unbounded result can never be proven independent of spilled pool entries)")
 	}
 	return o, nil
 }

@@ -151,15 +151,6 @@ func (p *densePool) deleteAt(i int) {
 	p.slots[id] = 0
 }
 
-// delete removes the entry for id if present.
-func (p *densePool) delete(id intern.GRID) {
-	if int(id) < len(p.slots) {
-		if s := p.slots[id]; s != 0 {
-			p.deleteAt(int(s) - 1)
-		}
-	}
-}
-
 // get returns id's tracked entry, if present.
 func (p *densePool) get(id intern.GRID) (tracked, bool) {
 	if int(id) < len(p.slots) {

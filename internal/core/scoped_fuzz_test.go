@@ -16,8 +16,8 @@ import (
 // must report the same result and the same work.
 //
 // ops[0] picks the options: a DeltaSafe metric (scoped for insert-only
-// batches; the DeleteSafe ones for deletions too), the floor mode, K, and
-// a PoolCap of 2 (spill and underflow). Each following 3-byte op
+// batches; the DeleteSafe ones for deletions too), the floor mode and K.
+// Each following 3-byte op
 // (kind, x, y) either closes the batch (kind%4 == 0), inserts x -> y with
 // edge value kind/4 % 3 (null included) (kind%4 == 1), or retracts the
 // pre-batch live edge numbered x<<8|y (otherwise).
@@ -40,9 +40,6 @@ func FuzzScopedApplyBatch(f *testing.F) {
 		opt := core.Options{
 			MinSupp: 1, MinScore: oracleThresholds[m.Name], Metric: m,
 			K: 2 + int(sel>>3)%4, DynamicFloor: sel&4 != 0,
-		}
-		if sel&0x80 != 0 {
-			opt.PoolCap = 2
 		}
 		g := randomGraph(3, true, false)
 		// live lists the edges retractable in the current batch: the

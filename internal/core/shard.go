@@ -515,13 +515,6 @@ func normalizeSharded(g *graph.Graph, opt Options, so ShardOptions) (Options, Sh
 	if n := len(g.Schema().Node); n > 64 {
 		return opt, so, fmt.Errorf("core: %d node attributes exceed the supported maximum of 64", n)
 	}
-	if opt.PoolCap > 0 {
-		// A per-shard pool is gated purely on the pigeonhole support
-		// threshold; spilling any entry of it could lose the one shard
-		// offer a globally qualifying GR is guaranteed to have, so the
-		// bounded-pool protocol is single-store only (DESIGN.md §4e).
-		return opt, so, fmt.Errorf("core: PoolCap is not supported by the sharded engines (it would break offer completeness)")
-	}
 	if opt.DynamicFloor && !opt.NoGeneralityFilter {
 		// Mirror the incremental engines: order-independent
 		// blocking is what makes "sharded ≡ single store" well-defined

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -330,4 +331,64 @@ func offeredPoolCache(t *testing.T, g *graph.Graph, opt core.Options) map[string
 	}
 	poolCache[cacheKey] = m
 	return m
+}
+
+// TestWireOptionsCarryEveryOption guards the hand-written field lists of
+// Options.Wire and WireOptions.Options: every Options field, set non-zero,
+// must survive the round trip, and the two structs must name the same
+// fields — an option missing from WireOptions would silently reach shard
+// workers as its zero value.
+func TestWireOptionsCarryEveryOption(t *testing.T) {
+	lift, err := metrics.ByName("lift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opt core.Options
+	v := reflect.ValueOf(&opt).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch {
+		case f.Type() == reflect.TypeOf(metrics.Metric{}):
+			f.Set(reflect.ValueOf(lift))
+		case f.Kind() == reflect.Int:
+			f.SetInt(int64(i + 1))
+		case f.Kind() == reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Options.%s has kind %s, which this test cannot set", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	back, err := opt.Wire().Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Metric.Name != opt.Metric.Name {
+		t.Errorf("Metric %q came back as %q", opt.Metric.Name, back.Metric.Name)
+	}
+	// Metric holds funcs, which reflect.DeepEqual never equates.
+	back.Metric, opt.Metric = metrics.Metric{}, metrics.Metric{}
+	if !reflect.DeepEqual(back, opt) {
+		t.Errorf("wire round trip = %+v, want %+v", back, opt)
+	}
+
+	names := func(typ reflect.Type) map[string]bool {
+		m := make(map[string]bool, typ.NumField())
+		for i := 0; i < typ.NumField(); i++ {
+			m[typ.Field(i).Name] = true
+		}
+		return m
+	}
+	optFields, wireFields := names(reflect.TypeOf(core.Options{})), names(reflect.TypeOf(core.WireOptions{}))
+	for n := range optFields {
+		if !wireFields[n] {
+			t.Errorf("Options.%s has no WireOptions field", n)
+		}
+	}
+	for n := range wireFields {
+		if !optFields[n] {
+			t.Errorf("WireOptions.%s has no Options field", n)
+		}
+	}
 }

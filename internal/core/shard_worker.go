@@ -72,7 +72,7 @@ import (
 // WireOptions is Options in a transport-friendly form: the metric travels by
 // name, everything else by value. The zero Metric name means nhp.
 //
-// grlint:wire v4
+// grlint:wire v5
 type WireOptions struct {
 	MinSupp            int
 	MinScore           float64
@@ -84,11 +84,6 @@ type WireOptions struct {
 	IncludeTrivial     bool
 	ExactGenerality    bool
 	StaticRHSOrder     bool
-	// PoolCap travels for completeness; normalizeSharded rejects a non-zero
-	// value before any spec is built (per-shard pools are support-gated and
-	// cannot be bounded without losing offer completeness), so workers only
-	// ever see zero.
-	PoolCap int
 }
 
 // Wire converts Options to its wire form.
@@ -101,7 +96,6 @@ func (o Options) Wire() WireOptions {
 		IncludeTrivial:     o.IncludeTrivial,
 		ExactGenerality:    o.ExactGenerality,
 		StaticRHSOrder:     o.StaticRHSOrder,
-		PoolCap:            o.PoolCap,
 	}
 }
 
@@ -115,7 +109,6 @@ func (w WireOptions) Options() (Options, error) {
 		IncludeTrivial:     w.IncludeTrivial,
 		ExactGenerality:    w.ExactGenerality,
 		StaticRHSOrder:     w.StaticRHSOrder,
-		PoolCap:            w.PoolCap,
 	}
 	if w.Metric != "" {
 		m, err := metrics.ByName(w.Metric)

@@ -219,17 +219,16 @@ func topKHasGR(top []gr.Scored, g gr.GR) bool {
 	return false
 }
 
-// TestBoundedPoolWitnessRecapture runs the bounded pool's spill and
-// underflow protocol under witness scoping. With PoolCap 1 and K 1 the seed
-// keeps (A:2,B:2) -> (C:1) at 0.9 and spills (A:1,B:1) -> (C:1) at 0.5.
-// Retracting three (A:1,B:1) -> (C:2) edges raises the spilled entry to 1.0
-// through deletion witnesses at LHS depth 2; the scoped walk must re-capture
-// it, so the batch answers without an underflow re-mine. Re-inserting the
-// edges drops it back to 0.5 while the entry that beats it stays spilled, so
-// the next batch must underflow and re-mine.
-func TestBoundedPoolWitnessRecapture(t *testing.T) {
+// TestDeletionEntrantOvertakesLeader: with K 1 the seed's top-1 is
+// (A:2,B:2) -> (C:1) at 0.9, while (A:1,B:1) -> (C:1) sits at 3/7, below
+// minScore and so untracked. Retracting four (A:1,B:1) -> (C:2) edges raises
+// it to 1.0 through deletion witnesses at LHS depth 2; the scoped walk must
+// capture it and rank it above the leader with no full re-mine.
+// Re-inserting the edges drops it back below minScore, and the leader
+// returns.
+func TestDeletionEntrantOvertakesLeader(t *testing.T) {
 	base := []edgeRun{
-		{wS11, wD1, 3, 1}, {wS11, wD2, 3, 1}, // target: 3/6
+		{wS11, wD1, 3, 1}, {wS11, wD2, 4, 1}, // target: 3/7
 		{wS22, wD1, 9, 1}, {wS22, wD2, 1, 1}, // (A:2,B:2) -> (C:1): 9/10
 		// Dilute every generalisation of both below minScore.
 		{wS1x, wD2, 10, 1}, {wSx1, wD2, 10, 1}, {wS2x, wD2, 10, 1}, {wSx2, wD2, 10, 1},
@@ -237,7 +236,7 @@ func TestBoundedPoolWitnessRecapture(t *testing.T) {
 	target := gr.GR{L: dA1B1, R: dC1}
 	best := gr.GR{L: dA2B2, R: dC1}
 	g := witnessGraph(t, base)
-	inc, err := NewIncremental(g, Options{MinSupp: 2, MinScore: 0.5, K: 1, DynamicFloor: true, PoolCap: 1})
+	inc, err := NewIncremental(g, Options{MinSupp: 2, MinScore: 0.5, K: 1, DynamicFloor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +244,13 @@ func TestBoundedPoolWitnessRecapture(t *testing.T) {
 	if !topKHasGR(inc.Result().TopK, best) {
 		t.Fatalf("fixture broken: seed top-1 is %v", inc.Result().TopK)
 	}
-	if _, ok := inc.Explain(target); ok || inc.Cumulative().Spilled == 0 {
-		t.Fatalf("fixture broken: %s not spilled (spilled %d)", target.Key(), inc.Cumulative().Spilled)
+	if _, ok := inc.Explain(target); ok {
+		t.Fatalf("fixture broken: %s already tracked", target.Key())
 	}
 
 	var dels []EdgeDelete
 	var ins []EdgeInsert
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		dels = append(dels, EdgeDelete{Src: wS11, Dst: wD2, Vals: []graph.Value{1}})
 		ins = append(ins, EdgeInsert{Src: wS11, Dst: wD2, Vals: []graph.Value{1}})
 	}
@@ -259,11 +258,11 @@ func TestBoundedPoolWitnessRecapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bs.FullRemines != 0 || bs.UnderflowRemines != 0 {
-		t.Fatalf("raise batch fell back to a re-mine instead of re-capturing: %+v", bs)
+	if bs.FullRemines != 0 || bs.SubtreesRemined == 0 {
+		t.Fatalf("raise batch was not a scoped re-mine: %+v", bs)
 	}
 	if !topKHasGR(res.TopK, target) {
-		t.Fatalf("re-captured %s is not top-1: %v", target.Key(), res.TopK)
+		t.Fatalf("captured %s is not top-1: %v", target.Key(), res.TopK)
 	}
 	checkAgainstMine(t, "raise", g, inc)
 
@@ -271,11 +270,11 @@ func TestBoundedPoolWitnessRecapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bs.UnderflowRemines != 1 {
-		t.Fatalf("fall batch did not underflow: %+v", bs)
+	if bs.FullRemines != 0 {
+		t.Fatalf("fall batch fell back to a full re-mine: %+v", bs)
 	}
-	checkAgainstMine(t, "underflow", g, inc)
+	checkAgainstMine(t, "fall", g, inc)
 	if !topKHasGR(inc.Result().TopK, best) {
-		t.Fatalf("underflow re-mine did not restore %s: %v", best.Key(), inc.Result().TopK)
+		t.Fatalf("fall batch did not restore %s: %v", best.Key(), inc.Result().TopK)
 	}
 }

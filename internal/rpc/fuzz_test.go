@@ -53,7 +53,7 @@ func FuzzDecodeWireOptions(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0xff, 0x81, 0x00})
 	f.Add(gobBytes(f, core.Options{MinSupp: 50, MinScore: 0.5, K: 20, DynamicFloor: true}.Wire()))
-	f.Add(gobBytes(f, core.Options{MinSupp: 1, K: 5, PoolCap: 7}.Wire()))
+	f.Add(gobBytes(f, core.Options{MinSupp: 1, K: 5, NoGeneralityFilter: true, IncludeTrivial: true, StaticRHSOrder: true}.Wire()))
 	f.Add(gobBytes(f, core.Options{MaxL: 3, MaxW: 2, MaxR: 4, ExactGenerality: true}.Wire()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var w core.WireOptions

@@ -36,8 +36,9 @@ type wireOptionsV2 struct {
 // Version bump: a v2 peer's options, flag set, decode into WireOptions
 // with every field the current version keeps intact, and current options
 // decode into the v2 shape with the flag simply false (which v2 workers
-// ignored anyway) and Parallelism zero (v4 dropped it; see
-// TestWireOptionsV3Compat).
+// ignored anyway), Parallelism zero (v4 dropped it; see
+// TestWireOptionsV3Compat) and PoolCap zero (v5 dropped it; see
+// TestWireOptionsV4Compat).
 func TestWireOptionsV2Compat(t *testing.T) {
 	v2 := wireOptionsV2{
 		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
@@ -48,7 +49,7 @@ func TestWireOptionsV2Compat(t *testing.T) {
 	want := core.WireOptions{
 		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
 		MaxL: 3, MaxW: 2, MaxR: 4, NoGeneralityFilter: true, IncludeTrivial: true,
-		ExactGenerality: true, StaticRHSOrder: true, PoolCap: 9,
+		ExactGenerality: true, StaticRHSOrder: true,
 	}
 	var cur core.WireOptions
 	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v2))).Decode(&cur); err != nil {
@@ -62,7 +63,7 @@ func TestWireOptionsV2Compat(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, want))).Decode(&back); err != nil {
 		t.Fatalf("current → v2 decode: %v", err)
 	}
-	v2.NoPostingLists, v2.Parallelism = false, 0
+	v2.NoPostingLists, v2.Parallelism, v2.PoolCap = false, 0, 0
 	if back != v2 {
 		t.Errorf("current → v2 decode = %+v, want %+v", back, v2)
 	}
@@ -86,11 +87,12 @@ type wireOptionsV3 struct {
 }
 
 // TestWireOptionsV3Compat pins why dropping Parallelism needed no rpc
-// Version bump: a v3 peer's options, worker count set, decode into v4
-// WireOptions with every other field intact, and v4 options decode into the
-// v3 shape with the count simply zero, which a v3 worker reads as the
-// sequential walk — the count only ever drove the static mine, which no
-// shard worker runs.
+// Version bump: a v3 peer's options, worker count set, decode into
+// WireOptions with every field the current version keeps intact, and
+// current options decode into the v3 shape with the count simply zero,
+// which a v3 worker reads as the sequential walk — the count only ever
+// drove the static mine, which no shard worker runs. PoolCap decodes zero
+// too (v5 dropped it; see TestWireOptionsV4Compat).
 func TestWireOptionsV3Compat(t *testing.T) {
 	v3 := wireOptionsV3{
 		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
@@ -100,23 +102,73 @@ func TestWireOptionsV3Compat(t *testing.T) {
 	want := core.WireOptions{
 		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
 		MaxL: 3, MaxW: 2, MaxR: 4, NoGeneralityFilter: true, IncludeTrivial: true,
-		ExactGenerality: true, StaticRHSOrder: true, PoolCap: 9,
+		ExactGenerality: true, StaticRHSOrder: true,
 	}
-	var v4 core.WireOptions
-	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v3))).Decode(&v4); err != nil {
-		t.Fatalf("v3 → v4 decode: %v", err)
+	var cur core.WireOptions
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v3))).Decode(&cur); err != nil {
+		t.Fatalf("v3 → current decode: %v", err)
 	}
-	if v4 != want {
-		t.Errorf("v3 → v4 decode = %+v, want %+v", v4, want)
+	if cur != want {
+		t.Errorf("v3 → current decode = %+v, want %+v", cur, want)
 	}
 
 	var back wireOptionsV3
 	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, want))).Decode(&back); err != nil {
-		t.Fatalf("v4 → v3 decode: %v", err)
+		t.Fatalf("current → v3 decode: %v", err)
 	}
-	v3.Parallelism = 0
+	v3.Parallelism, v3.PoolCap = 0, 0
 	if back != v3 {
-		t.Errorf("v4 → v3 decode = %+v, want %+v", back, v3)
+		t.Errorf("current → v3 decode = %+v, want %+v", back, v3)
+	}
+}
+
+// wireOptionsV4 is core.WireOptions as grlint:wire v4 shipped it, with the
+// PoolCap field v5 dropped.
+type wireOptionsV4 struct {
+	MinSupp            int
+	MinScore           float64
+	K                  int
+	DynamicFloor       bool
+	Metric             string
+	MaxL, MaxW, MaxR   int
+	NoGeneralityFilter bool
+	IncludeTrivial     bool
+	ExactGenerality    bool
+	StaticRHSOrder     bool
+	PoolCap            int
+}
+
+// TestWireOptionsV4Compat pins why dropping PoolCap needed no rpc Version
+// bump: a v4 peer's options, cap set, decode into v5 WireOptions with every
+// other field intact, and v5 options decode into the v4 shape with the cap
+// simply zero — the only value a v4 shard worker ever received, since the
+// v4 sharded engines refused any other.
+func TestWireOptionsV4Compat(t *testing.T) {
+	v4 := wireOptionsV4{
+		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
+		MaxL: 3, MaxW: 2, MaxR: 4, NoGeneralityFilter: true, IncludeTrivial: true,
+		ExactGenerality: true, StaticRHSOrder: true, PoolCap: 9,
+	}
+	want := core.WireOptions{
+		MinSupp: 20, MinScore: 0.4, K: 7, DynamicFloor: true, Metric: "lift",
+		MaxL: 3, MaxW: 2, MaxR: 4, NoGeneralityFilter: true, IncludeTrivial: true,
+		ExactGenerality: true, StaticRHSOrder: true,
+	}
+	var v5 core.WireOptions
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, v4))).Decode(&v5); err != nil {
+		t.Fatalf("v4 → v5 decode: %v", err)
+	}
+	if v5 != want {
+		t.Errorf("v4 → v5 decode = %+v, want %+v", v5, want)
+	}
+
+	var back wireOptionsV4
+	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, want))).Decode(&back); err != nil {
+		t.Fatalf("v5 → v4 decode: %v", err)
+	}
+	v4.PoolCap = 0
+	if back != v4 {
+		t.Errorf("v5 → v4 decode = %+v, want %+v", back, v4)
 	}
 }
 

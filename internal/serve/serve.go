@@ -349,9 +349,9 @@ func (s *Server) handleRule(w http.ResponseWriter, r *http.Request) {
 	sc := snap.TopK[rank-1]
 	counts, source := snap.Counts[rank-1], "pool"
 	if !snap.HasCounts[rank-1] {
-		// The engine keeps no counts for this rule (sharded variant, or a
-		// spilled entry): recompute by a full scan under the read lock so
-		// ingest cannot mutate the graph mid-scan.
+		// The engine keeps no per-rule counts (the sharded variants):
+		// recompute by a full scan under the read lock so ingest cannot
+		// mutate the graph mid-scan.
 		s.mu.RLock()
 		counts = metrics.Eval(s.g, sc.GR)
 		s.mu.RUnlock()
