@@ -44,15 +44,18 @@ func (k *bitmapCounter) intersectLW(idx *store.BitmapIndex, g gr.GR) {
 		k.lw, k.lwAll, k.lwN = nil, true, idx.NumEdges()
 		return
 	case 1:
-		k.lw = k.operand[0]
+		k.lw, k.lwN = k.operand[0], k.operand[0].Count()
 	default:
-		k.lwBuf = store.AndInto(k.lwBuf, k.operand[0], k.operand[1])
-		for _, b := range k.operand[2:] {
-			k.lwBuf = store.AndInto(k.lwBuf, k.lwBuf, b)
+		// The chain's last AND counts as it writes.
+		a, last := k.operand[0], len(k.operand)-1
+		for _, b := range k.operand[1:last] {
+			k.lwBuf = store.AndInto(k.lwBuf, a, b)
+			a = k.lwBuf
 		}
+		k.lwBuf, k.lwN = store.AndCountInto(k.lwBuf, a, k.operand[last])
 		k.lw = k.lwBuf
 	}
-	k.lwAll, k.lwN = false, k.lw.Count()
+	k.lwAll = false
 }
 
 // count fills g's counts from the current L∧W intersection, which must be

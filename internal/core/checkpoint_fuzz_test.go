@@ -36,8 +36,8 @@ func checkpointFuzzFixture(t testing.TB) (WorkerSpec, []byte) {
 // shardd's OpRestore takes off the wire. A blob must restore or fail with an
 // error, never panic; a blob that restores must leave a worker that can
 // ingest and checkpoint again. The checked-in corpus holds the fixture's
-// real blob, its version 2 predecessor, and one corruption of it per class
-// of blobCorruptions past the version check
+// real blob, its version 2 and version 3 predecessors, and one corruption
+// of it per class of blobCorruptions past the version check
 // (TestCheckpointFuzzCorpusCurrent keeps them current).
 func FuzzWorkerCheckpoint(f *testing.F) {
 	spec, blob := checkpointFuzzFixture(f)

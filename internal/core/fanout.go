@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"grminer/internal/gr"
 	"grminer/internal/graph"
 	"grminer/internal/intern"
@@ -72,6 +74,8 @@ type fanWorker struct {
 	m       *miner
 	caps    []captured
 	touched []intern.GRID
+	// busy sums the time the worker spent in the walk's tasks.
+	busy time.Duration
 }
 
 // privateScratch returns a scratch over st's pair layout with a dictionary
@@ -114,6 +118,7 @@ func (w *fanWorker) begin(wit *witnesses) {
 	m.scr.reset()
 	m.scr.genIdx = w.f.st.Postings()
 	m.stats = Stats{}
+	w.busy = 0
 	m.totalE = w.f.st.NumEdges()
 	m.wit = wit
 	if wit != nil {
@@ -146,8 +151,11 @@ func (w *fanWorker) capture(g gr.GR, c metrics.Counts, score float64) {
 // every descent (the scoped re-mine). A non-nil pool is updated in place
 // for every GR it already tracks, and touched receives those ids. It
 // returns the number of subtrees walked and of subtrees that pass the
-// support threshold.
+// support threshold, and adds its counters and phase times to stats:
+// PlanTime plans the first level, WalkTime runs the tasks (sched.Run's
+// wall time) and WalkBusy sums each worker's time in them.
 func (f *fanOut) walk(wit *witnesses, pool *densePool, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (walked, total int) {
+	start := time.Now()
 	f.pool = pool
 	f.ws[0].begin(wit)
 	m, idx := f.ws[0].m, f.st.Postings()
@@ -155,9 +163,10 @@ func (f *fanOut) walk(wit *witnesses, pool *densePool, emit func(gr.GR, metrics.
 	f.tasks, sr, total = m.plan(idx, f.tasks[:0])
 	walked = len(f.tasks)
 	ws := f.grow(walked)
-	// Any worker may draw the largest subtree, and its first-level rows
-	// land in the worker's depth-1 buffer: size every worker's buffer for
-	// it up front rather than regrow it task by task.
+	// Any worker may draw the largest subtree, and its first-level rows,
+	// once a counting-sort consumer asks for them, land in the worker's
+	// depth-1 buffer: size every worker's buffer for it up front rather
+	// than regrow it task by task.
 	largest := 0
 	for i := range f.tasks {
 		largest = max(largest, f.tasks[i].size)
@@ -165,7 +174,9 @@ func (f *fanOut) walk(wit *witnesses, pool *densePool, emit func(gr.GR, metrics.
 	for _, w := range ws {
 		w.m.buffer(1, largest)
 	}
+	planned := time.Now()
 	f.order = sched.Run(len(ws), len(f.tasks), func(i int) int { return f.tasks[i].size }, f.order, func(wi, i int) {
+		t0 := time.Now()
 		w, t := ws[wi], &f.tasks[i]
 		if wit != nil {
 			w.m.rootWitnesses(t)
@@ -173,9 +184,13 @@ func (f *fanOut) walk(wit *witnesses, pool *densePool, emit func(gr.GR, metrics.
 		t.worker, t.lo = int32(wi), int32(len(w.caps))
 		w.m.walkTask(t, idx, sr)
 		t.hi = int32(len(w.caps))
+		w.busy += time.Since(t0)
 	})
+	stats.WalkTime += time.Since(planned)
+	stats.PlanTime += planned.Sub(start)
 	for _, w := range ws {
 		addStats(stats, &w.m.stats)
+		stats.WalkBusy += w.busy
 	}
 	for i := range f.tasks {
 		t := &f.tasks[i]

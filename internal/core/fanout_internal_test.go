@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"grminer/internal/datagen"
 	"grminer/internal/graph"
@@ -135,7 +136,7 @@ func TestFanOutWidthInvariant(t *testing.T) {
 			if err1 != nil || err4 != nil {
 				t.Fatalf("%s: %v / %v", what, err1, err4)
 			}
-			if len(o1) == 0 || !reflect.DeepEqual(o1, o4) || s1 != s4 {
+			if len(o1) == 0 || !reflect.DeepEqual(o1, o4) || Untimed(s1) != Untimed(s4) {
 				t.Fatalf("%s: offers differ (%d vs %d candidates, stats %+v vs %+v)", what, len(o1), len(o4), s1, s4)
 			}
 		}
@@ -152,6 +153,7 @@ func TestFanOutWidthInvariant(t *testing.T) {
 			if err1 != nil || err4 != nil {
 				t.Fatalf("batch %d: %v / %v", step, err1, err4)
 			}
+			rep1.Stats, rep4.Stats = Untimed(rep1.Stats), Untimed(rep4.Stats)
 			if !reflect.DeepEqual(rep1, rep4) {
 				t.Fatalf("batch %d: ingest replies differ:\n width 1 %+v\n width 4 %+v", step, rep1, rep4)
 			}
@@ -181,5 +183,70 @@ func sameEngines(t *testing.T, what string, a, b *Incremental) {
 	}
 	if !reflect.DeepEqual(a.st.Dict().State(), b.st.Dict().State()) {
 		t.Fatalf("%s: store dictionaries differ", what)
+	}
+}
+
+// TestCaptureWalkPhases: a capture walk reports its phases. A scoped batch
+// through Incremental.ApplyBatch and through a shard worker's Ingest, at
+// widths 1 and 2, must report a positive WalkTime, a WalkBusy in
+// (0, width × WalkTime] and a PlanTime + WalkTime within the call's wall
+// time.
+func TestCaptureWalkPhases(t *testing.T) {
+	check := func(what string, width int, s Stats, wall time.Duration) {
+		t.Helper()
+		if s.WalkTime <= 0 {
+			t.Errorf("%s at width %d: WalkTime %v", what, width, s.WalkTime)
+		}
+		if s.WalkBusy <= 0 || s.WalkBusy > time.Duration(width)*s.WalkTime {
+			t.Errorf("%s at width %d: WalkBusy %v outside (0, %d × WalkTime %v]", what, width, s.WalkBusy, width, s.WalkTime)
+		}
+		if s.PlanTime+s.WalkTime > wall {
+			t.Errorf("%s at width %d: PlanTime %v + WalkTime %v exceed the wall time %v", what, width, s.PlanTime, s.WalkTime, wall)
+		}
+	}
+	g := fanOutGraph()
+	opt := Options{MinSupp: g.NumEdges() / 100, MinScore: 0.5, K: 20, DynamicFloor: true, Metric: metrics.NhpMetric}
+	so := ShardOptions{Shards: 2}
+	sopt, so, err := normalizeSharded(g, opt, so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := graph.PartitionEdges(g, so.Shards, so.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := buildWorkerSpec(g, sopt, planFromParts(sopt, so, parts), parts[0], 0)
+	for _, width := range []int{1, 2} {
+		inc, err := newIncremental(fanOutGraph(), opt, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, bs, err := inc.ApplyBatch(fanOutBatch(rand.New(rand.NewSource(4)), inc.g, 24, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs.FullRemines != 0 || bs.SubtreesRemined == 0 {
+			t.Fatalf("width %d: the batch ran no scoped re-mine (%+v)", width, bs)
+		}
+		check("ApplyBatch", width, res.Stats, res.Stats.Duration)
+
+		w, err := NewWorkerState(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.fan.width = width
+		if _, _, err := w.Offer(nil); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		rep, err := w.Ingest(fanOutBatch(rand.New(rand.NewSource(4)), w.g, 24, 0))
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.SubtreesRemined == 0 {
+			t.Fatalf("width %d: the worker's ingest re-mined no subtree", width)
+		}
+		check("Ingest", width, rep.Stats, wall)
 	}
 }

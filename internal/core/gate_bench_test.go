@@ -87,7 +87,9 @@ func gateBatch(g *graph.Graph, from, to int) Batch {
 // re-mine, and merge. The "compaction" variant deletes (and re-inserts) a
 // quarter of the edge set per iteration, so every iteration drives the store
 // through a tombstone compaction — the path that used to re-allocate the
-// full pool map.
+// full pool map. Both retract, and a retraction's witness keeps RIGHT off
+// the posting bitmaps below it; the "insert" variant applies insert-only
+// batches, the scoped re-mine whose descents hand bitmaps down.
 func BenchmarkApplyBatch(b *testing.B) {
 	gateFixture(b)
 	b.Run("mixed", func(b *testing.B) {
@@ -97,6 +99,22 @@ func BenchmarkApplyBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := inc.ApplyBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("insert", func(b *testing.B) {
+		inc, batches := gateInsertEngine(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%len(batches) == 0 {
+				// The held-out edges ran out: rebuild off the clock.
+				b.StopTimer()
+				inc, batches = gateInsertEngine(b)
+				b.StartTimer()
+			}
+			if _, _, err := inc.ApplyBatch(batches[i%len(batches)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -118,6 +136,45 @@ func BenchmarkApplyBatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// gateHeldOut is the insert benchmark's held-out edge count: ten 64-edge
+// batches, so the CI gate's ten fixed iterations run on one engine.
+const gateHeldOut = 640
+
+// gateInsertEngine builds a fresh engine over the fixture graph less its
+// last gateHeldOut edges, and returns them as 64-edge insert-only batches.
+func gateInsertEngine(b *testing.B) (*Incremental, []Batch) {
+	b.Helper()
+	full := gateGraph()
+	kept := full.NumEdges() - gateHeldOut
+	g := graph.MustNew(full.Schema(), full.NumNodes())
+	for v := 0; v < full.NumNodes(); v++ {
+		if err := g.SetNodeValues(v, full.NodeValues(v)...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var batches []Batch
+	//grlint:ignore deadedge a freshly generated graph has no dead edges
+	for e := 0; e < full.NumEdges(); e++ {
+		vals := append([]graph.Value(nil), full.EdgeValues(e)...)
+		if e < kept {
+			if _, err := g.AddEdge(full.Src(e), full.Dst(e), vals...); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
+		if (e-kept)%64 == 0 {
+			batches = append(batches, Batch{})
+		}
+		last := &batches[len(batches)-1]
+		last.Ins = append(last.Ins, EdgeInsert{Src: full.Src(e), Dst: full.Dst(e), Vals: vals})
+	}
+	inc, err := NewIncremental(g, gateOpt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inc, batches
 }
 
 // BenchmarkRecount isolates the per-batch pool maintenance: the tracked-pool

@@ -58,10 +58,14 @@ func (hc *homRootCheck) check(m *miner, g gr.GR, c metrics.Counts) {
 		return
 	}
 	t, rc := hc.t, &m.scr.rc
+	base := rc.base.rows
+	if base == nil {
+		base = rc.base.bm.RowsInto(nil)
+	}
 	scan := func(attr int) int {
 		want, _ := rc.lhs.Get(attr)
 		n := 0
-		for _, e := range rc.base {
+		for _, e := range base {
 			if m.st.RVal(e, attr) == want {
 				n++
 			}
@@ -90,20 +94,21 @@ func (hc *homRootCheck) check(m *miner, g gr.GR, c metrics.Counts) {
 }
 
 // rootIsBitmap reports whether the live RHS subtree's root descended by
-// bitmaps. The base of a root at depth d lies in the row buffer of depth
-// d-1 (the full edge list for the walk's own root), and a bitmap descent at
-// depth d keeps the base's rows set in depth d's data bitmap until it
-// returns.
+// bitmaps, from the forms of its base partition. A counting root leaves a
+// base handed down as rows without a bitmap, and a bitmap root leaves a
+// base handed down as a bitmap without rows unless a β of two or more
+// attributes scans it (homEffect). A base with both forms was packed by a
+// bitmap root or materialised by a counting one, and the root's own plan
+// rule tells those apart.
 func rootIsBitmap(m *miner) bool {
-	base := m.scr.rc.base
-	end := &base[:cap(base)][cap(base)-1]
-	for d, buf := range m.scr.buffers {
-		if cap(buf) > 0 && &buf[:cap(buf)][cap(buf)-1] == end {
-			root := d + 1
-			return root < len(m.scr.dataBMs) && m.scr.dataBMs[root].Has(base[0])
-		}
+	rc := &m.scr.rc
+	switch {
+	case rc.base.bm == nil:
+		return false
+	case rc.base.rows == nil:
+		return true
 	}
-	return false
+	return m.wit != nil && !m.wit.hasDelete(m.witLevel(rc.depth-1).set) && m.bitmapsPayOff(rc.base.n, m.witLevel(rc.depth))
 }
 
 // TestRootHomophilyEffects: a single-attribute homophily effect comes from

@@ -119,13 +119,16 @@ type Stats struct {
 	ExactCountRequests int64
 	// Duration is the wall-clock mining time.
 	Duration time.Duration
-	// A static mine's phases, wall-clock: IndexTime builds the bitmap
-	// index, PlanTime cuts the first level into tasks, WalkTime runs the
-	// tasks and MergeTime merges the workers' lists. WalkBusy sums the
-	// time each worker spent in a task, so WalkBusy below the workers ×
-	// WalkTime shows idle workers. Every static mine reports them, at every
-	// width (one worker's WalkBusy is its WalkTime); other runs leave the
-	// phases zero.
+	// A mine's phases, wall-clock: IndexTime builds the bitmap index,
+	// PlanTime cuts the first level into tasks, WalkTime runs the tasks and
+	// MergeTime merges the workers' lists. WalkBusy sums the time each
+	// worker spent in a task, so WalkBusy below the workers × WalkTime
+	// shows idle workers. Every static mine reports all five, at every
+	// width (one worker's WalkBusy is its WalkTime). Every capture walk (an
+	// incremental engine's scoped, seed or full re-mine, a shard worker's
+	// offer and its Ingest re-mine) adds its PlanTime, WalkTime and WalkBusy
+	// and leaves IndexTime and MergeTime zero: it walks the store's
+	// maintained postings and replays its captures in order.
 	IndexTime, PlanTime, WalkTime, WalkBusy, MergeTime time.Duration
 }
 
@@ -251,11 +254,12 @@ type minerScratch struct {
 	// scratch.
 	genIdx  *store.BitmapIndex
 	counter bitmapCounter
-	// dataBMs[depth] is the bitmap of the partition a bitmap descent is
-	// refining; andBM the intersection output (consumed into a row buffer
-	// before any deeper descent, so one suffices for all depths).
-	dataBMs []store.Bitmap
-	andBM   store.Bitmap
+	// andBMs[depth] is the bitmap of the partition a node at depth hands
+	// its current child (see part): the AND a bitmap descent formed it by,
+	// or the rows of a counting-sort node's child, packed for a bitmap
+	// descent below. The child's subtree reads it until the node forms its
+	// next child.
+	andBMs []store.Bitmap
 	// wits[depth] is a scoped re-mine's witness scratch for one recursion
 	// depth (see witLevel); pointers, so growing the table never moves a
 	// level an enclosing loop is still reading.
@@ -346,6 +350,10 @@ type miner struct {
 	swOrder []int
 	totalE  int
 	stats   Stats
+	// onRows, when set, sees every rowsOf request for a partition that has
+	// a bitmap form, with its producing depth and whether the request
+	// materialised its rows (the tests count materialisations).
+	onRows func(depth int, bm store.Bitmap, fresh bool)
 }
 
 func newMiner(st *store.Store, opt Options) *miner {
@@ -499,18 +507,22 @@ func (m *miner) admit(grp *csort.Group, lv *witLevel, vals *[]graph.Value) bool 
 // left is Algorithm 1's LEFT: extend the LHS descriptor by each node
 // attribute at a position below maxPos, then branch into RIGHT, EDGE, and
 // deeper LEFT on every surviving partition.
-func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
+func (m *miner) left(p part, depth int, lhs gr.Descriptor, maxPos int) {
 	if m.opt.MaxL > 0 && len(lhs) >= m.opt.MaxL {
 		return
 	}
 	var lv *witLevel
 	if m.wit != nil {
 		lv = m.carried(depth, m.wit.colL(0), m.slOrder[:maxPos])
-		if m.bitmapsPayOff(len(data), lv) {
-			m.leftBitmaps(data, depth, lhs, maxPos, lv)
+		switch {
+		case len(lv.vals) == 0:
+			return // no witness carries a value ⇒ no entrant below any group
+		case m.bitmapsPayOff(p.n, lv):
+			m.leftBitmaps(m.partBitmap(&p, depth), depth, lhs, maxPos, lv)
 			return
 		}
 	}
+	data := m.rowsOf(&p, depth)
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.slOrder[pos]
@@ -530,33 +542,40 @@ func (m *miner) left(data []int32, depth int, lhs gr.Descriptor, maxPos int) {
 			if lv != nil {
 				m.narrow(depth, m.wit.colL(attr), graph.Value(grp.Val))
 			}
-			m.leftGroup(buf[grp.Lo:grp.Hi], depth, lhs.With(attr, graph.Value(grp.Val)), pos)
+			m.leftGroup(part{rows: buf[grp.Lo:grp.Hi], n: int(grp.N)}, depth, lhs.With(attr, graph.Value(grp.Val)), pos)
 		}
 	}
 }
 
 // leftGroup processes one LHS partition: branch into RIGHT, EDGE, and
-// deeper LEFT (Algorithm 1, lines 12-14).
-func (m *miner) leftGroup(part []int32, depth int, lhs2 gr.Descriptor, pos int) {
-	m.enterRight(part, depth+1, lhs2, nil)
-	m.edge(part, depth+1, lhs2, nil, len(m.swOrder))
-	m.left(part, depth+1, lhs2, pos)
+// deeper LEFT (Algorithm 1, lines 12-14). RIGHT and EDGE hand p back in
+// every form they gave it, so the first of the three consumers that needs
+// p's rows, or its bitmap, makes them for all three.
+func (m *miner) leftGroup(p part, depth int, lhs2 gr.Descriptor, pos int) {
+	p = m.enterRight(p, depth+1, lhs2, nil)
+	p = m.edge(p, depth+1, lhs2, nil, len(m.swOrder))
+	m.left(p, depth+1, lhs2, pos)
 }
 
 // edge is Algorithm 1's EDGE: extend the edge descriptor, then branch into
-// RIGHT and deeper EDGE.
-func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) {
+// RIGHT and deeper EDGE. It returns p in every form it gave it (see
+// leftGroup).
+func (m *miner) edge(p part, depth int, lhs, w gr.Descriptor, maxPos int) part {
 	if m.opt.MaxW > 0 && len(w) >= m.opt.MaxW {
-		return
+		return p
 	}
 	var lv *witLevel
 	if m.wit != nil {
 		lv = m.carried(depth, m.wit.colW(0), m.swOrder[:maxPos])
-		if m.bitmapsPayOff(len(data), lv) {
-			m.edgeBitmaps(data, depth, lhs, w, maxPos, lv)
-			return
+		switch {
+		case len(lv.vals) == 0:
+			return p // no witness carries a value ⇒ no entrant below any group
+		case m.bitmapsPayOff(p.n, lv):
+			m.edgeBitmaps(m.partBitmap(&p, depth), depth, lhs, w, maxPos, lv)
+			return p
 		}
 	}
+	data := m.rowsOf(&p, depth)
 	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.swOrder[pos]
@@ -576,16 +595,17 @@ func (m *miner) edge(data []int32, depth int, lhs, w gr.Descriptor, maxPos int) 
 			if lv != nil {
 				m.narrow(depth, m.wit.colW(attr), graph.Value(grp.Val))
 			}
-			m.edgeGroup(buf[grp.Lo:grp.Hi], depth, lhs, w.With(attr, graph.Value(grp.Val)), pos)
+			m.edgeGroup(part{rows: buf[grp.Lo:grp.Hi], n: int(grp.N)}, depth, lhs, w.With(attr, graph.Value(grp.Val)), pos)
 		}
 	}
+	return p
 }
 
 // edgeGroup processes one edge-descriptor partition: branch into RIGHT and
 // deeper EDGE (Algorithm 1, lines 20-21).
-func (m *miner) edgeGroup(part []int32, depth int, lhs, w2 gr.Descriptor, pos int) {
-	m.enterRight(part, depth+1, lhs, w2)
-	m.edge(part, depth+1, lhs, w2, pos)
+func (m *miner) edgeGroup(p part, depth int, lhs, w2 gr.Descriptor, pos int) {
+	p = m.enterRight(p, depth+1, lhs, w2)
+	m.edge(p, depth+1, lhs, w2, pos)
 }
 
 // bitmapsPayOff decides, per descent node of a scoped re-mine, whether
@@ -594,11 +614,17 @@ func (m *miner) edgeGroup(part []int32, depth int, lhs, w2 gr.Descriptor, pos in
 // needs the groups whose value some witness of the node carries, so ANDing
 // the partition's bitmap against each carried value's live-row bitmap costs
 // ~words-per-bitmap word ops per carried value (plus packing the partition
-// once), where counting sort costs ~|data| per position that has any
-// carried value. Nodes with few witnesses carry a handful of values and the
-// bitmap walk wins near the root; wide witness sets (or deep, tiny
+// once, when a counting-sort node handed it down as rows), where counting
+// sort costs ~|data| per position that has any carried value (plus
+// materialising the partition's rows once, when a bitmap descent handed it
+// down as a bitmap). Nodes with few witnesses carry a handful of values and
+// the bitmap walk wins near the root; wide witness sets (or deep, tiny
 // partitions) are cheaper to counting-sort, since every AND sweeps the full
-// row width no matter how small the partition is.
+// row width no matter how small the partition is. A partition handed down
+// as a bitmap packs for free, which tilts the costs toward bitmaps below a
+// bitmap descent, but the formula deliberately ignores the form, so a
+// node's path does not depend on it; retuning the formula is a change of
+// its own, to be measured on its own.
 func (m *miner) bitmapsPayOff(dataLen int, lv *witLevel) bool {
 	words := (m.st.NumRows() + 63) / 64
 	active := 0
@@ -607,11 +633,7 @@ func (m *miner) bitmapsPayOff(dataLen int, lv *witLevel) bool {
 			active++
 		}
 	}
-	vals := len(lv.vals)
-	if vals == 0 {
-		return false // nothing witnessed here; the counting path skips every position
-	}
-	return words*vals < active*dataLen
+	return words*len(lv.vals) < active*dataLen
 }
 
 // witLevel is one recursion depth's witness scratch in a scoped re-mine.
@@ -687,40 +709,78 @@ func seek(vals []graph.Value, v graph.Value) ([]graph.Value, bool) {
 	return vals, len(vals) > 0 && vals[0] == v
 }
 
-// dataBitmap packs data's rows into the depth's scratch bitmap. The caller
-// must clear it with clearDataBitmap(depth, data) before returning; only one
-// descent per depth is ever live, so per-depth scratch suffices.
-func (m *miner) dataBitmap(depth int, data []int32) store.Bitmap {
-	if len(data) == 0 {
+// part is one partition of the walk, E(l ∧ w ∧ r) of the node it feeds. A
+// counting-sort node hands each child its rows, the span of the node's row
+// buffer scatter moved them to (empty when the plan moved none; see
+// rightRows). A bitmap descent hands each child, instead, the live-row
+// bitmap of the AND that formed it: read-only, valid until the descent
+// forms its next child. n is the size in either form. A consumer asks for
+// the form it needs: rowsOf materialises a bitmap partition's rows,
+// partBitmap packs a row partition's bitmap, each on the first request
+// and into scratch of the depth that produced the partition, which its
+// producer does not use. The partition keeps what they made, so a LEFT
+// child's three consumers share one.
+type part struct {
+	rows []int32
+	bm   store.Bitmap
+	n    int
+}
+
+// rowsOf returns the rows of p, the partition a node at depth consumes,
+// materialising a bitmap partition's into the row buffer of depth-1: its
+// producer, a bitmap descent, never fills that buffer itself.
+func (m *miner) rowsOf(p *part, depth int) []int32 {
+	if p.bm == nil {
+		return p.rows
+	}
+	fresh := p.rows == nil
+	if fresh {
+		p.rows = p.bm.RowsInto(m.buffer(depth-1, p.n))
+	}
+	if m.onRows != nil {
+		m.onRows(depth-1, p.bm, fresh)
+	}
+	return p.rows
+}
+
+// partBitmap returns the live-row bitmap of p, the partition a bitmap
+// descent at depth refines, packing a row partition's into the AND scratch
+// of depth-1: its producer, a counting-sort node, never forms a bitmap
+// there.
+func (m *miner) partBitmap(p *part, depth int) store.Bitmap {
+	if p.bm != nil {
+		return p.bm
+	}
+	if p.n == 0 {
 		panic("core: bitmap descent over an empty partition")
 	}
-	s := m.scr
-	for len(s.dataBMs) <= depth {
-		s.dataBMs = append(s.dataBMs, nil)
-	}
 	// Partitions keep their rows ascending, so setting the last row first
-	// sizes the bitmap once instead of regrowing it word by word.
-	bm := s.dataBMs[depth].Set(data[len(data)-1])
-	for _, row := range data {
+	// sizes the bitmap once, zeroing its words, instead of regrowing it word
+	// by word.
+	bm := m.andScratch(depth - 1)[:0].Set(p.rows[p.n-1])
+	for _, row := range p.rows {
 		bm = bm.Set(row)
 	}
-	s.dataBMs[depth] = bm
+	m.scr.andBMs[depth-1] = bm
+	p.bm = bm
 	return bm
 }
 
-func (m *miner) clearDataBitmap(depth int, data []int32) {
-	bm := m.scr.dataBMs[depth]
-	for _, row := range data {
-		bm.Clear(row)
+// andScratch returns depth's AND scratch bitmap, creating it on first use.
+func (m *miner) andScratch(depth int) store.Bitmap {
+	s := m.scr
+	for len(s.andBMs) <= depth {
+		s.andBMs = append(s.andBMs, nil)
 	}
+	return s.andBMs[depth]
 }
 
-// intersect materialises data ∩ live(side bitmap for val) into the depth
-// buffer. The and-scratch is consumed into buf before any deeper recursion,
-// so a single andBM serves all depths.
-func (m *miner) intersect(dataBM, valBM store.Bitmap, buf []int32) []int32 {
-	m.scr.andBM = store.AndInto(m.scr.andBM, dataBM, valBM)
-	return m.scr.andBM.RowsInto(buf)
+// child forms the partition a bitmap descent at depth hands its next
+// child: data ∧ live(val) in depth's AND scratch, counted in the same pass.
+func (m *miner) child(depth int, data, val store.Bitmap) part {
+	bm, n := store.AndCountInto(m.andScratch(depth), data, val)
+	m.scr.andBMs[depth] = bm
+	return part{bm: bm, n: n}
 }
 
 // leftBitmaps is the bitmap form of left's loop body: iterate only the
@@ -729,55 +789,51 @@ func (m *miner) intersect(dataBM, valBM store.Bitmap, buf []int32) []int32 {
 // sequence, and captures and checkpoints stay deterministic. A value absent
 // from the partition intersects to the empty set, mirroring the group
 // counting sort never forms.
-func (m *miner) leftBitmaps(data []int32, depth int, lhs gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM, idx := m.dataBitmap(depth, data), m.scr.genIdx
-	buf := m.buffer(depth, len(data))
+func (m *miner) leftBitmaps(data store.Bitmap, depth int, lhs gr.Descriptor, maxPos int, lv *witLevel) {
+	idx := m.scr.genIdx
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.slOrder[pos]
 		for _, val := range lv.at(pos) {
-			part := m.intersect(dataBM, idx.LBitmap(attr, val), buf)
-			if len(part) == 0 {
+			c := m.child(depth, data, idx.LBitmap(attr, val))
+			if c.n == 0 {
 				continue
 			}
-			if len(part) < m.opt.MinSupp {
+			if c.n < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}
 			m.narrow(depth, m.wit.colL(attr), val)
-			m.leftGroup(part, depth, lhs.With(attr, val), pos)
+			m.leftGroup(c, depth, lhs.With(attr, val), pos)
 		}
 	}
-	m.clearDataBitmap(depth, data)
 }
 
 // edgeBitmaps is the bitmap form of edge's loop body; see leftBitmaps.
-func (m *miner) edgeBitmaps(data []int32, depth int, lhs, w gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM, idx := m.dataBitmap(depth, data), m.scr.genIdx
-	buf := m.buffer(depth, len(data))
+func (m *miner) edgeBitmaps(data store.Bitmap, depth int, lhs, w gr.Descriptor, maxPos int, lv *witLevel) {
+	idx := m.scr.genIdx
 	for pos := 0; pos < maxPos; pos++ {
 		attr := m.swOrder[pos]
 		for _, val := range lv.at(pos) {
-			part := m.intersect(dataBM, idx.WBitmap(attr, val), buf)
-			if len(part) == 0 {
+			c := m.child(depth, data, idx.WBitmap(attr, val))
+			if c.n == 0 {
 				continue
 			}
-			if len(part) < m.opt.MinSupp {
+			if c.n < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}
 			m.narrow(depth, m.wit.colW(attr), val)
-			m.edgeGroup(part, depth, lhs, w.With(attr, val), pos)
+			m.edgeGroup(c, depth, lhs, w.With(attr, val), pos)
 		}
 	}
-	m.clearDataBitmap(depth, data)
 }
 
 // rightBitmaps is the bitmap form of right's loop body; see leftBitmaps.
 // Never entered below a node whose witnesses hold a deleted edge — that
 // node's R extensions must examine every RHS group, which is exactly the
 // counting-sort walk.
-func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int, lv *witLevel) {
-	dataBM, idx := m.dataBitmap(depth, data), m.scr.genIdx
+func (m *miner) rightBitmaps(rc *rctx, data store.Bitmap, depth int, rhs gr.Descriptor, maxPos int, lv *witLevel) {
+	idx := m.scr.genIdx
 	if len(rhs) == 0 {
 		// A bitmap root counts no histogram: it intersects for each
 		// homophily effect instead, one AND-count per homophily attribute
@@ -786,33 +842,32 @@ func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descripto
 		for pos := 0; pos < maxPos; pos++ {
 			attr := rc.sr[pos]
 			if lval, ok := rc.lhs.Get(attr); ok && m.schema.Node[attr].Homophily && len(lv.at(pos)) > 0 {
-				rc.recordHom(attr, store.AndCount(dataBM, idx.RBitmap(attr, lval)))
+				rc.recordHom(attr, store.AndCount(data, idx.RBitmap(attr, lval)))
 			}
 		}
 	}
-	buf := m.buffer(depth, len(data))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := rc.sr[pos]
 		for _, val := range lv.at(pos) {
-			part := m.intersect(dataBM, idx.RBitmap(attr, val), buf)
-			if len(part) == 0 {
+			c := m.child(depth, data, idx.RBitmap(attr, val))
+			if c.n == 0 {
 				continue
 			}
-			if len(part) < m.opt.MinSupp {
+			if c.n < m.opt.MinSupp {
 				m.stats.PrunedSupp++
 				continue
 			}
 			m.narrow(depth, m.wit.colR(attr), val)
-			m.rightGroup(rc, part, len(part), depth, rhs.With(attr, val), pos)
+			m.rightGroup(rc, c, depth, rhs.With(attr, val), pos)
 		}
 	}
-	m.clearDataBitmap(depth, data)
 }
 
 // rctx is the context of one RHS-expansion subtree: the base partition
-// E(l ∧ w) it hangs off and its size lw (LW), the fixed l and w, the dynamic RHS order for this
-// l, and the homophily-effect supports (Section IV-D: every
-// supp(l -w-> l[β]) a descendant needs is countable from base).
+// E(l ∧ w) it hangs off, consumed by the subtree's root at depth, and its
+// size lw (LW), the fixed l and w, the dynamic RHS order for this l, and
+// the homophily-effect supports (Section IV-D: every supp(l -w-> l[β]) a
+// descendant needs is countable from base).
 //
 // A single-attribute effect supp(l -w-> l[a]) is the size of the group
 // R(a = l[a]) of base, which the subtree's root counts anyway: hom1[a]
@@ -830,9 +885,10 @@ func (m *miner) rightBitmaps(rc *rctx, data []int32, depth int, rhs gr.Descripto
 //
 // A root RIGHT task (walkTask) hangs off the whole live edge list with
 // empty l and w: its β is always empty and no subtree root lies below it,
-// so it reads lw alone and leaves base nil.
+// so it reads lw alone and leaves base empty.
 type rctx struct {
-	base    []int32
+	base    part
+	depth   int
 	lw      int
 	lhs, w  gr.Descriptor
 	sr      []int
@@ -869,17 +925,19 @@ func (rc *rctx) recordHomGroup(attr int, lval graph.Value, groups []csort.Group)
 // the subtree's first request.
 func (m *miner) destOffsets(rc *rctx) []int32 {
 	if !rc.offsOK {
-		rc.offs, rc.offsOK = m.st.ROffsetsInto(rc.offs, rc.base), true
+		rc.offs, rc.offsOK = m.st.ROffsetsInto(rc.offs, m.rowsOf(&rc.base, rc.depth)), true
 	}
 	return rc.offs
 }
 
-// enterRight opens an RHS-expansion subtree below the node for (lhs, w).
-// The context and its dynamic order live in the scratch: RIGHT only ever
-// extends the RHS, so at most one subtree is live at a time.
-func (m *miner) enterRight(base []int32, depth int, lhs, w gr.Descriptor) {
+// enterRight opens an RHS-expansion subtree below the node for (lhs, w),
+// its root at depth over base. The context and its dynamic order live in
+// the scratch: RIGHT only ever extends the RHS, so at most one subtree is
+// live at a time. It returns base in every form the subtree gave it (see
+// leftGroup).
+func (m *miner) enterRight(base part, depth int, lhs, w gr.Descriptor) part {
 	rc := &m.scr.rc
-	rc.base, rc.lw, rc.lhs, rc.w = base, len(base), lhs, w
+	rc.base, rc.depth, rc.lw, rc.lhs, rc.w = base, depth, base.n, lhs, w
 	rc.offsOK = false
 	if rc.hom1 == nil {
 		rc.hom1 = make([]int32, len(m.schema.Node))
@@ -893,6 +951,7 @@ func (m *miner) enterRight(base []int32, depth int, lhs, w gr.Descriptor) {
 		rc.sr = m.rhsOrderInto(lhs)
 	}
 	m.right(rc, base, depth, nil, len(rc.sr))
+	return rc.base
 }
 
 // rhsOrderInto is rhsOrder (Equation 8) writing into the scratch's order
@@ -924,13 +983,19 @@ func (m *miner) rhsOrderInto(lhs gr.Descriptor) []int {
 // the homophily effect come from the base partition. So the plan moves the
 // rows of a group only when the walk will recurse below it (rightRows);
 // every other entered group is scored on its size alone. The subtree's root
-// (rhs empty, data the base partition) counts all its positions in one pass
-// over the base's destination offsets, and its histogram of a homophily
-// attribute the LHS constrains is that attribute's single-attribute
-// homophily effect.
-func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxPos int) {
+// (rhs empty) works on its context's base, so the subtree's β scans and
+// enterRight's caller share the forms the root gave it; it counts all its
+// positions in one pass over the base's destination offsets, and its
+// histogram of a homophily attribute the LHS constrains is that
+// attribute's single-attribute homophily effect.
+func (m *miner) right(rc *rctx, p part, depth int, rhs gr.Descriptor, maxPos int) {
 	if !m.rightExtends(len(rhs), maxPos) {
 		return
+	}
+	root := len(rhs) == 0
+	data := &p
+	if root {
+		data = &rc.base
 	}
 	// lv stays nil (no value filter) in the static mine and below a node
 	// whose witnesses still hold a deleted edge; a scoped walk narrows the
@@ -938,12 +1003,14 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 	var lv *witLevel
 	if m.wit != nil && !m.wit.hasDelete(m.witLevel(depth-1).set) {
 		lv = m.carried(depth, m.wit.colR(0), rc.sr[:maxPos])
-		if m.bitmapsPayOff(len(data), lv) {
-			m.rightBitmaps(rc, data, depth, rhs, maxPos, lv)
+		switch {
+		case len(lv.vals) == 0:
+			return // no witness carries a value ⇒ no entrant below any group
+		case m.bitmapsPayOff(p.n, lv):
+			m.rightBitmaps(rc, m.partBitmap(data, depth), depth, rhs, maxPos, lv)
 			return
 		}
 	}
-	buf := m.buffer(depth, len(data))
 	// A child's RHS is rhs ∧ (attr : v). It is trivial when rhs is (or is
 	// empty) and v repeats the LHS value of a homophily attr; its β is
 	// rhs's plus attr when v differs from that LHS value.
@@ -953,12 +1020,13 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 	// counts them all in one pass over its base's destination offsets,
 	// reading each row's values side by side, and gathers a position's key
 	// column only when its plan moves rows.
-	root := len(rhs) == 0
 	var offs []int32
 	if root {
 		offs = m.destOffsets(rc)
 		m.st.RCountAt(m.scr.rootHists, offs)
 	}
+	rows := m.rowsOf(data, depth)
+	buf := m.buffer(depth, len(rows))
 	for pos := 0; pos < maxPos; pos++ {
 		attr := rc.sr[pos]
 		var vals []graph.Value
@@ -977,9 +1045,9 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 		homL = homL && m.schema.Node[attr].Homophily
 		var groups []csort.Group
 		if root {
-			groups = m.countRoot(depth, attr, len(data))
+			groups = m.countRoot(depth, attr, len(rows))
 		} else {
-			groups = m.count(depth, m.st.RValsInto(m.scr.keys, data, attr))
+			groups = m.count(depth, m.st.RValsInto(m.scr.keys, rows, attr))
 		}
 		if len(rhs) == 0 && homL {
 			rc.recordHomGroup(attr, lval, groups)
@@ -999,11 +1067,11 @@ func (m *miner) right(rc *rctx, data []int32, depth int, rhs gr.Descriptor, maxP
 		if root && m.scr.slot > 0 {
 			m.scr.keys = m.st.RValsAtInto(m.scr.keys, offs, attr)
 		}
-		for _, grp := range m.scatter(depth, data, buf) {
+		for _, grp := range m.scatter(depth, rows, buf) {
 			if m.wit != nil {
 				m.narrow(depth, m.wit.colR(attr), graph.Value(grp.Val))
 			}
-			m.rightGroup(rc, buf[grp.Lo:grp.Hi], int(grp.N), depth, rhs.With(attr, graph.Value(grp.Val)), pos)
+			m.rightGroup(rc, part{rows: buf[grp.Lo:grp.Hi], n: int(grp.N)}, depth, rhs.With(attr, graph.Value(grp.Val)), pos)
 		}
 	}
 }
@@ -1053,11 +1121,12 @@ func (m *miner) rightCounts(rc *rctx, n int, mask uint64) metrics.Counts {
 	return c
 }
 
-// rightGroup scores one RHS partition of n rows and recurses (the body of
-// Algorithm 1, lines 25-29). part holds the rows only when the walk needs
-// them (rightRows); it is empty otherwise.
-func (m *miner) rightGroup(rc *rctx, part []int32, n, depth int, rhs2 gr.Descriptor, pos int) {
+// rightGroup scores one RHS partition p and recurses (the body of
+// Algorithm 1, lines 25-29). A counting-sort parent moved p's rows only
+// when the walk needs them (rightRows); they are empty otherwise.
+func (m *miner) rightGroup(rc *rctx, p part, depth int, rhs2 gr.Descriptor, pos int) {
 	g := gr.GR{L: rc.lhs, W: rc.w, R: rhs2}
+	n := p.n
 
 	if g.Trivial(m.schema) {
 		// Under Definition 5 trivial GRs are never reported and —
@@ -1085,7 +1154,7 @@ func (m *miner) rightGroup(rc *rctx, part []int32, n, depth int, rhs2 gr.Descrip
 				return
 			}
 		}
-		m.descend(rc, part, n, depth, rhs2, pos)
+		m.descend(rc, p, depth, rhs2, pos)
 		return
 	}
 
@@ -1114,21 +1183,22 @@ func (m *miner) rightGroup(rc *rctx, part []int32, n, depth int, rhs2 gr.Descrip
 		m.stats.PrunedScore++
 		return
 	}
-	m.descend(rc, part, n, depth, rhs2, pos)
+	m.descend(rc, p, depth, rhs2, pos)
 }
 
-// descend runs RIGHT below an RHS partition of n rows. It panics when the
-// walk would recurse into a partition whose rows were never moved: a plan
-// rule (rightRows) that skipped the rows of a group rightGroup does not cut
-// would otherwise mine an empty partition and silently lose its subtree.
-func (m *miner) descend(rc *rctx, part []int32, n, depth int, rhs2 gr.Descriptor, pos int) {
+// descend runs RIGHT below the RHS partition p. It panics when the walk
+// would recurse into a partition whose rows were never moved: a plan rule
+// (rightRows) that skipped the rows of a group rightGroup does not cut
+// would otherwise mine an empty partition and silently lose its subtree. A
+// partition handed down as a bitmap counts as moved.
+func (m *miner) descend(rc *rctx, p part, depth int, rhs2 gr.Descriptor, pos int) {
 	if !m.rightExtends(len(rhs2), pos) {
 		return
 	}
-	if len(part) != n {
+	if p.bm == nil && len(p.rows) != p.n {
 		panic("core: RIGHT recursion into unscattered rows")
 	}
-	m.right(rc, part, depth+1, rhs2, pos)
+	m.right(rc, p, depth+1, rhs2, pos)
 }
 
 // floor returns the effective pruning threshold: the user's MinScore,

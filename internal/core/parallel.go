@@ -97,32 +97,25 @@ type parTask struct {
 	block           taskBlock
 }
 
-// walkTask reads t's partition rows off idx into the depth-1 buffer and
-// descends into t's first-level subtree over them. Bitmaps yield rows
-// ascending, the order a stable counting sort of the ascending live edge
-// list leaves a partition in, so the walk below is the one-worker walk's.
-// sr is the root RHS order, shared read-only by every worker. A root RIGHT
-// subtree hangs off the whole live edge list, of which it reads only the
-// size (LW = |E|), and reads its own rows only when RIGHT recurses below it
-// (rightRows; its RHS child has an empty LHS, so it is non-trivial with an
-// empty β).
+// walkTask descends into t's first-level subtree, handing it t's
+// partition as the bitmap index's own read-only bitmap: a counting-sort
+// consumer materialises its rows into the depth-1 buffer (see part).
+// Bitmaps yield rows ascending, the order a stable counting sort of the
+// ascending live edge list leaves a partition in, so the walk below is the
+// one-worker walk's. sr is the root RHS order, shared read-only by every
+// worker. A root RIGHT subtree hangs off the whole live edge list, of which
+// it reads only the size (LW = |E|); its RHS child has an empty LHS, so it
+// is non-trivial with an empty β.
 func (m *miner) walkTask(t *parTask, idx *store.BitmapIndex, sr []int) {
 	d := gr.Descriptor(nil).With(t.attr, t.val)
-	if t.block == blockRight {
-		rc := &rctx{lw: m.totalE, sr: sr}
-		var rows []int32
-		if m.rightRows(rc, t.size, 1, t.pos, false, 0) {
-			rows = rootBitmap(idx, t).RowsInto(m.buffer(1, t.size))
-		}
-		m.rightGroup(rc, rows, t.size, 1, d, t.pos)
-		return
-	}
-	rows := rootBitmap(idx, t).RowsInto(m.buffer(1, t.size))
+	p := part{bm: rootBitmap(idx, t), n: t.size}
 	switch t.block {
+	case blockRight:
+		m.rightGroup(&rctx{lw: m.totalE, sr: sr}, p, 1, d, t.pos)
 	case blockEdge:
-		m.edgeGroup(rows, 1, nil, d, t.pos)
+		m.edgeGroup(p, 1, nil, d, t.pos)
 	default:
-		m.leftGroup(rows, 1, d, t.pos)
+		m.leftGroup(p, 1, d, t.pos)
 	}
 }
 

@@ -32,17 +32,17 @@ func TestRightGroupRefusesUnscatteredRows(t *testing.T) {
 	top := len(sr) - 1
 	rhs := gr.Descriptor(nil).With(sr[top], 1)
 	assertPanics(t, "core: RIGHT recursion into unscattered rows", func() {
-		m.rightGroup(rc, nil, n, 1, rhs, top)
+		m.rightGroup(rc, part{n: n}, 1, rhs, top)
 	})
 	// At position 0 no child extends the RHS, so the rows are never read.
-	m.rightGroup(rc, nil, n, 1, gr.Descriptor(nil).With(sr[0], 1), 0)
+	m.rightGroup(rc, part{n: n}, 1, gr.Descriptor(nil).With(sr[0], 1), 0)
 }
 
-// A bitmap descent over an empty partition is a caller bug: dataBitmap
-// sizes its bitmap off the partition's last row.
+// A bitmap descent over an empty partition is a caller bug: partBitmap
+// sizes the bitmap it packs off the partition's last row.
 func TestDataBitmapRefusesEmptyPartition(t *testing.T) {
 	m := newMiner(store.Build(dataset.ToyDating()), Options{MinSupp: 1, Metric: metrics.NhpMetric})
 	assertPanics(t, "core: bitmap descent over an empty partition", func() {
-		m.dataBitmap(1, nil)
+		m.partBitmap(&part{}, 1)
 	})
 }

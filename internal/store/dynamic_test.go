@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"grminer/internal/graph"
@@ -250,6 +251,42 @@ func TestAndCountMatchesAndInto(t *testing.T) {
 		}
 		if AndCount(a, nil) != 0 || AndCount(nil, b) != 0 {
 			t.Fatal("intersection with a nil bitmap must be empty")
+		}
+	}
+}
+
+// TestAndCountIntoMatches pins the fused AND-and-count against AndInto plus
+// Count: on random bitmaps of unequal lengths, with dst a fresh scratch or
+// aliasing a (the chained AND of a multi-way intersection), and on nil and
+// empty operands.
+func TestAndCountIntoMatches(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	random := func() Bitmap {
+		switch r.Intn(6) {
+		case 0:
+			return nil
+		case 1:
+			return Bitmap{}
+		}
+		var b Bitmap
+		for i := r.Intn(40); i > 0; i-- {
+			b = b.Set(int32(r.Intn(64 * (1 + r.Intn(6)))))
+		}
+		return b
+	}
+	var scratch, want Bitmap
+	for i := 0; i < 500; i++ {
+		a, b := random(), random()
+		want = AndInto(want, a, b)
+		var n int
+		scratch, n = AndCountInto(scratch, a, b)
+		if !slices.Equal(scratch, want) || n != want.Count() {
+			t.Fatalf("AndCountInto(%v, %v) = %v, %d; want %v, %d", a, b, scratch, n, want, want.Count())
+		}
+		alias := slices.Clone(a)
+		got, n := AndCountInto(alias, alias, b)
+		if !slices.Equal(got, want) || n != want.Count() {
+			t.Fatalf("AndCountInto(a, a, b) on %v, %v = %v, %d; want %v, %d", a, b, got, n, want, want.Count())
 		}
 	}
 }

@@ -75,8 +75,9 @@ func BenchmarkPostingIntersect(b *testing.B) {
 	})
 	// The bitmap variant computes the same sub-partition by ANDing the two
 	// packed live-row sets into a reused scratch buffer — the step the
-	// scoped re-mine's bitmap walk (core's miner.intersect) and the round-2
-	// counts kernel (core's bitmapCounter.intersectLW) are built from.
+	// scoped re-mine's bitmap walk (core's miner.child, through
+	// AndCountInto) and the round-2 counts kernel (core's
+	// bitmapCounter.intersectLW) are built from.
 	b.Run("bitmap", func(b *testing.B) {
 		b.ReportAllocs()
 		var words Bitmap

@@ -55,6 +55,26 @@ func AndInto(dst, a, b Bitmap) Bitmap {
 	return dst
 }
 
+// AndCountInto is AndInto that also returns the intersection's size, in the
+// one pass that writes it. dst may alias a or b. Past its capacity dst is
+// reallocated to n + n/8 words, grow's rule: the scratch it serves lives as
+// long as a maintained index whose bitmaps lengthen a word at a time.
+func AndCountInto(dst, a, b Bitmap) (Bitmap, int) {
+	n := min(len(a), len(b))
+	if cap(dst) < n {
+		dst = make(Bitmap, n, n+n/8)
+	}
+	dst = dst[:n]
+	a, b = a[:n], b[:n]
+	c := 0
+	for i := range dst {
+		w := a[i] & b[i]
+		dst[i] = w
+		c += bits.OnesCount64(w)
+	}
+	return dst, c
+}
+
 // AndCount returns the size of the intersection of a and b without
 // materialising it — the last step of a multi-way intersect-and-count.
 func AndCount(a, b Bitmap) int {
