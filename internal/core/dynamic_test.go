@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -130,6 +131,53 @@ func TestDynamicOracle(t *testing.T) {
 					if !sawDeletes {
 						t.Fatalf("%s: stream never deleted an edge", label)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestDynamicOracleWithoutScoreGate: an engine built with MinScore −Inf
+// keeps every GR of enough support, so deletions only lower supports and
+// its batches take the scoped path whatever the metric — lift, which is
+// not DeltaSafe and rebuilds the pool under a score gate, as well as nhp.
+// Through mixed insert/delete batches the maintained top-k must equal a
+// fresh mine, and no batch may rebuild the pool.
+func TestDynamicOracleWithoutScoreGate(t *testing.T) {
+	seeds := []int64{5, 6, 7}
+	if testing.Short() {
+		seeds = seeds[:2]
+	}
+	for _, seed := range seeds {
+		full := randomGraph(seed, seed%2 == 0, true)
+		for _, m := range []metrics.Metric{metrics.LiftMetric, metrics.NhpMetric} {
+			for _, dyn := range []bool{false, true} {
+				label := "ungated-" + m.Name
+				if dyn {
+					label += "-dynfloor"
+				}
+				inc, err := core.NewIncremental(prefixGraph(full, full.NumEdges()), core.Options{
+					MinSupp: 2, MinScore: math.Inf(-1), K: 10, DynamicFloor: dyn, Metric: m,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds := newDynamicStream(t, label, seed*13+int64(len(m.Name)), full)
+				sawDeletes := false
+				for batch := 0; batch < 10; batch++ {
+					b := ds.nextBatch()
+					sawDeletes = sawDeletes || len(b.Del) > 0
+					res, bs, err := inc.ApplyBatch(b)
+					if err != nil {
+						t.Fatalf("%s: batch %d: %v", label, batch, err)
+					}
+					if bs.FullRemines != 0 {
+						t.Fatalf("%s: batch %d rebuilt the pool: %+v", label, batch, bs)
+					}
+					ds.check(res.TopK, inc.Options())
+				}
+				if !sawDeletes {
+					t.Fatalf("%s: stream never deleted an edge", label)
 				}
 			}
 		}

@@ -53,10 +53,13 @@
 //
 //     This is the same candidate-union soundness argument the static
 //     mine's fan-out makes for its task decomposition (parallel.go),
-//     applied to the subset of tasks the batch touches. Metrics that are not DeltaSafe
-//     (the lift family, whose scores can rise when |E| grows) rebuild the
-//     pool every batch; metrics that are DeltaSafe but not DeleteSafe
-//     (gain, which reads E) rebuild only for batches containing deletions.
+//     applied to the subset of tasks the batch touches. Under a score
+//     gate, metrics that are not DeltaSafe (the lift family, whose scores
+//     can rise when |E| grows) rebuild the pool every batch, and metrics
+//     that are DeltaSafe but not DeleteSafe (gain, which reads E) rebuild
+//     only for batches containing deletions; with MinScore −Inf only an
+//     inserted witness brings an entrant, so no batch rebuilds
+//     (liveStore.apply, the one batch kernel of both live engines).
 //
 // Floors are decrement-safe by construction: nothing about condition (3) is
 // persisted across batches. Every ApplyBatch re-derives the k-th best score
@@ -76,14 +79,11 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"time"
 
 	"grminer/internal/gr"
 	"grminer/internal/graph"
-	"grminer/internal/intern"
 	"grminer/internal/metrics"
-	"grminer/internal/store"
 )
 
 // EdgeInsert is one edge to ingest: endpoints plus edge attribute values
@@ -97,10 +97,10 @@ type EdgeInsert struct {
 
 // EdgeDelete is one edge retraction: it removes one live edge matching the
 // endpoints and edge attribute values exactly (a multigraph can hold several
-// such edges; one unspecified instance is removed). Deletions resolve
-// against the graph as it stood BEFORE the batch — a batch cannot delete an
-// edge it also inserts — and a retraction matching no pre-batch live edge
-// rejects the whole batch.
+// such edges; the one with the lowest id goes). Deletions resolve against
+// the graph as it stood BEFORE the batch — a batch cannot delete an edge it
+// also inserts — and a retraction matching no pre-batch live edge rejects
+// the whole batch.
 //
 // grlint:wire v2
 type EdgeDelete struct {
@@ -130,15 +130,19 @@ type IncStats struct {
 	// Recounted is the number of pool entries whose counts were
 	// delta-updated against the batch.
 	Recounted int
-	// Dropped counts pool entries whose score decayed below minScore.
+	// Dropped counts pool entries the recount dropped: a score decayed
+	// below minScore, or a support fallen below minSupp.
 	Dropped int
 	// SubtreesRemined / SubtreesTotal report the scoped re-mine's
-	// selectivity over first-level SFDF subtrees (equal on a full rebuild).
+	// selectivity over first-level SFDF subtrees (both zero on a full
+	// rebuild).
 	SubtreesRemined int
 	SubtreesTotal   int
-	// FullRemines counts batches that rebuilt the pool from scratch
-	// (non-DeltaSafe metric, negative minScore, or a deletion under a
-	// metric that is not DeleteSafe).
+	// FullRemines counts batches that rebuilt the pool from scratch: under
+	// a score gate, a non-DeltaSafe metric, a negative minScore, or a
+	// deletion under a metric that is not DeleteSafe; never with MinScore
+	// −Inf. NeedsR is no condition: DeltaSafe already rules out a score
+	// rising outside the witnessed subtrees, and the recount keeps R exact.
 	FullRemines int
 	// Duration is the wall-clock ApplyBatch time.
 	Duration time.Duration
@@ -178,25 +182,12 @@ func (s *IncStats) add(b IncStats) {
 // graph passed to NewIncremental (edges are appended to it) and is not safe
 // for concurrent use.
 type Incremental struct {
-	g   *graph.Graph
-	st  *store.Store
-	opt Options
-	// deltaSafe gates the scoped path for insertions; deleteSafe
-	// additionally gates it for batches containing deletions. See
-	// metrics.Metric.DeltaSafe / DeleteSafe.
-	deltaSafe  bool
-	deleteSafe bool
-	// pool is keyed by the store's persistent interning dictionary (ids
-	// stable across batches and compactions); pool, scr, fan, wit, and
-	// mergeScratch are the engine's steady-state allocation set — every
-	// ApplyBatch recounts, re-mines, and assembles out of these instead of
-	// rebuilding maps (DESIGN.md §7). The engine is the store's exclusive
-	// writer, so single-owner use holds. scr has a private dictionary: it
-	// is the fan-out's worker 0, and workers never intern into the store's.
-	pool         densePool
-	scr          *minerScratch
-	fan          *fanOut
-	wit          witnesses
+	// liveStore holds the graph, the store, the pool (keyed by the store's
+	// persistent dictionary) and the walk state, and applies every batch;
+	// with mergeScratch it is the engine's steady-state allocation set
+	// (DESIGN.md §7).
+	liveStore
+	opt          Options
 	mergeScratch []gr.Scored
 	last         *Result
 	cum          IncStats
@@ -226,24 +217,16 @@ func newIncremental(g *graph.Graph, opt Options, width int) (*Incremental, error
 		// Options.ExactGenerality).
 		opt.ExactGenerality = true
 	}
-	st := store.Build(g)
-	st.EnablePostings()
-	inc := &Incremental{
-		g:   g,
-		st:  st,
-		opt: opt,
-		deltaSafe: opt.Metric.DeltaSafe && !opt.Metric.NeedsR &&
-			opt.MinScore >= 0,
-		deleteSafe: opt.Metric.DeleteSafe,
-		// The single store captures every condition-(1) candidate: the
-		// pool's gate is the engine's own (MinSupp, MinScore).
-		pool: newDensePool(st, captureOptions(opt)),
+	// The single store captures every condition-(1) candidate: the pool's
+	// gate is the engine's own (MinSupp, MinScore).
+	live, err := newLiveStore(g, nil, captureOptions(opt), width)
+	if err != nil {
+		return nil, err
 	}
-	inc.scr = privateScratch(st)
-	inc.fan = newFanOut(st, inc.pool.opt, inc.scr, width)
+	inc := &Incremental{liveStore: live, opt: opt}
 	var stats Stats
 	start := time.Now()
-	inc.rebuildPool(&stats)
+	inc.rebuild(&stats)
 	inc.last = inc.assemble(&stats, time.Since(start))
 	inc.cum.Tracked = inc.pool.len()
 	return inc, nil
@@ -282,74 +265,16 @@ func (inc *Incremental) Explain(q gr.GR) (metrics.Counts, bool) {
 // two slices commute.
 func (inc *Incremental) ApplyBatch(b Batch) (*Result, IncStats, error) {
 	start := time.Now()
-	for i, e := range b.Ins {
-		if err := inc.g.CheckEdge(e.Src, e.Dst, e.Vals...); err != nil {
-			return nil, IncStats{}, fmt.Errorf("core: batch edge %d: %w", i, err)
-		}
-	}
-	delRows, err := resolveDeletes(inc.st, b.Del)
+	var stats Stats
+	bs, err := inc.apply(b, nil, inc.pool.capture, nil, &stats)
 	if err != nil {
 		return nil, IncStats{}, err
-	}
-	for _, e := range b.Ins {
-		if _, err := inc.g.AddEdge(e.Src, e.Dst, e.Vals...); err != nil {
-			// Unreachable after CheckEdge; kept as an invariant guard.
-			return nil, IncStats{}, err
-		}
-	}
-	newIDs := inc.st.Append()
-
-	bs := IncStats{Batches: 1, Edges: len(b.Ins), Deleted: len(delRows)}
-	var stats Stats
-	scoped := inc.deltaSafe && (len(delRows) == 0 || inc.deleteSafe)
-	if scoped {
-		// Order matters: the recount and the witness collection read
-		// the doomed rows' values, so both run before the rows tombstone;
-		// the re-mine then runs over the surviving store (RemoveEdges may
-		// compact and renumber rows — newIDs and delRows are dead after it).
-		bs.Recounted, bs.Dropped = inc.pool.recount(newIDs, delRows, nil)
-		collectWitnessesInto(&inc.wit, inc.st, newIDs, delRows)
-		if err := inc.applyDeletes(delRows); err != nil {
-			return nil, IncStats{}, err
-		}
-		bs.SubtreesRemined, bs.SubtreesTotal = remineAffectedSubtrees(inc.fan, &inc.pool, &inc.wit, inc.pool.capture, nil, &stats)
-	} else if len(newIDs) > 0 || len(delRows) > 0 {
-		// Full rebuild: the whole tree is re-walked, so no subtree
-		// selectivity is reported (SubtreesRemined/Total stay 0).
-		if err := inc.applyDeletes(delRows); err != nil {
-			return nil, IncStats{}, err
-		}
-		inc.rebuildPool(&stats)
-		bs.FullRemines = 1
 	}
 	inc.last = inc.assemble(&stats, time.Since(start))
 	bs.Tracked = inc.pool.len()
 	bs.Duration = inc.last.Stats.Duration
 	inc.cum.add(bs)
 	return inc.last, bs, nil
-}
-
-// resolveDeletes maps each retraction to a distinct live store row matching
-// its endpoints and edge values exactly, by one pass over the live rows. An
-// unmatched retraction is an error (the caller rejects the batch unmutated).
-func resolveDeletes(st *store.Store, dels []EdgeDelete) ([]int32, error) {
-	ne := len(st.Graph().Schema().Edge)
-	ids, err := resolveRetractions(dels, ne, st.NumRows(), func(e int) (int, int, bool) {
-		if !st.Alive(int32(e)) {
-			return 0, 0, false
-		}
-		return int(st.SrcNode(int32(e))), int(st.DstNode(int32(e))), true
-	}, func(e, a int) graph.Value {
-		return st.EVal(int32(e), a)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]int32, len(ids))
-	for i, id := range ids {
-		rows[i] = int32(id)
-	}
-	return rows, nil
 }
 
 // resolveRetractions is the shared retraction-resolution loop of the
@@ -362,7 +287,7 @@ func resolveDeletes(st *store.Store, dels []EdgeDelete) ([]int32, error) {
 // touches two ints per row, not a per-row formatted key. An unmatched
 // retraction is an error naming the lowest unmatched index; callers reject
 // the whole batch unmutated.
-func resolveRetractions(dels []EdgeDelete, ne, numRows int, endpoints func(e int) (src, dst int, alive bool), val func(e, a int) graph.Value) ([]int, error) {
+func resolveRetractions(dels []EdgeDelete, ne, numRows int, endpoints func(e int) (src, dst int, alive bool), val func(e, a int) graph.Value) ([]int32, error) {
 	if len(dels) == 0 {
 		return nil, nil
 	}
@@ -376,7 +301,7 @@ func resolveRetractions(dels []EdgeDelete, ne, numRows int, endpoints func(e int
 		}
 		pending[pack(d.Src, d.Dst)] = append(pending[pack(d.Src, d.Dst)], i)
 	}
-	ids := make([]int, len(dels))
+	ids := make([]int32, len(dels))
 	matched := 0
 	for e := 0; e < numRows && matched < len(dels); e++ {
 		src, dst, alive := endpoints(e)
@@ -405,7 +330,7 @@ func resolveRetractions(dels []EdgeDelete, ne, numRows int, endpoints func(e int
 			if !match {
 				continue
 			}
-			ids[i] = e
+			ids[i] = int32(e)
 			pending[key] = append(idxs[:slot], idxs[slot+1:]...)
 			matched++
 			break
@@ -425,151 +350,6 @@ func resolveRetractions(dels []EdgeDelete, ne, numRows int, endpoints func(e int
 			first, d.Src, d.Dst)
 	}
 	return ids, nil
-}
-
-// applyDeletes tombstones the resolved rows in both the owned graph and the
-// store (which may compact).
-func (inc *Incremental) applyDeletes(delRows []int32) error {
-	if len(delRows) == 0 {
-		return nil
-	}
-	for _, row := range delRows {
-		if err := inc.g.RemoveEdge(int(inc.st.EdgeID(row))); err != nil {
-			return fmt.Errorf("core: retract row %d: %w", row, err)
-		}
-	}
-	return inc.st.RemoveEdges(delRows)
-}
-
-// rebuildPool re-seeds the pool with a full capture mine over the current
-// store (seed mine and the per-batch fallback for non-delta-safe batches).
-// The pool and the mining scratch are reset in place, not reallocated:
-// steady-state rebuilds reuse the previous batch's capacity.
-func (inc *Incremental) rebuildPool(stats *Stats) {
-	inc.pool.reset()
-	inc.fan.walk(nil, nil, inc.pool.capture, nil, stats)
-}
-
-// witnesses is the scoped re-mine's batch: every inserted and deleted edge,
-// with its values. Each node of the scoped walk carries the set of
-// witnesses that still match its descriptor — an inserted edge while it
-// matches l ∧ w ∧ r, a deleted edge while it matches l ∧ w — and a descent
-// whose set empties holds no pool entrant (see the package comment). The
-// table is O(batch × attributes) and refilled in place by every batch.
-type witnesses struct {
-	// edges lists the witnesses' graph edge ids, inserted edges first:
-	// witnesses [0, nIns) are inserted and [nIns, n) deleted. Sets list
-	// ids ascending, so a set holds a deletion iff its last id is at least
-	// nIns.
-	edges []int32
-	nIns  int
-	// vals holds stride values per witness (filled by gather): its nv
-	// source-node (LHS) values, its nv destination-node (RHS) values, then
-	// its edge values — so a (side, attribute) pair is one column index
-	// (colL, colR, colW).
-	vals       []graph.Value
-	nv, stride int
-}
-
-func (w *witnesses) colL(attr int) int { return attr }
-func (w *witnesses) colR(attr int) int { return w.nv + attr }
-func (w *witnesses) colW(attr int) int { return 2*w.nv + attr }
-
-func (w *witnesses) val(i int32, col int) graph.Value { return w.vals[int(i)*w.stride+col] }
-
-// hasDelete reports whether the ascending set holds a deleted edge.
-func (w *witnesses) hasDelete(set []int32) bool {
-	return len(set) > 0 && int(set[len(set)-1]) >= w.nIns
-}
-
-// inserted returns the prefix of the ascending set that holds its inserted
-// edges.
-func (w *witnesses) inserted(set []int32) []int32 {
-	for w.hasDelete(set) {
-		set = set[:len(set)-1]
-	}
-	return set
-}
-
-// keeps reports whether witness i stays in a set extended by val in col: it
-// carries val there, or it is a deleted edge and col is an RHS column —
-// deletion entrants are carried on l ∧ w only, so R extensions pass them.
-func (w *witnesses) keeps(i int32, col int, val graph.Value) bool {
-	if int(i) >= w.nIns && col >= w.nv && col < 2*w.nv {
-		return true
-	}
-	return w.val(i, col) == val
-}
-
-// collectWitnessesInto records the batch's inserted rows and doomed rows
-// into the engine's reusable witness table by graph edge id. It must run
-// before the doomed rows tombstone: RemoveEdges may compact and renumber
-// rows, while edge ids are stable and the graph keeps a removed edge's
-// endpoints and values readable.
-func collectWitnessesInto(w *witnesses, st *store.Store, newIDs, delRows []int32) {
-	w.nIns = len(newIDs)
-	w.edges = slices.Grow(w.edges[:0], len(newIDs)+len(delRows))
-	for _, rows := range [2][]int32{newIDs, delRows} {
-		for _, e := range rows {
-			w.edges = append(w.edges, st.EdgeID(e))
-		}
-	}
-}
-
-// gather fills the value table from g (the store's graph).
-func (w *witnesses) gather(g *graph.Graph) {
-	schema := g.Schema()
-	nv, ne := len(schema.Node), len(schema.Edge)
-	w.nv, w.stride = nv, 2*nv+ne
-	w.vals = slices.Grow(w.vals[:0], len(w.edges)*w.stride)
-	for _, id := range w.edges {
-		e := int(id)
-		w.vals = append(w.vals, g.NodeValues(g.Src(e))...)
-		w.vals = append(w.vals, g.NodeValues(g.Dst(e))...)
-		w.vals = append(w.vals, g.EdgeValues(e)...)
-	}
-}
-
-// rightSubtreeAffected decides whether a root RIGHT subtree with n live
-// edges in its partition can hold a deletion entrant. Every deleted edge is
-// a witness there — the subtree's GRs have empty l ∧ w, which every edge
-// matches — but a sharp score bound rules most subtrees out: every GR in
-// the subtree has LW = |E|, Hom = 0 (empty LHS ⇒ empty β, so nhp
-// degenerates to conf throughout), and LWR ≤ n, and every DeleteSafe metric
-// is non-decreasing in LWR at fixed LW, so Score({LWR: n, LW: E, E: E})
-// bounds every score below the subtree from above. A subtree whose bound
-// misses minScore holds no condition-(1) candidate at all, so its deleted
-// witnesses are dropped — the saving that keeps deletion batches from
-// re-walking the whole RIGHT block.
-func rightSubtreeAffected(opt Options, n, liveE int) bool {
-	bound := opt.Metric.Score(metrics.Counts{LWR: n, LW: liveE, E: liveE})
-	return bound >= opt.MinScore
-}
-
-// remineAffectedSubtrees re-mines exactly the first-level SFDF subtrees
-// some batch witness reaches, on f's workers, and leaves the pool's
-// condition-(1) set exact: every candidate found that pool already tracks
-// is updated in place, and every other one is replayed through emit, in the
-// one-worker walk's order (see fanOut). It is the full capture walk
-// restricted by witnesses: the same planner (plan) splits the tree at its
-// first level, so every GR of the full walk belongs to exactly one
-// subtree. Shared by the single-store incremental engine and the shard
-// workers (whose witnesses are insert-only); both stores keep postings, so
-// each first-level partition's size and rows come straight off the store's
-// per-(attribute, value) live-row bitmap — no O(|E| × dims) counting-sort
-// pass over the full edge set — and every deeper descent narrows the node's
-// witness set (miner.wit), pruning descents it empties. That is exact at
-// every depth: an entrant's witness matches the entrant's descriptor, so it
-// matches every ancestor's, and it survives on the whole SFDF path. A
-// non-nil touched receives the ids of the entries updated in place.
-//
-// Scoped re-mining is only sound when the metric cannot raise a score
-// outside the witnessed subtrees.
-//
-// grlint:requires DeltaSafe DeleteSafe
-func remineAffectedSubtrees(f *fanOut, pool *densePool, wit *witnesses, emit func(gr.GR, metrics.Counts, float64), touched *[]intern.GRID, stats *Stats) (remined, total int) {
-	wit.gather(f.st.Graph())
-	return f.walk(wit, pool, emit, touched, stats)
 }
 
 // assemble applies Definition 5 conditions (2) and (3) to the pool and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -70,8 +71,13 @@ type Options struct {
 	StaticRHSOrder bool
 }
 
-// normalize fills defaults and validates.
+// normalize fills defaults and validates. MinScore may be ±Inf (−Inf is a
+// shard's capture gate), but not NaN: every comparison with NaN is false,
+// so no threshold test would agree with another.
 func (o Options) normalize() (Options, error) {
+	if math.IsNaN(o.MinScore) {
+		return o, fmt.Errorf("core: MinScore is NaN")
+	}
 	if o.Metric.Score == nil {
 		o.Metric = metrics.NhpMetric
 	}

@@ -196,7 +196,8 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 		inc.sketches[s].addEdge(inc.g.NodeValues(e.Src), inc.g.NodeValues(e.Dst), e.Vals)
 		inc.pool.routed[s]++
 	}
-	for i, id := range delIDs {
+	for i, id32 := range delIDs {
+		id := int(id32)
 		src, dst := inc.g.Src(id), inc.g.Dst(id)
 		s, err := inc.g.ShardOf(inc.plan.Strategy, inc.plan.Shards, src, dst)
 		if err != nil {
@@ -272,7 +273,7 @@ func (inc *IncrementalSharded) ApplyBatch(b Batch) (*Result, IncStats, error) {
 // resolveRetractions loop over graph edges); results index-align with dels.
 // An unmatched retraction is an error (the caller rejects the batch
 // unmutated).
-func resolveGraphDeletes(g *graph.Graph, dels []EdgeDelete) ([]int, error) {
+func resolveGraphDeletes(g *graph.Graph, dels []EdgeDelete) ([]int32, error) {
 	return resolveRetractions(dels, len(g.Schema().Edge), g.NumEdges(), func(e int) (int, int, bool) {
 		if !g.EdgeAlive(e) {
 			return 0, 0, false

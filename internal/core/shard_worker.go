@@ -66,7 +66,6 @@ import (
 	"grminer/internal/graph"
 	"grminer/internal/intern"
 	"grminer/internal/metrics"
-	"grminer/internal/store"
 )
 
 // WireOptions is Options in a transport-friendly form: the metric travels by
@@ -531,14 +530,12 @@ func (b *OfferBound) cuts(g gr.GR, localSupp int) bool {
 // and (once seeded by Offer(nil)) the maintained relaxed pool. It backs
 // both the in-process deployment and the shardd daemon.
 type WorkerState struct {
-	g      *graph.Graph
-	st     *store.Store
+	// liveStore holds the private graph, its store, the relaxed pool —
+	// gated at (ShardMinSupp, −Inf), empty until a seed Offer(nil), which
+	// Ingest requires — and the walk state, and applies every slice.
+	liveStore
 	idx    int
 	shards int
-	// pool is the maintained relaxed pool, gated at (ShardMinSupp, −Inf):
-	// its options are the shard's capture options. It is empty and unseeded
-	// until a seed Offer(nil); Ingest requires the seed.
-	pool   densePool
 	seeded bool
 	// changes collects each Ingest's pool deltas: the recount's report plus
 	// every re-mine capture; entered the captures new to the pool.
@@ -547,12 +544,6 @@ type WorkerState struct {
 	// mark is fillDeltas' bitset over the handle space; it is all zero
 	// between calls.
 	mark []uint64
-	// fan and wit are the worker's steady-state walk allocations, reused
-	// across Offer and Ingest calls; the fan-out's workers intern into
-	// private dictionaries, so only the pool interns into the shard store's
-	// persistent one (the worker is the store's exclusive writer).
-	fan *fanOut
-	wit witnesses
 	// counter is the round-2 Counts kernel's scratch, reused across calls.
 	counter bitmapCounter
 }
@@ -615,13 +606,6 @@ func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, dict *inte
 			return nil, fmt.Errorf("core: shard %d: edge %d: %w", spec.Index, i, err)
 		}
 	}
-	st := store.Build(g)
-	if dict != nil {
-		if err := st.RestoreDict(*dict); err != nil {
-			return nil, fmt.Errorf("core: shard %d: checkpoint dictionary: %w", spec.Index, err)
-		}
-	}
-	st.EnablePostings()
 	// A shard's capture mines run at the lowered support threshold with no
 	// score threshold; metric, descriptor caps, triviality and RHS-order
 	// settings pass through so the per-shard enumeration space matches the
@@ -629,14 +613,11 @@ func newWorker(spec WorkerSpec, src, dst []int32, vals []graph.Value, dict *inte
 	capOpt := captureOptions(opt)
 	capOpt.MinSupp = spec.ShardMinSupp
 	capOpt.MinScore = math.Inf(-1)
-	return &WorkerState{
-		g:      g,
-		st:     st,
-		idx:    spec.Index,
-		shards: spec.Shards,
-		pool:   newDensePool(st, capOpt),
-		fan:    newFanOut(st, capOpt, privateScratch(st), runtime.GOMAXPROCS(0)),
-	}, nil
+	live, err := newLiveStore(g, dict, capOpt, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, fmt.Errorf("core: shard %d: checkpoint dictionary: %w", spec.Index, err)
+	}
+	return &WorkerState{liveStore: live, idx: spec.Index, shards: spec.Shards}, nil
 }
 
 // NumEdges returns the shard's current edge count.
@@ -729,74 +710,41 @@ func validGR(schema *graph.Schema, g gr.GR) error {
 	return nil
 }
 
-// Ingest applies one routed batch slice worker-side: validate, append
-// insertions to the private graph and store, resolve retractions against the
-// pre-batch shard rows, delta-recount the maintained pool, tombstone the
-// retracted rows, re-mine the affected first-level subtrees, and reply with
-// every pool entry the batch touched. The per-shard pool is support-gated
-// at ShardMinSupp, which keeps deletions simpler than the single-store
-// engine's: supports only fall, so a retraction can never promote a new
-// entry (no deletion-scoped re-mine and no DeltaSafe/DeleteSafe gate is
-// needed — global score movement, including the lift family's under a
-// shrinking |E|, is re-evaluated at merge time from summed counts). A
-// retraction CAN demote an entry below the shard threshold; the worker then
-// stops tracking it but still reports it in the deltas with its final
-// below-threshold counts, so the coordinator's union pool stays a faithful
-// mirror of the worker pools. Like the single-store engine, the whole slice
-// is validated before any state changes. The reply is handle-addressed
-// (see IngestReply): only the batch's pool entrants travel by value.
+// Ingest applies one routed batch slice through the batch kernel
+// (liveStore.apply) and replies with every pool entry the batch touched.
+// The pool's gate has no score threshold, so a retraction only lowers
+// supports and never promotes an entry: global score movement, the lift
+// family's under a shrinking |E| included, is re-evaluated at merge time
+// from summed counts. A retraction CAN demote an entry below ShardMinSupp;
+// the reply still lists it, with its final counts, so the coordinator's
+// union pool stays a faithful mirror of the worker pools. The reply is
+// handle-addressed (see IngestReply): only entrants travel by value.
 func (w *WorkerState) Ingest(batch Batch) (IngestReply, error) {
 	if !w.seeded {
 		return IngestReply{}, fmt.Errorf("core: worker %d: ingest before a seeding Offer", w.idx)
 	}
-	for i, e := range batch.Ins {
-		if err := w.g.CheckEdge(e.Src, e.Dst, e.Vals...); err != nil {
-			return IngestReply{}, fmt.Errorf("core: worker %d: batch edge %d: %w", w.idx, i, err)
+	var stats Stats
+	// Every capture joins the recount's touched ids as a delta: the
+	// entries the re-mine updates in place directly, the entrants as they
+	// are replayed.
+	bs, err := w.apply(batch, &w.changes, func(g gr.GR, c metrics.Counts, score float64) {
+		id, added := w.pool.upsert(g, c, score)
+		w.changes.touched = append(w.changes.touched, id)
+		if added {
+			w.entered = append(w.entered, id)
 		}
-	}
-	delRows, err := resolveDeletes(w.st, batch.Del)
+	}, &w.changes.touched, &stats)
 	if err != nil {
 		return IngestReply{}, fmt.Errorf("core: worker %d: %w", w.idx, err)
 	}
-	for _, e := range batch.Ins {
-		if _, err := w.g.AddEdge(e.Src, e.Dst, e.Vals...); err != nil {
-			// Unreachable after CheckEdge; kept as an invariant guard.
-			return IngestReply{}, err
-		}
+	rep := IngestReply{
+		NumEdges:        w.st.NumEdges(),
+		Recounted:       bs.Recounted,
+		SubtreesRemined: bs.SubtreesRemined,
+		SubtreesTotal:   bs.SubtreesTotal,
+		Stats:           stats,
 	}
-	newRows := w.st.Append()
-
-	rep := IngestReply{}
-	rep.Recounted, _ = w.pool.recount(newRows, delRows, &w.changes)
-	// Witnesses are the inserted rows only (support-gated pools have no
-	// deletion entrants), gathered before the doomed rows tombstone.
-	collectWitnessesInto(&w.wit, w.st, newRows, nil)
-	for _, row := range delRows {
-		if err := w.g.RemoveEdge(int(w.st.EdgeID(row))); err != nil {
-			return IngestReply{}, fmt.Errorf("core: worker %d: retract row %d: %w", w.idx, row, err)
-		}
-	}
-	if err := w.st.RemoveEdges(delRows); err != nil {
-		return IngestReply{}, fmt.Errorf("core: worker %d: %w", w.idx, err)
-	}
-	var stats Stats
-	// The re-mine below is deliberately unguarded: deletions were resolved
-	// exactly by the recount above (support-gated pools have no deletion
-	// entrants), so only the insert side reaches the scoped walk. Every
-	// capture joins the recount's touched ids as a delta: the entries it
-	// updates in place directly, the entrants as they are replayed.
-	//grlint:ignore metricsafety deletions are recounted exactly above; only inserts reach the scoped re-mine
-	rep.SubtreesRemined, rep.SubtreesTotal = remineAffectedSubtrees(w.fan, &w.pool, &w.wit,
-		func(g gr.GR, c metrics.Counts, score float64) {
-			id, added := w.pool.upsert(g, c, score)
-			w.changes.touched = append(w.changes.touched, id)
-			if added {
-				w.entered = append(w.entered, id)
-			}
-		}, &w.changes.touched, &stats)
 	w.fillDeltas(&rep)
-	rep.NumEdges = w.st.NumEdges()
-	rep.Stats = stats
 	return rep, nil
 }
 

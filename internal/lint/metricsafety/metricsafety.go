@@ -13,7 +13,7 @@
 //     an if/switch condition (or an earlier if in the same function, the
 //     early-return-guard shape) mentioning an identifier matching the flag
 //     name, possibly through one local variable of flag conjunctions
-//     (scoped := inc.deltaSafe && inc.deleteSafe; if scoped { ... }).
+//     (scoped := m.DeltaSafe && m.DeleteSafe; if scoped { ... }).
 //     Alternatively the caller itself carries the same grlint:requires
 //     annotation, propagating the obligation outward.
 //
@@ -147,7 +147,7 @@ type guard struct {
 
 func newGuardScope(pass *analysis.Pass, body *ast.BlockStmt) *guardScope {
 	// Pass 1: local variables assigned from flag expressions, in source
-	// order so `scoped := inc.deltaSafe && inc.deleteSafe` feeds `if scoped`.
+	// order so `scoped := m.DeltaSafe && m.DeleteSafe` feeds `if scoped`.
 	varFlags := make(map[string][]string)
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -223,9 +223,9 @@ func (g *guardScope) guarded(call token.Pos, flag string) bool {
 }
 
 // mentions reports whether the expression references the flag: an
-// identifier or selector whose name equals it (any capitalization: the
-// engine mirrors Metric.DeltaSafe into unexported deltaSafe fields), or a
-// local variable recorded as carrying it.
+// identifier or selector whose name equals it (in any capitalization, so an
+// unexported deltaSafe mirror counts too), or a local variable recorded as
+// carrying it.
 func mentions(e ast.Expr, flag string, varFlags map[string][]string) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
